@@ -25,7 +25,7 @@ import numpy as np
 
 from .bands import BandPartition, band_map, band_partition
 from .clusters import ClusterPartition, build_clusters
-from .forms import SymmetricForm, derivative_maps
+from .forms import SymmetricForm, gradient, monomials
 from .frequencies import (
     Beam,
     SpectralMultiplier,
@@ -645,75 +645,59 @@ def superactions(
 
 def is_action_form(form: SymmetricForm) -> bool:
     """Whether every monomial is a product of mode actions |u_a|^2."""
-    for key in form.coeffs:
-        counts: Dict[Point, int] = {}
-        for p, sgn in key:
-            counts[p] = counts.get(p, 0) + sgn
-        if any(v != 0 for v in counts.values()):
-            return False
-    return True
+    codes = form.packed.codes
+    degree = codes.shape[1]
+    if degree % 2:
+        return not len(codes)
+    half = degree // 2
+    parity = codes & 1
+    # a stable sort on the sign puts the + points, then the - points, each ascending
+    points = np.take_along_axis(codes >> 1, np.argsort(parity, axis=1, kind="stable"), axis=1)
+    return bool(
+        np.all(parity.sum(axis=1) == half) and np.array_equal(points[:, :half], points[:, half:])
+    )
+
+
+def _both_signs(u: np.ndarray) -> np.ndarray:
+    """One-sided state on the codes ``2*i`` (u) and ``2*i + 1`` (conj u)."""
+    x = np.empty(2 * len(u), dtype=complex)
+    x[0::2] = u
+    x[1::2] = u.conj()
+    return x
 
 
 class _PolyKick:
     """Vectorized nonlinear step for polynomial Hamiltonians on the truncation.
 
     Action-only parts rotate each mode by the exact angle ``dP/dI_a``; other
-    parts are integrated by fourth-order substeps of ``du = X_P(u) dt``.
+    parts are integrated by fourth-order substeps of ``du = X_P(u) dt``,
+    with their packed codes renumbered to the lattice once.
     """
 
     def __init__(self, forms: Sequence[SymmetricForm], points: Sequence[Point], substeps: int = 1):
         self.points = list(points)
-        self.index = {p: i for i, p in enumerate(self.points)}
+        index = {p: i for i, p in enumerate(self.points)}
         self.substeps = substeps
-        action = [f for f in forms if is_action_form(f)]
-        other = [f for f in forms if not is_action_form(f)]
-
         exps: List[np.ndarray] = []
-        coeffs: List[float] = []
-        for f in action:
-            for key, c in f.coeffs.items():
-                if abs(c.imag) > 1e-12 * (1.0 + abs(c)):
+        coeffs: List[np.ndarray] = []
+        self.rk: List[Tuple[np.ndarray, np.ndarray]] = []
+        for f in forms:
+            view = f.packed
+            codes = view.relabel(view.codes, index)
+            if is_action_form(f):
+                c = view.values
+                if np.any(np.abs(c.imag) > 1e-12 * (1.0 + np.abs(c))):
                     raise ValueError("action part must have real coefficients")
-                e = np.zeros(len(self.points), dtype=int)
-                for p, sgn in key:
-                    if sgn > 0:
-                        e[self.index[p]] += 1
+                row, col = np.nonzero((codes & 1) == 0)
+                e = np.zeros((len(codes), len(self.points)), dtype=int)
+                np.add.at(e, (row, codes[row, col] >> 1), 1)
                 exps.append(e)
                 coeffs.append(c.real)
-        self.action_exps = np.asarray(exps) if exps else None
-        self.action_coeffs = np.asarray(coeffs) if coeffs else None
-
-        out, fac, idx, cj = [], [], [], []
-        width = 0
-        for f in other:
-            width = max(width, f.degree - 1)
-        for f in other:
-            for (p, sgn), rows in derivative_maps(f).items():
-                if sgn != -1:
-                    continue
-                for reduced, c in rows:
-                    out.append(self.index[p])
-                    fac.append(-1j * c)
-                    idx.append([self.index[q] for q, _ in reduced] + [0] * (width - len(reduced)))
-                    cj.append([sg < 0 for _, sg in reduced] + [False] * (width - len(reduced)))
-                    # pad columns multiply by u[0]; compensate via mask
-        self.rk_out = np.asarray(out, dtype=int) if out else None
-        self.rk_fac = np.asarray(fac, dtype=complex) if out else None
-        self.rk_idx = np.asarray(idx, dtype=int) if out else None
-        self.rk_conj = np.asarray(cj, dtype=bool) if out else None
-        self.rk_mask = None
-        if out:
-            self.rk_mask = np.zeros_like(self.rk_idx, dtype=bool)
-            row = 0
-            for f in other:
-                for (p, sgn), rows in derivative_maps(f).items():
-                    if sgn != -1:
-                        continue
-                    for reduced, _ in rows:
-                        self.rk_mask[row, : len(reduced)] = True
-                        row += 1
-
-        self.exact = self.rk_out is None
+            elif np.any(codes & 1):  # without a - variable the kick is zero
+                self.rk.append((codes, view.values))
+        self.action_exps = np.concatenate(exps) if exps else None
+        self.action_coeffs = np.concatenate(coeffs) if coeffs else None
+        self.exact = not self.rk
 
     def theta(self, intensity: np.ndarray) -> np.ndarray:
         if self.action_exps is None:
@@ -723,19 +707,17 @@ class _PolyKick:
         return (self.action_exps.T @ (self.action_coeffs * rows)) / safe
 
     def _rhs(self, u: np.ndarray) -> np.ndarray:
+        """``du_a = -i dP/du_{a,-}``, the odd codes of the packed gradient."""
+        x = _both_signs(u)
         du = np.zeros_like(u)
-        if self.rk_out is not None:
-            vals = u[self.rk_idx]
-            vals = np.where(self.rk_conj, np.conj(vals), vals)
-            vals = np.where(self.rk_mask, vals, 1.0)
-            prod = np.prod(vals, axis=1)
-            np.add.at(du, self.rk_out, self.rk_fac * prod)
-        return du
+        for codes, coef in self.rk:
+            du += gradient(codes, coef, x, len(x))[1::2]
+        return -1j * du
 
     def apply(self, u: np.ndarray, dt: float) -> np.ndarray:
         if self.action_exps is not None:
             u = u * np.exp(-1j * dt * self.theta(np.abs(u) ** 2))
-        if self.rk_out is not None:
+        if self.rk:
             tau = dt / self.substeps
             for _ in range(self.substeps):
                 k1 = self._rhs(u)
@@ -750,32 +732,11 @@ class _PolyEnergy:
     """Vectorized evaluation of a list of forms on a one-sided state."""
 
     def __init__(self, forms: Sequence[SymmetricForm], index: Dict[Point, int]):
-        rows_idx, rows_conj, rows_c = [], [], []
-        width = max((f.degree for f in forms if f.coeffs), default=0)
-        for f in forms:
-            for key, c in f.coeffs.items():
-                rows_idx.append([index[p] for p, _ in key] + [0] * (width - len(key)))
-                rows_conj.append([sg < 0 for _, sg in key] + [False] * (width - len(key)))
-                rows_c.append(c)
-        self.idx = np.asarray(rows_idx, dtype=int) if rows_idx else None
-        self.conj = np.asarray(rows_conj, dtype=bool) if rows_idx else None
-        self.coeffs = np.asarray(rows_c, dtype=complex) if rows_idx else None
-        if self.idx is not None:
-            self.mask = np.zeros_like(self.idx, dtype=bool)
-            row = 0
-            for f in forms:
-                for key in f.coeffs:
-                    self.mask[row, : len(key)] = True
-                    row += 1
+        self.tables = [(f.packed.relabel(f.packed.codes, index), f.packed.values) for f in forms]
 
     def value(self, u: np.ndarray) -> float:
-        if self.idx is None:
-            return 0.0
-        vals = u[self.idx]
-        vals = np.where(self.conj, np.conj(vals), vals)
-        vals = np.where(self.mask, vals, 1.0)
-        total = np.sum(self.coeffs * np.prod(vals, axis=1))
-        return float(total.real)
+        x = _both_signs(u)
+        return float(sum(monomials(codes, c, x).sum() for codes, c in self.tables).real)
 
 
 def integrate_normal_form(

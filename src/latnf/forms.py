@@ -5,6 +5,17 @@ multiset keys (entries sorted by point, + before -) to monomial coefficients:
 ``F(u) = sum_M c_M prod_{A in M} u_A``.  The associated symmetric multilinear
 form divides each monomial by its multinomial multiplicity.
 
+Every form also has one packed view (``SymmetricForm.packed``), built on
+first use and cached on the instance, so it is freed with the form.  The view
+numbers the form's distinct points by their position (rank) in the sorted
+point list and encodes each signed entry as ``code = 2*rank + (sign < 0)``;
+ascending codes are then the canonical key order (point lex, ``+`` before
+``-``).  It holds ``codes: int32[n, degree]`` (each row ascending),
+``values: complex128[n]`` in the order of ``coeffs``, and the point list.
+The bracket, the localized norms, evaluation and the vector field run on
+these arrays; ``coeffs`` stays the public storage, and forms are treated as
+immutable once built.
+
 The localized norm weights each key by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the key (smallest repeated below degree 3) and
 ``S = mu + dist`` with ``dist`` the index distance between the two largest
@@ -18,7 +29,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,15 +43,17 @@ from .lattice import (
     Point,
     conjugate,
     conjugate_key,
-    point_distance,
 )
-from .resonance import ordering_permutation
 
 Key = Tuple[ExtIndex, ...]
 
 DROP_TOL = 1e-14
 
 State = Dict[ExtIndex, complex]
+
+#: rows (bracket: row pairs) per block in the packed kernels; bounds their
+#: temporaries to a few block-sized arrays whatever the form size
+BLOCK = 1 << 18
 
 
 def canonical_key(entries: Iterable[ExtIndex]) -> Key:
@@ -55,6 +68,82 @@ def key_multiplicity(key: Key) -> int:
     return mult
 
 
+def _relabel(codes: np.ndarray, mapping: np.ndarray) -> np.ndarray:
+    """Codes with every point rank ``r`` replaced by ``mapping[r]``."""
+    return 2 * mapping[codes >> 1] + (codes & 1)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedForm:
+    """Array view of a form; the module docstring gives the encoding."""
+
+    points: Tuple[Point, ...]
+    codes: np.ndarray
+    values: np.ndarray
+
+    @cached_property
+    def entries(self) -> Tuple[ExtIndex, ...]:
+        """The signed index of every code: ``entries[code]``."""
+        return tuple((p, s) for p in self.points for s in (1, -1))
+
+    @cached_property
+    def runs(self) -> np.ndarray:
+        """Length of each run of equal codes at its first column, 0 elsewhere."""
+        codes = self.codes
+        runs = np.ones(codes.shape, dtype=np.int64)
+        for j in range(codes.shape[1] - 2, -1, -1):
+            same = codes[:, j] == codes[:, j + 1]
+            runs[same, j] += runs[same, j + 1]
+        runs[:, 1:] *= codes[:, 1:] != codes[:, :-1]
+        return runs
+
+    @cached_property
+    def multiplicity(self) -> np.ndarray:
+        """``key_multiplicity`` of every row, from its run lengths."""
+        degree = self.codes.shape[1]
+        fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=np.int64)
+        return fact[degree] // np.prod(fact[self.runs], axis=1)
+
+    @cached_property
+    def derivatives(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Derivative rows ``(variable, reduced codes, coefficient)``.
+
+        One row per distinct entry of a key, taken at the first column of its
+        run, with the coefficient times the run length; sorted stably by the
+        variable's code.
+        """
+        codes, runs = self.codes, self.runs
+        var, rows, coef = [], [], []
+        for j in range(codes.shape[1]):
+            sel = np.flatnonzero(runs[:, j])
+            var.append(codes[sel, j])
+            rows.append(np.concatenate((codes[sel, :j], codes[sel, j + 1 :]), axis=1))
+            coef.append(self.values[sel] * runs[sel, j])
+        if not var:
+            return np.zeros(0, np.int32), np.zeros((0, 0), np.int32), np.zeros(0, complex)
+        var = np.concatenate(var)
+        order = np.argsort(var, kind="stable")
+        return var[order], np.concatenate(rows)[order], np.concatenate(coef)[order]
+
+    def relabel(self, codes: np.ndarray, rank: Mapping[Point, int]) -> np.ndarray:
+        """Codes of this view renumbered by the point ranks ``rank``."""
+        return _relabel(codes, np.array([rank[p] for p in self.points], dtype=np.int32))
+
+    def gather(self, values: State) -> np.ndarray:
+        """State value at every code, 0 where the state has no entry."""
+        return np.array([values.get(e, 0j) for e in self.entries], dtype=complex)
+
+
+def _pack(coeffs: Mapping[Key, complex], degree: int) -> PackedForm:
+    points = tuple(sorted({p for key in coeffs for p, _ in key}))
+    rank = {p: i for i, p in enumerate(points)}
+    flat = [2 * rank[p] + (s < 0) for key in coeffs for p, s in key]
+    codes = np.array(flat, dtype=np.int32).reshape(len(coeffs), degree)
+    codes.sort(axis=1)
+    values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+    return PackedForm(points, codes, values)
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricForm:
     """Homogeneous polynomial in the signed mode variables."""
@@ -64,6 +153,33 @@ class SymmetricForm:
 
     def __len__(self) -> int:
         return len(self.coeffs)
+
+    @cached_property
+    def packed(self) -> PackedForm:
+        """The packed view, rows in ``coeffs`` order."""
+        return _pack(self.coeffs, self.degree)
+
+
+def _seeded(degree: int, keys: Iterable[Key], view: PackedForm) -> SymmetricForm:
+    """Form with the given keys (in view row order) and its view already set."""
+    form = SymmetricForm(degree=degree, coeffs=dict(zip(keys, view.values.tolist())))
+    form.__dict__["packed"] = view  # what cached_property would store
+    return form
+
+
+def _from_packed(degree: int, points: Sequence[Point], codes: np.ndarray, values: np.ndarray) -> SymmetricForm:
+    """Form of ascending code rows over ``points``; unused points are dropped."""
+    used = np.unique(codes >> 1)
+    if len(used) < len(points):
+        mapping = np.zeros(len(points), dtype=np.int32)
+        mapping[used] = np.arange(len(used), dtype=np.int32)
+        codes = _relabel(codes, mapping)
+        points = [points[i] for i in used.tolist()]
+    view = PackedForm(tuple(points), codes, values)
+    if not degree:
+        return _seeded(degree, [()] * len(codes), view)
+    entries = np.fromiter(view.entries, dtype=object, count=len(view.entries))
+    return _seeded(degree, zip(*entries[codes.T].tolist()), view)
 
 
 def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degree: Optional[int] = None, tol: float = DROP_TOL) -> SymmetricForm:
@@ -108,7 +224,8 @@ def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
 def scale_form(form: SymmetricForm, factor: complex) -> SymmetricForm:
     if factor == 0:
         return zero_form(form.degree)
-    return SymmetricForm(degree=form.degree, coeffs={k: factor * c for k, c in form.coeffs.items()})
+    view = form.packed
+    return _seeded(form.degree, form.coeffs, PackedForm(view.points, view.codes, view.values * factor))
 
 
 def conjugate_form(form: SymmetricForm) -> SymmetricForm:
@@ -127,18 +244,17 @@ def is_real_coefficients(form: SymmetricForm, tol: float = 1e-12) -> bool:
     return True
 
 
+def monomials(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``coef[r] prod_k x[codes[r, k]]`` for every row, column by column."""
+    out = coef.copy()
+    for col in codes.T:
+        out *= x[col]
+    return out
+
+
 def evaluate(form: SymmetricForm, values: State) -> complex:
-    total = 0j
-    for key, c in form.coeffs.items():
-        prod = complex(c)
-        for entry in key:
-            v = values.get(entry)
-            if v is None or v == 0:
-                prod = 0j
-                break
-            prod *= v
-        total += prod
-    return total
+    view = form.packed
+    return complex(monomials(view.codes, view.values, view.gather(values)).sum())
 
 
 def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
@@ -165,26 +281,46 @@ def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
     return total
 
 
-def mu_S(table: SpectrumTable, key: Key, zero_mode: str = "error") -> Tuple[float, float]:
-    """Localization pair (mu, S) of a key under the decreasing-floor ordering."""
-    if not key:
+def _localization(view: PackedForm, table: SpectrumTable, zero_mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(mu, S)`` under the decreasing-floor entry ordering.
+
+    Entries are ordered as ``resonance.ordering_permutation`` does: floor
+    norm descending, then point, then ``+`` first.  Relabelling each point by
+    its rank in (-floor, point) order makes that a plain row sort.
+    """
+    degree = view.codes.shape[1]
+    if not degree:
         raise ValueError("empty key has no localization")
-    order = ordering_permutation(table, key)
-    pts = [key[i][0] for i in order]
-    floors = [table.floor(p) for p in pts]
-    mu = floors[min(2, len(pts) - 1)]
-    dist = point_distance(pts[0], pts[1]) if len(pts) >= 2 else 0.0
-    s = mu + dist
-    if mu == 0.0:
+    points = view.points
+    floors = np.array([table.floor(p) for p in points])
+    order = sorted(range(len(points)), key=lambda i: (-floors[i], points[i]))
+    by_floor = np.empty(len(points), dtype=np.int32)
+    by_floor[order] = np.arange(len(points), dtype=np.int32)
+    lead = np.asarray(order, dtype=np.intp)[np.sort(_relabel(view.codes, by_floor), axis=1)[:, :3] >> 1]
+    mu = floors[lead[:, min(2, degree - 1)]]
+    s = mu
+    if degree >= 2:
+        xy = np.asarray(points, dtype=np.int64).reshape(len(points), -1)
+        diff = xy[lead[:, 0]] - xy[lead[:, 1]]
+        s = mu + np.sqrt((diff * diff).sum(axis=1))
+    zero = mu == 0.0
+    if zero.any():
         if zero_mode == "error":
+            key = tuple(view.entries[c] for c in view.codes[np.argmax(zero)].tolist())
             raise ValueError(
                 f"key {key} has vanishing localization scale; "
                 "pass zero_mode='lift' to regularize"
             )
         if zero_mode != "lift":
             raise ValueError(f"unknown zero_mode {zero_mode!r}")
-        mu, s = 1.0 + mu, 1.0 + s
+        mu, s = np.where(zero, 1.0 + mu, mu), np.where(zero, 1.0 + s, s)
     return mu, s
+
+
+def mu_S(table: SpectrumTable, key: Key, zero_mode: str = "error") -> Tuple[float, float]:
+    """Localization pair (mu, S) of a key under the decreasing-floor ordering."""
+    mu, s = _localization(_pack({key: 0j}, len(key)), table, zero_mode)
+    return float(mu[0]), float(s[0])
 
 
 def localized_norm(
@@ -198,13 +334,12 @@ def localized_norm(
     """Max over keys of ``(|c|/mult) S^smoothing / mu^(smoothing+nu)``."""
     if form.degree < 1:
         raise ValueError("localized norm needs degree >= 1")
-    best = 0.0
-    for key, c in form.coeffs.items():
-        mu, s = mu_S(table, key, zero_mode)
-        w = abs(c) / key_multiplicity(key) * s**smoothing / mu ** (smoothing + nu)
-        if w > best:
-            best = w
-    return best
+    view = form.packed
+    if not len(view.values):
+        return 0.0
+    mu, s = _localization(view, table, zero_mode)
+    w = np.abs(view.values) / view.multiplicity * s**smoothing / mu ** (smoothing + nu)
+    return float(w.max())
 
 
 def scaled_norm(
@@ -219,7 +354,6 @@ def scaled_norm(
     return localized_norm(form, table, nu=nu, smoothing=smoothing, zero_mode=zero_mode) * radius**form.degree
 
 
-@lru_cache(maxsize=None)
 def derivative_maps(form: SymmetricForm) -> Dict[ExtIndex, Tuple[Tuple[Key, complex], ...]]:
     """Per-variable derivative: entry -> ((reduced key, c * multiplicity), ...)."""
     out: Dict[ExtIndex, List[Tuple[Key, complex]]] = {}
@@ -232,27 +366,44 @@ def derivative_maps(form: SymmetricForm) -> Dict[ExtIndex, Tuple[Tuple[Key, comp
     return {e: tuple(v) for e, v in out.items()}
 
 
+def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
+    """``dF/du_A`` for every code ``A < size`` at the state ``x`` (one value per code).
+
+    ``F = sum_r coef[r] prod_k x[codes[r, k]]``.  Works column by column on
+    blocks of rows: with ``P_j`` the coefficient times the columns before
+    ``j`` and ``S_j`` the product of the columns after it, column ``j``
+    contributes ``P_j S_j`` to its code, so a run of ``m`` equal codes
+    contributes ``m`` times the reduced monomial.
+    """
+    re, im = np.zeros(size), np.zeros(size)
+    for a in range(0, len(coef), BLOCK):
+        block = codes[a : a + BLOCK]
+        cols = [x[col] for col in block.T]
+        prefix = [coef[a : a + BLOCK]]
+        for col in cols[:-1]:
+            prefix.append(prefix[-1] * col)
+        suffix = None
+        for j in range(len(cols) - 1, -1, -1):
+            part = prefix[j] if suffix is None else prefix[j] * suffix
+            re += np.bincount(block[:, j], part.real, size)
+            im += np.bincount(block[:, j], part.imag, size)
+            suffix = cols[j] if suffix is None else suffix * cols[j]
+    out = np.empty(size, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def vector_field(form: SymmetricForm, values: State) -> State:
     """Hamiltonian vector field of the form at a state.
 
     Component at index B is ``-i sigma_B dF/du_{conj(B)}``.
     """
-    out: State = {}
-    for entry, rows in derivative_maps(form).items():
-        target = conjugate(entry)
-        acc = 0j
-        for reduced, c in rows:
-            prod = complex(c)
-            for e in reduced:
-                v = values.get(e)
-                if v is None or v == 0:
-                    prod = 0j
-                    break
-                prod *= v
-            acc += prod
-        if acc != 0:
-            out[target] = out.get(target, 0j) + 1j * entry[1] * acc
-    return out
+    view = form.packed
+    grad = gradient(view.codes, view.values, view.gather(values), len(view.entries))
+    nz = np.flatnonzero(grad)
+    field = np.where(nz & 1, -1j, 1j) * grad[nz]
+    entries = view.entries
+    return {entries[c ^ 1]: v for c, v in zip(nz.tolist(), field.tolist())}
 
 
 def polarized_vector_field(form: SymmetricForm, states: Sequence[State]) -> State:
@@ -293,55 +444,103 @@ def vector_field_seminorm(
     zero_mode: str = "error",
 ) -> float:
     """Localized seminorm of the vector field, weighted by the full keys."""
-    best = 0.0
-    for key, c in form.coeffs.items():
-        mu, s = mu_S(table, key, zero_mode)
-        weight = s**smoothing / mu ** (smoothing + nu)
-        for entry, m in Counter(key).items():
-            reduced = list(key)
-            reduced.remove(entry)
-            w = abs(c) * m / key_multiplicity(tuple(reduced)) * weight
-            if w > best:
-                best = w
-    return best
+    view = form.packed
+    if not len(view.values):
+        return 0.0
+    mu, s = _localization(view, table, zero_mode)
+    weight = s**smoothing / mu ** (smoothing + nu)
+    row, col = np.nonzero(view.runs)
+    m = view.runs[row, col]
+    reduced_mult = view.multiplicity[row] * m // form.degree
+    w = np.abs(view.values)[row] * m / reduced_mult * weight[row]
+    return float(w.max())
+
+
+def _row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
+    """One key per row that sorts as the rows do lexicographically.
+
+    A mixed-radix int64 while ``radix**degree`` fits, else the row's
+    big-endian bytes.
+    """
+    n, degree = rows.shape
+    if radix**degree < 2**63:
+        keys = np.zeros(n, dtype=np.int64)
+        for col in rows.T:
+            keys *= radix
+            keys += col
+        return keys
+    wide = np.ascontiguousarray(rows, dtype=">i4")
+    return wide.view(np.dtype((np.void, 4 * degree))).ravel()
+
+
+def _key_rows(keys: np.ndarray, radix: int, degree: int) -> np.ndarray:
+    """Inverse of ``_row_keys``."""
+    if keys.dtype.kind == "V":
+        return np.frombuffer(keys.tobytes(), dtype=">i4").reshape(-1, degree).astype(np.int32)
+    rows = np.empty((len(keys), degree), dtype=np.int32)
+    for j in range(degree - 1, -1, -1):
+        keys, rows[:, j] = np.divmod(keys, radix)
+    return rows
+
+
+def _merge(keys: np.ndarray, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct keys, ascending, with the coefficients of equal keys summed."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.empty(len(uniq), dtype=complex)
+    sums.real = np.bincount(inverse, coef.real, len(uniq))
+    sums.imag = np.bincount(inverse, coef.imag, len(uniq))
+    return uniq, sums
 
 
 def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
-    """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form."""
+    """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form.
+
+    Every derivative row of F meets the derivative rows of G whose variable
+    is its conjugate (``code ^ 1``).  The pairs are expanded in blocks of
+    about ``BLOCK``; each block is merged by key, then the blocks are merged
+    the same way.  Coefficients with ``|c| <= tol`` are dropped.
+    """
     degree = f.degree + g.degree - 2
     if degree < 0:
         raise ValueError("bracket of two linear forms has negative degree")
-    df, dg = derivative_maps(f), derivative_maps(g)
-    acc: Dict[Key, complex] = {}
-    for (point, sign), rows in df.items():
-        cols = dg.get((point, -sign))
-        if not cols:
-            continue
-        phase = -1j if sign > 0 else 1j
-        for k1, c1 in rows:
-            for k2, c2 in cols:
-                key = canonical_key(k1 + k2)
-                acc[key] = acc.get(key, 0j) + phase * c1 * c2
-    return SymmetricForm(degree=degree, coeffs={k: c for k, c in acc.items() if abs(c) > tol})
+    pf, pg = f.packed, g.packed
+    points = sorted(set(pf.points) | set(pg.points))
+    rank = {p: i for i, p in enumerate(points)}
+    fvar, frows, fcoef = pf.derivatives
+    gvar, grows, gcoef = pg.derivatives
+    fvar, frows = pf.relabel(fvar, rank), pf.relabel(frows, rank)
+    gvar, grows = pg.relabel(gvar, rank), pg.relabel(grows, rank)
 
-
-def form_product(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
-    acc: Dict[Key, complex] = {}
-    for k1, c1 in f.coeffs.items():
-        for k2, c2 in g.coeffs.items():
-            key = canonical_key(k1 + k2)
-            acc[key] = acc.get(key, 0j) + c1 * c2
-    return SymmetricForm(
-        degree=f.degree + g.degree,
-        coeffs={k: c for k, c in acc.items() if abs(c) > tol},
-    )
-
-
-def signed_frequency_sum(table: SpectrumTable, key: Key):
-    total = 0
-    for point, sign in key:
-        total = total + sign * table.omega(point)
-    return total
+    lo = np.searchsorted(gvar, fvar ^ 1, side="left")
+    count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
+    live = np.flatnonzero(count)
+    lo, count, frows = lo[live], count[live], frows[live]
+    fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[live]
+    ends = np.cumsum(count)
+    radix = 2 * len(points)
+    keys, sums = [], []
+    start = 0
+    while start < len(live):
+        budget = ends[start] - count[start] + BLOCK
+        stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+        cnt = count[start:stop]
+        fi = np.repeat(np.arange(start, stop), cnt)
+        gi = lo[fi] + np.arange(len(fi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        rows = np.concatenate((frows[fi], grows[gi]), axis=1)
+        rows.sort(axis=1)
+        block_keys, block_sums = _merge(_row_keys(rows, radix), fcoef[fi] * gcoef[gi])
+        keys.append(block_keys)
+        sums.append(block_sums)
+        start = stop
+    if not keys:
+        return zero_form(degree)
+    if len(keys) > 1:
+        uniq, total = _merge(np.concatenate(keys), np.concatenate(sums))
+    else:
+        uniq, total = keys[0], sums[0]
+    keep = np.abs(total) > tol
+    return _from_packed(degree, points, _key_rows(uniq[keep], radix, degree), total[keep])
 
 
 def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
@@ -356,10 +555,6 @@ def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
 def mass_form(lattice: Lattice) -> SymmetricForm:
     coeffs = {canonical_key(((p, 1), (p, -1))): 1.0 + 0j for p in lattice.points}
     return SymmetricForm(degree=2, coeffs=coeffs)
-
-
-def multiply_by_mass(form: SymmetricForm, lattice: Lattice) -> SymmetricForm:
-    return form_product(form, mass_form(lattice))
 
 
 def superaction_form(points: Iterable[Point]) -> SymmetricForm:
@@ -461,16 +656,6 @@ def split_state(values: State, table: SpectrumTable, cutoff: float) -> Tuple[Sta
 
 def key_high_count(key: Key, table: SpectrumTable, cutoff: float) -> int:
     return sum(1 for p, _ in key if table.floor(p) > cutoff)
-
-
-def order_in_high(form: SymmetricForm, table: SpectrumTable, cutoff: float) -> int:
-    """High-index count when it is uniform across the support."""
-    counts = {key_high_count(k, table, cutoff) for k in form.coeffs}
-    if not counts:
-        raise ValueError("empty form has no high order")
-    if len(counts) > 1:
-        raise ValueError(f"mixed high orders {sorted(counts)}; use decompose_by_high_order")
-    return counts.pop()
 
 
 def decompose_by_high_order(form: SymmetricForm, table: SpectrumTable, cutoff: float) -> Dict[int, SymmetricForm]:

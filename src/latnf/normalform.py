@@ -291,9 +291,9 @@ class CommutationReport:
 
 
 def check_superaction_commutation(
-    z0: SymmetricForm,
-    zb: SymmetricForm,
-    z2: Optional[SymmetricForm],
+    z0: PolyHamiltonian,
+    zb: PolyHamiltonian,
+    z2: Optional[PolyHamiltonian],
     table: SpectrumTable,
     bands: BandPartition,
     clusters: ClusterPartition,
@@ -302,22 +302,24 @@ def check_superaction_commutation(
     """Coefficient-level brackets of the normal part with every superaction.
 
     Band superactions must commute with Z0 and block superactions with ZB
-    exactly (up to rounding); the Z2 bracket is reported, not asserted.
+    exactly (up to rounding); the Z2 bracket is reported, not asserted.  Each
+    degree of a bucket is bracketed on its own and the maximum is taken.
     """
 
-    def max_coeff(f: SymmetricForm) -> float:
-        return max((abs(c) for c in f.coeffs.values()), default=0.0)
+    def max_coeff(poly: Optional[PolyHamiltonian], j: SymmetricForm) -> float:
+        if poly is None:
+            return 0.0
+        return max(
+            (abs(c) for d in poly.degrees for c in poisson_bracket(poly.parts[d], j, tol=0.0).coeffs.values()),
+            default=0.0,
+        )
 
-    band_res = 0.0
-    for j in band_superactions(table, bands):
-        band_res = max(band_res, max_coeff(poisson_bracket(z0, j, tol=0.0)))
+    band_res = max((max_coeff(z0, j) for j in band_superactions(table, bands)), default=0.0)
     block_res = 0.0
     z2_norm = 0.0
-    high = high_mode_blocks(clusters, table, cutoff)
-    for j in block_superactions(high):
-        block_res = max(block_res, max_coeff(poisson_bracket(zb, j, tol=0.0)))
-        if z2 is not None and z2.coeffs:
-            z2_norm = max(z2_norm, max_coeff(poisson_bracket(z2, j, tol=0.0)))
+    for j in block_superactions(high_mode_blocks(clusters, table, cutoff)):
+        block_res = max(block_res, max_coeff(zb, j))
+        z2_norm = max(z2_norm, max_coeff(z2, j))
     return CommutationReport(
         max_band_residual=band_res,
         max_block_residual=block_res,
@@ -533,11 +535,8 @@ def normalize(
         for name in BUCKETS
     }
 
-    z0_all = _merged(polys["Z0"])
-    zb_all = _merged(polys["ZB"])
-    z2_all = _merged(polys["Z2"])
     commutation = check_superaction_commutation(
-        z0_all, zb_all, z2_all, table, bands, clusters, cutoff
+        polys["Z0"], polys["ZB"], polys["Z2"], table, bands, clusters, cutoff
     )
 
     rng = np.random.default_rng(seed)
@@ -579,23 +578,6 @@ def normalize(
         commutation=commutation,
         remainder_bound=remainder_bound,
     )
-
-
-def _merged(poly: PolyHamiltonian) -> SymmetricForm:
-    """All keys of a (possibly empty) polynomial as one mixed-degree bag.
-
-    Only valid for coefficient-level bracket checks, where the degree label
-    does not matter; returns an empty degree-0 form when there are none.
-    """
-    parts = [poly.parts[d] for d in poly.degrees]
-    if not parts:
-        return SymmetricForm(degree=0, coeffs={})
-    if len(parts) == 1:
-        return parts[0]
-    coeffs: Dict[Key, complex] = {}
-    for f in parts:
-        coeffs.update(f.coeffs)
-    return SymmetricForm(degree=parts[-1].degree, coeffs=coeffs)
 
 
 def transform_state(
