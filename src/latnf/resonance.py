@@ -4,22 +4,37 @@ A monomial is indexed by a multiset of signed modes.  Its small divisor is the
 signed sum of frequencies.  The structurally resonant set consists of the
 multisets whose signed modes can be matched in pairs of opposite sign inside a
 single frequency band; those divisors can vanish identically and are excluded
-from certification.  Everything else is certified by direct enumeration (or
-sampling, above a budget) of the scaled divisor
+from certification.  Inside one band any plus entry pairs with any minus
+entry, so a multiset is resonant exactly when the signed count of every band
+is zero (never at odd order).  Everything else is certified by scanning the
+scaled divisor
 
     |sum_j sigma_j omega_{a_j}| * max(1, max_j |a_j|)^tau
 
 whose minimum is compared against the requested threshold gamma.  The floor
 ``max(1, .)`` keeps multisets supported entirely on a zero mode from scoring
 zero by scale alone.
+
+The scan is one numpy kernel over blocks of ``BLOCK`` index rows into
+``extended_indexes``.  An exhaustive scan (multiset count within the budget)
+visits the rows in ``combinations_with_replacement`` order, expanding a table
+of non-decreasing index heads against the tail of a table of non-decreasing
+suffixes that starts at each head's last index.  Above the budget a seeded
+uniform sample of index draws is scanned, each row sorted into the tuple
+order of its signed modes, where ``(p, -1)`` precedes ``(p, +1)``.  Divisors
+add the signed frequencies column by column, left to right, as
+``small_divisor`` does, so each is bit-identical to it: float64 on float
+spectra; int64 on integer spectra, or Python integers when
+``order * max|omega|`` reaches 2**62.  The witnesses are the first minima in
+scan order.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,6 +43,10 @@ from .bands import BandPartition, band_map
 from .clusters import ClusterPartition, block_index_map
 from .frequencies import SpectralMultiplier, SpectrumTable, frequency
 from .lattice import ExtIndex, Lattice, Point, extended_indexes, point_distance
+
+#: index rows per block of the certification scan; bounds its temporaries to
+#: a few block-sized arrays whatever the multiset count
+BLOCK = 2048
 
 
 def ordering_permutation(table: SpectrumTable, multiset: Sequence[ExtIndex]) -> Tuple[int, ...]:
@@ -52,32 +71,16 @@ def is_resonant_W(multiset: Sequence[ExtIndex], table: SpectrumTable, partition:
 
     The pairing graph joins a +1 entry to a -1 entry exactly when both
     frequencies fall in the same band (the initial segment counts as a band).
-    Membership is decided by augmenting-path matching.
+    Inside one band it is complete bipartite, so a perfect pairing exists
+    exactly when every band holds as many +1 as -1 entries.
     """
-    r = len(multiset)
-    if r % 2:
+    if len(multiset) % 2:
         return False
     bands = band_map(table, partition)
-    plus = [bands[p] for p, s in multiset if s > 0]
-    minus = [bands[p] for p, s in multiset if s < 0]
-    if len(plus) != len(minus):
-        return False
-
-    owner = [-1] * len(minus)
-
-    def augment(i: int, seen) -> bool:
-        for j, b in enumerate(minus):
-            if b == plus[i] and not seen[j]:
-                seen[j] = True
-                if owner[j] < 0 or augment(owner[j], seen):
-                    owner[j] = i
-                    return True
-        return False
-
-    for i in range(len(plus)):
-        if not augment(i, [False] * len(minus)):
-            return False
-    return True
+    counts = Counter()
+    for p, s in multiset:
+        counts[bands[p]] += s
+    return not any(counts.values())
 
 
 def validate_cutoff(table: SpectrumTable, partition: BandPartition, cutoff: float) -> None:
@@ -163,19 +166,106 @@ class NonresonanceCertificate:
         }
 
 
-def _multiset_iter(ext: Sequence[ExtIndex], order: int, budget: int, samples: int, seed):
-    count = math.comb(len(ext) + order - 1, order)
-    if count <= budget:
-        return combinations_with_replacement(ext, order), True, count
+def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
+    """All non-decreasing ``k``-tuples over ``range(n)``, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(k):
+        last = rows[:, -1] if rows.shape[1] else np.zeros(len(rows), dtype=np.intp)
+        counts = n - last
+        parent = np.repeat(np.arange(len(rows)), counts)
+        first = np.cumsum(counts) - counts
+        column = np.arange(len(parent)) - first[parent] + last[parent]
+        rows = np.column_stack([rows[parent], column])
+    return rows
 
-    rng = np.random.default_rng(seed)
-    draws = rng.integers(0, len(ext), size=(samples, order))
 
-    def gen():
-        for row in draws:
-            yield tuple(sorted(ext[i] for i in row))
+def _exhaustive_blocks(n: int, order: int):
+    """Blocks of ``BLOCK`` index rows in ``combinations_with_replacement`` order.
 
-    return gen(), False, samples
+    Each non-decreasing head of ``order // 2`` indexes is followed by the
+    tail of the suffix table that starts at the head's last index; row ``r``
+    of the scan belongs to the first head whose cumulative row count exceeds
+    ``r``.
+    """
+    heads = _nondecreasing_rows(n, order // 2)
+    tails = _nondecreasing_rows(n, order - order // 2)
+    last = heads[:, -1] if heads.shape[1] else np.zeros(1, dtype=np.intp)
+    ends = np.cumsum(len(tails) - np.searchsorted(tails[:, 0], last))
+    total = int(ends[-1])
+    for lo in range(0, total, BLOCK):
+        r = np.arange(lo, min(lo + BLOCK, total))
+        h = np.searchsorted(ends, r, side="right")
+        yield np.hstack([heads[h], tails[r - ends[h] + len(tails)]])
+
+
+def _sampled_blocks(ext: Sequence[ExtIndex], order: int, samples: int, seed):
+    """Blocks of seeded uniform index draws, each row in the tuple order of ``ext``."""
+    draws = np.random.default_rng(seed).integers(0, len(ext), size=(samples, order))
+    by_rank = np.asarray(sorted(range(len(ext)), key=ext.__getitem__), dtype=np.intp)
+    rank = np.empty_like(by_rank)
+    rank[by_rank] = np.arange(len(ext))
+    for lo in range(0, samples, BLOCK):
+        yield by_rank[np.sort(rank[draws[lo : lo + BLOCK]], axis=1)]
+
+
+def _resonance_test(table: SpectrumTable, partition: BandPartition, ext, order: int):
+    """Vectorised ``is_resonant_W`` on ``(rows, order)`` index arrays into ``ext``.
+
+    A row is resonant when its signed count is zero in every band.  The
+    counts are packed into the balanced mixed-radix key
+    ``sum sigma (2 order + 1)**band``, which is zero exactly when every count
+    is; when the key could overflow int64, an explicit count array is used.
+    """
+    if order % 2:
+        return lambda rows: np.zeros(len(rows), dtype=bool)
+    bm = band_map(table, partition)
+    bands = np.asarray([bm[p] for p, _ in ext], dtype=np.int64)
+    signs = np.asarray([s for _, s in ext], dtype=np.int64)
+    radix = 2 * order + 1
+    if radix**partition.nbands < 2**62:
+        weight = signs * radix**bands
+        return lambda rows: weight[rows].sum(axis=1) == 0
+
+    def counted(rows):
+        counts = np.zeros((len(rows), partition.nbands), dtype=np.min_scalar_type(-order - 1))
+        at = np.arange(len(rows))
+        for col in rows.T:
+            np.add.at(counts, (at, bands[col]), signs[col])
+        return ~counts.any(axis=1)
+
+    return counted
+
+
+def resonant_mask(table: SpectrumTable, partition: BandPartition, rows) -> np.ndarray:
+    """Resonant-set membership of ``(m, order)`` index rows into ``extended_indexes``.
+
+    The batch form of ``is_resonant_W`` that the certification scan uses.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    ext = extended_indexes(table.lattice)
+    return _resonance_test(table, partition, ext, rows.shape[1])(rows)
+
+
+def _signed_omegas(table: SpectrumTable, ext, order: int) -> np.ndarray:
+    """``sigma * omega`` per entry, in a dtype that keeps ``small_divisor``'s bits.
+
+    float64 on float spectra; int64 on integer spectra while
+    ``order * max|omega| < 2**62`` bounds every partial sum; Python objects
+    (exact integers, or mixed values) otherwise.
+    """
+    values = [s * table.omega(p) for p, s in ext]
+    if table.exact:
+        if order * max(map(abs, values), default=0) < 2**62:
+            return np.asarray(values, dtype=np.int64)
+    elif all(isinstance(v, float) for v in values):
+        return np.asarray(values, dtype=np.float64)
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _item(x):
+    return x.item() if isinstance(x, np.generic) else x
 
 
 def certify_nonresonance(
@@ -192,9 +282,16 @@ def certify_nonresonance(
     """Scan order-``order`` multisets off the resonant set for small divisors.
 
     ``tau`` defaults to ``dim * order + 2``; ``gamma`` defaults to 0.9 times
-    the measured minimum (certifying exactly what was observed).  Enumeration
-    is exhaustive when the multiset count fits the budget, otherwise a seeded
-    uniform sample of index draws is scanned.  A zero minimum score is an
+    the measured minimum (certifying exactly what was observed).  The scan
+    is exhaustive when the multiset count fits the budget, in
+    ``combinations_with_replacement`` order over ``extended_indexes``;
+    otherwise ``samples`` seeded uniform index draws are scanned, each sorted
+    into the tuple order of its signed modes.  Either way the rows go through
+    one numpy kernel in blocks of ``BLOCK``.  Divisors add the signed
+    frequencies left to right, as ``small_divisor`` does, and are
+    bit-identical to it: exact integers on integer spectra (``min_divisor``
+    and ``witness_divisor`` are then Python ``int``), float64 otherwise.  The
+    witnesses are the first minima in scan order.  A zero minimum score is an
     exact off-set resonance and can never pass, whatever the threshold.
     """
     if order < 1:
@@ -207,23 +304,37 @@ def certify_nonresonance(
         tau = float(table.lattice.dim * order + 2)
 
     ext = extended_indexes(table.lattice)
-    norm_of = {p: max(1.0, table.norm(p)) for p in table.lattice.points}
-    it, exhaustive, n_checked = _multiset_iter(ext, order, budget, samples, seed)
+    count = math.comb(len(ext) + order - 1, order)
+    exhaustive = count <= budget
+    if exhaustive:
+        blocks, n_checked = _exhaustive_blocks(len(ext), order), count
+    else:
+        blocks, n_checked = _sampled_blocks(ext, order, samples, seed), samples
 
-    min_score = math.inf
-    min_div = math.inf
-    witness = None
-    div_witness = None
-    witness_div = math.inf
-    for ms in it:
-        if is_resonant_W(ms, table, partition):
+    omega = _signed_omegas(table, ext, order)
+    floors = [max(1.0, table.norm(p)) for p, _ in ext]
+    levels = sorted(set(floors))
+    scale = np.asarray([v**tau for v in levels])
+    level = np.searchsorted(levels, floors)
+    resonant = _resonance_test(table, partition, ext, order)
+
+    min_score = min_div = math.inf
+    witness = div_witness = witness_div = None
+    for rows in blocks:
+        rows = rows[~resonant(rows)]
+        if not len(rows):
             continue
-        div = abs(small_divisor(table, ms))
-        if div < min_div:
-            min_div, div_witness = div, ms
-        score = div * max(norm_of[p] for p, _ in ms) ** tau
-        if score < min_score:
-            min_score, witness, witness_div = score, ms, div
+        div = omega[rows[:, 0]]
+        for col in rows.T[1:]:
+            div = div + omega[col]
+        div = np.abs(div)
+        score = div * scale[level[rows].max(axis=1)]
+        i = int(np.argmin(div))
+        if div[i] < min_div:
+            min_div, div_witness = div[i], rows[i]
+        i = int(np.argmin(score))
+        if score[i] < min_score:
+            min_score, witness, witness_div = score[i], rows[i], div[i]
     if witness is None:
         raise ValueError("no multiset off the resonant set was scanned")
 
@@ -234,10 +345,10 @@ def certify_nonresonance(
         tau=tau,
         gamma=float(gamma),
         min_score=float(min_score),
-        witness=witness,
-        witness_divisor=witness_div,
-        min_divisor=min_div,
-        divisor_witness=div_witness,
+        witness=tuple(ext[i] for i in witness),
+        witness_divisor=_item(witness_div),
+        min_divisor=_item(min_div),
+        divisor_witness=tuple(ext[i] for i in div_witness),
         passed=bool(min_score >= gamma and min_score > 0.0),
         exhaustive=exhaustive,
         n_checked=n_checked,

@@ -245,6 +245,29 @@ def test_cli_clusters(tmp_path, capsys):
     assert manifest["results"]["n_blocks"] == summary["n_blocks"] == 17
 
 
+def test_cli_clusters_dyadic_failure_prints_the_worst_block(tmp_path, capsys):
+    # The offset lifts the zero mode, so the wide central block is not exempt.
+    argv = ["clusters", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path / "cl")]
+    for item in ("lattice.radius=12", "lattice.offset=0.3", "clusters.c_delta=2.0"):
+        argv += ["--set", item]
+    assert main(argv) == 1
+    text = capsys.readouterr().out
+    assert "18 blocks" in text
+    assert "FAIL dyadic bound: block 9 has sup|a|/inf|a| 11; points [(-3,), " in text
+    manifest = json.loads((tmp_path / "cl" / "clusters_manifest.json").read_text())
+    assert manifest["results"]["dyadic_passed"] is False
+
+
+def test_cli_clusters_single_block_has_no_margin(tmp_path, capsys):
+    out = tmp_path / "one"
+    argv = ["clusters", "--config", CERTIFIED_CONFIG, "--set", "clusters.c_delta=100"]
+    assert main(argv + ["--out-dir", str(out)]) == 0
+    assert "1 blocks, dyadic C=1, margin=n/a" in capsys.readouterr().out
+    manifest = json.loads((out / "clusters_manifest.json").read_text())
+    assert manifest["results"]["separation_margin"] is None
+    assert manifest["results"]["min_margin"] is None
+
+
 def test_cli_resonances_certifies_multiplier_system(tmp_path, capsys):
     out = tmp_path / "rz"
     code = main(["resonances", "--config", CERTIFIED_CONFIG, "--out-dir", str(out)])

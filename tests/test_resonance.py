@@ -43,6 +43,17 @@ def signed_count_oracle(key, table, bands):
     return all(v == 0 for v in counts.values())
 
 
+def pairing_exists(key, table, bands):
+    """W membership by definition: some matching of the plus entries to the
+    minus entries pairs every entry inside its band."""
+    bm = band_map(table, bands)
+    plus = [bm[p] for p, s in key if s > 0]
+    minus = [bm[p] for p, s in key if s < 0]
+    return len(plus) == len(minus) and any(
+        plus == list(perm) for perm in itertools.permutations(minus)
+    )
+
+
 @pytest.fixture(scope="module")
 def v0_table():
     return build_spectrum(enumerate_lattice(1, 10.0), TorusLaplacian())
@@ -73,6 +84,7 @@ def test_pairing_matches_signed_count_oracle(certified_table, certified_bands, e
     key = tuple(((a,), s) for a, s in entries)
     got = is_resonant_W(key, certified_table, certified_bands)
     assert got == signed_count_oracle(key, certified_table, certified_bands)
+    assert got == pairing_exists(key, certified_table, certified_bands)
 
 
 def test_odd_orders_never_pair(certified_table, certified_bands):
