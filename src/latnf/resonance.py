@@ -24,9 +24,10 @@ uniform sample of index draws is scanned, each row sorted into the tuple
 order of its signed modes, where ``(p, -1)`` precedes ``(p, +1)``.  Divisors
 add the signed frequencies column by column, left to right, as
 ``small_divisor`` does, so each is bit-identical to it: float64 on float
-spectra; int64 on integer spectra, or Python integers when
-``order * max|omega|`` reaches 2**62.  The witnesses are the first minima in
-scan order.
+spectra, exact Python integers otherwise.  A row is resonant when its sorted
+signed band labels ``sigma * (band + 1)`` equal their reversed negation; only
+the rows of a block that beat a running minimum are tested.  The witnesses
+are the first minima in scan order.
 """
 
 from __future__ import annotations
@@ -208,32 +209,21 @@ def _sampled_blocks(ext: Sequence[ExtIndex], order: int, samples: int, seed):
         yield by_rank[np.sort(rank[draws[lo : lo + BLOCK]], axis=1)]
 
 
-def _resonance_test(table: SpectrumTable, partition: BandPartition, ext, order: int):
-    """Vectorised ``is_resonant_W`` on ``(rows, order)`` index arrays into ``ext``.
-
-    A row is resonant when its signed count is zero in every band.  The
-    counts are packed into the balanced mixed-radix key
-    ``sum sigma (2 order + 1)**band``, which is zero exactly when every count
-    is; when the key could overflow int64, an explicit count array is used.
-    """
-    if order % 2:
-        return lambda rows: np.zeros(len(rows), dtype=bool)
+def _signed_bands(table: SpectrumTable, partition: BandPartition, ext) -> np.ndarray:
+    """``sigma * (band + 1)`` per entry of ``ext``: nonzero, with the entry's sign."""
     bm = band_map(table, partition)
-    bands = np.asarray([bm[p] for p, _ in ext], dtype=np.int64)
-    signs = np.asarray([s for _, s in ext], dtype=np.int64)
-    radix = 2 * order + 1
-    if radix**partition.nbands < 2**62:
-        weight = signs * radix**bands
-        return lambda rows: weight[rows].sum(axis=1) == 0
+    return np.asarray([s * (bm[p] + 1) for p, s in ext], dtype=np.int64)
 
-    def counted(rows):
-        counts = np.zeros((len(rows), partition.nbands), dtype=np.min_scalar_type(-order - 1))
-        at = np.arange(len(rows))
-        for col in rows.T:
-            np.add.at(counts, (at, bands[col]), signs[col])
-        return ~counts.any(axis=1)
 
-    return counted
+def _resonant(signed_bands: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows whose signed count is zero in every band.
+
+    That holds exactly when the row's ``signed_bands`` values are symmetric
+    under negation, i.e. when sorted they equal their reversed negation.
+    Odd rows can never be symmetric, since no value is zero.
+    """
+    v = np.sort(signed_bands[rows], axis=1)
+    return (v == -v[:, ::-1]).all(axis=1)
 
 
 def resonant_mask(table: SpectrumTable, partition: BandPartition, rows) -> np.ndarray:
@@ -243,21 +233,17 @@ def resonant_mask(table: SpectrumTable, partition: BandPartition, rows) -> np.nd
     """
     rows = np.asarray(rows, dtype=np.intp)
     ext = extended_indexes(table.lattice)
-    return _resonance_test(table, partition, ext, rows.shape[1])(rows)
+    return _resonant(_signed_bands(table, partition, ext), rows)
 
 
-def _signed_omegas(table: SpectrumTable, ext, order: int) -> np.ndarray:
+def _signed_omegas(table: SpectrumTable, ext) -> np.ndarray:
     """``sigma * omega`` per entry, in a dtype that keeps ``small_divisor``'s bits.
 
-    float64 on float spectra; int64 on integer spectra while
-    ``order * max|omega| < 2**62`` bounds every partial sum; Python objects
-    (exact integers, or mixed values) otherwise.
+    float64 on float spectra; Python objects (exact integers, or mixed
+    values) otherwise.
     """
     values = [s * table.omega(p) for p, s in ext]
-    if table.exact:
-        if order * max(map(abs, values), default=0) < 2**62:
-            return np.asarray(values, dtype=np.int64)
-    elif all(isinstance(v, float) for v in values):
+    if all(isinstance(v, float) for v in values):
         return np.asarray(values, dtype=np.float64)
     out = np.empty(len(values), dtype=object)
     out[:] = values
@@ -289,10 +275,11 @@ def certify_nonresonance(
     into the tuple order of its signed modes.  Either way the rows go through
     one numpy kernel in blocks of ``BLOCK``.  Divisors add the signed
     frequencies left to right, as ``small_divisor`` does, and are
-    bit-identical to it: exact integers on integer spectra (``min_divisor``
-    and ``witness_divisor`` are then Python ``int``), float64 otherwise.  The
-    witnesses are the first minima in scan order.  A zero minimum score is an
-    exact off-set resonance and can never pass, whatever the threshold.
+    bit-identical to it: exact Python integers on integer spectra
+    (``min_divisor`` and ``witness_divisor`` are then ``int``), float64
+    otherwise.  The witnesses are the first minima in scan order.  A zero
+    minimum score is an exact off-set resonance and can never pass, whatever
+    the threshold.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -311,24 +298,28 @@ def certify_nonresonance(
     else:
         blocks, n_checked = _sampled_blocks(ext, order, samples, seed), samples
 
-    omega = _signed_omegas(table, ext, order)
+    omega = _signed_omegas(table, ext)
     floors = [max(1.0, table.norm(p)) for p, _ in ext]
     levels = sorted(set(floors))
     scale = np.asarray([v**tau for v in levels])
     level = np.searchsorted(levels, floors)
-    resonant = _resonance_test(table, partition, ext, order)
+    signed_bands = _signed_bands(table, partition, ext)
 
     min_score = min_div = math.inf
     witness = div_witness = witness_div = None
     for rows in blocks:
-        rows = rows[~resonant(rows)]
-        if not len(rows):
-            continue
         div = omega[rows[:, 0]]
         for col in rows.T[1:]:
             div = div + omega[col]
         div = np.abs(div)
         score = div * scale[level[rows].max(axis=1)]
+        # only rows that beat a running minimum can change the result, so
+        # only those are tested for resonance
+        keep = (div < min_div) | (score < min_score)
+        keep[keep] = ~_resonant(signed_bands, rows[keep])
+        if not keep.any():
+            continue
+        rows, div, score = rows[keep], div[keep], score[keep]
         i = int(np.argmin(div))
         if div[i] < min_div:
             min_div, div_witness = div[i], rows[i]
