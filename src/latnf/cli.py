@@ -41,7 +41,13 @@ from .frequencies import (
 )
 from .lattice import enumerate_lattice
 from .manifest import build_manifest, inventory, spawn_seed, write_manifest
-from .normalform import NormalFormConfig, normalform_manifest, normalize
+from .normalform import (
+    CertificateError,
+    NormalFormConfig,
+    SmallnessError,
+    normalform_manifest,
+    normalize,
+)
 from .resonance import (
     MultiplierEnsemble,
     certificate_to_json,
@@ -297,12 +303,9 @@ def cmd_normalform(cfg, args) -> int:
             remainder_samples=sec["remainder_samples"],
             seed=spawn_seed(cfg["run"]["seed"], "remainder"),
         )
-    except ValueError as exc:
-        msg = str(exc)
-        if "certificate" in msg or "smallness" in msg or "gamma" in msg:
-            print(f"FAIL normal form: {msg}")
-            return 1
-        raise
+    except (CertificateError, SmallnessError) as exc:
+        print(f"FAIL normal form: {exc}")
+        return 1
 
     out = _out_dir(cfg)
     artifacts = []
@@ -330,17 +333,29 @@ def cmd_normalform(cfg, args) -> int:
     return 0
 
 
+# the integrated equation of each model kind that ``simulate`` supports
+_SIMULATED = {"torus": "nls", "multiplier": "nls", "beam": "beam"}
+
+
 def cmd_simulate(cfg, args) -> int:
+    kind = cfg["model"]["kind"]
+    if kind not in _SIMULATED:
+        raise ConfigError(
+            f"simulate integrates model.kind torus, multiplier or beam, not {kind!r}"
+        )
+    if cfg["lattice"]["offset"]:
+        raise ConfigError("simulate runs on the plain lattice; lattice.offset must be empty")
     sec = cfg["simulate"]
+    potential = dict(cfg["model"]["potential"]) if kind == "multiplier" else {}
     sim = SimulationConfig(
-        model=sec["model"],
+        model=_SIMULATED[kind],
         dim=cfg["lattice"]["dim"],
         radius=cfg["lattice"]["radius"],
         gram=cfg["model"]["gram"],
-        potential=dict(cfg["model"]["potential"]) or None,
+        potential=potential or None,
         nonlinearity={int(k): v for k, v in sec["nonlinearity"].items()},
         force={int(k): v for k, v in sec["force"].items()} or None,
-        mass_term=sec["mass_term"],
+        mass_term=cfg["model"]["mass"],
         epsilon=sec["epsilon"],
         s=sec["s"],
         dt=sec["dt"],
@@ -458,15 +473,13 @@ def cmd_verify(cfg, args) -> int:
     )
 
     if cert.passed:
-        clusters = build_clusters(table)
-        cutoff_ok = True
         try:
             f = random_form(lattice, degree=3, n_terms=8, seed=seed + 1)
             from .normalform import choose_cutoff
 
             cutoff = choose_cutoff(table, bands, 0.01, cert.tau)
             sol = solve_homological(
-                f, table, bands, clusters, cutoff, cert.gamma, cert.tau
+                f, table, bands, part, cutoff, cert.gamma, cert.tau
             )
             checks.append(
                 ("homological residual", sol.residual <= 1e-12, f"{sol.residual:.3g}")
@@ -555,7 +568,6 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--seed", type=int, default=None, help="override run.seed")
         p.add_argument("--out-dir", default=None, help="override run.out_dir")
-        p.add_argument("--jobs", type=int, default=None, help="override run.jobs")
     return parser
 
 
@@ -571,8 +583,6 @@ def main(argv=None) -> int:
             cfg["run"]["seed"] = args.seed
         if args.out_dir is not None:
             cfg["run"]["out_dir"] = args.out_dir
-        if args.jobs is not None:
-            cfg["run"]["jobs"] = args.jobs
         return _COMMANDS[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -143,7 +143,6 @@ def _as_power_map(v) -> Dict[int, float]:
 _SCHEMA = {
     "run": {
         "seed": (_as_int, 0),
-        "jobs": (_as_int, 1),
         "out_dir": (_as_str, "out"),
     },
     "lattice": {
@@ -158,7 +157,6 @@ _SCHEMA = {
         "mass": (_as_float, 1.0),
         "p0": (_as_float, 1.0),
         "f_value": (_as_float, 0.25),
-        "decay": (_as_float, 2.0),
     },
     "clusters": {
         "delta": (_as_float, 0.5),
@@ -194,7 +192,6 @@ _SCHEMA = {
         "cert_budget": (_as_int, 1_000_000),
     },
     "simulate": {
-        "model": (_as_str, "nls"),
         "epsilon": (_as_float, 0.01),
         "s": (_as_float, 4.0),
         "dt": (_as_opt_float, None),
@@ -203,12 +200,10 @@ _SCHEMA = {
         "integrator": (_as_str, "strang_splitting"),
         "nonlinearity": (_as_power_map, {1: 1.0}),
         "force": (_as_power_map, {}),
-        "mass_term": (_as_float, 1.0),
         "dt_bound": (_as_float, 1.0),
         "track_orbital": (_as_opt_float, None),
     },
     "output": {
-        "format": (_as_str, "csv"),
         "manifest": (_as_bool, True),
     },
 }

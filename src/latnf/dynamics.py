@@ -1,17 +1,30 @@
 """Pseudospectral time integration with conservation monitors.
 
-Schrödinger-type models evolve the Fourier coefficients of the field on a
-full FFT grid: the linear phase is applied exactly in spectral space, the
-nonlinear phase exactly in physical space (Strang splitting).  The grid is
-sized so products of truncation-supported fields are alias-free and the
-discrete energy functional is exact on the truncation.  Monitors (Sobolev
-norms, mass, energy, band and block superactions) are single-sided: they sum
-over the simulated field's modes, not a conjugate-doubled index set.
+Every integrator only builds its parts: an initial state, a one-step map
+and a monitor.  One loop (``_run``) then steps, samples at ``t = 0``, every
+``stride`` steps and at the last step, and returns the ``TrajectoryRecord``;
+one monitor (``_Monitor``) samples the Sobolev norm, mass, energy, band and
+block superactions and the optional orbital and extra columns.  Monitors
+are single-sided: they sum over the simulated field's modes, not a
+conjugate-doubled index set.
 
-A separate splitting integrator evolves polynomial normal-form Hamiltonians
-directly in the truncated mode space; when every monomial is a product of
-actions the nonlinear step is an exact phase rotation, making the scheme
-exact up to rounding.
+The step maps are:
+
+* Schrödinger models (``integrate_nls``): Strang splitting on the Fourier
+  coefficients of the field on a full FFT grid, with the linear phase
+  exact in spectral space and the nonlinear phase exact in physical space;
+  ``rk4_reference`` steps the same spectral system with classic RK4.  The
+  grid is sized so products of truncation-supported fields are alias-free
+  and the discrete energy functional is exact on the truncation.
+* The beam equation (``integrate_beam``): kick-phase-kick splitting of the
+  complexified field pair, with both pieces exact.
+* Polynomial normal forms (``integrate_normal_form``): Strang splitting in
+  the truncated mode space.  When every monomial is a product of actions
+  the nonlinear step is an exact phase rotation, making the scheme exact up
+  to rounding; other parts take RK4 substeps.
+
+RK4 is one function, ``_rk4``, for the reference integrator and the
+normal-form substeps alike.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,7 +72,8 @@ class SimulationConfig:
     ``nonlinearity`` maps powers of |psi|^2 (>= 1, so the nonlinear term
     vanishes at zero field) to coefficients; ``force`` maps powers of psi
     (>= 3) for the beam potential.  Coefficients are scalars or Fourier
-    dictionaries for x-dependence.
+    dictionaries for x-dependence.  ``track_orbital`` applies to the
+    Schrödinger model only.
     """
 
     model: str = "nls"
@@ -102,6 +116,8 @@ class SimulationConfig:
                     raise ValueError("beam force powers start at psi^3")
         if self.model == "beam" and self.mass_term <= 0.0:
             raise ValueError("beam mass term must be positive")
+        if self.model == "beam" and self.track_orbital is not None:
+            raise ValueError("track_orbital needs model='nls'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,6 +179,121 @@ def trajectory_to_csv(record: TrajectoryRecord, path) -> None:
             writer.writerow(row)
 
 
+# --- the shared loop and monitor ---------------------------------------------
+
+_Column = Callable[[np.ndarray, np.ndarray], float]
+
+
+class _Monitor:
+    """What is sampled of a state ``u`` whose lattice modes sit at ``index``.
+
+    ``sobolev``, ``energy`` and the ``extra`` columns are called with the
+    state and its intensities ``|u|^2``; ``orbital`` with the lattice modes.
+    There is one action column per band and per cluster block.
+    """
+
+    def __init__(
+        self,
+        table: SpectrumTable,
+        bands: BandPartition,
+        clusters: ClusterPartition,
+        index: Dict[Point, int],
+        sobolev: _Column,
+        energy: _Column,
+        orbital: Optional[Callable[[Dict[Point, complex]], float]] = None,
+        extra: Optional[Dict[str, _Column]] = None,
+    ):
+        bm = band_map(table, bands)
+        self.band_idx = [
+            np.asarray([i for p, i in index.items() if bm[p] == n], dtype=int)
+            for n in range(bands.nbands)
+        ]
+        self.block_idx = [
+            np.asarray([index[p] for p in block], dtype=int) for block in clusters.blocks
+        ]
+        self.index = index
+        self.sobolev, self.energy, self.orbital = sobolev, energy, orbital
+        self.extra = extra or {}
+
+    def modes(self, u: np.ndarray) -> Dict[Point, complex]:
+        return {p: complex(u[i]) for p, i in self.index.items()}
+
+    def sample(self, t: float, u: np.ndarray) -> tuple:
+        if not np.all(np.isfinite(u.view(float))):
+            raise FloatingPointError(f"state blew up at t = {t}")
+        a2 = np.abs(u) ** 2
+        return (
+            t,
+            self.sobolev(u, a2),
+            math.sqrt(float(np.sum(a2))),
+            self.energy(u, a2),
+            [float(np.sum(a2[idx])) for idx in self.band_idx],
+            [float(np.sum(a2[idx])) for idx in self.block_idx],
+            None if self.orbital is None else self.orbital(self.modes(u)),
+            [column(u, a2) for column in self.extra.values()],
+        )
+
+
+def _weighted_norm(weights: np.ndarray) -> _Column:
+    return lambda u, a2: math.sqrt(float(np.sum(weights * a2)))
+
+
+def _energy(omega: np.ndarray, potential: Callable[[np.ndarray], float]) -> _Column:
+    return lambda u, a2: float(np.sum(omega * a2)) + potential(u)
+
+
+def _run(
+    u: np.ndarray,
+    step: Callable[[np.ndarray], np.ndarray],
+    monitor: _Monitor,
+    *,
+    dt: float,
+    n_steps: int,
+    stride: int,
+    meta: Dict[str, object],
+) -> TrajectoryRecord:
+    """The time-stepping loop of every integrator."""
+    rows = [monitor.sample(0.0, u)]
+    for k in range(1, n_steps + 1):
+        u = step(u)
+        if k % stride == 0 or k == n_steps:
+            rows.append(monitor.sample(k * dt, u))
+    times, sob, mass, energy, bands, blocks, orbital, extra = zip(*rows)
+    return TrajectoryRecord(
+        times=np.asarray(times),
+        sobolev=np.asarray(sob),
+        mass=np.asarray(mass),
+        energy=np.asarray(energy),
+        band_actions=np.asarray(bands),
+        block_actions=np.asarray(blocks),
+        orbital=None if monitor.orbital is None else np.asarray(orbital),
+        meta={**meta, "dt": dt, "n_steps": n_steps, "final_modes": monitor.modes(u)},
+        extra={name: np.asarray(col) for name, col in zip(monitor.extra, zip(*extra))},
+    )
+
+
+def _rk4(rhs: Callable[[np.ndarray], np.ndarray], u: np.ndarray, dt: float) -> np.ndarray:
+    """One classic fourth-order Runge-Kutta step of ``du/dt = rhs(u)``."""
+    k1 = rhs(u)
+    k2 = rhs(u + 0.5 * dt * k1)
+    k3 = rhs(u + 0.5 * dt * k2)
+    k4 = rhs(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _place(modes: Dict[Point, complex], index: Dict[Point, int], size: int) -> np.ndarray:
+    """State of length ``size`` with ``modes`` at their sites; all must be in ``index``."""
+    u = np.zeros(size, dtype=complex)
+    for p, c in modes.items():
+        if tuple(p) not in index:
+            raise ValueError(f"initial mode {p} outside the truncation")
+        u[index[tuple(p)]] = complex(c)
+    return u
+
+
+# --- pseudospectral models on an FFT grid ------------------------------------
+
+
 class _Grid:
     """FFT grid with integer frequencies and lattice index mapping."""
 
@@ -199,19 +330,6 @@ def _coeff_grid(coeff, grid: _Grid) -> np.ndarray:
     return float(coeff) * np.ones(grid.shape)
 
 
-def _monitor_indexes(table: SpectrumTable, bands: BandPartition, clusters: ClusterPartition, grid: _Grid):
-    bm = band_map(table, bands)
-    band_idx: List[np.ndarray] = []
-    for n in range(bands.nbands):
-        pts = [p for p, b in bm.items() if b == n]
-        band_idx.append(np.asarray([grid.flat_index(p) for p in sorted(pts)], dtype=int))
-    block_idx = [
-        np.asarray([grid.flat_index(p) for p in block], dtype=int)
-        for block in clusters.blocks
-    ]
-    return band_idx, block_idx
-
-
 def _gram_matrix(dim: int, gram) -> np.ndarray:
     if gram is None:
         return np.eye(dim)
@@ -222,51 +340,78 @@ def _gram_matrix(dim: int, gram) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _NlsSetup:
+class _System:
+    """Truncation, spectrum, partitions and FFT grid of a grid model.
+
+    ``index`` maps each lattice point to its flat grid index; ``lam`` is the
+    quadratic form ``|k|_g^2`` on every grid frequency; ``npts`` counts the
+    grid points.
+    """
+
     lattice: Lattice
+    model: object
     table: SpectrumTable
     bands: BandPartition
     clusters: ClusterPartition
     grid: _Grid
-    omega: np.ndarray
-    coeff_arrays: Dict[int, np.ndarray]
-    band_idx: List[np.ndarray]
-    block_idx: List[np.ndarray]
-    weights_s: np.ndarray
-    dt: float
+    index: Dict[Point, int]
+    lam: np.ndarray
+    npts: int
+
+    def field(self, u: np.ndarray) -> np.ndarray:
+        """Physical-space field of the spectral state ``u``."""
+        return np.fft.ifftn(u.reshape(self.grid.shape)) * self.npts
+
+    def spectrum(self, psi: np.ndarray) -> np.ndarray:
+        """Spectral state of the physical-space field ``psi``."""
+        return np.fft.fftn(psi).reshape(-1) / self.npts
+
+    def meta(self, config: SimulationConfig, integrator: str) -> Dict[str, object]:
+        return {
+            "model": config.model,
+            "integrator": integrator,
+            "grid": self.grid.size,
+            "seed": config.seed,
+            "epsilon": config.epsilon,
+            "s": config.s,
+            "band_floors": [lo ** (1.0 / self.table.beta) for lo, _ in self.bands.intervals],
+        }
 
 
-def _setup_nls(config: SimulationConfig) -> _NlsSetup:
-    if config.model != "nls":
-        raise ValueError("Schrödinger setup called for a non-nls model")
+def _system(config: SimulationConfig, alias: int) -> _System:
+    """The model of ``config`` on a grid where products of ``alias``
+    truncation-supported fields are alias-free."""
     lattice = enumerate_lattice(config.dim, config.radius)
-    base = TorusLaplacian(gram=config.gram)
-    model = (
-        SpectralMultiplier(base=base, potential=dict(config.potential))
-        if config.potential
-        else base
-    )
-    table = build_spectrum(lattice, model)
-    bands = band_partition(table)
-    clusters = build_clusters(table)
-
-    side = max((abs(c) for p in lattice.points for c in p), default=0)
-    p_max = max(config.nonlinearity, default=0)
-    size = five_smooth((2 * int(p_max) + 2) * side + 1)
-    grid = _Grid(config.dim, size)
-
     g = _gram_matrix(config.dim, config.gram)
+    if config.model == "beam":
+        eig = {}
+        for p in lattice.points:
+            x = np.asarray(lattice.effective(p))
+            eig[p] = float(x @ g @ x)
+        model = Beam(eigenvalues=eig, mass=config.mass_term)
+    else:
+        model = TorusLaplacian(gram=config.gram)
+        if config.potential:
+            model = SpectralMultiplier(base=model, potential=dict(config.potential))
+    table = build_spectrum(lattice, model)
+    side = max((abs(c) for p in lattice.points for c in p), default=0)
+    grid = _Grid(config.dim, five_smooth(alias * side + 1))
     f = grid.freqs.astype(float)
-    omega = np.einsum("ij,jk,ik->i", f, g, f)
-    for p in lattice.points:
-        omega[grid.flat_index(p)] = float(frequency(model, p, lattice.offset))
+    return _System(
+        lattice=lattice,
+        model=model,
+        table=table,
+        bands=band_partition(table),
+        clusters=build_clusters(table),
+        grid=grid,
+        index={p: grid.flat_index(p) for p in lattice.points},
+        lam=np.einsum("ij,jk,ik->i", f, g, f),
+        npts=grid.size**grid.dim,
+    )
 
-    coeff_arrays = {
-        int(j): _coeff_grid(c, grid) for j, c in sorted(config.nonlinearity.items())
-    }
-    band_idx, block_idx = _monitor_indexes(table, bands, clusters, grid)
-    weights = grid.sobolev_weights(config.s)
 
+def _time_step(config: SimulationConfig, omega: np.ndarray) -> Tuple[float, int]:
+    """Step and step count; ``dt * max |omega|`` must stay within ``dt_bound``."""
     max_omega = float(np.max(np.abs(omega)))
     dt = config.dt if config.dt is not None else 0.1 / max(max_omega, 1.0)
     if dt * max_omega > config.dt_bound * (1.0 + 1e-12):
@@ -274,189 +419,92 @@ def _setup_nls(config: SimulationConfig) -> _NlsSetup:
             f"dt * max omega = {dt * max_omega:.3g} exceeds the stability bound "
             f"{config.dt_bound}"
         )
-    return _NlsSetup(
-        lattice=lattice,
-        table=table,
-        bands=bands,
-        clusters=clusters,
-        grid=grid,
-        omega=omega,
-        coeff_arrays=coeff_arrays,
-        band_idx=band_idx,
-        block_idx=block_idx,
-        weights_s=weights,
-        dt=dt,
+    return dt, max(1, round(config.horizon / dt))
+
+
+def _nls(config: SimulationConfig, integrator: str) -> TrajectoryRecord:
+    """Trajectory of the Schrödinger model under ``integrator``."""
+    if config.model != "nls":
+        raise ValueError("the Schrödinger integrators need model='nls'")
+    system = _system(config, 2 * int(max(config.nonlinearity, default=0)) + 2)
+    grid = system.grid
+    omega = system.lam.copy()
+    for p, i in system.index.items():
+        omega[i] = float(frequency(system.model, p, system.lattice.offset))
+    coeffs = {int(j): _coeff_grid(c, grid) for j, c in sorted(config.nonlinearity.items())}
+    weights = grid.sobolev_weights(config.s)
+    dt, n_steps = _time_step(config, omega)
+
+    if config.initial_modes is not None:
+        u = _place(config.initial_modes, system.index, system.npts)
+    else:
+        u = np.zeros(system.npts, dtype=complex)
+        rng = np.random.default_rng(config.seed)
+        for p, i in system.index.items():
+            w = (1.0 + system.table.norm(p)) ** (-(config.s + 1.0))
+            u[i] = w * complex(rng.standard_normal(), rng.standard_normal())
+    norm = math.sqrt(float(np.sum(weights * np.abs(u) ** 2)))
+    if norm == 0.0:
+        raise ValueError("initial state is identically zero")
+    u = u * (config.epsilon / norm)
+
+    def phase_field(y: np.ndarray) -> np.ndarray:
+        phi = np.zeros_like(y)
+        for j, arr in coeffs.items():
+            phi += arr * y**j
+        return phi
+
+    if integrator == "strang_splitting":
+        phase_half = np.exp(-0.5j * dt * omega)
+
+        def step(v: np.ndarray) -> np.ndarray:
+            psi = system.field(v * phase_half)
+            psi = psi * np.exp(-1j * dt * phase_field(np.abs(psi) ** 2))
+            return system.spectrum(psi) * phase_half
+
+    else:
+
+        def rhs(v: np.ndarray) -> np.ndarray:
+            psi = system.field(v)
+            return -1j * (omega * v + system.spectrum(phase_field(np.abs(psi) ** 2) * psi))
+
+        def step(v: np.ndarray) -> np.ndarray:
+            return _rk4(rhs, v, dt)
+
+    def potential(v: np.ndarray) -> float:
+        y = np.abs(system.field(v)) ** 2
+        pot = 0.0
+        for j, arr in coeffs.items():
+            pot += float(np.mean(arr * y ** (j + 1) / (j + 1)))
+        return pot
+
+    orbital = None
+    if config.track_orbital is not None:
+
+        def orbital(modes: Dict[Point, complex]) -> float:
+            return orbital_distance(modes, config.track_orbital, config.s, system.lattice)
+
+    monitor = _Monitor(
+        system.table, system.bands, system.clusters, system.index,
+        _weighted_norm(weights), _energy(omega, potential), orbital=orbital,
+    )
+    return _run(
+        u, step, monitor, dt=dt, n_steps=n_steps, stride=config.stride,
+        meta=system.meta(config, integrator),
     )
 
 
-def _initial_spectrum(config: SimulationConfig, setup: _NlsSetup) -> np.ndarray:
-    grid = setup.grid
-    u = np.zeros(grid.size**grid.dim, dtype=complex)
-    if config.initial_modes is not None:
-        for p, c in config.initial_modes.items():
-            if tuple(p) not in setup.lattice:
-                raise ValueError(f"initial mode {p} outside the truncation")
-            u[grid.flat_index(tuple(p))] = complex(c)
-    else:
-        rng = np.random.default_rng(config.seed)
-        for p in setup.lattice.points:
-            w = (1.0 + setup.table.norm(p)) ** (-(config.s + 1.0))
-            u[grid.flat_index(p)] = w * complex(rng.standard_normal(), rng.standard_normal())
-    norm = math.sqrt(float(np.sum(setup.weights_s * np.abs(u) ** 2)))
-    if norm == 0.0:
-        raise ValueError("initial state is identically zero")
-    return u * (config.epsilon / norm)
-
-
-class _Sampler:
-    def __init__(self, setup, config: SimulationConfig, grid_points: int):
-        self.setup = setup
-        self.config = config
-        self.npts = grid_points
-        self.times: List[float] = []
-        self.sob: List[float] = []
-        self.mass: List[float] = []
-        self.energy: List[float] = []
-        self.bands: List[List[float]] = []
-        self.blocks: List[List[float]] = []
-        self.orbital: List[float] = []
-
-    def nls_energy(self, u: np.ndarray) -> float:
-        setup = self.setup
-        psi = np.fft.ifftn(u.reshape(setup.grid.shape)) * self.npts
-        y = np.abs(psi) ** 2
-        pot = 0.0
-        for j, arr in setup.coeff_arrays.items():
-            pot += float(np.mean(arr * y ** (j + 1) / (j + 1)))
-        return float(np.sum(setup.omega * np.abs(u) ** 2)) + pot
-
-    def sample(self, t: float, u: np.ndarray) -> None:
-        if not np.all(np.isfinite(u.view(float))):
-            raise FloatingPointError(f"state blew up at t = {t}")
-        setup, config = self.setup, self.config
-        a2 = np.abs(u) ** 2
-        self.times.append(t)
-        self.sob.append(math.sqrt(float(np.sum(setup.weights_s * a2))))
-        self.mass.append(math.sqrt(float(np.sum(a2))))
-        self.energy.append(self.nls_energy(u))
-        self.bands.append([float(np.sum(a2[idx])) for idx in setup.band_idx])
-        self.blocks.append([float(np.sum(a2[idx])) for idx in setup.block_idx])
-        if config.track_orbital is not None:
-            coeffs = {
-                p: complex(u[setup.grid.flat_index(p)]) for p in setup.lattice.points
-            }
-            self.orbital.append(
-                orbital_distance(coeffs, config.track_orbital, config.s, setup.lattice)
-            )
-
-    def record(self, meta: Dict[str, object]) -> TrajectoryRecord:
-        return TrajectoryRecord(
-            times=np.asarray(self.times),
-            sobolev=np.asarray(self.sob),
-            mass=np.asarray(self.mass),
-            energy=np.asarray(self.energy),
-            band_actions=np.asarray(self.bands),
-            block_actions=np.asarray(self.blocks),
-            orbital=np.asarray(self.orbital) if self.orbital else None,
-            meta=meta,
-        )
-
-
-def _nls_phase_field(setup: _NlsSetup, y: np.ndarray) -> np.ndarray:
-    phi = np.zeros_like(y)
-    for j, arr in setup.coeff_arrays.items():
-        phi += arr * y**j
-    return phi
-
-
 def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
-    """Strang split-step trajectory of the Schrödinger model."""
-    if config.integrator == "rk4_reference":
-        return rk4_reference(config)
-    setup = _setup_nls(config)
-    grid = setup.grid
-    npts = grid.size**grid.dim
-    u = _initial_spectrum(config, setup)
+    """Strang split-step trajectory of the Schrödinger model.
 
-    dt = setup.dt
-    n_steps = max(1, round(config.horizon / dt))
-    phase_half = np.exp(-0.5j * dt * setup.omega)
-    sampler = _Sampler(setup, config, npts)
-    sampler.sample(0.0, u)
-
-    for step in range(1, n_steps + 1):
-        u = u * phase_half
-        psi = np.fft.ifftn(u.reshape(grid.shape)) * npts
-        phi = _nls_phase_field(setup, np.abs(psi) ** 2)
-        psi = psi * np.exp(-1j * dt * phi)
-        u = np.fft.fftn(psi).reshape(-1) / npts
-        u = u * phase_half
-        if step % config.stride == 0 or step == n_steps:
-            sampler.sample(step * dt, u)
-
-    meta = {
-        "model": "nls",
-        "integrator": "strang_splitting",
-        "grid": grid.size,
-        "dt": dt,
-        "n_steps": n_steps,
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "s": config.s,
-        "band_floors": _band_floors(setup.bands, setup.table.beta),
-        "final_modes": _lattice_modes(u, setup),
-    }
-    return sampler.record(meta)
-
-
-def _band_floors(bands: BandPartition, beta: float) -> List[float]:
-    return [lo ** (1.0 / beta) for lo, _ in bands.intervals]
-
-
-def _lattice_modes(u: np.ndarray, setup: "_NlsSetup") -> Dict[Point, complex]:
-    return {p: complex(u[setup.grid.flat_index(p)]) for p in setup.lattice.points}
+    With ``integrator='rk4_reference'`` this is ``rk4_reference``.
+    """
+    return _nls(config, config.integrator)
 
 
 def rk4_reference(config: SimulationConfig) -> TrajectoryRecord:
     """Classic fourth-order reference integrator for the same spectral system."""
-    setup = _setup_nls(config)
-    grid = setup.grid
-    npts = grid.size**grid.dim
-    u = _initial_spectrum(config, setup)
-
-    omega = setup.omega
-
-    def rhs(v: np.ndarray) -> np.ndarray:
-        psi = np.fft.ifftn(v.reshape(grid.shape)) * npts
-        phi = _nls_phase_field(setup, np.abs(psi) ** 2)
-        nonlin = np.fft.fftn(phi * psi).reshape(-1) / npts
-        return -1j * (omega * v + nonlin)
-
-    dt = setup.dt
-    n_steps = max(1, round(config.horizon / dt))
-    sampler = _Sampler(setup, config, npts)
-    sampler.sample(0.0, u)
-    for step in range(1, n_steps + 1):
-        k1 = rhs(u)
-        k2 = rhs(u + 0.5 * dt * k1)
-        k3 = rhs(u + 0.5 * dt * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if step % config.stride == 0 or step == n_steps:
-            sampler.sample(step * dt, u)
-    meta = {
-        "model": "nls",
-        "integrator": "rk4_reference",
-        "grid": grid.size,
-        "dt": dt,
-        "n_steps": n_steps,
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "s": config.s,
-        "band_floors": _band_floors(setup.bands, setup.table.beta),
-        "final_modes": _lattice_modes(u, setup),
-    }
-    return sampler.record(meta)
+    return _nls(config, "rk4_reference")
 
 
 def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
@@ -471,31 +519,12 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
     """
     if config.model != "beam":
         raise ValueError("integrate_beam needs model='beam'")
-    lattice = enumerate_lattice(config.dim, config.radius)
-    g = _gram_matrix(config.dim, config.gram)
-    eig = {
-        p: float(np.asarray(lattice.effective(p)) @ g @ np.asarray(lattice.effective(p)))
-        for p in lattice.points
-    }
-    model = Beam(eigenvalues=eig, mass=config.mass_term)
-    table = build_spectrum(lattice, model)
-    bands = band_partition(table)
-    clusters = build_clusters(table)
-
-    side = max((abs(c) for p in lattice.points for c in p), default=0)
     force = {int(j): c for j, c in (config.force or {}).items()}
-    deg = max(force, default=1)
-    size = five_smooth((deg + 1) * side + 1)
-    grid = _Grid(config.dim, size)
-    npts = size**config.dim
-
-    f = grid.freqs.astype(float)
-    lam = np.einsum("ij,jk,ik->i", f, g, f)
-    omega = np.sqrt(lam**2 + config.mass_term)
+    system = _system(config, max(force, default=1) + 1)
+    grid = system.grid
+    omega = np.sqrt(system.lam**2 + config.mass_term)
     sqrt_om = np.sqrt(omega)
     force_arrays = {j: _coeff_grid(c, grid) for j, c in sorted(force.items())}
-
-    band_idx, block_idx = _monitor_indexes(table, bands, clusters, grid)
     w_s = grid.sobolev_weights(config.s)
     w_s2 = grid.sobolev_weights(config.s + 2.0)
 
@@ -510,115 +539,66 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
         dpsi_hat = (u - conj_rev) * sqrt_om / (1j * math.sqrt(2.0))
         return psi_hat, dpsi_hat
 
-    rng = np.random.default_rng(config.seed)
-    psi_hat = np.zeros(npts, dtype=complex)
-    dpsi_hat = np.zeros(npts, dtype=complex)
-    if config.initial_modes is not None:
-        for p, c in config.initial_modes.items():
-            psi_hat[grid.flat_index(tuple(p))] = complex(c)
-        for p, c in (config.initial_velocity_modes or {}).items():
-            dpsi_hat[grid.flat_index(tuple(p))] = complex(c)
-    else:
-        for p in lattice.points:
-            wdecay = (1.0 + table.norm(p)) ** (-(config.s + 3.0))
-            psi_hat[grid.flat_index(p)] = wdecay * complex(
-                rng.standard_normal(), rng.standard_normal()
-            )
-            dpsi_hat[grid.flat_index(p)] = wdecay * complex(
-                rng.standard_normal(), rng.standard_normal()
-            )
-    # hermitian symmetrization keeps both fields real
-    psi_hat = 0.5 * (psi_hat + np.conj(psi_hat[rev]))
-    dpsi_hat = 0.5 * (dpsi_hat + np.conj(dpsi_hat[rev]))
-
-    def pair_norm(ph, dph) -> float:
+    def pair_norm(ph: np.ndarray, dph: np.ndarray) -> float:
         a = math.sqrt(float(np.sum(w_s2 * np.abs(ph) ** 2)))
         b = math.sqrt(float(np.sum(w_s * np.abs(dph) ** 2)))
         return a + b
 
+    if config.initial_modes is not None:
+        psi_hat = _place(config.initial_modes, system.index, system.npts)
+        dpsi_hat = _place(config.initial_velocity_modes or {}, system.index, system.npts)
+    else:
+        psi_hat = np.zeros(system.npts, dtype=complex)
+        dpsi_hat = np.zeros(system.npts, dtype=complex)
+        rng = np.random.default_rng(config.seed)
+        for p, i in system.index.items():
+            wdecay = (1.0 + system.table.norm(p)) ** (-(config.s + 3.0))
+            psi_hat[i] = wdecay * complex(rng.standard_normal(), rng.standard_normal())
+            dpsi_hat[i] = wdecay * complex(rng.standard_normal(), rng.standard_normal())
+    # hermitian symmetrization keeps both fields real
+    psi_hat = 0.5 * (psi_hat + np.conj(psi_hat[rev]))
+    dpsi_hat = 0.5 * (dpsi_hat + np.conj(dpsi_hat[rev]))
     scale = config.epsilon / max(pair_norm(psi_hat, dpsi_hat), 1e-300)
     psi_hat *= scale
     dpsi_hat *= scale
     u = (sqrt_om * psi_hat + 1j * dpsi_hat / sqrt_om) / math.sqrt(2.0)
 
-    max_omega = float(np.max(omega))
-    dt = config.dt if config.dt is not None else 0.1 / max(max_omega, 1.0)
-    if dt * max_omega > config.dt_bound * (1.0 + 1e-12):
-        raise ValueError(
-            f"dt * max omega = {dt * max_omega:.3g} exceeds the stability bound "
-            f"{config.dt_bound}"
-        )
-    n_steps = max(1, round(config.horizon / dt))
+    dt, n_steps = _time_step(config, omega)
     phase = np.exp(-1j * dt * omega)
 
     def kick(u: np.ndarray, tau: float) -> np.ndarray:
         if not force_arrays:
             return u
-        ph, _ = unpack(u)
-        psi = np.fft.ifftn(ph.reshape(grid.shape)) * npts
+        psi = system.field(unpack(u)[0])
         if np.max(np.abs(psi.imag)) > 1e-9 * (1.0 + np.max(np.abs(psi.real))):
             raise FloatingPointError("beam field lost reality")
         psi = psi.real
         dforce = np.zeros_like(psi)
         for j, arr in force_arrays.items():
             dforce += j * arr * psi ** (j - 1)
-        fhat = np.fft.fftn(dforce).reshape(-1) / npts
-        return u - 1j * tau / math.sqrt(2.0) * fhat / sqrt_om
+        return u - 1j * tau / math.sqrt(2.0) * system.spectrum(dforce) / sqrt_om
 
-    times, sob, msr, en = [], [], [], []
-    bandJ, blockJ, extra_u = [], [], []
+    def step(u: np.ndarray) -> np.ndarray:
+        return kick(kick(u, 0.5 * dt) * phase, 0.5 * dt)
 
-    def sample(t: float, u: np.ndarray):
-        if not np.all(np.isfinite(u.view(float))):
-            raise FloatingPointError(f"state blew up at t = {t}")
-        ph, dph = unpack(u)
-        a2 = np.abs(u) ** 2
-        times.append(t)
-        sob.append(pair_norm(ph, dph))
-        msr.append(math.sqrt(float(np.sum(a2))))
-        psi = (np.fft.ifftn(ph.reshape(grid.shape)) * npts).real
+    def potential(u: np.ndarray) -> float:
+        psi = system.field(unpack(u)[0]).real
         pot = 0.0
         for j, arr in force_arrays.items():
             pot += float(np.mean(arr * psi**j))
-        en.append(float(np.sum(omega * a2)) + pot)
-        bandJ.append([float(np.sum(a2[idx])) for idx in band_idx])
-        blockJ.append([float(np.sum(a2[idx])) for idx in block_idx])
-        extra_u.append(math.sqrt(float(np.sum(w_s * a2))))
+        return pot
 
-    sample(0.0, u)
-    for step in range(1, n_steps + 1):
-        u = kick(u, 0.5 * dt)
-        u = u * phase
-        u = kick(u, 0.5 * dt)
-        if step % config.stride == 0 or step == n_steps:
-            sample(step * dt, u)
-
-    meta = {
-        "model": "beam",
-        "integrator": "strang_splitting",
-        "grid": size,
-        "dt": dt,
-        "n_steps": n_steps,
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "s": config.s,
-        "mass_term": config.mass_term,
-        "band_floors": _band_floors(bands, table.beta),
-        "final_modes": {
-            p: complex(u[grid.flat_index(p)]) for p in lattice.points
-        },
-    }
-    return TrajectoryRecord(
-        times=np.asarray(times),
-        sobolev=np.asarray(sob),
-        mass=np.asarray(msr),
-        energy=np.asarray(en),
-        band_actions=np.asarray(bandJ),
-        block_actions=np.asarray(blockJ),
-        orbital=None,
-        meta=meta,
-        extra={"u_sobolev": np.asarray(extra_u)},
+    monitor = _Monitor(
+        system.table, system.bands, system.clusters, system.index,
+        lambda u, a2: pair_norm(*unpack(u)),
+        _energy(omega, potential),
+        extra={"u_sobolev": _weighted_norm(w_s)},
     )
+    meta = {**system.meta(config, "strang_splitting"), "mass_term": config.mass_term}
+    return _run(u, step, monitor, dt=dt, n_steps=n_steps, stride=config.stride, meta=meta)
+
+
+# --- polynomial normal forms on the truncated modes --------------------------
 
 
 def superactions(
@@ -720,11 +700,7 @@ class _PolyKick:
         if self.rk:
             tau = dt / self.substeps
             for _ in range(self.substeps):
-                k1 = self._rhs(u)
-                k2 = self._rhs(u + 0.5 * tau * k1)
-                k3 = self._rhs(u + 0.5 * tau * k2)
-                k4 = self._rhs(u + tau * k3)
-                u = u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                u = _rk4(self._rhs, u, tau)
         return u
 
 
@@ -765,71 +741,24 @@ def integrate_normal_form(
     points = list(table.lattice.points)
     index = {p: i for i, p in enumerate(points)}
     omega = np.asarray([float(table.omega(p)) for p in points])
-
-    u = np.zeros(len(points), dtype=complex)
-    for p, c in initial.items():
-        u[index[tuple(p)]] = complex(c)
+    u = _place(initial, index, len(points))
 
     kick = _PolyKick(parts, points, substeps=kick_substeps)
     energy = _PolyEnergy(list(parts), index)
-
-    bm = band_map(table, bands)
-    band_idx = [
-        np.asarray([index[p] for p in points if bm[p] == n], dtype=int)
-        for n in range(bands.nbands)
-    ]
-    from .clusters import block_index_map
-
-    ids = block_index_map(clusters)
-    block_idx = [
-        np.asarray([index[p] for p in block], dtype=int) for block in clusters.blocks
-    ]
-    norms = np.asarray([table.norm(p) for p in points])
-    weights = (1.0 + norms) ** (2.0 * s)
-
-    n_steps = max(1, round(horizon / dt))
+    weights = (1.0 + np.asarray([table.norm(p) for p in points])) ** (2.0 * s)
     phase_half = np.exp(-0.5j * dt * omega)
 
-    times, sob, msr, en = [], [], [], []
-    bandJ, blockJ = [], []
+    def step(v: np.ndarray) -> np.ndarray:
+        return kick.apply(v * phase_half, dt) * phase_half
 
-    def sample(t: float, v: np.ndarray):
-        if not np.all(np.isfinite(v.view(float))):
-            raise FloatingPointError(f"state blew up at t = {t}")
-        a2 = np.abs(v) ** 2
-        times.append(t)
-        sob.append(math.sqrt(float(np.sum(weights * a2))))
-        msr.append(math.sqrt(float(np.sum(a2))))
-        en.append(float(np.sum(omega * a2)) + energy.value(v))
-        bandJ.append([float(np.sum(a2[idx])) for idx in band_idx])
-        blockJ.append([float(np.sum(a2[idx])) for idx in block_idx])
-
-    sample(0.0, u)
-    for step in range(1, n_steps + 1):
-        u = u * phase_half
-        u = kick.apply(u, dt)
-        u = u * phase_half
-        if step % stride == 0 or step == n_steps:
-            sample(step * dt, u)
-
+    monitor = _Monitor(
+        table, bands, clusters, index, _weighted_norm(weights), _energy(omega, energy.value)
+    )
     meta = {
-        "model": "normal_form",
-        "integrator": "strang_splitting",
-        "dt": dt,
-        "n_steps": n_steps,
-        "exact_kick": kick.exact,
-        "s": s,
-        "final_modes": {p: complex(u[i]) for i, p in enumerate(points)},
+        "model": "normal_form", "integrator": "strang_splitting", "exact_kick": kick.exact, "s": s
     }
-    return TrajectoryRecord(
-        times=np.asarray(times),
-        sobolev=np.asarray(sob),
-        mass=np.asarray(msr),
-        energy=np.asarray(en),
-        band_actions=np.asarray(bandJ),
-        block_actions=np.asarray(blockJ),
-        orbital=None,
-        meta=meta,
+    return _run(
+        u, step, monitor, dt=dt, n_steps=max(1, round(horizon / dt)), stride=stride, meta=meta
     )
 
 

@@ -55,6 +55,14 @@ from .resonance import (
 BUCKETS = ("Z0", "ZB", "Z2", "ZGE3")
 
 
+class CertificateError(ValueError):
+    """A nonresonance certificate is missing, failed, or does not cover a divisor."""
+
+
+class SmallnessError(ValueError):
+    """The perturbation is too large for the normalization to contract."""
+
+
 @dataclass(frozen=True)
 class NormalFormConfig:
     """Parameters of a normalization run.
@@ -74,13 +82,14 @@ class NormalFormConfig:
     nu: float = 2.0
     smoothing: float = 2.0
     mu_max: float = 1.0
-    flow_tol: float = 1e-10
 
     def __post_init__(self):
         if self.r < 1:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if not 0.0 < self.radius < 1.0:
             raise ValueError(f"radius must lie in (0,1), got {self.radius}")
+        if self.gamma is not None and self.gamma <= 0.0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
     @property
     def r_bar(self) -> int:
@@ -183,7 +192,7 @@ def solve_homological(
             delta = small_divisor(table, key)
             scale = max(1.0, max(table.norm(p) for p, _ in key)) ** tau
             if abs(delta) < gamma / scale:
-                raise ValueError(
+                raise CertificateError(
                     f"divisor {delta} below gamma/K_max^tau = {gamma / scale:.3e} "
                     f"on nonresonant key {key}: certificate breached"
                 )
@@ -366,23 +375,23 @@ def _constants_for(
 ) -> Tuple[float, float]:
     cert = by_order.get(degree)
     if cert is None:
-        raise ValueError(
+        raise CertificateError(
             f"no nonresonance certificate of order {degree}; "
             "the engine refuses to run without one"
         )
     if not cert.passed:
-        raise ValueError(
+        raise CertificateError(
             f"order-{degree} certificate failed (min score {cert.min_score:.3e} "
             f"< gamma {cert.gamma:.3e}); witness {cert.witness}"
         )
     gamma = config.gamma if config.gamma is not None else cert.gamma
     if gamma > cert.min_score:
-        raise ValueError(
+        raise CertificateError(
             f"requested gamma {gamma} exceeds the certified minimum "
             f"{cert.min_score:.3e} at order {degree}"
         )
     if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+        raise CertificateError(f"order-{degree} certificate has gamma {gamma} <= 0")
     tau = config.tau if config.tau is not None else cert.tau
     return float(gamma), float(tau)
 
@@ -449,7 +458,7 @@ def normalize(
     tau_max = max(taus.values())
     mu = (step_norms[0] / radius**2) * cutoff**tau_max
     if mu > config.mu_max:
-        raise ValueError(
+        raise SmallnessError(
             f"smallness violated before step 0: mu = {mu:.3e} > {config.mu_max}; "
             "radius too large for this truncation"
         )
@@ -511,7 +520,7 @@ def normalize(
         step_norms.append(p_norm)
         prev = step_norms[-2]
         if prev > 1e-13 * step_norms[0] and p_norm > 2.0 * mu * prev * (1.0 + 1e-9):
-            raise ValueError(
+            raise SmallnessError(
                 f"smallness violated at step {step}: |P({step + 1})|_R = {p_norm:.3e} "
                 f"> 2 mu |P({step})|_R with mu = {mu:.3e}"
             )

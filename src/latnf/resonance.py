@@ -158,13 +158,18 @@ class NonresonanceCertificate:
             "gamma": self.gamma,
             "min_score": self.min_score,
             "witness": enc(self.witness),
-            "witness_divisor": float(self.witness_divisor),
-            "min_divisor": float(self.min_divisor),
+            "witness_divisor": _json_divisor(self.witness_divisor),
+            "min_divisor": _json_divisor(self.min_divisor),
             "divisor_witness": enc(self.divisor_witness),
             "passed": self.passed,
             "exhaustive": self.exhaustive,
             "n_checked": self.n_checked,
         }
+
+
+def _json_divisor(value):
+    """Exact integer divisors stay integers in JSON; others are floats."""
+    return int(value) if isinstance(value, (int, np.integer)) else float(value)
 
 
 def _nondecreasing_rows(n: int, k: int) -> np.ndarray:

@@ -8,6 +8,7 @@ divisor columns in the same order, so every certificate field must agree
 exactly, value and type, witness tuples included.
 """
 
+import json
 import math
 from itertools import combinations_with_replacement
 
@@ -20,6 +21,7 @@ from latnf import (
     TorusLaplacian,
     band_partition,
     build_spectrum,
+    certificate_to_json,
     certify_nonresonance,
     enumerate_lattice,
     extended_indexes,
@@ -177,6 +179,26 @@ def test_large_exact_spectrum_keeps_python_integers(order):
     assert latnf.resonance._signed_omegas(table, ext).dtype == object
     cert = assert_same_certificate(table, order)
     assert isinstance(cert.min_divisor, int) and cert.min_divisor > 2**60
+
+
+def test_certificate_json_keeps_exact_divisors(tmp_path):
+    lattice = enumerate_lattice(1, 3.0)
+    values = {p: 2**61 + 7 * p[0] * p[0] + p[0] for p in lattice.points}
+    table = build_spectrum(lattice, TableModel(values=values, beta=2.0))
+    cert = certify_nonresonance(table, 3, partition=band_partition(table))
+    assert cert.min_divisor == 2305843009213693886  # above 2**53: a float loses it
+    path = tmp_path / "certificate.json"
+    certificate_to_json(cert, path)
+    blob = json.loads(path.read_text())
+    for key in ("min_divisor", "witness_divisor"):
+        assert type(blob[key]) is int and blob[key] == getattr(cert, key)
+
+    flat = build_spectrum(
+        lattice, SpectralMultiplier(base=TorusLaplacian(), potential={(1,): 0.013})
+    )
+    assert not flat.exact
+    blob = certify_nonresonance(flat, 3, partition=band_partition(flat)).to_dict()
+    assert type(blob["min_divisor"]) is float and type(blob["witness_divisor"]) is float
 
 
 def test_many_band_table():

@@ -383,3 +383,99 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "spectrum: 17 modes" in proc.stdout
+
+
+def test_cli_verify_solves_on_the_configured_clusters(tmp_path, capsys, monkeypatch):
+    import latnf.normalform
+
+    seen = []
+    inner = latnf.normalform.solve_homological
+
+    def spy(form, table, bands, clusters, *args, **kwargs):
+        seen.append(clusters)
+        return inner(form, table, bands, clusters, *args, **kwargs)
+
+    monkeypatch.setattr(latnf.normalform, "solve_homological", spy)
+    args = ["verify", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    main(args + ["--set", "clusters.c_delta=2.5", "--set", "clusters.delta=0.4"])
+    capsys.readouterr()
+    assert [(c.delta, c.c_delta) for c in seen] == [(0.4, 2.5)]
+
+
+def _normalform(tmp_path, *overrides):
+    argv = ["normalform", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    return main(argv)
+
+
+def test_cli_normalform_certificate_failure_exits_1(tmp_path, capsys):
+    assert _normalform(tmp_path, "normalform.gamma=1e9") == 1
+    out = capsys.readouterr().out
+    assert "FAIL normal form" in out and "exceeds the certified minimum" in out
+
+
+def test_cli_normalform_smallness_failure_exits_1(tmp_path, capsys):
+    assert _normalform(tmp_path, "normalform.radius=0.5") == 1
+    out = capsys.readouterr().out
+    assert "FAIL normal form" in out and "smallness violated" in out
+
+
+@pytest.mark.parametrize("gamma", ["0", "-1e-3"])
+def test_cli_normalform_nonpositive_gamma_is_a_usage_error(tmp_path, capsys, gamma):
+    assert _normalform(tmp_path, f"normalform.gamma={gamma}") == 2
+    captured = capsys.readouterr()
+    assert "gamma must be positive" in captured.err
+    assert "FAIL" not in captured.out
+
+
+def _simulate(tmp_path, *overrides):
+    argv = ["simulate", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    for item in ("lattice.radius=4", "simulate.horizon=0.2") + overrides:
+        argv += ["--set", item]
+    return main(argv)
+
+
+def test_cli_simulate_runs_the_configured_model(tmp_path, capsys):
+    assert _simulate(tmp_path / "nls") == 0
+    assert _simulate(tmp_path / "torus", "model.kind=torus") == 0
+    assert _simulate(tmp_path / "beam", "model.kind=beam", "model.mass=2.5") == 0
+    capsys.readouterr()
+
+    def results(name):
+        return json.loads((tmp_path / name / "simulate_manifest.json").read_text())["results"]
+
+    assert results("nls")["meta"]["model"] == "nls"
+    assert results("beam")["meta"]["model"] == "beam"
+    assert results("beam")["meta"]["mass_term"] == 2.5
+    # the torus kind drops the multiplier potential, so its energy differs
+    assert results("torus")["initial_sobolev"] == pytest.approx(results("nls")["initial_sobolev"])
+    nls_csv = (tmp_path / "nls" / "trajectory.csv").read_text()
+    assert (tmp_path / "torus" / "trajectory.csv").read_text() != nls_csv
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (("model.kind=ground_state",), "model.kind"),
+        (("lattice.offset=0.3",), "lattice.offset"),
+        (("model.kind=beam", "simulate.track_orbital=1.0"), "track_orbital"),
+    ],
+)
+def test_cli_simulate_rejects_what_it_cannot_honour(tmp_path, capsys, overrides, message):
+    assert _simulate(tmp_path, *overrides) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["run.jobs=2", "output.format=csv", "model.decay=2", "simulate.model=beam",
+     "simulate.mass_term=2"],
+)
+def test_removed_keys_are_unknown(tmp_path, capsys, setting):
+    with pytest.raises(ConfigError, match="unknown setting"):
+        apply_overrides(load_config(None), [setting])
+    assert main(["spectrum", "--set", setting, "--out-dir", str(tmp_path)]) == 2
+    assert main(["spectrum", "--jobs", "2", "--out-dir", str(tmp_path)]) == 2
+    capsys.readouterr()

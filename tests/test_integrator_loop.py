@@ -1,0 +1,624 @@
+"""The shared time-stepping loop against the four loops it replaced.
+
+The oracles below are the earlier per-integrator implementations: a
+Strang NLS loop, a classic RK4 loop, a beam kick-phase-kick loop and the
+normal-form splitting loop, each with its own sampler.  Every column of
+the ``TrajectoryRecord`` and every ``meta`` entry (the final modes
+included) must be bit-identical to theirs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from latnf import (
+    SimulationConfig,
+    band_partition,
+    build_clusters,
+    build_spectrum,
+    enumerate_lattice,
+    integrate_beam,
+    integrate_nls,
+    integrate_normal_form,
+    make_form,
+    nls_quartic,
+    orbital_distance,
+    rk4_reference,
+)
+from latnf.bands import band_map
+from latnf.dynamics import five_smooth, is_action_form
+from latnf.forms import gradient, monomials
+from latnf.frequencies import Beam, SpectralMultiplier, TorusLaplacian, frequency
+
+# --- oracles: the earlier loops, same arithmetic, without their guards --------
+
+
+class _Grid:
+    def __init__(self, dim, size):
+        self.dim = dim
+        self.size = size
+        self.shape = (size,) * dim
+        axis = np.rint(np.fft.fftfreq(size) * size).astype(int)
+        mats = np.meshgrid(*([axis] * dim), indexing="ij")
+        self.freqs = np.stack([m.reshape(-1) for m in mats], axis=1)
+
+    def flat_index(self, point):
+        idx = 0
+        for c in point:
+            idx = idx * self.size + (int(c) % self.size)
+        return idx
+
+    def sobolev_weights(self, s):
+        norms = np.linalg.norm(self.freqs, axis=1)
+        return (1.0 + norms) ** (2.0 * s)
+
+
+def _coeff_grid(coeff, grid):
+    if isinstance(coeff, dict):
+        spec = np.zeros(grid.shape, dtype=complex)
+        flat = spec.reshape(-1)
+        for m, c in coeff.items():
+            flat[grid.flat_index(tuple(m))] += complex(c)
+        return (np.fft.ifftn(spec) * grid.size**grid.dim).real
+    return float(coeff) * np.ones(grid.shape)
+
+
+def _gram(dim, gram):
+    return np.eye(dim) if gram is None else np.asarray(gram, dtype=float)
+
+
+def _monitor_indexes(table, bands, clusters, grid):
+    bm = band_map(table, bands)
+    band_idx = []
+    for n in range(bands.nbands):
+        pts = [p for p, b in bm.items() if b == n]
+        band_idx.append(np.asarray([grid.flat_index(p) for p in sorted(pts)], dtype=int))
+    block_idx = [
+        np.asarray([grid.flat_index(p) for p in block], dtype=int) for block in clusters.blocks
+    ]
+    return band_idx, block_idx
+
+
+def _band_floors(bands, beta):
+    return [lo ** (1.0 / beta) for lo, _ in bands.intervals]
+
+
+class _NlsSetup:
+    def __init__(self, config):
+        lattice = enumerate_lattice(config.dim, config.radius)
+        base = TorusLaplacian(gram=config.gram)
+        model = (
+            SpectralMultiplier(base=base, potential=dict(config.potential))
+            if config.potential
+            else base
+        )
+        table = build_spectrum(lattice, model)
+        bands = band_partition(table)
+        clusters = build_clusters(table)
+        side = max((abs(c) for p in lattice.points for c in p), default=0)
+        p_max = max(config.nonlinearity, default=0)
+        grid = _Grid(config.dim, five_smooth((2 * int(p_max) + 2) * side + 1))
+        g = _gram(config.dim, config.gram)
+        f = grid.freqs.astype(float)
+        omega = np.einsum("ij,jk,ik->i", f, g, f)
+        for p in lattice.points:
+            omega[grid.flat_index(p)] = float(frequency(model, p, lattice.offset))
+        self.lattice, self.table, self.bands, self.grid, self.omega = (
+            lattice, table, bands, grid, omega,
+        )
+        self.coeff_arrays = {
+            int(j): _coeff_grid(c, grid) for j, c in sorted(config.nonlinearity.items())
+        }
+        self.band_idx, self.block_idx = _monitor_indexes(table, bands, clusters, grid)
+        self.weights_s = grid.sobolev_weights(config.s)
+        max_omega = float(np.max(np.abs(omega)))
+        self.dt = config.dt if config.dt is not None else 0.1 / max(max_omega, 1.0)
+        assert self.dt * max_omega <= config.dt_bound * (1.0 + 1e-12)
+
+
+def _initial_spectrum(config, setup):
+    grid = setup.grid
+    u = np.zeros(grid.size**grid.dim, dtype=complex)
+    if config.initial_modes is not None:
+        for p, c in config.initial_modes.items():
+            u[grid.flat_index(tuple(p))] = complex(c)
+    else:
+        rng = np.random.default_rng(config.seed)
+        for p in setup.lattice.points:
+            w = (1.0 + setup.table.norm(p)) ** (-(config.s + 1.0))
+            u[grid.flat_index(p)] = w * complex(rng.standard_normal(), rng.standard_normal())
+    norm = math.sqrt(float(np.sum(setup.weights_s * np.abs(u) ** 2)))
+    return u * (config.epsilon / norm)
+
+
+class _Sampler:
+    def __init__(self, setup, config, npts):
+        self.setup, self.config, self.npts = setup, config, npts
+        self.cols = {k: [] for k in ("t", "sob", "mass", "en", "bands", "blocks", "orb")}
+
+    def sample(self, t, u):
+        setup, config, c = self.setup, self.config, self.cols
+        a2 = np.abs(u) ** 2
+        c["t"].append(t)
+        c["sob"].append(math.sqrt(float(np.sum(setup.weights_s * a2))))
+        c["mass"].append(math.sqrt(float(np.sum(a2))))
+        psi = np.fft.ifftn(u.reshape(setup.grid.shape)) * self.npts
+        y = np.abs(psi) ** 2
+        pot = 0.0
+        for j, arr in setup.coeff_arrays.items():
+            pot += float(np.mean(arr * y ** (j + 1) / (j + 1)))
+        c["en"].append(float(np.sum(setup.omega * np.abs(u) ** 2)) + pot)
+        c["bands"].append([float(np.sum(a2[idx])) for idx in setup.band_idx])
+        c["blocks"].append([float(np.sum(a2[idx])) for idx in setup.block_idx])
+        if config.track_orbital is not None:
+            coeffs = {p: complex(u[setup.grid.flat_index(p)]) for p in setup.lattice.points}
+            c["orb"].append(orbital_distance(coeffs, config.track_orbital, config.s, setup.lattice))
+
+    def record(self):
+        c = self.cols
+        return {
+            "times": np.asarray(c["t"]),
+            "sobolev": np.asarray(c["sob"]),
+            "mass": np.asarray(c["mass"]),
+            "energy": np.asarray(c["en"]),
+            "band_actions": np.asarray(c["bands"]),
+            "block_actions": np.asarray(c["blocks"]),
+            "orbital": np.asarray(c["orb"]) if c["orb"] else None,
+            "extra": {},
+        }
+
+
+def _phase_field(setup, y):
+    phi = np.zeros_like(y)
+    for j, arr in setup.coeff_arrays.items():
+        phi += arr * y**j
+    return phi
+
+
+def _nls_meta(config, setup, integrator, dt, n_steps, u):
+    return {
+        "model": "nls",
+        "integrator": integrator,
+        "grid": setup.grid.size,
+        "dt": dt,
+        "n_steps": n_steps,
+        "seed": config.seed,
+        "epsilon": config.epsilon,
+        "s": config.s,
+        "band_floors": _band_floors(setup.bands, setup.table.beta),
+        "final_modes": {
+            p: complex(u[setup.grid.flat_index(p)]) for p in setup.lattice.points
+        },
+    }
+
+
+def oracle_strang(config):
+    setup = _NlsSetup(config)
+    grid = setup.grid
+    npts = grid.size**grid.dim
+    u = _initial_spectrum(config, setup)
+    dt = setup.dt
+    n_steps = max(1, round(config.horizon / dt))
+    phase_half = np.exp(-0.5j * dt * setup.omega)
+    sampler = _Sampler(setup, config, npts)
+    sampler.sample(0.0, u)
+    for step in range(1, n_steps + 1):
+        u = u * phase_half
+        psi = np.fft.ifftn(u.reshape(grid.shape)) * npts
+        phi = _phase_field(setup, np.abs(psi) ** 2)
+        psi = psi * np.exp(-1j * dt * phi)
+        u = np.fft.fftn(psi).reshape(-1) / npts
+        u = u * phase_half
+        if step % config.stride == 0 or step == n_steps:
+            sampler.sample(step * dt, u)
+    return sampler.record(), _nls_meta(config, setup, "strang_splitting", dt, n_steps, u)
+
+
+def oracle_rk4(config):
+    setup = _NlsSetup(config)
+    grid = setup.grid
+    npts = grid.size**grid.dim
+    u = _initial_spectrum(config, setup)
+    omega = setup.omega
+
+    def rhs(v):
+        psi = np.fft.ifftn(v.reshape(grid.shape)) * npts
+        phi = _phase_field(setup, np.abs(psi) ** 2)
+        nonlin = np.fft.fftn(phi * psi).reshape(-1) / npts
+        return -1j * (omega * v + nonlin)
+
+    dt = setup.dt
+    n_steps = max(1, round(config.horizon / dt))
+    sampler = _Sampler(setup, config, npts)
+    sampler.sample(0.0, u)
+    for step in range(1, n_steps + 1):
+        k1 = rhs(u)
+        k2 = rhs(u + 0.5 * dt * k1)
+        k3 = rhs(u + 0.5 * dt * k2)
+        k4 = rhs(u + dt * k3)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if step % config.stride == 0 or step == n_steps:
+            sampler.sample(step * dt, u)
+    return sampler.record(), _nls_meta(config, setup, "rk4_reference", dt, n_steps, u)
+
+
+def oracle_beam(config):
+    lattice = enumerate_lattice(config.dim, config.radius)
+    g = _gram(config.dim, config.gram)
+    eig = {
+        p: float(np.asarray(lattice.effective(p)) @ g @ np.asarray(lattice.effective(p)))
+        for p in lattice.points
+    }
+    table = build_spectrum(lattice, Beam(eigenvalues=eig, mass=config.mass_term))
+    bands = band_partition(table)
+    clusters = build_clusters(table)
+    side = max((abs(c) for p in lattice.points for c in p), default=0)
+    force = {int(j): c for j, c in (config.force or {}).items()}
+    size = five_smooth((max(force, default=1) + 1) * side + 1)
+    grid = _Grid(config.dim, size)
+    npts = size**config.dim
+    f = grid.freqs.astype(float)
+    lam = np.einsum("ij,jk,ik->i", f, g, f)
+    omega = np.sqrt(lam**2 + config.mass_term)
+    sqrt_om = np.sqrt(omega)
+    force_arrays = {j: _coeff_grid(c, grid) for j, c in sorted(force.items())}
+    band_idx, block_idx = _monitor_indexes(table, bands, clusters, grid)
+    w_s = grid.sobolev_weights(config.s)
+    w_s2 = grid.sobolev_weights(config.s + 2.0)
+    rev = np.asarray(
+        [grid.flat_index(tuple(-int(c) for c in p)) for p in map(tuple, grid.freqs)], dtype=int
+    )
+
+    def unpack(u):
+        conj_rev = np.conj(u[rev])
+        psi_hat = (u + conj_rev) / (math.sqrt(2.0) * sqrt_om)
+        dpsi_hat = (u - conj_rev) * sqrt_om / (1j * math.sqrt(2.0))
+        return psi_hat, dpsi_hat
+
+    rng = np.random.default_rng(config.seed)
+    psi_hat = np.zeros(npts, dtype=complex)
+    dpsi_hat = np.zeros(npts, dtype=complex)
+    if config.initial_modes is not None:
+        for p, c in config.initial_modes.items():
+            psi_hat[grid.flat_index(tuple(p))] = complex(c)
+        for p, c in (config.initial_velocity_modes or {}).items():
+            dpsi_hat[grid.flat_index(tuple(p))] = complex(c)
+    else:
+        for p in lattice.points:
+            wdecay = (1.0 + table.norm(p)) ** (-(config.s + 3.0))
+            psi_hat[grid.flat_index(p)] = wdecay * complex(rng.standard_normal(), rng.standard_normal())
+            dpsi_hat[grid.flat_index(p)] = wdecay * complex(rng.standard_normal(), rng.standard_normal())
+    psi_hat = 0.5 * (psi_hat + np.conj(psi_hat[rev]))
+    dpsi_hat = 0.5 * (dpsi_hat + np.conj(dpsi_hat[rev]))
+
+    def pair_norm(ph, dph):
+        a = math.sqrt(float(np.sum(w_s2 * np.abs(ph) ** 2)))
+        b = math.sqrt(float(np.sum(w_s * np.abs(dph) ** 2)))
+        return a + b
+
+    scale = config.epsilon / max(pair_norm(psi_hat, dpsi_hat), 1e-300)
+    psi_hat *= scale
+    dpsi_hat *= scale
+    u = (sqrt_om * psi_hat + 1j * dpsi_hat / sqrt_om) / math.sqrt(2.0)
+
+    max_omega = float(np.max(omega))
+    dt = config.dt if config.dt is not None else 0.1 / max(max_omega, 1.0)
+    n_steps = max(1, round(config.horizon / dt))
+    phase = np.exp(-1j * dt * omega)
+
+    def kick(u, tau):
+        if not force_arrays:
+            return u
+        ph, _ = unpack(u)
+        psi = (np.fft.ifftn(ph.reshape(grid.shape)) * npts).real
+        dforce = np.zeros_like(psi)
+        for j, arr in force_arrays.items():
+            dforce += j * arr * psi ** (j - 1)
+        fhat = np.fft.fftn(dforce).reshape(-1) / npts
+        return u - 1j * tau / math.sqrt(2.0) * fhat / sqrt_om
+
+    times, sob, msr, en, bandJ, blockJ, extra_u = [], [], [], [], [], [], []
+
+    def sample(t, u):
+        ph, dph = unpack(u)
+        a2 = np.abs(u) ** 2
+        times.append(t)
+        sob.append(pair_norm(ph, dph))
+        msr.append(math.sqrt(float(np.sum(a2))))
+        psi = (np.fft.ifftn(ph.reshape(grid.shape)) * npts).real
+        pot = 0.0
+        for j, arr in force_arrays.items():
+            pot += float(np.mean(arr * psi**j))
+        en.append(float(np.sum(omega * a2)) + pot)
+        bandJ.append([float(np.sum(a2[idx])) for idx in band_idx])
+        blockJ.append([float(np.sum(a2[idx])) for idx in block_idx])
+        extra_u.append(math.sqrt(float(np.sum(w_s * a2))))
+
+    sample(0.0, u)
+    for step in range(1, n_steps + 1):
+        u = kick(u, 0.5 * dt)
+        u = u * phase
+        u = kick(u, 0.5 * dt)
+        if step % config.stride == 0 or step == n_steps:
+            sample(step * dt, u)
+
+    meta = {
+        "model": "beam",
+        "integrator": "strang_splitting",
+        "grid": size,
+        "dt": dt,
+        "n_steps": n_steps,
+        "seed": config.seed,
+        "epsilon": config.epsilon,
+        "s": config.s,
+        "mass_term": config.mass_term,
+        "band_floors": _band_floors(bands, table.beta),
+        "final_modes": {p: complex(u[grid.flat_index(p)]) for p in lattice.points},
+    }
+    cols = {
+        "times": np.asarray(times),
+        "sobolev": np.asarray(sob),
+        "mass": np.asarray(msr),
+        "energy": np.asarray(en),
+        "band_actions": np.asarray(bandJ),
+        "block_actions": np.asarray(blockJ),
+        "orbital": None,
+        "extra": {"u_sobolev": np.asarray(extra_u)},
+    }
+    return cols, meta
+
+
+def _both_signs(u):
+    x = np.empty(2 * len(u), dtype=complex)
+    x[0::2] = u
+    x[1::2] = u.conj()
+    return x
+
+
+class _Kick:
+    def __init__(self, forms, points, substeps):
+        self.points = list(points)
+        index = {p: i for i, p in enumerate(self.points)}
+        self.substeps = substeps
+        exps, coeffs, self.rk = [], [], []
+        for f in forms:
+            view = f.packed
+            codes = view.relabel(view.codes, index)
+            if is_action_form(f):
+                row, col = np.nonzero((codes & 1) == 0)
+                e = np.zeros((len(codes), len(self.points)), dtype=int)
+                np.add.at(e, (row, codes[row, col] >> 1), 1)
+                exps.append(e)
+                coeffs.append(view.values.real)
+            elif np.any(codes & 1):
+                self.rk.append((codes, view.values))
+        self.action_exps = np.concatenate(exps) if exps else None
+        self.action_coeffs = np.concatenate(coeffs) if coeffs else None
+        self.exact = not self.rk
+
+    def theta(self, intensity):
+        rows = np.prod(intensity[None, :] ** self.action_exps, axis=1)
+        safe = np.where(intensity > 0.0, intensity, 1.0)
+        return (self.action_exps.T @ (self.action_coeffs * rows)) / safe
+
+    def _rhs(self, u):
+        x = _both_signs(u)
+        du = np.zeros_like(u)
+        for codes, coef in self.rk:
+            du += gradient(codes, coef, x, len(x))[1::2]
+        return -1j * du
+
+    def apply(self, u, dt):
+        if self.action_exps is not None:
+            u = u * np.exp(-1j * dt * self.theta(np.abs(u) ** 2))
+        if self.rk:
+            tau = dt / self.substeps
+            for _ in range(self.substeps):
+                k1 = self._rhs(u)
+                k2 = self._rhs(u + 0.5 * tau * k1)
+                k3 = self._rhs(u + 0.5 * tau * k2)
+                k4 = self._rhs(u + tau * k3)
+                u = u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return u
+
+
+def oracle_normal_form(table, parts, initial, *, dt, horizon, stride, s, kick_substeps):
+    bands = band_partition(table)
+    clusters = build_clusters(table)
+    points = list(table.lattice.points)
+    index = {p: i for i, p in enumerate(points)}
+    omega = np.asarray([float(table.omega(p)) for p in points])
+    u = np.zeros(len(points), dtype=complex)
+    for p, c in initial.items():
+        u[index[tuple(p)]] = complex(c)
+    kick = _Kick(parts, points, kick_substeps)
+    tables = [(f.packed.relabel(f.packed.codes, index), f.packed.values) for f in parts]
+
+    def energy(v):
+        x = _both_signs(v)
+        return float(sum(monomials(codes, c, x).sum() for codes, c in tables).real)
+
+    bm = band_map(table, bands)
+    band_idx = [
+        np.asarray([index[p] for p in points if bm[p] == n], dtype=int)
+        for n in range(bands.nbands)
+    ]
+    block_idx = [np.asarray([index[p] for p in block], dtype=int) for block in clusters.blocks]
+    weights = (1.0 + np.asarray([table.norm(p) for p in points])) ** (2.0 * s)
+    n_steps = max(1, round(horizon / dt))
+    phase_half = np.exp(-0.5j * dt * omega)
+    times, sob, msr, en, bandJ, blockJ = [], [], [], [], [], []
+
+    def sample(t, v):
+        a2 = np.abs(v) ** 2
+        times.append(t)
+        sob.append(math.sqrt(float(np.sum(weights * a2))))
+        msr.append(math.sqrt(float(np.sum(a2))))
+        en.append(float(np.sum(omega * a2)) + energy(v))
+        bandJ.append([float(np.sum(a2[idx])) for idx in band_idx])
+        blockJ.append([float(np.sum(a2[idx])) for idx in block_idx])
+
+    sample(0.0, u)
+    for step in range(1, n_steps + 1):
+        u = u * phase_half
+        u = kick.apply(u, dt)
+        u = u * phase_half
+        if step % stride == 0 or step == n_steps:
+            sample(step * dt, u)
+    meta = {
+        "model": "normal_form",
+        "integrator": "strang_splitting",
+        "dt": dt,
+        "n_steps": n_steps,
+        "exact_kick": kick.exact,
+        "s": s,
+        "final_modes": {p: complex(u[i]) for i, p in enumerate(points)},
+    }
+    cols = {
+        "times": np.asarray(times),
+        "sobolev": np.asarray(sob),
+        "mass": np.asarray(msr),
+        "energy": np.asarray(en),
+        "band_actions": np.asarray(bandJ),
+        "block_actions": np.asarray(blockJ),
+        "orbital": None,
+        "extra": {},
+    }
+    return cols, meta
+
+
+# --- comparisons -------------------------------------------------------------
+
+
+def _same(a, b):
+    """Bit-identical values: arrays by ``np.array_equal``, containers by entry."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if a is None or b is None:
+        return a is None and b is None
+    return type(a) is type(b) and np.array_equal(a, b)
+
+
+def assert_matches(record, oracle):
+    cols, meta = oracle
+    for name in ("times", "sobolev", "mass", "energy", "band_actions", "block_actions"):
+        got, want = getattr(record, name), cols[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+    assert _same(record.orbital, cols["orbital"])
+    assert sorted(record.extra) == sorted(cols["extra"])
+    for name, col in cols["extra"].items():
+        assert np.array_equal(record.extra[name], col), name
+    assert sorted(record.meta) == sorted(meta)
+    for key, want in meta.items():
+        assert _same(record.meta[key], want), key
+
+
+NLS_CASE = dict(
+    radius=5.0,
+    potential={(0,): 0.05, (1,): -0.2, (-2,): 0.03},
+    nonlinearity={1: -2.0, 2: {(0,): 0.5, (1,): 0.1, (-1,): 0.1}},
+    epsilon=0.05,
+    horizon=0.4,
+    stride=7,
+    seed=3,
+    track_orbital=1.0,
+)
+
+
+def test_strang_nls_matches_the_oracle():
+    cfg = SimulationConfig(**NLS_CASE)
+    record = integrate_nls(cfg)
+    assert record.orbital is not None
+    assert_matches(record, oracle_strang(cfg))
+
+
+def test_strang_nls_given_modes_matches_the_oracle():
+    cfg = SimulationConfig(
+        radius=4.0, dt=0.01, horizon=0.35, stride=10, nonlinearity={1: 1.5},
+        initial_modes={(1,): 1.0 + 0j, (-2,): 0.5j, (0,): 0.2},
+    )
+    assert_matches(integrate_nls(cfg), oracle_strang(cfg))
+
+
+def test_rk4_reference_matches_the_oracle():
+    case = {**NLS_CASE, "track_orbital": None, "horizon": 0.2}
+    cfg = SimulationConfig(**case)
+    record = rk4_reference(cfg)
+    assert record.meta["integrator"] == "rk4_reference"
+    assert_matches(record, oracle_rk4(cfg))
+    routed = integrate_nls(SimulationConfig(**case, integrator="rk4_reference"))
+    assert_matches(routed, oracle_rk4(cfg))
+
+
+@pytest.mark.parametrize("force", [{3: 0.1, 5: {(0,): 0.02, (1,): 0.01, (-1,): 0.01}}, None])
+def test_beam_matches_the_oracle(force):
+    cfg = SimulationConfig(
+        model="beam", radius=5.0, epsilon=0.05, horizon=0.3, stride=9, seed=2,
+        force=force, mass_term=1.5,
+    )
+    assert_matches(integrate_beam(cfg), oracle_beam(cfg))
+
+
+def test_beam_given_modes_matches_the_oracle():
+    cfg = SimulationConfig(
+        model="beam", radius=4.0, horizon=0.2, stride=5, force={3: 0.2},
+        initial_modes={(1,): 0.3, (-1,): 0.3, (2,): 0.1j, (-2,): -0.1j},
+        initial_velocity_modes={(0,): 0.05},
+    )
+    assert_matches(integrate_beam(cfg), oracle_beam(cfg))
+
+
+def _nf_initial(table, amplitude=0.05):
+    rng = np.random.default_rng(8)
+    return {
+        p: amplitude * (1.0 + table.norm(p)) ** -2.0 * complex(np.exp(2j * np.pi * rng.random()))
+        for p in table.lattice.points
+    }
+
+
+def test_normal_form_exact_kick_matches_the_oracle(torus_table):
+    j1sq = make_form({((((1,), 1), ((1,), 1), ((1,), -1), ((1,), -1))): 0.5})
+    j12 = make_form({((((1,), 1), ((2,), 1), ((1,), -1), ((2,), -1))): -0.25})
+    init = _nf_initial(torus_table)
+    kw = dict(dt=0.05, horizon=2.0, stride=7, s=4.0)
+    record = integrate_normal_form(torus_table, [j1sq, j12], init, **kw)
+    assert record.meta["exact_kick"]
+    assert_matches(record, oracle_normal_form(torus_table, [j1sq, j12], init, kick_substeps=1, **kw))
+
+
+def test_normal_form_quartic_kick_matches_the_oracle(torus_table):
+    parts = [nls_quartic(torus_table.lattice, -3.0)]
+    init = _nf_initial(torus_table)
+    kw = dict(dt=0.02, horizon=0.5, stride=6, s=3.0)
+    record = integrate_normal_form(torus_table, parts, init, kick_substeps=2, **kw)
+    assert not record.meta["exact_kick"]
+    assert_matches(record, oracle_normal_form(torus_table, parts, init, kick_substeps=2, **kw))
+
+
+# --- one check for initial modes outside the truncation ----------------------
+
+
+def test_initial_modes_outside_the_truncation_are_rejected(torus_table):
+    far = (int(torus_table.lattice.radius) + 3,)
+    with pytest.raises(ValueError, match="outside the truncation"):
+        integrate_nls(SimulationConfig(radius=4.0, initial_modes={far: 1.0}))
+    with pytest.raises(ValueError, match="outside the truncation"):
+        integrate_beam(SimulationConfig(model="beam", radius=4.0, initial_modes={(9,): 1.0}))
+    with pytest.raises(ValueError, match="outside the truncation"):
+        integrate_beam(
+            SimulationConfig(
+                model="beam", radius=4.0, initial_modes={(1,): 1.0},
+                initial_velocity_modes={(9,): 1.0},
+            )
+        )
+    with pytest.raises(ValueError, match="outside the truncation"):
+        integrate_normal_form(torus_table, [], {far: 0.1}, dt=0.1, horizon=0.2)
+
+
+def test_beam_rejects_orbital_tracking():
+    with pytest.raises(ValueError, match="track_orbital"):
+        SimulationConfig(model="beam", track_orbital=1.0)

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from latnf import (
+    CertificateError,
     NormalFormConfig,
+    SmallnessError,
     TorusLaplacian,
     add_forms,
     band_partition,
@@ -257,3 +259,39 @@ def test_transform_state_ball_guard(certified_table, rng):
     norm = sobolev_norm(state, lattice, 4.0)
     with pytest.raises(ValueError, match="ball"):
         transform_state([gen], state, lattice=lattice, s=4.0, ball=0.5 * norm)
+
+
+def test_normal_form_failures_are_typed(
+    certified_table, certified_bands, certified_clusters, certificates, torus_table
+):
+    assert issubclass(CertificateError, ValueError) and issubclass(SmallnessError, ValueError)
+    quartic = poly_from_forms([nls_quartic(certified_table.lattice)])
+    cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
+    with pytest.raises(CertificateError, match="no nonresonance certificate"):
+        normalize(certified_table, quartic, cfg, [certificates[3]])
+    bands = band_partition(torus_table)
+    bad = certify_nonresonance(torus_table, 3, partition=bands)
+    cubic = poly_from_forms([random_form(torus_table.lattice, 3, n_terms=4, seed=24)])
+    with pytest.raises(CertificateError, match="failed"):
+        normalize(torus_table, cubic, cfg, [bad], bands=bands)
+    greedy = NormalFormConfig(
+        r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF, gamma=2.0 * certificates[4].min_score
+    )
+    with pytest.raises(CertificateError, match="exceeds the certified minimum"):
+        normalize(certified_table, quartic, greedy, [certificates[4]])
+    key = ((((1,), 1), ((2,), 1), ((3,), -1)))
+    with pytest.raises(CertificateError, match="certificate breached"):
+        solve_homological(
+            make_form({key: 1.0}), certified_table, certified_bands, certified_clusters,
+            NF_CUTOFF, 1e6, 5.0,
+        )
+    large = NormalFormConfig(r=1, radius=0.9, cutoff=NF_CUTOFF)
+    with pytest.raises(SmallnessError, match="smallness violated before step 0"):
+        normalize(certified_table, quartic, large, [certificates[4]])
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_nonpositive_gamma_is_rejected_by_the_config(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive") as info:
+        NormalFormConfig(r=1, radius=0.1, gamma=gamma)
+    assert not isinstance(info.value, (CertificateError, SmallnessError))
