@@ -21,21 +21,9 @@ from pathlib import Path
 
 import numpy as np
 
-from latnf import (
-    NormalFormConfig,
-    band_partition,
-    build_clusters,
-    build_spectrum,
-    certify_nonresonance,
-    integrate_normal_form,
-    nls_quartic,
-    normalform_manifest,
-    normalize,
-    poly_from_forms,
-)
-from latnf.cli import _build_lattice, _build_model
+from latnf import CertificateError, SmallnessError, integrate_normal_form, normalform_manifest
+from latnf.cli import build_system, run_normalform
 from latnf.config import load_config
-from latnf.manifest import spawn_seed
 
 
 def parse_args():
@@ -51,44 +39,23 @@ def parse_args():
 def main() -> int:
     args = parse_args()
     cfg = load_config(args.config)
-    lattice = _build_lattice(cfg)
-    model = _build_model(cfg, lattice)
-    table = build_spectrum(lattice, model)
-    bands = band_partition(table)
-    clusters = build_clusters(table, cfg["clusters"]["delta"], cfg["clusters"]["c_delta"])
-    sec = cfg["normalform"]
-
-    nf_config = NormalFormConfig(
-        r=sec["r"], radius=sec["radius"], s=sec["s"], s0=sec["s0"],
-        cutoff=sec["cutoff"], gamma=sec["gamma"], tau=sec["tau"],
-        nu=sec["nu"], smoothing=sec["smoothing"], mu_max=sec["mu_max"],
-    )
-    certificates = []
-    for order in range(3, nf_config.degree_cap + 1):
-        cert = certify_nonresonance(
-            table, order, partition=bands, tau=sec["tau"],
-            budget=sec["cert_budget"], seed=spawn_seed(cfg["run"]["seed"], f"cert-{order}"),
-        )
-        print(
-            f"order {order}: min score {cert.min_score:.6g}, gamma {cert.gamma:.6g}, "
-            f"tau {cert.tau:g} ({'ok' if cert.passed else 'FAILED'})"
-        )
-        if not cert.passed:
-            print(f"  witness {cert.witness}; cannot normalize this system")
-            return 1
-        certificates.append(cert)
-
-    perturbation = poly_from_forms([nls_quartic(lattice, sec["coupling"])])
+    system = build_system(cfg)
     t0 = time.monotonic()
-    result = normalize(
-        table, perturbation, nf_config, certificates,
-        bands=bands, clusters=clusters,
-        remainder_samples=sec["remainder_samples"],
-        seed=spawn_seed(cfg["run"]["seed"], "remainder"),
-    )
-    print(f"normalized in {time.monotonic() - t0:.1f}s at cutoff {result.cutoff:g}")
+    try:
+        certificates, result = run_normalform(cfg, system)
+    except (CertificateError, SmallnessError) as exc:
+        print(f"cannot normalize this system: {exc}")
+        return 1
+    for cert in certificates:
+        print(
+            f"order {cert.order}: min score {cert.min_score:.6g}, "
+            f"gamma {cert.gamma:.6g}, tau {cert.tau:g} "
+            f"({'exhaustive' if cert.exhaustive else 'sampled'} over {cert.n_checked})"
+        )
+    elapsed = time.monotonic() - t0
+    print(f"certified and normalized in {elapsed:.1f}s at cutoff {result.cutoff:g}")
     print(
-        f"  mu {result.mu:.4g} (cap {nf_config.mu_max:g}), "
+        f"  mu {result.mu:.4g} (cap {result.config.mu_max:g}), "
         f"max residual {result.max_residual:.3g}, "
         f"remainder bound {result.remainder_bound:.3g}"
     )
@@ -112,6 +79,7 @@ def main() -> int:
     if args.skip_flow:
         return 0
 
+    table, bands, clusters = system.table, system.bands, system.clusters
     rng = np.random.default_rng(cfg["run"]["seed"])
     initial = {
         p: 0.3 / (1.0 + table.norm(p)) ** 2 * np.exp(2j * np.pi * rng.random())

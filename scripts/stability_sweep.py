@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Long-time norm stability sweep for the lattice NLS flow.
 
-Integrates the cubic flow at several initial sizes with horizons scaling as
-``epsilon**-2`` and reports the peak norm ratio, the exit time past 2 eps
-(if any), and the fitted power of the weighted superaction drift.  With
-``--flat`` the potential is dropped, which at large epsilon demonstrates the
-resonant growth the multiplier is there to remove.
+Integrates the config's model, as ``latnf simulate`` reads it, at several
+initial sizes with horizons scaling as ``epsilon**-2`` and reports the peak
+norm ratio, the exit time past 2 eps (if any), and the fitted power of the
+weighted superaction drift.  With ``--flat`` the potential is dropped, which
+at large epsilon demonstrates the resonant growth the multiplier removes.
 
 Example:
     python3 scripts/stability_sweep.py --epsilons 0.1 0.01 --coupling -12
@@ -15,9 +15,11 @@ Example:
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from latnf import SimulationConfig, stability_experiment
+from latnf import stability_experiment
+from latnf.cli import simulation_config
 from latnf.config import load_config
 
 
@@ -39,12 +41,8 @@ def parse_args():
 def main() -> int:
     args = parse_args()
     cfg = load_config(args.config)
-    potential = None if args.flat else dict(cfg["model"]["potential"])
-    sim = SimulationConfig(
-        model="nls",
-        dim=cfg["lattice"]["dim"],
-        radius=cfg["lattice"]["radius"],
-        potential=potential,
+    sim = replace(
+        simulation_config(cfg),
         nonlinearity={1: args.coupling},
         epsilon=args.epsilons[0],
         s=args.s,
@@ -54,6 +52,8 @@ def main() -> int:
         seed=args.seed,
         dt_bound=args.dt_bound,
     )
+    if args.flat:
+        sim = replace(sim, potential=None)
     report = stability_experiment(sim, args.epsilons, horizons=args.horizons)
 
     stable = True

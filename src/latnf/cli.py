@@ -6,6 +6,10 @@ frequencies, ``clusters`` builds and certifies the separation partition,
 parameter measure, ``normalform`` runs the full normalization, ``simulate``
 integrates a trajectory, and ``verify`` replays the fast invariant suite.
 
+Commands and config-reading scripts share three builders: ``build_system``
+(the truncated system), ``run_normalform`` (certificates and ``normalize``)
+and ``simulation_config`` (the ``[simulate]`` trajectory of the model).
+
 Exit codes: 0 on success, 1 when a check that ran produced a certified
 failure (the witness is printed), 2 on usage or configuration errors.  All
 artifacts are deterministic given the config and seed.
@@ -16,8 +20,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from .bands import band_partition, check_band_invariants
 from .clusters import (
@@ -29,7 +37,14 @@ from .clusters import (
 )
 from .config import ConfigError, apply_overrides, config_to_jsonable, load_config
 from .dynamics import SimulationConfig, integrate_beam, integrate_nls, trajectory_to_csv
-from .forms import form_to_jsonl, nls_quartic, poly_from_forms
+from .forms import (
+    add_forms,
+    form_to_jsonl,
+    nls_quartic,
+    poisson_bracket,
+    poly_from_forms,
+    random_form,
+)
 from .frequencies import (
     Beam,
     GroundState,
@@ -37,51 +52,156 @@ from .frequencies import (
     TorusLaplacian,
     build_spectrum,
     fit_asymptotics,
+    frequency,
     spectrum_to_csv,
 )
-from .lattice import enumerate_lattice
+from .lattice import Lattice, enumerate_lattice, extended_indexes, point_distance
 from .manifest import build_manifest, inventory, spawn_seed, write_manifest
 from .normalform import (
     CertificateError,
     NormalFormConfig,
+    NormalFormResult,
     SmallnessError,
+    choose_cutoff,
     normalform_manifest,
     normalize,
 )
 from .resonance import (
     MultiplierEnsemble,
+    NonresonanceCertificate,
     certificate_to_json,
     certify_nonresonance,
     estimate_resonant_measure,
+    is_resonant_W,
+    resonant_mask,
 )
 
 
-def _build_lattice(cfg):
-    sec = cfg["lattice"]
-    offset = sec["offset"] or None
-    return enumerate_lattice(sec["dim"], sec["radius"], offset)
+@dataclass(eq=False)
+class System:
+    """A config's lattice; its model, table, bands and clusters on first use.
 
+    A command builds only what it reads.
+    """
 
-def _build_model(cfg, lattice):
-    sec = cfg["model"]
-    kind = sec["kind"]
-    torus = TorusLaplacian(gram=sec["gram"])
-    if kind == "torus":
-        return torus
-    if kind == "multiplier":
-        return SpectralMultiplier(base=torus, potential=dict(sec["potential"]))
-    if kind == "ground_state":
-        from .frequencies import frequency
+    cfg: Dict
+    lattice: Lattice
 
-        eig = {p: float(frequency(torus, p, lattice.offset)) for p in lattice.points}
+    @cached_property
+    def model(self):
+        sec = self.cfg["model"]
+        kind = sec["kind"]
+        torus = TorusLaplacian(gram=sec["gram"])
+        if kind == "torus":
+            return torus
+        if kind == "multiplier":
+            return SpectralMultiplier(base=torus, potential=dict(sec["potential"]))
+        if kind not in ("ground_state", "beam"):
+            raise ConfigError(f"unknown model kind {kind!r}")
+        offset = self.lattice.offset
+        eig = {p: float(frequency(torus, p, offset)) for p in self.lattice.points}
+        if kind == "beam":
+            return Beam(eigenvalues=eig, mass=sec["mass"])
         f_value = sec["f_value"]
         return GroundState(eigenvalues=eig, p0=sec["p0"], f=lambda _p: f_value)
-    if kind == "beam":
-        from .frequencies import frequency
 
-        eig = {p: float(frequency(torus, p, lattice.offset)) for p in lattice.points}
-        return Beam(eigenvalues=eig, mass=sec["mass"])
-    raise ConfigError(f"unknown model kind {kind!r}")
+    @cached_property
+    def table(self):
+        return build_spectrum(self.lattice, self.model)
+
+    @cached_property
+    def bands(self):
+        return band_partition(self.table)
+
+    @cached_property
+    def clusters(self):
+        sec = self.cfg["clusters"]
+        return build_clusters(self.table, sec["delta"], sec["c_delta"])
+
+
+def build_system(cfg) -> System:
+    """The system ``cfg`` describes, with only its lattice built so far."""
+    sec = cfg["lattice"]
+    return System(cfg, enumerate_lattice(sec["dim"], sec["radius"], sec["offset"] or None))
+
+
+def run_normalform(
+    cfg, system: System
+) -> Tuple[List[NonresonanceCertificate], NormalFormResult]:
+    """Certify orders 3..degree_cap and normalize the ``[normalform]`` perturbation.
+
+    Raises ``CertificateError``/``SmallnessError`` when normalization fails.
+    """
+    sec = cfg["normalform"]
+    if sec["perturbation"] != "nls_quartic":
+        raise ConfigError(f"unknown perturbation {sec['perturbation']!r}")
+    perturbation = poly_from_forms([nls_quartic(system.lattice, sec["coupling"])])
+    # every NormalFormConfig field is the [normalform] key of the same name
+    nf_config = NormalFormConfig(**{f.name: sec[f.name] for f in fields(NormalFormConfig)})
+    seed = cfg["run"]["seed"]
+    certificates = [
+        certify_nonresonance(
+            system.table,
+            order,
+            partition=system.bands,
+            tau=sec["tau"],
+            budget=sec["cert_budget"],
+            seed=spawn_seed(seed, f"cert-{order}"),
+        )
+        for order in range(3, nf_config.degree_cap + 1)
+    ]
+    result = normalize(
+        system.table,
+        perturbation,
+        nf_config,
+        certificates,
+        bands=system.bands,
+        clusters=system.clusters,
+        remainder_samples=sec["remainder_samples"],
+        seed=spawn_seed(seed, "remainder"),
+    )
+    return certificates, result
+
+
+# the integrated equation of each model kind that ``simulate`` supports
+_SIMULATED = {"torus": "nls", "multiplier": "nls", "beam": "beam"}
+
+
+def simulation_config(cfg) -> SimulationConfig:
+    """The ``[simulate]`` trajectory of the configured model.
+
+    ``torus`` (without the potential) and ``multiplier`` integrate the NLS,
+    ``beam`` the beam equation with mass ``model.mass``; other kinds and an
+    offset lattice are a ``ConfigError``.
+    """
+    kind = cfg["model"]["kind"]
+    if kind not in _SIMULATED:
+        raise ConfigError(
+            f"simulate integrates model.kind torus, multiplier or beam, not {kind!r}"
+        )
+    if cfg["lattice"]["offset"]:
+        raise ConfigError("simulate runs on the plain lattice; lattice.offset must be empty")
+    sec = cfg["simulate"]
+    potential = dict(cfg["model"]["potential"]) if kind == "multiplier" else {}
+    return SimulationConfig(
+        model=_SIMULATED[kind],
+        dim=cfg["lattice"]["dim"],
+        radius=cfg["lattice"]["radius"],
+        gram=cfg["model"]["gram"],
+        potential=potential or None,
+        nonlinearity={int(k): v for k, v in sec["nonlinearity"].items()},
+        force={int(k): v for k, v in sec["force"].items()} or None,
+        mass_term=cfg["model"]["mass"],
+        epsilon=sec["epsilon"],
+        s=sec["s"],
+        dt=sec["dt"],
+        horizon=sec["horizon"],
+        stride=sec["stride"],
+        seed=cfg["run"]["seed"],
+        integrator=sec["integrator"],
+        dt_bound=sec["dt_bound"],
+        track_orbital=sec["track_orbital"],
+    )
 
 
 def _out_dir(cfg) -> Path:
@@ -104,12 +224,10 @@ def _finish(cfg, command: str, results: Dict, artifacts: List[Path], out: Path) 
 
 
 def cmd_spectrum(cfg, args) -> int:
-    lattice = _build_lattice(cfg)
-    model = _build_model(cfg, lattice)
-    table = build_spectrum(lattice, model)
-    bands = band_partition(table)
+    system = build_system(cfg)
+    table, bands = system.table, system.bands
     diag = check_band_invariants(bands)
-    fit = fit_asymptotics(model, table)
+    fit = fit_asymptotics(system.model, table)
 
     out = _out_dir(cfg)
     csv_path = out / "spectrum.csv"
@@ -141,10 +259,8 @@ def cmd_spectrum(cfg, args) -> int:
 
 
 def cmd_clusters(cfg, args) -> int:
-    lattice = _build_lattice(cfg)
-    model = _build_model(cfg, lattice)
-    table = build_spectrum(lattice, model)
-    part = build_clusters(table, cfg["clusters"]["delta"], cfg["clusters"]["c_delta"])
+    system = build_system(cfg)
+    table, part = system.table, system.clusters
     dyadic = certify_dyadic(part, table)
 
     out = _out_dir(cfg)
@@ -172,16 +288,13 @@ def cmd_clusters(cfg, args) -> int:
 
 
 def cmd_resonances(cfg, args) -> int:
-    lattice = _build_lattice(cfg)
-    model = _build_model(cfg, lattice)
-    table = build_spectrum(lattice, model)
-    bands = band_partition(table)
+    system = build_system(cfg)
     sec = cfg["resonance"]
     start = time.perf_counter()
     cert = certify_nonresonance(
-        table,
+        system.table,
         sec["order"],
-        partition=bands,
+        partition=system.bands,
         gamma=sec["gamma"],
         tau=sec["tau"],
         budget=sec["budget"],
@@ -208,7 +321,7 @@ def cmd_resonances(cfg, args) -> int:
 
 
 def cmd_measure(cfg, args) -> int:
-    lattice = _build_lattice(cfg)
+    lattice = build_system(cfg).lattice
     sec = cfg["measure"]
     ensemble = MultiplierEnsemble(
         base=TorusLaplacian(gram=cfg["model"]["gram"]), decay=int(sec["decay"])
@@ -257,52 +370,8 @@ def cmd_measure(cfg, args) -> int:
 
 
 def cmd_normalform(cfg, args) -> int:
-    lattice = _build_lattice(cfg)
-    model = _build_model(cfg, lattice)
-    table = build_spectrum(lattice, model)
-    bands = band_partition(table)
-    clusters = build_clusters(table, cfg["clusters"]["delta"], cfg["clusters"]["c_delta"])
-    sec = cfg["normalform"]
-
-    if sec["perturbation"] != "nls_quartic":
-        raise ConfigError(f"unknown perturbation {sec['perturbation']!r}")
-    perturbation = poly_from_forms([nls_quartic(lattice, sec["coupling"])])
-
-    nf_config = NormalFormConfig(
-        r=sec["r"],
-        radius=sec["radius"],
-        s=sec["s"],
-        s0=sec["s0"],
-        cutoff=sec["cutoff"],
-        gamma=sec["gamma"],
-        tau=sec["tau"],
-        nu=sec["nu"],
-        smoothing=sec["smoothing"],
-        mu_max=sec["mu_max"],
-    )
-    certificates = []
-    for order in range(3, nf_config.degree_cap + 1):
-        certificates.append(
-            certify_nonresonance(
-                table,
-                order,
-                partition=bands,
-                tau=sec["tau"],
-                budget=sec["cert_budget"],
-                seed=spawn_seed(cfg["run"]["seed"], f"cert-{order}"),
-            )
-        )
     try:
-        result = normalize(
-            table,
-            perturbation,
-            nf_config,
-            certificates,
-            bands=bands,
-            clusters=clusters,
-            remainder_samples=sec["remainder_samples"],
-            seed=spawn_seed(cfg["run"]["seed"], "remainder"),
-        )
+        certificates, result = run_normalform(cfg, build_system(cfg))
     except (CertificateError, SmallnessError) as exc:
         print(f"FAIL normal form: {exc}")
         return 1
@@ -320,6 +389,7 @@ def cmd_normalform(cfg, args) -> int:
             form_to_jsonl(poly.parts[degree], path)
             artifacts.append(path)
     results = normalform_manifest(result)
+    results["certificates"] = [c.to_dict() for c in certificates]
     _finish(cfg, "normalform", results, artifacts, out)
     print(
         f"normalform: {len(result.generators)} steps, cutoff {result.cutoff:g}, "
@@ -333,39 +403,8 @@ def cmd_normalform(cfg, args) -> int:
     return 0
 
 
-# the integrated equation of each model kind that ``simulate`` supports
-_SIMULATED = {"torus": "nls", "multiplier": "nls", "beam": "beam"}
-
-
 def cmd_simulate(cfg, args) -> int:
-    kind = cfg["model"]["kind"]
-    if kind not in _SIMULATED:
-        raise ConfigError(
-            f"simulate integrates model.kind torus, multiplier or beam, not {kind!r}"
-        )
-    if cfg["lattice"]["offset"]:
-        raise ConfigError("simulate runs on the plain lattice; lattice.offset must be empty")
-    sec = cfg["simulate"]
-    potential = dict(cfg["model"]["potential"]) if kind == "multiplier" else {}
-    sim = SimulationConfig(
-        model=_SIMULATED[kind],
-        dim=cfg["lattice"]["dim"],
-        radius=cfg["lattice"]["radius"],
-        gram=cfg["model"]["gram"],
-        potential=potential or None,
-        nonlinearity={int(k): v for k, v in sec["nonlinearity"].items()},
-        force={int(k): v for k, v in sec["force"].items()} or None,
-        mass_term=cfg["model"]["mass"],
-        epsilon=sec["epsilon"],
-        s=sec["s"],
-        dt=sec["dt"],
-        horizon=sec["horizon"],
-        stride=sec["stride"],
-        seed=cfg["run"]["seed"],
-        integrator=sec["integrator"],
-        dt_bound=sec["dt_bound"],
-        track_orbital=sec["track_orbital"],
-    )
+    sim = simulation_config(cfg)
     try:
         record = integrate_nls(sim) if sim.model == "nls" else integrate_beam(sim)
     except FloatingPointError as exc:
@@ -401,18 +440,13 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def cmd_verify(cfg, args) -> int:
-    import numpy as np
-
-    from .forms import poisson_bracket, random_form, vector_field
     from .normalform import solve_homological
 
     checks: List[tuple] = []
     seed = cfg["run"]["seed"]
 
-    lattice = _build_lattice(cfg)
-    model = _build_model(cfg, lattice)
-    table = build_spectrum(lattice, model)
-    bands = band_partition(table)
+    system = build_system(cfg)
+    lattice, table, bands = system.lattice, system.table, system.bands
     diag = check_band_invariants(bands)
     checks.append(
         (
@@ -422,14 +456,12 @@ def cmd_verify(cfg, args) -> int:
         )
     )
 
-    part = build_clusters(table, cfg["clusters"]["delta"], cfg["clusters"]["c_delta"])
+    part = system.clusters
     edges = {}
     pts = list(table.points)
     for i, a in enumerate(pts):
         for j in range(i + 1, len(pts)):
             b = pts[j]
-            from .lattice import point_distance
-
             gap = point_distance(a, b) + abs(float(table.omega(a)) - float(table.omega(b)))
             thr = part.c_delta * (table.norm(a) ** part.delta + table.norm(b) ** part.delta)
             if gap < thr:
@@ -450,9 +482,6 @@ def cmd_verify(cfg, args) -> int:
         blocks.append(tuple(sorted(comp)))
     oracle = tuple(sorted(blocks))
     checks.append(("cluster closure", oracle == part.blocks, f"{part.nblocks} blocks"))
-
-    from .lattice import extended_indexes
-    from .resonance import is_resonant_W, resonant_mask
 
     rng = np.random.default_rng(seed)
     ext = extended_indexes(lattice)
@@ -475,8 +504,6 @@ def cmd_verify(cfg, args) -> int:
     if cert.passed:
         try:
             f = random_form(lattice, degree=3, n_terms=8, seed=seed + 1)
-            from .normalform import choose_cutoff
-
             cutoff = choose_cutoff(table, bands, 0.01, cert.tau)
             sol = solve_homological(
                 f, table, bands, part, cutoff, cert.gamma, cert.tau
@@ -491,8 +518,6 @@ def cmd_verify(cfg, args) -> int:
     fb = random_form(lattice, degree=3, n_terms=5, seed=seed + 3)
     fc = random_form(lattice, degree=4, n_terms=5, seed=seed + 4)
     acc = poisson_bracket(fa, poisson_bracket(fb, fc, tol=0.0), tol=0.0)
-    from .forms import add_forms
-
     acc = add_forms(acc, poisson_bracket(fb, poisson_bracket(fc, fa, tol=0.0), tol=0.0), tol=0.0)
     acc = add_forms(acc, poisson_bracket(fc, poisson_bracket(fa, fb, tol=0.0), tol=0.0), tol=0.0)
     scale = max(
@@ -501,28 +526,28 @@ def cmd_verify(cfg, args) -> int:
     jac = max((abs(c) for c in acc.coeffs.values()), default=0.0) / scale**3
     checks.append(("Jacobi identity", jac <= 1e-10, f"relative residual {jac:.3g}"))
 
-    sim = SimulationConfig(
-        model="nls",
-        dim=lattice.dim,
-        radius=min(lattice.radius, 6.0),
-        gram=cfg["model"]["gram"],
-        potential=dict(cfg["model"]["potential"]) or None,
-        epsilon=0.05,
-        s=cfg["simulate"]["s"],
-        horizon=2.0,
-        stride=20,
-        seed=seed,
-    )
-    record = integrate_nls(sim)
-    mass_drift = float(abs(record.mass[-1] - record.mass[0]) / record.mass[0])
-    checks.append(("mass conservation", mass_drift <= 1e-10, f"drift {mass_drift:.3g}"))
-    e_scale = max(1e-30, abs(float(record.energy[0])))
-    e_drift = float(abs(record.energy[-1] - record.energy[0])) / e_scale
-    checks.append(("energy drift", e_drift <= 1e-4, f"relative drift {e_drift:.3g}"))
+    # a short run of the trajectory ``simulate`` would integrate
+    try:
+        sim = replace(
+            simulation_config(cfg),
+            epsilon=0.05, horizon=2.0, stride=20, radius=min(lattice.radius, 6.0), seed=seed
+        )
+    except ValueError as exc:
+        sim, not_run = None, exc
+    if sim is not None:
+        record = integrate_nls(sim) if sim.model == "nls" else integrate_beam(sim)
+        if sim.model == "nls":  # the beam's mass column is no invariant of its flow
+            mass_drift = float(abs(record.mass[-1] - record.mass[0]) / record.mass[0])
+            checks.append(("mass conservation", mass_drift <= 1e-10, f"drift {mass_drift:.3g}"))
+        e_scale = max(1e-30, abs(float(record.energy[0])))
+        e_drift = float(abs(record.energy[-1] - record.energy[0])) / e_scale
+        checks.append(("energy drift", e_drift <= 1e-4, f"relative drift {e_drift:.3g}"))
 
     failed = [c for c in checks if not c[1]]
     for name, ok, detail in checks:
         print(f"verify: {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    if sim is None:
+        print(f"verify: trajectory checks: not run ({not_run})")
     out = _out_dir(cfg)
     _finish(
         cfg,

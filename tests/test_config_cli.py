@@ -479,3 +479,76 @@ def test_removed_keys_are_unknown(tmp_path, capsys, setting):
     assert main(["spectrum", "--set", setting, "--out-dir", str(tmp_path)]) == 2
     assert main(["spectrum", "--jobs", "2", "--out-dir", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+def test_cli_verify_follows_the_beam_model(tmp_path, capsys, monkeypatch):
+    import latnf.cli
+
+    seen = []
+    inner = latnf.cli.integrate_beam
+
+    def spy(config):
+        seen.append(config)
+        return inner(config)
+
+    monkeypatch.setattr(latnf.cli, "integrate_beam", spy)
+    args = ["verify", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    assert main(args + ["--set", "model.kind=beam", "--set", "model.mass=2.5"]) == 0
+    text = capsys.readouterr().out
+    assert [(c.model, c.mass_term, c.radius, c.horizon) for c in seen] == [
+        ("beam", 2.5, 6.0, 2.0)
+    ]
+    # the beam's mass column is not conserved, so only its energy is checked
+    assert "mass conservation" not in text
+    assert "verify: energy drift: PASS" in text
+    assert "all 7 checks passed" in text
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("model.kind=ground_state", "model.kind"), ("lattice.offset=0.3", "offset")],
+)
+def test_cli_verify_says_when_it_runs_no_trajectory(tmp_path, capsys, setting, message):
+    args = ["verify", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    main(args + ["--set", setting])
+    text = capsys.readouterr().out
+    skipped = [line for line in text.splitlines() if "trajectory" in line]
+    assert len(skipped) == 1
+    assert skipped[0].startswith("verify: trajectory checks: not run (")
+    assert message in skipped[0]
+    assert "mass conservation" not in text and "energy drift" not in text
+
+
+def test_cli_spectrum_builds_no_clusters(tmp_path, capsys):
+    # build_clusters rejects delta=0; spectrum must not build clusters at all
+    argv = ["spectrum", "--config", CERTIFIED_CONFIG, "--set", "clusters.delta=0"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_resonances_builds_no_clusters(tmp_path, capsys, monkeypatch):
+    import latnf.cli
+
+    seen = []
+    inner = latnf.cli.build_clusters
+
+    def spy(*args, **kwargs):
+        seen.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(latnf.cli, "build_clusters", spy)
+    argv = ["resonances", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert seen == []
+
+
+def test_cli_normalform_manifest_records_the_certificates(tmp_path, capsys):
+    # the radius-5 truncation at cutoff 4.5; see tests/test_scripts.py
+    small = ("lattice.radius=5", "normalform.cutoff=4.5")
+    assert _normalform(tmp_path, *small, "normalform.radius=9.221127468086334e-05") == 0
+    capsys.readouterr()
+    results = json.loads((tmp_path / "normalform_manifest.json").read_text())["results"]
+    keys = ("order", "exhaustive", "n_checked", "passed")
+    certs = [tuple(c[k] for k in keys) for c in results["certificates"]]
+    assert certs == [(3, True, 2024, True), (4, True, 12650, True)]
