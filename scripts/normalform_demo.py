@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from latnf import CertificateError, SmallnessError, integrate_normal_form, normalform_manifest
+from latnf import (
+    CertificateError,
+    ConfigError,
+    SmallnessError,
+    integrate_normal_form,
+    normalform_manifest,
+)
 from latnf.cli import build_system, run_normalform
 from latnf.config import load_config
 
@@ -46,6 +52,9 @@ def main() -> int:
     except (CertificateError, SmallnessError) as exc:
         print(f"cannot normalize this system: {exc}")
         return 1
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     for cert in certificates:
         print(
             f"order {cert.order}: min score {cert.min_score:.6g}, "

@@ -6,6 +6,8 @@ initial sizes with horizons scaling as ``epsilon**-2`` and reports the peak
 norm ratio, the exit time past 2 eps (if any), and the fitted power of the
 weighted superaction drift.  With ``--flat`` the potential is dropped, which
 at large epsilon demonstrates the resonant growth the multiplier removes.
+``--coupling`` and ``--flat`` act on the NLS only; on a beam config they are
+usage errors (exit 2), as is a model kind ``latnf simulate`` cannot run.
 
 Example:
     python3 scripts/stability_sweep.py --epsilons 0.1 0.01 --coupling -12
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from latnf import stability_experiment
 from latnf.cli import simulation_config
-from latnf.config import load_config
+from latnf.config import ConfigError, load_config
 
 
 def parse_args():
@@ -29,7 +31,7 @@ def parse_args():
     parser.add_argument("--flat", action="store_true", help="drop the potential")
     parser.add_argument("--epsilons", type=float, nargs="+", default=[0.1, 0.01])
     parser.add_argument("--horizons", type=float, nargs="+", default=None)
-    parser.add_argument("--coupling", type=float, default=-12.0)
+    parser.add_argument("--coupling", type=float, default=None, help="NLS coupling (default -12)")
     parser.add_argument("--dt", type=float, default=0.01)
     parser.add_argument("--dt-bound", type=float, default=4.0)
     parser.add_argument("--s", type=float, default=4.0)
@@ -41,9 +43,17 @@ def parse_args():
 def main() -> int:
     args = parse_args()
     cfg = load_config(args.config)
+    try:
+        sim = simulation_config(cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    if sim.model == "beam" and (args.flat or args.coupling is not None):
+        print("usage error: --coupling and --flat set the NLS; the beam model has neither", file=sys.stderr)
+        return 2
     sim = replace(
-        simulation_config(cfg),
-        nonlinearity={1: args.coupling},
+        sim,
+        nonlinearity={1: -12.0 if args.coupling is None else args.coupling},
         epsilon=args.epsilons[0],
         s=args.s,
         dt=args.dt,

@@ -130,8 +130,17 @@ def run_normalform(
 ) -> Tuple[List[NonresonanceCertificate], NormalFormResult]:
     """Certify orders 3..degree_cap and normalize the ``[normalform]`` perturbation.
 
-    Raises ``CertificateError``/``SmallnessError`` when normalization fails.
+    The one perturbation, ``nls_quartic``, is the NLS nonlinearity, so only
+    the NLS model kinds ``torus`` and ``multiplier`` are normalized; any other
+    kind is a ``ConfigError``.  Raises ``CertificateError``/``SmallnessError``
+    when normalization fails.
     """
+    kind = cfg["model"]["kind"]
+    if kind not in ("torus", "multiplier"):
+        raise ConfigError(
+            f"normalform treats the NLS quartic of model.kind torus or multiplier; "
+            f"model.kind {kind!r} has no perturbation of its own"
+        )
     sec = cfg["normalform"]
     if sec["perturbation"] != "nls_quartic":
         raise ConfigError(f"unknown perturbation {sec['perturbation']!r}")

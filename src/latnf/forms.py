@@ -1,20 +1,20 @@
 """Symmetric polynomial forms on signed mode variables.
 
-A homogeneous form of degree N is stored sparsely as a map from canonical
-multiset keys (entries sorted by point, + before -) to monomial coefficients:
+A homogeneous form of degree N is a sparse sum over canonical multiset keys
+(entries sorted by point, + before -) of monomial coefficients:
 ``F(u) = sum_M c_M prod_{A in M} u_A``.  The associated symmetric multilinear
 form divides each monomial by its multinomial multiplicity.
 
-Every form also has one packed view (``SymmetricForm.packed``), built on
-first use and cached on the instance, so it is freed with the form.  The view
+A form is stored as one packed view (``SymmetricForm.packed``).  The view
 numbers the form's distinct points by their position (rank) in the sorted
 point list and encodes each signed entry as ``code = 2*rank + (sign < 0)``;
 ascending codes are then the canonical key order (point lex, ``+`` before
-``-``).  It holds ``codes: int32[n, degree]`` (each row ascending),
-``values: complex128[n]`` in the order of ``coeffs``, and the point list.
-The bracket, the localized norms, evaluation and the vector field run on
-these arrays; ``coeffs`` stays the public storage, and forms are treated as
-immutable once built.
+``-``).  It holds ``codes: int32[n, degree]`` (each row ascending, one row
+per key), ``values: complex128[n]`` and the point list.  Every operation on
+forms runs on these arrays.  ``SymmetricForm(degree, coeffs)`` and
+``make_form`` pack a dict of keys; ``SymmetricForm.coeffs`` is a read-only
+dict of the rows, in row order, built only when something reads it (the
+JSONL writer, the estimates and the tests).  Forms are immutable once built.
 
 The localized norm weights each key by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the key (smallest repeated below degree 3) and
@@ -30,11 +30,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
+from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bands import BandPartition
+from .bands import BandPartition, band_map
 from .clusters import ClusterPartition
 from .frequencies import SpectrumTable
 from .lattice import (
@@ -43,6 +45,7 @@ from .lattice import (
     Point,
     conjugate,
     conjugate_key,
+    extended_indexes,
 )
 
 Key = Tuple[ExtIndex, ...]
@@ -144,30 +147,32 @@ def _pack(coeffs: Mapping[Key, complex], degree: int) -> PackedForm:
     return PackedForm(points, codes, values)
 
 
-@dataclass(frozen=True, eq=False)
 class SymmetricForm:
-    """Homogeneous polynomial in the signed mode variables."""
+    """Homogeneous polynomial in the signed mode variables, stored packed.
 
-    degree: int
-    coeffs: Dict[Key, complex]
+    ``SymmetricForm(degree, coeffs)`` packs a dict of keys, rows in dict
+    order; ``SymmetricForm(degree, packed=view)`` wraps a view.
+    """
+
+    def __init__(self, degree: int, coeffs: Optional[Mapping[Key, complex]] = None, *, packed: Optional[PackedForm] = None):
+        self.degree = degree
+        self.packed = _pack(coeffs or {}, degree) if packed is None else packed
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return len(self.packed.values)
 
     @cached_property
-    def packed(self) -> PackedForm:
-        """The packed view, rows in ``coeffs`` order."""
-        return _pack(self.coeffs, self.degree)
+    def coeffs(self) -> Mapping[Key, complex]:
+        """Read-only dict ``key -> coefficient`` of the rows, in row order."""
+        view = self.packed
+        keys = [()] * len(self)
+        if self.degree:
+            entries = np.fromiter(view.entries, dtype=object, count=len(view.entries))
+            keys = zip(*entries[view.codes.T].tolist())
+        return MappingProxyType(dict(zip(keys, view.values.tolist())))
 
 
-def _seeded(degree: int, keys: Iterable[Key], view: PackedForm) -> SymmetricForm:
-    """Form with the given keys (in view row order) and its view already set."""
-    form = SymmetricForm(degree=degree, coeffs=dict(zip(keys, view.values.tolist())))
-    form.__dict__["packed"] = view  # what cached_property would store
-    return form
-
-
-def _from_packed(degree: int, points: Sequence[Point], codes: np.ndarray, values: np.ndarray) -> SymmetricForm:
+def from_packed(degree: int, points: Sequence[Point], codes: np.ndarray, values: np.ndarray) -> SymmetricForm:
     """Form of ascending code rows over ``points``; unused points are dropped."""
     used = np.unique(codes >> 1)
     if len(used) < len(points):
@@ -175,11 +180,7 @@ def _from_packed(degree: int, points: Sequence[Point], codes: np.ndarray, values
         mapping[used] = np.arange(len(used), dtype=np.int32)
         codes = _relabel(codes, mapping)
         points = [points[i] for i in used.tolist()]
-    view = PackedForm(tuple(points), codes, values)
-    if not degree:
-        return _seeded(degree, [()] * len(codes), view)
-    entries = np.fromiter(view.entries, dtype=object, count=len(view.entries))
-    return _seeded(degree, zip(*entries[codes.T].tolist()), view)
+    return SymmetricForm(degree, packed=PackedForm(tuple(points), codes, values))
 
 
 def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degree: Optional[int] = None, tol: float = DROP_TOL) -> SymmetricForm:
@@ -211,28 +212,40 @@ def zero_form(degree: int) -> SymmetricForm:
 
 
 def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
+    """Sum of forms of one degree; ``|c| <= tol`` is dropped.
+
+    Keys keep their order of first appearance, and the coefficients of a key
+    are summed from 0 left to right, as a dict accumulation does.
+    """
     degs = {f.degree for f in forms}
     if len(degs) != 1:
         raise ValueError(f"cannot add forms of degrees {sorted(degs)}")
-    acc: Dict[Key, complex] = {}
-    for f in forms:
-        for k, c in f.coeffs.items():
-            acc[k] = acc.get(k, 0j) + c
-    return SymmetricForm(degree=degs.pop(), coeffs={k: c for k, c in acc.items() if abs(c) > tol})
+    points = sorted({p for f in forms for p in f.packed.points})
+    rank = {p: i for i, p in enumerate(points)}
+    codes = np.concatenate([f.packed.relabel(f.packed.codes, rank) for f in forms])
+    values = np.concatenate([f.packed.values for f in forms])
+    _, first, inverse = np.unique(_row_keys(codes, 2 * len(points)), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slot = np.argsort(order)[inverse.reshape(-1)]
+    sums = np.empty(len(order), dtype=complex)
+    sums.real = np.bincount(slot, values.real, len(order))
+    sums.imag = np.bincount(slot, values.imag, len(order))
+    keep = np.abs(sums) > tol
+    return from_packed(degs.pop(), points, codes[first[order][keep]], sums[keep])
 
 
 def scale_form(form: SymmetricForm, factor: complex) -> SymmetricForm:
     if factor == 0:
         return zero_form(form.degree)
     view = form.packed
-    return _seeded(form.degree, form.coeffs, PackedForm(view.points, view.codes, view.values * factor))
+    return SymmetricForm(form.degree, packed=PackedForm(view.points, view.codes, view.values * factor))
 
 
 def conjugate_form(form: SymmetricForm) -> SymmetricForm:
-    return SymmetricForm(
-        degree=form.degree,
-        coeffs={canonical_key(conjugate_key(k)): c.conjugate() for k, c in form.coeffs.items()},
-    )
+    """Every sign flipped and every coefficient conjugated, rows in order."""
+    view = form.packed
+    codes = np.sort(view.codes ^ 1, axis=1)
+    return SymmetricForm(form.degree, packed=PackedForm(view.points, codes, view.values.conj()))
 
 
 def is_real_coefficients(form: SymmetricForm, tol: float = 1e-12) -> bool:
@@ -259,8 +272,6 @@ def evaluate(form: SymmetricForm, values: State) -> complex:
 
 def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
     """Symmetric multilinear extension evaluated on one state per slot."""
-    from itertools import permutations
-
     n = form.degree
     if len(states) != n:
         raise ValueError(f"need {n} states, got {len(states)}")
@@ -354,18 +365,6 @@ def scaled_norm(
     return localized_norm(form, table, nu=nu, smoothing=smoothing, zero_mode=zero_mode) * radius**form.degree
 
 
-def derivative_maps(form: SymmetricForm) -> Dict[ExtIndex, Tuple[Tuple[Key, complex], ...]]:
-    """Per-variable derivative: entry -> ((reduced key, c * multiplicity), ...)."""
-    out: Dict[ExtIndex, List[Tuple[Key, complex]]] = {}
-    for key, c in form.coeffs.items():
-        counts = Counter(key)
-        for entry, m in counts.items():
-            reduced = list(key)
-            reduced.remove(entry)
-            out.setdefault(entry, []).append((tuple(reduced), c * m))
-    return {e: tuple(v) for e, v in out.items()}
-
-
 def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> np.ndarray:
     """``dF/du_A`` for every code ``A < size`` at the state ``x`` (one value per code).
 
@@ -408,8 +407,6 @@ def vector_field(form: SymmetricForm, values: State) -> State:
 
 def polarized_vector_field(form: SymmetricForm, states: Sequence[State]) -> State:
     """Multilinear extension of the vector field on degree-1 many states."""
-    from itertools import permutations
-
     r = form.degree - 1
     if len(states) != r:
         raise ValueError(f"need {r} states, got {len(states)}")
@@ -540,7 +537,7 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     else:
         uniq, total = keys[0], sums[0]
     keep = np.abs(total) > tol
-    return _from_packed(degree, points, _key_rows(uniq[keep], radix, degree), total[keep])
+    return from_packed(degree, points, _key_rows(uniq[keep], radix, degree), total[keep])
 
 
 def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
@@ -566,8 +563,6 @@ def superaction_form(points: Iterable[Point]) -> SymmetricForm:
 
 def band_superactions(table: SpectrumTable, partition: BandPartition) -> List[SymmetricForm]:
     """One superaction per band, in band order (initial segment first)."""
-    from .bands import band_map
-
     bm = band_map(table, partition)
     groups: Dict[int, List[Point]] = {}
     for p, b in bm.items():
@@ -602,8 +597,6 @@ def random_form(
     real: bool = True,
 ) -> SymmetricForm:
     """Sparse random form; ``real=True`` symmetrizes to real values on pairs."""
-    from .lattice import extended_indexes
-
     rng = np.random.default_rng(seed)
     ext = extended_indexes(lattice)
     acc: Dict[Key, complex] = {}
@@ -654,18 +647,14 @@ def split_state(values: State, table: SpectrumTable, cutoff: float) -> Tuple[Sta
     return low, high
 
 
-def key_high_count(key: Key, table: SpectrumTable, cutoff: float) -> int:
-    return sum(1 for p, _ in key if table.floor(p) > cutoff)
-
-
 def decompose_by_high_order(form: SymmetricForm, table: SpectrumTable, cutoff: float) -> Dict[int, SymmetricForm]:
-    """Split the support by high-index count; parts sum back to the form."""
-    parts: Dict[int, Dict[Key, complex]] = {}
-    for k, c in form.coeffs.items():
-        parts.setdefault(key_high_count(k, table, cutoff), {})[k] = c
+    """Split the rows by their count of high (floor > cutoff) entries; parts sum back to the form."""
+    view = form.packed
+    high = np.array([table.floor(p) > cutoff for p in view.points], dtype=np.int64)
+    count = high[view.codes >> 1].sum(axis=1)
     return {
-        n: SymmetricForm(degree=form.degree, coeffs=coeffs)
-        for n, coeffs in sorted(parts.items())
+        n: from_packed(form.degree, view.points, view.codes[count == n], view.values[count == n])
+        for n in np.unique(count).tolist()
     }
 
 
@@ -677,7 +666,7 @@ class PolyHamiltonian:
 
     @property
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(sorted(d for d, f in self.parts.items() if f.coeffs))
+        return tuple(sorted(d for d, f in self.parts.items() if len(f)))
 
     @property
     def lowest_degree(self) -> Optional[int]:
@@ -688,7 +677,7 @@ class PolyHamiltonian:
         return self.parts.get(degree, zero_form(degree))
 
     def n_terms(self) -> int:
-        return sum(len(f.coeffs) for f in self.parts.values())
+        return sum(len(f) for f in self.parts.values())
 
 
 def poly_from_forms(forms: Iterable[SymmetricForm]) -> PolyHamiltonian:
@@ -696,19 +685,7 @@ def poly_from_forms(forms: Iterable[SymmetricForm]) -> PolyHamiltonian:
     for f in forms:
         acc.setdefault(f.degree, []).append(f)
     parts = {d: fs[0] if len(fs) == 1 else add_forms(*fs) for d, fs in acc.items()}
-    return PolyHamiltonian(parts={d: f for d, f in parts.items() if f.coeffs})
-
-
-def poly_evaluate(poly: PolyHamiltonian, values: State) -> complex:
-    return sum((evaluate(f, values) for f in poly.parts.values()), 0j)
-
-
-def poly_vector_field(poly: PolyHamiltonian, values: State) -> State:
-    out: State = {}
-    for f in poly.parts.values():
-        for entry, v in vector_field(f, values).items():
-            out[entry] = out.get(entry, 0j) + v
-    return out
+    return PolyHamiltonian(parts={d: f for d, f in parts.items() if len(f)})
 
 
 def _encode_key(key: Key) -> list:
@@ -722,7 +699,7 @@ def _decode_key(raw) -> Key:
 def form_to_jsonl(form: SymmetricForm, path) -> None:
     """One JSON object per key, in canonical key order."""
     with open(path, "w") as fh:
-        header = {"kind": "form", "degree": form.degree, "n_terms": len(form.coeffs)}
+        header = {"kind": "form", "degree": form.degree, "n_terms": len(form)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for key in sorted(form.coeffs):
             c = form.coeffs[key]

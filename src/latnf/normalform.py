@@ -23,15 +23,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bands import BandPartition, band_partition
-from .clusters import ClusterPartition, build_clusters, high_mode_blocks
+from .clusters import ClusterPartition, block_index_map, build_clusters, high_mode_blocks
 from .forms import (
     Key,
+    PackedForm,
     PolyHamiltonian,
     State,
     SymmetricForm,
     add_forms,
     band_superactions,
     block_superactions,
+    from_packed,
     localized_norm,
     poisson_bracket,
     poly_from_forms,
@@ -46,13 +48,15 @@ from .frequencies import SpectrumTable
 from .lattice import point_distance
 from .resonance import (
     NonresonanceCertificate,
-    _block_nonresonant_unchecked,
-    is_resonant_W,
-    small_divisor,
+    _resonant,
+    _signed_bands,
+    _signed_omegas,
     validate_cutoff,
 )
 
 BUCKETS = ("Z0", "ZB", "Z2", "ZGE3")
+#: the label ``bucket_rows`` gives a row outside every bucket
+NONRESONANT = len(BUCKETS)
 
 
 class CertificateError(ValueError):
@@ -126,32 +130,42 @@ def choose_cutoff(table: SpectrumTable, partition: BandPartition, radius: float,
     return min(admissible, key=lambda k: (abs(k - target), k))
 
 
-def classify_term(
-    key: Key,
-    table: SpectrumTable,
-    bands: BandPartition,
-    clusters: ClusterPartition,
-    cutoff: float,
-) -> str:
+def bucket_rows(view: PackedForm, table: SpectrumTable, bands: BandPartition, clusters: ClusterPartition, cutoff: float) -> np.ndarray:
+    """Index into ``BUCKETS`` of every row of a packed form, ``NONRESONANT`` off them.
+
+    High modes have floor norm > cutoff.  Three or more make ZGE3; none make
+    Z0 when the row is on the resonant set; two in one cluster block make ZB
+    with opposite signs; two in distinct blocks make Z2 beyond index distance
+    ``c_delta * cutoff**delta``.  Every other row is nonresonant, which is
+    ``resonance.is_block_nonresonant``.
+    """
+    points, codes = view.points, view.codes
+    high = np.array([table.floor(p) > cutoff for p in points], dtype=bool)[codes >> 1]
+    n_high = high.sum(axis=1)
+    out = np.full(len(codes), NONRESONANT)
+    out[n_high >= 3] = BUCKETS.index("ZGE3")
+    out[(n_high == 0) & _resonant(_signed_bands(table, bands, view.entries), codes)] = BUCKETS.index("Z0")
+    two = np.flatnonzero(n_high == 2)
+    pair = codes[two[:, None], np.nonzero(high[two])[1].reshape(-1, 2)]
+    ids = block_index_map(clusters)
+    block = np.array([ids[p] for p in points], dtype=np.int64)
+    same = block[pair[:, 0] >> 1] == block[pair[:, 1] >> 1]
+    opposite = ((pair[:, 0] ^ pair[:, 1]) & 1) == 1
+    out[two[same & opposite]] = BUCKETS.index("ZB")
+    ends, which = np.unique(pair >> 1, axis=0, return_inverse=True)
+    reach = clusters.c_delta * cutoff**clusters.delta
+    far = np.array([point_distance(points[a], points[b]) > reach for a, b in ends.tolist()], dtype=bool)
+    out[two[~same & far[which.reshape(-1)]]] = BUCKETS.index("Z2")
+    return out
+
+
+def classify_term(key: Key, table: SpectrumTable, bands: BandPartition, clusters: ClusterPartition, cutoff: float) -> str:
     """Bucket of a monomial key: Z0, ZB, Z2, ZGE3, or NONRESONANT."""
     if len(key) < 3:
         raise ValueError("classification applies to keys of degree >= 3")
-    high = [(p, s) for p, s in key if table.floor(p) > cutoff]
-    if len(high) >= 3:
-        return "ZGE3"
-    if len(high) == 0:
-        return "Z0" if is_resonant_W(key, table, bands) else "NONRESONANT"
-    if len(high) == 1:
-        return "NONRESONANT"
-    (a1, s1), (a2, s2) = high
-    from .clusters import block_index_map
-
-    ids = block_index_map(clusters)
-    if ids[a1] == ids[a2]:
-        return "ZB" if s1 * s2 < 0 else "NONRESONANT"
-    if point_distance(a1, a2) > clusters.c_delta * cutoff**clusters.delta:
-        return "Z2"
-    return "NONRESONANT"
+    view = SymmetricForm(len(key), {key: 0j}).packed
+    label = int(bucket_rows(view, table, bands, clusters, cutoff)[0])
+    return (BUCKETS + ("NONRESONANT",))[label]
 
 
 @dataclass(frozen=True)
@@ -185,22 +199,32 @@ def solve_homological(
     smaller divisor means the certificate does not cover this truncation.
     """
     validate_cutoff(table, bands, cutoff)
-    g_coeffs: Dict[Key, complex] = {}
-    z_coeffs: Dict[Key, complex] = {}
-    for key, c in form.coeffs.items():
-        if _block_nonresonant_unchecked(key, table, bands, clusters, cutoff):
-            delta = small_divisor(table, key)
-            scale = max(1.0, max(table.norm(p) for p, _ in key)) ** tau
-            if abs(delta) < gamma / scale:
-                raise CertificateError(
-                    f"divisor {delta} below gamma/K_max^tau = {gamma / scale:.3e} "
-                    f"on nonresonant key {key}: certificate breached"
-                )
-            g_coeffs[key] = 1j * c / delta
-        else:
-            z_coeffs[key] = c
-    generator = SymmetricForm(degree=form.degree, coeffs=g_coeffs)
-    normal = SymmetricForm(degree=form.degree, coeffs=z_coeffs)
+    view = form.packed
+    solve = bucket_rows(view, table, bands, clusters, cutoff) == NONRESONANT
+    codes, c = view.codes[solve], view.values[solve]
+    # the signed frequency sum, added left to right from 0 as small_divisor does
+    omega = _signed_omegas(table, view.entries)
+    delta = np.zeros(len(codes), dtype=omega.dtype)
+    for col in codes.T:
+        delta = delta + omega[col]
+    base = np.array([max(1.0, table.norm(p)) for p in view.points])[codes >> 1].max(axis=1, initial=1.0)
+    scale = np.array([b**tau for b in base.tolist()])
+    breach = np.flatnonzero(np.abs(delta) < gamma / scale)
+    if len(breach):
+        i = breach[0]
+        key = tuple(view.entries[e] for e in codes[i].tolist())
+        raise CertificateError(
+            f"divisor {delta.tolist()[i]} below gamma/K_max^tau = {gamma / scale[i]:.3e} "
+            f"on nonresonant key {key}: certificate breached"
+        )
+    # 1j * c / delta op for op as CPython computes it, so that every bit (the
+    # sign of a zero too) matches: 1j * c, then complex / (delta + 0j)
+    delta = np.asarray(delta, dtype=float)
+    re, im = 0.0 * c.real - c.imag, 0.0 * c.imag + c.real
+    ratio = 0.0 / delta
+    g = np.column_stack(((re + im * ratio) / delta, (im - re * ratio) / delta)).view(complex).ravel()
+    generator = from_packed(form.degree, view.points, codes, g)
+    normal = from_packed(form.degree, view.points, view.codes[~solve], view.values[~solve])
 
     residual = 0.0
     f_norm = g_norm = z_norm = 0.0
@@ -208,11 +232,9 @@ def solve_homological(
         h0 = quadratic_hamiltonian(table)
         lhs = add_forms(poisson_bracket(h0, generator, tol=0.0), form, tol=0.0)
         diff = add_forms(lhs, scale_form(normal, -1.0), tol=0.0)
-        residual = max((abs(c) for c in diff.coeffs.values()), default=0.0)
+        residual = float(np.abs(diff.packed.values).max(initial=0.0))
         kw = dict(nu=nu, smoothing=smoothing, zero_mode="lift")
-        f_norm = localized_norm(form, table, **kw) if form.coeffs else 0.0
-        g_norm = localized_norm(generator, table, **kw) if g_coeffs else 0.0
-        z_norm = localized_norm(normal, table, **kw) if z_coeffs else 0.0
+        f_norm, g_norm, z_norm = (localized_norm(x, table, **kw) for x in (form, generator, normal))
         k_scan = max(1.0, float(table.lattice.radius))
         if residual > 1e-12:
             raise RuntimeError(f"homological residual {residual:.3e} exceeds 1e-12")
@@ -270,7 +292,7 @@ def lie_transform(
         if k > 0:
             current = poisson_bracket(current, generator)
             factorial *= k
-            if not current.coeffs:
+            if not len(current):
                 break
         term = scale_form(current, 1.0 / factorial)
         if term.degree <= cap:
@@ -319,7 +341,7 @@ def check_superaction_commutation(
         if poly is None:
             return 0.0
         return max(
-            (abs(c) for d in poly.degrees for c in poisson_bracket(poly.parts[d], j, tol=0.0).coeffs.values()),
+            (float(np.abs(poisson_bracket(poly.parts[d], j, tol=0.0).packed.values).max(initial=0.0)) for d in poly.degrees),
             default=0.0,
         )
 
@@ -414,6 +436,9 @@ def normalize(
     time-1 flow (adjoint series, degree-capped), and re-sorts.  Per-step
     norms must contract: ``mu = (|P|_R / R^2) K^tau`` is required below
     ``mu_max`` and each step below ``2 mu`` times the previous.
+    ``remainder_bound`` is the largest ``|X(u)|_s`` of the remainder's vector
+    field over ``remainder_samples`` random states on the radius-R sphere: a
+    sampled lower estimate of its supremum there, not a bound.
     """
     if bands is None:
         bands = band_partition(table)
@@ -484,7 +509,7 @@ def normalize(
         sources = [h0] + [normal_parts[d] for d in sorted(normal_parts)]
         sources += [current.part(d) for d in current.degrees]
         for src in sources:
-            if not src.coeffs:
+            if not len(src):
                 continue
             n = lie_terms_order(config.r_bar, src.degree - 2, gen_order)
             kept, dropped = lie_transform(
@@ -506,7 +531,7 @@ def normalize(
             else:
                 new_p_parts.append(part)
         check = add_forms(new_normal.get(low, zero_form(low)), scale_form(sol.normal, -1.0), tol=0.0)
-        step_residual = max((abs(c) for c in check.coeffs.values()), default=0.0)
+        step_residual = float(np.abs(check.packed.values).max(initial=0.0))
         if step_residual > 1e-10:
             raise RuntimeError(
                 f"step {step}: accumulated degree-{low} part differs from the "
@@ -529,20 +554,15 @@ def normalize(
 
     buckets: Dict[str, List[SymmetricForm]] = {name: [] for name in BUCKETS}
     for degree, part in sorted(normal_parts.items()):
-        split: Dict[str, Dict[Key, complex]] = {name: {} for name in BUCKETS}
-        for key, c in part.coeffs.items():
-            bucket = classify_term(key, table, bands, clusters, cutoff)
-            if bucket == "NONRESONANT":
-                raise RuntimeError(f"nonresonant key {key} survived in the normal part")
-            split[bucket][key] = c
-        for name in BUCKETS:
-            if split[name]:
-                buckets[name].append(SymmetricForm(degree=degree, coeffs=split[name]))
+        view = part.packed
+        label = bucket_rows(view, table, bands, clusters, cutoff)
+        if (label == NONRESONANT).any():
+            key = tuple(view.entries[e] for e in view.codes[np.argmax(label == NONRESONANT)].tolist())
+            raise RuntimeError(f"nonresonant key {key} survived in the normal part")
+        for i, name in enumerate(BUCKETS):
+            buckets[name].append(from_packed(degree, view.points, view.codes[label == i], view.values[label == i]))
 
-    polys = {
-        name: poly_from_forms(buckets[name]) if buckets[name] else PolyHamiltonian(parts={})
-        for name in BUCKETS
-    }
+    polys = {name: poly_from_forms(buckets[name]) for name in BUCKETS}
 
     commutation = check_superaction_commutation(
         polys["Z0"], polys["ZB"], polys["Z2"], table, bands, clusters, cutoff
@@ -653,7 +673,7 @@ def _state_distance(a: State, b: State) -> float:
 
 
 def _flow_time_one(form, start, *, tol, lattice, s, ball, max_steps):
-    if not form.coeffs:
+    if not len(form):
         return dict(start)
     n = 8
     prev = _rk4_run(form, start, n, lattice, s, ball)

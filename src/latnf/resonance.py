@@ -114,10 +114,6 @@ def is_block_nonresonant(
     paired-mode criterion.
     """
     validate_cutoff(table, bands, cutoff)
-    return _block_nonresonant_unchecked(multiset, table, bands, clusters, cutoff)
-
-
-def _block_nonresonant_unchecked(multiset, table, bands, clusters, cutoff):
     high = [(p, s) for p, s in multiset if table.floor(p) > cutoff]
     if len(high) > 2:
         return False

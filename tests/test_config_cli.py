@@ -429,6 +429,17 @@ def test_cli_normalform_nonpositive_gamma_is_a_usage_error(tmp_path, capsys, gam
     assert "FAIL" not in captured.out
 
 
+@pytest.mark.parametrize("kind", ["beam", "ground_state"])
+def test_cli_normalform_refuses_a_model_without_its_own_perturbation(tmp_path, capsys, kind):
+    # nls_quartic is not the equation of these kinds, so nothing is normalized
+    small = ("lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05")
+    assert _normalform(tmp_path, *small, f"model.kind={kind}") == 2
+    captured = capsys.readouterr()
+    assert f"model.kind {kind!r}" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "normalform_manifest.json").exists()
+
+
 def _simulate(tmp_path, *overrides):
     argv = ["simulate", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
     for item in ("lattice.radius=4", "simulate.horizon=0.2") + overrides:

@@ -13,7 +13,6 @@ from latnf import (
     canonical_key,
     conjugate_form,
     decompose_by_high_order,
-    derivative_maps,
     evaluate,
     form_from_jsonl,
     form_to_jsonl,
@@ -280,11 +279,13 @@ def test_superaction_form_evaluates_to_mode_mass():
     assert evaluate(j, u) == pytest.approx(5.0 + 1.0)
 
 
-def test_derivative_maps_multiplicity():
+def test_packed_derivatives_multiplicity():
     key = canonical_key((((1,), 1), ((1,), 1), ((0,), -1)))
-    f = make_form({key: 2.0})
-    rows = derivative_maps(f)[((1,), 1)]
-    assert len(rows) == 1
-    reduced, coeff = rows[0]
-    assert coeff == 4.0  # 2 * multiplicity 2
-    assert canonical_key(reduced) == canonical_key((((1,), 1), ((0,), -1)))
+    view = make_form({key: 2.0}).packed
+    var, rows, coef = view.derivatives
+    plus_one = view.entries.index(((1,), 1))
+    assert var.tolist().count(plus_one) == 1
+    i = var.tolist().index(plus_one)
+    assert coef[i] == 4.0  # 2 * multiplicity 2
+    reduced = tuple(view.entries[c] for c in rows[i].tolist())
+    assert reduced == canonical_key((((1,), 1), ((0,), -1)))

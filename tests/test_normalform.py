@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from latnf import (
@@ -28,6 +30,8 @@ from latnf import (
     sobolev_norm,
     transform_state,
 )
+from latnf.cli import build_system, run_normalform
+from latnf.config import apply_overrides, load_config
 from latnf.dynamics import is_action_form
 from latnf.normalform import lie_terms_order
 
@@ -110,6 +114,36 @@ def test_homological_guards_the_certificate(
             f, certified_table, certified_bands, certified_clusters,
             NF_CUTOFF, 1e6, 5.0,
         )
+
+
+def test_homological_generator_is_bit_identical_to_the_scalar_division(
+    certified_table, certified_bands, certified_clusters, certificates
+):
+    # the certified table is a float spectrum; a negative coupling gives
+    # generator values with zero real parts, whose sign must match too
+    cert = certificates[4]
+    lattice = certified_table.lattice
+    for f in (nls_quartic(lattice, 1.0), nls_quartic(lattice, -1.0), random_form(lattice, 4, 300, seed=5, real=False)):
+        sol = solve_homological(
+            f, certified_table, certified_bands, certified_clusters,
+            NF_CUTOFF, cert.gamma, cert.tau, verify=False,
+        )
+        keys = list(sol.generator.coeffs)
+        assert keys
+        got = np.array([sol.generator.coeffs[k] for k in keys])
+        want = np.array([1j * f.coeffs[k] / small_divisor(certified_table, k) for k in keys])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert keys == [k for k in f.coeffs if k not in sol.normal.coeffs]
+
+
+def test_normalize_keeps_every_form_packed():
+    # the radius-5 truncation of nls_t1.ini at cutoff 4.5; see tests/test_scripts.py
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "nls_t1.ini"))
+    apply_overrides(cfg, ["lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05"])
+    _, result = run_normalform(cfg, build_system(cfg))
+    assert [len(e.form) for e in result.ledger] == [3376, 37147, 3692, 38491]
+    forms = [e.form for e in result.ledger] + list(result.generators) + result.normal_parts()
+    assert [f for f in forms if "coeffs" in vars(f)] == []
 
 
 def test_lie_terms_order_formula():

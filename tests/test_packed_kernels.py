@@ -1,9 +1,11 @@
 """Packed-array kernels against the dict-of-tuple loops they replaced.
 
 The reference functions below are the loop implementations of the bracket,
-the localized norms and the vector field, kept verbatim as oracles.  Key sets
-must agree exactly; coefficients and norms agree to 1e-12 relative, the room a
-different summation order needs.
+the localized norms, the vector field, the sum and the conjugate, kept
+verbatim as oracles.  Key sets must agree exactly; coefficients and norms
+agree to 1e-12 relative, the room a different summation order needs.  The
+sum and the conjugate keep the summation order, so they agree bit for bit,
+in the same key order.
 """
 
 import gc
@@ -19,8 +21,10 @@ from latnf import (
     band_partition,
     build_clusters,
     build_spectrum,
+    add_forms,
     canonical_key,
     check_superaction_commutation,
+    conjugate_form,
     enumerate_lattice,
     evaluate,
     localized_norm,
@@ -30,13 +34,14 @@ from latnf import (
     poly_from_forms,
     quadratic_hamiltonian,
     random_form,
+    scale_form,
     scaled_norm,
     vector_field,
     vector_field_seminorm,
 )
 import latnf.forms
-from latnf.forms import SymmetricForm, key_multiplicity, mu_S
-from latnf.lattice import conjugate, point_distance
+from latnf.forms import SymmetricForm, key_multiplicity, mu_S, zero_form
+from latnf.lattice import conjugate, conjugate_key, point_distance
 from latnf.resonance import ordering_permutation
 
 RTOL = 1e-12
@@ -120,7 +125,26 @@ def ref_vector_field(form, values):
     return out
 
 
+def ref_add_forms(*forms, tol=1e-14):
+    acc = {}
+    for f in forms:
+        for k, c in f.coeffs.items():
+            acc[k] = acc.get(k, 0j) + c
+    return {k: c for k, c in acc.items() if abs(c) > tol}
+
+
+def ref_conjugate_form(form):
+    return {canonical_key(conjugate_key(k)): c.conjugate() for k, c in form.coeffs.items()}
+
+
 # --- helpers ----------------------------------------------------------------
+
+
+def assert_same_rows(got, want: dict):
+    """Same keys in the same order, coefficients equal bit for bit."""
+    assert list(got) == list(want)
+    bits = [np.array(list(d.values()), dtype=complex).view(np.uint64).tolist() for d in (got, want)]
+    assert bits[0] == bits[1]
 
 
 def assert_same_terms(got: dict, want: dict):
@@ -242,6 +266,34 @@ def test_forms_are_freed_after_a_bracket():
     del f
     gc.collect()
     assert ref() is None
+
+
+# --- sum and conjugate ------------------------------------------------------
+
+
+@CASES
+def test_add_and_conjugate_match_reference(lattice, f, g):
+    for form in (f, g):
+        conj = conjugate_form(form)
+        assert_same_rows(conj.coeffs, ref_conjugate_form(form))
+        half = scale_form(form, 0.5)
+        for terms in ((form,), (form, conj), (half, conj, form), (form, scale_form(form, -1.0)), (zero_form(form.degree), form)):
+            for tol in (1e-14, 0.0):
+                got = add_forms(*terms, tol=tol)
+                assert got.degree == form.degree
+                assert_same_rows(got.coeffs, ref_add_forms(*terms, tol=tol))
+
+
+def test_add_and_conjugate_of_empty_and_wide_forms():
+    empty = zero_form(3)
+    assert len(add_forms(empty)) == len(add_forms(empty, empty)) == len(conjugate_form(empty)) == 0
+    f = random_form(LINE, 3, 20, seed=23, real=False)
+    assert_same_rows(add_forms(empty, f, empty).coeffs, ref_add_forms(f))
+    # 317 points: radix**7 overflows int64, so keys are row bytes
+    plane = enumerate_lattice(2, 10.0)
+    wide = random_form(plane, 7, 300, seed=24, real=False), random_form(plane, 7, 300, seed=25, real=False)
+    terms = (wide[0], conjugate_form(wide[1]), wide[1], wide[0])
+    assert_same_rows(add_forms(*terms).coeffs, ref_add_forms(*terms))
 
 
 # --- norms ------------------------------------------------------------------

@@ -24,9 +24,11 @@ from latnf import (
     ground_state_divisor_function,
     is_block_nonresonant,
     is_resonant_W,
+    random_form,
     small_divisor,
     validate_cutoff,
 )
+from latnf.normalform import BUCKETS, NONRESONANT, bucket_rows
 from conftest import FROZEN_POTENTIAL
 
 
@@ -70,6 +72,21 @@ def test_small_divisor_is_exact_integer(v0_table):
     assert d == 0 and isinstance(d, int)
     d2 = small_divisor(v0_table, (((2,), 1), ((1,), -1)))
     assert d2 == 3 and isinstance(d2, int)
+
+
+def test_bucket_rows_match_the_per_key_tests(certified_table, certified_bands, certified_clusters):
+    # every row of a form at once against the per-key nonresonance test;
+    # cutoff 3.5 puts more points, and so more pairs of blocks, above it
+    lattice = certified_table.lattice
+    for cutoff in (3.5, 5.5):
+        for degree in (3, 4, 5):
+            f = random_form(lattice, degree, 400, seed=degree, real=False)
+            labels = bucket_rows(f.packed, certified_table, certified_bands, certified_clusters, cutoff)
+            for key, label in zip(f.coeffs, labels.tolist()):
+                solvable = is_block_nonresonant(key, certified_table, certified_bands, certified_clusters, cutoff)
+                assert (label == NONRESONANT) == solvable, key
+                assert classify_term(key, certified_table, certified_bands, certified_clusters, cutoff) == (BUCKETS + ("NONRESONANT",))[label]
+            assert len(set(labels.tolist())) >= 3
 
 
 @settings(max_examples=150)

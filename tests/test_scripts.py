@@ -94,6 +94,31 @@ def test_stability_sweep_follows_the_configured_model(tmp_path):
         assert proc.stdout != base, name
 
 
+@pytest.mark.parametrize("flag", [("--coupling", 5), ("--flat",)], ids=["coupling", "flat"])
+def test_stability_sweep_rejects_nls_flags_on_the_beam(tmp_path, flag):
+    config = _config(tmp_path, "beam.ini", {("model", "kind"): "beam"})
+    proc = _run("stability_sweep.py", "--config", config, "--epsilons", 0.1, "--horizons", 5, *flag)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "the beam model has neither" in proc.stderr
+
+
+def test_stability_sweep_refuses_the_ground_state(tmp_path):
+    config = _config(tmp_path, "ground.ini", {("model", "kind"): "ground_state"})
+    proc = _run("stability_sweep.py", "--config", config, "--epsilons", 0.1, "--horizons", 5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ") and "'ground_state'" in proc.stderr
+
+
+def test_normalform_demo_refuses_the_beam(tmp_path):
+    config = _config(tmp_path, "beam.ini", {**SMALL_SYSTEM, ("model", "kind"): "beam"})
+    proc = _run("normalform_demo.py", "--config", config, "--skip-flow")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ") and "model.kind 'beam'" in proc.stderr
+
+
 @pytest.mark.parametrize("flat, code", [(True, 1), (False, 0)])
 def test_resonance_scan_at_order_3(flat, code):
     proc = _run("resonance_scan.py", *(["--flat"] if flat else []), "--orders", 3)
