@@ -44,6 +44,9 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
+    if args.dt <= 0.0 or args.horizon <= 0.0:
+        print("usage error: --dt and --horizon must be positive", file=sys.stderr)
+        return 2
     cfg = load_config(args.config)
     system = build_system(cfg)
     t0 = time.monotonic()

@@ -7,7 +7,8 @@ norm ratio, the exit time past 2 eps (if any), and the fitted power of the
 weighted superaction drift.  With ``--flat`` the potential is dropped, which
 at large epsilon demonstrates the resonant growth the multiplier removes.
 ``--coupling`` and ``--flat`` act on the NLS only; on a beam config they are
-usage errors (exit 2), as is a model kind ``latnf simulate`` cannot run.
+usage errors (exit 2), as are a model kind ``latnf simulate`` cannot run
+and settings ``SimulationConfig`` rejects, such as a non-positive ``--dt``.
 
 Example:
     python3 scripts/stability_sweep.py --epsilons 0.1 0.01 --coupling -12
@@ -51,17 +52,21 @@ def main() -> int:
     if sim.model == "beam" and (args.flat or args.coupling is not None):
         print("usage error: --coupling and --flat set the NLS; the beam model has neither", file=sys.stderr)
         return 2
-    sim = replace(
-        sim,
-        nonlinearity={1: -12.0 if args.coupling is None else args.coupling},
-        epsilon=args.epsilons[0],
-        s=args.s,
-        dt=args.dt,
-        horizon=1.0,
-        stride=1000,
-        seed=args.seed,
-        dt_bound=args.dt_bound,
-    )
+    try:
+        sim = replace(
+            sim,
+            nonlinearity={1: -12.0 if args.coupling is None else args.coupling},
+            epsilon=args.epsilons[0],
+            s=args.s,
+            dt=args.dt,
+            horizon=1.0,
+            stride=1000,
+            seed=args.seed,
+            dt_bound=args.dt_bound,
+        )
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     if args.flat:
         sim = replace(sim, potential=None)
     report = stability_experiment(sim, args.epsilons, horizons=args.horizons)

@@ -471,6 +471,8 @@ def test_cli_simulate_runs_the_configured_model(tmp_path, capsys):
         (("model.kind=ground_state",), "model.kind"),
         (("lattice.offset=0.3",), "lattice.offset"),
         (("model.kind=beam", "simulate.track_orbital=1.0"), "track_orbital"),
+        (("simulate.dt=0",), "dt must be positive"),
+        (("simulate.dt=-0.01",), "dt must be positive"),
     ],
 )
 def test_cli_simulate_rejects_what_it_cannot_honour(tmp_path, capsys, overrides, message):

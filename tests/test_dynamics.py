@@ -56,6 +56,10 @@ def test_config_validation():
         SimulationConfig(epsilon=1.0)
     with pytest.raises(ValueError):
         SimulationConfig(horizon=0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        SimulationConfig(dt=0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        SimulationConfig(dt=-0.01)
     with pytest.raises(ValueError):
         SimulationConfig(stride=0)
     with pytest.raises(ValueError):
@@ -72,14 +76,15 @@ def test_dt_stability_guard():
         integrate_nls(cfg)
 
 
-def test_linear_flow_is_exact_phase():
+@pytest.mark.parametrize("nonlinearity", [{1: 0.0}, {}], ids=["zero", "empty"])
+def test_linear_flow_is_exact_phase(nonlinearity):
     """Zero nonlinearity reduces the splitting to the exact phase rotation;
     the initial modes are first rescaled so the weighted norm is epsilon."""
     modes = {(1,): 1.0 + 0j, (2,): 0.5j}
     eps, s, horizon, dt = 0.01, 4.0, 1.0, 0.01
     cfg = SimulationConfig(
         radius=4.0, epsilon=eps, s=s, dt=dt, horizon=horizon, stride=10,
-        nonlinearity={1: 0.0}, initial_modes=modes,
+        nonlinearity=nonlinearity, initial_modes=modes,
     )
     rec = integrate_nls(cfg)
     norm = math.sqrt(sum((1.0 + abs(p[0])) ** (2 * s) * abs(c) ** 2 for p, c in modes.items()))
@@ -137,6 +142,17 @@ def test_normal_form_general_parts_not_exact(torus_table):
     )
     assert not rec.meta["exact_kick"]
     assert np.max(np.abs(rec.mass - rec.mass[0])) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [{"dt": 0.0}, {"dt": -0.05}, {"horizon": 0.0}, {"stride": 0}, {"kick_substeps": 0}],
+    ids=["dt0", "dt-", "horizon0", "stride0", "substeps0"],
+)
+def test_normal_form_rejects_a_bad_step(torus_table, bad):
+    settings = {"dt": 0.05, "horizon": 0.5, **bad}
+    with pytest.raises(ValueError, match="positive|>= 1"):
+        integrate_normal_form(torus_table, [], {(1,): 0.1 + 0j}, **settings)
 
 
 def test_ground_state_chart_round_trip(rng):

@@ -529,6 +529,24 @@ NLS_CASE = dict(
 )
 
 
+# A skew torus in two dimensions: the FFTs run over both grid axes, so the
+# per-axis transforms must follow ``ifftn``/``fftn`` axis for axis.
+GRAM_2D = ((1.0, 0.3), (0.3, 1.4))
+
+NLS_CASE_2D = dict(
+    dim=2,
+    radius=3.0,
+    gram=GRAM_2D,
+    potential={(0, 0): 0.05, (1, 0): -0.2, (-1, 1): 0.03},
+    nonlinearity={1: -2.0, 2: {(0, 0): 0.5, (1, 1): 0.1, (-1, -1): 0.1}},
+    epsilon=0.3,
+    horizon=0.03,
+    stride=7,
+    seed=3,
+    track_orbital=1.0,
+)
+
+
 def test_strang_nls_matches_the_oracle():
     cfg = SimulationConfig(**NLS_CASE)
     record = integrate_nls(cfg)
@@ -544,6 +562,13 @@ def test_strang_nls_given_modes_matches_the_oracle():
     assert_matches(integrate_nls(cfg), oracle_strang(cfg))
 
 
+def test_strang_nls_in_two_dimensions_matches_the_oracle():
+    cfg = SimulationConfig(**NLS_CASE_2D)
+    record = integrate_nls(cfg)
+    assert record.meta["grid"] == 20 and record.meta["n_steps"] > 2 * cfg.stride
+    assert_matches(record, oracle_strang(cfg))
+
+
 def test_rk4_reference_matches_the_oracle():
     case = {**NLS_CASE, "track_orbital": None, "horizon": 0.2}
     cfg = SimulationConfig(**case)
@@ -554,11 +579,25 @@ def test_rk4_reference_matches_the_oracle():
     assert_matches(routed, oracle_rk4(cfg))
 
 
+def test_rk4_reference_in_two_dimensions_matches_the_oracle():
+    cfg = SimulationConfig(**{**NLS_CASE_2D, "track_orbital": None})
+    assert_matches(rk4_reference(cfg), oracle_rk4(cfg))
+
+
 @pytest.mark.parametrize("force", [{3: 0.1, 5: {(0,): 0.02, (1,): 0.01, (-1,): 0.01}}, None])
 def test_beam_matches_the_oracle(force):
     cfg = SimulationConfig(
         model="beam", radius=5.0, epsilon=0.05, horizon=0.3, stride=9, seed=2,
         force=force, mass_term=1.5,
+    )
+    assert_matches(integrate_beam(cfg), oracle_beam(cfg))
+
+
+def test_beam_in_two_dimensions_matches_the_oracle():
+    cfg = SimulationConfig(
+        model="beam", dim=2, radius=3.0, gram=GRAM_2D, epsilon=0.05, horizon=0.03,
+        stride=9, seed=2, force={3: 0.1, 5: {(0, 0): 0.02, (1, -1): 0.01, (-1, 1): 0.01}},
+        mass_term=1.5,
     )
     assert_matches(integrate_beam(cfg), oracle_beam(cfg))
 

@@ -103,6 +103,13 @@ def test_stability_sweep_rejects_nls_flags_on_the_beam(tmp_path, flag):
     assert "the beam model has neither" in proc.stderr
 
 
+def test_stability_sweep_rejects_a_non_positive_step():
+    proc = _run("stability_sweep.py", "--dt", 0, "--epsilons", 0.1, "--horizons", 5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage error: dt must be positive\n"
+
+
 def test_stability_sweep_refuses_the_ground_state(tmp_path):
     config = _config(tmp_path, "ground.ini", {("model", "kind"): "ground_state"})
     proc = _run("stability_sweep.py", "--config", config, "--epsilons", 0.1, "--horizons", 5)
@@ -117,6 +124,15 @@ def test_normalform_demo_refuses_the_beam(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("config error: ") and "model.kind 'beam'" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--horizon"])
+@pytest.mark.parametrize("value", [0, -0.5])
+def test_normalform_demo_rejects_a_non_positive_step_before_normalizing(flag, value):
+    proc = _run("normalform_demo.py", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "usage error: --dt and --horizon must be positive\n"
 
 
 @pytest.mark.parametrize("flat, code", [(True, 1), (False, 0)])
