@@ -19,12 +19,15 @@ The step maps are:
 * The beam equation (``integrate_beam``): kick-phase-kick splitting of the
   complexified field pair, with both pieces exact.
 * Polynomial normal forms (``integrate_normal_form``): Strang splitting in
-  the truncated mode space.  When every monomial is a product of actions
+  the truncated mode space.  Each part is one table of code rows on the
+  lattice (``_PolyParts``) that the energy, the action angles and the RK
+  right-hand side all read.  When every monomial is a product of actions
   the nonlinear step is an exact phase rotation, making the scheme exact up
   to rounding; other parts take RK4 substeps.
 
-RK4 is one function, ``_rk4``, for the reference integrator and the
-normal-form substeps alike.
+RK4 is one function, ``_rk4``, for the reference integrator, the
+normal-form substeps and the time-1 generator flows of
+``normalform.transform_state`` alike.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .bands import BandPartition, band_map, band_partition
 from .clusters import ClusterPartition, build_clusters
-from .forms import SymmetricForm, gradient, monomials
+from .forms import SymmetricForm, gradient, hamiltonian_field, monomials
 from .frequencies import (
     Beam,
     SpectralMultiplier,
@@ -472,8 +475,8 @@ def _nls(config: SimulationConfig, integrator: str) -> TrajectoryRecord:
     (j0, arr0), *rest = list(coeffs.items()) or [(1, np.zeros(grid.shape))]
 
     def phase_field(y: np.ndarray) -> np.ndarray:
-        """``sum_j c_j y**j``, summed from the lowest power."""
-        phi = arr0 * y**j0
+        """``sum_j c_j y**j``, summed from the lowest power (``y**1`` is ``y``)."""
+        phi = arr0 * (y if j0 == 1 else y**j0)
         for j, arr in rest:
             phi += arr * y**j
         return phi
@@ -609,6 +612,8 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
         return kick(kick(u, 0.5 * dt) * phase, 0.5 * dt)
 
     def potential(u: np.ndarray) -> float:
+        if not force_arrays:
+            return 0.0
         psi = system.field(unpack(u)[0]).real
         pot = 0.0
         for j, arr in force_arrays.items():
@@ -673,73 +678,41 @@ def _both_signs(u: np.ndarray) -> np.ndarray:
     return x
 
 
-class _PolyKick:
-    """Vectorized nonlinear step for polynomial Hamiltonians on the truncation.
+class _PolyParts:
+    """The parts of a polynomial Hamiltonian as code rows on the lattice.
 
-    Action-only parts rotate each mode by the exact angle ``dP/dI_a``; other
-    parts are integrated by fourth-order substeps of ``du = X_P(u) dt``,
-    with their packed codes renumbered to the lattice once.
+    Each part's packed codes are renumbered to the lattice ``index`` once;
+    the rows then act on the both-signs state of a one-sided ``u``.  ``energy``
+    sums every part.  Action parts turn each mode by the angle
+    ``theta = dP/dI``, the gradient of their ``+`` halves over the
+    intensities ``|u|^2``; the others make ``rhs``, the ``+`` half of their
+    Hamiltonian field.
     """
 
-    def __init__(self, forms: Sequence[SymmetricForm], points: Sequence[Point], substeps: int = 1):
-        self.points = list(points)
-        index = {p: i for i, p in enumerate(self.points)}
-        self.substeps = substeps
-        exps: List[np.ndarray] = []
-        coeffs: List[np.ndarray] = []
-        self.rk: List[Tuple[np.ndarray, np.ndarray]] = []
-        for f in forms:
-            view = f.packed
-            codes = view.relabel(view.codes, index)
+    def __init__(self, forms: Sequence[SymmetricForm], index: Dict[Point, int]):
+        self.size = len(index)
+        self.rows = [(f.packed.relabel(f.packed.codes, index), f.packed.values) for f in forms]
+        self.actions: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.flows: List[Tuple[np.ndarray, np.ndarray]] = []
+        for f, (codes, c) in zip(forms, self.rows):
             if is_action_form(f):
-                c = view.values
                 if np.any(np.abs(c.imag) > 1e-12 * (1.0 + np.abs(c))):
                     raise ValueError("action part must have real coefficients")
-                row, col = np.nonzero((codes & 1) == 0)
-                e = np.zeros((len(codes), len(self.points)), dtype=int)
-                np.add.at(e, (row, codes[row, col] >> 1), 1)
-                exps.append(e)
-                coeffs.append(c.real)
+                plus = codes[(codes & 1) == 0].reshape(len(codes), codes.shape[1] // 2) >> 1
+                self.actions.append((plus, c.real))
             elif np.any(codes & 1):  # without a - variable the kick is zero
-                self.rk.append((codes, view.values))
-        self.action_exps = np.concatenate(exps) if exps else None
-        self.action_coeffs = np.concatenate(coeffs) if coeffs else None
-        self.exact = not self.rk
+                self.flows.append((codes, c))
 
     def theta(self, intensity: np.ndarray) -> np.ndarray:
-        if self.action_exps is None:
-            return np.zeros(len(self.points))
-        rows = np.prod(intensity[None, :] ** self.action_exps, axis=1)
-        safe = np.where(intensity > 0.0, intensity, 1.0)
-        return (self.action_exps.T @ (self.action_coeffs * rows)) / safe
+        return sum(gradient(plus, c, intensity, self.size).real for plus, c in self.actions)
 
-    def _rhs(self, u: np.ndarray) -> np.ndarray:
-        """``du_a = -i dP/du_{a,-}``, the odd codes of the packed gradient."""
+    def rhs(self, u: np.ndarray) -> np.ndarray:
         x = _both_signs(u)
-        du = np.zeros_like(u)
-        for codes, coef in self.rk:
-            du += gradient(codes, coef, x, len(x))[1::2]
-        return -1j * du
+        return sum(hamiltonian_field(codes, c, x)[0::2] for codes, c in self.flows)
 
-    def apply(self, u: np.ndarray, dt: float) -> np.ndarray:
-        if self.action_exps is not None:
-            u = u * np.exp(-1j * dt * self.theta(np.abs(u) ** 2))
-        if self.rk:
-            tau = dt / self.substeps
-            for _ in range(self.substeps):
-                u = _rk4(self._rhs, u, tau)
-        return u
-
-
-class _PolyEnergy:
-    """Vectorized evaluation of a list of forms on a one-sided state."""
-
-    def __init__(self, forms: Sequence[SymmetricForm], index: Dict[Point, int]):
-        self.tables = [(f.packed.relabel(f.packed.codes, index), f.packed.values) for f in forms]
-
-    def value(self, u: np.ndarray) -> float:
+    def energy(self, u: np.ndarray) -> float:
         x = _both_signs(u)
-        return float(sum(monomials(codes, c, x).sum() for codes, c in self.tables).real)
+        return float(sum(monomials(codes, c, x).sum() for codes, c in self.rows).real)
 
 
 def integrate_normal_form(
@@ -774,19 +747,24 @@ def integrate_normal_form(
     omega = np.asarray([float(table.omega(p)) for p in points])
     u = _place(initial, index, len(points))
 
-    kick = _PolyKick(parts, points, substeps=kick_substeps)
-    energy = _PolyEnergy(list(parts), index)
+    poly = _PolyParts(parts, index)
     weights = (1.0 + np.asarray([table.norm(p) for p in points])) ** (2.0 * s)
     phase_half = np.exp(-0.5j * dt * omega)
+    tau = dt / kick_substeps
 
     def step(v: np.ndarray) -> np.ndarray:
-        return kick.apply(v * phase_half, dt) * phase_half
+        v = v * phase_half
+        if poly.actions:
+            v = v * np.exp(-1j * dt * poly.theta(np.abs(v) ** 2))
+        for _ in range(kick_substeps if poly.flows else 0):
+            v = _rk4(poly.rhs, v, tau)
+        return v * phase_half
 
     monitor = _Monitor(
-        table, bands, clusters, index, _weighted_norm(weights), _energy(omega, energy.value)
+        table, bands, clusters, index, _weighted_norm(weights), _energy(omega, poly.energy)
     )
     meta = {
-        "model": "normal_form", "integrator": "strang_splitting", "exact_kick": kick.exact, "s": s
+        "model": "normal_form", "integrator": "strang_splitting", "exact_kick": not poly.flows, "s": s
     }
     return _run(
         u, step, monitor, dt=dt, n_steps=max(1, round(horizon / dt)), stride=stride, meta=meta

@@ -392,17 +392,31 @@ def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> n
     return out
 
 
+def hamiltonian_field(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Hamiltonian vector field at the both-signs state ``x``, one value per code.
+
+    ``x[2i]`` is the ``+`` and ``x[2i + 1]`` the ``-`` variable of point
+    ``i``; the field of ``F = sum_r coef[r] prod_k x[codes[r, k]]`` is
+    ``X[c ^ 1] = -i sigma dF/dx_c`` with ``sigma`` the sign of ``c ^ 1``.
+    """
+    grad = gradient(codes, coef, x, len(x))
+    out = np.empty_like(grad)
+    out[0::2] = -1j * grad[1::2]
+    out[1::2] = 1j * grad[0::2]
+    return out
+
+
 def vector_field(form: SymmetricForm, values: State) -> State:
     """Hamiltonian vector field of the form at a state.
 
-    Component at index B is ``-i sigma_B dF/du_{conj(B)}``.
+    Component at index B is ``-i sigma_B dF/du_{conj(B)}``; the entries come
+    in the order of the variable ``conj(B)`` they differentiate.
     """
     view = form.packed
-    grad = gradient(view.codes, view.values, view.gather(values), len(view.entries))
-    nz = np.flatnonzero(grad)
-    field = np.where(nz & 1, -1j, 1j) * grad[nz]
+    field = hamiltonian_field(view.codes, view.values, view.gather(values))
+    target = np.flatnonzero(field[np.arange(len(field)) ^ 1]) ^ 1
     entries = view.entries
-    return {entries[c ^ 1]: v for c, v in zip(nz.tolist(), field.tolist())}
+    return {entries[c]: v for c, v in zip(target.tolist(), field[target].tolist())}
 
 
 def polarized_vector_field(form: SymmetricForm, states: Sequence[State]) -> State:

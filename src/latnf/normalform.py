@@ -24,6 +24,7 @@ import numpy as np
 
 from .bands import BandPartition, band_partition
 from .clusters import ClusterPartition, block_index_map, build_clusters, high_mode_blocks
+from .dynamics import _rk4
 from .forms import (
     Key,
     PackedForm,
@@ -34,6 +35,7 @@ from .forms import (
     band_superactions,
     block_superactions,
     from_packed,
+    hamiltonian_field,
     localized_norm,
     poisson_bracket,
     poly_from_forms,
@@ -622,68 +624,61 @@ def transform_state(
 ) -> State:
     """Compose the time-1 generator flows (forward: last generator first).
 
-    Each flow integrates ``du/dt = X_G(u)`` with a fixed-step fourth-order
-    scheme, doubling the step count until two resolutions agree within
-    ``tol``.  With ``s`` and ``ball`` given, exiting the ball mid-flow raises.
+    The state runs as one both-signs array over the points of the state and
+    the generators, each entry on its own (a state need not be conjugation
+    paired).  Each flow integrates ``dx/dt = X_G(x)`` with ``dynamics._rk4``
+    at a fixed step, doubling the step count from 8 until two resolutions
+    agree within ``tol``; at ``max_steps`` without agreement it raises
+    ``ValueError``.  With ``lattice``, ``s`` and ``ball`` given, a state
+    outside the ball after any step raises ``ValueError``.  The result holds
+    the entries of ``values`` and every entry the flows made nonzero.
     """
-    seq = list(generators)
-    if not inverse:
-        seq = seq[::-1]
-    state = dict(values)
+    seq = list(generators) if inverse else list(generators)[::-1]
+    points = sorted({p for gen in seq for p in gen.packed.points} | {p for p, _ in values})
+    rank = {p: i for i, p in enumerate(points)}
+    entries = [(p, sign) for p in points for sign in (1, -1)]
+    x = np.array([values.get(e, 0j) for e in entries], dtype=complex)
+
+    def check(y: np.ndarray) -> None:
+        if ball is not None and lattice is not None and s is not None:
+            if sobolev_norm(dict(zip(entries, y.tolist())), lattice, s) > ball:
+                raise ValueError("flow exited the configured ball: smallness breach")
+
     for gen in seq:
         g = scale_form(gen, -1.0) if inverse else gen
-        state = _flow_time_one(g, state, tol=tol, lattice=lattice, s=s, ball=ball, max_steps=max_steps)
-    return state
-
-
-def _rk4_run(form: SymmetricForm, start: State, n_steps: int, lattice, s, ball) -> State:
-    u = dict(start)
-    dt = 1.0 / n_steps
-    for _ in range(n_steps):
-        k1 = vector_field(form, u)
-        u2 = _axpy(u, k1, 0.5 * dt)
-        k2 = vector_field(form, u2)
-        u3 = _axpy(u, k2, 0.5 * dt)
-        k3 = vector_field(form, u3)
-        u4 = _axpy(u, k3, dt)
-        k4 = vector_field(form, u4)
-        for entry in set(u) | set(k1) | set(k2) | set(k3) | set(k4):
-            u[entry] = u.get(entry, 0j) + (dt / 6.0) * (
-                k1.get(entry, 0j)
-                + 2.0 * k2.get(entry, 0j)
-                + 2.0 * k3.get(entry, 0j)
-                + k4.get(entry, 0j)
+        if len(g):
+            codes = g.packed.relabel(g.packed.codes, rank)
+            x = _flow_time_one(
+                lambda y: hamiltonian_field(codes, g.packed.values, y), x,
+                tol=tol, max_steps=max_steps, check=check,
             )
-        if ball is not None and lattice is not None and s is not None:
-            if sobolev_norm(u, lattice, s) > ball:
-                raise ValueError("flow exited the configured ball: smallness breach")
-    return u
+    return {e: v for e, v in zip(entries, x.tolist()) if v != 0 or e in values}
 
 
-def _axpy(u: State, v: State, a: float) -> State:
-    out = dict(u)
-    for entry, val in v.items():
-        out[entry] = out.get(entry, 0j) + a * val
-    return out
+def _flow_time_one(rhs, start: np.ndarray, *, tol, max_steps, check) -> np.ndarray:
+    """Time-1 flow of ``dx/dt = rhs(x)``; ``check`` sees the state after every step."""
 
+    def run(n_steps: int) -> np.ndarray:
+        x = start
+        for _ in range(n_steps):
+            x = _rk4(rhs, x, 1.0 / n_steps)
+            check(x)
+        return x
 
-def _state_distance(a: State, b: State) -> float:
-    keys = set(a) | set(b)
-    return math.sqrt(sum(abs(a.get(k, 0j) - b.get(k, 0j)) ** 2 for k in keys))
-
-
-def _flow_time_one(form, start, *, tol, lattice, s, ball, max_steps):
-    if not len(form):
-        return dict(start)
     n = 8
-    prev = _rk4_run(form, start, n, lattice, s, ball)
+    prev = run(n)
+    distance = math.inf
     while n < max_steps:
         n *= 2
-        cur = _rk4_run(form, start, n, lattice, s, ball)
-        if _state_distance(cur, prev) <= tol:
+        cur = run(n)
+        distance = float(np.linalg.norm(cur - prev))
+        if distance <= tol:
             return cur
         prev = cur
-    return prev
+    raise ValueError(
+        f"time-1 flow did not converge within max_steps={max_steps}: "
+        f"the last two resolutions differ by {distance:.3e} > tol={tol:g}"
+    )
 
 
 def normalform_manifest(result: NormalFormResult) -> dict:

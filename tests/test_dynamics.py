@@ -120,6 +120,22 @@ def test_beam_energy_and_extra_column():
     assert rec.meta["model"] == "beam"
 
 
+def test_free_beam_samples_without_a_transform(monkeypatch):
+    import latnf.dynamics
+
+    calls = []
+    field = latnf.dynamics._System.field
+
+    def counted(self, u):
+        calls.append(1)
+        return field(self, u)
+
+    monkeypatch.setattr(latnf.dynamics._System, "field", counted)
+    rec = integrate_beam(SimulationConfig(model="beam", radius=4.0, horizon=0.5, stride=5))
+    assert len(rec.times) > 2
+    assert not calls
+
+
 def test_beam_requires_beam_model():
     with pytest.raises(ValueError):
         integrate_beam(SimulationConfig(model="nls"))

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from latnf import (
     solve_homological,
     sobolev_norm,
     transform_state,
+    vector_field,
 )
 from latnf.cli import build_system, run_normalform
 from latnf.config import apply_overrides, load_config
@@ -293,6 +295,89 @@ def test_transform_state_ball_guard(certified_table, rng):
     norm = sobolev_norm(state, lattice, 4.0)
     with pytest.raises(ValueError, match="ball"):
         transform_state([gen], state, lattice=lattice, s=4.0, ball=0.5 * norm)
+
+
+def test_transform_state_raises_when_the_flow_does_not_converge(certified_table, rng):
+    gen = scale_form(random_form(certified_table.lattice, 4, n_terms=4, seed=27), 0.01)
+    state = {}
+    for p in certified_table.lattice.points:
+        z = 0.1 * complex(rng.standard_normal(), rng.standard_normal())
+        state[(p, 1)], state[(p, -1)] = z, z.conjugate()
+    with pytest.raises(ValueError, match=r"max_steps=32.*differ by \d"):
+        transform_state([gen], state, tol=0.0, max_steps=32)
+
+
+# --- the dict-state flow loop transform_state replaced, as its oracle --------
+
+
+def _axpy(u, v, a):
+    out = dict(u)
+    for entry, val in v.items():
+        out[entry] = out.get(entry, 0j) + a * val
+    return out
+
+
+def _state_distance(a, b):
+    keys = set(a) | set(b)
+    return math.sqrt(sum(abs(a.get(k, 0j) - b.get(k, 0j)) ** 2 for k in keys))
+
+
+def _rk4_run(form, start, n_steps):
+    u = dict(start)
+    dt = 1.0 / n_steps
+    for _ in range(n_steps):
+        k1 = vector_field(form, u)
+        k2 = vector_field(form, _axpy(u, k1, 0.5 * dt))
+        k3 = vector_field(form, _axpy(u, k2, 0.5 * dt))
+        k4 = vector_field(form, _axpy(u, k3, dt))
+        for entry in set(u) | set(k1) | set(k2) | set(k3) | set(k4):
+            u[entry] = u.get(entry, 0j) + (dt / 6.0) * (
+                k1.get(entry, 0j)
+                + 2.0 * k2.get(entry, 0j)
+                + 2.0 * k3.get(entry, 0j)
+                + k4.get(entry, 0j)
+            )
+    return u
+
+
+def _dict_transform(generators, values, *, inverse, tol):
+    seq = list(generators) if inverse else list(generators)[::-1]
+    state = dict(values)
+    for gen in seq:
+        form = scale_form(gen, -1.0) if inverse else gen
+        n = 8
+        prev = _rk4_run(form, state, n)
+        while True:
+            n *= 2
+            cur = _rk4_run(form, state, n)
+            if _state_distance(cur, prev) <= tol:
+                break
+            prev = cur
+        state = cur
+    return state
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("paired", [True, False])
+def test_transform_state_matches_the_dict_flow(inverse, paired):
+    lattice = enumerate_lattice(1, 6.0)
+    gens = [
+        scale_form(random_form(lattice, 4, n_terms=6, seed=31), 0.05),
+        scale_form(random_form(lattice, 3, n_terms=5, seed=32), 0.05),
+    ]
+    rng = np.random.default_rng(33)
+    state = {}
+    for p in lattice.points:
+        z = 0.2 * complex(rng.standard_normal(), rng.standard_normal())
+        state[(p, 1)], state[(p, -1)] = z, z.conjugate()
+    if not paired:
+        # unpaired values, missing entries and an entry no generator touches
+        state = {e: v * (1 + 0.5j) for i, (e, v) in enumerate(state.items()) if i % 3}
+        state[((9,), -1)] = 0.5 - 0.25j
+    got = transform_state(gens, state, inverse=inverse, tol=1e-12)
+    want = _dict_transform(gens, state, inverse=inverse, tol=1e-12)
+    assert got == want
+    assert len(got) > len(state) or paired
 
 
 def test_normal_form_failures_are_typed(

@@ -378,7 +378,7 @@ def test_commutation_brackets_each_degree_of_a_bucket():
 
 
 def test_kick_and_energy_match_the_form_kernels():
-    from latnf.dynamics import _PolyEnergy, _PolyKick
+    from latnf.dynamics import _PolyParts
 
     points = list(LINE.points)
     forms = [nls_quartic(LINE, -3.0), random_form(LINE, 3, 40, seed=21)]
@@ -391,8 +391,55 @@ def test_kick_and_energy_match_the_form_kernels():
     for f in forms:
         for entry, v in ref_vector_field(f, state).items():
             field[entry] = field.get(entry, 0j) + v
-    rhs = _PolyKick(forms, points)._rhs(u)
+    poly = _PolyParts(forms, {p: i for i, p in enumerate(points)})
+    rhs = poly.rhs(u)
     want = np.array([field.get((p, 1), 0j) for p in points])
     assert np.allclose(rhs, want, rtol=RTOL, atol=RTOL * np.abs(want).max())
-    energy = _PolyEnergy(forms, {p: i for i, p in enumerate(points)}).value(u)
+    energy = poly.energy(u)
     assert energy == pytest.approx(sum(evaluate(f, state) for f in forms).real, rel=RTOL)
+
+
+def dense_theta(forms, points, intensity):
+    """The action angles as the kick once computed them: a rows x points
+    exponent table, ``theta_a = sum_r e_ra c_r prod_b I_b^e_rb / I_a``."""
+    index = {p: i for i, p in enumerate(points)}
+    exps, coeffs = [], []
+    for f in forms:
+        codes = f.packed.relabel(f.packed.codes, index)
+        row, col = np.nonzero((codes & 1) == 0)
+        e = np.zeros((len(codes), len(points)), dtype=int)
+        np.add.at(e, (row, codes[row, col] >> 1), 1)
+        exps.append(e)
+        coeffs.append(f.packed.values.real)
+    exps, coeffs = np.concatenate(exps), np.concatenate(coeffs)
+    rows = np.prod(intensity[None, :] ** exps, axis=1)
+    safe = np.where(intensity > 0.0, intensity, 1.0)
+    return (exps.T @ (coeffs * rows)) / safe
+
+
+def test_action_angles_match_the_dense_exponent_formula():
+    from latnf.dynamics import _PolyParts
+
+    points = list(LINE.points)
+    rng = np.random.default_rng(23)
+    forms = []
+    for degree, n_rows in ((4, 30), (6, 40)):
+        acc = {}
+        for _ in range(n_rows):
+            chosen = rng.choice(len(points), size=degree // 2)
+            key = canonical_key([(points[i], s) for i in chosen.tolist() for s in (1, -1)])
+            acc[key] = acc.get(key, 0j) + rng.standard_normal()
+        forms.append(make_form(acc))
+    poly = _PolyParts(forms, {p: i for i, p in enumerate(points)})
+    assert poly.actions and not poly.flows
+    u = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
+    zero = 2
+    u[zero] = 0.0
+    assert any(zero in plus for plus, _ in poly.actions)
+    intensity = np.abs(u) ** 2
+    got, want = poly.theta(intensity), dense_theta(forms, points, intensity)
+    live = intensity > 0.0
+    assert np.abs(got - want)[live].max() <= 1e-14 * np.abs(want[live]).max()
+    # a mode without intensity has no phase to turn, whatever its angle
+    kicked = u * np.exp(-1j * 0.1 * got)
+    assert kicked[zero] == 0.0
