@@ -64,10 +64,14 @@ def main() -> int:
     n_failed = 0
     for order in args.orders:
         start = time.perf_counter()
-        cert = certify_nonresonance(
-            table, order, partition=bands, tau=args.tau,
-            budget=args.budget, seed=args.seed,
-        )
+        try:
+            cert = certify_nonresonance(
+                table, order, partition=bands, tau=args.tau,
+                budget=args.budget, seed=args.seed,
+            )
+        except ValueError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
         rate = cert.n_checked / max(time.perf_counter() - start, 1e-9)
         mode = "exhaustive" if cert.exhaustive else "sampled"
         verdict = "certified" if cert.passed else "FAILED"

@@ -15,19 +15,24 @@ whose minimum is compared against the requested threshold gamma.  The floor
 ``max(1, .)`` keeps multisets supported entirely on a zero mode from scoring
 zero by scale alone.
 
-The scan is one numpy kernel over blocks of ``BLOCK`` index rows into
-``extended_indexes``.  An exhaustive scan (multiset count within the budget)
-visits the rows in ``combinations_with_replacement`` order, expanding a table
-of non-decreasing index heads against the tail of a table of non-decreasing
-suffixes that starts at each head's last index.  Above the budget a seeded
-uniform sample of index draws is scanned, each row sorted into the tuple
-order of its signed modes, where ``(p, -1)`` precedes ``(p, +1)``.  Divisors
-add the signed frequencies column by column, left to right, as
-``small_divisor`` does, so each is bit-identical to it: float64 on float
-spectra, exact Python integers otherwise.  A row is resonant when its sorted
-signed band labels ``sigma * (band + 1)`` equal their reversed negation; only
-the rows of a block that beat a running minimum are tested.  The witnesses
-are the first minima in scan order.
+The scan is one numpy kernel over blocks of at most ``BLOCK`` rows of indexes
+into ``extended_indexes``, each row a head followed by a tail.  An exhaustive
+scan (multiset count within the budget) visits the rows in
+``combinations_with_replacement`` order: each non-decreasing head of
+``order // 2`` indexes is followed by the tails, non-decreasing rows of the
+remaining length, that start at the head's last index.  A head's partial
+divisor and the largest floor level of each head and tail are computed once
+per scan; a block adds each row's tail columns to its head's partial sum,
+and a head whose tails outrun a block is split across blocks.  Above the
+budget a seeded uniform sample of index draws is scanned, block by block,
+each row sorted into the tuple order of its signed modes, where ``(p, -1)``
+precedes ``(p, +1)``, and taken as a head with an empty tail.  Divisors add
+the signed frequencies column by column, left to right, as ``small_divisor``
+does, so each is bit-identical to it: float64 on float spectra, exact Python
+integers otherwise.  Only the rows of a block that beat a running minimum are
+built as full index rows and tested for resonance: a row is resonant when its
+sorted signed band labels ``sigma * (band + 1)`` equal their reversed
+negation.  The witnesses are the first minima in scan order.
 """
 
 from __future__ import annotations
@@ -45,8 +50,10 @@ from .clusters import ClusterPartition, block_index_map
 from .frequencies import SpectralMultiplier, SpectrumTable, frequency
 from .lattice import ExtIndex, Lattice, Point, extended_indexes, point_distance
 
-#: index rows per block of the certification scan; bounds its temporaries to
-#: a few block-sized arrays whatever the multiset count
+#: rows per block of the certification scan.  A block's temporaries are a few
+#: block-sized arrays whatever the multiset count: the exhaustive scan splits
+#: a head whose tails outrun a block across blocks, and the sampled scan draws
+#: its indexes block by block.
 BLOCK = 2048
 
 
@@ -181,33 +188,68 @@ def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
     return rows
 
 
-def _exhaustive_blocks(n: int, order: int):
-    """Blocks of ``BLOCK`` index rows in ``combinations_with_replacement`` order.
+def _exhaustive_scan(n: int, order: int):
+    """The exhaustive scan in ``combinations_with_replacement`` order.
 
-    Each non-decreasing head of ``order // 2`` indexes is followed by the
-    tail of the suffix table that starts at the head's last index; row ``r``
-    of the scan belongs to the first head whose cumulative row count exceeds
-    ``r``.
+    Returns one ``(heads, tails, blocks)`` part.  ``heads`` holds the
+    non-decreasing ``order // 2``-tuples over ``range(n)`` and ``tails`` the
+    non-decreasing rows of the remaining length, both in lexicographic order.
+    Each block is a pair ``(h, t)`` of at most ``BLOCK`` indexes, and the
+    scan's rows are ``heads[h] + tails[t]``: each head in turn, followed by
+    the contiguous run of tails that start at its last index.
     """
     heads = _nondecreasing_rows(n, order // 2)
     tails = _nondecreasing_rows(n, order - order // 2)
     last = heads[:, -1] if heads.shape[1] else np.zeros(1, dtype=np.intp)
-    ends = np.cumsum(len(tails) - np.searchsorted(tails[:, 0], last))
+    counts = len(tails) - np.searchsorted(tails[:, 0], last)
+    ends = np.cumsum(counts)
+    return [(heads, tails, _head_blocks(ends - counts, ends, len(tails)))]
+
+
+def _head_blocks(starts: np.ndarray, ends: np.ndarray, n_tails: int):
+    """Blocks ``(h, t)`` over scan rows, head ``j`` owning rows ``starts[j]:ends[j]``.
+
+    The rows of head ``j`` run over its last ``ends[j] - starts[j]`` tails;
+    a head's rows may be split across blocks.
+    """
     total = int(ends[-1])
     for lo in range(0, total, BLOCK):
-        r = np.arange(lo, min(lo + BLOCK, total))
-        h = np.searchsorted(ends, r, side="right")
-        yield np.hstack([heads[h], tails[r - ends[h] + len(tails)]])
+        hi = min(lo + BLOCK, total)
+        a = int(np.searchsorted(ends, lo, side="right"))
+        b = int(np.searchsorted(ends, hi - 1, side="right")) + 1
+        size = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
+        h = np.repeat(np.arange(a, b), size)
+        # row r of head j is tail r - ends[j] + n_tails
+        t = np.arange(lo, hi) + np.repeat(n_tails - ends[a:b], size)
+        yield h, t
 
 
-def _sampled_blocks(ext: Sequence[ExtIndex], order: int, samples: int, seed):
-    """Blocks of seeded uniform index draws, each row in the tuple order of ``ext``."""
-    draws = np.random.default_rng(seed).integers(0, len(ext), size=(samples, order))
+def _sampled_scan(ext: Sequence[ExtIndex], order: int, samples: int, seed):
+    """Seeded uniform index draws, one ``(heads, tails, blocks)`` part per block.
+
+    Each block draws at most ``BLOCK`` rows, sorts each into the tuple order
+    of ``ext`` and takes the rows as heads with one empty tail.
+    """
+    rng = np.random.default_rng(seed)
     by_rank = np.asarray(sorted(range(len(ext)), key=ext.__getitem__), dtype=np.intp)
     rank = np.empty_like(by_rank)
     rank[by_rank] = np.arange(len(ext))
+    empty = np.zeros((1, 0), dtype=np.intp)
     for lo in range(0, samples, BLOCK):
-        yield by_rank[np.sort(rank[draws[lo : lo + BLOCK]], axis=1)]
+        m = min(BLOCK, samples - lo)
+        draws = rng.integers(0, len(ext), size=(m, order))
+        heads = by_rank[np.sort(rank[draws], axis=1)]
+        yield heads, empty, [(np.arange(m), np.zeros(m, dtype=np.intp))]
+
+
+def _partial_sums(omega: np.ndarray, rows: np.ndarray):
+    """Divisor of each row's columns added left to right; ``None`` without columns."""
+    if not rows.shape[1]:
+        return None
+    div = omega[rows[:, 0]]
+    for col in rows.T[1:]:
+        div = div + omega[col]
+    return div
 
 
 def _signed_bands(table: SpectrumTable, partition: BandPartition, ext) -> np.ndarray:
@@ -269,21 +311,32 @@ def certify_nonresonance(
     """Scan order-``order`` multisets off the resonant set for small divisors.
 
     ``tau`` defaults to ``dim * order + 2``; ``gamma`` defaults to 0.9 times
-    the measured minimum (certifying exactly what was observed).  The scan
-    is exhaustive when the multiset count fits the budget, in
+    the measured minimum (certifying exactly what was observed), and an
+    explicit ``gamma`` must be positive.  The scan is exhaustive when the
+    multiset count fits the ``budget`` (at least 0), in
     ``combinations_with_replacement`` order over ``extended_indexes``;
-    otherwise ``samples`` seeded uniform index draws are scanned, each sorted
-    into the tuple order of its signed modes.  Either way the rows go through
-    one numpy kernel in blocks of ``BLOCK``.  Divisors add the signed
-    frequencies left to right, as ``small_divisor`` does, and are
+    otherwise ``samples`` (at least 1) seeded uniform index draws are
+    scanned, each sorted into the tuple order of its signed modes.  Either
+    way one numpy kernel scans blocks of at most ``BLOCK`` rows, each a head
+    followed by a tail: the exhaustive scan splits a row into its first
+    ``order // 2`` indexes and the rest, and computes each head's partial
+    divisor once; a sampled row is a head with an empty tail.  Divisors add
+    the signed frequencies left to right, as ``small_divisor`` does, and are
     bit-identical to it: exact Python integers on integer spectra
     (``min_divisor`` and ``witness_divisor`` are then ``int``), float64
-    otherwise.  The witnesses are the first minima in scan order.  A zero
-    minimum score is an exact off-set resonance and can never pass, whatever
-    the threshold.
+    otherwise.  Full index rows are built only for the rows that beat a
+    running minimum, which are then tested for resonance.  The witnesses are
+    the first minima in scan order.  A zero minimum score is an exact off-set
+    resonance and can never pass, whatever the threshold.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
+    if gamma is not None and not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if partition is None:
         from .bands import band_partition
 
@@ -295,38 +348,49 @@ def certify_nonresonance(
     count = math.comb(len(ext) + order - 1, order)
     exhaustive = count <= budget
     if exhaustive:
-        blocks, n_checked = _exhaustive_blocks(len(ext), order), count
+        parts, n_checked = _exhaustive_scan(len(ext), order), count
     else:
-        blocks, n_checked = _sampled_blocks(ext, order, samples, seed), samples
+        parts, n_checked = _sampled_scan(ext, order, samples, seed), samples
 
     omega = _signed_omegas(table, ext)
     floors = [max(1.0, table.norm(p)) for p, _ in ext]
     levels = sorted(set(floors))
     scale = np.asarray([v**tau for v in levels])
-    level = np.searchsorted(levels, floors)
+    # the narrowest dtype that holds every level index keeps the per-head and
+    # per-tail level tables, and their per-block gathers, small
+    level = np.searchsorted(levels, floors).astype(np.min_scalar_type(len(levels)))
     signed_bands = _signed_bands(table, partition, ext)
 
     min_score = min_div = math.inf
     witness = div_witness = witness_div = None
-    for rows in blocks:
-        div = omega[rows[:, 0]]
-        for col in rows.T[1:]:
-            div = div + omega[col]
-        div = np.abs(div)
-        score = div * scale[level[rows].max(axis=1)]
-        # only rows that beat a running minimum can change the result, so
-        # only those are tested for resonance
-        keep = (div < min_div) | (score < min_score)
-        keep[keep] = ~_resonant(signed_bands, rows[keep])
-        if not keep.any():
-            continue
-        rows, div, score = rows[keep], div[keep], score[keep]
-        i = int(np.argmin(div))
-        if div[i] < min_div:
-            min_div, div_witness = div[i], rows[i]
-        i = int(np.argmin(score))
-        if score[i] < min_score:
-            min_score, witness, witness_div = score[i], rows[i], div[i]
+    for heads, tails, blocks in parts:
+        head_div = _partial_sums(omega, heads)
+        head_lvl = level[heads].max(axis=1, initial=0)
+        tail_omega = omega[tails.T]
+        tail_lvl = level[tails].max(axis=1, initial=0)
+        for h, t in blocks:
+            columns = iter(tail_omega)
+            div = next(columns)[t] if head_div is None else head_div[h]
+            for col in columns:
+                div = div + col[t]
+            div = np.abs(div)
+            score = div * scale[np.maximum(head_lvl[h], tail_lvl[t])]
+            # only rows that beat a running minimum can change the result, so
+            # only those are built and tested for resonance
+            cand = np.flatnonzero((div < min_div) | (score < min_score))
+            if not len(cand):
+                continue
+            rows = np.hstack([heads[h[cand]], tails[t[cand]]])
+            off = ~_resonant(signed_bands, rows)
+            if not off.any():
+                continue
+            rows, div, score = rows[off], div[cand[off]], score[cand[off]]
+            i = int(np.argmin(div))
+            if div[i] < min_div:
+                min_div, div_witness = div[i], rows[i]
+            i = int(np.argmin(score))
+            if score[i] < min_score:
+                min_score, witness, witness_div = score[i], rows[i], div[i]
     if witness is None:
         raise ValueError("no multiset off the resonant set was scanned")
 

@@ -30,6 +30,7 @@ from latnf import (
 )
 from latnf.frequencies import TableModel
 from latnf.resonance import resonant_mask
+from conftest import FROZEN_POTENTIAL
 
 
 def loop_certificate(table, order, partition, *, tau=None, budget=1_000_000,
@@ -72,15 +73,27 @@ def loop_certificate(table, order, partition, *, tau=None, budget=1_000_000,
     }
 
 
-def assert_same_certificate(table, order, **kwargs):
-    bands = band_partition(table)
-    cert = certify_nonresonance(table, order, partition=bands, **kwargs)
-    want = loop_certificate(table, order, bands, **kwargs)
+def assert_fields(cert, want):
     for field, value in want.items():
         got = getattr(cert, field)
         assert type(got) is type(value), field
         assert got == value, field
+
+
+def assert_same_certificate(table, order, **kwargs):
+    bands = band_partition(table)
+    cert = certify_nonresonance(table, order, partition=bands, **kwargs)
+    assert_fields(cert, loop_certificate(table, order, bands, **kwargs))
     return cert
+
+
+def exhaustive_rows(n, order):
+    """The exhaustive scan's blocks as full index rows, rebuilt from its
+    head and tail indexes."""
+    for heads, tails, blocks in latnf.resonance._exhaustive_scan(n, order):
+        for h, t in blocks:
+            assert len(h) == len(t)
+            yield np.hstack([heads[h], tails[t]])
 
 
 @pytest.fixture(scope="module")
@@ -97,18 +110,60 @@ def offset_table():
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_exhaustive_blocks_follow_combinations_order(monkeypatch, n, order, block):
     monkeypatch.setattr(latnf.resonance, "BLOCK", block)
-    rows = np.vstack(list(latnf.resonance._exhaustive_blocks(n, order)))
+    blocks = list(exhaustive_rows(n, order))
+    rows = np.vstack(blocks)
     assert rows.tolist() == [list(c) for c in combinations_with_replacement(range(n), order)]
-    assert all(len(b) <= block for b in latnf.resonance._exhaustive_blocks(n, order))
+    assert all(len(b) <= block for b in blocks)
 
 
 @pytest.mark.parametrize("order", [3, 4])
 def test_resonant_mask_matches_scalar_on_every_row(certified_table, certified_bands, order):
     ext = extended_indexes(certified_table.lattice)
-    rows = np.vstack(list(latnf.resonance._exhaustive_blocks(len(ext), order)))
+    rows = np.vstack(list(exhaustive_rows(len(ext), order)))
     want = [is_resonant_W(tuple(ext[i] for i in row), certified_table, certified_bands)
             for row in rows]
     assert resonant_mask(certified_table, certified_bands, rows).tolist() == want
+
+
+@pytest.fixture(scope="module")
+def small_tables():
+    """Seven-mode float and exact lines and a five-mode 2-D offset table."""
+    line = enumerate_lattice(1, 3.0)
+    potential = {p: FROZEN_POTENTIAL[p] for p in line.points}
+    return {
+        "float-line": build_spectrum(
+            line, SpectralMultiplier(base=TorusLaplacian(), potential=potential)
+        ),
+        "exact-line": build_spectrum(line, TorusLaplacian()),
+        "offset-2d": build_spectrum(enumerate_lattice(2, 1.2, (0.3, 0.1)), TorusLaplacian()),
+    }
+
+
+@pytest.mark.parametrize("name", ["float-line", "exact-line", "offset-2d"])
+@pytest.mark.parametrize("order", [1, 6])
+def test_head_tail_split_matches_the_loop(monkeypatch, small_tables, name, order):
+    # Order 6 scans 3-column heads, order 1 none; blocks of 1 and 3 rows split
+    # every head's tails across blocks, 64 splits the long ones.
+    table = small_tables[name]
+    ext = extended_indexes(table.lattice)
+    exact = latnf.resonance._signed_omegas(table, ext).dtype == object
+    assert exact == (name == "exact-line")
+    bands = band_partition(table)
+    want = loop_certificate(table, order, bands)
+    assert want["exhaustive"]
+    for block in (1, 3, 64):
+        monkeypatch.setattr(latnf.resonance, "BLOCK", block)
+        assert_fields(certify_nonresonance(table, order, partition=bands), want)
+
+
+@pytest.mark.parametrize(
+    "kwargs,name",
+    [({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"),
+     ({"budget": -1}, "budget"), ({"samples": 0}, "samples")],
+)
+def test_meaningless_arguments_are_refused(certified_table, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        certify_nonresonance(certified_table, 3, **kwargs)
 
 
 @pytest.mark.parametrize("order", [3, 4])

@@ -279,6 +279,24 @@ def test_cli_resonances_certifies_multiplier_system(tmp_path, capsys):
     assert cert["min_score"] == pytest.approx(0.049593687673059494)
 
 
+@pytest.mark.parametrize(
+    "setting,message",
+    [("resonance.gamma=-1", "gamma must be positive"),
+     ("resonance.gamma=0", "gamma must be positive"),
+     ("resonance.budget=-5", "budget must be >= 0")],
+)
+def test_cli_resonances_meaningless_arguments_are_usage_errors(
+    tmp_path, capsys, setting, message
+):
+    out = tmp_path / "rz"
+    argv = ["resonances", "--config", CERTIFIED_CONFIG, "--set", setting, "--out-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "resonances:" not in captured.out
+    assert not (out / "certificate.json").exists()
+
+
 def test_cli_resonances_fails_on_flat_torus(tmp_path, capsys):
     # Without a potential the zero mode collapses an order-3 divisor to 0.
     code = main(["resonances", "--out-dir", str(tmp_path / "flat")])
@@ -426,6 +444,13 @@ def test_cli_normalform_nonpositive_gamma_is_a_usage_error(tmp_path, capsys, gam
     assert _normalform(tmp_path, f"normalform.gamma={gamma}") == 2
     captured = capsys.readouterr()
     assert "gamma must be positive" in captured.err
+    assert "FAIL" not in captured.out
+
+
+def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):
+    assert _normalform(tmp_path, "normalform.cert_budget=-1") == 2
+    captured = capsys.readouterr()
+    assert "budget must be >= 0" in captured.err
     assert "FAIL" not in captured.out
 
 

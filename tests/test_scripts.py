@@ -143,6 +143,12 @@ def test_resonance_scan_at_order_3(flat, code):
     assert ("certified" in proc.stdout) != flat
 
 
+def test_resonance_scan_rejects_a_negative_budget():
+    proc = _run("resonance_scan.py", "--orders", 3, "--budget", -5)
+    assert proc.returncode == 2
+    assert proc.stderr == "usage error: budget must be >= 0, got -5\n"
+
+
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
 def test_scripts_import_no_private_latnf_name(path):
     tree = ast.parse(path.read_text(), filename=str(path))
