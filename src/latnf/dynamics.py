@@ -39,6 +39,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+# numpy's pocketfft gufuncs, the kernels under ``np.fft.ifft``/``fft``
+# (numpy >= 2.0).  ``_System`` calls them directly because the public
+# wrappers cost about three times the 36-point transform itself on every
+# step; tests/test_dynamics.py::test_grid_transforms_are_numpys_bit_for_bit
+# fails if a numpy release changes them.
+from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
+
 from .bands import BandPartition, band_map, band_partition
 from .clusters import ClusterPartition, build_clusters
 from .forms import SymmetricForm, gradient, hamiltonian_field, monomials
@@ -306,8 +313,8 @@ class _Grid:
         self.dim = dim
         self.size = size
         self.shape = (size,) * dim
-        # fftn's order: the last axis first
-        self.axes = tuple(range(-1, -dim - 1, -1))
+        # fftn's order, the last axis first, as gufunc ``axes`` (input, factor, output)
+        self.axes = [[(a,), (), (a,)] for a in range(dim - 1, -1, -1)]
         axis = np.rint(np.fft.fftfreq(size) * size).astype(int)
         mats = np.meshgrid(*([axis] * dim), indexing="ij")
         self.freqs = np.stack([m.reshape(-1) for m in mats], axis=1)
@@ -355,11 +362,13 @@ class _System:
     grid points.
 
     ``field`` and ``spectrum`` are the one transform pair of every grid
-    integrator.  They run the 1-D ``ifft``/``fft`` once per axis, last axis
-    first: the loop ``ifftn``/``fftn`` run inside, so the results are theirs
-    bit for bit, without the n-D wrapper's cost on every call of a step.
-    Both scale their fresh output in place and never write into their
-    argument, which may be the live state of a monitor sample.
+    integrator.  They call the 1-D pocketfft kernels once per axis, last
+    axis first, with the factors ``np.fft.ifft``/``fft`` pass for the default
+    norm (``1/size`` and ``1``): the loop ``ifftn``/``fftn`` run, so the
+    results are theirs bit for bit, without the wrappers' argument handling
+    on every call of a step.  Each transform writes a fresh array; both scale
+    it in place and never write into their argument, which may be the live
+    state of a monitor sample.
     """
 
     lattice: Lattice
@@ -374,17 +383,18 @@ class _System:
 
     def field(self, u: np.ndarray) -> np.ndarray:
         """Physical-space field of the spectral state ``u``."""
-        psi = u.reshape(self.grid.shape)
-        for axis in self.grid.axes:
-            psi = np.fft.ifft(psi, axis=axis)
+        shape, fct = self.grid.shape, 1 / self.grid.size
+        psi = u.reshape(shape)
+        for axes in self.grid.axes:
+            psi = _ifft(psi, fct, axes=axes, out=np.empty(shape, complex))
         psi *= self.npts
         return psi
 
     def spectrum(self, psi: np.ndarray) -> np.ndarray:
         """Spectral state of the physical-space field ``psi``."""
-        u = psi
-        for axis in self.grid.axes:
-            u = np.fft.fft(u, axis=axis)
+        u, shape = psi, self.grid.shape
+        for axes in self.grid.axes:
+            u = _fft(u, 1, axes=axes, out=np.empty(shape, complex))
         u = u.reshape(-1)
         u /= self.npts
         return u
@@ -681,9 +691,10 @@ def _both_signs(u: np.ndarray) -> np.ndarray:
 class _PolyParts:
     """The parts of a polynomial Hamiltonian as code rows on the lattice.
 
-    Each part's packed codes are renumbered to the lattice ``index`` once;
-    the rows then act on the both-signs state of a one-sided ``u``.  ``energy``
-    sums every part.  Action parts turn each mode by the angle
+    Each part's packed codes are renumbered to the lattice ``index`` once
+    and stored as ``intp``, so no step converts them again; the rows then
+    act on the both-signs state of a one-sided ``u``.  ``energy`` sums every
+    part.  Action parts turn each mode by the angle
     ``theta = dP/dI``, the gradient of their ``+`` halves over the
     intensities ``|u|^2``; the others make ``rhs``, the ``+`` half of their
     Hamiltonian field.
@@ -691,7 +702,10 @@ class _PolyParts:
 
     def __init__(self, forms: Sequence[SymmetricForm], index: Dict[Point, int]):
         self.size = len(index)
-        self.rows = [(f.packed.relabel(f.packed.codes, index), f.packed.values) for f in forms]
+        self.rows = [
+            (f.packed.relabel(f.packed.codes, index).astype(np.intp), f.packed.values)
+            for f in forms
+        ]
         self.actions: List[Tuple[np.ndarray, np.ndarray]] = []
         self.flows: List[Tuple[np.ndarray, np.ndarray]] = []
         for f, (codes, c) in zip(forms, self.rows):

@@ -372,23 +372,26 @@ def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> n
     blocks of rows: with ``P_j`` the coefficient times the columns before
     ``j`` and ``S_j`` the product of the columns after it, column ``j``
     contributes ``P_j S_j`` to its code, so a run of ``m`` equal codes
-    contributes ``m`` times the reduced monomial.
+    contributes ``m`` times the reduced monomial.  Each column's
+    contributions are summed per code in row order by one ``np.add.at``
+    into a fresh zero array, which is then added to the result.  Codes are
+    gathered and scattered as ``intp``, converted one column at a time
+    (``intp`` codes are used as they are).
     """
-    re, im = np.zeros(size), np.zeros(size)
+    out = np.zeros(size, dtype=complex)
     for a in range(0, len(coef), BLOCK):
         block = codes[a : a + BLOCK]
-        cols = [x[col] for col in block.T]
+        cols = [x[col.astype(np.intp, copy=False)] for col in block.T]
         prefix = [coef[a : a + BLOCK]]
         for col in cols[:-1]:
             prefix.append(prefix[-1] * col)
         suffix = None
         for j in range(len(cols) - 1, -1, -1):
             part = prefix[j] if suffix is None else prefix[j] * suffix
-            re += np.bincount(block[:, j], part.real, size)
-            im += np.bincount(block[:, j], part.imag, size)
+            acc = np.zeros(size, part.dtype)
+            np.add.at(acc, block[:, j].astype(np.intp, copy=False), part)
+            out += acc
             suffix = cols[j] if suffix is None else suffix * cols[j]
-    out = np.empty(size, dtype=complex)
-    out.real, out.imag = re, im
     return out
 
 

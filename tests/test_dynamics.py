@@ -136,6 +136,42 @@ def test_free_beam_samples_without_a_transform(monkeypatch):
     assert not calls
 
 
+# The grid transforms call numpy's pocketfft gufuncs directly; a numpy
+# release that changes them must fail here, not move trajectories silently.
+# The grids: the 36-point line of the radius-8 system, lines of 15, 25 and
+# 45 points, and the 20 x 20 skew torus.
+GRID_SYSTEMS = [
+    (dict(radius=8.0), 4, (36,)),
+    (dict(radius=3.0), 4, (15,)),
+    (dict(radius=6.0), 4, (25,)),
+    (dict(radius=11.0), 4, (45,)),
+    (dict(dim=2, radius=3.0, gram=((1.0, 0.3), (0.3, 1.4))), 6, (20, 20)),
+]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("fields, alias, shape", GRID_SYSTEMS)
+def test_grid_transforms_are_numpys_bit_for_bit(fields, alias, shape):
+    from latnf.dynamics import _system
+
+    system = _system(SimulationConfig(**fields), alias)
+    assert system.grid.shape == shape and system.npts == math.prod(shape)
+    rng = np.random.default_rng(41)
+    u = rng.standard_normal(system.npts) + 1j * rng.standard_normal(system.npts)
+    kept = u.copy()
+    assert_same_bits(system.field(u), np.fft.ifftn(u.reshape(shape)) * system.npts)
+    assert_same_bits(u, kept)
+    # complex fields, and real ones as the beam's force kick passes them
+    for psi in (u.reshape(shape) * 0.5 + 0.25j, u.real.reshape(shape)):
+        kept = psi.copy()
+        assert_same_bits(system.spectrum(psi), np.fft.fftn(psi).reshape(-1) / system.npts)
+        assert_same_bits(psi, kept)
+
+
 def test_beam_requires_beam_model():
     with pytest.raises(ValueError):
         integrate_beam(SimulationConfig(model="nls"))

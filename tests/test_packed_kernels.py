@@ -5,7 +5,8 @@ the localized norms, the vector field, the sum and the conjugate, kept
 verbatim as oracles.  Key sets must agree exactly; coefficients and norms
 agree to 1e-12 relative, the room a different summation order needs.  The
 sum and the conjugate keep the summation order, so they agree bit for bit,
-in the same key order.
+in the same key order.  So does ``forms.gradient`` against the ``bincount``
+loop it replaced (``ref_gradient``).
 """
 
 import gc
@@ -443,3 +444,49 @@ def test_action_angles_match_the_dense_exponent_formula():
     # a mode without intensity has no phase to turn, whatever its angle
     kicked = u * np.exp(-1j * 0.1 * got)
     assert kicked[zero] == 0.0
+
+
+def ref_gradient(codes, coef, x, size):
+    """``forms.gradient`` as it summed each column: two float ``bincount``
+    calls per column and block, assembled into a complex array at the end."""
+    re, im = np.zeros(size), np.zeros(size)
+    for a in range(0, len(coef), latnf.forms.BLOCK):
+        block = codes[a : a + latnf.forms.BLOCK]
+        cols = [x[col] for col in block.T]
+        prefix = [coef[a : a + latnf.forms.BLOCK]]
+        for col in cols[:-1]:
+            prefix.append(prefix[-1] * col)
+        suffix = None
+        for j in range(len(cols) - 1, -1, -1):
+            part = prefix[j] if suffix is None else prefix[j] * suffix
+            re += np.bincount(block[:, j], part.real, size)
+            im += np.bincount(block[:, j], part.imag, size)
+            suffix = cols[j] if suffix is None else suffix * cols[j]
+    out = np.empty(size, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def gradient_cases(rng, size=23):
+    """Ascending code rows of degrees 1-6 with repeated codes, complex and real."""
+    for degree in range(1, 7):
+        for n_rows in (0, 1, 40, 300):
+            codes = np.sort(rng.integers(0, size, (n_rows, degree)), axis=1)
+            x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            coef = rng.standard_normal(n_rows) + 1j * rng.standard_normal(n_rows)
+            yield codes, coef, x, size
+            # the action angles: real coefficients at real intensities
+            yield codes, coef.real.copy(), np.abs(x) ** 2, size
+
+
+@pytest.mark.parametrize("block", [None, 7])
+@pytest.mark.parametrize("dtype", [np.int32, np.intp])
+def test_gradient_matches_the_bincount_loop_bit_for_bit(monkeypatch, block, dtype):
+    if block is not None:
+        monkeypatch.setattr(latnf.forms, "BLOCK", block)
+    for codes, coef, x, size in gradient_cases(np.random.default_rng(31)):
+        codes = codes.astype(dtype)
+        got = latnf.forms.gradient(codes, coef, x, size)
+        want = ref_gradient(codes, coef, x, size)
+        assert got.dtype == want.dtype and got.shape == (size,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
