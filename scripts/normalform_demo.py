@@ -73,7 +73,7 @@ def main() -> int:
     )
     census = {name: result.bucket(name).n_terms() for name in ("Z0", "ZB", "Z2", "ZGE3")}
     print("  bucket terms:", ", ".join(f"{k}={v}" for k, v in census.items()))
-    print(f"  generators: {[len(g.coeffs) for g in result.generators]} keys per step")
+    print(f"  generators: {[len(g) for g in result.generators]} keys per step")
     for entry in result.ledger:
         print(
             f"  dropped: step {entry.step}, source degree {entry.source_degree}, "

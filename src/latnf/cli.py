@@ -529,10 +529,8 @@ def cmd_verify(cfg, args) -> int:
     acc = poisson_bracket(fa, poisson_bracket(fb, fc, tol=0.0), tol=0.0)
     acc = add_forms(acc, poisson_bracket(fb, poisson_bracket(fc, fa, tol=0.0), tol=0.0), tol=0.0)
     acc = add_forms(acc, poisson_bracket(fc, poisson_bracket(fa, fb, tol=0.0), tol=0.0), tol=0.0)
-    scale = max(
-        (abs(c) for f in (fa, fb, fc) for c in f.coeffs.values()), default=1.0
-    )
-    jac = max((abs(c) for c in acc.coeffs.values()), default=0.0) / scale**3
+    scale = max((abs(c) for f in (fa, fb, fc) for c in f.values.tolist()), default=1.0)
+    jac = max((abs(c) for c in acc.values.tolist()), default=0.0) / scale**3
     checks.append(("Jacobi identity", jac <= 1e-10, f"relative residual {jac:.3g}"))
 
     # a short run of the trajectory ``simulate`` would integrate

@@ -179,7 +179,6 @@ _SCHEMA = {
         "r": (_as_int, 1),
         "radius": (_as_float, 0.01),
         "s": (_as_float, 4.0),
-        "s0": (_as_float, 3.0),
         "cutoff": (_as_opt_float, None),
         "gamma": (_as_opt_float, None),
         "tau": (_as_opt_float, None),

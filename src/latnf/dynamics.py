@@ -13,9 +13,10 @@ The step maps are:
 * Schrödinger models (``integrate_nls``): Strang splitting on the Fourier
   coefficients of the field on a full FFT grid, with the linear phase
   exact in spectral space and the nonlinear phase exact in physical space;
-  ``rk4_reference`` steps the same spectral system with classic RK4.  The
-  grid is sized so products of truncation-supported fields are alias-free
-  and the discrete energy functional is exact on the truncation.
+  with ``integrator="rk4_reference"`` it steps the same spectral system
+  with classic RK4 instead.  The grid is sized so products of
+  truncation-supported fields are alias-free and the discrete energy
+  functional is exact on the truncation.
 * The beam equation (``integrate_beam``): kick-phase-kick splitting of the
   complexified field pair, with both pieces exact.
 * Polynomial normal forms (``integrate_normal_form``): Strang splitting in
@@ -25,7 +26,7 @@ The step maps are:
   the nonlinear step is an exact phase rotation, making the scheme exact up
   to rounding; other parts take RK4 substeps.
 
-RK4 is one function, ``_rk4``, for the reference integrator, the
+RK4 is one function, ``_rk4``, for the ``rk4_reference`` steps, the
 normal-form substeps and the time-1 generator flows of
 ``normalform.transform_state`` alike.
 """
@@ -455,8 +456,13 @@ def _time_step(config: SimulationConfig, omega: np.ndarray) -> Tuple[float, int]
     return dt, max(1, round(config.horizon / dt))
 
 
-def _nls(config: SimulationConfig, integrator: str) -> TrajectoryRecord:
-    """Trajectory of the Schrödinger model under ``integrator``."""
+def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
+    """Trajectory of the Schrödinger model under ``config.integrator``.
+
+    ``strang_splitting`` is the split-step scheme; ``rk4_reference`` steps
+    the same spectral system with classic RK4.
+    """
+    integrator = config.integrator
     if config.model != "nls":
         raise ValueError("the Schrödinger integrators need model='nls'")
     system = _system(config, 2 * int(max(config.nonlinearity, default=0)) + 2)
@@ -532,19 +538,6 @@ def _nls(config: SimulationConfig, integrator: str) -> TrajectoryRecord:
         u, step, monitor, dt=dt, n_steps=n_steps, stride=config.stride,
         meta=system.meta(config, integrator),
     )
-
-
-def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
-    """Strang split-step trajectory of the Schrödinger model.
-
-    With ``integrator='rk4_reference'`` this is ``rk4_reference``.
-    """
-    return _nls(config, config.integrator)
-
-
-def rk4_reference(config: SimulationConfig) -> TrajectoryRecord:
-    """Classic fourth-order reference integrator for the same spectral system."""
-    return _nls(config, "rk4_reference")
 
 
 def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
@@ -667,7 +660,7 @@ def superactions(
 
 def is_action_form(form: SymmetricForm) -> bool:
     """Whether every monomial is a product of mode actions |u_a|^2."""
-    codes = form.packed.codes
+    codes = form.codes
     degree = codes.shape[1]
     if degree % 2:
         return not len(codes)
@@ -691,7 +684,7 @@ def _both_signs(u: np.ndarray) -> np.ndarray:
 class _PolyParts:
     """The parts of a polynomial Hamiltonian as code rows on the lattice.
 
-    Each part's packed codes are renumbered to the lattice ``index`` once
+    Each part's codes are renumbered to the lattice ``index`` once
     and stored as ``intp``, so no step converts them again; the rows then
     act on the both-signs state of a one-sided ``u``.  ``energy`` sums every
     part.  Action parts turn each mode by the angle
@@ -703,7 +696,7 @@ class _PolyParts:
     def __init__(self, forms: Sequence[SymmetricForm], index: Dict[Point, int]):
         self.size = len(index)
         self.rows = [
-            (f.packed.relabel(f.packed.codes, index).astype(np.intp), f.packed.values)
+            (f.relabel(f.codes, index).astype(np.intp), f.values)
             for f in forms
         ]
         self.actions: List[Tuple[np.ndarray, np.ndarray]] = []

@@ -18,6 +18,7 @@ from .forms import (
     Key,
     State,
     SymmetricForm,
+    leading_points,
     localized_norm,
     mu_S,
     polarized_vector_field,
@@ -91,7 +92,7 @@ def verify_tame(
     r = form.degree - 1
     rng = np.random.default_rng(seed)
     lattice = table.lattice
-    support = sorted({p for key in form.coeffs for p, _ in key})
+    support = form.points
     best = 0.0
     for trial in range(trials):
         if trial % 2:
@@ -214,15 +215,10 @@ def separation_cutoff_bound(
     threshold = cutoff**delta
 
     support_ok = True
-    for key in form.coeffs:
-        from .resonance import ordering_permutation
-
-        order = ordering_permutation(table, key)
-        if len(key) >= 2:
-            p1, p2 = key[order[0]][0], key[order[1]][0]
-            if point_distance(p1, p2) <= threshold:
-                support_ok = False
-                break
+    if form.degree >= 2:
+        _, lead = leading_points(form, table)
+        pairs = set(map(tuple, lead[:, :2].tolist()))
+        support_ok = all(point_distance(form.points[a], form.points[b]) > threshold for a, b in pairs)
 
     lhs = localized_norm(form, table, nu=nu + shift, smoothing=smoothing, zero_mode=zero_mode)
     rhs = localized_norm(form, table, nu=nu, smoothing=smoothing_high, zero_mode=zero_mode) / cutoff ** (delta * shift)
@@ -274,7 +270,7 @@ def high_order_decay(
             raise ValueError(f"cutoff {cutoff} leaves too few high modes")
         entries = [(p, 1 if i % 2 == 0 else -1) for i, p in enumerate(highs)]
         entries += [(p, -1) for p in lows]
-        form = SymmetricForm(degree=degree, coeffs={tuple(sorted(entries, key=lambda e: (e[0], -e[1]))): 1.0 + 0j})
+        form = SymmetricForm.from_dict(degree, {tuple(sorted(entries, key=lambda e: (e[0], -e[1]))): 1.0 + 0j})
 
         best = 0.0
         support = {e for e in entries} | {(p, -sgn) for p, sgn in entries}

@@ -5,16 +5,16 @@ A homogeneous form of degree N is a sparse sum over canonical multiset keys
 ``F(u) = sum_M c_M prod_{A in M} u_A``.  The associated symmetric multilinear
 form divides each monomial by its multinomial multiplicity.
 
-A form is stored as one packed view (``SymmetricForm.packed``).  The view
-numbers the form's distinct points by their position (rank) in the sorted
-point list and encodes each signed entry as ``code = 2*rank + (sign < 0)``;
-ascending codes are then the canonical key order (point lex, ``+`` before
-``-``).  It holds ``codes: int32[n, degree]`` (each row ascending, one row
-per key), ``values: complex128[n]`` and the point list.  Every operation on
-forms runs on these arrays.  ``SymmetricForm(degree, coeffs)`` and
-``make_form`` pack a dict of keys; ``SymmetricForm.coeffs`` is a read-only
-dict of the rows, in row order, built only when something reads it (the
-JSONL writer, the estimates and the tests).  Forms are immutable once built.
+A form is stored as code rows.  It numbers its distinct points by their
+position (rank) in the sorted point list and encodes each signed entry as
+``code = 2*rank + (sign < 0)``; ascending codes are then the canonical key
+order (point lex, ``+`` before ``-``).  ``SymmetricForm`` holds
+``codes: int32[n, degree]`` (each row ascending, one row per key),
+``values: complex128[n]`` and the point list.  Every operation on forms runs
+on these arrays.  ``SymmetricForm.from_dict`` and ``make_form`` pack a dict
+of keys; ``SymmetricForm.coeffs`` is a read-only dict of the rows, in row
+order, built only when something reads it (the reference loops and the
+tests).  Forms are immutable once built.
 
 The localized norm weights each key by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the key (smallest repeated below degree 3) and
@@ -77,12 +77,46 @@ def _relabel(codes: np.ndarray, mapping: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedForm:
-    """Array view of a form; the module docstring gives the encoding."""
+class SymmetricForm:
+    """Homogeneous polynomial in the signed mode variables, as code rows.
+
+    ``SymmetricForm(points, codes, values)`` takes ascending code rows over
+    the ascending ``points`` and drops the points no row uses;
+    ``SymmetricForm.from_dict`` packs a dict of keys.  The module docstring
+    gives the encoding; the degree is the row length.
+    """
 
     points: Tuple[Point, ...]
     codes: np.ndarray
     values: np.ndarray
+
+    def __post_init__(self):
+        used = np.zeros(len(self.points), dtype=bool)
+        used[self.codes >> 1] = True
+        keep = np.flatnonzero(used)
+        if len(keep) < len(self.points):
+            mapping = np.zeros(len(self.points), dtype=np.int32)
+            mapping[keep] = np.arange(len(keep), dtype=np.int32)
+            object.__setattr__(self, "codes", _relabel(self.codes, mapping))
+        object.__setattr__(self, "points", tuple(self.points[i] for i in keep.tolist()))
+
+    @classmethod
+    def from_dict(cls, degree: int, coeffs: Mapping[Key, complex]) -> "SymmetricForm":
+        """Form of the keys of ``coeffs``, rows in dict order; zero coefficients stay."""
+        points = tuple(sorted({p for key in coeffs for p, _ in key}))
+        rank = {p: i for i, p in enumerate(points)}
+        flat = [2 * rank[p] + (s < 0) for key in coeffs for p, s in key]
+        codes = np.array(flat, dtype=np.int32).reshape(len(coeffs), degree)
+        codes.sort(axis=1)
+        values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+        return cls(points, codes, values)
+
+    @property
+    def degree(self) -> int:
+        return self.codes.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.values)
 
     @cached_property
     def entries(self) -> Tuple[ExtIndex, ...]:
@@ -103,7 +137,7 @@ class PackedForm:
     @cached_property
     def multiplicity(self) -> np.ndarray:
         """``key_multiplicity`` of every row, from its run lengths."""
-        degree = self.codes.shape[1]
+        degree = self.degree
         fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=np.int64)
         return fact[degree] // np.prod(fact[self.runs], axis=1)
 
@@ -128,59 +162,22 @@ class PackedForm:
         order = np.argsort(var, kind="stable")
         return var[order], np.concatenate(rows)[order], np.concatenate(coef)[order]
 
+    @cached_property
+    def coeffs(self) -> Mapping[Key, complex]:
+        """Read-only dict ``key -> coefficient`` of the rows, in row order."""
+        keys = [()] * len(self)
+        if self.degree:
+            entries = np.fromiter(self.entries, dtype=object, count=len(self.entries))
+            keys = zip(*entries[self.codes.T].tolist())
+        return MappingProxyType(dict(zip(keys, self.values.tolist())))
+
     def relabel(self, codes: np.ndarray, rank: Mapping[Point, int]) -> np.ndarray:
-        """Codes of this view renumbered by the point ranks ``rank``."""
+        """Codes of this form renumbered by the point ranks ``rank``."""
         return _relabel(codes, np.array([rank[p] for p in self.points], dtype=np.int32))
 
     def gather(self, values: State) -> np.ndarray:
         """State value at every code, 0 where the state has no entry."""
         return np.array([values.get(e, 0j) for e in self.entries], dtype=complex)
-
-
-def _pack(coeffs: Mapping[Key, complex], degree: int) -> PackedForm:
-    points = tuple(sorted({p for key in coeffs for p, _ in key}))
-    rank = {p: i for i, p in enumerate(points)}
-    flat = [2 * rank[p] + (s < 0) for key in coeffs for p, s in key]
-    codes = np.array(flat, dtype=np.int32).reshape(len(coeffs), degree)
-    codes.sort(axis=1)
-    values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
-    return PackedForm(points, codes, values)
-
-
-class SymmetricForm:
-    """Homogeneous polynomial in the signed mode variables, stored packed.
-
-    ``SymmetricForm(degree, coeffs)`` packs a dict of keys, rows in dict
-    order; ``SymmetricForm(degree, packed=view)`` wraps a view.
-    """
-
-    def __init__(self, degree: int, coeffs: Optional[Mapping[Key, complex]] = None, *, packed: Optional[PackedForm] = None):
-        self.degree = degree
-        self.packed = _pack(coeffs or {}, degree) if packed is None else packed
-
-    def __len__(self) -> int:
-        return len(self.packed.values)
-
-    @cached_property
-    def coeffs(self) -> Mapping[Key, complex]:
-        """Read-only dict ``key -> coefficient`` of the rows, in row order."""
-        view = self.packed
-        keys = [()] * len(self)
-        if self.degree:
-            entries = np.fromiter(view.entries, dtype=object, count=len(view.entries))
-            keys = zip(*entries[view.codes.T].tolist())
-        return MappingProxyType(dict(zip(keys, view.values.tolist())))
-
-
-def from_packed(degree: int, points: Sequence[Point], codes: np.ndarray, values: np.ndarray) -> SymmetricForm:
-    """Form of ascending code rows over ``points``; unused points are dropped."""
-    used = np.unique(codes >> 1)
-    if len(used) < len(points):
-        mapping = np.zeros(len(points), dtype=np.int32)
-        mapping[used] = np.arange(len(used), dtype=np.int32)
-        codes = _relabel(codes, mapping)
-        points = [points[i] for i in used.tolist()]
-    return SymmetricForm(degree, packed=PackedForm(tuple(points), codes, values))
 
 
 def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degree: Optional[int] = None, tol: float = DROP_TOL) -> SymmetricForm:
@@ -204,11 +201,11 @@ def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degr
         for point, sign in key:
             if sign not in (-1, 1):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return SymmetricForm(degree=degree, coeffs=acc)
+    return SymmetricForm.from_dict(degree, acc)
 
 
 def zero_form(degree: int) -> SymmetricForm:
-    return SymmetricForm(degree=degree, coeffs={})
+    return SymmetricForm.from_dict(degree, {})
 
 
 def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
@@ -220,10 +217,10 @@ def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
     degs = {f.degree for f in forms}
     if len(degs) != 1:
         raise ValueError(f"cannot add forms of degrees {sorted(degs)}")
-    points = sorted({p for f in forms for p in f.packed.points})
+    points = sorted({p for f in forms for p in f.points})
     rank = {p: i for i, p in enumerate(points)}
-    codes = np.concatenate([f.packed.relabel(f.packed.codes, rank) for f in forms])
-    values = np.concatenate([f.packed.values for f in forms])
+    codes = np.concatenate([f.relabel(f.codes, rank) for f in forms])
+    values = np.concatenate([f.values for f in forms])
     _, first, inverse = np.unique(_row_keys(codes, 2 * len(points)), return_index=True, return_inverse=True)
     order = np.argsort(first)
     slot = np.argsort(order)[inverse.reshape(-1)]
@@ -231,21 +228,18 @@ def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
     sums.real = np.bincount(slot, values.real, len(order))
     sums.imag = np.bincount(slot, values.imag, len(order))
     keep = np.abs(sums) > tol
-    return from_packed(degs.pop(), points, codes[first[order][keep]], sums[keep])
+    return SymmetricForm(points, codes[first[order][keep]], sums[keep])
 
 
 def scale_form(form: SymmetricForm, factor: complex) -> SymmetricForm:
     if factor == 0:
         return zero_form(form.degree)
-    view = form.packed
-    return SymmetricForm(form.degree, packed=PackedForm(view.points, view.codes, view.values * factor))
+    return SymmetricForm(form.points, form.codes, form.values * factor)
 
 
 def conjugate_form(form: SymmetricForm) -> SymmetricForm:
     """Every sign flipped and every coefficient conjugated, rows in order."""
-    view = form.packed
-    codes = np.sort(view.codes ^ 1, axis=1)
-    return SymmetricForm(form.degree, packed=PackedForm(view.points, codes, view.values.conj()))
+    return SymmetricForm(form.points, np.sort(form.codes ^ 1, axis=1), form.values.conj())
 
 
 def is_real_coefficients(form: SymmetricForm, tol: float = 1e-12) -> bool:
@@ -266,8 +260,7 @@ def monomials(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def evaluate(form: SymmetricForm, values: State) -> complex:
-    view = form.packed
-    return complex(monomials(view.codes, view.values, view.gather(values)).sum())
+    return complex(monomials(form.codes, form.values, form.gather(values)).sum())
 
 
 def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
@@ -292,22 +285,29 @@ def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
     return total
 
 
-def _localization(view: PackedForm, table: SpectrumTable, zero_mode: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-row ``(mu, S)`` under the decreasing-floor entry ordering.
+def leading_points(form: SymmetricForm, table: SpectrumTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Floor norm of every point, and the points of every row's first three entries.
 
     Entries are ordered as ``resonance.ordering_permutation`` does: floor
     norm descending, then point, then ``+`` first.  Relabelling each point by
-    its rank in (-floor, point) order makes that a plain row sort.
+    its rank in (-floor, point) order makes that a plain row sort.  Points
+    are indexes into ``form.points``.
     """
-    degree = view.codes.shape[1]
-    if not degree:
-        raise ValueError("empty key has no localization")
-    points = view.points
+    points = form.points
     floors = np.array([table.floor(p) for p in points])
     order = sorted(range(len(points)), key=lambda i: (-floors[i], points[i]))
     by_floor = np.empty(len(points), dtype=np.int32)
     by_floor[order] = np.arange(len(points), dtype=np.int32)
-    lead = np.asarray(order, dtype=np.intp)[np.sort(_relabel(view.codes, by_floor), axis=1)[:, :3] >> 1]
+    return floors, np.asarray(order, dtype=np.intp)[np.sort(_relabel(form.codes, by_floor), axis=1)[:, :3] >> 1]
+
+
+def _localization(form: SymmetricForm, table: SpectrumTable, zero_mode: str) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row ``(mu, S)`` under the decreasing-floor entry ordering."""
+    degree = form.degree
+    if not degree:
+        raise ValueError("empty key has no localization")
+    points = form.points
+    floors, lead = leading_points(form, table)
     mu = floors[lead[:, min(2, degree - 1)]]
     s = mu
     if degree >= 2:
@@ -317,7 +317,7 @@ def _localization(view: PackedForm, table: SpectrumTable, zero_mode: str) -> Tup
     zero = mu == 0.0
     if zero.any():
         if zero_mode == "error":
-            key = tuple(view.entries[c] for c in view.codes[np.argmax(zero)].tolist())
+            key = tuple(form.entries[c] for c in form.codes[np.argmax(zero)].tolist())
             raise ValueError(
                 f"key {key} has vanishing localization scale; "
                 "pass zero_mode='lift' to regularize"
@@ -330,7 +330,7 @@ def _localization(view: PackedForm, table: SpectrumTable, zero_mode: str) -> Tup
 
 def mu_S(table: SpectrumTable, key: Key, zero_mode: str = "error") -> Tuple[float, float]:
     """Localization pair (mu, S) of a key under the decreasing-floor ordering."""
-    mu, s = _localization(_pack({key: 0j}, len(key)), table, zero_mode)
+    mu, s = _localization(SymmetricForm.from_dict(len(key), {key: 0j}), table, zero_mode)
     return float(mu[0]), float(s[0])
 
 
@@ -345,11 +345,10 @@ def localized_norm(
     """Max over keys of ``(|c|/mult) S^smoothing / mu^(smoothing+nu)``."""
     if form.degree < 1:
         raise ValueError("localized norm needs degree >= 1")
-    view = form.packed
-    if not len(view.values):
+    if not len(form):
         return 0.0
-    mu, s = _localization(view, table, zero_mode)
-    w = np.abs(view.values) / view.multiplicity * s**smoothing / mu ** (smoothing + nu)
+    mu, s = _localization(form, table, zero_mode)
+    w = np.abs(form.values) / form.multiplicity * s**smoothing / mu ** (smoothing + nu)
     return float(w.max())
 
 
@@ -415,10 +414,9 @@ def vector_field(form: SymmetricForm, values: State) -> State:
     Component at index B is ``-i sigma_B dF/du_{conj(B)}``; the entries come
     in the order of the variable ``conj(B)`` they differentiate.
     """
-    view = form.packed
-    field = hamiltonian_field(view.codes, view.values, view.gather(values))
+    field = hamiltonian_field(form.codes, form.values, form.gather(values))
     target = np.flatnonzero(field[np.arange(len(field)) ^ 1]) ^ 1
-    entries = view.entries
+    entries = form.entries
     return {entries[c]: v for c, v in zip(target.tolist(), field[target].tolist())}
 
 
@@ -458,15 +456,14 @@ def vector_field_seminorm(
     zero_mode: str = "error",
 ) -> float:
     """Localized seminorm of the vector field, weighted by the full keys."""
-    view = form.packed
-    if not len(view.values):
+    if not len(form):
         return 0.0
-    mu, s = _localization(view, table, zero_mode)
+    mu, s = _localization(form, table, zero_mode)
     weight = s**smoothing / mu ** (smoothing + nu)
-    row, col = np.nonzero(view.runs)
-    m = view.runs[row, col]
-    reduced_mult = view.multiplicity[row] * m // form.degree
-    w = np.abs(view.values)[row] * m / reduced_mult * weight[row]
+    row, col = np.nonzero(form.runs)
+    m = form.runs[row, col]
+    reduced_mult = form.multiplicity[row] * m // form.degree
+    w = np.abs(form.values)[row] * m / reduced_mult * weight[row]
     return float(w.max())
 
 
@@ -518,13 +515,12 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     degree = f.degree + g.degree - 2
     if degree < 0:
         raise ValueError("bracket of two linear forms has negative degree")
-    pf, pg = f.packed, g.packed
-    points = sorted(set(pf.points) | set(pg.points))
+    points = sorted(set(f.points) | set(g.points))
     rank = {p: i for i, p in enumerate(points)}
-    fvar, frows, fcoef = pf.derivatives
-    gvar, grows, gcoef = pg.derivatives
-    fvar, frows = pf.relabel(fvar, rank), pf.relabel(frows, rank)
-    gvar, grows = pg.relabel(gvar, rank), pg.relabel(grows, rank)
+    fvar, frows, fcoef = f.derivatives
+    gvar, grows, gcoef = g.derivatives
+    fvar, frows = f.relabel(fvar, rank), f.relabel(frows, rank)
+    gvar, grows = g.relabel(gvar, rank), g.relabel(grows, rank)
 
     lo = np.searchsorted(gvar, fvar ^ 1, side="left")
     count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
@@ -554,7 +550,7 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     else:
         uniq, total = keys[0], sums[0]
     keep = np.abs(total) > tol
-    return from_packed(degree, points, _key_rows(uniq[keep], radix, degree), total[keep])
+    return SymmetricForm(points, _key_rows(uniq[keep], radix, degree), total[keep])
 
 
 def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
@@ -563,19 +559,19 @@ def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
         canonical_key(((p, 1), (p, -1))): complex(table.omega(p))
         for p in table.lattice.points
     }
-    return SymmetricForm(degree=2, coeffs=coeffs)
+    return SymmetricForm.from_dict(2, coeffs)
 
 
 def mass_form(lattice: Lattice) -> SymmetricForm:
     coeffs = {canonical_key(((p, 1), (p, -1))): 1.0 + 0j for p in lattice.points}
-    return SymmetricForm(degree=2, coeffs=coeffs)
+    return SymmetricForm.from_dict(2, coeffs)
 
 
 def superaction_form(points: Iterable[Point]) -> SymmetricForm:
     coeffs = {canonical_key(((p, 1), (p, -1))): 1.0 + 0j for p in points}
     if not coeffs:
         raise ValueError("superaction over an empty mode set")
-    return SymmetricForm(degree=2, coeffs=coeffs)
+    return SymmetricForm.from_dict(2, coeffs)
 
 
 def band_superactions(table: SpectrumTable, partition: BandPartition) -> List[SymmetricForm]:
@@ -603,7 +599,7 @@ def nls_quartic(lattice: Lattice, coupling: float = 1.0) -> SymmetricForm:
                 if e in lattice:
                     key = canonical_key(((a, 1), (b, -1), (c, 1), (e, -1)))
                     acc[key] = acc.get(key, 0j) + half
-    return SymmetricForm(degree=4, coeffs=acc)
+    return SymmetricForm.from_dict(4, acc)
 
 
 def random_form(
@@ -621,36 +617,21 @@ def random_form(
         draw = rng.integers(0, len(ext), size=degree)
         key = canonical_key(tuple(ext[int(i)] for i in draw))
         acc[key] = acc.get(key, 0j) + complex(rng.standard_normal(), rng.standard_normal())
-    f = SymmetricForm(degree=degree, coeffs=acc)
+    f = SymmetricForm.from_dict(degree, acc)
     if real:
         f = add_forms(scale_form(f, 0.5), scale_form(conjugate_form(f), 0.5), tol=0.0)
     return f
 
 
-def sobolev_norm(
-    values: State,
-    lattice: Lattice,
-    s: float,
-    *,
-    table: Optional[SpectrumTable] = None,
-    weighting: str = "index",
-) -> float:
+def sobolev_norm(values: State, lattice: Lattice, s: float) -> float:
     """Weighted l2 norm over the extended support, both signs counted.
 
-    ``weighting="index"`` uses ``(1+|a|)^(2s)``; ``weighting="floor"`` uses
-    the equivalent ``(1+floor(a))^(2s)`` and needs a spectrum table.
+    The weight of index ``a`` is ``(1+|a|)^(2s)``.
     """
-    if weighting not in ("index", "floor"):
-        raise ValueError(f"unknown weighting {weighting!r}")
-    if weighting == "floor" and table is None:
-        raise ValueError("floor weighting needs a spectrum table")
     total = 0.0
     for (point, _), v in values.items():
-        if weighting == "index":
-            x = lattice.effective(point)
-            base = math.sqrt(sum(c * c for c in x))
-        else:
-            base = table.floor(point)
+        x = lattice.effective(point)
+        base = math.sqrt(sum(c * c for c in x))
         total += (1.0 + base) ** (2.0 * s) * (v.real * v.real + v.imag * v.imag)
     return math.sqrt(total)
 
@@ -666,11 +647,10 @@ def split_state(values: State, table: SpectrumTable, cutoff: float) -> Tuple[Sta
 
 def decompose_by_high_order(form: SymmetricForm, table: SpectrumTable, cutoff: float) -> Dict[int, SymmetricForm]:
     """Split the rows by their count of high (floor > cutoff) entries; parts sum back to the form."""
-    view = form.packed
-    high = np.array([table.floor(p) > cutoff for p in view.points], dtype=np.int64)
-    count = high[view.codes >> 1].sum(axis=1)
+    high = np.array([table.floor(p) > cutoff for p in form.points], dtype=np.int64)
+    count = high[form.codes >> 1].sum(axis=1)
     return {
-        n: from_packed(form.degree, view.points, view.codes[count == n], view.values[count == n])
+        n: SymmetricForm(form.points, form.codes[count == n], form.values[count == n])
         for n in np.unique(count).tolist()
     }
 
@@ -705,7 +685,7 @@ def poly_from_forms(forms: Iterable[SymmetricForm]) -> PolyHamiltonian:
     return PolyHamiltonian(parts={d: f for d, f in parts.items() if len(f)})
 
 
-def _encode_key(key: Key) -> list:
+def _encode_key(key: Iterable[ExtIndex]) -> list:
     return [[list(p), s] for p, s in key]
 
 
@@ -714,13 +694,18 @@ def _decode_key(raw) -> Key:
 
 
 def form_to_jsonl(form: SymmetricForm, path) -> None:
-    """One JSON object per key, in canonical key order."""
+    """One JSON object per key, in canonical key order.
+
+    That is the order of sorted key tuples: entry by entry, point, then
+    ``-`` before ``+``; ``code ^ 1`` sorts entries so.
+    """
+    order = np.argsort(_row_keys(form.codes ^ 1, 2 * len(form.points)))
+    entries = form.entries
     with open(path, "w") as fh:
         header = {"kind": "form", "degree": form.degree, "n_terms": len(form)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for key in sorted(form.coeffs):
-            c = form.coeffs[key]
-            row = {"key": _encode_key(key), "re": c.real, "im": c.imag}
+        for codes, c in zip(form.codes[order].tolist(), form.values[order].tolist()):
+            row = {"key": _encode_key(entries[e] for e in codes), "re": c.real, "im": c.imag}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 

@@ -27,14 +27,12 @@ from .clusters import ClusterPartition, block_index_map, build_clusters, high_mo
 from .dynamics import _rk4
 from .forms import (
     Key,
-    PackedForm,
     PolyHamiltonian,
     State,
     SymmetricForm,
     add_forms,
     band_superactions,
     block_superactions,
-    from_packed,
     hamiltonian_field,
     localized_norm,
     poisson_bracket,
@@ -81,7 +79,6 @@ class NormalFormConfig:
     r: int
     radius: float
     s: float = 4.0
-    s0: float = 3.0
     cutoff: Optional[float] = None
     gamma: Optional[float] = None
     tau: Optional[float] = None
@@ -132,8 +129,8 @@ def choose_cutoff(table: SpectrumTable, partition: BandPartition, radius: float,
     return min(admissible, key=lambda k: (abs(k - target), k))
 
 
-def bucket_rows(view: PackedForm, table: SpectrumTable, bands: BandPartition, clusters: ClusterPartition, cutoff: float) -> np.ndarray:
-    """Index into ``BUCKETS`` of every row of a packed form, ``NONRESONANT`` off them.
+def bucket_rows(form: SymmetricForm, table: SpectrumTable, bands: BandPartition, clusters: ClusterPartition, cutoff: float) -> np.ndarray:
+    """Index into ``BUCKETS`` of every row of a form, ``NONRESONANT`` off them.
 
     High modes have floor norm > cutoff.  Three or more make ZGE3; none make
     Z0 when the row is on the resonant set; two in one cluster block make ZB
@@ -141,12 +138,12 @@ def bucket_rows(view: PackedForm, table: SpectrumTable, bands: BandPartition, cl
     ``c_delta * cutoff**delta``.  Every other row is nonresonant, which is
     ``resonance.is_block_nonresonant``.
     """
-    points, codes = view.points, view.codes
+    points, codes = form.points, form.codes
     high = np.array([table.floor(p) > cutoff for p in points], dtype=bool)[codes >> 1]
     n_high = high.sum(axis=1)
     out = np.full(len(codes), NONRESONANT)
     out[n_high >= 3] = BUCKETS.index("ZGE3")
-    out[(n_high == 0) & _resonant(_signed_bands(table, bands, view.entries), codes)] = BUCKETS.index("Z0")
+    out[(n_high == 0) & _resonant(_signed_bands(table, bands, form.entries), codes)] = BUCKETS.index("Z0")
     two = np.flatnonzero(n_high == 2)
     pair = codes[two[:, None], np.nonzero(high[two])[1].reshape(-1, 2)]
     ids = block_index_map(clusters)
@@ -165,8 +162,8 @@ def classify_term(key: Key, table: SpectrumTable, bands: BandPartition, clusters
     """Bucket of a monomial key: Z0, ZB, Z2, ZGE3, or NONRESONANT."""
     if len(key) < 3:
         raise ValueError("classification applies to keys of degree >= 3")
-    view = SymmetricForm(len(key), {key: 0j}).packed
-    label = int(bucket_rows(view, table, bands, clusters, cutoff)[0])
+    form = SymmetricForm.from_dict(len(key), {key: 0j})
+    label = int(bucket_rows(form, table, bands, clusters, cutoff)[0])
     return (BUCKETS + ("NONRESONANT",))[label]
 
 
@@ -201,20 +198,19 @@ def solve_homological(
     smaller divisor means the certificate does not cover this truncation.
     """
     validate_cutoff(table, bands, cutoff)
-    view = form.packed
-    solve = bucket_rows(view, table, bands, clusters, cutoff) == NONRESONANT
-    codes, c = view.codes[solve], view.values[solve]
+    solve = bucket_rows(form, table, bands, clusters, cutoff) == NONRESONANT
+    codes, c = form.codes[solve], form.values[solve]
     # the signed frequency sum, added left to right from 0 as small_divisor does
-    omega = _signed_omegas(table, view.entries)
+    omega = _signed_omegas(table, form.entries)
     delta = np.zeros(len(codes), dtype=omega.dtype)
     for col in codes.T:
         delta = delta + omega[col]
-    base = np.array([max(1.0, table.norm(p)) for p in view.points])[codes >> 1].max(axis=1, initial=1.0)
+    base = np.array([max(1.0, table.norm(p)) for p in form.points])[codes >> 1].max(axis=1, initial=1.0)
     scale = np.array([b**tau for b in base.tolist()])
     breach = np.flatnonzero(np.abs(delta) < gamma / scale)
     if len(breach):
         i = breach[0]
-        key = tuple(view.entries[e] for e in codes[i].tolist())
+        key = tuple(form.entries[e] for e in codes[i].tolist())
         raise CertificateError(
             f"divisor {delta.tolist()[i]} below gamma/K_max^tau = {gamma / scale[i]:.3e} "
             f"on nonresonant key {key}: certificate breached"
@@ -225,8 +221,8 @@ def solve_homological(
     re, im = 0.0 * c.real - c.imag, 0.0 * c.imag + c.real
     ratio = 0.0 / delta
     g = np.column_stack(((re + im * ratio) / delta, (im - re * ratio) / delta)).view(complex).ravel()
-    generator = from_packed(form.degree, view.points, codes, g)
-    normal = from_packed(form.degree, view.points, view.codes[~solve], view.values[~solve])
+    generator = SymmetricForm(form.points, codes, g)
+    normal = SymmetricForm(form.points, form.codes[~solve], form.values[~solve])
 
     residual = 0.0
     f_norm = g_norm = z_norm = 0.0
@@ -234,7 +230,7 @@ def solve_homological(
         h0 = quadratic_hamiltonian(table)
         lhs = add_forms(poisson_bracket(h0, generator, tol=0.0), form, tol=0.0)
         diff = add_forms(lhs, scale_form(normal, -1.0), tol=0.0)
-        residual = float(np.abs(diff.packed.values).max(initial=0.0))
+        residual = float(np.abs(diff.values).max(initial=0.0))
         kw = dict(nu=nu, smoothing=smoothing, zero_mode="lift")
         f_norm, g_norm, z_norm = (localized_norm(x, table, **kw) for x in (form, generator, normal))
         k_scan = max(1.0, float(table.lattice.radius))
@@ -343,7 +339,7 @@ def check_superaction_commutation(
         if poly is None:
             return 0.0
         return max(
-            (float(np.abs(poisson_bracket(poly.parts[d], j, tol=0.0).packed.values).max(initial=0.0)) for d in poly.degrees),
+            (float(np.abs(poisson_bracket(poly.parts[d], j, tol=0.0).values).max(initial=0.0)) for d in poly.degrees),
             default=0.0,
         )
 
@@ -442,6 +438,8 @@ def normalize(
     field over ``remainder_samples`` random states on the radius-R sphere: a
     sampled lower estimate of its supremum there, not a bound.
     """
+    if remainder_samples < 1:
+        raise ValueError(f"remainder_samples must be >= 1, got {remainder_samples}")
     if bands is None:
         bands = band_partition(table)
     if clusters is None:
@@ -533,7 +531,7 @@ def normalize(
             else:
                 new_p_parts.append(part)
         check = add_forms(new_normal.get(low, zero_form(low)), scale_form(sol.normal, -1.0), tol=0.0)
-        step_residual = float(np.abs(check.packed.values).max(initial=0.0))
+        step_residual = float(np.abs(check.values).max(initial=0.0))
         if step_residual > 1e-10:
             raise RuntimeError(
                 f"step {step}: accumulated degree-{low} part differs from the "
@@ -555,14 +553,13 @@ def normalize(
         raise RuntimeError(f"iteration left unnormalized degrees {current.degrees}")
 
     buckets: Dict[str, List[SymmetricForm]] = {name: [] for name in BUCKETS}
-    for degree, part in sorted(normal_parts.items()):
-        view = part.packed
-        label = bucket_rows(view, table, bands, clusters, cutoff)
+    for _, part in sorted(normal_parts.items()):
+        label = bucket_rows(part, table, bands, clusters, cutoff)
         if (label == NONRESONANT).any():
-            key = tuple(view.entries[e] for e in view.codes[np.argmax(label == NONRESONANT)].tolist())
+            key = tuple(part.entries[e] for e in part.codes[np.argmax(label == NONRESONANT)].tolist())
             raise RuntimeError(f"nonresonant key {key} survived in the normal part")
         for i, name in enumerate(BUCKETS):
-            buckets[name].append(from_packed(degree, view.points, view.codes[label == i], view.values[label == i]))
+            buckets[name].append(SymmetricForm(part.points, part.codes[label == i], part.values[label == i]))
 
     polys = {name: poly_from_forms(buckets[name]) for name in BUCKETS}
 
@@ -634,7 +631,7 @@ def transform_state(
     the entries of ``values`` and every entry the flows made nonzero.
     """
     seq = list(generators) if inverse else list(generators)[::-1]
-    points = sorted({p for gen in seq for p in gen.packed.points} | {p for p, _ in values})
+    points = sorted({p for gen in seq for p in gen.points} | {p for p, _ in values})
     rank = {p: i for i, p in enumerate(points)}
     entries = [(p, sign) for p in points for sign in (1, -1)]
     x = np.array([values.get(e, 0j) for e in entries], dtype=complex)
@@ -647,9 +644,9 @@ def transform_state(
     for gen in seq:
         g = scale_form(gen, -1.0) if inverse else gen
         if len(g):
-            codes = g.packed.relabel(g.packed.codes, rank)
+            codes = g.relabel(g.codes, rank)
             x = _flow_time_one(
-                lambda y: hamiltonian_field(codes, g.packed.values, y), x,
+                lambda y: hamiltonian_field(codes, g.values, y), x,
                 tol=tol, max_steps=max_steps, check=check,
             )
     return {e: v for e, v in zip(entries, x.tolist()) if v != 0 or e in values}
@@ -689,7 +686,6 @@ def normalform_manifest(result: NormalFormResult) -> dict:
             "r": cfg.r,
             "radius": cfg.radius,
             "s": cfg.s,
-            "s0": cfg.s0,
             "cutoff": result.cutoff,
             "nu": cfg.nu,
             "smoothing": cfg.smoothing,

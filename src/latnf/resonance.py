@@ -469,6 +469,8 @@ def estimate_resonant_measure(
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     supp = sorted(p for p, k in coeffs.items() if k != 0)
     if not supp:
         raise ValueError("coefficient vector is identically zero")

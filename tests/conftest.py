@@ -89,7 +89,7 @@ def nf_result(certified_table, certified_bands, certified_clusters, certificates
     """
     quartic = nls_quartic(certified_table.lattice, coupling=1.0)
     config = NormalFormConfig(
-        r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF, s=4.0, s0=3.0, nu=2.0, smoothing=2.0
+        r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF, s=4.0, nu=2.0, smoothing=2.0
     )
     return normalize(
         certified_table,

@@ -315,6 +315,14 @@ def test_cli_measure(tmp_path, capsys):
     assert rows[0]["fraction"] <= rows[0]["bound"] + 3 * rows[0]["stderr"]
 
 
+@pytest.mark.parametrize("n_samples", ["0", "-5"])
+def test_cli_measure_without_samples_is_a_usage_error(tmp_path, capsys, n_samples):
+    assert main(["measure", "--set", f"measure.n_samples={n_samples}", "--out-dir", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"n_samples must be >= 1, got {n_samples}" in captured.err
+    assert not (tmp_path / "measure_manifest.json").exists()
+
+
 def test_cli_simulate_filters_bulky_meta(tmp_path, capsys):
     out = tmp_path / "sim"
     code = main(
@@ -454,6 +462,16 @@ def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):
     assert "FAIL" not in captured.out
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_cli_normalform_without_remainder_samples_is_a_usage_error(tmp_path, capsys, samples):
+    # no sample would leave remainder_bound at 0.0, a bound nothing measured
+    small = ("lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05")
+    assert _normalform(tmp_path, *small, f"normalform.remainder_samples={samples}") == 2
+    captured = capsys.readouterr()
+    assert f"remainder_samples must be >= 1, got {samples}" in captured.err
+    assert not (tmp_path / "normalform_manifest.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["beam", "ground_state"])
 def test_cli_normalform_refuses_a_model_without_its_own_perturbation(tmp_path, capsys, kind):
     # nls_quartic is not the equation of these kinds, so nothing is normalized
@@ -509,7 +527,7 @@ def test_cli_simulate_rejects_what_it_cannot_honour(tmp_path, capsys, overrides,
 @pytest.mark.parametrize(
     "setting",
     ["run.jobs=2", "output.format=csv", "model.decay=2", "simulate.model=beam",
-     "simulate.mass_term=2"],
+     "simulate.mass_term=2", "normalform.s0=3"],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, setting):
     with pytest.raises(ConfigError, match="unknown setting"):
@@ -590,3 +608,21 @@ def test_cli_normalform_manifest_records_the_certificates(tmp_path, capsys):
     keys = ("order", "exhaustive", "n_checked", "passed")
     certs = [tuple(c[k] for k in keys) for c in results["certificates"]]
     assert certs == [(3, True, 2024, True), (4, True, 12650, True)]
+
+
+def test_cli_normalform_artifacts_are_pinned(tmp_path, capsys):
+    # the radius-5 truncation at cutoff 4.5; the digests are of the artifacts
+    # written when forms were still serialized through their coefficient dicts
+    small = ("lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05")
+    assert _normalform(tmp_path, *small) == 0
+    capsys.readouterr()
+    results = json.loads((tmp_path / "normalform_manifest.json").read_text())["results"]
+    assert results["bucket_terms"] == {"Z0": 45, "ZB": 18, "Z2": 10, "ZGE3": 3}
+    digests = {path.stem: file_sha256(path) for path in sorted(tmp_path.glob("*.jsonl"))}
+    assert digests == {
+        "generator_0": "d10d1af990454622b4035973041aea83eb3d4e8f76a722000b712e4e92739f94",
+        "z0_deg4": "f8d1e8847319c33c8c2a45670226ced65792f704353811dc05bb1a223405223d",
+        "zb_deg4": "60072b06fc3f05016dcacbe3b157833a0ecfbfbbc14d58f2ab09a76d59a858c9",
+        "z2_deg4": "91c417da453b35af44397e1ca4d9e79c25438af6318c245bde46655e1e829d63",
+        "zge3_deg4": "563f8573f341071d1e8f8f60bc6d1de4603c107d167d85cf9962e42f0cc3d06a",
+    }

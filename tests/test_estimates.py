@@ -168,9 +168,16 @@ def test_separation_bound_exact_for_lifted_keys():
 
 
 def test_separation_bound_flags_close_support():
-    f = make_form({((((0,), 1), ((4,), -1), ((5,), 1))): 1.0})
+    close = (((0,), 1), ((4,), -1), ((5,), 1))
+    f = make_form({close: 1.0})
     rep = separation_cutoff_bound(
         f, TABLE, 16.0, 0.5, nu=2.0, smoothing=2.0, smoothing_high=4.0, zero_mode="lift"
+    )
+    assert not rep.support_ok and not rep.passed
+    # one close key among separated ones is enough
+    g = make_form({(((-8,), -1), ((0,), 1), ((8,), 1)): 2.0, close: 1.0})
+    rep = separation_cutoff_bound(
+        g, TABLE, 16.0, 0.5, nu=2.0, smoothing=2.0, smoothing_high=4.0, zero_mode="lift"
     )
     assert not rep.support_ok and not rep.passed
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -258,6 +259,17 @@ def test_jsonl_round_trip(tmp_path):
     assert g.coeffs == f.coeffs
 
 
+@pytest.mark.parametrize("dim,radius,degree", [(1, 4.0, 0), (1, 4.0, 1), (1, 4.0, 4), (2, 10.0, 7)])
+def test_jsonl_rows_follow_sorted_keys(tmp_path, dim, radius, degree):
+    # on the plane, degree 7 overflows the int64 row keys
+    f = random_form(enumerate_lattice(dim, radius), degree, n_terms=60, seed=degree, real=False)
+    path = tmp_path / "form.jsonl"
+    form_to_jsonl(f, path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == len(f) > 0
+    assert [tuple((tuple(p), s) for p, s in row["key"]) for row in rows] == sorted(f.coeffs)
+
+
 def test_random_form_determinism():
     a = random_form(LAT, 3, n_terms=7, seed=17)
     b = random_form(LAT, 3, n_terms=7, seed=17)
@@ -281,11 +293,11 @@ def test_superaction_form_evaluates_to_mode_mass():
 
 def test_packed_derivatives_multiplicity():
     key = canonical_key((((1,), 1), ((1,), 1), ((0,), -1)))
-    view = make_form({key: 2.0}).packed
-    var, rows, coef = view.derivatives
-    plus_one = view.entries.index(((1,), 1))
+    form = make_form({key: 2.0})
+    var, rows, coef = form.derivatives
+    plus_one = form.entries.index(((1,), 1))
     assert var.tolist().count(plus_one) == 1
     i = var.tolist().index(plus_one)
     assert coef[i] == 4.0  # 2 * multiplicity 2
-    reduced = tuple(view.entries[c] for c in rows[i].tolist())
+    reduced = tuple(form.entries[c] for c in rows[i].tolist())
     assert reduced == canonical_key((((1,), 1), ((0,), -1)))

@@ -24,7 +24,6 @@ from latnf import (
     make_form,
     nls_quartic,
     orbital_distance,
-    rk4_reference,
 )
 from latnf.bands import band_map
 from latnf.dynamics import five_smooth, is_action_form
@@ -383,16 +382,15 @@ class _Kick:
         self.substeps = substeps
         exps, coeffs, self.rk = [], [], []
         for f in forms:
-            view = f.packed
-            codes = view.relabel(view.codes, index)
+            codes = f.relabel(f.codes, index)
             if is_action_form(f):
                 row, col = np.nonzero((codes & 1) == 0)
                 e = np.zeros((len(codes), len(self.points)), dtype=int)
                 np.add.at(e, (row, codes[row, col] >> 1), 1)
                 exps.append(e)
-                coeffs.append(view.values.real)
+                coeffs.append(f.values.real)
             elif np.any(codes & 1):
-                self.rk.append((codes, view.values))
+                self.rk.append((codes, f.values))
         self.action_exps = np.concatenate(exps) if exps else None
         self.action_coeffs = np.concatenate(coeffs) if coeffs else None
         self.exact = not self.rk
@@ -433,7 +431,7 @@ def oracle_normal_form(table, parts, initial, *, dt, horizon, stride, s, kick_su
     for p, c in initial.items():
         u[index[tuple(p)]] = complex(c)
     kick = _Kick(parts, points, kick_substeps)
-    tables = [(f.packed.relabel(f.packed.codes, index), f.packed.values) for f in parts]
+    tables = [(f.relabel(f.codes, index), f.values) for f in parts]
 
     def energy(v):
         x = _both_signs(v)
@@ -571,17 +569,15 @@ def test_strang_nls_in_two_dimensions_matches_the_oracle():
 
 def test_rk4_reference_matches_the_oracle():
     case = {**NLS_CASE, "track_orbital": None, "horizon": 0.2}
-    cfg = SimulationConfig(**case)
-    record = rk4_reference(cfg)
+    cfg = SimulationConfig(**case, integrator="rk4_reference")
+    record = integrate_nls(cfg)
     assert record.meta["integrator"] == "rk4_reference"
     assert_matches(record, oracle_rk4(cfg))
-    routed = integrate_nls(SimulationConfig(**case, integrator="rk4_reference"))
-    assert_matches(routed, oracle_rk4(cfg))
 
 
 def test_rk4_reference_in_two_dimensions_matches_the_oracle():
-    cfg = SimulationConfig(**{**NLS_CASE_2D, "track_orbital": None})
-    assert_matches(rk4_reference(cfg), oracle_rk4(cfg))
+    cfg = SimulationConfig(**{**NLS_CASE_2D, "track_orbital": None}, integrator="rk4_reference")
+    assert_matches(integrate_nls(cfg), oracle_rk4(cfg))
 
 
 @pytest.mark.parametrize("force", [{3: 0.1, 5: {(0,): 0.02, (1,): 0.01, (-1,): 0.01}}, None])

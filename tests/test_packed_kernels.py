@@ -210,7 +210,7 @@ def test_bracket_matches_reference(lattice, f, g):
 
 def test_bracket_empty_and_unmatched():
     f = random_form(LINE, 3, 20, seed=11)
-    empty = SymmetricForm(degree=4, coeffs={})
+    empty = SymmetricForm.from_dict(4, {})
     assert poisson_bracket(f, empty).coeffs == {}
     assert poisson_bracket(empty, f).degree == 5
     plus_only = make_form({canonical_key((((1,), 1), ((2,), 1))): 1.0})
@@ -243,7 +243,7 @@ def test_bracket_in_blocks_and_wide_keys(monkeypatch):
     monkeypatch.setattr(latnf.forms, "BLOCK", 97)
     plane = enumerate_lattice(2, 10.0)
     wide = random_form(plane, 4, 400, seed=12), random_form(plane, 5, 400, seed=13)
-    points = set(wide[0].packed.points) | set(wide[1].packed.points)
+    points = set(wide[0].points) | set(wide[1].points)
     assert (2 * len(points)) ** 7 >= 2**63
     narrow = random_form(LINE, 4, 60, seed=14), random_form(LINE, 4, 60, seed=15)
     for f, g in (wide, narrow):
@@ -253,10 +253,10 @@ def test_bracket_in_blocks_and_wide_keys(monkeypatch):
 def test_bracket_output_view_matches_a_fresh_pack():
     f, g = random_form(PLANE, 3, 60, seed=16), random_form(PLANE, 3, 60, seed=17)
     out = poisson_bracket(f, g)
-    fresh = SymmetricForm(degree=out.degree, coeffs=dict(out.coeffs))
-    assert out.packed.points == fresh.packed.points
-    assert np.array_equal(out.packed.codes, fresh.packed.codes)
-    assert np.array_equal(out.packed.values, fresh.packed.values)
+    fresh = SymmetricForm.from_dict(out.degree, dict(out.coeffs))
+    assert out.points == fresh.points
+    assert np.array_equal(out.codes, fresh.codes)
+    assert np.array_equal(out.values, fresh.values)
 
 
 def test_forms_are_freed_after_a_bracket():
@@ -319,7 +319,7 @@ def test_norms_match_reference(lattice, f, g):
 
 def test_norms_of_empty_forms_and_zero_modes():
     table = table_for(LINE)
-    empty = SymmetricForm(degree=3, coeffs={})
+    empty = SymmetricForm.from_dict(3, {})
     assert localized_norm(empty, table, nu=2.0, smoothing=2.0) == 0.0
     assert vector_field_seminorm(empty, table, nu=2.0, smoothing=2.0) == 0.0
     zero_key = canonical_key((((0,), 1), ((0,), -1), ((0,), 1)))
@@ -347,7 +347,7 @@ def test_vector_field_matches_reference(lattice, f, g):
 
 
 def test_vector_field_of_empty_form():
-    assert vector_field(SymmetricForm(degree=4, coeffs={}), {}) == {}
+    assert vector_field(SymmetricForm.from_dict(4, {}), {}) == {}
 
 
 # --- normal form ------------------------------------------------------------
@@ -406,12 +406,12 @@ def dense_theta(forms, points, intensity):
     index = {p: i for i, p in enumerate(points)}
     exps, coeffs = [], []
     for f in forms:
-        codes = f.packed.relabel(f.packed.codes, index)
+        codes = f.relabel(f.codes, index)
         row, col = np.nonzero((codes & 1) == 0)
         e = np.zeros((len(codes), len(points)), dtype=int)
         np.add.at(e, (row, codes[row, col] >> 1), 1)
         exps.append(e)
-        coeffs.append(f.packed.values.real)
+        coeffs.append(f.values.real)
     exps, coeffs = np.concatenate(exps), np.concatenate(coeffs)
     rows = np.prod(intensity[None, :] ** exps, axis=1)
     safe = np.where(intensity > 0.0, intensity, 1.0)

@@ -81,7 +81,7 @@ def test_bucket_rows_match_the_per_key_tests(certified_table, certified_bands, c
     for cutoff in (3.5, 5.5):
         for degree in (3, 4, 5):
             f = random_form(lattice, degree, 400, seed=degree, real=False)
-            labels = bucket_rows(f.packed, certified_table, certified_bands, certified_clusters, cutoff)
+            labels = bucket_rows(f, certified_table, certified_bands, certified_clusters, cutoff)
             for key, label in zip(f.coeffs, labels.tolist()):
                 solvable = is_block_nonresonant(key, certified_table, certified_bands, certified_clusters, cutoff)
                 assert (label == NONRESONANT) == solvable, key
