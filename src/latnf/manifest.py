@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import platform
-import sys
 import zlib
 from pathlib import Path
 from typing import Dict, Iterable, Optional

@@ -107,13 +107,21 @@ def choose_cutoff(table: SpectrumTable, partition: BandPartition, radius: float,
     """Inter-band cutoff (floor scale) nearest to ``radius**(-1/(2 tau))``.
 
     Candidates are the midpoints of the spectral gaps between consecutive
-    bands; the choice must land within a factor 2 of the target.
+    bands; the choice must land within a factor 2 of the target, which
+    needs a positive ``tau`` and a target that a float can hold.
     """
     if not 0.0 < radius < 1.0:
         raise ValueError(f"radius must lie in (0,1), got {radius}")
+    if not tau > 0.0:
+        raise ValueError(f"tau must be positive to choose a cutoff, got {tau}")
     if partition.nbands < 2:
         raise ValueError("single-band spectrum has no admissible cutoff")
-    target = radius ** (-1.0 / (2.0 * tau))
+    try:
+        target = radius ** (-1.0 / (2.0 * tau))
+    except OverflowError:
+        raise ValueError(
+            f"cutoff target radius**(-1/(2 tau)) overflows at tau={tau}"
+        ) from None
     inv_beta = 1.0 / partition.beta
     candidates = []
     for (_, hi), (lo, _) in zip(partition.intervals, partition.intervals[1:]):

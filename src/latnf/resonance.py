@@ -33,6 +33,30 @@ integers otherwise.  Only the rows of a block that beat a running minimum are
 built as full index rows and tested for resonance: a row is resonant when its
 sorted signed band labels ``sigma * (band + 1)`` equal their reversed
 negation.  The witnesses are the first minima in scan order.
+
+The scan skips every row that cannot beat the running minima.  A row of head
+``h`` and tail ``t`` beats them only if its divisor ``d`` has ``d < min_div``
+or ``d * scale[l] < min_score``, where ``l``, the largest floor level of the
+row, is at least the head's level ``head_lvl[h]``.  With ``smin[i]`` the
+least scale of any level ``>= i`` (so the bound holds for any sign of tau),
+``d * smin[head_lvl[h]] <= d * scale[l]``, and therefore
+
+    d = |H_h + T_t| < max(min_div, min_score / smin[head_lvl[h]]),
+
+``H_h`` and ``T_t`` being the head's and the tail's partial divisors.  A
+float comparison cannot flip this: rounding is monotone and the minima are
+floats, so ``fl(d * s) < min_score`` implies ``d * s < min_score``.  The
+minima only fall as the scan goes on, so a window taken from them as the
+scan reaches a head holds for all of that head's rows.  A row left out is
+no candidate: its divisor and score are no less than minima that rows before
+it reached, and the witnesses are first minima, so no certificate field
+changes.  The tail partial sums are sorted once per scan, and each head's
+window is a ``searchsorted`` range of them, widened by a margin that covers
+the float rounding of the partial sums, of the divisors and of the window
+itself, and the float conversion of exact or mixed spectra.  A head whose
+``smin`` underflowed to 0 (a very negative tau) skips nothing.  A sampled
+row has the one tail sum ``T = 0``.  ``n_checked`` still counts every
+multiset of the scan.
 """
 
 from __future__ import annotations
@@ -41,7 +65,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,41 +215,21 @@ def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
 def _exhaustive_scan(n: int, order: int):
     """The exhaustive scan in ``combinations_with_replacement`` order.
 
-    Returns one ``(heads, tails, blocks)`` part.  ``heads`` holds the
+    Returns one ``(heads, tails, start)`` part.  ``heads`` holds the
     non-decreasing ``order // 2``-tuples over ``range(n)`` and ``tails`` the
     non-decreasing rows of the remaining length, both in lexicographic order.
-    Each block is a pair ``(h, t)`` of at most ``BLOCK`` indexes, and the
-    scan's rows are ``heads[h] + tails[t]``: each head in turn, followed by
-    the contiguous run of tails that start at its last index.
+    The scan's rows are ``heads[h] + tails[t]`` for each head in turn and
+    ``t`` from ``start[h]``, the first tail that starts at the head's last
+    index, to the end.
     """
     heads = _nondecreasing_rows(n, order // 2)
     tails = _nondecreasing_rows(n, order - order // 2)
     last = heads[:, -1] if heads.shape[1] else np.zeros(1, dtype=np.intp)
-    counts = len(tails) - np.searchsorted(tails[:, 0], last)
-    ends = np.cumsum(counts)
-    return [(heads, tails, _head_blocks(ends - counts, ends, len(tails)))]
-
-
-def _head_blocks(starts: np.ndarray, ends: np.ndarray, n_tails: int):
-    """Blocks ``(h, t)`` over scan rows, head ``j`` owning rows ``starts[j]:ends[j]``.
-
-    The rows of head ``j`` run over its last ``ends[j] - starts[j]`` tails;
-    a head's rows may be split across blocks.
-    """
-    total = int(ends[-1])
-    for lo in range(0, total, BLOCK):
-        hi = min(lo + BLOCK, total)
-        a = int(np.searchsorted(ends, lo, side="right"))
-        b = int(np.searchsorted(ends, hi - 1, side="right")) + 1
-        size = np.minimum(ends[a:b], hi) - np.maximum(starts[a:b], lo)
-        h = np.repeat(np.arange(a, b), size)
-        # row r of head j is tail r - ends[j] + n_tails
-        t = np.arange(lo, hi) + np.repeat(n_tails - ends[a:b], size)
-        yield h, t
+    return [(heads, tails, np.searchsorted(tails[:, 0], last))]
 
 
 def _sampled_scan(ext: Sequence[ExtIndex], order: int, samples: int, seed):
-    """Seeded uniform index draws, one ``(heads, tails, blocks)`` part per block.
+    """Seeded uniform index draws, one ``(heads, tails, start)`` part per block.
 
     Each block draws at most ``BLOCK`` rows, sorts each into the tuple order
     of ``ext`` and takes the rows as heads with one empty tail.
@@ -239,7 +243,46 @@ def _sampled_scan(ext: Sequence[ExtIndex], order: int, samples: int, seed):
         m = min(BLOCK, samples - lo)
         draws = rng.integers(0, len(ext), size=(m, order))
         heads = by_rank[np.sort(rank[draws], axis=1)]
-        yield heads, empty, [(np.arange(m), np.zeros(m, dtype=np.intp))]
+        yield heads, empty, np.zeros(m, dtype=np.intp)
+
+
+def _window_blocks(start, head_sum, tail_sum, width):
+    """Blocks ``(h, t)`` of the scan rows that fall inside a window, in scan order.
+
+    Head ``h`` owns the rows ``(h, t)`` with ``t >= start[h]``.  A row is
+    visited when ``-width[h] < head_sum[h] + tail_sum[t] < width[h]``, with
+    ``width(a, b)`` the half-widths of heads ``a:b``, asked for as the scan
+    reaches head ``a`` (an infinite width visits every row).  The tail sums
+    are sorted once, and each head's window is a ``searchsorted`` range of
+    them.  Heads are taken in chunks of at most ``BLOCK`` heads whose
+    windows hold at most ``BLOCK`` tails together, or of one head, and a
+    chunk's rows are yielded in blocks of at most ``BLOCK``.  So the first
+    chunk, scanned before any minimum is known, holds no more rows than a
+    block or one head, and the next chunk's widths are asked for only after
+    its rows have been scanned.
+    """
+    by_sum = np.argsort(tail_sum, kind="stable")
+    sums = tail_sum[by_sum]
+    n_heads, n_tails = len(start), len(sums)
+    a = 0
+    while a < n_heads:
+        b = min(n_heads, a + BLOCK)
+        w = width(a, b)
+        lo = np.searchsorted(sums, -head_sum[a:b] - w, side="right")
+        size = np.maximum(np.searchsorted(sums, w - head_sum[a:b], side="left") - lo, 0)
+        ends = np.cumsum(size)
+        n = max(1, int(np.searchsorted(ends, BLOCK, side="right")))
+        b = a + n
+        size, lo, ends = size[:n], lo[:n], ends[:n]
+        h = np.repeat(np.arange(a, b), size)
+        t = by_sum[np.arange(len(h)) + np.repeat(lo - ends + size, size)]
+        keep = t >= start[h]
+        h, t = h[keep], t[keep]
+        rank = np.argsort(h * n_tails + t)
+        h, t = h[rank], t[rank]
+        for i in range(0, len(h), BLOCK):
+            yield h[i : i + BLOCK], t[i : i + BLOCK]
+        a = b
 
 
 def _partial_sums(omega: np.ndarray, rows: np.ndarray):
@@ -316,18 +359,31 @@ def certify_nonresonance(
     multiset count fits the ``budget`` (at least 0), in
     ``combinations_with_replacement`` order over ``extended_indexes``;
     otherwise ``samples`` (at least 1) seeded uniform index draws are
-    scanned, each sorted into the tuple order of its signed modes.  Either
-    way one numpy kernel scans blocks of at most ``BLOCK`` rows, each a head
+    scanned, each sorted into the tuple order of its signed modes.  ``tau``
+    must be finite, and ``max(1, |a|)**tau`` must not overflow.  Either way
+    one numpy kernel scans blocks of at most ``BLOCK`` rows, each a head
     followed by a tail: the exhaustive scan splits a row into its first
     ``order // 2`` indexes and the rest, and computes each head's partial
     divisor once; a sampled row is a head with an empty tail.  Divisors add
     the signed frequencies left to right, as ``small_divisor`` does, and are
     bit-identical to it: exact Python integers on integer spectra
     (``min_divisor`` and ``witness_divisor`` are then ``int``), float64
-    otherwise.  Full index rows are built only for the rows that beat a
-    running minimum, which are then tested for resonance.  The witnesses are
-    the first minima in scan order.  A zero minimum score is an exact off-set
-    resonance and can never pass, whatever the threshold.
+    otherwise.
+
+    Only rows that can beat the running minima are evaluated.  A candidate
+    row of head ``h`` has ``|H_h + T_t| < max(min_div, min_score /
+    smin[head_lvl[h]])``, with ``H_h`` and ``T_t`` the head's and tail's
+    partial divisors and ``smin[i]`` the least scale ``max(1, |a|)**tau`` of
+    any floor level ``>= i``: the row's level is at least its head's, so its
+    scale is at least ``smin[head_lvl[h]]``.  So each head visits only the
+    tails whose sorted partial sums fall in that window, widened for float
+    rounding; the module docstring gives the argument in full.  A skipped
+    row can change no field, so the certificate is the one a scan of every
+    row gives, and ``n_checked`` counts every multiset of the scan.  Full
+    index rows are built only for the rows that beat a running minimum,
+    which are then tested for resonance.  The witnesses are the first minima
+    in scan order.  A zero minimum score is an exact off-set resonance and
+    can never pass, whatever the threshold.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -343,6 +399,8 @@ def certify_nonresonance(
         partition = band_partition(table)
     if tau is None:
         tau = float(table.lattice.dim * order + 2)
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
 
     ext = extended_indexes(table.lattice)
     count = math.comb(len(ext) + order - 1, order)
@@ -355,20 +413,47 @@ def certify_nonresonance(
     omega = _signed_omegas(table, ext)
     floors = [max(1.0, table.norm(p)) for p, _ in ext]
     levels = sorted(set(floors))
-    scale = np.asarray([v**tau for v in levels])
+    try:
+        scale = np.asarray([v**tau for v in levels])
+    except OverflowError:
+        raise ValueError(
+            f"tau={tau} overflows max(1, |a|)**tau at |a| = {levels[-1]:g}"
+        ) from None
+    # smin[i] is the least scale of any level >= i, so it bounds the scale of
+    # a row from the level of its head whatever the sign of tau
+    smin = np.minimum.accumulate(scale[::-1])[::-1].tolist()
     # the narrowest dtype that holds every level index keeps the per-head and
     # per-tail level tables, and their per-block gathers, small
     level = np.searchsorted(levels, floors).astype(np.min_scalar_type(len(levels)))
     signed_bands = _signed_bands(table, partition, ext)
+    # H_h, T_t and a row's divisor are float sums of at most ``order`` terms
+    # no larger than ``reach / order`` (or float conversions of exact sums),
+    # each within ``(order - 1) * eps * reach`` of its exact value; with the
+    # rounding of the bound and of the window ends, a margin of ``slack *
+    # (reach + bound)`` holds every candidate row inside its head's window
+    reach = order * float(np.abs(omega.astype(np.float64)).max())
+    slack = 8 * order * np.finfo(np.float64).eps
 
     min_score = min_div = math.inf
     witness = div_witness = witness_div = None
-    for heads, tails, blocks in parts:
+
+    def width(a, b):
+        # a candidate row of head h has |divisor| < max(min_div, min_score /
+        # smin[head_lvl[h]]); a scale that underflowed to 0 prunes nothing
+        bound = np.asarray(
+            [max(float(min_div), min_score / s) if s > 0 else math.inf for s in smin]
+        )
+        return (bound + slack * (reach + bound))[head_lvl[a:b]]
+
+    for heads, tails, start in parts:
         head_div = _partial_sums(omega, heads)
         head_lvl = level[heads].max(axis=1, initial=0)
+        tail_div = _partial_sums(omega, tails)
         tail_omega = omega[tails.T]
         tail_lvl = level[tails].max(axis=1, initial=0)
-        for h, t in blocks:
+        head_sum = np.zeros(len(heads)) if head_div is None else head_div.astype(np.float64)
+        tail_sum = np.zeros(1) if tail_div is None else tail_div.astype(np.float64)
+        for h, t in _window_blocks(start, head_sum, tail_sum, width):
             columns = iter(tail_omega)
             div = next(columns)[t] if head_div is None else head_div[h]
             for col in columns:

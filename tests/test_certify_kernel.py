@@ -4,8 +4,9 @@
 ``combinations_with_replacement`` (or the seeded sample, each draw sorted as
 a tuple), skips the multisets ``is_resonant_W`` accepts, and keeps the first
 minimum of ``small_divisor`` and of the scaled score.  The kernel adds the
-divisor columns in the same order, so every certificate field must agree
-exactly, value and type, witness tuples included.
+divisor columns in the same order and skips only rows that cannot beat a
+running minimum, so every certificate field must agree exactly, value and
+type, witness tuples included.
 """
 
 import json
@@ -88,9 +89,16 @@ def assert_same_certificate(table, order, **kwargs):
 
 
 def exhaustive_rows(n, order):
-    """The exhaustive scan's blocks as full index rows, rebuilt from its
-    head and tail indexes."""
-    for heads, tails, blocks in latnf.resonance._exhaustive_scan(n, order):
+    """The exhaustive scan's blocks as full index rows, rebuilt from its head
+    and tail indexes, with infinite window widths and tail sums that sort
+    the tails out of index order."""
+    rng = np.random.default_rng(10 * n + order)
+    for heads, tails, start in latnf.resonance._exhaustive_scan(n, order):
+        head_sum = rng.standard_normal(len(heads))
+        tail_sum = rng.standard_normal(len(tails))
+        blocks = latnf.resonance._window_blocks(
+            start, head_sum, tail_sum, lambda a, b: np.inf
+        )
         for h, t in blocks:
             assert len(h) == len(t)
             yield np.hstack([heads[h], tails[t]])
@@ -116,6 +124,30 @@ def test_exhaustive_blocks_follow_combinations_order(monkeypatch, n, order, bloc
     assert all(len(b) <= block for b in blocks)
 
 
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_window_keeps_exactly_the_rows_inside_it(monkeypatch, block):
+    # Integer sums make every comparison exact, so rows on the window's edge
+    # (|H + T| equal to the width) must be dropped and rows inside kept.
+    monkeypatch.setattr(latnf.resonance, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    ((heads, tails, start),) = latnf.resonance._exhaustive_scan(6, 5)
+    head_sum = rng.integers(-4, 5, len(heads)).astype(float)
+    tail_sum = rng.integers(-4, 5, len(tails)).astype(float)
+    width = rng.choice([0.0, 1.0, 2.0, 3.5, np.inf], len(heads))
+    blocks = list(latnf.resonance._window_blocks(
+        start, head_sum, tail_sum, lambda a, b: width[a:b]
+    ))
+    got = [(int(h), int(t)) for hs, ts in blocks for h, t in zip(hs, ts)]
+    want = [
+        (h, t)
+        for h in range(len(heads))
+        for t in range(start[h], len(tails))
+        if abs(head_sum[h] + tail_sum[t]) < width[h]
+    ]
+    assert got == want and 0 < len(want) < sum(len(tails) - start)
+    assert all(len(h) <= block for h, _ in blocks)
+
+
 @pytest.mark.parametrize("order", [3, 4])
 def test_resonant_mask_matches_scalar_on_every_row(certified_table, certified_bands, order):
     ext = extended_indexes(certified_table.lattice)
@@ -127,10 +159,14 @@ def test_resonant_mask_matches_scalar_on_every_row(certified_table, certified_ba
 
 @pytest.fixture(scope="module")
 def small_tables():
-    """Seven-mode float and exact lines and a five-mode 2-D offset table."""
+    """Seven-mode float and exact lines, a seven-mode line of drawn
+    frequencies and a five-mode 2-D offset table."""
     line = enumerate_lattice(1, 3.0)
     potential = {p: FROZEN_POTENTIAL[p] for p in line.points}
+    rng = np.random.default_rng(38)
+    drawn = {p: p[0] ** 2 + rng.uniform(0.0, 0.9) for p in line.points}
     return {
+        "drawn-line": build_spectrum(line, TableModel(values=drawn, beta=2.0)),
         "float-line": build_spectrum(
             line, SpectralMultiplier(base=TorusLaplacian(), potential=potential)
         ),
@@ -156,10 +192,55 @@ def test_head_tail_split_matches_the_loop(monkeypatch, small_tables, name, order
         assert_fields(certify_nonresonance(table, order, partition=bands), want)
 
 
+@pytest.mark.parametrize("tau", [-2.0, 0.0])
+@pytest.mark.parametrize("name", ["drawn-line", "float-line", "exact-line", "offset-2d"])
+def test_nonpositive_tau_matches_the_loop(monkeypatch, small_tables, name, tau):
+    # For tau < 0 the scale falls with the level, so a head's window must be
+    # bounded by the least scale of any level at or above the head's: on the
+    # drawn line, small blocks and tau = -2, the witness of orders 2 and 4
+    # is a row whose tail holds a higher level than its head.  The exact
+    # line has many zero-divisor ties.
+    table = small_tables[name]
+    bands = band_partition(table)
+    cases = [(2, {}), (4, {}), (6, {}), (5, {"budget": 10, "samples": 3000, "seed": 3})]
+    for order, kwargs in cases:
+        want = loop_certificate(table, order, bands, tau=tau, **kwargs)
+        for block in (1, 3, 64):
+            monkeypatch.setattr(latnf.resonance, "BLOCK", block)
+            cert = certify_nonresonance(table, order, partition=bands, tau=tau, **kwargs)
+            assert_fields(cert, want)
+
+
+def test_order_6_scan_visits_few_rows(monkeypatch, certified_table, certified_bands):
+    # 3262623 multisets; the rows that can beat the running minima are few.
+    # The fields are those of the unpruned scan on the same table.
+    visited = []
+    window_blocks = latnf.resonance._window_blocks
+
+    def counting(*args):
+        for h, t in window_blocks(*args):
+            visited.append(len(h))
+            yield h, t
+
+    monkeypatch.setattr(latnf.resonance, "_window_blocks", counting)
+    cert = certify_nonresonance(
+        certified_table, 6, partition=certified_bands, budget=4_000_000
+    )
+    assert cert.exhaustive and cert.n_checked == 3262623
+    assert sum(visited) < 100_000
+    assert cert.min_score == 0.007554739129191468
+    assert cert.min_divisor == 2.8071816021935092e-05
+    assert cert.witness == (
+        ((-1,), 1), ((0,), -1), ((0,), -1), ((0,), -1), ((0,), -1), ((1,), -1)
+    )
+
+
 @pytest.mark.parametrize(
     "kwargs,name",
     [({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"),
-     ({"budget": -1}, "budget"), ({"samples": 0}, "samples")],
+     ({"budget": -1}, "budget"), ({"samples": 0}, "samples"),
+     ({"tau": math.nan}, "tau"), ({"tau": math.inf}, "tau"),
+     ({"tau": -math.inf}, "tau"), ({"tau": 400.0}, "tau")],
 )
 def test_meaningless_arguments_are_refused(certified_table, kwargs, name):
     with pytest.raises(ValueError, match=name):
@@ -224,8 +305,11 @@ def test_ties_across_small_blocks(monkeypatch, v0_table, certified_table, block)
     assert_same_certificate(certified_table, 3, budget=10, samples=500, seed=2)
 
 
-@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
 def test_large_exact_spectrum_keeps_python_integers(order):
+    # Near 2**61 a float partial sum is off by hundreds, so exact divisors
+    # that differ by less than that meet at the window's edge: the window
+    # must allow for it.
     lattice = enumerate_lattice(1, 3.0)
     values = {p: 2**61 + 7 * p[0] * p[0] + p[0] for p in lattice.points}
     table = build_spectrum(lattice, TableModel(values=values, beta=2.0))
@@ -234,6 +318,22 @@ def test_large_exact_spectrum_keeps_python_integers(order):
     assert latnf.resonance._signed_omegas(table, ext).dtype == object
     cert = assert_same_certificate(table, order)
     assert isinstance(cert.min_divisor, int) and cert.min_divisor > 2**60
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+def test_exact_spectrum_mixing_large_and_small_frequencies(order):
+    # Two modes near 2**61 and five small ones in their own bands: a head and
+    # a tail that each hold a large mode have float sums off by hundreds,
+    # while the exact divisor of the row is small or zero.
+    lattice = enumerate_lattice(1, 3.0)
+    values = {
+        p: (2**61 if p[0] in (-3, 0) else 0) + 7 * p[0] * p[0] + p[0]
+        for p in lattice.points
+    }
+    table = build_spectrum(lattice, TableModel(values=values, beta=2.0))
+    assert band_partition(table).nbands == 6
+    cert = assert_same_certificate(table, order)
+    assert isinstance(cert.min_divisor, int) and cert.min_divisor < 10
 
 
 def test_certificate_json_keeps_exact_divisors(tmp_path):

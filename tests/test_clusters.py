@@ -18,7 +18,6 @@ from latnf import (
     clusters_to_json,
     enumerate_lattice,
     high_mode_blocks,
-    point_distance,
     separation_margin,
 )
 

@@ -283,7 +283,12 @@ def test_cli_resonances_certifies_multiplier_system(tmp_path, capsys):
     "setting,message",
     [("resonance.gamma=-1", "gamma must be positive"),
      ("resonance.gamma=0", "gamma must be positive"),
-     ("resonance.budget=-5", "budget must be >= 0")],
+     ("resonance.budget=-5", "budget must be >= 0"),
+     # 8.0**400 overflows a float; nan and +-inf give no meaningful score
+     ("resonance.tau=400", "tau=400.0 overflows"),
+     ("resonance.tau=nan", "tau must be finite, got nan"),
+     ("resonance.tau=inf", "tau must be finite, got inf"),
+     ("resonance.tau=-inf", "tau must be finite, got -inf")],
 )
 def test_cli_resonances_meaningless_arguments_are_usage_errors(
     tmp_path, capsys, setting, message
@@ -453,6 +458,21 @@ def test_cli_normalform_nonpositive_gamma_is_a_usage_error(tmp_path, capsys, gam
     captured = capsys.readouterr()
     assert "gamma must be positive" in captured.err
     assert "FAIL" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "tau,message",
+    [("nan", "tau must be finite"), ("400", "overflows max(1, |a|)**tau"),
+     # with no cutoff set, tau also picks one from radius**(-1/(2 tau))
+     ("0", "tau must be positive to choose a cutoff"),
+     ("-1", "tau must be positive to choose a cutoff"),
+     ("0.001", "cutoff target radius**(-1/(2 tau)) overflows")],
+)
+def test_cli_normalform_bad_tau_is_a_usage_error(tmp_path, capsys, tau, message):
+    assert _normalform(tmp_path, f"normalform.tau={tau}", "normalform.cutoff=none") == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and "FAIL" not in captured.out
 
 
 def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from latnf import (
     band_partition,
     bogoliubov,
     build_clusters,
-    build_spectrum,
     enumerate_lattice,
     ground_state_reduce,
     integrate_beam,
@@ -23,7 +22,6 @@ from latnf import (
     stability_experiment,
     superactions,
     trajectory_to_csv,
-    TorusLaplacian,
 )
 from latnf.dynamics import five_smooth
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from latnf import (
     add_forms,
-    band_partition,
     band_superactions,
     canonical_key,
     conjugate_form,

@@ -13,7 +13,6 @@ from latnf import (
     TorusLaplacian,
     band_map,
     band_partition,
-    build_clusters,
     build_spectrum,
     certificate_to_json,
     certify_nonresonance,
