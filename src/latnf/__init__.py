@@ -4,12 +4,9 @@ from .lattice import (
     Lattice,
     MAX_POINTS,
     conjugate,
-    conjugate_key,
     enumerate_lattice,
     extended_indexes,
-    is_real_pairing,
     point_distance,
-    real_state,
 )
 from .frequencies import (
     AsymptoticFit,
@@ -21,8 +18,6 @@ from .frequencies import (
     TorusLaplacian,
     build_spectrum,
     fit_asymptotics,
-    floor_comparability,
-    floor_norm,
     frequency,
     spectrum_to_csv,
 )
@@ -36,7 +31,6 @@ from .bands import (
 from .clusters import (
     ClusterPartition,
     block_index_map,
-    block_of,
     build_clusters,
     certify_dyadic,
     cluster_summary,
@@ -52,10 +46,7 @@ from .resonance import (
     certificate_to_json,
     certify_nonresonance,
     estimate_resonant_measure,
-    ground_state_divisor_function,
-    is_block_nonresonant,
     is_resonant_W,
-    ordering_permutation,
     small_divisor,
     validate_cutoff,
 )
@@ -67,36 +58,19 @@ from .forms import (
     block_superactions,
     canonical_key,
     conjugate_form,
-    decompose_by_high_order,
-    evaluate,
-    form_from_jsonl,
     form_to_jsonl,
-    is_real_coefficients,
     localized_norm,
-    make_form,
-    mass_form,
     nls_quartic,
     poisson_bracket,
-    polarized_evaluate,
-    polarized_vector_field,
     poly_from_forms,
     quadratic_hamiltonian,
     random_form,
     scale_form,
     scaled_norm,
     sobolev_norm,
-    split_state,
     superaction_form,
     vector_field,
-    vector_field_seminorm,
     zero_form,
-)
-from .estimates import (
-    high_order_decay,
-    random_state,
-    separation_cutoff_bound,
-    verify_bilinear_eigen,
-    verify_tame,
 )
 from .normalform import (
     CertificateError,
@@ -105,7 +79,6 @@ from .normalform import (
     SmallnessError,
     check_superaction_commutation,
     choose_cutoff,
-    classify_term,
     lie_transform,
     normalform_manifest,
     normalize,
@@ -116,15 +89,11 @@ from .dynamics import (
     SimulationConfig,
     StabilityReport,
     TrajectoryRecord,
-    bogoliubov,
-    ground_state_reduce,
     integrate_beam,
     integrate_nls,
     integrate_normal_form,
     orbital_distance,
-    reconstruct_ground_state,
     stability_experiment,
-    superactions,
     trajectory_to_csv,
 )
 from .config import ConfigError, apply_overrides, default_config, load_config

@@ -128,9 +128,9 @@ def build_system(cfg) -> System:
 def run_normalform(
     cfg, system: System
 ) -> Tuple[List[NonresonanceCertificate], NormalFormResult]:
-    """Certify orders 3..degree_cap and normalize the ``[normalform]`` perturbation.
+    """Certify orders 3..degree_cap and normalize the NLS quartic.
 
-    The one perturbation, ``nls_quartic``, is the NLS nonlinearity, so only
+    The perturbation, ``nls_quartic``, is the NLS nonlinearity, so only
     the NLS model kinds ``torus`` and ``multiplier`` are normalized; any other
     kind is a ``ConfigError``.  Raises ``CertificateError``/``SmallnessError``
     when normalization fails.
@@ -142,8 +142,6 @@ def run_normalform(
             f"model.kind {kind!r} has no perturbation of its own"
         )
     sec = cfg["normalform"]
-    if sec["perturbation"] != "nls_quartic":
-        raise ConfigError(f"unknown perturbation {sec['perturbation']!r}")
     perturbation = poly_from_forms([nls_quartic(system.lattice, sec["coupling"])])
     # every NormalFormConfig field is the [normalform] key of the same name
     nf_config = NormalFormConfig(**{f.name: sec[f.name] for f in fields(NormalFormConfig)})
@@ -619,7 +617,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -77,10 +77,6 @@ def block_index_map(partition: ClusterPartition) -> Dict[Point, int]:
     return out
 
 
-def block_of(partition: ClusterPartition, point: Point) -> int:
-    return block_index_map(partition)[tuple(point)]
-
-
 def _pair_gaps(table: SpectrumTable):
     """Vectorized ingredients of the edge predicate for all points."""
     coords = effective_array(table.lattice)

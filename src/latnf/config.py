@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import configparser
 import json
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 
@@ -186,7 +187,6 @@ _SCHEMA = {
         "smoothing": (_as_float, 2.0),
         "mu_max": (_as_float, 1.0),
         "coupling": (_as_float, 1.0),
-        "perturbation": (_as_str, "nls_quartic"),
         "remainder_samples": (_as_int, 3),
         "cert_budget": (_as_int, 1_000_000),
     },
@@ -242,7 +242,7 @@ def load_config(path: Optional[str]) -> Dict[str, Dict[str, object]]:
     merged = default_config()
     if path is None:
         return merged
-    text = open(path, "r").read()
+    text = Path(path).read_text()
     if str(path).endswith(".json"):
         try:
             raw = json.loads(text)

@@ -345,15 +345,6 @@ def _coeff_grid(coeff, grid: _Grid) -> np.ndarray:
     return float(coeff) * np.ones(grid.shape)
 
 
-def _gram_matrix(dim: int, gram) -> np.ndarray:
-    if gram is None:
-        return np.eye(dim)
-    g = np.asarray(gram, dtype=float)
-    if g.shape != (dim, dim):
-        raise ValueError(f"gram matrix must be {dim}x{dim}")
-    return g
-
-
 @dataclass(frozen=True, eq=False)
 class _System:
     """Truncation, spectrum, partitions and FFT grid of a grid model.
@@ -416,17 +407,16 @@ def _system(config: SimulationConfig, alias: int) -> _System:
     """The model of ``config`` on a grid where products of ``alias``
     truncation-supported fields are alias-free."""
     lattice = enumerate_lattice(config.dim, config.radius)
-    g = _gram_matrix(config.dim, config.gram)
+    model = TorusLaplacian(gram=config.gram)
+    g = model.gram_matrix(config.dim)
     if config.model == "beam":
         eig = {}
         for p in lattice.points:
             x = np.asarray(lattice.effective(p))
             eig[p] = float(x @ g @ x)
         model = Beam(eigenvalues=eig, mass=config.mass_term)
-    else:
-        model = TorusLaplacian(gram=config.gram)
-        if config.potential:
-            model = SpectralMultiplier(base=model, potential=dict(config.potential))
+    elif config.potential:
+        model = SpectralMultiplier(base=model, potential=dict(config.potential))
     table = build_spectrum(lattice, model)
     side = max((abs(c) for p in lattice.points for c in p), default=0)
     grid = _Grid(config.dim, five_smooth(alias * side + 1))
@@ -636,28 +626,6 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
 # --- polynomial normal forms on the truncated modes --------------------------
 
 
-def superactions(
-    plus: Dict[Point, complex],
-    table: SpectrumTable,
-    bands: BandPartition,
-    clusters: Optional[ClusterPartition] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Band and block mode masses of a one-sided state."""
-    bm = band_map(table, bands)
-    j = np.zeros(bands.nbands)
-    for p, v in plus.items():
-        j[bm[tuple(p)]] += abs(v) ** 2
-    if clusters is None:
-        return j, np.zeros(0)
-    from .clusters import block_index_map
-
-    ids = block_index_map(clusters)
-    jb = np.zeros(clusters.nblocks)
-    for p, v in plus.items():
-        jb[ids[tuple(p)]] += abs(v) ** 2
-    return j, jb
-
-
 def is_action_form(form: SymmetricForm) -> bool:
     """Whether every monomial is a product of mode actions |u_a|^2."""
     codes = form.codes
@@ -778,88 +746,6 @@ def integrate_normal_form(
     )
 
 
-def ground_state_reduce(coeffs: Dict[Point, complex], p0: float) -> Tuple[Dict[Point, complex], float]:
-    """Extract the zero-mode phase and return the gauge-fixed remainder.
-
-    The chart writes the field as ``exp(-i theta) (sqrt(p0 - |phi|^2) + phi)``
-    with phi mean-free; it requires a nonzero mean mode and ``|phi|^2 < p0``.
-    """
-    pts = list(coeffs)
-    if not pts:
-        raise ValueError("empty state")
-    dim = len(pts[0])
-    zero = (0,) * dim
-    mean = complex(coeffs.get(zero, 0.0))
-    if mean == 0:
-        raise ValueError("zero mean mode: outside the ground-state chart")
-    theta = -math.atan2(mean.imag, mean.real)
-    rot = complex(math.cos(theta), math.sin(theta))
-    phi = {tuple(p): rot * complex(c) for p, c in coeffs.items() if tuple(p) != zero}
-    mass_phi = sum(abs(v) ** 2 for v in phi.values())
-    if mass_phi >= p0:
-        raise ValueError(f"remainder mass {mass_phi} >= p0 = {p0}: outside chart")
-    return phi, theta
-
-
-def reconstruct_ground_state(
-    phi: Dict[Point, complex], p0: float, theta: float, dim: Optional[int] = None
-) -> Dict[Point, complex]:
-    if dim is None:
-        if not phi:
-            raise ValueError("need dim for an empty remainder")
-        dim = len(next(iter(phi)))
-    zero = (0,) * dim
-    mass_phi = sum(abs(v) ** 2 for v in phi.values())
-    if mass_phi >= p0:
-        raise ValueError(f"remainder mass {mass_phi} >= p0 = {p0}: outside chart")
-    rot = complex(math.cos(-theta), math.sin(-theta))
-    out = {tuple(p): rot * complex(c) for p, c in phi.items()}
-    out[zero] = rot * math.sqrt(p0 - mass_phi)
-    return out
-
-
-@dataclass(frozen=True)
-class BogoliubovResult:
-    w: Dict[Point, complex]
-    omegas: Dict[Point, float]
-    angles: Dict[Point, float]
-    offdiag_residual: float
-
-
-def bogoliubov(
-    phi: Dict[Point, complex],
-    p0: float,
-    f,
-    eigenvalues: Dict[Point, float],
-) -> BogoliubovResult:
-    """Per-mode hyperbolic rotation diagonalizing the quadratic pairing.
-
-    With ``A = lambda + f(p0)`` and ``B = f(p0)`` the angle solves
-    ``tanh(2t) = B/A`` and the diagonal frequency is
-    ``sqrt(lambda^2 + 2 f(p0) lambda)``; requires ``lambda (lambda+2f) > 0``.
-    """
-    fp = float(f(p0)) if callable(f) else float(f)
-    w: Dict[Point, complex] = {}
-    omegas: Dict[Point, float] = {}
-    angles: Dict[Point, float] = {}
-    residual = 0.0
-    for p, v in phi.items():
-        lam = float(eigenvalues[tuple(p)])
-        if lam * (lam + 2.0 * fp) <= 0.0:
-            raise ValueError(
-                f"mode {p}: lambda (lambda + 2 f) = {lam * (lam + 2.0 * fp)} <= 0; "
-                "diagonalization invalid"
-            )
-        a, b = lam + fp, fp
-        t = 0.5 * math.atanh(b / a)
-        ch, sh = math.cosh(t), math.sinh(t)
-        w[tuple(p)] = ch * complex(v) + sh * complex(v).conjugate()
-        omegas[tuple(p)] = math.sqrt(lam * lam + 2.0 * fp * lam)
-        angles[tuple(p)] = t
-        residual = max(residual, abs(-a * ch * sh + 0.5 * b * (ch * ch + sh * sh)))
-    return BogoliubovResult(w=w, omegas=omegas, angles=angles, offdiag_residual=residual)
-
-
 def orbital_distance(coeffs: Dict[Point, complex], p0: float, s: float, lattice: Lattice) -> float:
     """Sobolev distance to the ground-state circle, minimized over the phase.
 
@@ -974,13 +860,8 @@ def stability_experiment(
             _drift(record.times, record.block_actions[:, k])
             for k in range(record.block_actions.shape[1])
         )
-        meta_s = float(record.meta["s"])
-        lows = record.meta.get("band_floors")
-        if lows is None:
-            weights = np.ones(record.band_actions.shape[1])
-        else:
-            weights = (1.0 + np.asarray(lows)) ** (2.0 * meta_s)
-        weighted = record.band_actions @ weights
+        lows = np.asarray(record.meta["band_floors"])
+        weighted = record.band_actions @ (1.0 + lows) ** (2.0 * float(record.meta["s"]))
         runs.append(
             StabilityRun(
                 epsilon=float(eps),

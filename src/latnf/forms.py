@@ -11,10 +11,10 @@ position (rank) in the sorted point list and encodes each signed entry as
 order (point lex, ``+`` before ``-``).  ``SymmetricForm`` holds
 ``codes: int32[n, degree]`` (each row ascending, one row per key),
 ``values: complex128[n]`` and the point list.  Every operation on forms runs
-on these arrays.  ``SymmetricForm.from_dict`` and ``make_form`` pack a dict
-of keys; ``SymmetricForm.coeffs`` is a read-only dict of the rows, in row
-order, built only when something reads it (the reference loops and the
-tests).  Forms are immutable once built.
+on these arrays.  ``SymmetricForm.from_dict`` packs a dict of keys;
+``SymmetricForm.coeffs`` is a read-only dict of the rows, in row order, built
+only when something reads it (the tests and their per-key reference loops).
+Forms are immutable once built.
 
 The localized norm weights each key by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the key (smallest repeated below degree 3) and
@@ -27,26 +27,17 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .bands import BandPartition, band_map
 from .clusters import ClusterPartition
 from .frequencies import SpectrumTable
-from .lattice import (
-    ExtIndex,
-    Lattice,
-    Point,
-    conjugate,
-    conjugate_key,
-    extended_indexes,
-)
+from .lattice import ExtIndex, Lattice, Point, extended_indexes
 
 Key = Tuple[ExtIndex, ...]
 
@@ -61,14 +52,6 @@ BLOCK = 1 << 18
 
 def canonical_key(entries: Iterable[ExtIndex]) -> Key:
     return tuple(sorted(entries, key=lambda e: (e[0], -e[1])))
-
-
-def key_multiplicity(key: Key) -> int:
-    """Multinomial count of orderings of the multiset."""
-    mult = math.factorial(len(key))
-    for m in Counter(key).values():
-        mult //= math.factorial(m)
-    return mult
 
 
 def _relabel(codes: np.ndarray, mapping: np.ndarray) -> np.ndarray:
@@ -136,7 +119,7 @@ class SymmetricForm:
 
     @cached_property
     def multiplicity(self) -> np.ndarray:
-        """``key_multiplicity`` of every row, from its run lengths."""
+        """Multinomial count of the orderings of every row, from its run lengths."""
         degree = self.degree
         fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=np.int64)
         return fact[degree] // np.prod(fact[self.runs], axis=1)
@@ -180,30 +163,6 @@ class SymmetricForm:
         return np.array([values.get(e, 0j) for e in self.entries], dtype=complex)
 
 
-def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degree: Optional[int] = None, tol: float = DROP_TOL) -> SymmetricForm:
-    """Canonicalize keys, merge duplicates, drop coefficients below ``tol``."""
-    items = terms.items() if isinstance(terms, Mapping) else terms
-    acc: Dict[Key, complex] = {}
-    for key, c in items:
-        k = canonical_key(key)
-        acc[k] = acc.get(k, 0j) + complex(c)
-    acc = {k: c for k, c in acc.items() if abs(c) > tol}
-    degrees = {len(k) for k in acc}
-    if len(degrees) > 1:
-        raise ValueError(f"mixed key lengths {sorted(degrees)} in one form")
-    if degree is None:
-        if not degrees:
-            raise ValueError("empty form needs an explicit degree")
-        degree = degrees.pop()
-    elif degrees and degrees != {degree}:
-        raise ValueError(f"keys of length {degrees.pop()} in a degree-{degree} form")
-    for key in acc:
-        for point, sign in key:
-            if sign not in (-1, 1):
-                raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return SymmetricForm.from_dict(degree, acc)
-
-
 def zero_form(degree: int) -> SymmetricForm:
     return SymmetricForm.from_dict(degree, {})
 
@@ -242,15 +201,6 @@ def conjugate_form(form: SymmetricForm) -> SymmetricForm:
     return SymmetricForm(form.points, np.sort(form.codes ^ 1, axis=1), form.values.conj())
 
 
-def is_real_coefficients(form: SymmetricForm, tol: float = 1e-12) -> bool:
-    """Whether the form takes real values on conjugation-paired states."""
-    for k, c in form.coeffs.items():
-        kc = canonical_key(conjugate_key(k))
-        if abs(form.coeffs.get(kc, 0j) - c.conjugate()) > tol * (1.0 + abs(c)):
-            return False
-    return True
-
-
 def monomials(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``coef[r] prod_k x[codes[r, k]]`` for every row, column by column."""
     out = coef.copy()
@@ -259,39 +209,12 @@ def monomials(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate(form: SymmetricForm, values: State) -> complex:
-    return complex(monomials(form.codes, form.values, form.gather(values)).sum())
-
-
-def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
-    """Symmetric multilinear extension evaluated on one state per slot."""
-    n = form.degree
-    if len(states) != n:
-        raise ValueError(f"need {n} states, got {len(states)}")
-    total = 0j
-    fact = math.factorial(n)
-    for key, c in form.coeffs.items():
-        acc = 0j
-        for perm in permutations(range(n)):
-            prod = complex(1.0)
-            for slot, entry in zip(perm, key):
-                v = states[slot].get(entry)
-                if v is None or v == 0:
-                    prod = 0j
-                    break
-                prod *= v
-            acc += prod
-        total += c * acc / fact
-    return total
-
-
 def leading_points(form: SymmetricForm, table: SpectrumTable) -> Tuple[np.ndarray, np.ndarray]:
     """Floor norm of every point, and the points of every row's first three entries.
 
-    Entries are ordered as ``resonance.ordering_permutation`` does: floor
-    norm descending, then point, then ``+`` first.  Relabelling each point by
-    its rank in (-floor, point) order makes that a plain row sort.  Points
-    are indexes into ``form.points``.
+    Entries are ordered by floor norm descending, then point, then ``+``
+    first.  Relabelling each point by its rank in (-floor, point) order
+    makes that a plain row sort.  Points are indexes into ``form.points``.
     """
     points = form.points
     floors = np.array([table.floor(p) for p in points])
@@ -326,12 +249,6 @@ def _localization(form: SymmetricForm, table: SpectrumTable, zero_mode: str) -> 
             raise ValueError(f"unknown zero_mode {zero_mode!r}")
         mu, s = np.where(zero, 1.0 + mu, mu), np.where(zero, 1.0 + s, s)
     return mu, s
-
-
-def mu_S(table: SpectrumTable, key: Key, zero_mode: str = "error") -> Tuple[float, float]:
-    """Localization pair (mu, S) of a key under the decreasing-floor ordering."""
-    mu, s = _localization(SymmetricForm.from_dict(len(key), {key: 0j}), table, zero_mode)
-    return float(mu[0]), float(s[0])
 
 
 def localized_norm(
@@ -418,53 +335,6 @@ def vector_field(form: SymmetricForm, values: State) -> State:
     target = np.flatnonzero(field[np.arange(len(field)) ^ 1]) ^ 1
     entries = form.entries
     return {entries[c]: v for c, v in zip(target.tolist(), field[target].tolist())}
-
-
-def polarized_vector_field(form: SymmetricForm, states: Sequence[State]) -> State:
-    """Multilinear extension of the vector field on degree-1 many states."""
-    r = form.degree - 1
-    if len(states) != r:
-        raise ValueError(f"need {r} states, got {len(states)}")
-    fact = math.factorial(r)
-    out: State = {}
-    for key, c in form.coeffs.items():
-        for entry, m in Counter(key).items():
-            reduced = list(key)
-            reduced.remove(entry)
-            acc = 0j
-            for perm in permutations(range(r)):
-                prod = complex(1.0)
-                for slot, e in zip(perm, reduced):
-                    v = states[slot].get(e)
-                    if v is None or v == 0:
-                        prod = 0j
-                        break
-                    prod *= v
-                acc += prod
-            if acc != 0:
-                target = conjugate(entry)
-                out[target] = out.get(target, 0j) + 1j * entry[1] * c * m * acc / fact
-    return out
-
-
-def vector_field_seminorm(
-    form: SymmetricForm,
-    table: SpectrumTable,
-    *,
-    nu: float,
-    smoothing: float,
-    zero_mode: str = "error",
-) -> float:
-    """Localized seminorm of the vector field, weighted by the full keys."""
-    if not len(form):
-        return 0.0
-    mu, s = _localization(form, table, zero_mode)
-    weight = s**smoothing / mu ** (smoothing + nu)
-    row, col = np.nonzero(form.runs)
-    m = form.runs[row, col]
-    reduced_mult = form.multiplicity[row] * m // form.degree
-    w = np.abs(form.values)[row] * m / reduced_mult * weight[row]
-    return float(w.max())
 
 
 def _row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -562,11 +432,6 @@ def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
     return SymmetricForm.from_dict(2, coeffs)
 
 
-def mass_form(lattice: Lattice) -> SymmetricForm:
-    coeffs = {canonical_key(((p, 1), (p, -1))): 1.0 + 0j for p in lattice.points}
-    return SymmetricForm.from_dict(2, coeffs)
-
-
 def superaction_form(points: Iterable[Point]) -> SymmetricForm:
     coeffs = {canonical_key(((p, 1), (p, -1))): 1.0 + 0j for p in points}
     if not coeffs:
@@ -636,25 +501,6 @@ def sobolev_norm(values: State, lattice: Lattice, s: float) -> float:
     return math.sqrt(total)
 
 
-def split_state(values: State, table: SpectrumTable, cutoff: float) -> Tuple[State, State]:
-    """Project a state onto floor norms <= cutoff and > cutoff."""
-    low: State = {}
-    high: State = {}
-    for entry, v in values.items():
-        (high if table.floor(entry[0]) > cutoff else low)[entry] = v
-    return low, high
-
-
-def decompose_by_high_order(form: SymmetricForm, table: SpectrumTable, cutoff: float) -> Dict[int, SymmetricForm]:
-    """Split the rows by their count of high (floor > cutoff) entries; parts sum back to the form."""
-    high = np.array([table.floor(p) > cutoff for p in form.points], dtype=np.int64)
-    count = high[form.codes >> 1].sum(axis=1)
-    return {
-        n: SymmetricForm(form.points, form.codes[count == n], form.values[count == n])
-        for n in np.unique(count).tolist()
-    }
-
-
 @dataclass(frozen=True, eq=False)
 class PolyHamiltonian:
     """Sum of homogeneous forms, indexed by degree."""
@@ -689,10 +535,6 @@ def _encode_key(key: Iterable[ExtIndex]) -> list:
     return [[list(p), s] for p, s in key]
 
 
-def _decode_key(raw) -> Key:
-    return tuple((tuple(int(c) for c in p), int(s)) for p, s in raw)
-
-
 def form_to_jsonl(form: SymmetricForm, path) -> None:
     """One JSON object per key, in canonical key order.
 
@@ -707,17 +549,3 @@ def form_to_jsonl(form: SymmetricForm, path) -> None:
         for codes, c in zip(form.codes[order].tolist(), form.values[order].tolist()):
             row = {"key": _encode_key(entries[e] for e in codes), "re": c.real, "im": c.imag}
             fh.write(json.dumps(row, sort_keys=True) + "\n")
-
-
-def form_from_jsonl(path) -> SymmetricForm:
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "form":
-            raise ValueError(f"not a form file: {path}")
-        coeffs: Dict[Key, complex] = {}
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            coeffs[_decode_key(row["key"])] = complex(row["re"], row["im"])
-    return make_form(coeffs, degree=int(header["degree"]), tol=0.0)

@@ -134,14 +134,6 @@ def frequency(model, point: Point, offset=None):
     raise TypeError(f"unknown frequency model: {type(model).__name__}")
 
 
-def floor_norm(model, point: Point, offset=None) -> float:
-    """``omega_a^(1/beta)``; equals |a| exactly for the identity torus."""
-    om = frequency(model, point, offset)
-    if om < 0:
-        raise ValueError(f"negative frequency {om} at {point}")
-    return float(om) ** (1.0 / model.beta)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Every enumerated point with its frequency, sorted by frequency.
@@ -244,22 +236,3 @@ def fit_asymptotics(model, table: SpectrumTable) -> AsymptoticFit:
     slack = 1e-9 * (1.0 + float(np.abs(om).max()))
     passed = outer_max <= 2.0 * inner_max + slack
     return AsymptoticFit(c1=c1, c2=c2, passed=passed, inner_max=inner_max, outer_max=outer_max)
-
-
-def floor_comparability(table: SpectrumTable) -> Tuple[float, float]:
-    """Extremal ratios ``floor(a)/|a|`` over nonzero modes.
-
-    Both ratios are positive and finite on any truncation where the fitted
-    power law passes; they bound ``floor`` by ``|a|`` on the truncation.
-    """
-    lo, hi = math.inf, 0.0
-    for p in table.points:
-        n = table.norm(p)
-        if n == 0.0:
-            continue
-        ratio = table.floor(p) / n
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-    if hi == 0.0:
-        raise ValueError("no nonzero modes in the table")
-    return lo, hi

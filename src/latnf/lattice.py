@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -141,11 +141,6 @@ def conjugate(index: ExtIndex) -> ExtIndex:
     return (point, -sign)
 
 
-def conjugate_key(key: Iterable[ExtIndex]) -> Tuple[ExtIndex, ...]:
-    """Flip every sign in a tuple of signed indexes (order preserved)."""
-    return tuple((p, -s) for p, s in key)
-
-
 def extended_indexes(lattice: Lattice) -> Tuple[ExtIndex, ...]:
     """Both signed copies of every point: lex point order, ``+`` before ``-``."""
     out = []
@@ -153,24 +148,6 @@ def extended_indexes(lattice: Lattice) -> Tuple[ExtIndex, ...]:
         out.append((p, 1))
         out.append((p, -1))
     return tuple(out)
-
-
-def is_real_pairing(values: dict) -> bool:
-    """True when ``u[(a,-)] == conj(u[(a,+)])`` for the whole support."""
-    for (p, s), v in values.items():
-        w = values.get((p, -s), 0.0)
-        if abs(np.conj(v) - w) > 1e-12 * max(1.0, abs(v)):
-            return False
-    return True
-
-
-def real_state(plus: dict) -> dict:
-    """Extend a map ``point -> value`` to a real state on signed indexes."""
-    out = {}
-    for p, v in plus.items():
-        out[(p, 1)] = complex(v)
-        out[(p, -1)] = complex(np.conj(v))
-    return out
 
 
 def point_distance(a: Point, b: Point) -> float:

@@ -26,7 +26,6 @@ from .bands import BandPartition, band_partition
 from .clusters import ClusterPartition, block_index_map, build_clusters, high_mode_blocks
 from .dynamics import _rk4
 from .forms import (
-    Key,
     PolyHamiltonian,
     State,
     SymmetricForm,
@@ -143,8 +142,9 @@ def bucket_rows(form: SymmetricForm, table: SpectrumTable, bands: BandPartition,
     High modes have floor norm > cutoff.  Three or more make ZGE3; none make
     Z0 when the row is on the resonant set; two in one cluster block make ZB
     with opposite signs; two in distinct blocks make Z2 beyond index distance
-    ``c_delta * cutoff**delta``.  Every other row is nonresonant, which is
-    ``resonance.is_block_nonresonant``.
+    ``c_delta * cutoff**delta``.  Every other row is block nonresonant: one
+    high mode, or two with equal signs in one block or in distinct blocks
+    within that distance, or none off the resonant set.
     """
     points, codes = form.points, form.codes
     high = np.array([table.floor(p) > cutoff for p in points], dtype=bool)[codes >> 1]
@@ -164,15 +164,6 @@ def bucket_rows(form: SymmetricForm, table: SpectrumTable, bands: BandPartition,
     far = np.array([point_distance(points[a], points[b]) > reach for a, b in ends.tolist()], dtype=bool)
     out[two[~same & far[which.reshape(-1)]]] = BUCKETS.index("Z2")
     return out
-
-
-def classify_term(key: Key, table: SpectrumTable, bands: BandPartition, clusters: ClusterPartition, cutoff: float) -> str:
-    """Bucket of a monomial key: Z0, ZB, Z2, ZGE3, or NONRESONANT."""
-    if len(key) < 3:
-        raise ValueError("classification applies to keys of degree >= 3")
-    form = SymmetricForm.from_dict(len(key), {key: 0j})
-    label = int(bucket_rows(form, table, bands, clusters, cutoff)[0])
-    return (BUCKETS + ("NONRESONANT",))[label]
 
 
 @dataclass(frozen=True)

@@ -70,24 +70,14 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bands import BandPartition, band_map
-from .clusters import ClusterPartition, block_index_map
 from .frequencies import SpectralMultiplier, SpectrumTable, frequency
-from .lattice import ExtIndex, Lattice, Point, extended_indexes, point_distance
+from .lattice import ExtIndex, Lattice, Point, extended_indexes
 
 #: rows per block of the certification scan.  A block's temporaries are a few
 #: block-sized arrays whatever the multiset count: the exhaustive scan splits
 #: a head whose tails outrun a block across blocks, and the sampled scan draws
 #: its indexes block by block.
 BLOCK = 2048
-
-
-def ordering_permutation(table: SpectrumTable, multiset: Sequence[ExtIndex]) -> Tuple[int, ...]:
-    """Indices sorting entries by decreasing floor norm, ties by point then +/-."""
-    def key(i):
-        (p, s) = multiset[i]
-        return (-table.floor(p), p, -s)
-
-    return tuple(sorted(range(len(multiset)), key=key))
 
 
 def small_divisor(table: SpectrumTable, multiset: Sequence[ExtIndex]):
@@ -126,37 +116,6 @@ def validate_cutoff(table: SpectrumTable, partition: BandPartition, cutoff: floa
                 f"cutoff {cutoff} falls inside the band [{lo}, {hi}] "
                 "(floor scale): move it into a spectral gap"
             )
-
-
-def is_block_nonresonant(
-    multiset: Sequence[ExtIndex],
-    table: SpectrumTable,
-    bands: BandPartition,
-    clusters: ClusterPartition,
-    cutoff: float,
-) -> bool:
-    """Block nonresonance test for a monomial at high-mode cutoff ``cutoff``.
-
-    High modes are those with floor norm > cutoff.  The multiset is
-    nonresonant when its divisor is controlled by construction: at most two
-    high modes, and in the two-mode case either equal signs inside one
-    cluster block, or distinct blocks at index distance within
-    ``c_delta * cutoff**delta``.  With no high modes it reduces to the
-    paired-mode criterion.
-    """
-    validate_cutoff(table, bands, cutoff)
-    high = [(p, s) for p, s in multiset if table.floor(p) > cutoff]
-    if len(high) > 2:
-        return False
-    if len(high) == 0:
-        return not is_resonant_W(multiset, table, bands)
-    if len(high) == 1:
-        return True
-    (a1, s1), (a2, s2) = high
-    ids = block_index_map(clusters)
-    if ids[a1] == ids[a2]:
-        return s1 * s2 > 0
-    return point_distance(a1, a2) <= clusters.c_delta * cutoff**clusters.delta
 
 
 @dataclass(frozen=True)
@@ -583,76 +542,3 @@ def estimate_resonant_measure(
         gamma=gamma,
         n_samples=n_samples,
     )
-
-
-@dataclass(frozen=True)
-class DivisorScan:
-    roots: Tuple[float, ...]
-    degenerate: bool
-
-
-def ground_state_divisor_function(
-    x: Sequence[float],
-    split: int,
-    y_lo: float,
-    y_hi: float,
-    *,
-    grid: int = 1024,
-    tol: float = 1e-12,
-) -> DivisorScan:
-    """Roots of ``sum_{j<split} sqrt(x_j^2 y + x_j) - sum_{j>=split} sqrt(...)``.
-
-    Sign changes are located on a uniform grid and refined by bisection to
-    ``tol`` in y.  ``degenerate`` reports the function vanishing across the
-    whole interval (perfectly cancelling terms), in which case no isolated
-    roots are returned.
-    """
-    x = [float(v) for v in x]
-    if not 0 <= split <= len(x):
-        raise ValueError(f"split must lie in [0, {len(x)}], got {split}")
-    if y_hi <= y_lo:
-        raise ValueError("empty scan interval")
-    for v in x:
-        if v < 0 or v * v * y_lo + v < 0:
-            raise ValueError(f"negative radicand for entry {v} at y={y_lo}")
-
-    def f(y: float) -> float:
-        total = 0.0
-        for j, v in enumerate(x):
-            term = math.sqrt(v * v * y + v)
-            total += term if j < split else -term
-        return total
-
-    ys = np.linspace(y_lo, y_hi, grid + 1)
-    fs = np.asarray([f(y) for y in ys])
-    scale = float(np.max(np.abs(fs)))
-    if scale <= 1e-14 * (1.0 + sum(abs(v) for v in x)):
-        return DivisorScan(roots=(), degenerate=True)
-
-    roots = []
-    for i in range(grid):
-        a, b = float(ys[i]), float(ys[i + 1])
-        fa, fb = float(fs[i]), float(fs[i + 1])
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            while b - a > tol:
-                m = 0.5 * (a + b)
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    if float(fs[-1]) == 0.0:
-        roots.append(float(ys[-1]))
-
-    merged = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 10 * tol:
-            merged.append(r)
-    return DivisorScan(roots=tuple(merged), degenerate=False)

@@ -14,19 +14,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .forms import (
+from latnf.forms import (
     Key,
     State,
     SymmetricForm,
     leading_points,
     localized_norm,
-    mu_S,
-    polarized_vector_field,
     sobolev_norm,
     vector_field,
 )
-from .frequencies import SpectrumTable
-from .lattice import Point, point_distance
+from latnf.frequencies import SpectrumTable
+from latnf.lattice import Point, point_distance
+
+from oracles import mu_S, polarized_vector_field
 
 
 def random_state(

@@ -26,22 +26,20 @@ from latnf import (
     check_band_invariants,
     enumerate_lattice,
     estimate_resonant_measure,
-    evaluate,
     extended_indexes,
     integrate_nls,
     integrate_normal_form,
     is_resonant_W,
-    make_form,
     poisson_bracket,
     random_form,
-    separation_cutoff_bound,
     small_divisor,
     solve_homological,
     vector_field,
-    verify_tame,
 )
 
 from conftest import FROZEN_POTENTIAL, NF_CUTOFF
+from estimates import separation_cutoff_bound, verify_tame
+from oracles import evaluate, make_form
 
 
 def _report(index, label, detail):

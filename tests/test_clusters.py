@@ -9,7 +9,6 @@ from latnf import (
     TableModel,
     TorusLaplacian,
     block_index_map,
-    block_of,
     build_clusters,
     build_spectrum,
     certify_dyadic,
@@ -73,7 +72,6 @@ def test_blocks_partition_the_truncation(certified_table, certified_clusters):
     for b, block in enumerate(certified_clusters.blocks):
         for p in block:
             assert ids[p] == b
-            assert block_of(certified_clusters, p) == b
 
 
 def test_union_find_matches_closure_on_the_line(torus_table):
@@ -115,7 +113,7 @@ def test_dyadic_certificate(certified_table, certified_clusters):
     report = certify_dyadic(certified_clusters, certified_table)
     assert report.passed
     assert report.constant >= 1.0
-    zero_block = block_of(certified_clusters, (0,))
+    zero_block = block_index_map(certified_clusters)[(0,)]
     if len(certified_clusters.blocks[zero_block]) == 1:
         assert zero_block in report.zero_blocks
 

@@ -387,6 +387,7 @@ def test_cli_verify_fails_flat_torus(tmp_path, capsys):
 
 def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path / "missing.ini")]) == 2
+    assert main(["spectrum", "--config", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
     assert main(["spectrum", "--set", "foo.bar=1", "--out-dir", str(tmp_path)]) == 2
     assert main(["frobnicate"]) == 2
     bad = tmp_path / "bad.ini"
@@ -545,9 +546,26 @@ def test_cli_simulate_rejects_what_it_cannot_honour(tmp_path, capsys, overrides,
 
 
 @pytest.mark.parametrize(
+    "gram, message",
+    [("[[1,0],[0,-1]]", "positive definite"), ("[[1,2],[0,1]]", "symmetric")],
+)
+def test_cli_bad_gram_matrix_is_a_usage_error_of_every_command(tmp_path, capsys, gram, message):
+    # the beam's eigenvalues read the Gram matrix that the spectrum checks
+    settings = ("lattice.dim=2", "model.kind=beam", f"model.gram={gram}")
+    argv = ["spectrum", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    for item in ("lattice.radius=4",) + settings:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert _simulate(tmp_path, *settings) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
     "setting",
     ["run.jobs=2", "output.format=csv", "model.decay=2", "simulate.model=beam",
-     "simulate.mass_term=2", "normalform.s0=3"],
+     "simulate.mass_term=2", "normalform.s0=3", "normalform.perturbation=nls_quartic"],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, setting):
     with pytest.raises(ConfigError, match="unknown setting"):

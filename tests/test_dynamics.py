@@ -8,22 +8,19 @@ from latnf import (
     SimulationConfig,
     band_of,
     band_partition,
-    bogoliubov,
     build_clusters,
     enumerate_lattice,
-    ground_state_reduce,
     integrate_beam,
     integrate_nls,
     integrate_normal_form,
-    make_form,
     nls_quartic,
     orbital_distance,
-    reconstruct_ground_state,
     stability_experiment,
-    superactions,
     trajectory_to_csv,
 )
 from latnf.dynamics import five_smooth
+
+from oracles import bogoliubov, ground_state_reduce, make_form, reconstruct_ground_state
 
 
 def brute_five_smooth(n):
@@ -278,7 +275,11 @@ def test_superactions_oracle(torus_table):
     bands = band_partition(torus_table)
     clusters = build_clusters(torus_table)
     plus = {(1,): 0.3 + 0.4j, (-1,): 0.1j, (5,): 0.2 + 0j, (0,): 0.05 + 0j}
-    j, jb = superactions(plus, torus_table, bands, clusters)
+    # the band and block columns the monitor samples at t = 0
+    rec = integrate_normal_form(
+        torus_table, [], plus, dt=1.0, horizon=1.0, bands=bands, clusters=clusters
+    )
+    j, jb = rec.band_actions[0], rec.block_actions[0]
     assert j.shape == (bands.nbands,)
     assert jb.shape == (clusters.nblocks,)
     expected = np.zeros(bands.nbands)

@@ -8,19 +8,22 @@ from latnf import (
     TorusLaplacian,
     build_spectrum,
     enumerate_lattice,
-    high_order_decay,
     localized_norm,
-    make_form,
     random_form,
-    random_state,
-    separation_cutoff_bound,
     sobolev_norm,
     vector_field,
-    verify_bilinear_eigen,
-    verify_tame,
     zero_form,
 )
-from latnf.forms import polarized_vector_field
+
+from estimates import (
+    high_order_decay,
+    random_state,
+    separation_cutoff_bound,
+    verify_bilinear_eigen,
+    verify_tame,
+)
+from oracles import make_form, polarized_vector_field
+
 
 LAT = enumerate_lattice(1, 8.0)
 TABLE = build_spectrum(LAT, TorusLaplacian())

@@ -13,12 +13,12 @@ from latnf import (
     build_spectrum,
     enumerate_lattice,
     fit_asymptotics,
-    floor_comparability,
-    floor_norm,
     frequency,
     spectrum_to_csv,
 )
+
 from conftest import FROZEN_POTENTIAL
+from oracles import floor_comparability
 
 
 def test_torus_frequencies_are_exact_integers():
@@ -71,13 +71,13 @@ def test_beam_formula():
 def test_table_model_passthrough():
     model = TableModel(values={(0,): 0.25}, beta=1.0)
     assert frequency(model, (0,)) == 0.25
-    assert floor_norm(model, (0,)) == 0.25
+    assert build_spectrum(enumerate_lattice(1, 0.5), model).floor((0,)) == 0.25
 
 
 def test_floor_norm_is_identity_on_the_torus():
     model = TorusLaplacian()
-    assert floor_norm(model, (7,)) == pytest.approx(7.0)
-    assert floor_norm(model, (3, 4)) == pytest.approx(5.0)
+    assert build_spectrum(enumerate_lattice(1, 7.0), model).floor((7,)) == pytest.approx(7.0)
+    assert build_spectrum(enumerate_lattice(2, 5.0), model).floor((3, 4)) == pytest.approx(5.0)
 
 
 def test_spectrum_sorted_by_omega_then_point(certified_table):

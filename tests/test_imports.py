@@ -1,9 +1,15 @@
-"""No module of the package, the tests or the scripts imports a name it never uses.
+"""No module imports a name it never uses, and the package ships no test-only code.
 
 A name bound by ``import`` or ``from ... import`` counts as used when it
 appears anywhere in the module as a bare name (``latnf.resonance.BLOCK`` uses
 ``latnf``).  Package ``__init__`` files re-export their imports and are
 exempt.
+
+Every public top-level function or class of ``src/latnf`` must be read
+somewhere other than its own definition: in the package, in ``scripts/`` or
+in ``perfbench/``.  Code that only the tests call belongs under ``tests/``
+(``tests/oracles.py``, ``tests/estimates.py``).  The exceptions are listed in
+``UNCALLED``.
 """
 
 import ast
@@ -18,6 +24,11 @@ MODULES = sorted(
     for path in (REPO / folder).glob("*.py")
     if path.name != "__init__.py"
 )
+
+#: public names that nothing outside the tests calls, kept on purpose:
+#: ``transform_state`` awaits a command, and ``small_divisor`` is the
+#: definition the certification scan and ``solve_homological`` match bit for bit
+UNCALLED = {("normalform", "transform_state"), ("resonance", "small_divisor")}
 
 
 def unused_imports(source: str):
@@ -49,3 +60,64 @@ def test_the_scan_sees_unused_and_used_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((REPO / module).read_text()) == []
+
+
+def _read_names(node):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def uncalled_definitions(package, outside):
+    """``(module, name)`` of each public top-level def or class that nothing reads.
+
+    ``package`` maps module names to sources, ``outside`` lists the sources
+    of the scripts and the benchmark.  A definition is read when its name
+    appears as a bare name or an attribute in another top-level statement of
+    the package or anywhere in an outside source.
+    """
+    statements = [
+        (module, node, _read_names(node))
+        for module, source in package.items()
+        for node in ast.parse(source).body
+    ]
+    read_outside = set().union(*(_read_names(ast.parse(source)) for source in outside))
+    found = set()
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        if node.name in read_outside:
+            continue
+        if not any(node.name in names for _, other, names in statements if other is not node):
+            found.add((module, node.name))
+    return found
+
+
+def test_the_scan_sees_uncalled_definitions():
+    package = {
+        "a": (
+            "def called():\n    pass\n"
+            "def caller():\n    return called()\n"
+            "def recursive():\n    return recursive()\n"
+            "class Read:\n    pass\n"
+            "def scripted():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b": "import a\nx = a.Read\n",
+    }
+    outside = ["import latnf\nlatnf.a.scripted()\n"]
+    assert uncalled_definitions(package, outside) == {("a", "caller"), ("a", "recursive")}
+
+
+def test_the_package_ships_only_what_runs():
+    package = {
+        path.stem: path.read_text()
+        for path in (REPO / "src" / "latnf").glob("*.py")
+        if path.name != "__init__.py"
+    }
+    outside = [
+        path.read_text() for folder in ("scripts", "perfbench") for path in (REPO / folder).glob("*.py")
+    ]
+    assert uncalled_definitions(package, outside) == UNCALLED

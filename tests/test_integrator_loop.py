@@ -21,7 +21,6 @@ from latnf import (
     integrate_beam,
     integrate_nls,
     integrate_normal_form,
-    make_form,
     nls_quartic,
     orbital_distance,
 )
@@ -29,6 +28,9 @@ from latnf.bands import band_map
 from latnf.dynamics import five_smooth, is_action_form
 from latnf.forms import gradient, monomials
 from latnf.frequencies import Beam, SpectralMultiplier, TorusLaplacian, frequency
+
+from oracles import make_form
+
 
 # --- oracles: the earlier loops, same arithmetic, without their guards --------
 

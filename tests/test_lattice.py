@@ -10,13 +10,12 @@ from latnf import (
     MAX_POINTS,
     canonical_key,
     conjugate,
-    conjugate_key,
     enumerate_lattice,
     extended_indexes,
-    is_real_pairing,
     point_distance,
-    real_state,
 )
+
+from oracles import conjugate_key, is_real_pairing, real_state
 
 
 def brute_count(dim, radius, offset=None):

@@ -17,7 +17,6 @@ from latnf import (
     choose_cutoff,
     enumerate_lattice,
     lie_transform,
-    make_form,
     normalform_manifest,
     normalize,
     nls_quartic,
@@ -38,6 +37,7 @@ from latnf.dynamics import is_action_form
 from latnf.normalform import lie_terms_order
 
 from conftest import NF_CUTOFF, NF_RADIUS
+from oracles import make_form
 
 
 def test_config_validation():

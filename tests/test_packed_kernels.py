@@ -27,9 +27,7 @@ from latnf import (
     check_superaction_commutation,
     conjugate_form,
     enumerate_lattice,
-    evaluate,
     localized_norm,
-    make_form,
     nls_quartic,
     poisson_bracket,
     poly_from_forms,
@@ -38,12 +36,21 @@ from latnf import (
     scale_form,
     scaled_norm,
     vector_field,
-    vector_field_seminorm,
 )
 import latnf.forms
-from latnf.forms import SymmetricForm, key_multiplicity, mu_S, zero_form
-from latnf.lattice import conjugate, conjugate_key, point_distance
-from latnf.resonance import ordering_permutation
+from latnf.forms import SymmetricForm, zero_form
+from latnf.lattice import conjugate, point_distance
+
+from oracles import (
+    conjugate_key,
+    evaluate,
+    key_multiplicity,
+    make_form,
+    mu_S,
+    ordering_permutation,
+    vector_field_seminorm,
+)
+
 
 RTOL = 1e-12
 

@@ -16,19 +16,25 @@ from latnf import (
     build_spectrum,
     certificate_to_json,
     certify_nonresonance,
-    classify_term,
     enumerate_lattice,
     estimate_resonant_measure,
     extended_indexes,
-    ground_state_divisor_function,
-    is_block_nonresonant,
     is_resonant_W,
     random_form,
     small_divisor,
     validate_cutoff,
 )
+from latnf.forms import SymmetricForm
 from latnf.normalform import BUCKETS, NONRESONANT, bucket_rows
+
 from conftest import FROZEN_POTENTIAL
+from oracles import ground_state_divisor_function, is_block_nonresonant
+
+
+def classify_term(key, table, bands, clusters, cutoff):
+    """Bucket name of one key, from ``bucket_rows`` on a one-key form."""
+    form = SymmetricForm.from_dict(len(key), {key: 0j})
+    return (BUCKETS + ("NONRESONANT",))[bucket_rows(form, table, bands, clusters, cutoff)[0]]
 
 
 def signed_count_oracle(key, table, bands):
