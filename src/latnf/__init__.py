@@ -16,6 +16,7 @@ from .frequencies import (
     SpectrumTable,
     TableModel,
     TorusLaplacian,
+    build_model,
     build_spectrum,
     fit_asymptotics,
     frequency,

@@ -43,17 +43,15 @@ class BandPartition:
         return hi - lo
 
 
-def band_partition(table: SpectrumTable, dim: int = None, beta: float = None) -> BandPartition:
+def band_partition(table: SpectrumTable) -> BandPartition:
     """Greedy left-to-right banding of the tabulated spectrum.
 
     A new interval opens when the next distinct frequency clears the gap rule
     for the current band index, or when extending would stretch the band past
     width 2 (the latter case records a gap violation: diagnostics, not error).
+    The gap rule reads the lattice dimension and the model exponent of ``table``.
     """
-    if dim is None:
-        dim = table.lattice.dim
-    if beta is None:
-        beta = table.beta
+    dim, beta = table.lattice.dim, table.beta
     distinct = sorted(set(float(v) for v in table.omegas))
     if not distinct:
         return BandPartition(intervals=(), dim=dim, beta=beta)

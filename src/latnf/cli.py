@@ -46,13 +46,10 @@ from .forms import (
     random_form,
 )
 from .frequencies import (
-    Beam,
-    GroundState,
-    SpectralMultiplier,
     TorusLaplacian,
+    build_model,
     build_spectrum,
     fit_asymptotics,
-    frequency,
     spectrum_to_csv,
 )
 from .lattice import Lattice, enumerate_lattice, extended_indexes, point_distance
@@ -90,20 +87,14 @@ class System:
     @cached_property
     def model(self):
         sec = self.cfg["model"]
-        kind = sec["kind"]
-        torus = TorusLaplacian(gram=sec["gram"])
-        if kind == "torus":
-            return torus
-        if kind == "multiplier":
-            return SpectralMultiplier(base=torus, potential=dict(sec["potential"]))
-        if kind not in ("ground_state", "beam"):
-            raise ConfigError(f"unknown model kind {kind!r}")
-        offset = self.lattice.offset
-        eig = {p: float(frequency(torus, p, offset)) for p in self.lattice.points}
-        if kind == "beam":
-            return Beam(eigenvalues=eig, mass=sec["mass"])
-        f_value = sec["f_value"]
-        return GroundState(eigenvalues=eig, p0=sec["p0"], f=lambda _p: f_value)
+        return build_model(
+            sec["kind"],
+            self.lattice,
+            gram=sec["gram"],
+            potential=sec["potential"],
+            mass=sec["mass"],
+            f_value=sec["f_value"],
+        )
 
     @cached_property
     def table(self):
@@ -179,7 +170,8 @@ def simulation_config(cfg) -> SimulationConfig:
 
     ``torus`` (without the potential) and ``multiplier`` integrate the NLS,
     ``beam`` the beam equation with mass ``model.mass``; other kinds and an
-    offset lattice are a ``ConfigError``.
+    offset lattice are a ``ConfigError``.  The block columns are those of
+    the ``[clusters]`` partition.
     """
     kind = cfg["model"]["kind"]
     if kind not in _SIMULATED:
@@ -208,6 +200,8 @@ def simulation_config(cfg) -> SimulationConfig:
         integrator=sec["integrator"],
         dt_bound=sec["dt_bound"],
         track_orbital=sec["track_orbital"],
+        delta=cfg["clusters"]["delta"],
+        c_delta=cfg["clusters"]["c_delta"],
     )
 
 

@@ -88,7 +88,7 @@ def _pair_gaps(table: SpectrumTable):
     return coords, norms, omegas
 
 
-def build_clusters(table: SpectrumTable, delta: float = 0.5, c_delta: float = 1.0) -> ClusterPartition:
+def build_clusters(table: SpectrumTable, delta: float, c_delta: float) -> ClusterPartition:
     """Connected components of the proximity graph, deterministically ordered.
 
     Edge enumeration is O(n^2) row-wise in numpy; rows are prefiltered by the
@@ -141,8 +141,12 @@ class DyadicReport:
     zero_blocks: Tuple[int, ...]  # blocks exempted because inf |a| = 0
 
 
-def certify_dyadic(partition: ClusterPartition, table: SpectrumTable, c_max: float = 4.0) -> DyadicReport:
-    """Measured ``sup|a|/inf|a|`` per block versus the configured cap."""
+#: the cap on a block's measured ``sup|a| / inf|a|``
+DYADIC_CAP = 4.0
+
+
+def certify_dyadic(partition: ClusterPartition, table: SpectrumTable) -> DyadicReport:
+    """Measured ``sup|a|/inf|a|`` per block versus ``DYADIC_CAP``."""
     worst = None
     constant = 1.0
     zero_blocks = []
@@ -158,7 +162,7 @@ def certify_dyadic(partition: ClusterPartition, table: SpectrumTable, c_max: flo
     return DyadicReport(
         constant=constant,
         worst_block=worst,
-        passed=constant <= c_max,
+        passed=constant <= DYADIC_CAP,
         zero_blocks=tuple(zero_blocks),
     )
 

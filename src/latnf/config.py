@@ -156,7 +156,6 @@ _SCHEMA = {
         "gram": (_as_matrix, None),
         "potential": (_as_mode_map, {}),
         "mass": (_as_float, 1.0),
-        "p0": (_as_float, 1.0),
         "f_value": (_as_float, 0.25),
     },
     "clusters": {

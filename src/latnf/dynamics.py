@@ -50,14 +50,7 @@ from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 from .bands import BandPartition, band_map, band_partition
 from .clusters import ClusterPartition, build_clusters
 from .forms import SymmetricForm, gradient, hamiltonian_field, monomials
-from .frequencies import (
-    Beam,
-    SpectralMultiplier,
-    SpectrumTable,
-    TorusLaplacian,
-    build_spectrum,
-    frequency,
-)
+from .frequencies import SpectrumTable, TorusLaplacian, build_model, build_spectrum
 from .lattice import Lattice, Point, enumerate_lattice
 
 
@@ -85,6 +78,11 @@ class SimulationConfig:
     (>= 3) for the beam potential.  Coefficients are scalars or Fourier
     dictionaries for x-dependence.  ``track_orbital`` applies to the
     Schrödinger model only.
+
+    ``delta`` and ``c_delta`` are the separation constants of the cluster
+    blocks whose superactions the ``Jblk_*`` columns record; the defaults
+    are those of the ``[clusters]`` config section, and
+    ``cli.simulation_config`` sets both from it.
     """
 
     model: str = "nls"
@@ -106,6 +104,8 @@ class SimulationConfig:
     initial_velocity_modes: Optional[Dict[Point, complex]] = None
     dt_bound: float = 1.0
     track_orbital: Optional[float] = None
+    delta: float = 0.5
+    c_delta: float = 1.0
 
     def __post_init__(self):
         if self.model not in ("nls", "beam"):
@@ -364,7 +364,6 @@ class _System:
     """
 
     lattice: Lattice
-    model: object
     table: SpectrumTable
     bands: BandPartition
     clusters: ClusterPartition
@@ -407,26 +406,25 @@ def _system(config: SimulationConfig, alias: int) -> _System:
     """The model of ``config`` on a grid where products of ``alias``
     truncation-supported fields are alias-free."""
     lattice = enumerate_lattice(config.dim, config.radius)
-    model = TorusLaplacian(gram=config.gram)
-    g = model.gram_matrix(config.dim)
-    if config.model == "beam":
-        eig = {}
-        for p in lattice.points:
-            x = np.asarray(lattice.effective(p))
-            eig[p] = float(x @ g @ x)
-        model = Beam(eigenvalues=eig, mass=config.mass_term)
-    elif config.potential:
-        model = SpectralMultiplier(base=model, potential=dict(config.potential))
+    g = TorusLaplacian(gram=config.gram).gram_matrix(config.dim)
+    # an empty potential leaves the multiplier's frequencies the torus's
+    model = build_model(
+        "multiplier" if config.model == "nls" else "beam",
+        lattice,
+        gram=config.gram,
+        potential=config.potential or {},
+        mass=config.mass_term,
+        f_value=None,  # read by the ground-state kind only, which is not simulated
+    )
     table = build_spectrum(lattice, model)
     side = max((abs(c) for p in lattice.points for c in p), default=0)
     grid = _Grid(config.dim, five_smooth(alias * side + 1))
     f = grid.freqs.astype(float)
     return _System(
         lattice=lattice,
-        model=model,
         table=table,
         bands=band_partition(table),
-        clusters=build_clusters(table),
+        clusters=build_clusters(table, config.delta, config.c_delta),
         grid=grid,
         index={p: grid.flat_index(p) for p in lattice.points},
         lam=np.einsum("ij,jk,ik->i", f, g, f),
@@ -459,7 +457,7 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     grid = system.grid
     omega = system.lam.copy()
     for p, i in system.index.items():
-        omega[i] = float(frequency(system.model, p, system.lattice.offset))
+        omega[i] = float(system.table.omega(p))
     coeffs = {int(j): _coeff_grid(c, grid) for j, c in sorted(config.nonlinearity.items())}
     weights = grid.sobolev_weights(config.s)
     dt, n_steps = _time_step(config, omega)
@@ -699,24 +697,19 @@ def integrate_normal_form(
     horizon: float,
     stride: int = 100,
     s: float = 4.0,
-    bands: Optional[BandPartition] = None,
-    clusters: Optional[ClusterPartition] = None,
-    kick_substeps: int = 1,
+    bands: BandPartition,
+    clusters: ClusterPartition,
 ) -> TrajectoryRecord:
     """Splitting trajectory of ``H0 + sum(parts)`` on the truncated modes.
 
     The quadratic phase is exact; when all parts are action products the
     nonlinear step is exact as well and the whole scheme conserves every
-    action up to rounding.
+    action up to rounding.  Other parts take one RK4 step of ``dt``.
     """
     if dt <= 0.0 or horizon <= 0.0:
         raise ValueError("dt and horizon must be positive")
-    if stride < 1 or kick_substeps < 1:
-        raise ValueError("stride and kick_substeps must be >= 1")
-    if bands is None:
-        bands = band_partition(table)
-    if clusters is None:
-        clusters = build_clusters(table)
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     points = list(table.lattice.points)
     index = {p: i for i, p in enumerate(points)}
     omega = np.asarray([float(table.omega(p)) for p in points])
@@ -725,14 +718,13 @@ def integrate_normal_form(
     poly = _PolyParts(parts, index)
     weights = (1.0 + np.asarray([table.norm(p) for p in points])) ** (2.0 * s)
     phase_half = np.exp(-0.5j * dt * omega)
-    tau = dt / kick_substeps
 
     def step(v: np.ndarray) -> np.ndarray:
         v = v * phase_half
         if poly.actions:
             v = v * np.exp(-1j * dt * poly.theta(np.abs(v) ** 2))
-        for _ in range(kick_substeps if poly.flows else 0):
-            v = _rk4(poly.rhs, v, tau)
+        if poly.flows:
+            v = _rk4(poly.rhs, v, dt)
         return v * phase_half
 
     monitor = _Monitor(
@@ -749,7 +741,8 @@ def integrate_normal_form(
 def orbital_distance(coeffs: Dict[Point, complex], p0: float, s: float, lattice: Lattice) -> float:
     """Sobolev distance to the ground-state circle, minimized over the phase.
 
-    The scan is a coarse 16-point sweep refined by golden-section search.
+    Only the zero mode ``m`` sees the phase, and the least ``|m - r e^{-i alpha}|``
+    over ``alpha`` is ``||m| - r|`` with ``r = sqrt(p0)``.
     """
     dim = lattice.dim
     zero = (0,) * dim
@@ -764,29 +757,7 @@ def orbital_distance(coeffs: Dict[Point, complex], p0: float, s: float, lattice:
         if tuple(p) != zero
     )
     mean = complex(coeffs.get(zero, 0.0))
-    root = math.sqrt(p0)
-
-    def value(alpha: float) -> float:
-        target = root * complex(math.cos(-alpha), math.sin(-alpha))
-        return math.sqrt(fixed + abs(mean - target) ** 2)
-
-    grid = [2.0 * math.pi * k / 16.0 for k in range(16)]
-    k0 = min(range(16), key=lambda k: value(grid[k]))
-    lo = grid[k0] - 2.0 * math.pi / 16.0
-    hi = grid[k0] + 2.0 * math.pi / 16.0
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    while b - a > 1e-10:
-        if value(c) < value(d):
-            b, d = d, c
-            c = b - inv_phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + inv_phi * (b - a)
-    return value(0.5 * (a + b))
+    return math.sqrt(fixed + (abs(mean) - math.sqrt(p0)) ** 2)
 
 
 @dataclass(frozen=True)

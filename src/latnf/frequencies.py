@@ -13,7 +13,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -65,11 +65,14 @@ class SpectralMultiplier:
 
 @dataclass(frozen=True)
 class GroundState:
-    """``omega_a = sqrt(lambda_a^2 + 2 f(p0) lambda_a)`` from tabulated lambda."""
+    """``omega_a = sqrt(lambda_a^2 + 2 f(p0) lambda_a)`` from tabulated lambda.
+
+    ``f_value`` is ``f(p0)``, the nonlinearity at the condensate mass
+    ``p0``: the one number of ``f`` and ``p0`` that the frequencies read.
+    """
 
     eigenvalues: Mapping[Point, float]
-    p0: float
-    f: Callable[[float], float]
+    f_value: float
     beta: float = 2.0
 
 
@@ -91,6 +94,29 @@ class TableModel:
 
 
 FrequencyModel = (TorusLaplacian, SpectralMultiplier, GroundState, Beam, TableModel)
+
+
+def build_model(
+    kind: str, lattice: Lattice, *, gram, potential, mass: float, f_value: Optional[float]
+):
+    """The frequency model of ``kind`` on ``lattice``: the one map from kind to model.
+
+    ``torus`` is ``TorusLaplacian(gram)`` and ``multiplier`` adds the per-mode
+    ``potential`` to it.  ``beam`` (mass ``mass``) and ``ground_state``
+    (``f(p0) = f_value``) tabulate the torus eigenvalues on the lattice.
+    Any other kind is a ``ValueError``.
+    """
+    torus = TorusLaplacian(gram=gram)
+    if kind == "torus":
+        return torus
+    if kind == "multiplier":
+        return SpectralMultiplier(base=torus, potential=dict(potential))
+    if kind not in ("ground_state", "beam"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    eig = {p: float(frequency(torus, p, lattice.offset)) for p in lattice.points}
+    if kind == "beam":
+        return Beam(eigenvalues=eig, mass=mass)
+    return GroundState(eigenvalues=eig, f_value=f_value)
 
 
 def frequency(model, point: Point, offset=None):
@@ -119,7 +145,7 @@ def frequency(model, point: Point, offset=None):
         return base + float(model.potential.get(tuple(point), 0.0))
     if isinstance(model, GroundState):
         lam = model.eigenvalues[tuple(point)]
-        two_f = 2.0 * model.f(model.p0)
+        two_f = 2.0 * model.f_value
         val = lam * lam + two_f * lam
         if val < 0:
             raise ValueError(

@@ -87,15 +87,10 @@ def effective_array(lattice: Lattice) -> np.ndarray:
     return arr + np.asarray(lattice.offset)
 
 
-def enumerate_lattice(
-    dim: int,
-    radius: float,
-    offset=None,
-    max_points: int = MAX_POINTS,
-) -> Lattice:
+def enumerate_lattice(dim: int, radius: float, offset=None) -> Lattice:
     """Enumerate every point with ``|n + kappa| <= radius``, lex-ordered.
 
-    Raises ``ValueError`` when the truncation would exceed ``max_points``
+    Raises ``ValueError`` when the truncation would exceed ``MAX_POINTS``
     (infeasible truncation) or the arguments are out of range.
     """
     if dim not in (1, 2, 3):
@@ -111,10 +106,10 @@ def enumerate_lattice(
         hi = math.floor(radius - k)
         ranges.append(range(lo, hi + 1))
         box *= max(0, hi - lo + 1)
-    if box > 8 * max_points:
+    if box > 8 * MAX_POINTS:
         raise ValueError(
             f"truncation infeasible: candidate box holds {box} points "
-            f"(cap {max_points})"
+            f"(cap {MAX_POINTS})"
         )
 
     r_sq = radius * radius
@@ -127,9 +122,9 @@ def enumerate_lattice(
         elif sum((c + k) ** 2 for c, k in zip(n, off)) > r_sq:
             continue
         pts.append(n)
-        if len(pts) > max_points:
+        if len(pts) > MAX_POINTS:
             raise ValueError(
-                f"truncation infeasible: more than {max_points} points "
+                f"truncation infeasible: more than {MAX_POINTS} points "
                 f"inside radius {radius}"
             )
     return Lattice(dim=dim, offset=off, radius=float(radius), points=tuple(pts))

@@ -22,8 +22,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bands import BandPartition, band_partition
-from .clusters import ClusterPartition, block_index_map, build_clusters, high_mode_blocks
+from .bands import BandPartition
+from .clusters import ClusterPartition, block_index_map, high_mode_blocks
 from .dynamics import _rk4
 from .forms import (
     PolyHamiltonian,
@@ -380,12 +380,6 @@ class NormalFormResult:
     def bucket(self, name: str) -> PolyHamiltonian:
         return {"Z0": self.z0, "ZB": self.zb, "Z2": self.z2, "ZGE3": self.zge3}[name]
 
-    def normal_parts(self) -> List[SymmetricForm]:
-        out = []
-        for poly in (self.z0, self.zb, self.z2, self.zge3):
-            out.extend(poly.parts[d] for d in poly.degrees)
-        return out
-
 
 def _constants_for(
     degree: int,
@@ -421,8 +415,8 @@ def normalize(
     config: NormalFormConfig,
     certificates: Sequence[NonresonanceCertificate],
     *,
-    bands: Optional[BandPartition] = None,
-    clusters: Optional[ClusterPartition] = None,
+    bands: BandPartition,
+    clusters: ClusterPartition,
     remainder_samples: int = 4,
     seed: int = 0,
 ) -> NormalFormResult:
@@ -439,10 +433,6 @@ def normalize(
     """
     if remainder_samples < 1:
         raise ValueError(f"remainder_samples must be >= 1, got {remainder_samples}")
-    if bands is None:
-        bands = band_partition(table)
-    if clusters is None:
-        clusters = build_clusters(table)
     cap = config.degree_cap
     for degree in perturbation.degrees:
         if degree < 3:

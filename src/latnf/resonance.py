@@ -303,7 +303,7 @@ def certify_nonresonance(
     table: SpectrumTable,
     order: int,
     *,
-    partition: Optional[BandPartition] = None,
+    partition: BandPartition,
     gamma: Optional[float] = None,
     tau: Optional[float] = None,
     budget: int = 1_000_000,
@@ -352,10 +352,6 @@ def certify_nonresonance(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if partition is None:
-        from .bands import band_partition
-
-        partition = band_partition(table)
     if tau is None:
         tau = float(table.lattice.dim * order + 2)
     if not math.isfinite(tau):

@@ -63,7 +63,12 @@ def certified_bands(certified_table):
 
 @pytest.fixture(scope="session")
 def certified_clusters(certified_table):
-    return build_clusters(certified_table)
+    return build_clusters(certified_table, 0.5, 1.0)
+
+
+@pytest.fixture(scope="session")
+def certified_partitions(certified_bands, certified_clusters):
+    return {"bands": certified_bands, "clusters": certified_clusters}
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +82,11 @@ def certificates(certified_table, certified_bands):
 @pytest.fixture(scope="session")
 def torus_table():
     return build_spectrum(enumerate_lattice(1, 8.0), TorusLaplacian())
+
+
+@pytest.fixture(scope="session")
+def torus_partitions(torus_table):
+    return {"bands": band_partition(torus_table), "clusters": build_clusters(torus_table, 0.5, 1.0)}
 
 
 @pytest.fixture(scope="session")

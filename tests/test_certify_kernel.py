@@ -242,9 +242,9 @@ def test_order_6_scan_visits_few_rows(monkeypatch, certified_table, certified_ba
      ({"tau": math.nan}, "tau"), ({"tau": math.inf}, "tau"),
      ({"tau": -math.inf}, "tau"), ({"tau": 400.0}, "tau")],
 )
-def test_meaningless_arguments_are_refused(certified_table, kwargs, name):
+def test_meaningless_arguments_are_refused(certified_table, certified_bands, kwargs, name):
     with pytest.raises(ValueError, match=name):
-        certify_nonresonance(certified_table, 3, **kwargs)
+        certify_nonresonance(certified_table, 3, partition=certified_bands, **kwargs)
 
 
 @pytest.mark.parametrize("order", [3, 4])

@@ -58,11 +58,11 @@ def as_block_set(partition):
 
 def test_parameter_validation(torus_table):
     with pytest.raises(ValueError):
-        build_clusters(torus_table, delta=0.0)
+        build_clusters(torus_table, delta=0.0, c_delta=1.0)
     with pytest.raises(ValueError):
-        build_clusters(torus_table, delta=1.0)
+        build_clusters(torus_table, delta=1.0, c_delta=1.0)
     with pytest.raises(ValueError):
-        build_clusters(torus_table, c_delta=0.0)
+        build_clusters(torus_table, delta=0.5, c_delta=0.0)
 
 
 def test_blocks_partition_the_truncation(certified_table, certified_clusters):
@@ -102,8 +102,8 @@ def test_two_dimensional_closure_matches():
 
 
 def test_blocks_are_deterministically_ordered(certified_table):
-    a = build_clusters(certified_table)
-    b = build_clusters(certified_table)
+    a = build_clusters(certified_table, 0.5, 1.0)
+    b = build_clusters(certified_table, 0.5, 1.0)
     assert a.blocks == b.blocks
     firsts = [block[0] for block in a.blocks]
     assert firsts == sorted(firsts)

@@ -390,6 +390,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert main(["spectrum", "--config", str(tmp_path), "--out-dir", str(tmp_path)]) == 2
     assert main(["spectrum", "--set", "foo.bar=1", "--out-dir", str(tmp_path)]) == 2
     assert main(["frobnicate"]) == 2
+    assert main(["spectrum", "--set", "model.kind=bogus", "--out-dir", str(tmp_path)]) == 2
     bad = tmp_path / "bad.ini"
     bad.write_text("[lattice]\ndim 2\n")
     assert main(["spectrum", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
@@ -529,6 +530,31 @@ def test_cli_simulate_runs_the_configured_model(tmp_path, capsys):
     assert (tmp_path / "torus" / "trajectory.csv").read_text() != nls_csv
 
 
+def test_cli_simulate_records_the_configured_cluster_blocks(tmp_path, capsys):
+    # c_delta = 3 joins the 17 modes of the radius-8 line into one block
+    argv = ["simulate", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    assert main(argv + ["--set", "clusters.c_delta=3", "--set", "simulate.horizon=0.1"]) == 0
+    capsys.readouterr()
+    head = (tmp_path / "trajectory.csv").read_text().splitlines()[0].split(",")
+    assert [name for name in head if name.startswith("Jblk_")] == ["Jblk_0"]
+
+
+def test_cli_simulate_beam_on_a_skew_integer_gram_is_pinned(tmp_path, capsys):
+    # the beam's eigenvalues |k|_g^2 are exact integers on an integer Gram matrix
+    settings = (
+        "lattice.dim=2", "lattice.radius=3", "model.kind=beam", "model.gram=[[2,1],[1,3]]",
+        "simulate.horizon=0.5", "simulate.stride=10",
+    )
+    argv = ["simulate", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert file_sha256(tmp_path / "trajectory.csv") == (
+        "c3db01b4377e6cacafb96a3be64a1d7c31765eecff97362209a7745947579935"
+    )
+
+
 @pytest.mark.parametrize(
     "overrides, message",
     [
@@ -565,7 +591,8 @@ def test_cli_bad_gram_matrix_is_a_usage_error_of_every_command(tmp_path, capsys,
 @pytest.mark.parametrize(
     "setting",
     ["run.jobs=2", "output.format=csv", "model.decay=2", "simulate.model=beam",
-     "simulate.mass_term=2", "normalform.s0=3", "normalform.perturbation=nls_quartic"],
+     "simulate.mass_term=2", "normalform.s0=3", "normalform.perturbation=nls_quartic",
+     "model.p0=5"],
 )
 def test_removed_keys_are_unknown(tmp_path, capsys, setting):
     with pytest.raises(ConfigError, match="unknown setting"):

@@ -7,8 +7,6 @@ import pytest
 from latnf import (
     SimulationConfig,
     band_of,
-    band_partition,
-    build_clusters,
     enumerate_lattice,
     integrate_beam,
     integrate_nls,
@@ -172,20 +170,23 @@ def test_beam_requires_beam_model():
         integrate_beam(SimulationConfig(model="nls"))
 
 
-def test_normal_form_action_parts_are_exact(torus_table):
+def test_normal_form_action_parts_are_exact(torus_table, torus_partitions):
     j1sq = make_form({((((1,), 1), ((1,), 1), ((1,), -1), ((1,), -1))): 0.5})
     init = {(1,): 0.3 + 0.1j, (2,): 0.05j, (-3,): 0.02 + 0j}
-    rec = integrate_normal_form(torus_table, [j1sq], init, dt=0.05, horizon=20.0, stride=50)
+    rec = integrate_normal_form(
+        torus_table, [j1sq], init, dt=0.05, horizon=20.0, stride=50, **torus_partitions
+    )
     assert rec.meta["exact_kick"]
     assert np.max(np.abs(rec.band_actions - rec.band_actions[0])) < 1e-12
     assert np.max(np.abs(rec.mass - rec.mass[0])) < 1e-12
     assert np.max(np.abs(rec.energy - rec.energy[0])) < 1e-12
 
 
-def test_normal_form_general_parts_not_exact(torus_table):
+def test_normal_form_general_parts_not_exact(torus_table, torus_partitions):
     init = {(1,): 0.1 + 0j}
     rec = integrate_normal_form(
-        torus_table, [nls_quartic(torus_table.lattice)], init, dt=0.05, horizon=0.5
+        torus_table, [nls_quartic(torus_table.lattice)], init, dt=0.05, horizon=0.5,
+        **torus_partitions,
     )
     assert not rec.meta["exact_kick"]
     assert np.max(np.abs(rec.mass - rec.mass[0])) < 1e-10
@@ -193,11 +194,11 @@ def test_normal_form_general_parts_not_exact(torus_table):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"dt": 0.0}, {"dt": -0.05}, {"horizon": 0.0}, {"stride": 0}, {"kick_substeps": 0}],
-    ids=["dt0", "dt-", "horizon0", "stride0", "substeps0"],
+    [{"dt": 0.0}, {"dt": -0.05}, {"horizon": 0.0}, {"stride": 0}],
+    ids=["dt0", "dt-", "horizon0", "stride0"],
 )
-def test_normal_form_rejects_a_bad_step(torus_table, bad):
-    settings = {"dt": 0.05, "horizon": 0.5, **bad}
+def test_normal_form_rejects_a_bad_step(torus_table, torus_partitions, bad):
+    settings = {"dt": 0.05, "horizon": 0.5, **torus_partitions, **bad}
     with pytest.raises(ValueError, match="positive|>= 1"):
         integrate_normal_form(torus_table, [], {(1,): 0.1 + 0j}, **settings)
 
@@ -261,6 +262,21 @@ def test_orbital_distance_gauge_invariance(rng):
     assert base == pytest.approx(expected, rel=1e-8)
 
 
+@pytest.mark.parametrize("mean", [0.0, 0.3 - 0.4j, 1.2j, -2.5 + 1.0j])
+def test_orbital_distance_is_the_least_distance_over_a_dense_phase_scan(rng, mean):
+    # the definition, min over alpha of |u - sqrt(p0) e^{-i alpha} e_0|_s, on 2**16 phases
+    lat = enumerate_lattice(1, 3.0)
+    p0, s = 1.7, 2.0
+    coeffs = {p: 0.1 * complex(*rng.standard_normal(2)) for p in lat.points}
+    coeffs[(0,)] = mean
+    fixed = sum((1.0 + abs(p[0])) ** (2 * s) * abs(v) ** 2 for p, v in coeffs.items() if p != (0,))
+    alpha = np.linspace(0.0, 2.0 * np.pi, 2**16, endpoint=False)
+    scan = np.sqrt(fixed + np.abs(mean - math.sqrt(p0) * np.exp(-1j * alpha)) ** 2)
+    got = orbital_distance(coeffs, p0, s, lat)
+    assert got <= scan.min() * (1.0 + 1e-15)
+    assert scan.min() - got <= 1e-8 * got
+
+
 def test_orbital_tracking_column():
     cfg = SimulationConfig(
         radius=4.0, epsilon=0.05, horizon=1.0, stride=100, seed=3, track_orbital=1.0
@@ -271,9 +287,8 @@ def test_orbital_tracking_column():
     assert np.all(rec.orbital > 0)
 
 
-def test_superactions_oracle(torus_table):
-    bands = band_partition(torus_table)
-    clusters = build_clusters(torus_table)
+def test_superactions_oracle(torus_table, torus_partitions):
+    bands, clusters = torus_partitions["bands"], torus_partitions["clusters"]
     plus = {(1,): 0.3 + 0.4j, (-1,): 0.1j, (5,): 0.2 + 0j, (0,): 0.05 + 0j}
     # the band and block columns the monitor samples at t = 0
     rec = integrate_normal_form(

@@ -55,10 +55,10 @@ def test_multiplier_adds_potential():
 
 def test_ground_state_formula_and_positivity():
     eig = {(0,): 0.0, (1,): 1.0, (2,): 4.0}
-    model = GroundState(eigenvalues=eig, p0=2.0, f=lambda p: 0.5 * p)
+    model = GroundState(eigenvalues=eig, f_value=1.0)
     for p, lam in eig.items():
         assert frequency(model, p) == pytest.approx(math.sqrt(lam * lam + 2.0 * lam))
-    sick = GroundState(eigenvalues={(1,): 1.0}, p0=1.0, f=lambda p: -1.0)
+    sick = GroundState(eigenvalues={(1,): 1.0}, f_value=-1.0)
     with pytest.raises(ValueError, match="positivity"):
         frequency(sick, (1,))
 

@@ -10,6 +10,11 @@ somewhere other than its own definition: in the package, in ``scripts/`` or
 in ``perfbench/``.  Code that only the tests call belongs under ``tests/``
 (``tests/oracles.py``, ``tests/estimates.py``).  The exceptions are listed in
 ``UNCALLED``.
+
+Every defaulted parameter of a public top-level function of ``src/latnf``
+must be set by some call in the package, in ``scripts/`` or in
+``perfbench/``: a default that no caller overrides is a constant.  The
+exceptions are listed in ``UNSET``.
 """
 
 import ast
@@ -29,6 +34,19 @@ MODULES = sorted(
 #: ``transform_state`` awaits a command, and ``small_divisor`` is the
 #: definition the certification scan and ``solve_homological`` match bit for bit
 UNCALLED = {("normalform", "transform_state"), ("resonance", "small_divisor")}
+
+#: defaulted parameters that no caller outside the tests sets, kept on purpose:
+#: the options of ``transform_state`` await the command that runs it
+#: (ROADMAP item 7); ``random_form(real)``, ``certify_nonresonance(samples)``
+#: and ``solve_homological(verify)`` are test seams
+UNSET = {
+    ("normalform", "transform_state", name)
+    for name in ("lattice", "s", "ball", "inverse", "tol", "max_steps")
+} | {
+    ("forms", "random_form", "real"),
+    ("resonance", "certify_nonresonance", "samples"),
+    ("normalform", "solve_homological", "verify"),
+}
 
 
 def unused_imports(source: str):
@@ -111,7 +129,8 @@ def test_the_scan_sees_uncalled_definitions():
     assert uncalled_definitions(package, outside) == {("a", "caller"), ("a", "recursive")}
 
 
-def test_the_package_ships_only_what_runs():
+def _sources():
+    """The package modules by name, and the sources of the scripts and the benchmark."""
     package = {
         path.stem: path.read_text()
         for path in (REPO / "src" / "latnf").glob("*.py")
@@ -120,4 +139,69 @@ def test_the_package_ships_only_what_runs():
     outside = [
         path.read_text() for folder in ("scripts", "perfbench") for path in (REPO / folder).glob("*.py")
     ]
-    assert uncalled_definitions(package, outside) == UNCALLED
+    return package, outside
+
+
+def test_the_package_ships_only_what_runs():
+    assert uncalled_definitions(*_sources()) == UNCALLED
+
+
+def _defaulted_parameters(node):
+    """``(name, position)`` of each defaulted parameter; keyword-only ones have no position."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _sets(call, name, position):
+    """Whether ``call`` may pass the parameter ``name`` (a ``*``/``**`` splat may)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unset_defaults(package, outside):
+    """``(module, function, parameter)`` of each default that no call overrides.
+
+    A call is a call of a bare name or an attribute that matches the
+    function's name, anywhere in ``package`` or ``outside``.
+    """
+    calls = {}
+    for source in list(package.values()) + list(outside):
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr
+                calls.setdefault(name, []).append(node)
+    found = set()
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            for name, position in _defaulted_parameters(node):
+                if not any(_sets(call, name, position) for call in calls.get(node.name, ())):
+                    found.add((module, node.name, name))
+    return found
+
+
+def test_the_scan_sees_unset_defaults():
+    package = {
+        "a": (
+            "def f(x, y=1, z=2, *, k=3, m=4):\n    pass\n"
+            "def g(x=0):\n    pass\n"
+            "def h(x=0):\n    pass\n"
+            "def _private(x=0):\n    pass\n"
+            "def run():\n    f(0, 5, k=6)\n    h(*args)\n"
+        ),
+    }
+    outside = ["import latnf\nlatnf.a.g(**opts)\n"]
+    assert unset_defaults(package, outside) == {("a", "f", "z"), ("a", "f", "m")}
+
+
+def test_every_default_is_set_by_a_caller():
+    assert unset_defaults(*_sources()) == UNSET

@@ -96,7 +96,7 @@ class _NlsSetup:
         )
         table = build_spectrum(lattice, model)
         bands = band_partition(table)
-        clusters = build_clusters(table)
+        clusters = build_clusters(table, config.delta, config.c_delta)
         side = max((abs(c) for p in lattice.points for c in p), default=0)
         p_max = max(config.nonlinearity, default=0)
         grid = _Grid(config.dim, five_smooth((2 * int(p_max) + 2) * side + 1))
@@ -253,7 +253,7 @@ def oracle_beam(config):
     }
     table = build_spectrum(lattice, Beam(eigenvalues=eig, mass=config.mass_term))
     bands = band_partition(table)
-    clusters = build_clusters(table)
+    clusters = build_clusters(table, config.delta, config.c_delta)
     side = max((abs(c) for p in lattice.points for c in p), default=0)
     force = {int(j): c for j, c in (config.force or {}).items()}
     size = five_smooth((max(force, default=1) + 1) * side + 1)
@@ -378,10 +378,9 @@ def _both_signs(u):
 
 
 class _Kick:
-    def __init__(self, forms, points, substeps):
+    def __init__(self, forms, points):
         self.points = list(points)
         index = {p: i for i, p in enumerate(self.points)}
-        self.substeps = substeps
         exps, coeffs, self.rk = [], [], []
         for f in forms:
             codes = f.relabel(f.codes, index)
@@ -413,26 +412,22 @@ class _Kick:
         if self.action_exps is not None:
             u = u * np.exp(-1j * dt * self.theta(np.abs(u) ** 2))
         if self.rk:
-            tau = dt / self.substeps
-            for _ in range(self.substeps):
-                k1 = self._rhs(u)
-                k2 = self._rhs(u + 0.5 * tau * k1)
-                k3 = self._rhs(u + 0.5 * tau * k2)
-                k4 = self._rhs(u + tau * k3)
-                u = u + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = self._rhs(u)
+            k2 = self._rhs(u + 0.5 * dt * k1)
+            k3 = self._rhs(u + 0.5 * dt * k2)
+            k4 = self._rhs(u + dt * k3)
+            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         return u
 
 
-def oracle_normal_form(table, parts, initial, *, dt, horizon, stride, s, kick_substeps):
-    bands = band_partition(table)
-    clusters = build_clusters(table)
+def oracle_normal_form(table, parts, initial, *, dt, horizon, stride, s, bands, clusters):
     points = list(table.lattice.points)
     index = {p: i for i, p in enumerate(points)}
     omega = np.asarray([float(table.omega(p)) for p in points])
     u = np.zeros(len(points), dtype=complex)
     for p, c in initial.items():
         u[index[tuple(p)]] = complex(c)
-    kick = _Kick(parts, points, kick_substeps)
+    kick = _Kick(parts, points)
     tables = [(f.relabel(f.codes, index), f.values) for f in parts]
 
     def energy(v):
@@ -617,29 +612,29 @@ def _nf_initial(table, amplitude=0.05):
     }
 
 
-def test_normal_form_exact_kick_matches_the_oracle(torus_table):
+def test_normal_form_exact_kick_matches_the_oracle(torus_table, torus_partitions):
     j1sq = make_form({((((1,), 1), ((1,), 1), ((1,), -1), ((1,), -1))): 0.5})
     j12 = make_form({((((1,), 1), ((2,), 1), ((1,), -1), ((2,), -1))): -0.25})
     init = _nf_initial(torus_table)
-    kw = dict(dt=0.05, horizon=2.0, stride=7, s=4.0)
+    kw = dict(dt=0.05, horizon=2.0, stride=7, s=4.0, **torus_partitions)
     record = integrate_normal_form(torus_table, [j1sq, j12], init, **kw)
     assert record.meta["exact_kick"]
-    assert_matches(record, oracle_normal_form(torus_table, [j1sq, j12], init, kick_substeps=1, **kw))
+    assert_matches(record, oracle_normal_form(torus_table, [j1sq, j12], init, **kw))
 
 
-def test_normal_form_quartic_kick_matches_the_oracle(torus_table):
+def test_normal_form_quartic_kick_matches_the_oracle(torus_table, torus_partitions):
     parts = [nls_quartic(torus_table.lattice, -3.0)]
     init = _nf_initial(torus_table)
-    kw = dict(dt=0.02, horizon=0.5, stride=6, s=3.0)
-    record = integrate_normal_form(torus_table, parts, init, kick_substeps=2, **kw)
+    kw = dict(dt=0.02, horizon=0.5, stride=6, s=3.0, **torus_partitions)
+    record = integrate_normal_form(torus_table, parts, init, **kw)
     assert not record.meta["exact_kick"]
-    assert_matches(record, oracle_normal_form(torus_table, parts, init, kick_substeps=2, **kw))
+    assert_matches(record, oracle_normal_form(torus_table, parts, init, **kw))
 
 
 # --- one check for initial modes outside the truncation ----------------------
 
 
-def test_initial_modes_outside_the_truncation_are_rejected(torus_table):
+def test_initial_modes_outside_the_truncation_are_rejected(torus_table, torus_partitions):
     far = (int(torus_table.lattice.radius) + 3,)
     with pytest.raises(ValueError, match="outside the truncation"):
         integrate_nls(SimulationConfig(radius=4.0, initial_modes={far: 1.0}))
@@ -653,7 +648,7 @@ def test_initial_modes_outside_the_truncation_are_rejected(torus_table):
             )
         )
     with pytest.raises(ValueError, match="outside the truncation"):
-        integrate_normal_form(torus_table, [], {far: 0.1}, dt=0.1, horizon=0.2)
+        integrate_normal_form(torus_table, [], {far: 0.1}, dt=0.1, horizon=0.2, **torus_partitions)
 
 
 def test_beam_rejects_orbital_tracking():

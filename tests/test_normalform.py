@@ -144,7 +144,10 @@ def test_normalize_keeps_every_form_packed():
     apply_overrides(cfg, ["lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05"])
     _, result = run_normalform(cfg, build_system(cfg))
     assert [len(e.form) for e in result.ledger] == [3376, 37147, 3692, 38491]
-    forms = [e.form for e in result.ledger] + list(result.generators) + result.normal_parts()
+    normal_parts = [
+        part for name in ("Z0", "ZB", "Z2", "ZGE3") for part in result.bucket(name).parts.values()
+    ]
+    forms = [e.form for e in result.ledger] + list(result.generators) + normal_parts
     assert [f for f in forms if "coeffs" in vars(f)] == []
 
 
@@ -174,49 +177,59 @@ def test_lie_transform_caps_and_ledgers(certified_table):
     assert entry.norm_r > 0
 
 
-def test_normalize_requires_certificates(certified_table, certificates):
+def test_normalize_requires_certificates(certified_table, certified_partitions, certificates):
     cubic = random_form(certified_table.lattice, 3, n_terms=4, seed=23)
     cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
     with pytest.raises(ValueError, match="certificate"):
-        normalize(certified_table, poly_from_forms([cubic]), cfg, [certificates[4]])
+        normalize(
+            certified_table, poly_from_forms([cubic]), cfg, [certificates[4]],
+            **certified_partitions,
+        )
 
 
-def test_normalize_rejects_failed_certificate(torus_table):
-    bands = band_partition(torus_table)
-    bad = certify_nonresonance(torus_table, 3, partition=bands)
+def test_normalize_rejects_failed_certificate(torus_table, torus_partitions):
+    bad = certify_nonresonance(torus_table, 3, partition=torus_partitions["bands"])
     assert not bad.passed
     cubic = random_form(torus_table.lattice, 3, n_terms=4, seed=24)
     cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
     with pytest.raises(ValueError, match="failed"):
-        normalize(torus_table, poly_from_forms([cubic]), cfg, [bad], bands=bands)
+        normalize(torus_table, poly_from_forms([cubic]), cfg, [bad], **torus_partitions)
 
 
-def test_normalize_rejects_overconfident_gamma(certified_table, certificates):
+def test_normalize_rejects_overconfident_gamma(certified_table, certified_partitions, certificates):
     quartic = nls_quartic(certified_table.lattice)
     cfg = NormalFormConfig(
         r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF,
         gamma=2.0 * certificates[4].min_score,
     )
     with pytest.raises(ValueError, match="exceeds the certified minimum"):
-        normalize(certified_table, poly_from_forms([quartic]), cfg, [certificates[4]])
+        normalize(
+            certified_table, poly_from_forms([quartic]), cfg, [certificates[4]],
+            **certified_partitions,
+        )
 
 
-def test_normalize_rejects_bad_perturbation_degrees(certified_table, certificates):
+def test_normalize_rejects_bad_perturbation_degrees(
+    certified_table, certified_partitions, certificates
+):
     cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
     certs = list(certificates.values())
     sextic = random_form(certified_table.lattice, 6, n_terms=2, seed=25)
     with pytest.raises(ValueError, match="above the cap"):
-        normalize(certified_table, poly_from_forms([sextic]), cfg, certs)
+        normalize(certified_table, poly_from_forms([sextic]), cfg, certs, **certified_partitions)
     quad = random_form(certified_table.lattice, 2, n_terms=2, seed=26)
     with pytest.raises(ValueError, match="need >= 3"):
-        normalize(certified_table, poly_from_forms([quad]), cfg, certs)
+        normalize(certified_table, poly_from_forms([quad]), cfg, certs, **certified_partitions)
 
 
-def test_normalize_rejects_large_radius(certified_table, certificates):
+def test_normalize_rejects_large_radius(certified_table, certified_partitions, certificates):
     quartic = nls_quartic(certified_table.lattice)
     cfg = NormalFormConfig(r=1, radius=0.9, cutoff=NF_CUTOFF)
     with pytest.raises(ValueError, match="smallness violated"):
-        normalize(certified_table, poly_from_forms([quartic]), cfg, [certificates[4]])
+        normalize(
+            certified_table, poly_from_forms([quartic]), cfg, [certificates[4]],
+            **certified_partitions,
+        )
 
 
 def test_normal_form_run_contracts(nf_result):
@@ -381,23 +394,23 @@ def test_transform_state_matches_the_dict_flow(inverse, paired):
 
 
 def test_normal_form_failures_are_typed(
-    certified_table, certified_bands, certified_clusters, certificates, torus_table
+    certified_table, certified_bands, certified_clusters, certified_partitions, certificates,
+    torus_table, torus_partitions,
 ):
     assert issubclass(CertificateError, ValueError) and issubclass(SmallnessError, ValueError)
     quartic = poly_from_forms([nls_quartic(certified_table.lattice)])
     cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
     with pytest.raises(CertificateError, match="no nonresonance certificate"):
-        normalize(certified_table, quartic, cfg, [certificates[3]])
-    bands = band_partition(torus_table)
-    bad = certify_nonresonance(torus_table, 3, partition=bands)
+        normalize(certified_table, quartic, cfg, [certificates[3]], **certified_partitions)
+    bad = certify_nonresonance(torus_table, 3, partition=torus_partitions["bands"])
     cubic = poly_from_forms([random_form(torus_table.lattice, 3, n_terms=4, seed=24)])
     with pytest.raises(CertificateError, match="failed"):
-        normalize(torus_table, cubic, cfg, [bad], bands=bands)
+        normalize(torus_table, cubic, cfg, [bad], **torus_partitions)
     greedy = NormalFormConfig(
         r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF, gamma=2.0 * certificates[4].min_score
     )
     with pytest.raises(CertificateError, match="exceeds the certified minimum"):
-        normalize(certified_table, quartic, greedy, [certificates[4]])
+        normalize(certified_table, quartic, greedy, [certificates[4]], **certified_partitions)
     key = ((((1,), 1), ((2,), 1), ((3,), -1)))
     with pytest.raises(CertificateError, match="certificate breached"):
         solve_homological(
@@ -406,7 +419,7 @@ def test_normal_form_failures_are_typed(
         )
     large = NormalFormConfig(r=1, radius=0.9, cutoff=NF_CUTOFF)
     with pytest.raises(SmallnessError, match="smallness violated before step 0"):
-        normalize(certified_table, quartic, large, [certificates[4]])
+        normalize(certified_table, quartic, large, [certificates[4]], **certified_partitions)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0])

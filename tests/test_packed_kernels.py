@@ -364,7 +364,7 @@ def test_commutation_brackets_each_degree_of_a_bucket():
     lattice = enumerate_lattice(1, 8.0)
     table = build_spectrum(lattice, SpectralMultiplier(base=TorusLaplacian(), potential={(1,): 0.3}))
     bands = band_partition(table)
-    clusters = build_clusters(table)
+    clusters = build_clusters(table, 0.5, 1.0)
     a, b = (0,), (1,)
     actions4 = make_form({canonical_key(((a, 1), (a, -1), (b, 1), (b, -1))): 1.0})
     actions6 = make_form({canonical_key(((a, 1), (a, -1), (a, 1), (a, -1), (b, 1), (b, -1))): 2.0})
