@@ -78,7 +78,7 @@ def main() -> int:
         print(
             f"order {order}: min score {cert.min_score:.6g} "
             f"(gamma {cert.gamma:.6g}, tau {cert.tau:g}, "
-            f"{mode} over {cert.n_checked}, {rate:.3g} multisets/s) {verdict}"
+            f"{mode} over {cert.n_checked}, {rate:.3g} multisets covered/s) {verdict}"
         )
         if not cert.passed:
             n_failed += 1

@@ -310,7 +310,7 @@ def cmd_resonances(cfg, args) -> int:
         f"resonances: order {cert.order}, min score {cert.min_score:.6g} "
         f"(gamma {cert.gamma:.6g}, tau {cert.tau:g}, "
         f"{'exhaustive' if cert.exhaustive else 'sampled'} over {cert.n_checked}, "
-        f"{rate:.3g} multisets/s)"
+        f"{rate:.3g} multisets covered/s)"
     )
     if not cert.passed:
         print(

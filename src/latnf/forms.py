@@ -16,6 +16,17 @@ on these arrays.  ``SymmetricForm.from_dict`` packs a dict of keys;
 only when something reads it (the tests and their per-key reference loops).
 Forms are immutable once built.
 
+``poisson_bracket`` never builds the row of a pair of derivative rows.  Each
+code of the bracket's point union gets a prime, each derivative row of F and
+G is keyed once by the product of its primes, and a pair by the product of
+its two row keys: by unique factorisation the key of a pair is that of its
+output row, exactly.  The key is one int64 while ``p_max**degree < 2**63``
+(``p_max`` the largest prime, ``degree`` the output degree; every ``r = 1``
+run), else one int64 word per group of codes, compared as bytes.  The pairs
+run in blocks of about ``BLOCK``; each block is merged into a sorted running
+union of distinct keys, so the bracket holds the output plus one block, and
+only the kept keys' rows are built and sorted into row order, at the end.
+
 The localized norm weights each key by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the key (smallest repeated below degree 3) and
 ``S = mu + dist`` with ``dist`` the index distance between the two largest
@@ -354,33 +365,133 @@ def _row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
     return wide.view(np.dtype((np.void, 4 * degree))).ravel()
 
 
-def _key_rows(keys: np.ndarray, radix: int, degree: int) -> np.ndarray:
-    """Inverse of ``_row_keys``."""
-    if keys.dtype.kind == "V":
-        return np.frombuffer(keys.tobytes(), dtype=">i4").reshape(-1, degree).astype(np.int32)
-    rows = np.empty((len(keys), degree), dtype=np.int32)
-    for j in range(degree - 1, -1, -1):
-        keys, rows[:, j] = np.divmod(keys, radix)
-    return rows
+def _primes(n: int) -> np.ndarray:
+    """The first ``n`` primes."""
+    limit = 16
+    while True:
+        sieve = np.ones(limit, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.flatnonzero(sieve)
+        if len(primes) >= n:
+            return primes[:n].astype(np.int64)
+        limit *= 2
 
 
-def _merge(keys: np.ndarray, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Distinct keys, ascending, with the coefficients of equal keys summed."""
-    uniq, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    sums = np.empty(len(uniq), dtype=complex)
-    sums.real = np.bincount(inverse, coef.real, len(uniq))
-    sums.imag = np.bincount(inverse, coef.imag, len(uniq))
-    return uniq, sums
+def _prime_keys(rows: np.ndarray, n_codes: int, degree: int) -> np.ndarray:
+    """One product-of-primes key per row of codes, exact for rows of ``degree`` codes.
+
+    Codes fall in groups of the ``k`` smallest primes ``q`` with
+    ``q**degree < 2**63``: code ``c`` has the prime ``q_(c % k)`` in the word
+    ``c // k``, and a row's word is the product of the primes of its codes in
+    that group.  By unique factorisation two rows have equal words exactly
+    when they hold the same codes with the same multiplicities, the product
+    of the keys of two rows is the key of their union, and a product over at
+    most ``degree`` codes never overflows.  One group gives an int64; more
+    give an ``(n, words)`` int64 array.
+    """
+    primes = _primes(max(n_codes, 1))
+    k = sum(int(q) ** degree < 2**63 for q in primes.tolist())
+    words = -(-len(primes) // k)
+    keys = np.ones((len(rows), words) if words > 1 else len(rows), dtype=np.int64)
+    for col in rows.T:
+        if words > 1:
+            keys[np.arange(len(rows)), col // k] *= primes[col % k]
+        else:
+            keys *= primes[col]
+    return keys
+
+
+def _pair_union(
+    keys: np.ndarray,
+    sums: np.ndarray,
+    reps: np.ndarray,
+    block_keys: np.ndarray,
+    block_sums: np.ndarray,
+    block_reps: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge a block's distinct sorted keys into the sorted running union.
+
+    A key already in the union adds its block sum to the union's; a new key
+    is inserted with its sum and representative.  The union is rebuilt once,
+    with one mask shared by its three arrays.
+    """
+    pos = np.searchsorted(keys, block_keys)
+    hit = pos < len(keys)
+    hit[hit] = keys[pos[hit]] == block_keys[hit]
+    sums[pos[hit]] += block_sums[hit]
+    new = np.flatnonzero(~hit)
+    if not len(new):
+        return keys, sums, reps
+    at = pos[new] + np.arange(len(new))
+    old = np.ones(len(keys) + len(new), dtype=bool)
+    old[at] = False
+    merged = []
+    for union, block in ((keys, block_keys), (sums, block_sums), (reps, block_reps)):
+        out = np.empty(len(old), dtype=union.dtype)
+        out[old] = union
+        out[at] = block[new]
+        merged.append(out)
+    return tuple(merged)
+
+
+def _block_sums(
+    fkeys: np.ndarray,
+    gkeys: np.ndarray,
+    fcoef: np.ndarray,
+    gcoef: np.ndarray,
+    fi: np.ndarray,
+    gi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct keys of a block of pairs ``(fi, gi)``, sorted, their sums, one pair each.
+
+    Each key's coefficients are summed from 0 in pair order (``bincount``).
+    A pair is returned as ``fi * len(gkeys) + gi``.  The per-pair arrays are
+    freed on return, so a bracket holds one block's at a time.
+    """
+    keys = fkeys[fi] * gkeys[gi]
+    if keys.ndim > 1:
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    order = np.argsort(keys)
+    keys = keys[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    rank = np.cumsum(first)
+    rank -= 1
+    slot = np.empty_like(order)
+    slot[order] = rank
+    del rank
+    head = order[first]
+    del order
+    keys = keys[first]
+    coef = fcoef[fi]
+    coef *= gcoef[gi]
+    sums = np.empty(len(head), dtype=complex)
+    sums.real = np.bincount(slot, coef.real, len(head))
+    sums.imag = np.bincount(slot, coef.imag, len(head))
+    return keys, sums, fi[head] * len(gkeys) + gi[head]
 
 
 def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
     """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form.
 
     Every derivative row of F meets the derivative rows of G whose variable
-    is its conjugate (``code ^ 1``).  The pairs are expanded in blocks of
-    about ``BLOCK``; each block is merged by key, then the blocks are merged
-    the same way.  Coefficients with ``|c| <= tol`` are dropped.
+    is its conjugate (``code ^ 1``).  A pair's output row is the multiset
+    union of its two rows, and its key is the product of their prime keys
+    (``_prime_keys``): exact by unique factorisation, one int64 while
+    ``p_max**degree < 2**63`` and one word per group of codes beyond that.
+    No pair's row is built.  The pairs are expanded in blocks of about
+    ``BLOCK`` (whole runs of one F row each); a block is deduplicated by one
+    sort of its keys and summed per key in pair order by ``bincount``, then
+    merged into the sorted running union (``_pair_union``), where a known
+    key adds its block sum and a new one is inserted with one representative
+    pair.  So each coefficient is ``0 + block 1 + block 2 + ...``, and the
+    bracket holds the union (one key, sum and pair per output key) plus one
+    block's per-pair arrays.  Coefficients with ``|c| <= tol`` are dropped;
+    the rows of the kept representatives are built and sorted into
+    canonical row order once, at the end.
     """
     degree = f.degree + g.degree - 2
     if degree < 0:
@@ -395,32 +506,39 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     lo = np.searchsorted(gvar, fvar ^ 1, side="left")
     count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
     live = np.flatnonzero(count)
+    if not len(live):
+        return zero_form(degree)
     lo, count, frows = lo[live], count[live], frows[live]
     fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[live]
-    ends = np.cumsum(count)
     radix = 2 * len(points)
-    keys, sums = [], []
+    fkeys, gkeys = _prime_keys(frows, radix, degree), _prime_keys(grows, radix, degree)
+    ends = np.cumsum(count)
+    union = None
     start = 0
     while start < len(live):
         budget = ends[start] - count[start] + BLOCK
         stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
         cnt = count[start:stop]
         fi = np.repeat(np.arange(start, stop), cnt)
-        gi = lo[fi] + np.arange(len(fi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        rows = np.concatenate((frows[fi], grows[gi]), axis=1)
-        rows.sort(axis=1)
-        block_keys, block_sums = _merge(_row_keys(rows, radix), fcoef[fi] * gcoef[gi])
-        keys.append(block_keys)
-        sums.append(block_sums)
+        gi = np.arange(len(fi))
+        gi -= np.repeat(np.cumsum(cnt) - cnt, cnt)
+        gi += lo[fi]
+        block = _block_sums(fkeys, gkeys, fcoef, gcoef, fi, gi)
+        del fi, gi
+        union = block if union is None else _pair_union(*union, *block)
+        del block
         start = stop
-    if not keys:
-        return zero_form(degree)
-    if len(keys) > 1:
-        uniq, total = _merge(np.concatenate(keys), np.concatenate(sums))
-    else:
-        uniq, total = keys[0], sums[0]
-    keep = np.abs(total) > tol
-    return SymmetricForm(points, _key_rows(uniq[keep], radix, degree), total[keep])
+    sums, reps = union[1:]
+    del union
+    keep = np.abs(sums) > tol
+    sums = sums[keep]
+    fi, gi = np.divmod(reps[keep], len(grows))
+    del reps, keep
+    rows = np.concatenate((frows[fi], grows[gi]), axis=1)
+    del fi, gi
+    rows.sort(axis=1)
+    order = np.argsort(_row_keys(rows, radix))
+    return SymmetricForm(points, rows[order], sums[order])
 
 
 def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:

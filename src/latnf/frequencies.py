@@ -73,7 +73,10 @@ class GroundState:
 
     eigenvalues: Mapping[Point, float]
     f_value: float
-    beta: float = 2.0
+
+    @property
+    def beta(self) -> float:
+        return 2.0
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,10 @@ class Beam:
 
     eigenvalues: Mapping[Point, float]
     mass: float
-    beta: float = 2.0
+
+    @property
+    def beta(self) -> float:
+        return 2.0
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ multiplicity, each the oracle of a row kernel of the package
 (``vector_field``, ``normalform.bucket_rows``, ``forms.leading_points``,
 ``SymmetricForm.multiplicity``); the builders of test inputs (``make_form``,
 ``real_state``) and the reader of ``form_to_jsonl`` files; and the
-ground-state chart and divisor scan, which no model kind integrates yet.
+ground-state chart and divisor scan, which no model kind integrates yet;
+and the row-sort bracket, the bit-for-bit oracle of ``forms.poisson_bracket``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from latnf import forms
 from latnf.bands import BandPartition
 from latnf.clusters import ClusterPartition, block_index_map
 from latnf.forms import (
@@ -28,8 +30,10 @@ from latnf.forms import (
     State,
     SymmetricForm,
     _localization,
+    _row_keys,
     canonical_key,
     monomials,
+    zero_form,
 )
 from latnf.frequencies import SpectrumTable
 from latnf.lattice import ExtIndex, Point, conjugate, point_distance
@@ -242,6 +246,82 @@ def form_from_jsonl(path) -> SymmetricForm:
             row = json.loads(line)
             coeffs[_decode_key(row["key"])] = complex(row["re"], row["im"])
     return make_form(coeffs, degree=int(header["degree"]), tol=0.0)
+
+
+# --- the row-sort bracket ------------------------------------------------------
+
+
+def _key_rows(keys: np.ndarray, radix: int, degree: int) -> np.ndarray:
+    """Inverse of ``_row_keys``."""
+    if keys.dtype.kind == "V":
+        return np.frombuffer(keys.tobytes(), dtype=">i4").reshape(-1, degree).astype(np.int32)
+    rows = np.empty((len(keys), degree), dtype=np.int32)
+    for j in range(degree - 1, -1, -1):
+        keys, rows[:, j] = np.divmod(keys, radix)
+    return rows
+
+
+def _merge(keys: np.ndarray, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct keys, ascending, with the coefficients of equal keys summed."""
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    sums = np.empty(len(uniq), dtype=complex)
+    sums.real = np.bincount(inverse, coef.real, len(uniq))
+    sums.imag = np.bincount(inverse, coef.imag, len(uniq))
+    return uniq, sums
+
+
+def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
+    """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form.
+
+    Every derivative row of F meets the derivative rows of G whose variable
+    is its conjugate (``code ^ 1``).  The pairs are expanded in blocks of
+    about ``BLOCK``; each block is merged by key, then the blocks are merged
+    the same way.  Coefficients with ``|c| <= tol`` are dropped.
+
+    The bracket kernel that built, row-sorted and keyed every pair's row
+    (``latnf.forms.BLOCK`` is read at call time, so a patched block size
+    applies to both kernels); ``poisson_bracket`` matches it bit for bit.
+    """
+    degree = f.degree + g.degree - 2
+    if degree < 0:
+        raise ValueError("bracket of two linear forms has negative degree")
+    points = sorted(set(f.points) | set(g.points))
+    rank = {p: i for i, p in enumerate(points)}
+    fvar, frows, fcoef = f.derivatives
+    gvar, grows, gcoef = g.derivatives
+    fvar, frows = f.relabel(fvar, rank), f.relabel(frows, rank)
+    gvar, grows = g.relabel(gvar, rank), g.relabel(grows, rank)
+
+    lo = np.searchsorted(gvar, fvar ^ 1, side="left")
+    count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
+    live = np.flatnonzero(count)
+    lo, count, frows = lo[live], count[live], frows[live]
+    fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[live]
+    ends = np.cumsum(count)
+    radix = 2 * len(points)
+    keys, sums = [], []
+    start = 0
+    while start < len(live):
+        budget = ends[start] - count[start] + forms.BLOCK
+        stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
+        cnt = count[start:stop]
+        fi = np.repeat(np.arange(start, stop), cnt)
+        gi = lo[fi] + np.arange(len(fi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        rows = np.concatenate((frows[fi], grows[gi]), axis=1)
+        rows.sort(axis=1)
+        block_keys, block_sums = _merge(_row_keys(rows, radix), fcoef[fi] * gcoef[gi])
+        keys.append(block_keys)
+        sums.append(block_sums)
+        start = stop
+    if not keys:
+        return zero_form(degree)
+    if len(keys) > 1:
+        uniq, total = _merge(np.concatenate(keys), np.concatenate(sums))
+    else:
+        uniq, total = keys[0], sums[0]
+    keep = np.abs(total) > tol
+    return SymmetricForm(points, _key_rows(uniq[keep], radix, degree), total[keep])
 
 
 # --- per-key divisor tests and the ground-state divisor scan -----------------

@@ -11,10 +11,10 @@ in ``perfbench/``.  Code that only the tests call belongs under ``tests/``
 (``tests/oracles.py``, ``tests/estimates.py``).  The exceptions are listed in
 ``UNCALLED``.
 
-Every defaulted parameter of a public top-level function of ``src/latnf``
-must be set by some call in the package, in ``scripts/`` or in
-``perfbench/``: a default that no caller overrides is a constant.  The
-exceptions are listed in ``UNSET``.
+Every defaulted parameter of a public top-level function of ``src/latnf``,
+and every defaulted field of a public dataclass, must be set by some call in
+the package, in ``scripts/`` or in ``perfbench/``: a default that no caller
+overrides is a constant.  The exceptions are listed in ``UNSET``.
 """
 
 import ast
@@ -38,7 +38,9 @@ UNCALLED = {("normalform", "transform_state"), ("resonance", "small_divisor")}
 #: defaulted parameters that no caller outside the tests sets, kept on purpose:
 #: the options of ``transform_state`` await the command that runs it
 #: (ROADMAP item 7); ``random_form(real)``, ``certify_nonresonance(samples)``
-#: and ``solve_homological(verify)`` are test seams
+#: and ``solve_homological(verify)`` are test seams; only the tests start a
+#: trajectory from given modes (``SimulationConfig.initial_modes`` and
+#: ``initial_velocity_modes``)
 UNSET = {
     ("normalform", "transform_state", name)
     for name in ("lattice", "s", "ball", "inverse", "tol", "max_steps")
@@ -46,6 +48,8 @@ UNSET = {
     ("forms", "random_form", "real"),
     ("resonance", "certify_nonresonance", "samples"),
     ("normalform", "solve_homological", "verify"),
+    ("dynamics", "SimulationConfig", "initial_modes"),
+    ("dynamics", "SimulationConfig", "initial_velocity_modes"),
 }
 
 
@@ -156,6 +160,16 @@ def _defaulted_parameters(node):
     return out
 
 
+def _is_dataclass(node):
+    return any("dataclass" in _read_names(d) for d in node.decorator_list)
+
+
+def _defaulted_fields(node):
+    """``(name, position)`` of each defaulted field of a dataclass, in field order."""
+    fields = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
 def _sets(call, name, position):
     """Whether ``call`` may pass the parameter ``name`` (a ``*``/``**`` splat may)."""
     if any(k.arg in (name, None) for k in call.keywords):
@@ -181,9 +195,15 @@ def unset_defaults(package, outside):
     found = set()
     for module, source in package.items():
         for node in ast.parse(source).body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef):
+                defaulted = _defaulted_parameters(node)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                defaulted = _defaulted_fields(node)
+            else:
                 continue
-            for name, position in _defaulted_parameters(node):
+            if node.name.startswith("_"):
+                continue
+            for name, position in defaulted:
                 if not any(_sets(call, name, position) for call in calls.get(node.name, ())):
                     found.add((module, node.name, name))
     return found
@@ -197,10 +217,15 @@ def test_the_scan_sees_unset_defaults():
             "def h(x=0):\n    pass\n"
             "def _private(x=0):\n    pass\n"
             "def run():\n    f(0, 5, k=6)\n    h(*args)\n"
+            "@dataclass(frozen=True)\n"
+            "class C:\n    x: int\n    y: int = 1\n    z: int = 2\n    w: int = 3\n"
+            "    @property\n    def v(self):\n        return 4\n"
+            "class Plain:\n    k: int = 0\n"
+            "def build():\n    return C(0, 1, w=5)\n"
         ),
     }
     outside = ["import latnf\nlatnf.a.g(**opts)\n"]
-    assert unset_defaults(package, outside) == {("a", "f", "z"), ("a", "f", "m")}
+    assert unset_defaults(package, outside) == {("a", "f", "z"), ("a", "f", "m"), ("a", "C", "z")}
 
 
 def test_every_default_is_set_by_a_caller():

@@ -10,6 +10,7 @@ loop it replaced (``ref_gradient``).
 """
 
 import gc
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -48,6 +49,7 @@ from oracles import (
     make_form,
     mu_S,
     ordering_permutation,
+    row_sort_bracket,
     vector_field_seminorm,
 )
 
@@ -243,18 +245,78 @@ def test_bracket_drops_cancellations_below_tol():
     assert set(kept) == set(ref_bracket(g, k, tol=0.0)) == {canonical_key((((0,), 1), ((3,), 1)))}
 
 
+def _wide(f, g):
+    """Whether the prime-product keys of the bracket of f and g need several words."""
+    n_codes = 2 * len(set(f.points) | set(g.points))
+    degree = f.degree + g.degree - 2
+    return latnf.forms._prime_keys(np.zeros((1, degree), np.int32), n_codes, degree).ndim > 1
+
+
 def test_bracket_in_blocks_and_wide_keys(monkeypatch):
-    # A tiny block forces the cross-block merge.  On the plane, 317 points
-    # make radix**7 overflow int64 and keys fall back to row bytes; on the
-    # line they stay mixed-radix integers.
+    # A tiny block forces the merge into the running union.  On the plane,
+    # 317 points need prime keys of several words; on the line they are one
+    # int64.
     monkeypatch.setattr(latnf.forms, "BLOCK", 97)
     plane = enumerate_lattice(2, 10.0)
     wide = random_form(plane, 4, 400, seed=12), random_form(plane, 5, 400, seed=13)
-    points = set(wide[0].points) | set(wide[1].points)
-    assert (2 * len(points)) ** 7 >= 2**63
+    assert _wide(*wide)
     narrow = random_form(LINE, 4, 60, seed=14), random_form(LINE, 4, 60, seed=15)
+    assert not _wide(*narrow)
     for f, g in (wide, narrow):
         assert_same_terms(poisson_bracket(f, g).coeffs, ref_bracket(f, g))
+
+
+def oracle_cases():
+    """(name, f, g): one-word and wide prime keys, degree 0, empty and unmatched."""
+    line5, plane = enumerate_lattice(1, 5.0), enumerate_lattice(2, 10.0)
+    yield "line 4x4", random_form(LINE, 4, 60, seed=14), random_form(LINE, 4, 60, seed=15)
+    yield "nls quartic", nls_quartic(LINE), random_form(LINE, 4, 30, seed=10)
+    yield "repeated entries", repeated_form(LINE, 4, 30, 3), repeated_form(LINE, 3, 30, 4)
+    yield "wide plane 4x5", random_form(plane, 4, 400, seed=12), random_form(plane, 5, 400, seed=13)
+    yield "wide line 6x6", random_form(line5, 6, 40, seed=20), random_form(line5, 6, 40, seed=21)
+    yield "degree 0", random_form(LINE, 1, 6, seed=22), random_form(LINE, 1, 6, seed=23)
+    yield "empty", random_form(LINE, 3, 20, seed=11), SymmetricForm.from_dict(4, {})
+    plus_only = make_form({canonical_key((((1,), 1), ((2,), 1))): 1.0})
+    other = make_form({canonical_key((((0,), 1), ((3,), 1), ((3,), -1))): 2.0})
+    yield "unmatched", plus_only, other
+
+
+@pytest.mark.parametrize("block", [latnf.forms.BLOCK, 97, 7])
+def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
+    # The prime-key union sums each key as 0 + block 1 + block 2 + ..., the
+    # row-sort kernel's order, so codes, row order and value bits agree.
+    monkeypatch.setattr(latnf.forms, "BLOCK", block)
+    cases = {name: (f, g) for name, f, g in oracle_cases()}
+    assert [name for name, fg in cases.items() if _wide(*fg)] == ["wide plane 4x5", "wide line 6x6"]
+    for name, (f, g) in cases.items():
+        for tol in (1e-14, 0.0):
+            got, want = poisson_bracket(f, g, tol=tol), row_sort_bracket(f, g, tol=tol)
+            assert got.degree == want.degree, name
+            assert got.points == want.points, name
+            assert np.array_equal(got.codes, want.codes), name
+            assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), name
+    zero = poisson_bracket(*cases["degree 0"])
+    assert (zero.degree, len(zero)) == (0, 1)
+
+
+def test_bracket_peak_memory_is_the_output_plus_one_block(monkeypatch):
+    # About 120 blocks whose keys mostly repeat: merged into a running union,
+    # the traced peak stays a few output sizes; kept until a final merge, the
+    # block results pile up to about 30 output sizes.
+    block = 4096
+    monkeypatch.setattr(latnf.forms, "BLOCK", block)
+    lattice = enumerate_lattice(1, 3.0)
+    f, g = random_form(lattice, 4, 400, seed=24), random_form(lattice, 4, 400, seed=25)
+    f.derivatives, g.derivatives
+    tracemalloc.start()
+    try:
+        out = poisson_bracket(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = out.codes.nbytes + out.values.nbytes
+    assert len(out) > 20000
+    assert peak < 6 * out_bytes + 256 * block
 
 
 def test_bracket_output_view_matches_a_fresh_pack():
