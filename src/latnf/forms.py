@@ -21,8 +21,9 @@ code of the bracket's point union gets a prime, each derivative row of F and
 G is keyed once by the product of its primes, and a pair by the product of
 its two row keys: by unique factorisation the key of a pair is that of its
 output row, exactly.  The key is one int64 while ``p_max**degree < 2**63``
-(``p_max`` the largest prime, ``degree`` the output degree; every ``r = 1``
-run), else one int64 word per group of codes, compared as bytes.  The pairs
+(``p_max`` the largest prime, ``degree`` the output degree: up to degree 8,
+every ``r = 1`` bracket, on the 34 codes of the radius-8 line), else one
+int64 word per group of codes, compared as bytes.  The pairs
 run in blocks of about ``BLOCK``; each block is merged into a sorted running
 union of distinct keys, so the bracket holds the output plus one block, and
 only the kept keys' rows are built and sorted into row order, at the end.
