@@ -29,6 +29,14 @@ The step maps are:
 RK4 is one function, ``_rk4``, for the ``rk4_reference`` steps, the
 normal-form substeps and the time-1 generator flows of
 ``normalform.transform_state`` alike.
+
+Each step map runs on work arrays that its integrator allocates once per
+trajectory and that only the step map writes: the grid transforms
+``_System.field`` and ``_System.spectrum`` write into an array their caller
+passes, and ``_PolyParts`` owns the both-signs state of the normal-form
+kick.  A step returns a fresh state and never writes into its argument,
+which the loop keeps and the monitor samples; an RK right-hand side
+returns a fresh array too, since ``_rk4`` combines four of them.
 """
 
 from __future__ import annotations
@@ -49,9 +57,15 @@ from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .bands import BandPartition, band_map, band_partition
 from .clusters import ClusterPartition, build_clusters
-from .forms import SymmetricForm, gradient, hamiltonian_field, monomials
+from .forms import SymmetricForm, gradient, monomials
 from .frequencies import SpectrumTable, TorusLaplacian, build_model, build_spectrum
 from .lattice import Lattice, Point, enumerate_lattice
+
+# Constant operands of the step maps are numpy scalars, converted once, and
+# the step maps pass ufunc outputs positionally: on a 36-point grid a Python
+# scalar operand or an ``out=`` keyword costs a measurable share of a call.
+_ONE = np.float64(1)
+_NEG_I = np.complex128(-1j)
 
 
 def five_smooth(n: int) -> int:
@@ -314,8 +328,12 @@ class _Grid:
         self.dim = dim
         self.size = size
         self.shape = (size,) * dim
-        # fftn's order, the last axis first, as gufunc ``axes`` (input, factor, output)
-        self.axes = [[(a,), (), (a,)] for a in range(dim - 1, -1, -1)]
+        # the axes before the last, in fftn's order, as gufunc ``axes`` (input,
+        # factor, output); the gufuncs' default is the last axis
+        self.axes = [[(a,), (), (a,)] for a in range(dim - 2, -1, -1)]
+        # the transforms' factors, as numpy scalars
+        self.inv_size = np.float64(1 / size)
+        self.npts_c = np.complex128(size**dim)
         axis = np.rint(np.fft.fftfreq(size) * size).astype(int)
         mats = np.meshgrid(*([axis] * dim), indexing="ij")
         self.freqs = np.stack([m.reshape(-1) for m in mats], axis=1)
@@ -358,9 +376,11 @@ class _System:
     axis first, with the factors ``np.fft.ifft``/``fft`` pass for the default
     norm (``1/size`` and ``1``): the loop ``ifftn``/``fftn`` run, so the
     results are theirs bit for bit, without the wrappers' argument handling
-    on every call of a step.  Each transform writes a fresh array; both scale
-    it in place and never write into their argument, which may be the live
-    state of a monitor sample.
+    on every call of a step.  The caller owns the output: each transform
+    writes into the ``out`` array it is passed (grid-shaped for ``field``,
+    flat for ``spectrum``), transforms the other axes of a 2-D grid in place
+    there, scales it in place and returns it.  Neither writes into its
+    argument, which may be the live state of a monitor sample.
     """
 
     lattice: Lattice
@@ -372,23 +392,22 @@ class _System:
     lam: np.ndarray
     npts: int
 
-    def field(self, u: np.ndarray) -> np.ndarray:
-        """Physical-space field of the spectral state ``u``."""
-        shape, fct = self.grid.shape, 1 / self.grid.size
-        psi = u.reshape(shape)
-        for axes in self.grid.axes:
-            psi = _ifft(psi, fct, axes=axes, out=np.empty(shape, complex))
-        psi *= self.npts
-        return psi
+    def field(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Physical-space field of the spectral state ``u``, written into ``out``."""
+        grid = self.grid
+        _ifft(u if grid.dim == 1 else u.reshape(grid.shape), grid.inv_size, out)
+        for axes in grid.axes:
+            _ifft(out, grid.inv_size, out, axes=axes)
+        return np.multiply(out, grid.npts_c, out)
 
-    def spectrum(self, psi: np.ndarray) -> np.ndarray:
-        """Spectral state of the physical-space field ``psi``."""
-        u, shape = psi, self.grid.shape
-        for axes in self.grid.axes:
-            u = _fft(u, 1, axes=axes, out=np.empty(shape, complex))
-        u = u.reshape(-1)
-        u /= self.npts
-        return u
+    def spectrum(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Spectral state of the physical-space field ``psi``, written into ``out``."""
+        grid = self.grid
+        u = out if grid.dim == 1 else out.reshape(grid.shape)
+        _fft(psi, _ONE, u)
+        for axes in grid.axes:
+            _fft(u, _ONE, u, axes=axes)
+        return np.divide(out, grid.npts_c, out)
 
     def meta(self, config: SimulationConfig, integrator: str) -> Dict[str, object]:
         return {
@@ -478,35 +497,53 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     # an empty nonlinearity is one zero term: the phase field of the linear flow
     (j0, arr0), *rest = list(coeffs.items()) or [(1, np.zeros(grid.shape))]
 
-    def phase_field(y: np.ndarray) -> np.ndarray:
-        """``sum_j c_j y**j``, summed from the lowest power (``y**1`` is ``y``)."""
-        phi = arr0 * (y if j0 == 1 else y**j0)
+    # Work arrays of the step map, allocated once per trajectory: ``psi`` the
+    # field, ``y`` its intensity and ``w`` a spectral state.  ``phi`` holds
+    # the phase field in its real half, ``phase``, and +0.0 in its imaginary
+    # half, which nothing writes: it is the float phase cast to complex, so
+    # products with it are those of the float array bit for bit, without a
+    # cast on every call.
+    psi = np.empty(grid.shape, dtype=complex)
+    y = np.empty(grid.shape)
+    phi = np.zeros(grid.shape, dtype=complex)
+    phase = phi.real
+    w = np.empty(system.npts, dtype=complex)
+    field, spectrum = system.field, system.spectrum
+
+    def phase_field() -> None:
+        """``phase = sum_j c_j y**j`` at ``y = |psi|^2``, summed from the lowest power."""
+        np.square(np.abs(psi, y), y)
+        np.multiply(arr0, y if j0 == 1 else y**j0, phase)
         for j, arr in rest:
-            phi += arr * y**j
-        return phi
+            np.add(phase, arr * y**j, phase)
 
     if integrator == "strang_splitting":
         phase_half = np.exp(-0.5j * dt * omega)
-        rotation = -1j * dt
+        rotation = np.complex128(-1j * dt)
+        turn = np.empty(grid.shape, dtype=complex)
 
         def step(v: np.ndarray) -> np.ndarray:
-            psi = system.field(v * phase_half)
-            psi *= np.exp(rotation * phase_field(np.abs(psi) ** 2))
-            v = system.spectrum(psi)
-            v *= phase_half
-            return v
+            field(np.multiply(v, phase_half, w), psi)
+            phase_field()
+            np.multiply(psi, np.exp(np.multiply(rotation, phi, turn), turn), psi)
+            return spectrum(psi, w) * phase_half
 
     else:
+        omega_c = omega.astype(complex)
 
         def rhs(v: np.ndarray) -> np.ndarray:
-            psi = system.field(v)
-            return -1j * (omega * v + system.spectrum(phase_field(np.abs(psi) ** 2) * psi))
+            field(v, psi)
+            phase_field()
+            spectrum(np.multiply(phi, psi, psi), w)
+            out = omega_c * v
+            out += w
+            return np.multiply(_NEG_I, out, out)
 
         def step(v: np.ndarray) -> np.ndarray:
             return _rk4(rhs, v, dt)
 
     def potential(v: np.ndarray) -> float:
-        y = np.abs(system.field(v)) ** 2
+        y = np.abs(system.field(v, np.empty(grid.shape, dtype=complex))) ** 2
         pot = 0.0
         for j, arr in coeffs.items():
             pot += float(np.mean(arr * y ** (j + 1) / (j + 1)))
@@ -587,25 +624,34 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
     dt, n_steps = _time_step(config, omega)
     phase = np.exp(-1j * dt * omega)
 
-    def kick(u: np.ndarray, tau: float) -> np.ndarray:
+    # work arrays of the force kick, allocated once per trajectory
+    psi = np.empty(grid.shape, dtype=complex)
+    fhat = np.empty(system.npts, dtype=complex)
+    half_kick = np.complex128(1j * (0.5 * dt) / math.sqrt(2.0))
+    sqrt_om_c = sqrt_om.astype(complex)
+
+    def kick(u: np.ndarray) -> np.ndarray:
+        """The force kick of half a step."""
         if not force_arrays:
             return u
-        psi = system.field(unpack(u)[0])
+        system.field(unpack(u)[0], psi)
         if np.max(np.abs(psi.imag)) > 1e-9 * (1.0 + np.max(np.abs(psi.real))):
             raise FloatingPointError("beam field lost reality")
-        psi = psi.real
-        dforce = np.zeros_like(psi)
+        real = psi.real
+        dforce = np.zeros_like(real)
         for j, arr in force_arrays.items():
-            dforce += j * arr * psi ** (j - 1)
-        return u - 1j * tau / math.sqrt(2.0) * system.spectrum(dforce) / sqrt_om
+            dforce += j * arr * real ** (j - 1)
+        system.spectrum(dforce, fhat)
+        np.multiply(half_kick, fhat, fhat)
+        return u - np.divide(fhat, sqrt_om_c, fhat)
 
     def step(u: np.ndarray) -> np.ndarray:
-        return kick(kick(u, 0.5 * dt) * phase, 0.5 * dt)
+        return kick(kick(u) * phase)
 
     def potential(u: np.ndarray) -> float:
         if not force_arrays:
             return 0.0
-        psi = system.field(unpack(u)[0]).real
+        psi = system.field(unpack(u)[0], np.empty(grid.shape, dtype=complex)).real
         pot = 0.0
         for j, arr in force_arrays.items():
             pot += float(np.mean(arr * psi**j))
@@ -639,52 +685,57 @@ def is_action_form(form: SymmetricForm) -> bool:
     )
 
 
-def _both_signs(u: np.ndarray) -> np.ndarray:
-    """One-sided state on the codes ``2*i`` (u) and ``2*i + 1`` (conj u)."""
-    x = np.empty(2 * len(u), dtype=complex)
-    x[0::2] = u
-    x[1::2] = u.conj()
-    return x
-
-
 class _PolyParts:
     """The parts of a polynomial Hamiltonian as code rows on the lattice.
 
-    Each part's codes are renumbered to the lattice ``index`` once
-    and stored as ``intp``, so no step converts them again; the rows then
-    act on the both-signs state of a one-sided ``u``.  ``energy`` sums every
-    part.  Action parts turn each mode by the angle
-    ``theta = dP/dI``, the gradient of their ``+`` halves over the
-    intensities ``|u|^2``; the others make ``rhs``, the ``+`` half of their
-    Hamiltonian field.
+    Each part's codes are renumbered to the lattice ``index`` once and
+    stored as ``intp`` in column-major order, so each code column is one
+    contiguous index array that no step converts or copies again; the rows
+    then act on the both-signs state of a one-sided ``u``.  ``energy`` sums
+    every part.  Action parts turn each mode by the angle ``theta = dP/dI``,
+    the gradient of their ``+`` halves over the intensities ``|u|^2``; the
+    others make ``rhs``, the ``+`` half of their Hamiltonian field.
+
+    The both-signs state is one work array, ``x``, owned here: ``rhs`` and
+    ``energy`` refill it from their argument on every call, never write into
+    the argument, and ``rhs`` returns a fresh array.
     """
 
     def __init__(self, forms: Sequence[SymmetricForm], index: Dict[Point, int]):
         self.size = len(index)
-        self.rows = [
-            (f.relabel(f.codes, index).astype(np.intp), f.values)
-            for f in forms
-        ]
+        self.x = np.empty(2 * self.size, dtype=complex)
+        self.rows: List[Tuple[np.ndarray, np.ndarray]] = []
         self.actions: List[Tuple[np.ndarray, np.ndarray]] = []
         self.flows: List[Tuple[np.ndarray, np.ndarray]] = []
-        for f, (codes, c) in zip(forms, self.rows):
+        for f in forms:
+            codes, c = f.relabel(f.codes, index), f.values
+            columns = np.asfortranarray(codes, dtype=np.intp)
+            self.rows.append((columns, c))
             if is_action_form(f):
                 if np.any(np.abs(c.imag) > 1e-12 * (1.0 + np.abs(c))):
                     raise ValueError("action part must have real coefficients")
                 plus = codes[(codes & 1) == 0].reshape(len(codes), codes.shape[1] // 2) >> 1
-                self.actions.append((plus, c.real))
+                self.actions.append((np.asfortranarray(plus, dtype=np.intp), c.real))
             elif np.any(codes & 1):  # without a - variable the kick is zero
-                self.flows.append((codes, c))
+                self.flows.append((columns, c))
+
+    def both_signs(self, u: np.ndarray) -> np.ndarray:
+        """``x`` holding ``u`` on the codes ``2*i`` and ``conj u`` on ``2*i + 1``."""
+        x = self.x
+        x[0::2] = u
+        np.conjugate(u, x[1::2])
+        return x
 
     def theta(self, intensity: np.ndarray) -> np.ndarray:
         return sum(gradient(plus, c, intensity, self.size).real for plus, c in self.actions)
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        x = _both_signs(u)
-        return sum(hamiltonian_field(codes, c, x)[0::2] for codes, c in self.flows)
+        """``X[2i] = -i dF/dx[2i + 1]``, as ``forms.hamiltonian_field`` computes it."""
+        x = self.both_signs(u)
+        return sum(_NEG_I * gradient(codes, c, x, len(x))[1::2] for codes, c in self.flows)
 
     def energy(self, u: np.ndarray) -> float:
-        x = _both_signs(u)
+        x = self.both_signs(u)
         return float(sum(monomials(codes, c, x).sum() for codes, c in self.rows).real)
 
 
@@ -719,10 +770,12 @@ def integrate_normal_form(
     weights = (1.0 + np.asarray([table.norm(p) for p in points])) ** (2.0 * s)
     phase_half = np.exp(-0.5j * dt * omega)
 
+    rotation = np.complex128(-1j * dt)
+
     def step(v: np.ndarray) -> np.ndarray:
         v = v * phase_half
         if poly.actions:
-            v = v * np.exp(-1j * dt * poly.theta(np.abs(v) ** 2))
+            v = v * np.exp(rotation * poly.theta(np.abs(v) ** 2))
         if poly.flows:
             v = _rk4(poly.rhs, v, dt)
         return v * phase_half

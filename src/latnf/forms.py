@@ -17,13 +17,13 @@ only when something reads it (the tests and their per-key reference loops).
 Forms are immutable once built.
 
 ``poisson_bracket`` never builds the row of a pair of derivative rows.  Each
-code of the bracket's point union gets a prime, each derivative row of F and
-G is keyed once by the product of its primes, and a pair by the product of
-its two row keys: by unique factorisation the key of a pair is that of its
-output row, exactly.  The key is one int64 while ``p_max**degree < 2**63``
-(``p_max`` the largest prime, ``degree`` the output degree: up to degree 8,
-every ``r = 1`` bracket, on the 34 codes of the radius-8 line), else one
-int64 word per group of codes, compared as bytes.  The pairs
+code of the bracket's point union gets a prime, the most frequent codes of
+the derivative rows the smallest, each derivative row of F and G is keyed
+once by the product of its primes, and a pair by the product of its two row
+keys: by unique factorisation the key of a pair is that of its output row,
+exactly.  The key is one int64 when every row's key and the product of the
+largest F and G keys stay below ``2**63`` (checked in exact integers), else
+one int64 word per group of codes, compared as bytes.  The pairs
 run in blocks of about ``BLOCK``; each block is merged into a sorted running
 union of distinct keys, so the bracket holds the output plus one block, and
 only the kept keys' rows are built and sorted into row order, at the end.
@@ -60,6 +60,8 @@ State = Dict[ExtIndex, complex]
 #: rows (bracket: row pairs) per block in the packed kernels; bounds their
 #: temporaries to a few block-sized arrays whatever the form size
 BLOCK = 1 << 18
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def canonical_key(entries: Iterable[ExtIndex]) -> Key:
@@ -120,9 +122,9 @@ class SymmetricForm:
 
     @cached_property
     def runs(self) -> np.ndarray:
-        """Length of each run of equal codes at its first column, 0 elsewhere."""
+        """Length of each run of equal codes at its first column, 0 elsewhere (``uint8``)."""
         codes = self.codes
-        runs = np.ones(codes.shape, dtype=np.int64)
+        runs = np.ones(codes.shape, dtype=np.uint8)
         for j in range(codes.shape[1] - 2, -1, -1):
             same = codes[:, j] == codes[:, j + 1]
             runs[same, j] += runs[same, j + 1]
@@ -131,10 +133,21 @@ class SymmetricForm:
 
     @cached_property
     def multiplicity(self) -> np.ndarray:
-        """Multinomial count of the orderings of every row, from its run lengths."""
-        degree = self.degree
-        fact = np.array([math.factorial(k) for k in range(degree + 1)], dtype=np.int64)
-        return fact[degree] // np.prod(fact[self.runs], axis=1)
+        """Multinomial count ``degree! / prod(run length!)`` of the orderings of every row.
+
+        The denominator is the product over columns of each code's position
+        in its run (``1, 2, ..., m`` over a run of ``m``), kept in one int64
+        vector per row; every value is an exact integer.
+        """
+        codes = self.codes
+        count = np.ones(len(codes), dtype=np.int64)
+        denominator = np.ones(len(codes), dtype=np.int64)
+        for j in range(1, self.degree):
+            same = codes[:, j] == codes[:, j - 1]
+            count *= same
+            count += 1
+            denominator *= count
+        return math.factorial(self.degree) // denominator
 
     @cached_property
     def derivatives(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -302,24 +315,30 @@ def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> n
     contributes ``P_j S_j`` to its code, so a run of ``m`` equal codes
     contributes ``m`` times the reduced monomial.  Each column's
     contributions are summed per code in row order by one ``np.add.at``
-    into a fresh zero array, which is then added to the result.  Codes are
-    gathered and scattered as ``intp``, converted one column at a time
-    (``intp`` codes are used as they are).
+    into a zeroed accumulator (one per block, zeroed for every column),
+    which is then added to the result.  Each code column of a block is read
+    as ``intp`` once, for the gather and the scatter: ``intp`` codes in
+    column-major order (``np.asfortranarray``) are used as they are, any
+    other column is converted.
     """
     out = np.zeros(size, dtype=complex)
     for a in range(0, len(coef), BLOCK):
-        block = codes[a : a + BLOCK]
-        cols = [x[col.astype(np.intp, copy=False)] for col in block.T]
+        index = [col.astype(np.intp, copy=False) for col in codes[a : a + BLOCK].T]
+        cols = [x[i] for i in index]
         prefix = [coef[a : a + BLOCK]]
         for col in cols[:-1]:
             prefix.append(prefix[-1] * col)
-        suffix = None
+        acc = suffix = None
         for j in range(len(cols) - 1, -1, -1):
             part = prefix[j] if suffix is None else prefix[j] * suffix
-            acc = np.zeros(size, part.dtype)
-            np.add.at(acc, block[:, j].astype(np.intp, copy=False), part)
+            if acc is None:
+                acc = np.zeros(size, part.dtype)
+            else:
+                acc.fill(0)
+            np.add.at(acc, index[j], part)
             out += acc
-            suffix = cols[j] if suffix is None else suffix * cols[j]
+            if j:
+                suffix = cols[j] if suffix is None else suffix * cols[j]
     return out
 
 
@@ -381,28 +400,54 @@ def _primes(n: int) -> np.ndarray:
         limit *= 2
 
 
-def _prime_keys(rows: np.ndarray, n_codes: int, degree: int) -> np.ndarray:
-    """One product-of-primes key per row of codes, exact for rows of ``degree`` codes.
+def _one_word_keys(rows: np.ndarray, primes: np.ndarray) -> Optional[np.ndarray]:
+    """Product of the primes of every row's codes as one int64, or None past ``2**63 - 1``.
 
-    Codes fall in groups of the ``k`` smallest primes ``q`` with
-    ``q**degree < 2**63``: code ``c`` has the prime ``q_(c % k)`` in the word
-    ``c // k``, and a row's word is the product of the primes of its codes in
-    that group.  By unique factorisation two rows have equal words exactly
-    when they hold the same codes with the same multiplicities, the product
-    of the keys of two rows is the key of their union, and a product over at
-    most ``degree`` codes never overflows.  One group gives an int64; more
-    give an ``(n, words)`` int64 array.
+    Each factor is checked before it is taken, in exact integers: ``key * p``
+    fits exactly when ``key <= (2**63 - 1) // p``.
     """
-    primes = _primes(max(n_codes, 1))
-    k = sum(int(q) ** degree < 2**63 for q in primes.tolist())
-    words = -(-len(primes) // k)
-    keys = np.ones((len(rows), words) if words > 1 else len(rows), dtype=np.int64)
+    keys = np.ones(len(rows), dtype=np.int64)
     for col in rows.T:
-        if words > 1:
-            keys[np.arange(len(rows)), col // k] *= primes[col % k]
-        else:
-            keys *= primes[col]
+        factor = primes[col]
+        if np.any(keys > _INT64_MAX // factor):
+            return None
+        keys *= factor
     return keys
+
+
+def _prime_keys(frows: np.ndarray, grows: np.ndarray, n_codes: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Product-of-primes keys of the F and G derivative rows of a bracket.
+
+    By unique factorisation two rows have equal keys exactly when they hold
+    the same codes with the same multiplicities, and the product of the keys
+    of two rows is the key of their union.  The keys are one int64 per row
+    when the codes most frequent in the rows take the smallest primes and
+    every row's key, and ``int(fkeys.max()) * int(gkeys.max())``, stay below
+    ``2**63`` in exact integers: then no pair's key overflows.  Otherwise
+    codes fall in groups of the ``k`` smallest primes ``q`` with
+    ``q**degree < 2**63`` (``degree`` the output row length): code ``c`` has
+    the prime ``q_(c % k)`` in the word ``c // k``, a row's word is the
+    product of the primes of its codes in that group, a product over at most
+    ``degree`` codes never overflows, and the keys are ``(n, words)`` int64
+    arrays.
+    """
+    primes = _primes(n_codes)
+    freq = np.bincount(frows.ravel(), minlength=n_codes) + np.bincount(grows.ravel(), minlength=n_codes)
+    by_freq = np.empty(n_codes, dtype=np.int64)
+    by_freq[np.argsort(-freq, kind="stable")] = primes
+    fkeys, gkeys = _one_word_keys(frows, by_freq), _one_word_keys(grows, by_freq)
+    if fkeys is not None and gkeys is not None and int(fkeys.max()) * int(gkeys.max()) <= _INT64_MAX:
+        return fkeys, gkeys
+    degree = frows.shape[1] + grows.shape[1]
+    k = sum(int(q) ** degree < 2**63 for q in primes.tolist())
+    words = -(-n_codes // k)
+    grouped = []
+    for rows in (frows, grows):
+        keys = np.ones((len(rows), words), dtype=np.int64)
+        for col in rows.T:
+            keys[np.arange(len(rows)), col // k] *= primes[col % k]
+        grouped.append(keys)
+    return tuple(grouped)
 
 
 def _pair_union(
@@ -481,8 +526,9 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     Every derivative row of F meets the derivative rows of G whose variable
     is its conjugate (``code ^ 1``).  A pair's output row is the multiset
     union of its two rows, and its key is the product of their prime keys
-    (``_prime_keys``): exact by unique factorisation, one int64 while
-    ``p_max**degree < 2**63`` and one word per group of codes beyond that.
+    (``_prime_keys``): exact by unique factorisation, one int64 when the
+    largest F and G keys multiply below ``2**63`` and one word per group of
+    codes beyond that.
     No pair's row is built.  The pairs are expanded in blocks of about
     ``BLOCK`` (whole runs of one F row each); a block is deduplicated by one
     sort of its keys and summed per key in pair order by ``bincount``, then
@@ -512,7 +558,7 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     lo, count, frows = lo[live], count[live], frows[live]
     fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[live]
     radix = 2 * len(points)
-    fkeys, gkeys = _prime_keys(frows, radix, degree), _prime_keys(grows, radix, degree)
+    fkeys, gkeys = _prime_keys(frows, grows, radix)
     ends = np.cumsum(count)
     union = None
     start = 0

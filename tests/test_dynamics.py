@@ -119,9 +119,9 @@ def test_free_beam_samples_without_a_transform(monkeypatch):
     calls = []
     field = latnf.dynamics._System.field
 
-    def counted(self, u):
+    def counted(self, u, out):
         calls.append(1)
-        return field(self, u)
+        return field(self, u, out)
 
     monkeypatch.setattr(latnf.dynamics._System, "field", counted)
     rec = integrate_beam(SimulationConfig(model="beam", radius=4.0, horizon=0.5, stride=5))
@@ -154,15 +154,39 @@ def test_grid_transforms_are_numpys_bit_for_bit(fields, alias, shape):
     system = _system(SimulationConfig(**fields), alias)
     assert system.grid.shape == shape and system.npts == math.prod(shape)
     rng = np.random.default_rng(41)
-    u = rng.standard_normal(system.npts) + 1j * rng.standard_normal(system.npts)
-    kept = u.copy()
-    assert_same_bits(system.field(u), np.fft.ifftn(u.reshape(shape)) * system.npts)
-    assert_same_bits(u, kept)
-    # complex fields, and real ones as the beam's force kick passes them
-    for psi in (u.reshape(shape) * 0.5 + 0.25j, u.real.reshape(shape)):
-        kept = psi.copy()
-        assert_same_bits(system.spectrum(psi), np.fft.fftn(psi).reshape(-1) / system.npts)
-        assert_same_bits(psi, kept)
+    # The caller's output arrays start as NaN and are reused: every call
+    # writes all of its output and leaves its input as it was.
+    field_out = np.full(shape, np.nan, dtype=complex)
+    spectrum_out = np.full(system.npts, np.nan, dtype=complex)
+    for _ in range(2):
+        u = rng.standard_normal(system.npts) + 1j * rng.standard_normal(system.npts)
+        kept = u.copy()
+        assert system.field(u, field_out) is field_out
+        assert_same_bits(field_out, np.fft.ifftn(u.reshape(shape)) * system.npts)
+        assert_same_bits(u, kept)
+        # complex fields, and real ones as the beam's force kick passes them
+        for psi in (u.reshape(shape) * 0.5 + 0.25j, u.real.reshape(shape)):
+            kept = psi.copy()
+            assert system.spectrum(psi, spectrum_out) is spectrum_out
+            assert_same_bits(spectrum_out, np.fft.fftn(psi).reshape(-1) / system.npts)
+            assert_same_bits(psi, kept)
+
+
+@pytest.mark.parametrize("dt", [0.01, 1e-3, 0.37])
+def test_rotation_of_the_cast_phase_is_the_float_product_bit_for_bit(dt):
+    # The Strang step keeps the phase field in the real half of a complex
+    # buffer whose imaginary half stays +0.0, and multiplies the rotation by
+    # that buffer: the operand numpy casts the float phase to, so the turn is
+    # ``(-1j * dt) * phi`` to the bit, signed zeros and underflows included.
+    tiny = np.nextafter(0.0, 1.0)
+    values = [0.0, -0.0, -1.5, 3.7, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300]
+    phi = np.resize(np.array(values), 37)  # past one SIMD width, with a tail
+    buffer = np.zeros(len(phi), dtype=complex)
+    buffer.real = phi
+    turn = np.multiply(np.complex128(-1j * dt), buffer, out=np.empty_like(buffer))
+    assert_same_bits(turn, (-1j * dt) * phi)
+    assert_same_bits(np.exp(turn), np.exp((-1j * dt) * phi))
+    assert not buffer.imag.view(np.uint64).any()
 
 
 def test_beam_requires_beam_model():

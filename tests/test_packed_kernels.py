@@ -246,10 +246,22 @@ def test_bracket_drops_cancellations_below_tol():
 
 
 def _wide(f, g):
-    """Whether the prime-product keys of the bracket of f and g need several words."""
-    n_codes = 2 * len(set(f.points) | set(g.points))
-    degree = f.degree + g.degree - 2
-    return latnf.forms._prime_keys(np.zeros((1, degree), np.int32), n_codes, degree).ndim > 1
+    """Whether the bracket of f and g keys its pairs by several words.
+
+    Asks the kernel's own width test: ``_prime_keys`` as the bracket calls it.
+    """
+    widths = []
+    prime_keys = latnf.forms._prime_keys
+
+    def spy(*args):
+        keys = prime_keys(*args)
+        widths.append(keys[0].ndim > 1)
+        return keys
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(latnf.forms, "_prime_keys", spy)
+        poisson_bracket(f, g)
+    return widths == [True]
 
 
 def test_bracket_in_blocks_and_wide_keys(monkeypatch):
@@ -273,7 +285,8 @@ def oracle_cases():
     yield "nls quartic", nls_quartic(LINE), random_form(LINE, 4, 30, seed=10)
     yield "repeated entries", repeated_form(LINE, 4, 30, 3), repeated_form(LINE, 3, 30, 4)
     yield "wide plane 4x5", random_form(plane, 4, 400, seed=12), random_form(plane, 5, 400, seed=13)
-    yield "wide line 6x6", random_form(line5, 6, 40, seed=20), random_form(line5, 6, 40, seed=21)
+    yield "line 6x6", random_form(line5, 6, 40, seed=20), random_form(line5, 6, 40, seed=21)
+    yield "wide line 7x7", random_form(line5, 7, 40, seed=30), random_form(line5, 7, 40, seed=31)
     yield "degree 0", random_form(LINE, 1, 6, seed=22), random_form(LINE, 1, 6, seed=23)
     yield "empty", random_form(LINE, 3, 20, seed=11), SymmetricForm.from_dict(4, {})
     plus_only = make_form({canonical_key((((1,), 1), ((2,), 1))): 1.0})
@@ -287,7 +300,7 @@ def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
     # row-sort kernel's order, so codes, row order and value bits agree.
     monkeypatch.setattr(latnf.forms, "BLOCK", block)
     cases = {name: (f, g) for name, f, g in oracle_cases()}
-    assert [name for name, fg in cases.items() if _wide(*fg)] == ["wide plane 4x5", "wide line 6x6"]
+    assert [name for name, fg in cases.items() if _wide(*fg)] == ["wide plane 4x5", "wide line 7x7"]
     for name, (f, g) in cases.items():
         for tol in (1e-14, 0.0):
             got, want = poisson_bracket(f, g, tol=tol), row_sort_bracket(f, g, tol=tol)
@@ -555,7 +568,9 @@ def test_gradient_matches_the_bincount_loop_bit_for_bit(monkeypatch, block, dtyp
         monkeypatch.setattr(latnf.forms, "BLOCK", block)
     for codes, coef, x, size in gradient_cases(np.random.default_rng(31)):
         codes = codes.astype(dtype)
-        got = latnf.forms.gradient(codes, coef, x, size)
         want = ref_gradient(codes, coef, x, size)
-        assert got.dtype == want.dtype and got.shape == (size,)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # row-major codes, and column-major ones as the normal-form kick keeps them
+        for layout in (codes, np.asfortranarray(codes)):
+            got = latnf.forms.gradient(layout, coef, x, size)
+            assert got.dtype == want.dtype and got.shape == (size,)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
