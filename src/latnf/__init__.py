@@ -57,7 +57,6 @@ from .forms import (
     add_forms,
     band_superactions,
     block_superactions,
-    canonical_key,
     conjugate_form,
     form_to_jsonl,
     localized_norm,

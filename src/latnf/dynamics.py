@@ -28,7 +28,8 @@ The step maps are:
 
 RK4 is one function, ``_rk4``, for the ``rk4_reference`` steps, the
 normal-form substeps and the time-1 generator flows of
-``normalform.transform_state`` alike.
+``normalform.transform_state`` alike; ``transform_state`` takes and returns
+a both-signs state over a sorted point tuple, the layout of ``_PolyParts``.
 
 Each step map runs on work arrays that its integrator allocates once per
 trajectory and that only the step map writes: the grid transforms

@@ -1,20 +1,27 @@
 """Symmetric polynomial forms on signed mode variables.
 
-A homogeneous form of degree N is a sparse sum over canonical multiset keys
-(entries sorted by point, + before -) of monomial coefficients:
-``F(u) = sum_M c_M prod_{A in M} u_A``.  The associated symmetric multilinear
-form divides each monomial by its multinomial multiplicity.
+A homogeneous form of degree N is a sparse sum of monomials over multisets
+of signed indexes: ``F(u) = sum_M c_M prod_{A in M} u_A``.  The associated
+symmetric multilinear form divides each monomial by its multinomial
+multiplicity.
 
 A form is stored as code rows.  It numbers its distinct points by their
 position (rank) in the sorted point list and encodes each signed entry as
-``code = 2*rank + (sign < 0)``; ascending codes are then the canonical key
+``code = 2*rank + (sign < 0)``; ascending codes are then the canonical entry
 order (point lex, ``+`` before ``-``).  ``SymmetricForm`` holds
-``codes: int32[n, degree]`` (each row ascending, one row per key),
-``values: complex128[n]`` and the point list.  Every operation on forms runs
-on these arrays.  ``SymmetricForm.from_dict`` packs a dict of keys;
-``SymmetricForm.coeffs`` is a read-only dict of the rows, in row order, built
-only when something reads it (the tests and their per-key reference loops).
-Forms are immutable once built.
+``codes: int32[n, degree]`` (each row ascending, one row per multiset),
+``values: complex128[n]`` and the point list.  Every form is built as these
+arrays and every operation on forms runs on them.  Forms are immutable once
+built.  ``SymmetricForm.coeffs``, a read-only dict ``key -> coefficient`` of
+the rows built only when something reads it, is kept for the term counters
+of ``perfbench``.
+
+A state is a complex array over a sorted point tuple, both signs of every
+point: ``x[2i]`` is the ``+`` and ``x[2i + 1]`` the ``-`` variable of point
+``i``, so a form's code indexes the state over its own points.  The vector
+field, the Sobolev norm, the remainder probe of ``normalize``,
+``normalform.transform_state`` and the normal-form dynamics all run on such
+arrays.
 
 ``poisson_bracket`` never builds the row of a pair of derivative rows.  Each
 code of the bracket's point union gets a prime, the most frequent codes of
@@ -28,11 +35,11 @@ run in blocks of about ``BLOCK``; each block is merged into a sorted running
 union of distinct keys, so the bracket holds the output plus one block, and
 only the kept keys' rows are built and sorted into row order, at the end.
 
-The localized norm weights each key by ``S^N / mu^(N+nu)`` where ``mu`` is the
-third largest floor norm of the key (smallest repeated below degree 3) and
+The localized norm weights each row by ``S^N / mu^(N+nu)`` where ``mu`` is the
+third largest floor norm of the row (smallest repeated below degree 3) and
 ``S = mu + dist`` with ``dist`` the index distance between the two largest
-modes.  Keys whose mu vanishes are rejected by default; ``zero_mode="lift"``
-substitutes ``1+mu, 1+S`` for those keys only.
+modes.  Rows whose mu vanishes are rejected by default; ``zero_mode="lift"``
+substitutes ``1+mu, 1+S`` for those rows only.
 """
 
 from __future__ import annotations
@@ -42,30 +49,22 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bands import BandPartition, band_map
 from .clusters import ClusterPartition
 from .frequencies import SpectrumTable
-from .lattice import ExtIndex, Lattice, Point, extended_indexes
-
-Key = Tuple[ExtIndex, ...]
+from .lattice import ExtIndex, Lattice, Point
 
 DROP_TOL = 1e-14
-
-State = Dict[ExtIndex, complex]
 
 #: rows (bracket: row pairs) per block in the packed kernels; bounds their
 #: temporaries to a few block-sized arrays whatever the form size
 BLOCK = 1 << 18
 
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def canonical_key(entries: Iterable[ExtIndex]) -> Key:
-    return tuple(sorted(entries, key=lambda e: (e[0], -e[1])))
 
 
 def _relabel(codes: np.ndarray, mapping: np.ndarray) -> np.ndarray:
@@ -78,9 +77,8 @@ class SymmetricForm:
     """Homogeneous polynomial in the signed mode variables, as code rows.
 
     ``SymmetricForm(points, codes, values)`` takes ascending code rows over
-    the ascending ``points`` and drops the points no row uses;
-    ``SymmetricForm.from_dict`` packs a dict of keys.  The module docstring
-    gives the encoding; the degree is the row length.
+    the ascending ``points`` and drops the points no row uses.  The module
+    docstring gives the encoding; the degree is the row length.
     """
 
     points: Tuple[Point, ...]
@@ -96,17 +94,6 @@ class SymmetricForm:
             mapping[keep] = np.arange(len(keep), dtype=np.int32)
             object.__setattr__(self, "codes", _relabel(self.codes, mapping))
         object.__setattr__(self, "points", tuple(self.points[i] for i in keep.tolist()))
-
-    @classmethod
-    def from_dict(cls, degree: int, coeffs: Mapping[Key, complex]) -> "SymmetricForm":
-        """Form of the keys of ``coeffs``, rows in dict order; zero coefficients stay."""
-        points = tuple(sorted({p for key in coeffs for p, _ in key}))
-        rank = {p: i for i, p in enumerate(points)}
-        flat = [2 * rank[p] + (s < 0) for key in coeffs for p, s in key]
-        codes = np.array(flat, dtype=np.int32).reshape(len(coeffs), degree)
-        codes.sort(axis=1)
-        values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
-        return cls(points, codes, values)
 
     @property
     def degree(self) -> int:
@@ -171,7 +158,7 @@ class SymmetricForm:
         return var[order], np.concatenate(rows)[order], np.concatenate(coef)[order]
 
     @cached_property
-    def coeffs(self) -> Mapping[Key, complex]:
+    def coeffs(self) -> Mapping[Tuple[ExtIndex, ...], complex]:
         """Read-only dict ``key -> coefficient`` of the rows, in row order."""
         keys = [()] * len(self)
         if self.degree:
@@ -183,28 +170,17 @@ class SymmetricForm:
         """Codes of this form renumbered by the point ranks ``rank``."""
         return _relabel(codes, np.array([rank[p] for p in self.points], dtype=np.int32))
 
-    def gather(self, values: State) -> np.ndarray:
-        """State value at every code, 0 where the state has no entry."""
-        return np.array([values.get(e, 0j) for e in self.entries], dtype=complex)
-
 
 def zero_form(degree: int) -> SymmetricForm:
-    return SymmetricForm.from_dict(degree, {})
+    return SymmetricForm((), np.zeros((0, degree), dtype=np.int32), np.zeros(0, dtype=complex))
 
 
-def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
-    """Sum of forms of one degree; ``|c| <= tol`` is dropped.
+def _sum_rows(points: Sequence[Point], codes: np.ndarray, values: np.ndarray, tol: float) -> SymmetricForm:
+    """Form of ascending code rows that may repeat; ``|c| <= tol`` is dropped.
 
-    Keys keep their order of first appearance, and the coefficients of a key
-    are summed from 0 left to right, as a dict accumulation does.
+    Each distinct row keeps its order of first appearance, and its values
+    are summed from 0 in row order, as a dict accumulation does.
     """
-    degs = {f.degree for f in forms}
-    if len(degs) != 1:
-        raise ValueError(f"cannot add forms of degrees {sorted(degs)}")
-    points = sorted({p for f in forms for p in f.points})
-    rank = {p: i for i, p in enumerate(points)}
-    codes = np.concatenate([f.relabel(f.codes, rank) for f in forms])
-    values = np.concatenate([f.values for f in forms])
     _, first, inverse = np.unique(_row_keys(codes, 2 * len(points)), return_index=True, return_inverse=True)
     order = np.argsort(first)
     slot = np.argsort(order)[inverse.reshape(-1)]
@@ -213,6 +189,22 @@ def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
     sums.imag = np.bincount(slot, values.imag, len(order))
     keep = np.abs(sums) > tol
     return SymmetricForm(points, codes[first[order][keep]], sums[keep])
+
+
+def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
+    """Sum of forms of one degree; ``|c| <= tol`` is dropped.
+
+    Rows keep their order of first appearance, and the coefficients of a row
+    are summed from 0 left to right (``_sum_rows``).
+    """
+    degs = {f.degree for f in forms}
+    if len(degs) != 1:
+        raise ValueError(f"cannot add forms of degrees {sorted(degs)}")
+    points = sorted({p for f in forms for p in f.points})
+    rank = {p: i for i, p in enumerate(points)}
+    codes = np.concatenate([f.relabel(f.codes, rank) for f in forms])
+    values = np.concatenate([f.values for f in forms])
+    return _sum_rows(points, codes, values, tol)
 
 
 def scale_form(form: SymmetricForm, factor: complex) -> SymmetricForm:
@@ -356,16 +348,13 @@ def hamiltonian_field(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.
     return out
 
 
-def vector_field(form: SymmetricForm, values: State) -> State:
-    """Hamiltonian vector field of the form at a state.
-
-    Component at index B is ``-i sigma_B dF/du_{conj(B)}``; the entries come
-    in the order of the variable ``conj(B)`` they differentiate.
-    """
-    field = hamiltonian_field(form.codes, form.values, form.gather(values))
-    target = np.flatnonzero(field[np.arange(len(field)) ^ 1]) ^ 1
-    entries = form.entries
-    return {entries[c]: v for c, v in zip(target.tolist(), field[target].tolist())}
+def vector_field(form: SymmetricForm, x: np.ndarray, points: Sequence[Point]) -> np.ndarray:
+    """Hamiltonian vector field at the state ``x`` over ``points``, which hold the form's points."""
+    rank = {p: i for i, p in enumerate(points)}
+    index = [rank[p] for p in form.points]
+    out = np.zeros((len(points), 2), dtype=complex)
+    out[index] = hamiltonian_field(form.codes, form.values, x.reshape(-1, 2)[index].ravel()).reshape(-1, 2)
+    return out.ravel()
 
 
 def _row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -588,20 +577,24 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     return SymmetricForm(points, rows[order], sums[order])
 
 
+def _actions(points: Sequence[Point], values: Sequence[complex]) -> SymmetricForm:
+    """``sum_k values[k] u_{p_k,+} u_{p_k,-}``, one row per point in the given order."""
+    ordered = sorted(points)
+    rank = {p: i for i, p in enumerate(ordered)}
+    plus = 2 * np.array([rank[p] for p in points], dtype=np.int32).reshape(-1, 1)
+    return SymmetricForm(ordered, np.hstack((plus, plus + 1)), np.array(values, dtype=complex))
+
+
 def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
     """``sum_a omega_a u_{a,+} u_{a,-}`` over the truncation."""
-    coeffs = {
-        canonical_key(((p, 1), (p, -1))): complex(table.omega(p))
-        for p in table.lattice.points
-    }
-    return SymmetricForm.from_dict(2, coeffs)
+    points = table.lattice.points
+    return _actions(points, [complex(table.omega(p)) for p in points])
 
 
-def superaction_form(points: Iterable[Point]) -> SymmetricForm:
-    coeffs = {canonical_key(((p, 1), (p, -1))): 1.0 + 0j for p in points}
-    if not coeffs:
+def superaction_form(points: Sequence[Point]) -> SymmetricForm:
+    if not points:
         raise ValueError("superaction over an empty mode set")
-    return SymmetricForm.from_dict(2, coeffs)
+    return _actions(points, [1.0] * len(points))
 
 
 def band_superactions(table: SpectrumTable, partition: BandPartition) -> List[SymmetricForm]:
@@ -618,18 +611,26 @@ def block_superactions(clusters: ClusterPartition) -> List[SymmetricForm]:
 
 
 def nls_quartic(lattice: Lattice, coupling: float = 1.0) -> SymmetricForm:
-    """Momentum-conserving quartic ``(coupling/2) sum_{a+c=b+e} u_a u_b^- u_c u_e^-``."""
-    pts = lattice.points
-    acc: Dict[Key, complex] = {}
-    half = 0.5 * coupling
-    for a in pts:
-        for c in pts:
-            for b in pts:
-                e = tuple(ai + ci - bi for ai, ci, bi in zip(a, c, b))
-                if e in lattice:
-                    key = canonical_key(((a, 1), (b, -1), (c, 1), (e, -1)))
-                    acc[key] = acc.get(key, 0j) + half
-    return SymmetricForm.from_dict(4, acc)
+    """Momentum-conserving quartic ``(coupling/2) sum_{a+c=b+e} u_a u_b^- u_c u_e^-``.
+
+    One row ``(a+, b-, c+, e-)`` worth ``coupling/2`` per point triple
+    ``(a, c, b)`` in lexicographic index order with ``e = a + c - b`` on the
+    lattice.  A site's flat index in a box that holds every ``a + c - b`` is
+    affine in the point, so ``e`` is ``grid[site[a] + site[c] - site[b]]``.
+    """
+    pts = np.asarray(lattice.points, dtype=np.int64).reshape(lattice.npoints, lattice.dim)
+    span = np.ptp(pts, axis=0)
+    site = np.ravel_multi_index(tuple((pts + span - pts.min(axis=0)).T), 3 * span + 1)
+    grid = np.full(np.prod(3 * span + 1), -1, dtype=np.int32)
+    grid[site] = np.arange(len(pts))
+    blocks = []
+    for a in range(len(pts)):
+        e = grid[site[a] + site[:, None] - site]
+        c, b = np.nonzero(e >= 0)
+        blocks.append(np.stack((np.full(len(c), 2 * a), 2 * b + 1, 2 * c, 2 * e[c, b] + 1), axis=1))
+    codes = np.concatenate(blocks).astype(np.int32)
+    codes.sort(axis=1)
+    return _sum_rows(lattice.points, codes, np.full(len(codes), 0.5 * coupling, dtype=complex), 0.0)
 
 
 def random_form(
@@ -641,28 +642,29 @@ def random_form(
 ) -> SymmetricForm:
     """Sparse random form; ``real=True`` symmetrizes to real values on pairs."""
     rng = np.random.default_rng(seed)
-    ext = extended_indexes(lattice)
-    acc: Dict[Key, complex] = {}
-    for _ in range(n_terms):
-        draw = rng.integers(0, len(ext), size=degree)
-        key = canonical_key(tuple(ext[int(i)] for i in draw))
-        acc[key] = acc.get(key, 0j) + complex(rng.standard_normal(), rng.standard_normal())
-    f = SymmetricForm.from_dict(degree, acc)
+    codes = np.empty((n_terms, degree), dtype=np.int32)
+    values = np.empty(n_terms, dtype=complex)
+    for i in range(n_terms):
+        # indexes into ``extended_indexes``, which is in code order
+        codes[i] = rng.integers(0, 2 * lattice.npoints, size=degree)
+        values[i] = complex(rng.standard_normal(), rng.standard_normal())
+    codes.sort(axis=1)
+    f = _sum_rows(lattice.points, codes, values, 0.0)
     if real:
         f = add_forms(scale_form(f, 0.5), scale_form(conjugate_form(f), 0.5), tol=0.0)
     return f
 
 
-def sobolev_norm(values: State, lattice: Lattice, s: float) -> float:
-    """Weighted l2 norm over the extended support, both signs counted.
+def sobolev_norm(x: np.ndarray, points: Sequence[Point], lattice: Lattice, s: float) -> float:
+    """Weighted l2 norm of the state ``x`` over ``points``, both signs counted.
 
-    The weight of index ``a`` is ``(1+|a|)^(2s)``.
+    The weight of point ``a`` is ``(1+|a|)^(2s)``.  The terms are summed in
+    state order, one after the other: a pairwise sum would move the last bits.
     """
+    weights = [(1.0 + math.sqrt(sum(c * c for c in lattice.effective(p)))) ** (2.0 * s) for p in points]
     total = 0.0
-    for (point, _), v in values.items():
-        x = lattice.effective(point)
-        base = math.sqrt(sum(c * c for c in x))
-        total += (1.0 + base) ** (2.0 * s) * (v.real * v.real + v.imag * v.imag)
+    for term in (np.repeat(weights, 2) * (x.real * x.real + x.imag * x.imag)).tolist():
+        total += term
     return math.sqrt(total)
 
 

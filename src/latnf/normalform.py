@@ -27,7 +27,6 @@ from .clusters import ClusterPartition, block_index_map, high_mode_blocks
 from .dynamics import _rk4
 from .forms import (
     PolyHamiltonian,
-    State,
     SymmetricForm,
     add_forms,
     band_superactions,
@@ -44,7 +43,7 @@ from .forms import (
     zero_form,
 )
 from .frequencies import SpectrumTable
-from .lattice import point_distance
+from .lattice import Point, point_distance
 from .resonance import (
     NonresonanceCertificate,
     _resonant,
@@ -434,6 +433,8 @@ def normalize(
     if remainder_samples < 1:
         raise ValueError(f"remainder_samples must be >= 1, got {remainder_samples}")
     cap = config.degree_cap
+    if not perturbation.degrees:
+        raise ValueError("the perturbation is zero: nothing to normalize")
     for degree in perturbation.degrees:
         if degree < 3:
             raise ValueError(f"perturbation has a degree-{degree} part; need >= 3")
@@ -564,19 +565,16 @@ def normalize(
     )
     remainder_bound = 0.0
     lattice = table.lattice
+    points = lattice.points
+    decay = np.array([(1.0 + table.norm(p)) ** (-config.s) for p in points])
     for _ in range(remainder_samples):
-        raw: State = {}
-        for p in lattice.points:
-            z = complex(rng.standard_normal(), rng.standard_normal())
-            raw[(p, 1)] = z * (1.0 + table.norm(p)) ** (-config.s)
-            raw[(p, -1)] = raw[(p, 1)].conjugate()
-        scale = radius / sobolev_norm(raw, lattice, config.s)
-        u = {k: v * scale for k, v in raw.items()}
-        total: State = {}
+        z = rng.standard_normal((len(points), 2)).view(complex)[:, 0] * decay
+        raw = np.column_stack((z, z.conj())).ravel()
+        u = raw * (radius / sobolev_norm(raw, points, lattice, config.s))
+        total = np.zeros_like(u)
         for f in remainder_forms:
-            for entry, v in vector_field(f, u).items():
-                total[entry] = total.get(entry, 0j) + v
-        remainder_bound = max(remainder_bound, sobolev_norm(total, lattice, config.s))
+            total += vector_field(f, u, points)
+        remainder_bound = max(remainder_bound, sobolev_norm(total, points, lattice, config.s))
 
     return NormalFormResult(
         config=config,
@@ -599,7 +597,8 @@ def normalize(
 
 def transform_state(
     generators: Sequence[SymmetricForm],
-    values: State,
+    x: np.ndarray,
+    points: Sequence[Point],
     *,
     inverse: bool = False,
     tol: float = 1e-10,
@@ -607,28 +606,26 @@ def transform_state(
     s: Optional[float] = None,
     ball: Optional[float] = None,
     max_steps: int = 4096,
-) -> State:
+) -> np.ndarray:
     """Compose the time-1 generator flows (forward: last generator first).
 
-    The state runs as one both-signs array over the points of the state and
-    the generators, each entry on its own (a state need not be conjugation
-    paired).  Each flow integrates ``dx/dt = X_G(x)`` with ``dynamics._rk4``
-    at a fixed step, doubling the step count from 8 until two resolutions
-    agree within ``tol``; at ``max_steps`` without agreement it raises
-    ``ValueError``.  With ``lattice``, ``s`` and ``ball`` given, a state
-    outside the ball after any step raises ``ValueError``.  The result holds
-    the entries of ``values`` and every entry the flows made nonzero.
+    ``x`` is a both-signs state over the sorted ``points``, which hold every
+    point of the generators; each entry runs on its own (a state need not
+    be conjugation paired), and the result is a state over ``points``.  Each
+    flow integrates ``dx/dt = X_G(x)`` with ``dynamics._rk4`` at a fixed
+    step, doubling the step count from 8 until two resolutions agree within
+    ``tol``; at ``max_steps`` without agreement it raises ``ValueError``.
+    With ``ball``, a state whose Sobolev norm (``lattice``, ``s``, both
+    required then) exceeds it after any step raises ``ValueError``.
     """
+    if ball is not None and (lattice is None or s is None):
+        raise ValueError("the ball guard needs lattice and s")
     seq = list(generators) if inverse else list(generators)[::-1]
-    points = sorted({p for gen in seq for p in gen.points} | {p for p, _ in values})
     rank = {p: i for i, p in enumerate(points)}
-    entries = [(p, sign) for p in points for sign in (1, -1)]
-    x = np.array([values.get(e, 0j) for e in entries], dtype=complex)
 
     def check(y: np.ndarray) -> None:
-        if ball is not None and lattice is not None and s is not None:
-            if sobolev_norm(dict(zip(entries, y.tolist())), lattice, s) > ball:
-                raise ValueError("flow exited the configured ball: smallness breach")
+        if ball is not None and sobolev_norm(y, points, lattice, s) > ball:
+            raise ValueError("flow exited the configured ball: smallness breach")
 
     for gen in seq:
         g = scale_form(gen, -1.0) if inverse else gen
@@ -638,7 +635,7 @@ def transform_state(
                 lambda y: hamiltonian_field(codes, g.values, y), x,
                 tol=tol, max_steps=max_steps, check=check,
             )
-    return {e: v for e, v in zip(entries, x.tolist()) if v != 0 or e in values}
+    return x
 
 
 def _flow_time_one(rhs, start: np.ndarray, *, tol, max_steps, check) -> np.ndarray:

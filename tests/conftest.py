@@ -93,9 +93,10 @@ def torus_partitions(torus_table):
 def nf_result(certified_table, certified_bands, certified_clusters, certificates):
     """One real order-1 normalization of the cubic model; reused everywhere.
 
-    This is the expensive fixture of the suite (about 13 s on a 2-core
-    x86-64 host with numpy 2.4): it runs the full homological/Lie iteration
-    on the 897-key quartic at the frozen admissible radius.
+    This is the expensive fixture of the suite (about 6-7 s on a 2-core
+    x86-64 host with Python 3.11 and numpy 2.4): it runs the full
+    homological/Lie iteration on the 897-key quartic at the frozen
+    admissible radius.
     """
     quartic = nls_quartic(certified_table.lattice, coupling=1.0)
     config = NormalFormConfig(

@@ -14,19 +14,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from latnf.forms import (
-    Key,
-    State,
-    SymmetricForm,
-    leading_points,
-    localized_norm,
-    sobolev_norm,
-    vector_field,
-)
+from latnf.forms import SymmetricForm, leading_points, localized_norm
 from latnf.frequencies import SpectrumTable
 from latnf.lattice import Point, point_distance
 
-from oracles import mu_S, polarized_vector_field
+from oracles import (
+    Key,
+    State,
+    dict_sobolev_norm,
+    dict_vector_field,
+    from_dict,
+    mu_S,
+    polarized_vector_field,
+)
 
 
 def random_state(
@@ -113,9 +113,9 @@ def verify_tame(
                 random_state(table, rng, decay=float(rng.uniform(s0, s + 1.0)))
                 for _ in range(r)
             ]
-        lhs = sobolev_norm(polarized_vector_field(form, states), lattice, s)
-        ns = [sobolev_norm(u, lattice, s) for u in states]
-        n0 = [sobolev_norm(u, lattice, s0) for u in states]
+        lhs = dict_sobolev_norm(polarized_vector_field(form, states), lattice, s)
+        ns = [dict_sobolev_norm(u, lattice, s) for u in states]
+        n0 = [dict_sobolev_norm(u, lattice, s0) for u in states]
         rhs = 0.0
         for j in range(r):
             prod = ns[j]
@@ -270,22 +270,22 @@ def high_order_decay(
             raise ValueError(f"cutoff {cutoff} leaves too few high modes")
         entries = [(p, 1 if i % 2 == 0 else -1) for i, p in enumerate(highs)]
         entries += [(p, -1) for p in lows]
-        form = SymmetricForm.from_dict(degree, {tuple(sorted(entries, key=lambda e: (e[0], -e[1]))): 1.0 + 0j})
+        form = from_dict(degree, {tuple(sorted(entries, key=lambda e: (e[0], -e[1]))): 1.0 + 0j})
 
         best = 0.0
         support = {e for e in entries} | {(p, -sgn) for p, sgn in entries}
         peaked: State = {}
         for p, sgn in support:
             peaked[(p, sgn)] = (1.0 + table.norm(p)) ** (-s)
-        scale = radius / sobolev_norm(peaked, lattice, s)
+        scale = radius / dict_sobolev_norm(peaked, lattice, s)
         peaked = {k: v * scale for k, v in peaked.items()}
         candidates = [peaked]
         for _ in range(trials):
             u = random_state(table, rng, decay=s)
-            r = sobolev_norm(u, lattice, s)
+            r = dict_sobolev_norm(u, lattice, s)
             candidates.append({k: v * (radius / r) for k, v in u.items()})
         for u in candidates:
-            best = max(best, sobolev_norm(vector_field(form, u), lattice, s))
+            best = max(best, dict_sobolev_norm(dict_vector_field(form, u), lattice, s))
         sups.append(best)
 
     logk = np.log(np.asarray([float(c) for c in cutoffs]))

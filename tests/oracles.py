@@ -1,9 +1,13 @@
 """Reference implementations that the tests compare the package against.
 
-Per-key and per-state loops that no command runs: the multilinear
-evaluations, the per-key nonresonance test and entry ordering, and the key
-multiplicity, each the oracle of a row kernel of the package
-(``vector_field``, ``normalform.bucket_rows``, ``forms.leading_points``,
+The dict path: signed keys (``canonical_key``), dict states and the
+builders on them (``from_dict``, ``dict_nls_quartic``, ``dict_random_form``,
+``dict_vector_field``, ``dict_sobolev_norm``), the bit-for-bit oracles of
+the array builders and states of ``latnf.forms``.  Per-key and per-state
+loops that no command runs: the multilinear evaluations, the per-key
+nonresonance test and entry ordering, and the key multiplicity, each the
+oracle of a row kernel of the package (``vector_field``,
+``normalform.bucket_rows``, ``forms.leading_points``,
 ``SymmetricForm.multiplicity``); the builders of test inputs (``make_form``,
 ``real_state``) and the reader of ``form_to_jsonl`` files; and the
 ground-state chart and divisor scan, which no model kind integrates yet;
@@ -26,18 +30,112 @@ from latnf.bands import BandPartition
 from latnf.clusters import ClusterPartition, block_index_map
 from latnf.forms import (
     DROP_TOL,
-    Key,
-    State,
     SymmetricForm,
     _localization,
     _row_keys,
-    canonical_key,
+    add_forms,
+    conjugate_form,
+    hamiltonian_field,
     monomials,
+    scale_form,
     zero_form,
 )
 from latnf.frequencies import SpectrumTable
-from latnf.lattice import ExtIndex, Point, conjugate, point_distance
+from latnf.lattice import ExtIndex, Lattice, Point, conjugate, extended_indexes, point_distance
 from latnf.resonance import is_resonant_W, validate_cutoff
+
+
+# --- the dict path -------------------------------------------------------------
+
+Key = Tuple[ExtIndex, ...]
+
+State = Dict[ExtIndex, complex]
+
+
+def canonical_key(entries: Iterable[ExtIndex]) -> Key:
+    return tuple(sorted(entries, key=lambda e: (e[0], -e[1])))
+
+
+def from_dict(degree: int, coeffs: Mapping[Key, complex]) -> SymmetricForm:
+    """Form of the keys of ``coeffs``, rows in dict order; zero coefficients stay."""
+    points = tuple(sorted({p for key in coeffs for p, _ in key}))
+    rank = {p: i for i, p in enumerate(points)}
+    flat = [2 * rank[p] + (s < 0) for key in coeffs for p, s in key]
+    codes = np.array(flat, dtype=np.int32).reshape(len(coeffs), degree)
+    codes.sort(axis=1)
+    values = np.fromiter(coeffs.values(), dtype=complex, count=len(coeffs))
+    return SymmetricForm(points, codes, values)
+
+
+def state_array(values: State, points: Sequence[Point]) -> np.ndarray:
+    """Both-signs array of a dict state over ``points``, 0 where it has no entry."""
+    return np.array([values.get((p, s), 0j) for p in points for s in (1, -1)], dtype=complex)
+
+
+def state_dict(x: np.ndarray, points: Sequence[Point]) -> State:
+    """Dict state of a both-signs array over ``points``, every entry kept."""
+    return {(p, s): v for p, pair in zip(points, x.reshape(-1, 2).tolist()) for s, v in zip((1, -1), pair)}
+
+
+def dict_nls_quartic(lattice: Lattice, coupling: float = 1.0) -> SymmetricForm:
+    """Momentum-conserving quartic ``(coupling/2) sum_{a+c=b+e} u_a u_b^- u_c u_e^-``."""
+    pts = lattice.points
+    acc: Dict[Key, complex] = {}
+    half = 0.5 * coupling
+    for a in pts:
+        for c in pts:
+            for b in pts:
+                e = tuple(ai + ci - bi for ai, ci, bi in zip(a, c, b))
+                if e in lattice:
+                    key = canonical_key(((a, 1), (b, -1), (c, 1), (e, -1)))
+                    acc[key] = acc.get(key, 0j) + half
+    return from_dict(4, acc)
+
+
+def dict_random_form(
+    lattice: Lattice,
+    degree: int,
+    n_terms: int,
+    seed: int = 0,
+    real: bool = True,
+) -> SymmetricForm:
+    """Sparse random form; ``real=True`` symmetrizes to real values on pairs."""
+    rng = np.random.default_rng(seed)
+    ext = extended_indexes(lattice)
+    acc: Dict[Key, complex] = {}
+    for _ in range(n_terms):
+        draw = rng.integers(0, len(ext), size=degree)
+        key = canonical_key(tuple(ext[int(i)] for i in draw))
+        acc[key] = acc.get(key, 0j) + complex(rng.standard_normal(), rng.standard_normal())
+    f = from_dict(degree, acc)
+    if real:
+        f = add_forms(scale_form(f, 0.5), scale_form(conjugate_form(f), 0.5), tol=0.0)
+    return f
+
+
+def dict_vector_field(form: SymmetricForm, values: State) -> State:
+    """Hamiltonian vector field of the form at a dict state.
+
+    Component at index B is ``-i sigma_B dF/du_{conj(B)}``; the entries come
+    in the order of the variable ``conj(B)`` they differentiate.
+    """
+    field = hamiltonian_field(form.codes, form.values, state_array(values, form.points))
+    target = np.flatnonzero(field[np.arange(len(field)) ^ 1]) ^ 1
+    entries = form.entries
+    return {entries[c]: v for c, v in zip(target.tolist(), field[target].tolist())}
+
+
+def dict_sobolev_norm(values: State, lattice: Lattice, s: float) -> float:
+    """Weighted l2 norm over the extended support, both signs counted.
+
+    The weight of index ``a`` is ``(1+|a|)^(2s)``.
+    """
+    total = 0.0
+    for (point, _), v in values.items():
+        x = lattice.effective(point)
+        base = math.sqrt(sum(c * c for c in x))
+        total += (1.0 + base) ** (2.0 * s) * (v.real * v.real + v.imag * v.imag)
+    return math.sqrt(total)
 
 
 # --- signed keys and real states ---------------------------------------------
@@ -120,7 +218,7 @@ def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degr
         for point, sign in key:
             if sign not in (-1, 1):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return SymmetricForm.from_dict(degree, acc)
+    return from_dict(degree, acc)
 
 
 def is_real_coefficients(form: SymmetricForm, tol: float = 1e-12) -> bool:
@@ -133,7 +231,7 @@ def is_real_coefficients(form: SymmetricForm, tol: float = 1e-12) -> bool:
 
 
 def evaluate(form: SymmetricForm, values: State) -> complex:
-    return complex(monomials(form.codes, form.values, form.gather(values)).sum())
+    return complex(monomials(form.codes, form.values, state_array(values, form.points)).sum())
 
 
 def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
@@ -160,7 +258,7 @@ def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
 
 def mu_S(table: SpectrumTable, key: Key, zero_mode: str = "error") -> Tuple[float, float]:
     """Localization pair (mu, S) of a key under the decreasing-floor ordering."""
-    mu, s = _localization(SymmetricForm.from_dict(len(key), {key: 0j}), table, zero_mode)
+    mu, s = _localization(from_dict(len(key), {key: 0j}), table, zero_mode)
     return float(mu[0]), float(s[0])
 
 

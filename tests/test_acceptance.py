@@ -21,7 +21,6 @@ from latnf import (
     band_partition,
     build_clusters,
     build_spectrum,
-    canonical_key,
     certify_nonresonance,
     check_band_invariants,
     enumerate_lattice,
@@ -39,7 +38,7 @@ from latnf import (
 
 from conftest import FROZEN_POTENTIAL, NF_CUTOFF
 from estimates import separation_cutoff_bound, verify_tame
-from oracles import evaluate, make_form
+from oracles import canonical_key, evaluate, make_form, state_array, state_dict
 
 
 def _report(index, label, detail):
@@ -257,9 +256,10 @@ def test_criterion_06_bracket_identities():
         }
         bracket = evaluate(poisson_bracket(f, g, tol=0.0), state)
         step = 1e-4
-        flow = vector_field(g, state)
-        up = {k: v + step * flow.get(k, 0j) for k, v in state.items()}
-        dn = {k: v - step * flow.get(k, 0j) for k, v in state.items()}
+        x = state_array(state, lattice.points)
+        flow = vector_field(g, x, lattice.points)
+        up = state_dict(x + step * flow, lattice.points)
+        dn = state_dict(x - step * flow, lattice.points)
         derivative = (evaluate(f, up) - evaluate(f, dn)) / (2 * step)
         worst_fd = max(worst_fd, abs(derivative - bracket) / max(1e-30, abs(bracket)))
     assert worst_fd <= 1e-6

@@ -477,6 +477,14 @@ def test_cli_normalform_bad_tau_is_a_usage_error(tmp_path, capsys, tau, message)
     assert "Traceback" not in captured.err and "FAIL" not in captured.out
 
 
+def test_cli_normalform_zero_coupling_is_a_usage_error(tmp_path, capsys):
+    # the quartic of coupling 0 has no rows, so there is nothing to normalize
+    assert _normalform(tmp_path, "normalform.coupling=0") == 2
+    captured = capsys.readouterr()
+    assert "the perturbation is zero" in captured.err
+    assert "Traceback" not in captured.err and "FAIL" not in captured.out
+
+
 def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):
     assert _normalform(tmp_path, "normalform.cert_budget=-1") == 2
     captured = capsys.readouterr()
@@ -683,6 +691,7 @@ def test_cli_normalform_artifacts_are_pinned(tmp_path, capsys):
     capsys.readouterr()
     results = json.loads((tmp_path / "normalform_manifest.json").read_text())["results"]
     assert results["bucket_terms"] == {"Z0": 45, "ZB": 18, "Z2": 10, "ZGE3": 3}
+    assert float(results["remainder_bound"]).hex() == "0x1.320a90f970860p-46"
     digests = {path.stem: file_sha256(path) for path in sorted(tmp_path.glob("*.jsonl"))}
     assert digests == {
         "generator_0": "d10d1af990454622b4035973041aea83eb3d4e8f76a722000b712e4e92739f94",

@@ -10,8 +10,6 @@ from latnf import (
     enumerate_lattice,
     localized_norm,
     random_form,
-    sobolev_norm,
-    vector_field,
     zero_form,
 )
 
@@ -22,7 +20,7 @@ from estimates import (
     verify_bilinear_eigen,
     verify_tame,
 )
-from oracles import make_form, polarized_vector_field
+from oracles import dict_sobolev_norm, dict_vector_field, make_form, polarized_vector_field
 
 
 LAT = enumerate_lattice(1, 8.0)
@@ -80,9 +78,9 @@ def test_tame_single_quadratic_closed_form():
     norm_f = localized_norm(f, TABLE, nu=2.0, smoothing=6.0)
     assert norm_f == pytest.approx(5.0**6 / (2.0 * 2.0**8))
     u = {((2,), 1): 0.3 + 0.4j}
-    x = vector_field(f, u)
+    x = dict_vector_field(f, u)
     assert set(x) == {((5,), 1)}
-    ratio = sobolev_norm(x, LAT, 4.0) / (norm_f * sobolev_norm(u, LAT, 4.0))
+    ratio = dict_sobolev_norm(x, LAT, 4.0) / (norm_f * dict_sobolev_norm(u, LAT, 4.0))
     assert ratio == pytest.approx(2.0**4 / norm_f)
     rep = verify_tame(f, TABLE, nu=2.0, smoothing=6.0, s=4.0, s0=3.75, trials=30, seed=0)
     assert 0.0 < rep.constant <= ratio * (1.0 + 1e-12)
@@ -94,7 +92,7 @@ def test_polarized_field_diagonal_identity(rng):
     for p in LAT.points:
         for sign in (1, -1):
             u[(p, sign)] = complex(rng.standard_normal(), rng.standard_normal())
-    xa = vector_field(f, u)
+    xa = dict_vector_field(f, u)
     xb = polarized_vector_field(f, [u, u])
     for k in set(xa) | set(xb):
         assert xa.get(k, 0j) == pytest.approx(xb.get(k, 0j))
@@ -109,12 +107,12 @@ def test_tame_inequality_on_one_mode_states():
     x = polarized_vector_field(f, [u1, u2])
     assert set(x) == {((1,), -1)}
     assert x[((1,), -1)] == pytest.approx(0.5 * 0.7 * 0.5j)
-    lhs = sobolev_norm(x, LAT, 4.0)
+    lhs = dict_sobolev_norm(x, LAT, 4.0)
     assert lhs == pytest.approx(2.0**4 * 0.175)
     norm_f = localized_norm(f, TABLE, nu=2.0, smoothing=6.0)
     rhs = norm_f * (
-        sobolev_norm(u1, LAT, 4.0) * sobolev_norm(u2, LAT, 3.75)
-        + sobolev_norm(u2, LAT, 4.0) * sobolev_norm(u1, LAT, 3.75)
+        dict_sobolev_norm(u1, LAT, 4.0) * dict_sobolev_norm(u2, LAT, 3.75)
+        + dict_sobolev_norm(u2, LAT, 4.0) * dict_sobolev_norm(u1, LAT, 3.75)
     )
     assert lhs <= rhs
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from latnf import (
     add_forms,
     band_superactions,
-    canonical_key,
     conjugate_form,
     form_to_jsonl,
     enumerate_lattice,
@@ -29,13 +28,17 @@ from latnf import (
 )
 
 from oracles import (
+    canonical_key,
     decompose_by_high_order,
+    dict_sobolev_norm,
     evaluate,
     form_from_jsonl,
     is_real_coefficients,
     make_form,
     polarized_evaluate,
     split_state,
+    state_array,
+    state_dict,
 )
 
 
@@ -48,6 +51,12 @@ def random_state_dict(rng, lattice=LAT, amplitude=1.0):
         for s in (1, -1):
             state[(p, s)] = amplitude * complex(rng.standard_normal(), rng.standard_normal())
     return state
+
+
+def field_dict(form, u, points=LAT.points):
+    """The vector field at a dict state, as a dict of its nonzero entries."""
+    x = vector_field(form, state_array(u, points), points)
+    return {e: v for e, v in state_dict(x, points).items() if v}
 
 
 def test_make_form_merges_duplicates():
@@ -96,7 +105,7 @@ def test_vector_field_is_the_gradient(rng):
     central differences of evaluate."""
     f = random_form(LAT, 4, n_terms=5, seed=4)
     u = random_state_dict(rng)
-    x = vector_field(f, u)
+    x = field_dict(f, u)
     h = 1e-6
     for entry in itertools.islice(x, 8):
         target = (entry[0], -entry[1])
@@ -149,7 +158,7 @@ def test_bracket_matches_flow_derivative(rng):
     u = random_state_dict(rng, amplitude=0.4)
     bracket = evaluate(poisson_bracket(f, g, tol=0.0), u)
     h = 1e-6
-    x = vector_field(g, u)
+    x = field_dict(g, u)
     up = {k: v + h * x.get(k, 0j) for k, v in u.items()}
     dn = {k: v - h * x.get(k, 0j) for k, v in u.items()}
     fd = (evaluate(f, up) - evaluate(f, dn)) / (2 * h)
@@ -181,7 +190,7 @@ def test_jacobi_identity(seed):
 def test_quadratic_hamiltonian_flows_phases(certified_table):
     h0 = quadratic_hamiltonian(certified_table)
     u = {((2,), 1): 0.5 + 0.1j, ((2,), -1): 0.5 - 0.1j}
-    x = vector_field(h0, u)
+    x = field_dict(h0, u, certified_table.lattice.points)
     om = float(certified_table.omega((2,)))
     assert x[((2,), 1)] == pytest.approx(-1j * om * u[((2,), 1)])
     assert x[((2,), -1)] == pytest.approx(1j * om * u[((2,), -1)])
@@ -232,9 +241,16 @@ def test_scaled_norm_power(certified_table):
 
 def test_sobolev_norm_oracle():
     lat = enumerate_lattice(1, 3.0)
-    state = {((2,), 1): 3.0, ((2,), -1): 3.0, ((0,), 1): 4.0}
+    state = np.array([4.0, 0.0, 3.0, 3.0], dtype=complex)  # points (0,) and (2,)
     expected = math.sqrt(9.0 * 3.0**8 + 9.0 * 3.0**8 + 16.0)
-    assert sobolev_norm(state, lat, 4.0) == pytest.approx(expected)
+    assert sobolev_norm(state, [(0,), (2,)], lat, 4.0) == pytest.approx(expected)
+
+
+def test_sobolev_norm_sums_as_the_dict_loop(rng):
+    lat = enumerate_lattice(2, 3.0, offset=(0.25, 0.5))
+    x = rng.standard_normal(2 * lat.npoints) + 1j * rng.standard_normal(2 * lat.npoints)
+    want = dict_sobolev_norm(state_dict(x, lat.points), lat, 3.5)
+    assert sobolev_norm(x, lat.points, lat, 3.5).hex() == want.hex()
 
 
 def test_split_state_by_floor(certified_table):

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from latnf import (
     MAX_POINTS,
-    canonical_key,
     conjugate,
     enumerate_lattice,
     extended_indexes,
     point_distance,
 )
 
-from oracles import conjugate_key, is_real_pairing, real_state
+from oracles import canonical_key, conjugate_key, is_real_pairing, real_state
 
 
 def brute_count(dim, radius, offset=None):

@@ -29,7 +29,6 @@ from latnf import (
     solve_homological,
     sobolev_norm,
     transform_state,
-    vector_field,
 )
 from latnf.cli import build_system, run_normalform
 from latnf.config import apply_overrides, load_config
@@ -37,7 +36,7 @@ from latnf.dynamics import is_action_form
 from latnf.normalform import lie_terms_order
 
 from conftest import NF_CUTOFF, NF_RADIUS
-from oracles import make_form
+from oracles import dict_vector_field, make_form, state_array, state_dict
 
 
 def test_config_validation():
@@ -277,6 +276,14 @@ def test_normal_form_ledger(nf_result):
     assert nf_result.remainder_bound < 1e-10
 
 
+def test_normal_form_outputs_are_pinned(nf_result):
+    # recorded when the probe still ran on dict states; every bit must hold
+    assert [len(e.form) for e in nf_result.ledger] == [24121, 558297, 28081, 604298]
+    assert nf_result.mu.hex() == "0x1.0000000000000p-2"
+    assert [float(x).hex() for x in nf_result.step_norms] == ["0x1.499560ec66efep-47", "0x0.0p+0"]
+    assert nf_result.remainder_bound.hex() == "0x1.9b383aaf5b19fp-51"
+
+
 def test_normal_form_manifest_serializes(nf_result):
     manifest = normalform_manifest(nf_result)
     blob = json.dumps(manifest)
@@ -286,38 +293,49 @@ def test_normal_form_manifest_serializes(nf_result):
     assert back["mu"] == pytest.approx(0.25)
 
 
+def _paired_state(rng, points, amplitude):
+    z = amplitude * (rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points)))
+    return np.column_stack((z, z.conj())).ravel()
+
+
 def test_transform_state_round_trip(certified_table, rng):
     gen = scale_form(random_form(certified_table.lattice, 4, n_terms=4, seed=27), 0.01)
-    state = {}
-    for p in certified_table.lattice.points:
-        z = 0.1 * complex(rng.standard_normal(), rng.standard_normal())
-        state[(p, 1)] = z
-        state[(p, -1)] = z.conjugate()
-    fwd = transform_state([gen], state, tol=1e-12)
-    back = transform_state([gen], fwd, inverse=True, tol=1e-12)
-    err = max(abs(back[k] - state[k]) for k in state)
-    assert err < 1e-8
-    moved = max(abs(fwd[k] - state[k]) for k in state)
-    assert moved > 1e-6
+    points = certified_table.lattice.points
+    state = _paired_state(rng, points, 0.1)
+    fwd = transform_state([gen], state, points, tol=1e-12)
+    back = transform_state([gen], fwd, points, inverse=True, tol=1e-12)
+    assert np.abs(back - state).max() < 1e-8
+    assert np.abs(fwd - state).max() > 1e-6
 
 
 def test_transform_state_ball_guard(certified_table, rng):
     gen = scale_form(random_form(certified_table.lattice, 3, n_terms=4, seed=28), 1.0)
     lattice = certified_table.lattice
-    state = {(p, s): 1.0 + 0j for p in lattice.points for s in (1, -1)}
-    norm = sobolev_norm(state, lattice, 4.0)
+    state = np.ones(2 * lattice.npoints, dtype=complex)
+    norm = sobolev_norm(state, lattice.points, lattice, 4.0)
     with pytest.raises(ValueError, match="ball"):
-        transform_state([gen], state, lattice=lattice, s=4.0, ball=0.5 * norm)
+        transform_state([gen], state, lattice.points, lattice=lattice, s=4.0, ball=0.5 * norm)
+
+
+@pytest.mark.parametrize("missing", ["lattice", "s", "both"])
+def test_transform_state_ball_guard_needs_lattice_and_s(certified_table, missing):
+    # a ball without the norm that measures it is a usage error, not a guard
+    # that is silently skipped
+    lattice = certified_table.lattice
+    gen = scale_form(random_form(lattice, 3, n_terms=4, seed=28), 1.0)
+    kw = {"lattice": lattice, "s": 4.0}
+    for name in ("lattice", "s") if missing == "both" else (missing,):
+        del kw[name]
+    state = np.ones(2 * lattice.npoints, dtype=complex)
+    with pytest.raises(ValueError, match="ball guard needs lattice and s"):
+        transform_state([gen], state, lattice.points, ball=1e-30, **kw)
 
 
 def test_transform_state_raises_when_the_flow_does_not_converge(certified_table, rng):
     gen = scale_form(random_form(certified_table.lattice, 4, n_terms=4, seed=27), 0.01)
-    state = {}
-    for p in certified_table.lattice.points:
-        z = 0.1 * complex(rng.standard_normal(), rng.standard_normal())
-        state[(p, 1)], state[(p, -1)] = z, z.conjugate()
+    points = certified_table.lattice.points
     with pytest.raises(ValueError, match=r"max_steps=32.*differ by \d"):
-        transform_state([gen], state, tol=0.0, max_steps=32)
+        transform_state([gen], _paired_state(rng, points, 0.1), points, tol=0.0, max_steps=32)
 
 
 # --- the dict-state flow loop transform_state replaced, as its oracle --------
@@ -339,10 +357,10 @@ def _rk4_run(form, start, n_steps):
     u = dict(start)
     dt = 1.0 / n_steps
     for _ in range(n_steps):
-        k1 = vector_field(form, u)
-        k2 = vector_field(form, _axpy(u, k1, 0.5 * dt))
-        k3 = vector_field(form, _axpy(u, k2, 0.5 * dt))
-        k4 = vector_field(form, _axpy(u, k3, dt))
+        k1 = dict_vector_field(form, u)
+        k2 = dict_vector_field(form, _axpy(u, k1, 0.5 * dt))
+        k3 = dict_vector_field(form, _axpy(u, k2, 0.5 * dt))
+        k4 = dict_vector_field(form, _axpy(u, k3, dt))
         for entry in set(u) | set(k1) | set(k2) | set(k3) | set(k4):
             u[entry] = u.get(entry, 0j) + (dt / 6.0) * (
                 k1.get(entry, 0j)
@@ -387,7 +405,9 @@ def test_transform_state_matches_the_dict_flow(inverse, paired):
         # unpaired values, missing entries and an entry no generator touches
         state = {e: v * (1 + 0.5j) for i, (e, v) in enumerate(state.items()) if i % 3}
         state[((9,), -1)] = 0.5 - 0.25j
-    got = transform_state(gens, state, inverse=inverse, tol=1e-12)
+    points = sorted({p for p, _ in state} | {p for gen in gens for p in gen.points})
+    x = transform_state(gens, state_array(state, points), points, inverse=inverse, tol=1e-12)
+    got = {e: v for e, v in state_dict(x, points).items() if v != 0 or e in state}
     want = _dict_transform(gens, state, inverse=inverse, tol=1e-12)
     assert got == want
     assert len(got) > len(state) or paired

@@ -24,7 +24,6 @@ from latnf import (
     build_clusters,
     build_spectrum,
     add_forms,
-    canonical_key,
     check_superaction_commutation,
     conjugate_form,
     enumerate_lattice,
@@ -39,17 +38,23 @@ from latnf import (
     vector_field,
 )
 import latnf.forms
-from latnf.forms import SymmetricForm, zero_form
+from latnf.forms import zero_form
 from latnf.lattice import conjugate, point_distance
 
 from oracles import (
+    canonical_key,
     conjugate_key,
+    dict_nls_quartic,
+    dict_random_form,
     evaluate,
+    from_dict,
     key_multiplicity,
     make_form,
     mu_S,
     ordering_permutation,
     row_sort_bracket,
+    state_array,
+    state_dict,
     vector_field_seminorm,
 )
 
@@ -219,7 +224,7 @@ def test_bracket_matches_reference(lattice, f, g):
 
 def test_bracket_empty_and_unmatched():
     f = random_form(LINE, 3, 20, seed=11)
-    empty = SymmetricForm.from_dict(4, {})
+    empty = from_dict(4, {})
     assert poisson_bracket(f, empty).coeffs == {}
     assert poisson_bracket(empty, f).degree == 5
     plus_only = make_form({canonical_key((((1,), 1), ((2,), 1))): 1.0})
@@ -288,7 +293,7 @@ def oracle_cases():
     yield "line 6x6", random_form(line5, 6, 40, seed=20), random_form(line5, 6, 40, seed=21)
     yield "wide line 7x7", random_form(line5, 7, 40, seed=30), random_form(line5, 7, 40, seed=31)
     yield "degree 0", random_form(LINE, 1, 6, seed=22), random_form(LINE, 1, 6, seed=23)
-    yield "empty", random_form(LINE, 3, 20, seed=11), SymmetricForm.from_dict(4, {})
+    yield "empty", random_form(LINE, 3, 20, seed=11), from_dict(4, {})
     plus_only = make_form({canonical_key((((1,), 1), ((2,), 1))): 1.0})
     other = make_form({canonical_key((((0,), 1), ((3,), 1), ((3,), -1))): 2.0})
     yield "unmatched", plus_only, other
@@ -335,7 +340,7 @@ def test_bracket_peak_memory_is_the_output_plus_one_block(monkeypatch):
 def test_bracket_output_view_matches_a_fresh_pack():
     f, g = random_form(PLANE, 3, 60, seed=16), random_form(PLANE, 3, 60, seed=17)
     out = poisson_bracket(f, g)
-    fresh = SymmetricForm.from_dict(out.degree, dict(out.coeffs))
+    fresh = from_dict(out.degree, dict(out.coeffs))
     assert out.points == fresh.points
     assert np.array_equal(out.codes, fresh.codes)
     assert np.array_equal(out.values, fresh.values)
@@ -379,6 +384,33 @@ def test_add_and_conjugate_of_empty_and_wide_forms():
     assert_same_rows(add_forms(*terms).coeffs, ref_add_forms(*terms))
 
 
+# --- builders ---------------------------------------------------------------
+
+
+BUILDERS = {"quartic": (nls_quartic, dict_nls_quartic), "random": (random_form, dict_random_form)}
+LINE8, PLANE3 = enumerate_lattice(1, 8.0), enumerate_lattice(2, 3.0)
+
+
+@pytest.mark.parametrize(
+    "kind,args",
+    [("quartic", (LINE8, 1.0)), ("quartic", (LINE8, -12.0)), ("quartic", (PLANE3, 1.0))]
+    + [
+        ("random", (lattice, degree, 40, seed, real))
+        for lattice in (LINE, PLANE)
+        for degree in (3, 4)
+        for real in (True, False)
+        for seed in (1, 2)
+    ],
+)
+def test_builders_match_the_dict_oracles_bit_for_bit(kind, args):
+    # the rows of a triple or a draw are summed from 0 in the dict's order
+    build, oracle = BUILDERS[kind]
+    got, want = build(*args), oracle(*args)
+    assert got.points == want.points
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64))
+
+
 # --- norms ------------------------------------------------------------------
 
 
@@ -401,7 +433,7 @@ def test_norms_match_reference(lattice, f, g):
 
 def test_norms_of_empty_forms_and_zero_modes():
     table = table_for(LINE)
-    empty = SymmetricForm.from_dict(3, {})
+    empty = from_dict(3, {})
     assert localized_norm(empty, table, nu=2.0, smoothing=2.0) == 0.0
     assert vector_field_seminorm(empty, table, nu=2.0, smoothing=2.0) == 0.0
     zero_key = canonical_key((((0,), 1), ((0,), -1), ((0,), 1)))
@@ -424,12 +456,13 @@ def test_vector_field_matches_reference(lattice, f, g):
     partial = dict(list(u.items())[::3])  # missing entries read as 0
     for form in (f, g):
         for state in (u, partial):
-            want = ref_vector_field(form, state)
-            assert_same_terms(vector_field(form, state), want)
+            got = state_dict(vector_field(form, state_array(state, lattice.points), lattice.points), lattice.points)
+            assert_same_terms({e: v for e, v in got.items() if v}, ref_vector_field(form, state))
 
 
 def test_vector_field_of_empty_form():
-    assert vector_field(SymmetricForm.from_dict(4, {}), {}) == {}
+    points = LINE.points
+    assert not vector_field(zero_form(4), np.ones(2 * len(points), dtype=complex), points).any()
 
 
 # --- normal form ------------------------------------------------------------

@@ -24,16 +24,15 @@ from latnf import (
     small_divisor,
     validate_cutoff,
 )
-from latnf.forms import SymmetricForm
 from latnf.normalform import BUCKETS, NONRESONANT, bucket_rows
 
 from conftest import FROZEN_POTENTIAL
-from oracles import ground_state_divisor_function, is_block_nonresonant
+from oracles import from_dict, ground_state_divisor_function, is_block_nonresonant
 
 
 def classify_term(key, table, bands, clusters, cutoff):
     """Bucket name of one key, from ``bucket_rows`` on a one-key form."""
-    form = SymmetricForm.from_dict(len(key), {key: 0j})
+    form = from_dict(len(key), {key: 0j})
     return (BUCKETS + ("NONRESONANT",))[bucket_rows(form, table, bands, clusters, cutoff)[0]]
 
 
