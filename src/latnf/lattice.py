@@ -91,7 +91,8 @@ def enumerate_lattice(dim: int, radius: float, offset=None) -> Lattice:
     """Enumerate every point with ``|n + kappa| <= radius``, lex-ordered.
 
     Raises ``ValueError`` when the truncation would exceed ``MAX_POINTS``
-    (infeasible truncation) or the arguments are out of range.
+    (infeasible truncation), holds no point, or the arguments are out of
+    range.
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
@@ -127,6 +128,10 @@ def enumerate_lattice(dim: int, radius: float, offset=None) -> Lattice:
                 f"truncation infeasible: more than {MAX_POINTS} points "
                 f"inside radius {radius}"
             )
+    if not pts:
+        raise ValueError(
+            f"empty truncation: no point of Z^{dim} + offset {off} within radius {radius}"
+        )
     return Lattice(dim=dim, offset=off, radius=float(radius), points=tuple(pts))
 
 

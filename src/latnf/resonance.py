@@ -57,6 +57,29 @@ itself, and the float conversion of exact or mixed spectra.  A head whose
 ``smin`` underflowed to 0 (a very negative tau) skips nothing.  A sampled
 row has the one tail sum ``T = 0``.  ``n_checked`` still counts every
 multiset of the scan.
+
+An exhaustive scan seeds its windows before the first of them is searched.
+Each head takes the owned tails next to ``-H_h`` in the sorted tail sums (at
+most ``SEED_TAILS``); the divisors and scores of these seed rows are computed
+as the scan computes them, and the resonant ones are dropped.  With
+``seed_div`` and ``seed_score`` the least seed divisor and score, each
+raised to the next float, a head's window is cut at
+
+    max(min(min_div, seed_div), min(min_score, seed_score) / smin[head_lvl[h]]).
+
+The running minima and the witnesses still come only from the rows the
+window pass meets in scan order; the seed narrows windows and sets nothing.
+The seed rows are rows of the scan, off the resonant set, so the least
+divisor ``D`` and score ``S`` of the whole scan are at most the least seed
+values, and so ``D < seed_div`` and ``S < seed_score``.  A row skipped under
+this cut has ``d >= min(min_div, seed_div)``: its divisor is no less than a
+running minimum that an earlier row reached, or it is above ``D``.  In the
+same way its score is no less than ``min_score`` or above ``S``.  So it is
+no first minimum of either kind, and no field changes.  A row whose divisor
+or score ties the least seed value is not skipped: the next float up keeps
+it strictly inside its window.  That matters when such a row comes before
+the seed row in scan order, since the tie is then the first minimum and the
+witness.  The sampled scan keeps no seed.
 """
 
 from __future__ import annotations
@@ -78,6 +101,9 @@ from .lattice import ExtIndex, Lattice, Point, extended_indexes
 #: a head whose tails outrun a block across blocks, and the sampled scan draws
 #: its indexes block by block.
 BLOCK = 2048
+
+#: owned tails per head that seed an exhaustive scan's windows
+SEED_TAILS = 4
 
 
 def small_divisor(table: SpectrumTable, multiset: Sequence[ExtIndex]):
@@ -176,13 +202,13 @@ def _exhaustive_scan(n: int, order: int):
 
     Returns one ``(heads, tails, start)`` part.  ``heads`` holds the
     non-decreasing ``order // 2``-tuples over ``range(n)`` and ``tails`` the
-    non-decreasing rows of the remaining length, both in lexicographic order.
-    The scan's rows are ``heads[h] + tails[t]`` for each head in turn and
-    ``t`` from ``start[h]``, the first tail that starts at the head's last
-    index, to the end.
+    non-decreasing rows of the remaining length, both in lexicographic order;
+    at even orders they are one table.  The scan's rows are ``heads[h] +
+    tails[t]`` for each head in turn and ``t`` from ``start[h]``, the first
+    tail that starts at the head's last index, to the end.
     """
     heads = _nondecreasing_rows(n, order // 2)
-    tails = _nondecreasing_rows(n, order - order // 2)
+    tails = heads if order % 2 == 0 else _nondecreasing_rows(n, order - order // 2)
     last = heads[:, -1] if heads.shape[1] else np.zeros(1, dtype=np.intp)
     return [(heads, tails, np.searchsorted(tails[:, 0], last))]
 
@@ -205,7 +231,7 @@ def _sampled_scan(ext: Sequence[ExtIndex], order: int, samples: int, seed):
         yield heads, empty, np.zeros(m, dtype=np.intp)
 
 
-def _window_blocks(start, head_sum, tail_sum, width):
+def _window_blocks(start, head_sum, tail_sum, width, seed=None):
     """Blocks ``(h, t)`` of the scan rows that fall inside a window, in scan order.
 
     Head ``h`` owns the rows ``(h, t)`` with ``t >= start[h]``.  A row is
@@ -213,35 +239,60 @@ def _window_blocks(start, head_sum, tail_sum, width):
     ``width(a, b)`` the half-widths of heads ``a:b``, asked for as the scan
     reaches head ``a`` (an infinite width visits every row).  The tail sums
     are sorted once, and each head's window is a ``searchsorted`` range of
-    them.  Heads are taken in chunks of at most ``BLOCK`` heads whose
-    windows hold at most ``BLOCK`` tails together, or of one head, and a
-    chunk's rows are yielded in blocks of at most ``BLOCK``.  So the first
-    chunk, scanned before any minimum is known, holds no more rows than a
-    block or one head, and the next chunk's widths are asked for only after
-    its rows have been scanned.
+    them.  ``seed``, if given, is called before any width is asked for, with
+    blocks ``(h, t)`` of at most ``SEED_TAILS`` owned rows per head: the
+    tails next to ``-head_sum[h]`` in that sorted order.
+
+    A chunk is the heads, from the one the scan has reached, whose windows
+    hold at most ``BLOCK`` owned rows together, or one head.  The windows
+    of a lookahead of twice the heads the last chunk took (at most
+    ``BLOCK``, all of them at first) are searched, and the tails of the
+    first windows that hold at most ``4 * BLOCK`` of them together (or of
+    one head) are gathered and cut to the chunk; the chunk's rows are
+    yielded in blocks of at most ``BLOCK``.  So the first chunk holds no
+    more rows than a block or one head, and the next chunk's widths are
+    asked for only after its rows have been scanned.
     """
     by_sum = np.argsort(tail_sum, kind="stable")
     sums = tail_sum[by_sum]
     n_heads, n_tails = len(start), len(sums)
-    a = 0
+    if seed is not None:
+        # one search of every head's centre, its keys in sorted order
+        by_key = by_sum[::-1] if head_sum is tail_sum else np.argsort(-head_sum)
+        at = np.empty(n_heads, dtype=np.intp)
+        at[by_key] = np.searchsorted(sums, -head_sum[by_key])
+        near = np.arange(-(SEED_TAILS // 2), SEED_TAILS - SEED_TAILS // 2)
+        for a in range(0, n_heads, BLOCK):
+            b = min(n_heads, a + BLOCK)
+            h = np.repeat(np.arange(a, b), len(near))
+            t = by_sum[np.clip(at[a:b, None] + near, 0, n_tails - 1).ravel()]
+            keep = t >= start[h]
+            seed(h[keep], t[keep])
+    a, look = 0, BLOCK
     while a < n_heads:
-        b = min(n_heads, a + BLOCK)
+        b = min(n_heads, a + look)
         w = width(a, b)
-        lo = np.searchsorted(sums, -head_sum[a:b] - w, side="right")
-        size = np.maximum(np.searchsorted(sums, w - head_sum[a:b], side="left") - lo, 0)
+        # searching keys in sorted order runs faster
+        by_key = np.argsort(-head_sum[a:b])
+        lo, hi = np.empty((2, b - a), dtype=np.intp)
+        lo[by_key] = np.searchsorted(sums, (-head_sum[a:b] - w)[by_key], side="right")
+        hi[by_key] = np.searchsorted(sums, (w - head_sum[a:b])[by_key], side="left")
+        size = np.maximum(hi - lo, 0)
         ends = np.cumsum(size)
-        n = max(1, int(np.searchsorted(ends, BLOCK, side="right")))
-        b = a + n
+        n = max(1, int(np.searchsorted(ends, 4 * BLOCK, side="right")))
         size, lo, ends = size[:n], lo[:n], ends[:n]
-        h = np.repeat(np.arange(a, b), size)
+        h = np.repeat(np.arange(a, a + n), size)
         t = by_sum[np.arange(len(h)) + np.repeat(lo - ends + size, size)]
         keep = t >= start[h]
         h, t = h[keep], t[keep]
+        owned = np.cumsum(np.bincount(h - a, minlength=n))
+        n = max(1, int(np.searchsorted(owned, BLOCK, side="right")))
+        h, t = h[: owned[n - 1]], t[: owned[n - 1]]
         rank = np.argsort(h * n_tails + t)
         h, t = h[rank], t[rank]
         for i in range(0, len(h), BLOCK):
             yield h[i : i + BLOCK], t[i : i + BLOCK]
-        a = b
+        a, look = a + n, min(BLOCK, 2 * n)
 
 
 def _partial_sums(omega: np.ndarray, rows: np.ndarray):
@@ -336,9 +387,18 @@ def certify_nonresonance(
     any floor level ``>= i``: the row's level is at least its head's, so its
     scale is at least ``smin[head_lvl[h]]``.  So each head visits only the
     tails whose sorted partial sums fall in that window, widened for float
-    rounding; the module docstring gives the argument in full.  A skipped
-    row can change no field, so the certificate is the one a scan of every
-    row gives, and ``n_checked`` counts every multiset of the scan.  Full
+    rounding.  An exhaustive scan first seeds the windows: each head's owned
+    tails nearest ``-H_h`` by partial sum give seed rows, and the least
+    divisor and score of those off the resonant set, each raised to the next
+    float, cap ``min_div`` and ``min_score`` in the window bound.  The seed
+    rows are rows of the scan, so the scan's minima are at most those seed
+    values: a row skipped under a cap is no less than a running minimum or
+    above the scan's minimum, and a row that ties a seed value stays inside
+    its window, because the cap is the next float up.  The running minima
+    and the witnesses come only from rows met in scan order; the module
+    docstring gives the argument in full.  A skipped row can change no
+    field, so the certificate is the one a scan of every row gives, and
+    ``n_checked`` counts every multiset of the scan.  Full
     index rows are built only for the rows that beat a running minimum,
     which are then tested for resonance.  The witnesses are the first minima
     in scan order.  A zero minimum score is an exact off-set resonance and
@@ -391,30 +451,57 @@ def certify_nonresonance(
 
     min_score = min_div = math.inf
     witness = div_witness = witness_div = None
+    # the least divisor and score of the seed rows, each raised to the next
+    # float so that rows tying them stay inside the windows
+    seed_div = seed_score = math.inf
+
+    def partials(rows):
+        # partial divisors, largest floor levels and float partial sums
+        div = _partial_sums(omega, rows)
+        fsum = np.zeros(len(rows)) if div is None else div.astype(np.float64)
+        return div, level[rows].max(axis=1, initial=0), fsum
+
+    def evaluate(h, t):
+        # divisors and scores of rows (h, t), added as small_divisor adds them
+        columns = iter(tail_omega)
+        div = next(columns)[t] if head_div is None else head_div[h]
+        for col in columns:
+            div = div + col[t]
+        div = np.abs(div)
+        return div, div * scale[np.maximum(head_lvl[h], tail_lvl[t])]
+
+    def seed_windows(h, t):
+        nonlocal seed_div, seed_score
+        div, score = evaluate(h, t)
+        off = ~_resonant(signed_bands, np.hstack([heads[h], tails[t]]))
+        if off.any():
+            seed_div = min(seed_div, np.nextafter(float(div[off].min()), math.inf))
+            seed_score = min(seed_score, np.nextafter(float(score[off].min()), math.inf))
 
     def width(a, b):
         # a candidate row of head h has |divisor| < max(min_div, min_score /
-        # smin[head_lvl[h]]); a scale that underflowed to 0 prunes nothing
+        # smin[head_lvl[h]]), and a row that can be a first minimum has
+        # |divisor| < max(seed_div, seed_score / smin[head_lvl[h]]); a scale
+        # that underflowed to 0 prunes nothing
+        div_cap = min(float(min_div), seed_div)
+        score_cap = min(min_score, seed_score)
         bound = np.asarray(
-            [max(float(min_div), min_score / s) if s > 0 else math.inf for s in smin]
+            [max(div_cap, score_cap / s) if s > 0 else math.inf for s in smin]
         )
         return (bound + slack * (reach + bound))[head_lvl[a:b]]
 
     for heads, tails, start in parts:
-        head_div = _partial_sums(omega, heads)
-        head_lvl = level[heads].max(axis=1, initial=0)
-        tail_div = _partial_sums(omega, tails)
+        head_div, head_lvl, head_sum = partials(heads)
+        # at even orders the heads are the tails
+        _, tail_lvl, tail_sum = (
+            (head_div, head_lvl, head_sum) if tails is heads else partials(tails)
+        )
         tail_omega = omega[tails.T]
-        tail_lvl = level[tails].max(axis=1, initial=0)
-        head_sum = np.zeros(len(heads)) if head_div is None else head_div.astype(np.float64)
-        tail_sum = np.zeros(1) if tail_div is None else tail_div.astype(np.float64)
-        for h, t in _window_blocks(start, head_sum, tail_sum, width):
-            columns = iter(tail_omega)
-            div = next(columns)[t] if head_div is None else head_div[h]
-            for col in columns:
-                div = div + col[t]
-            div = np.abs(div)
-            score = div * scale[np.maximum(head_lvl[h], tail_lvl[t])]
+        blocks = _window_blocks(
+            start, head_sum, tail_sum, width, seed_windows if exhaustive else None
+        )
+        for h, t in blocks:
+            div, score = evaluate(h, t)
             # only rows that beat a running minimum can change the result, so
             # only those are built and tested for resonance
             cand = np.flatnonzero((div < min_div) | (score < min_score))

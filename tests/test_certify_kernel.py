@@ -211,9 +211,8 @@ def test_nonpositive_tau_matches_the_loop(monkeypatch, small_tables, name, tau):
             assert_fields(cert, want)
 
 
-def test_order_6_scan_visits_few_rows(monkeypatch, certified_table, certified_bands):
-    # 3262623 multisets; the rows that can beat the running minima are few.
-    # The fields are those of the unpruned scan on the same table.
+def visited_rows(monkeypatch, table, order, bands, **kwargs):
+    """The certificate and the number of rows the window blocks carry."""
     visited = []
     window_blocks = latnf.resonance._window_blocks
 
@@ -223,16 +222,173 @@ def test_order_6_scan_visits_few_rows(monkeypatch, certified_table, certified_ba
             yield h, t
 
     monkeypatch.setattr(latnf.resonance, "_window_blocks", counting)
-    cert = certify_nonresonance(
-        certified_table, 6, partition=certified_bands, budget=4_000_000
+    return certify_nonresonance(table, order, partition=bands, **kwargs), sum(visited)
+
+
+def test_order_6_scan_visits_few_rows(monkeypatch, certified_table, certified_bands):
+    # 3262623 multisets; the rows that can beat the seeded windows are few.
+    # The fields are those of the unpruned scan on the same table.
+    cert, visited = visited_rows(
+        monkeypatch, certified_table, 6, certified_bands, budget=4_000_000
     )
     assert cert.exhaustive and cert.n_checked == 3262623
-    assert sum(visited) < 100_000
+    assert visited <= 1_000
     assert cert.min_score == 0.007554739129191468
     assert cert.min_divisor == 2.8071816021935092e-05
     assert cert.witness == (
         ((-1,), 1), ((0,), -1), ((0,), -1), ((0,), -1), ((0,), -1), ((1,), -1)
     )
+
+
+@pytest.mark.parametrize("order,bound", [(3, 25), (4, 450), (5, 75)])
+def test_low_order_scans_visit_few_rows(
+    monkeypatch, certified_table, certified_bands, certificates, order, bound
+):
+    cert, visited = visited_rows(monkeypatch, certified_table, order, certified_bands)
+    assert cert.exhaustive and visited <= bound
+    assert cert == certificates[order]
+
+
+@pytest.mark.parametrize("block", [1, 3, 64])
+def test_windows_of_mostly_unowned_tails(monkeypatch, block):
+    # Tail sums grow with the tail's first index and every window sits low,
+    # so the windows of heads that end on a high index hold mostly tails
+    # those heads do not own (t < start[h]).
+    monkeypatch.setattr(latnf.resonance, "BLOCK", block)
+    rng = np.random.default_rng(block)
+    ((heads, tails, start),) = latnf.resonance._exhaustive_scan(8, 4)
+    head_sum = rng.integers(-1, 2, len(heads)).astype(float)
+    tail_sum = (2 * tails[:, 0] + rng.integers(0, 2, len(tails))).astype(float)
+    width = rng.choice([3.0, 6.5, 9.0], len(heads))
+    calls = []
+
+    def seed(h, t):
+        calls.append(("seed", h.tolist(), t.tolist()))
+
+    def widths(a, b):
+        calls.append(("width", a, b))
+        return width[a:b]
+
+    blocks = list(latnf.resonance._window_blocks(start, head_sum, tail_sum, widths, seed))
+    got = [(int(h), int(t)) for hs, ts in blocks for h, t in zip(hs, ts)]
+    inside = [
+        (h, t)
+        for h in range(len(heads))
+        for t in range(len(tails))
+        if abs(head_sum[h] + tail_sum[t]) < width[h]
+    ]
+    want = [(h, t) for h, t in inside if t >= start[h]]
+    assert got == want and 0 < 3 * len(want) < len(inside)
+    assert all(len(h) <= block for h, _ in blocks)
+    # the seed rows come before any width is asked for, owned, at most
+    # SEED_TAILS per head
+    kinds = [call[0] for call in calls]
+    first_width = kinds.index("width")
+    assert set(kinds[:first_width]) == {"seed"} and "seed" not in kinds[first_width:]
+    seeded = [(h, t) for kind, hs, ts in calls if kind == "seed" for h, t in zip(hs, ts)]
+    assert seeded and all(t >= start[h] for h, t in seeded)
+    per_head = np.bincount([h for h, _ in seeded])
+    assert per_head.max() <= latnf.resonance.SEED_TAILS
+
+
+def test_rows_tying_the_seed_stay_in_the_scan():
+    # One zero mode: every divisor is 0 and ties the seed's value, and no
+    # float margin widens a window around sums that are all 0.
+    table = build_spectrum(enumerate_lattice(1, 0.5), TorusLaplacian())
+    for order in range(1, 7):
+        cert = assert_same_certificate(table, order)
+        assert cert.min_divisor == 0 and cert.witness == (((0,), 1),) * order
+
+
+#: every field of the certificates of the 2-D multiplier below, from the scan
+#: before its windows were seeded; 5e5 to 1.4e9 multisets, beyond the loop
+PLANE_CERTIFICATES = {
+    (3, 4): dict(
+        order=4, tau=10.0, gamma=0.0057859896490454425, min_score=0.006428877387828269,
+        witness=(
+            ((0, -1), 1), ((0, 0), 1), ((0, 1), -1), ((0, 1), -1),
+        ),
+        witness_divisor=0.006428877387828269, min_divisor=4.078410791841236e-05,
+        divisor_witness=(
+            ((-2, 0), 1), ((0, -3), 1), ((1, 2), -1), ((2, 2), -1),
+        ),
+        passed=True, exhaustive=True, n_checked=521855,
+    ),
+    (3, 5): dict(
+        order=5, tau=12.0, gamma=0.0034414896286481867, min_score=0.003823877365164652,
+        witness=(
+            ((-1, 0), 1), ((-1, 0), 1), ((0, 0), -1), ((0, 1), -1), ((0, 1), -1),
+        ),
+        witness_divisor=0.003823877365164652, min_divisor=9.968954639560934e-08,
+        divisor_witness=(
+            ((-1, 1), 1), ((1, 1), -1), ((2, 0), -1), ((2, 0), -1), ((2, 2), 1),
+        ),
+        passed=True, exhaustive=True, n_checked=6471002,
+    ),
+    (3, 6): dict(
+        order=6, tau=14.0, gamma=0.003188915919211277, min_score=0.0035432399102347523,
+        witness=(
+            ((-1, 0), 1), ((0, 0), -1), ((0, 0), -1), ((0, 0), -1), ((0, 0), -1), ((1, 0), 1),
+        ),
+        witness_divisor=0.0035432399102347523, min_divisor=2.0326205263376806e-07,
+        divisor_witness=(
+            ((-2, -2), 1), ((-1, -1), -1), ((-1, 0), 1),
+            ((-1, 2), -1), ((0, -1), -1), ((1, 0), -1),
+        ),
+        passed=True, exhaustive=True, n_checked=67945521,
+    ),
+    (4, 5): dict(
+        order=5, tau=12.0, gamma=0.0007132239655999406, min_score=0.0007924710728888229,
+        witness=(
+            ((-1, 0), 1), ((0, 0), 1), ((0, 0), 1), ((1, 0), -1), ((1, 0), -1),
+        ),
+        witness_divisor=0.0007924710728888229, min_divisor=6.213648795494464e-08,
+        divisor_witness=(
+            ((-2, 3), 1), ((-1, 2), 1), ((0, 4), -1), ((1, 3), -1), ((2, 2), 1),
+        ),
+        passed=True, exhaustive=True, n_checked=83291670,
+    ),
+    (4, 6): dict(
+        order=6, tau=14.0, gamma=0.00681943338793225, min_score=0.007577148208813611,
+        witness=(
+            ((0, 0), 1), ((0, 0), 1), ((0, 0), 1), ((0, 0), 1), ((1, 0), -1), ((1, 0), -1),
+        ),
+        witness_divisor=0.007577148208813611, min_divisor=8.367487147609154e-09,
+        divisor_witness=(
+            ((-4, 0), 1), ((-3, -1), -1), ((-3, 1), 1),
+            ((-2, -1), -1), ((0, -3), -1), ((1, 1), -1),
+        ),
+        passed=True, exhaustive=True, n_checked=1429840335,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def plane_tables():
+    """The 2-D multiplier of ROADMAP item 6 at radii 3 and 4: ``V_a = 0.2 g_a /
+    (1 + |a|^2)``, ``g_a`` standard normal draws of ``default_rng(5)``, one per
+    lattice point in lattice order, then ``V_(0,0) = 0.5``."""
+    tables = {}
+    for radius in (3, 4):
+        lattice = enumerate_lattice(2, float(radius))
+        rng = np.random.default_rng(5)
+        potential = {
+            p: 0.2 * rng.standard_normal() / (1 + p[0] ** 2 + p[1] ** 2)
+            for p in lattice.points
+        }
+        potential[(0, 0)] = 0.5
+        model = SpectralMultiplier(base=TorusLaplacian(), potential=potential)
+        tables[radius] = build_spectrum(lattice, model)
+    return tables
+
+
+@pytest.mark.parametrize("radius,order", sorted(PLANE_CERTIFICATES))
+def test_plane_multiplier_certificates(plane_tables, radius, order):
+    table = plane_tables[radius]
+    cert = certify_nonresonance(
+        table, order, partition=band_partition(table), budget=2_000_000_000
+    )
+    assert_fields(cert, PLANE_CERTIFICATES[radius, order])
 
 
 @pytest.mark.parametrize(

@@ -302,6 +302,16 @@ def test_cli_resonances_meaningless_arguments_are_usage_errors(
     assert not (out / "certificate.json").exists()
 
 
+def test_cli_empty_truncation_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "empty"
+    argv = ["resonances", "--config", CERTIFIED_CONFIG, "--set", "lattice.radius=0.2",
+            "--set", "lattice.offset=[0.5]", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "empty truncation" in err and "offset (0.5,)" in err and "radius 0.2" in err
+    assert not (out / "certificate.json").exists()
+
+
 def test_cli_resonances_fails_on_flat_torus(tmp_path, capsys):
     # Without a potential the zero mode collapses an order-3 divisor to 0.
     code = main(["resonances", "--out-dir", str(tmp_path / "flat")])

@@ -65,6 +65,14 @@ def test_dim_and_radius_validation():
         enumerate_lattice(1, 0.0)
 
 
+def test_empty_truncation_names_radius_and_offset():
+    # |n + 0.5| >= 0.5 for every integer n, so radius 0.2 holds no point.
+    with pytest.raises(ValueError, match=r"radius 0\.2") as info:
+        enumerate_lattice(1, 0.2, offset=0.5)
+    assert "offset (0.5,)" in str(info.value)
+    assert enumerate_lattice(1, 0.5, offset=0.5).points == ((-1,), (0,))
+
+
 def test_infeasible_truncation_rejected():
     with pytest.raises(ValueError, match="infeasible"):
         enumerate_lattice(3, 1000.0)
