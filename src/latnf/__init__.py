@@ -41,6 +41,7 @@ from .clusters import (
     separation_margin,
 )
 from .resonance import (
+    CertificateError,
     MeasureEstimate,
     MultiplierEnsemble,
     NonresonanceCertificate,
@@ -73,7 +74,6 @@ from .forms import (
     zero_form,
 )
 from .normalform import (
-    CertificateError,
     NormalFormConfig,
     NormalFormResult,
     SmallnessError,

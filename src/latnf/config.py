@@ -166,7 +166,6 @@ _SCHEMA = {
         "order": (_as_int, 3),
         "tau": (_as_opt_float, None),
         "gamma": (_as_opt_float, None),
-        "budget": (_as_int, 1_000_000),
     },
     "measure": {
         "decay": (_as_float, 2.0),
@@ -187,7 +186,6 @@ _SCHEMA = {
         "mu_max": (_as_float, 1.0),
         "coupling": (_as_float, 1.0),
         "remainder_samples": (_as_int, 3),
-        "cert_budget": (_as_int, 1_000_000),
     },
     "simulate": {
         "epsilon": (_as_float, 0.01),

@@ -213,7 +213,7 @@ _Column = Callable[[np.ndarray, np.ndarray], float]
 
 
 class _Monitor:
-    """What is sampled of a state ``u`` whose lattice modes sit at ``index``.
+    """What the monitor records of a state ``u`` whose lattice modes sit at ``index``.
 
     ``sobolev``, ``energy`` and the ``extra`` columns are called with the
     state and its intensities ``|u|^2``; ``orbital`` with the lattice modes.

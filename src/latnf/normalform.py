@@ -45,6 +45,7 @@ from .forms import (
 from .frequencies import SpectrumTable
 from .lattice import Point, point_distance
 from .resonance import (
+    CertificateError,
     NonresonanceCertificate,
     _resonant,
     _signed_bands,
@@ -55,10 +56,6 @@ from .resonance import (
 BUCKETS = ("Z0", "ZB", "Z2", "ZGE3")
 #: the label ``bucket_rows`` gives a row outside every bucket
 NONRESONANT = len(BUCKETS)
-
-
-class CertificateError(ValueError):
-    """A nonresonance certificate is missing, failed, or does not cover a divisor."""
 
 
 class SmallnessError(ValueError):
@@ -428,7 +425,7 @@ def normalize(
     ``mu_max`` and each step below ``2 mu`` times the previous.
     ``remainder_bound`` is the largest ``|X(u)|_s`` of the remainder's vector
     field over ``remainder_samples`` random states on the radius-R sphere: a
-    sampled lower estimate of its supremum there, not a bound.
+    lower estimate of its supremum there, not a bound.
     """
     if remainder_samples < 1:
         raise ValueError(f"remainder_samples must be >= 1, got {remainder_samples}")

@@ -15,24 +15,21 @@ whose minimum is compared against the requested threshold gamma.  The floor
 ``max(1, .)`` keeps multisets supported entirely on a zero mode from scoring
 zero by scale alone.
 
-The scan is one numpy kernel over blocks of at most ``BLOCK`` rows of indexes
-into ``extended_indexes``, each row a head followed by a tail.  An exhaustive
-scan (multiset count within the budget) visits the rows in
-``combinations_with_replacement`` order: each non-decreasing head of
-``order // 2`` indexes is followed by the tails, non-decreasing rows of the
-remaining length, that start at the head's last index.  A head's partial
-divisor and the largest floor level of each head and tail are computed once
-per scan; a block adds each row's tail columns to its head's partial sum,
-and a head whose tails outrun a block is split across blocks.  Above the
-budget a seeded uniform sample of index draws is scanned, block by block,
-each row sorted into the tuple order of its signed modes, where ``(p, -1)``
-precedes ``(p, +1)``, and taken as a head with an empty tail.  Divisors add
-the signed frequencies column by column, left to right, as ``small_divisor``
-does, so each is bit-identical to it: float64 on float spectra, exact Python
-integers otherwise.  Only the rows of a block that beat a running minimum are
-built as full index rows and tested for resonance: a row is resonant when its
-sorted signed band labels ``sigma * (band + 1)`` equal their reversed
-negation.  The witnesses are the first minima in scan order.
+The scan covers every multiset.  It is one numpy kernel over blocks of at
+most ``BLOCK`` rows of indexes into ``extended_indexes``, each row a head
+followed by a tail, in ``combinations_with_replacement`` order: each
+non-decreasing head of ``order // 2`` indexes is followed by the tails,
+non-decreasing rows of the remaining length, that start at the head's last
+index.  A head's partial divisor and the largest floor level of each head
+and tail are computed once per scan; a block adds each row's tail columns to
+its head's partial sum, and a head whose tails outrun a block is split
+across blocks.  Divisors add the signed frequencies column by column, left
+to right, as ``small_divisor`` does, so each is bit-identical to it: float64
+on float spectra, exact Python integers otherwise.  Only the rows of a block
+that beat a running minimum are built as full index rows and tested for
+resonance: a row is resonant when its sorted signed band labels ``sigma *
+(band + 1)`` equal their reversed negation.  The witnesses are the first
+minima in scan order.
 
 The scan skips every row that cannot beat the running minima.  A row of head
 ``h`` and tail ``t`` beats them only if its divisor ``d`` has ``d < min_div``
@@ -54,11 +51,10 @@ changes.  The tail partial sums are sorted once per scan, and each head's
 window is a ``searchsorted`` range of them, widened by a margin that covers
 the float rounding of the partial sums, of the divisors and of the window
 itself, and the float conversion of exact or mixed spectra.  A head whose
-``smin`` underflowed to 0 (a very negative tau) skips nothing.  A sampled
-row has the one tail sum ``T = 0``.  ``n_checked`` still counts every
-multiset of the scan.
+``smin`` underflowed to 0 (a very negative tau) skips nothing.
+``n_checked`` still counts every multiset of the scan.
 
-An exhaustive scan seeds its windows before the first of them is searched.
+The scan seeds its windows before the first of them is searched.
 Each head takes the owned tails next to ``-H_h`` in the sorted tail sums (at
 most ``SEED_TAILS``); the divisors and scores of these seed rows are computed
 as the scan computes them, and the resonant ones are dropped.  With
@@ -79,7 +75,13 @@ no first minimum of either kind, and no field changes.  A row whose divisor
 or score ties the least seed value is not skipped: the next float up keeps
 it strictly inside its window.  That matters when such a row comes before
 the seed row in scan order, since the tie is then the first minimum and the
-witness.  The sampled scan keeps no seed.
+witness.
+
+A scan is limited by a budget of the rows it builds or evaluates: the head
+table, the tail table when it is a separate one (odd orders), and the seed
+and window rows.  The tables are counted before they are built and each
+block before it is evaluated; a scan that would go over the budget raises
+``CertificateError`` and gives no certificate.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,13 +99,17 @@ from .frequencies import SpectralMultiplier, SpectrumTable, frequency
 from .lattice import ExtIndex, Lattice, Point, extended_indexes
 
 #: rows per block of the certification scan.  A block's temporaries are a few
-#: block-sized arrays whatever the multiset count: the exhaustive scan splits
-#: a head whose tails outrun a block across blocks, and the sampled scan draws
-#: its indexes block by block.
+#: block-sized arrays whatever the multiset count: the scan splits a head
+#: whose tails outrun a block across blocks.
 BLOCK = 2048
 
-#: owned tails per head that seed an exhaustive scan's windows
+#: owned tails per head that seed the scan's windows
 SEED_TAILS = 4
+
+
+class CertificateError(ValueError):
+    """A nonresonance certificate is missing, failed, over its scan budget, or
+    does not cover a divisor."""
 
 
 def small_divisor(table: SpectrumTable, multiset: Sequence[ExtIndex]):
@@ -157,8 +163,9 @@ class NonresonanceCertificate:
     min_divisor: float
     divisor_witness: Tuple[ExtIndex, ...]
     passed: bool
-    exhaustive: bool
     n_checked: int
+    #: every certificate covers every multiset of its order
+    exhaustive: ClassVar[bool] = True
 
     def to_dict(self) -> dict:
         def enc(ms):
@@ -198,40 +205,22 @@ def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
 
 
 def _exhaustive_scan(n: int, order: int):
-    """The exhaustive scan in ``combinations_with_replacement`` order.
+    """The scan's tables, in ``combinations_with_replacement`` order.
 
-    Returns one ``(heads, tails, start)`` part.  ``heads`` holds the
-    non-decreasing ``order // 2``-tuples over ``range(n)`` and ``tails`` the
-    non-decreasing rows of the remaining length, both in lexicographic order;
-    at even orders they are one table.  The scan's rows are ``heads[h] +
-    tails[t]`` for each head in turn and ``t`` from ``start[h]``, the first
-    tail that starts at the head's last index, to the end.
+    Returns ``(heads, tails, start)``.  ``heads`` holds the non-decreasing
+    ``order // 2``-tuples over ``range(n)`` and ``tails`` the non-decreasing
+    rows of the remaining length, both in lexicographic order; at even
+    orders they are one table.  The scan's rows are ``heads[h] + tails[t]``
+    for each head in turn and ``t`` from ``start[h]``, the first tail that
+    starts at the head's last index, to the end.
     """
     heads = _nondecreasing_rows(n, order // 2)
     tails = heads if order % 2 == 0 else _nondecreasing_rows(n, order - order // 2)
     last = heads[:, -1] if heads.shape[1] else np.zeros(1, dtype=np.intp)
-    return [(heads, tails, np.searchsorted(tails[:, 0], last))]
+    return heads, tails, np.searchsorted(tails[:, 0], last)
 
 
-def _sampled_scan(ext: Sequence[ExtIndex], order: int, samples: int, seed):
-    """Seeded uniform index draws, one ``(heads, tails, start)`` part per block.
-
-    Each block draws at most ``BLOCK`` rows, sorts each into the tuple order
-    of ``ext`` and takes the rows as heads with one empty tail.
-    """
-    rng = np.random.default_rng(seed)
-    by_rank = np.asarray(sorted(range(len(ext)), key=ext.__getitem__), dtype=np.intp)
-    rank = np.empty_like(by_rank)
-    rank[by_rank] = np.arange(len(ext))
-    empty = np.zeros((1, 0), dtype=np.intp)
-    for lo in range(0, samples, BLOCK):
-        m = min(BLOCK, samples - lo)
-        draws = rng.integers(0, len(ext), size=(m, order))
-        heads = by_rank[np.sort(rank[draws], axis=1)]
-        yield heads, empty, np.zeros(m, dtype=np.intp)
-
-
-def _window_blocks(start, head_sum, tail_sum, width, seed=None):
+def _window_blocks(start, head_sum, tail_sum, width, seed):
     """Blocks ``(h, t)`` of the scan rows that fall inside a window, in scan order.
 
     Head ``h`` owns the rows ``(h, t)`` with ``t >= start[h]``.  A row is
@@ -239,9 +228,9 @@ def _window_blocks(start, head_sum, tail_sum, width, seed=None):
     ``width(a, b)`` the half-widths of heads ``a:b``, asked for as the scan
     reaches head ``a`` (an infinite width visits every row).  The tail sums
     are sorted once, and each head's window is a ``searchsorted`` range of
-    them.  ``seed``, if given, is called before any width is asked for, with
-    blocks ``(h, t)`` of at most ``SEED_TAILS`` owned rows per head: the
-    tails next to ``-head_sum[h]`` in that sorted order.
+    them.  ``seed`` is called before any width is asked for, with blocks
+    ``(h, t)`` of at most ``SEED_TAILS`` owned rows per head: the tails next
+    to ``-head_sum[h]`` in that sorted order.
 
     A chunk is the heads, from the one the scan has reached, whose windows
     hold at most ``BLOCK`` owned rows together, or one head.  The windows
@@ -256,18 +245,17 @@ def _window_blocks(start, head_sum, tail_sum, width, seed=None):
     by_sum = np.argsort(tail_sum, kind="stable")
     sums = tail_sum[by_sum]
     n_heads, n_tails = len(start), len(sums)
-    if seed is not None:
-        # one search of every head's centre, its keys in sorted order
-        by_key = by_sum[::-1] if head_sum is tail_sum else np.argsort(-head_sum)
-        at = np.empty(n_heads, dtype=np.intp)
-        at[by_key] = np.searchsorted(sums, -head_sum[by_key])
-        near = np.arange(-(SEED_TAILS // 2), SEED_TAILS - SEED_TAILS // 2)
-        for a in range(0, n_heads, BLOCK):
-            b = min(n_heads, a + BLOCK)
-            h = np.repeat(np.arange(a, b), len(near))
-            t = by_sum[np.clip(at[a:b, None] + near, 0, n_tails - 1).ravel()]
-            keep = t >= start[h]
-            seed(h[keep], t[keep])
+    # one search of every head's centre, its keys in sorted order
+    by_key = by_sum[::-1] if head_sum is tail_sum else np.argsort(-head_sum)
+    at = np.empty(n_heads, dtype=np.intp)
+    at[by_key] = np.searchsorted(sums, -head_sum[by_key])
+    near = np.arange(-(SEED_TAILS // 2), SEED_TAILS - SEED_TAILS // 2)
+    for a in range(0, n_heads, BLOCK):
+        b = min(n_heads, a + BLOCK)
+        h = np.repeat(np.arange(a, b), len(near))
+        t = by_sum[np.clip(at[a:b, None] + near, 0, n_tails - 1).ravel()]
+        keep = t >= start[h]
+        seed(h[keep], t[keep])
     a, look = 0, BLOCK
     while a < n_heads:
         b = min(n_heads, a + look)
@@ -357,52 +345,37 @@ def certify_nonresonance(
     partition: BandPartition,
     gamma: Optional[float] = None,
     tau: Optional[float] = None,
-    budget: int = 1_000_000,
-    samples: int = 200_000,
-    seed: int = 0,
+    budget: int = 4_000_000,
 ) -> NonresonanceCertificate:
-    """Scan order-``order`` multisets off the resonant set for small divisors.
+    """Scan every order-``order`` multiset off the resonant set for small divisors.
 
     ``tau`` defaults to ``dim * order + 2``; ``gamma`` defaults to 0.9 times
     the measured minimum (certifying exactly what was observed), and an
-    explicit ``gamma`` must be positive.  The scan is exhaustive when the
-    multiset count fits the ``budget`` (at least 0), in
-    ``combinations_with_replacement`` order over ``extended_indexes``;
-    otherwise ``samples`` (at least 1) seeded uniform index draws are
-    scanned, each sorted into the tuple order of its signed modes.  ``tau``
-    must be finite, and ``max(1, |a|)**tau`` must not overflow.  Either way
-    one numpy kernel scans blocks of at most ``BLOCK`` rows, each a head
-    followed by a tail: the exhaustive scan splits a row into its first
-    ``order // 2`` indexes and the rest, and computes each head's partial
-    divisor once; a sampled row is a head with an empty tail.  Divisors add
-    the signed frequencies left to right, as ``small_divisor`` does, and are
+    explicit ``gamma`` must be positive.  ``tau`` must be finite, and
+    ``max(1, |a|)**tau`` must not overflow.  The scan visits the multisets in
+    ``combinations_with_replacement`` order over ``extended_indexes``, with
+    one numpy kernel over blocks of at most ``BLOCK`` rows: a row is its
+    first ``order // 2`` indexes, the head, and the rest, the tail, and each
+    head's partial divisor is computed once.  Divisors add the signed
+    frequencies left to right, as ``small_divisor`` does, and are
     bit-identical to it: exact Python integers on integer spectra
     (``min_divisor`` and ``witness_divisor`` are then ``int``), float64
     otherwise.
 
-    Only rows that can beat the running minima are evaluated.  A candidate
-    row of head ``h`` has ``|H_h + T_t| < max(min_div, min_score /
-    smin[head_lvl[h]])``, with ``H_h`` and ``T_t`` the head's and tail's
-    partial divisors and ``smin[i]`` the least scale ``max(1, |a|)**tau`` of
-    any floor level ``>= i``: the row's level is at least its head's, so its
-    scale is at least ``smin[head_lvl[h]]``.  So each head visits only the
-    tails whose sorted partial sums fall in that window, widened for float
-    rounding.  An exhaustive scan first seeds the windows: each head's owned
-    tails nearest ``-H_h`` by partial sum give seed rows, and the least
-    divisor and score of those off the resonant set, each raised to the next
-    float, cap ``min_div`` and ``min_score`` in the window bound.  The seed
-    rows are rows of the scan, so the scan's minima are at most those seed
-    values: a row skipped under a cap is no less than a running minimum or
-    above the scan's minimum, and a row that ties a seed value stays inside
-    its window, because the cap is the next float up.  The running minima
-    and the witnesses come only from rows met in scan order; the module
-    docstring gives the argument in full.  A skipped row can change no
-    field, so the certificate is the one a scan of every row gives, and
-    ``n_checked`` counts every multiset of the scan.  Full
-    index rows are built only for the rows that beat a running minimum,
-    which are then tested for resonance.  The witnesses are the first minima
-    in scan order.  A zero minimum score is an exact off-set resonance and
-    can never pass, whatever the threshold.
+    Only rows that can beat the running minima are evaluated: each head
+    visits the tails whose partial divisors fall in a window, seeded before
+    the scan from rows near it.  The module docstring gives the bound and
+    the argument that a skipped row changes no field, so the certificate is
+    the one a scan of every row gives; ``n_checked`` counts every multiset.
+    Full index rows are built only for
+    the rows that beat a running minimum, which are then tested for
+    resonance.  The witnesses are the first minima in scan order.  A zero
+    minimum score is an exact off-set resonance and can never pass,
+    whatever the threshold.
+
+    ``budget`` (at least 0) is the most rows the scan may build or
+    evaluate: the head table, the tail table at odd orders, and the seed and
+    window rows.  A scan that would go over it raises ``CertificateError``.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -410,21 +383,12 @@ def certify_nonresonance(
         raise ValueError(f"gamma must be positive, got {gamma}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     if tau is None:
         tau = float(table.lattice.dim * order + 2)
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
 
     ext = extended_indexes(table.lattice)
-    count = math.comb(len(ext) + order - 1, order)
-    exhaustive = count <= budget
-    if exhaustive:
-        parts, n_checked = _exhaustive_scan(len(ext), order), count
-    else:
-        parts, n_checked = _sampled_scan(ext, order, samples, seed), samples
-
     omega = _signed_omegas(table, ext)
     floors = [max(1.0, table.norm(p)) for p, _ in ext]
     levels = sorted(set(floors))
@@ -434,6 +398,24 @@ def certify_nonresonance(
         raise ValueError(
             f"tau={tau} overflows max(1, |a|)**tau at |a| = {levels[-1]:g}"
         ) from None
+
+    # the rows built or evaluated so far, the head and tail tables first
+    used = 0
+
+    def spend(rows):
+        nonlocal used
+        used += rows
+        if used > budget:
+            raise CertificateError(
+                f"the order-{order} scan needs more than its budget of {budget} "
+                "rows built or evaluated"
+            )
+
+    half = order // 2
+    spend(math.comb(len(ext) + half - 1, half))
+    if order % 2:
+        spend(math.comb(len(ext) + order - half - 1, order - half))
+    heads, tails, start = _exhaustive_scan(len(ext), order)
     # smin[i] is the least scale of any level >= i, so it bounds the scale of
     # a row from the level of its head whatever the sign of tau
     smin = np.minimum.accumulate(scale[::-1])[::-1].tolist()
@@ -463,6 +445,7 @@ def certify_nonresonance(
 
     def evaluate(h, t):
         # divisors and scores of rows (h, t), added as small_divisor adds them
+        spend(len(h))
         columns = iter(tail_omega)
         div = next(columns)[t] if head_div is None else head_div[h]
         for col in columns:
@@ -490,34 +473,30 @@ def certify_nonresonance(
         )
         return (bound + slack * (reach + bound))[head_lvl[a:b]]
 
-    for heads, tails, start in parts:
-        head_div, head_lvl, head_sum = partials(heads)
-        # at even orders the heads are the tails
-        _, tail_lvl, tail_sum = (
-            (head_div, head_lvl, head_sum) if tails is heads else partials(tails)
-        )
-        tail_omega = omega[tails.T]
-        blocks = _window_blocks(
-            start, head_sum, tail_sum, width, seed_windows if exhaustive else None
-        )
-        for h, t in blocks:
-            div, score = evaluate(h, t)
-            # only rows that beat a running minimum can change the result, so
-            # only those are built and tested for resonance
-            cand = np.flatnonzero((div < min_div) | (score < min_score))
-            if not len(cand):
-                continue
-            rows = np.hstack([heads[h[cand]], tails[t[cand]]])
-            off = ~_resonant(signed_bands, rows)
-            if not off.any():
-                continue
-            rows, div, score = rows[off], div[cand[off]], score[cand[off]]
-            i = int(np.argmin(div))
-            if div[i] < min_div:
-                min_div, div_witness = div[i], rows[i]
-            i = int(np.argmin(score))
-            if score[i] < min_score:
-                min_score, witness, witness_div = score[i], rows[i], div[i]
+    head_div, head_lvl, head_sum = partials(heads)
+    # at even orders the heads are the tails
+    _, tail_lvl, tail_sum = (
+        (head_div, head_lvl, head_sum) if tails is heads else partials(tails)
+    )
+    tail_omega = omega[tails.T]
+    for h, t in _window_blocks(start, head_sum, tail_sum, width, seed_windows):
+        div, score = evaluate(h, t)
+        # only rows that beat a running minimum can change the result, so
+        # only those are built and tested for resonance
+        cand = np.flatnonzero((div < min_div) | (score < min_score))
+        if not len(cand):
+            continue
+        rows = np.hstack([heads[h[cand]], tails[t[cand]]])
+        off = ~_resonant(signed_bands, rows)
+        if not off.any():
+            continue
+        rows, div, score = rows[off], div[cand[off]], score[cand[off]]
+        i = int(np.argmin(div))
+        if div[i] < min_div:
+            min_div, div_witness = div[i], rows[i]
+        i = int(np.argmin(score))
+        if score[i] < min_score:
+            min_score, witness, witness_div = score[i], rows[i], div[i]
     if witness is None:
         raise ValueError("no multiset off the resonant set was scanned")
 
@@ -533,8 +512,7 @@ def certify_nonresonance(
         min_divisor=_item(min_div),
         divisor_witness=tuple(ext[i] for i in div_witness),
         passed=bool(min_score >= gamma and min_score > 0.0),
-        exhaustive=exhaustive,
-        n_checked=n_checked,
+        n_checked=math.comb(len(ext) + order - 1, order),
     )
 
 

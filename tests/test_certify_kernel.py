@@ -1,9 +1,9 @@
 """The batch certification scan against the per-multiset loop it replaced.
 
 ``loop_certificate`` below is that loop, kept as the oracle: it walks
-``combinations_with_replacement`` (or the seeded sample, each draw sorted as
-a tuple), skips the multisets ``is_resonant_W`` accepts, and keeps the first
-minimum of ``small_divisor`` and of the scaled score.  The kernel adds the
+``combinations_with_replacement``, skips the multisets ``is_resonant_W``
+accepts, and keeps the first minimum of ``small_divisor`` and of the scaled
+score.  The kernel adds the
 divisor columns in the same order and skips only rows that cannot beat a
 running minimum, so every certificate field must agree exactly, value and
 type, witness tuples included.
@@ -11,13 +11,17 @@ type, witness tuples included.
 
 import json
 import math
+import tracemalloc
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latnf.normalform
 import latnf.resonance
 from latnf import (
+    CertificateError,
     SpectralMultiplier,
     TorusLaplacian,
     band_partition,
@@ -34,23 +38,14 @@ from latnf.resonance import resonant_mask
 from conftest import FROZEN_POTENTIAL
 
 
-def loop_certificate(table, order, partition, *, tau=None, budget=1_000_000,
-                     samples=200_000, seed=0):
+def loop_certificate(table, order, partition, *, tau=None):
     if tau is None:
         tau = float(table.lattice.dim * order + 2)
     ext = extended_indexes(table.lattice)
     norm_of = {p: max(1.0, table.norm(p)) for p in table.lattice.points}
-    count = math.comb(len(ext) + order - 1, order)
-    if count <= budget:
-        scan, exhaustive, n_checked = combinations_with_replacement(ext, order), True, count
-    else:
-        draws = np.random.default_rng(seed).integers(0, len(ext), size=(samples, order))
-        scan = (tuple(sorted(ext[i] for i in row)) for row in draws)
-        exhaustive, n_checked = False, samples
-
     min_score = min_div = math.inf
     witness = div_witness = witness_div = None
-    for ms in scan:
+    for ms in combinations_with_replacement(ext, order):
         if is_resonant_W(ms, table, partition):
             continue
         div = abs(small_divisor(table, ms))
@@ -69,8 +64,8 @@ def loop_certificate(table, order, partition, *, tau=None, budget=1_000_000,
         "min_divisor": min_div,
         "divisor_witness": div_witness,
         "passed": bool(min_score >= 0.9 * min_score and min_score > 0.0),
-        "exhaustive": exhaustive,
-        "n_checked": n_checked,
+        "exhaustive": True,
+        "n_checked": math.comb(len(ext) + order - 1, order),
     }
 
 
@@ -88,20 +83,24 @@ def assert_same_certificate(table, order, **kwargs):
     return cert
 
 
+def no_seed(h, t):
+    pass
+
+
 def exhaustive_rows(n, order):
-    """The exhaustive scan's blocks as full index rows, rebuilt from its head
-    and tail indexes, with infinite window widths and tail sums that sort
-    the tails out of index order."""
+    """The scan's blocks as full index rows, rebuilt from its head and tail
+    indexes, with infinite window widths and tail sums that sort the tails
+    out of index order."""
     rng = np.random.default_rng(10 * n + order)
-    for heads, tails, start in latnf.resonance._exhaustive_scan(n, order):
-        head_sum = rng.standard_normal(len(heads))
-        tail_sum = rng.standard_normal(len(tails))
-        blocks = latnf.resonance._window_blocks(
-            start, head_sum, tail_sum, lambda a, b: np.inf
-        )
-        for h, t in blocks:
-            assert len(h) == len(t)
-            yield np.hstack([heads[h], tails[t]])
+    heads, tails, start = latnf.resonance._exhaustive_scan(n, order)
+    head_sum = rng.standard_normal(len(heads))
+    tail_sum = rng.standard_normal(len(tails))
+    blocks = latnf.resonance._window_blocks(
+        start, head_sum, tail_sum, lambda a, b: np.inf, no_seed
+    )
+    for h, t in blocks:
+        assert len(h) == len(t)
+        yield np.hstack([heads[h], tails[t]])
 
 
 @pytest.fixture(scope="module")
@@ -130,12 +129,12 @@ def test_window_keeps_exactly_the_rows_inside_it(monkeypatch, block):
     # (|H + T| equal to the width) must be dropped and rows inside kept.
     monkeypatch.setattr(latnf.resonance, "BLOCK", block)
     rng = np.random.default_rng(block)
-    ((heads, tails, start),) = latnf.resonance._exhaustive_scan(6, 5)
+    heads, tails, start = latnf.resonance._exhaustive_scan(6, 5)
     head_sum = rng.integers(-4, 5, len(heads)).astype(float)
     tail_sum = rng.integers(-4, 5, len(tails)).astype(float)
     width = rng.choice([0.0, 1.0, 2.0, 3.5, np.inf], len(heads))
     blocks = list(latnf.resonance._window_blocks(
-        start, head_sum, tail_sum, lambda a, b: width[a:b]
+        start, head_sum, tail_sum, lambda a, b: width[a:b], no_seed
     ))
     got = [(int(h), int(t)) for hs, ts in blocks for h, t in zip(hs, ts)]
     want = [
@@ -186,7 +185,6 @@ def test_head_tail_split_matches_the_loop(monkeypatch, small_tables, name, order
     assert exact == (name == "exact-line")
     bands = band_partition(table)
     want = loop_certificate(table, order, bands)
-    assert want["exhaustive"]
     for block in (1, 3, 64):
         monkeypatch.setattr(latnf.resonance, "BLOCK", block)
         assert_fields(certify_nonresonance(table, order, partition=bands), want)
@@ -202,12 +200,11 @@ def test_nonpositive_tau_matches_the_loop(monkeypatch, small_tables, name, tau):
     # line has many zero-divisor ties.
     table = small_tables[name]
     bands = band_partition(table)
-    cases = [(2, {}), (4, {}), (6, {}), (5, {"budget": 10, "samples": 3000, "seed": 3})]
-    for order, kwargs in cases:
-        want = loop_certificate(table, order, bands, tau=tau, **kwargs)
+    for order in (2, 4, 5, 6):
+        want = loop_certificate(table, order, bands, tau=tau)
         for block in (1, 3, 64):
             monkeypatch.setattr(latnf.resonance, "BLOCK", block)
-            cert = certify_nonresonance(table, order, partition=bands, tau=tau, **kwargs)
+            cert = certify_nonresonance(table, order, partition=bands, tau=tau)
             assert_fields(cert, want)
 
 
@@ -228,10 +225,8 @@ def visited_rows(monkeypatch, table, order, bands, **kwargs):
 def test_order_6_scan_visits_few_rows(monkeypatch, certified_table, certified_bands):
     # 3262623 multisets; the rows that can beat the seeded windows are few.
     # The fields are those of the unpruned scan on the same table.
-    cert, visited = visited_rows(
-        monkeypatch, certified_table, 6, certified_bands, budget=4_000_000
-    )
-    assert cert.exhaustive and cert.n_checked == 3262623
+    cert, visited = visited_rows(monkeypatch, certified_table, 6, certified_bands)
+    assert cert.n_checked == 3262623
     assert visited <= 1_000
     assert cert.min_score == 0.007554739129191468
     assert cert.min_divisor == 2.8071816021935092e-05
@@ -240,12 +235,49 @@ def test_order_6_scan_visits_few_rows(monkeypatch, certified_table, certified_ba
     )
 
 
+#: rows the scans of the radius-8 table build or evaluate: the head table, the
+#: tail table at odd orders, and the seed and window rows
+ROWS = {3: 701, 4: 1370, 5: 8110, 6: 9274}
+
+
+@pytest.mark.parametrize("order", sorted(ROWS))
+def test_budget_counts_the_rows_built_or_evaluated(certified_table, certified_bands, order):
+    rows = ROWS[order]
+    cert = certify_nonresonance(certified_table, order, partition=certified_bands, budget=rows)
+    assert cert == certify_nonresonance(certified_table, order, partition=certified_bands)
+    with pytest.raises(CertificateError, match=f"order-{order} scan .* budget of {rows - 1} rows"):
+        certify_nonresonance(certified_table, order, partition=certified_bands, budget=rows - 1)
+
+
+def test_order_6_certificate_at_its_row_budget(tmp_path, certified_table, certified_bands):
+    cert = certify_nonresonance(certified_table, 6, partition=certified_bands, budget=ROWS[6])
+    path = tmp_path / "certificate.json"
+    certificate_to_json(cert, path)
+    reference = Path(__file__).parent / "nls_t1_order6_certificate_reference.json"
+    assert path.read_bytes() == reference.read_bytes()
+
+
+def test_over_budget_scan_is_refused_before_it_builds_its_tables():
+    # 298 signed modes: the order-8 head table alone has 3.3e8 rows
+    table = build_spectrum(enumerate_lattice(2, 7.0), TorusLaplacian())
+    bands = band_partition(table)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificateError, match="order-8 scan .* budget of 4000000 rows"):
+            certify_nonresonance(table, 8, partition=bands)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert latnf.normalform.CertificateError is CertificateError
+
+
 @pytest.mark.parametrize("order,bound", [(3, 25), (4, 450), (5, 75)])
 def test_low_order_scans_visit_few_rows(
     monkeypatch, certified_table, certified_bands, certificates, order, bound
 ):
     cert, visited = visited_rows(monkeypatch, certified_table, order, certified_bands)
-    assert cert.exhaustive and visited <= bound
+    assert visited <= bound
     assert cert == certificates[order]
 
 
@@ -256,7 +288,7 @@ def test_windows_of_mostly_unowned_tails(monkeypatch, block):
     # those heads do not own (t < start[h]).
     monkeypatch.setattr(latnf.resonance, "BLOCK", block)
     rng = np.random.default_rng(block)
-    ((heads, tails, start),) = latnf.resonance._exhaustive_scan(8, 4)
+    heads, tails, start = latnf.resonance._exhaustive_scan(8, 4)
     head_sum = rng.integers(-1, 2, len(heads)).astype(float)
     tail_sum = (2 * tails[:, 0] + rng.integers(0, 2, len(tails))).astype(float)
     width = rng.choice([3.0, 6.5, 9.0], len(heads))
@@ -385,16 +417,14 @@ def plane_tables():
 @pytest.mark.parametrize("radius,order", sorted(PLANE_CERTIFICATES))
 def test_plane_multiplier_certificates(plane_tables, radius, order):
     table = plane_tables[radius]
-    cert = certify_nonresonance(
-        table, order, partition=band_partition(table), budget=2_000_000_000
-    )
+    cert = certify_nonresonance(table, order, partition=band_partition(table))
     assert_fields(cert, PLANE_CERTIFICATES[radius, order])
 
 
 @pytest.mark.parametrize(
     "kwargs,name",
     [({"gamma": 0.0}, "gamma"), ({"gamma": -1.0}, "gamma"),
-     ({"budget": -1}, "budget"), ({"samples": 0}, "samples"),
+     ({"budget": -1}, "budget"), ({"gamma": math.nan}, "gamma"),
      ({"tau": math.nan}, "tau"), ({"tau": math.inf}, "tau"),
      ({"tau": -math.inf}, "tau"), ({"tau": 400.0}, "tau")],
 )
@@ -429,7 +459,7 @@ def test_pythagorean_witness(v0_table):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_certified_table(certified_table, order):
     cert = assert_same_certificate(certified_table, order)
-    assert cert.exhaustive and isinstance(cert.min_divisor, float)
+    assert isinstance(cert.min_divisor, float)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4])
@@ -439,26 +469,13 @@ def test_offset_lattice_float_spectrum(offset_table, order):
     assert_same_certificate(offset_table, order, tau=3.5)
 
 
-@pytest.mark.parametrize("order,seed", [(4, 3), (5, 7)])
-def test_sampled_path(certified_table, order, seed):
-    cert = assert_same_certificate(
-        certified_table, order, budget=1000, samples=5000, seed=seed
-    )
-    assert not cert.exhaustive and cert.n_checked == 5000
-
-
-def test_sampled_rows_sort_minus_before_plus(offset_table):
-    cert = assert_same_certificate(offset_table, 5, budget=10, samples=3000, seed=5)
-    assert list(cert.witness) == sorted(cert.witness)
-
-
 @pytest.mark.parametrize("block", [1, 4, 7])
 def test_ties_across_small_blocks(monkeypatch, v0_table, certified_table, block):
     monkeypatch.setattr(latnf.resonance, "BLOCK", block)
     for order in (2, 3):
         assert_same_certificate(v0_table, order)
+    for order in (2, 3, 4):
         assert_same_certificate(certified_table, order)
-    assert_same_certificate(certified_table, 3, budget=10, samples=500, seed=2)
 
 
 @pytest.mark.parametrize("order", [2, 3, 4, 5])
@@ -530,4 +547,5 @@ def test_many_band_table():
     mask = resonant_mask(table, bands, rows)
     want = [is_resonant_W(tuple(ext[i] for i in row), table, bands) for row in rows]
     assert mask.tolist() == want and 0 < sum(want) < len(want)
-    assert_same_certificate(table, 4, budget=1000, samples=3000, seed=9)
+    for order in (2, 3):
+        assert_same_certificate(table, order)

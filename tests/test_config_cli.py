@@ -4,6 +4,7 @@ The CLI tests call ``main`` in-process with ``--out-dir`` pointed at a tmp
 directory; one subprocess test covers the installed console entry point.
 """
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latnf import certify_nonresonance
 from latnf.cli import main
 from latnf.config import (
     ConfigError,
@@ -283,7 +285,8 @@ def test_cli_resonances_certifies_multiplier_system(tmp_path, capsys):
     "setting,message",
     [("resonance.gamma=-1", "gamma must be positive"),
      ("resonance.gamma=0", "gamma must be positive"),
-     ("resonance.budget=-5", "budget must be >= 0"),
+     # the scan's row budget is no config key
+     ("resonance.budget=-5", "unknown setting 'resonance.budget'"),
      # 8.0**400 overflows a float; nan and +-inf give no meaningful score
      ("resonance.tau=400", "tau=400.0 overflows"),
      ("resonance.tau=nan", "tau must be finite, got nan"),
@@ -370,8 +373,6 @@ def test_cli_normalform_rejects_uncertified_system(tmp_path, capsys):
     code = main(
         [
             "normalform",
-            "--set",
-            "normalform.cert_budget=200000",
             "--out-dir",
             str(tmp_path / "nf"),
         ]
@@ -496,10 +497,36 @@ def test_cli_normalform_zero_coupling_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):
+    # the scan's row budget is no config key
     assert _normalform(tmp_path, "normalform.cert_budget=-1") == 2
     captured = capsys.readouterr()
-    assert "budget must be >= 0" in captured.err
+    assert "unknown setting 'normalform.cert_budget'" in captured.err
     assert "FAIL" not in captured.out
+
+
+def test_cli_resonances_over_the_budget_fails(tmp_path, capsys):
+    # 2-D radius 7 has 298 signed modes: the order-8 head table alone has
+    # 3.3e8 rows, so the scan is refused before it builds anything
+    argv = ["resonances", "--set", "lattice.dim=2", "--set", "lattice.radius=7",
+            "--set", "resonance.order=8", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        "FAIL nonresonance: the order-8 scan needs more than its budget of "
+        "4000000 rows built or evaluated\n"
+    )
+    assert captured.err == ""
+
+
+def test_cli_normalform_over_the_budget_fails(tmp_path, capsys, monkeypatch):
+    # orders 3 and 4 of the radius-8 table need 701 and 1370 rows
+    monkeypatch.setattr(
+        "latnf.cli.certify_nonresonance", functools.partial(certify_nonresonance, budget=1000)
+    )
+    assert _normalform(tmp_path) == 1
+    captured = capsys.readouterr()
+    assert "FAIL normal form: the order-4 scan needs more than its budget of 1000 rows" in captured.out
+    assert "Traceback" not in captured.err and not (tmp_path / "normalform_manifest.json").exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-2"])

@@ -37,16 +37,14 @@ UNCALLED = {("normalform", "transform_state"), ("resonance", "small_divisor")}
 
 #: defaulted parameters that no caller outside the tests sets, kept on purpose:
 #: the options of ``transform_state`` await the command that runs it
-#: (ROADMAP item 7); ``random_form(real)``, ``certify_nonresonance(samples)``
-#: and ``solve_homological(verify)`` are test seams; only the tests start a
-#: trajectory from given modes (``SimulationConfig.initial_modes`` and
-#: ``initial_velocity_modes``)
+#: (ROADMAP item 7); ``random_form(real)`` and ``solve_homological(verify)``
+#: are test seams; only the tests start a trajectory from given modes
+#: (``SimulationConfig.initial_modes`` and ``initial_velocity_modes``)
 UNSET = {
     ("normalform", "transform_state", name)
     for name in ("lattice", "s", "ball", "inverse", "tol", "max_steps")
 } | {
     ("forms", "random_form", "real"),
-    ("resonance", "certify_nonresonance", "samples"),
     ("normalform", "solve_homological", "verify"),
     ("dynamics", "SimulationConfig", "initial_modes"),
     ("dynamics", "SimulationConfig", "initial_velocity_modes"),
@@ -165,8 +163,15 @@ def _is_dataclass(node):
 
 
 def _defaulted_fields(node):
-    """``(name, position)`` of each defaulted field of a dataclass, in field order."""
-    fields = [s for s in node.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    """``(name, position)`` of each defaulted field of a dataclass, in field order.
+
+    A ``ClassVar`` annotation declares no field.
+    """
+    fields = [
+        s for s in node.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+        and "ClassVar" not in _read_names(s.annotation)
+    ]
     return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
 
 
@@ -218,7 +223,8 @@ def test_the_scan_sees_unset_defaults():
             "def _private(x=0):\n    pass\n"
             "def run():\n    f(0, 5, k=6)\n    h(*args)\n"
             "@dataclass(frozen=True)\n"
-            "class C:\n    x: int\n    y: int = 1\n    z: int = 2\n    w: int = 3\n"
+            "class C:\n    x: int\n    k: ClassVar[int] = 0\n    y: int = 1\n    z: int = 2\n"
+            "    w: int = 3\n"
             "    @property\n    def v(self):\n        return 4\n"
             "class Plain:\n    k: int = 0\n"
             "def build():\n    return C(0, 1, w=5)\n"

@@ -143,10 +143,15 @@ def test_resonance_scan_at_order_3(flat, code):
     assert ("certified" in proc.stdout) != flat
 
 
-def test_resonance_scan_rejects_a_negative_budget():
-    proc = _run("resonance_scan.py", "--orders", 3, "--budget", -5)
-    assert proc.returncode == 2
-    assert proc.stderr == "usage error: budget must be >= 0, got -5\n"
+def test_resonance_scan_over_the_budget_fails():
+    # the order-8 head table of 2-D radius 7 alone is over the row budget
+    proc = _run("resonance_scan.py", "--flat", "--dim", 2, "--radius", 7, "--orders", 8)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == (
+        "order 8: FAILED, the order-8 scan needs more than its budget of "
+        "4000000 rows built or evaluated"
+    )
 
 
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
