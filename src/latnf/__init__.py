@@ -3,7 +3,6 @@
 from .lattice import (
     Lattice,
     MAX_POINTS,
-    conjugate,
     enumerate_lattice,
     extended_indexes,
     point_distance,

@@ -5,7 +5,7 @@ bands.  Interval ``n+1`` must start at least ``2 n^(-d/beta)`` above the end
 of interval ``n`` (n >= 1), and every interval besides the initial segment is
 at most 2 wide.  Construction is greedy left to right; when the greedy rule
 cannot satisfy an invariant on a given truncation, the partition is returned
-with the violation recorded as a diagnostic rather than raised.
+anyway, and ``check_band_invariants`` names the violation.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ class BandPartition:
     intervals: Tuple[Tuple[float, float], ...]
     dim: int
     beta: float
-    violations: Tuple[str, ...] = ()
 
     @property
     def nbands(self) -> int:
@@ -48,7 +47,8 @@ def band_partition(table: SpectrumTable) -> BandPartition:
 
     A new interval opens when the next distinct frequency clears the gap rule
     for the current band index, or when extending would stretch the band past
-    width 2 (the latter case records a gap violation: diagnostics, not error).
+    width 2 (the latter case leaves a gap that ``check_band_invariants``
+    reports).
     The gap rule reads the lattice dimension and the model exponent of ``table``.
     """
     dim, beta = table.lattice.dim, table.beta
@@ -56,7 +56,6 @@ def band_partition(table: SpectrumTable) -> BandPartition:
     if not distinct:
         return BandPartition(intervals=(), dim=dim, beta=beta)
     intervals = [(distinct[0], distinct[0])]  # initial segment closes eagerly
-    violations = []
     n = 0  # index of the last closed band
     i = 1
     while i < len(distinct):
@@ -65,21 +64,13 @@ def band_partition(table: SpectrumTable) -> BandPartition:
         lo = hi = distinct[i]
         i += 1
         while i < len(distinct):
-            gap = distinct[i] - hi
-            if gap >= required:
-                break
-            if distinct[i] - lo > 2.0:
-                violations.append(
-                    f"gap {gap:.6g} between bands {n} and {n + 1} is below the "
-                    f"required {required:.6g} (band {n} closed at width cap)"
-                )
+            # the gap rule opens the next band, or the width cap closes this one
+            if distinct[i] - hi >= required or distinct[i] - lo > 2.0:
                 break
             hi = distinct[i]
             i += 1
         intervals.append((lo, hi))
-    return BandPartition(
-        intervals=tuple(intervals), dim=dim, beta=beta, violations=tuple(violations)
-    )
+    return BandPartition(intervals=tuple(intervals), dim=dim, beta=beta)
 
 
 def band_of(partition: BandPartition, omega: float) -> int:
@@ -109,12 +100,11 @@ def band_map(table: SpectrumTable, partition: BandPartition) -> Dict[Point, int]
 class BandDiagnostics:
     widths_ok: bool
     gaps_ok: bool
-    linear_growth_ok: bool  # informational: interval n+1 starts below 3n
     violations: Tuple[str, ...]
 
 
 def check_band_invariants(partition: BandPartition) -> BandDiagnostics:
-    """Exact check of the width and gap invariants; growth bound reported only."""
+    """Exact check of the width and gap invariants."""
     violations = []
     widths_ok = True
     for n in range(1, partition.nbands):
@@ -122,7 +112,6 @@ def check_band_invariants(partition: BandPartition) -> BandDiagnostics:
             widths_ok = False
             violations.append(f"band {n} has width {partition.width(n):.6g} > 2")
     gaps_ok = True
-    linear_ok = True
     for n in range(1, partition.nbands - 1):
         gap = partition.intervals[n + 1][0] - partition.intervals[n][1]
         if gap < partition.gap_floor(n):
@@ -130,11 +119,4 @@ def check_band_invariants(partition: BandPartition) -> BandDiagnostics:
             violations.append(
                 f"gap above band {n} is {gap:.6g} < {partition.gap_floor(n):.6g}"
             )
-        if partition.intervals[n + 1][0] >= 3.0 * n:
-            linear_ok = False
-    return BandDiagnostics(
-        widths_ok=widths_ok,
-        gaps_ok=gaps_ok,
-        linear_growth_ok=linear_ok,
-        violations=tuple(violations),
-    )
+    return BandDiagnostics(widths_ok=widths_ok, gaps_ok=gaps_ok, violations=tuple(violations))

@@ -6,7 +6,7 @@ over the vectorized edge list).  The complement of the edge predicate is then
 a construction guarantee: cross-block pairs are separated by at least the
 same threshold.  Blocks are certified dyadic by the measured ratio
 ``sup |a| / inf |a|``; blocks containing a zero-norm mode are exempted from
-the ratio and reported separately.
+the ratio.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ class DyadicReport:
     constant: float
     worst_block: Optional[int]
     passed: bool
-    zero_blocks: Tuple[int, ...]  # blocks exempted because inf |a| = 0
 
 
 #: the cap on a block's measured ``sup|a| / inf|a|``
@@ -146,25 +145,21 @@ DYADIC_CAP = 4.0
 
 
 def certify_dyadic(partition: ClusterPartition, table: SpectrumTable) -> DyadicReport:
-    """Measured ``sup|a|/inf|a|`` per block versus ``DYADIC_CAP``."""
+    """Measured ``sup|a|/inf|a|`` per block versus ``DYADIC_CAP``.
+
+    A block with a zero-norm mode has no ratio and is exempted.
+    """
     worst = None
     constant = 1.0
-    zero_blocks = []
     for i, block in enumerate(partition.blocks):
         norms = [table.norm(p) for p in block]
         lo, hi = min(norms), max(norms)
         if lo == 0.0:
-            zero_blocks.append(i)
             continue
         ratio = hi / lo
         if ratio > constant:
             constant, worst = ratio, i
-    return DyadicReport(
-        constant=constant,
-        worst_block=worst,
-        passed=constant <= DYADIC_CAP,
-        zero_blocks=tuple(zero_blocks),
-    )
+    return DyadicReport(constant=constant, worst_block=worst, passed=constant <= DYADIC_CAP)
 
 
 def separation_margin(partition: ClusterPartition, table: SpectrumTable):

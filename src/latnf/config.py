@@ -26,9 +26,9 @@ def _as_bool(v) -> bool:
         return v
     if isinstance(v, str):
         low = v.strip().lower()
-        if low in ("true", "yes", "on", "1"):
+        if low in ("true", "yes", "on"):
             return True
-        if low in ("false", "no", "off", "0"):
+        if low in ("false", "no", "off"):
             return False
     raise ConfigError(f"expected a boolean, got {v!r}")
 
@@ -38,7 +38,7 @@ def _as_int(v) -> int:
         raise ConfigError(f"expected an integer, got {v!r}")
     if isinstance(v, int):
         return v
-    if isinstance(v, float) and v == int(v):
+    if isinstance(v, float) and v.is_integer():
         return int(v)
     if isinstance(v, str):
         try:
@@ -168,7 +168,7 @@ _SCHEMA = {
         "gamma": (_as_opt_float, None),
     },
     "measure": {
-        "decay": (_as_float, 2.0),
+        "decay": (_as_int, 2),
         "k": (_as_int_list, [1, -1]),
         "support": (_as_point_list, [(1,), (2,)]),
         "gamma": (_as_float_list, [0.1]),
@@ -179,7 +179,6 @@ _SCHEMA = {
         "radius": (_as_float, 0.01),
         "s": (_as_float, 4.0),
         "cutoff": (_as_opt_float, None),
-        "gamma": (_as_opt_float, None),
         "tau": (_as_opt_float, None),
         "nu": (_as_float, 2.0),
         "smoothing": (_as_float, 2.0),

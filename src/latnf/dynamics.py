@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -90,9 +91,9 @@ class SimulationConfig:
 
     ``nonlinearity`` maps powers of |psi|^2 (>= 1, so the nonlinear term
     vanishes at zero field) to coefficients; ``force`` maps powers of psi
-    (>= 3) for the beam potential.  Coefficients are scalars or Fourier
-    dictionaries for x-dependence.  ``track_orbital`` applies to the
-    Schrödinger model only.
+    (>= 3) for the beam potential.  Coefficients are real numbers,
+    constant in space.  ``track_orbital`` applies to the Schrödinger model
+    only.
 
     ``delta`` and ``c_delta`` are the separation constants of the cluster
     blocks whose superactions the ``Jblk_*`` columns record; the defaults
@@ -105,8 +106,8 @@ class SimulationConfig:
     radius: float = 8.0
     gram: Optional[Tuple[Tuple[float, ...], ...]] = None
     potential: Optional[Dict[Point, float]] = None
-    nonlinearity: Dict[int, object] = field(default_factory=lambda: {1: 1.0})
-    force: Optional[Dict[int, object]] = None
+    nonlinearity: Dict[int, float] = field(default_factory=lambda: {1: 1.0})
+    force: Optional[Dict[int, float]] = None
     mass_term: float = 1.0
     epsilon: float = 1e-2
     s: float = 4.0
@@ -142,6 +143,9 @@ class SimulationConfig:
             for j in self.force:
                 if int(j) < 3:
                     raise ValueError("beam force powers start at psi^3")
+        for c in [*self.nonlinearity.values(), *(self.force or {}).values()]:
+            if not isinstance(c, numbers.Real):
+                raise ValueError(f"coefficients are real numbers, got {c!r}")
         if self.model == "beam" and self.mass_term <= 0.0:
             raise ValueError("beam mass term must be positive")
         if self.model == "beam" and self.track_orbital is not None:
@@ -350,17 +354,8 @@ class _Grid:
         return (1.0 + norms) ** (2.0 * s)
 
 
-def _coeff_grid(coeff, grid: _Grid) -> np.ndarray:
-    """Real physical-space array of a scalar or Fourier-dict coefficient."""
-    if isinstance(coeff, dict):
-        spec = np.zeros(grid.shape, dtype=complex)
-        flat = spec.reshape(-1)
-        for m, c in coeff.items():
-            flat[grid.flat_index(tuple(m))] += complex(c)
-        arr = np.fft.ifftn(spec) * grid.size**grid.dim
-        if np.max(np.abs(arr.imag)) > 1e-12 * (1.0 + np.max(np.abs(arr.real))):
-            raise ValueError("x-dependent coefficient must be a real field")
-        return arr.real
+def _coeff_grid(coeff: float, grid: _Grid) -> np.ndarray:
+    """Constant physical-space array of a scalar coefficient."""
     return float(coeff) * np.ones(grid.shape)
 
 

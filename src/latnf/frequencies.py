@@ -185,10 +185,6 @@ class SpectrumTable:
     def beta(self) -> float:
         return self.model.beta
 
-    @property
-    def radius(self) -> float:
-        return self.lattice.radius
-
     def omega(self, point: Point):
         return _omega_map(self)[tuple(point)]
 

@@ -71,9 +71,6 @@ class Lattice:
     def __contains__(self, point) -> bool:
         return tuple(point) in _point_set(self)
 
-    def __iter__(self):
-        return iter(self.points)
-
 
 @lru_cache(maxsize=None)
 def _point_set(lattice: Lattice) -> frozenset:
@@ -133,12 +130,6 @@ def enumerate_lattice(dim: int, radius: float, offset=None) -> Lattice:
             f"empty truncation: no point of Z^{dim} + offset {off} within radius {radius}"
         )
     return Lattice(dim=dim, offset=off, radius=float(radius), points=tuple(pts))
-
-
-def conjugate(index: ExtIndex) -> ExtIndex:
-    """Flip the sign component, keeping the point."""
-    point, sign = index
-    return (point, -sign)
 
 
 def extended_indexes(lattice: Lattice) -> Tuple[ExtIndex, ...]:

@@ -66,17 +66,14 @@ class SmallnessError(ValueError):
 class NormalFormConfig:
     """Parameters of a normalization run.
 
-    ``gamma`` and ``tau`` default to the values certified for each degree;
-    explicit values must be supported by the certificates (the engine refuses
-    a gamma above a certificate's measured minimum).
+    The small-divisor constants ``gamma`` and ``tau`` of each degree are
+    those of its nonresonance certificate.
     """
 
     r: int
     radius: float
     s: float = 4.0
     cutoff: Optional[float] = None
-    gamma: Optional[float] = None
-    tau: Optional[float] = None
     nu: float = 2.0
     smoothing: float = 2.0
     mu_max: float = 1.0
@@ -86,8 +83,6 @@ class NormalFormConfig:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if not 0.0 < self.radius < 1.0:
             raise ValueError(f"radius must lie in (0,1), got {self.radius}")
-        if self.gamma is not None and self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
     @property
     def r_bar(self) -> int:
@@ -378,10 +373,9 @@ class NormalFormResult:
 
 
 def _constants_for(
-    degree: int,
-    config: NormalFormConfig,
-    by_order: Dict[int, NonresonanceCertificate],
+    degree: int, by_order: Dict[int, NonresonanceCertificate]
 ) -> Tuple[float, float]:
+    """``(gamma, tau)`` of the passed order-``degree`` certificate."""
     cert = by_order.get(degree)
     if cert is None:
         raise CertificateError(
@@ -393,16 +387,7 @@ def _constants_for(
             f"order-{degree} certificate failed (min score {cert.min_score:.3e} "
             f"< gamma {cert.gamma:.3e}); witness {cert.witness}"
         )
-    gamma = config.gamma if config.gamma is not None else cert.gamma
-    if gamma > cert.min_score:
-        raise CertificateError(
-            f"requested gamma {gamma} exceeds the certified minimum "
-            f"{cert.min_score:.3e} at order {degree}"
-        )
-    if gamma <= 0.0:
-        raise CertificateError(f"order-{degree} certificate has gamma {gamma} <= 0")
-    tau = config.tau if config.tau is not None else cert.tau
-    return float(gamma), float(tau)
+    return float(cert.gamma), float(cert.tau)
 
 
 def normalize(
@@ -413,7 +398,7 @@ def normalize(
     *,
     bands: BandPartition,
     clusters: ClusterPartition,
-    remainder_samples: int = 4,
+    remainder_samples: int,
     seed: int = 0,
 ) -> NormalFormResult:
     """Iteratively normalize ``H0 + perturbation`` up to the degree cap.
@@ -444,7 +429,7 @@ def normalize(
     gammas: Dict[int, float] = {}
     taus: Dict[int, float] = {}
     for degree in perturbation.degrees:
-        gammas[degree], taus[degree] = _constants_for(degree, config, by_order)
+        gammas[degree], taus[degree] = _constants_for(degree, by_order)
 
     if config.cutoff is not None:
         cutoff = float(config.cutoff)
@@ -481,7 +466,7 @@ def normalize(
         if low is None:
             break
         if low not in gammas:
-            gammas[low], taus[low] = _constants_for(low, config, by_order)
+            gammas[low], taus[low] = _constants_for(low, by_order)
         f_part = current.part(low)
         sol = solve_homological(
             f_part, table, bands, clusters, cutoff, gammas[low], taus[low],

@@ -554,7 +554,6 @@ class MeasureEstimate:
     stderr: float
     passed: bool
     gamma: float
-    n_samples: int
 
 
 def estimate_resonant_measure(
@@ -601,5 +600,4 @@ def estimate_resonant_measure(
         stderr=stderr,
         passed=fraction <= bound + 3.0 * stderr,
         gamma=gamma,
-        n_samples=n_samples,
     )

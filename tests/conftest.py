@@ -109,6 +109,7 @@ def nf_result(certified_table, certified_bands, certified_clusters, certificates
         [certificates[3], certificates[4]],
         bands=certified_bands,
         clusters=certified_clusters,
+        remainder_samples=4,
         seed=0,
     )
 

@@ -1,9 +1,9 @@
 """Reference implementations that the tests compare the package against.
 
-The dict path: signed keys (``canonical_key``), dict states and the
-builders on them (``from_dict``, ``dict_nls_quartic``, ``dict_random_form``,
-``dict_vector_field``, ``dict_sobolev_norm``), the bit-for-bit oracles of
-the array builders and states of ``latnf.forms``.  Per-key and per-state
+The dict path: signed keys (``canonical_key``, ``conjugate``), dict
+states and the builders on them (``from_dict``, ``dict_nls_quartic``,
+``dict_random_form``, ``dict_vector_field``, ``dict_sobolev_norm``), the
+bit-for-bit oracles of the array builders and states of ``latnf.forms``.  Per-key and per-state
 loops that no command runs: the multilinear evaluations, the per-key
 nonresonance test and entry ordering, and the key multiplicity, each the
 oracle of a row kernel of the package (``vector_field``,
@@ -41,7 +41,7 @@ from latnf.forms import (
     zero_form,
 )
 from latnf.frequencies import SpectrumTable
-from latnf.lattice import ExtIndex, Lattice, Point, conjugate, extended_indexes, point_distance
+from latnf.lattice import ExtIndex, Lattice, Point, extended_indexes, point_distance
 from latnf.resonance import is_resonant_W, validate_cutoff
 
 
@@ -139,6 +139,12 @@ def dict_sobolev_norm(values: State, lattice: Lattice, s: float) -> float:
 
 
 # --- signed keys and real states ---------------------------------------------
+
+
+def conjugate(index: ExtIndex) -> ExtIndex:
+    """Flip the sign component, keeping the point."""
+    point, sign = index
+    return (point, -sign)
 
 
 def conjugate_key(key: Iterable[ExtIndex]) -> Tuple[ExtIndex, ...]:

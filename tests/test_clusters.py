@@ -113,9 +113,14 @@ def test_dyadic_certificate(certified_table, certified_clusters):
     report = certify_dyadic(certified_clusters, certified_table)
     assert report.passed
     assert report.constant >= 1.0
-    zero_block = block_index_map(certified_clusters)[(0,)]
-    if len(certified_clusters.blocks[zero_block]) == 1:
-        assert zero_block in report.zero_blocks
+    # a block with the zero mode has no ratio: it is exempted
+    ratios = []
+    for block in certified_clusters.blocks:
+        norms = [certified_table.norm(p) for p in block]
+        if min(norms) > 0.0:
+            ratios.append(max(norms) / min(norms))
+    assert report.constant == max(ratios)
+    assert report.worst_block != block_index_map(certified_clusters)[(0,)]
 
 
 def test_high_mode_blocks_strict_cutoff(certified_table, certified_clusters):

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latnf import certify_nonresonance
-from latnf.cli import main
+from latnf import NormalFormConfig, certify_nonresonance, check_band_invariants
+from latnf.cli import build_system, main
 from latnf.config import (
     ConfigError,
     apply_overrides,
@@ -151,6 +151,42 @@ def test_override_errors():
     # JSON true parses to a boolean, which is not an integer seed.
     with pytest.raises(ConfigError, match="expected an integer"):
         apply_overrides(default_config(), ["run.seed=true"])
+    # JSON Infinity and NaN parse to floats that no integer equals
+    for value in ("Infinity", "NaN"):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            apply_overrides(default_config(), [f"measure.n_samples={value}"])
+
+
+@pytest.mark.parametrize(
+    "value,code,written",
+    [("true", 0, True), ("false", 0, False), ("yes", 0, True), ("no", 0, False),
+     ("on", 0, True), ("off", 0, False),
+     # a bare 1 parses as the JSON integer 1, which is no boolean
+     ("1", 2, False)],
+)
+def test_every_documented_boolean_spelling(tmp_path, capsys, value, code, written):
+    argv = ["spectrum", "--set", f"output.manifest={value}", "--out-dir", str(tmp_path)]
+    assert main(argv) == code
+    assert (tmp_path / "spectrum_manifest.json").exists() == written
+    if code == 2:
+        assert "expected a boolean, got 1" in capsys.readouterr().err
+
+
+def test_cli_measure_decay_is_an_integer(tmp_path, capsys):
+    argv = ["measure", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path), "--set"]
+    assert main(argv + ["measure.decay=2.5"]) == 2
+    assert "expected an integer, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "measure_manifest.json").exists()
+    bounds = {}
+    for decay in ("2.0", "3"):
+        assert main(argv + [f"measure.decay={decay}"]) == 0
+        manifest = json.loads((tmp_path / "measure_manifest.json").read_text())
+        echo = manifest["config"]["measure"]["decay"]
+        assert echo == int(float(decay)) and isinstance(echo, int)
+        bounds[decay] = manifest["results"]["rows"][0]["bound"]
+    capsys.readouterr()
+    # the bound is 2 gamma K**decay with K**2 = 5 on the support of nls_t1.ini
+    assert bounds == {"2.0": pytest.approx(1.0), "3": pytest.approx(0.2 * 5**1.5)}
 
 
 def test_config_to_jsonable_flattens_tuples():
@@ -225,6 +261,19 @@ def test_cli_spectrum_writes_artifacts(tmp_path, capsys):
     assert manifest["results"]["n_bands"] == 9
     assert manifest["results"]["band_violations"] == []
     assert manifest["artifacts"]["spectrum.csv"] == file_sha256(csv_path)
+
+
+def test_cli_spectrum_lists_each_band_violation_once(tmp_path, capsys):
+    # the radius-6 torus in three dimensions crowds its bands past the gap rule
+    settings = ["lattice.dim=3", "lattice.radius=6"]
+    argv = ["spectrum", "--out-dir", str(tmp_path)]
+    assert main(argv + [arg for item in settings for arg in ("--set", item)]) == 1
+    out = capsys.readouterr().out
+    cfg = apply_overrides(load_config(None), settings)
+    expected = check_band_invariants(build_system(cfg).bands).violations
+    assert out.endswith(f"FAIL band invariants: {expected[0]}\n")
+    manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
+    assert manifest["results"]["band_violations"] == list(expected)
 
 
 def test_cli_manifest_byte_identical_on_repeat(tmp_path, capsys):
@@ -454,9 +503,10 @@ def _normalform(tmp_path, *overrides):
 
 
 def test_cli_normalform_certificate_failure_exits_1(tmp_path, capsys):
-    assert _normalform(tmp_path, "normalform.gamma=1e9") == 1
+    # the plain torus spectrum is resonant: its order-4 certificate fails
+    assert _normalform(tmp_path, "model.kind=torus") == 1
     out = capsys.readouterr().out
-    assert "FAIL normal form" in out and "exceeds the certified minimum" in out
+    assert out.startswith("FAIL normal form: order-4 certificate failed")
 
 
 def test_cli_normalform_smallness_failure_exits_1(tmp_path, capsys):
@@ -465,12 +515,14 @@ def test_cli_normalform_smallness_failure_exits_1(tmp_path, capsys):
     assert "FAIL normal form" in out and "smallness violated" in out
 
 
-@pytest.mark.parametrize("gamma", ["0", "-1e-3"])
-def test_cli_normalform_nonpositive_gamma_is_a_usage_error(tmp_path, capsys, gamma):
-    assert _normalform(tmp_path, f"normalform.gamma={gamma}") == 2
+def test_cli_normalform_gamma_is_an_unknown_key(tmp_path, capsys):
+    # gamma and tau of each degree are those of its certificate
+    assert _normalform(tmp_path, "normalform.gamma=0.01") == 2
     captured = capsys.readouterr()
-    assert "gamma must be positive" in captured.err
+    assert "unknown setting 'normalform.gamma'" in captured.err
     assert "FAIL" not in captured.out
+    with pytest.raises(TypeError, match="gamma"):
+        NormalFormConfig(r=1, radius=0.1, gamma=0.01)
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,18 @@ def test_config_validation():
         SimulationConfig(model="beam", mass_term=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"nonlinearity": {1: -2.0, 2: {(0,): 0.5, (1,): 0.1}}},
+     {"model": "beam", "force": {3: 0.1, 5: {(0,): 0.02}}},
+     {"nonlinearity": {1: 1.0 + 0.5j}}],
+)
+def test_coefficients_are_real_numbers(kwargs):
+    # the config reads every coefficient as a float: no command sends a Fourier dict
+    with pytest.raises(ValueError, match="coefficients are real numbers"):
+        SimulationConfig(**kwargs)
+
+
 def test_dt_stability_guard():
     cfg = SimulationConfig(radius=8.0, dt=0.5, horizon=1.0)
     with pytest.raises(ValueError, match="stability bound"):

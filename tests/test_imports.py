@@ -11,6 +11,12 @@ in ``perfbench/``.  Code that only the tests call belongs under ``tests/``
 (``tests/oracles.py``, ``tests/estimates.py``).  The exceptions are listed in
 ``UNCALLED``.
 
+Every field of a public dataclass of ``src/latnf`` must be read as an
+attribute (``x.field``) somewhere in the package, in ``scripts/`` or in
+``perfbench/``: a result that nothing reads is not computed.  The scan
+matches names only, so a read of a same-named attribute of another object
+counts.  The exceptions are listed in ``UNREAD``.
+
 Every defaulted parameter of a public top-level function of ``src/latnf``,
 and every defaulted field of a public dataclass, must be set by some call in
 the package, in ``scripts/`` or in ``perfbench/``: a default that no caller
@@ -34,6 +40,11 @@ MODULES = sorted(
 #: ``transform_state`` awaits a command, and ``small_divisor`` is the
 #: definition the certification scan and ``solve_homological`` match bit for bit
 UNCALLED = {("normalform", "transform_state"), ("resonance", "small_divisor")}
+
+#: dataclass fields that nothing outside the tests reads, kept on purpose: the
+#: acceptance criterion 05 checks the homological estimate from the norms of
+#: the solution (``|G| <= K**tau / gamma |F|`` and ``|Z| <= |F|``)
+UNREAD = {("normalform", "HomologicalSolution", name) for name in ("f_norm", "g_norm", "z_norm")}
 
 #: defaulted parameters that no caller outside the tests sets, kept on purpose:
 #: the options of ``transform_state`` await the command that runs it
@@ -90,20 +101,54 @@ def _read_names(node):
     }
 
 
+def _latnf_modules(tree, modules):
+    """Names that the imports of ``tree`` bind to ``latnf`` or one of its ``modules``."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(
+                a.asname or "latnf" for a in node.names if a.name.split(".")[0] == "latnf"
+            )
+        elif isinstance(node, ast.ImportFrom):
+            # ``from latnf import forms`` and, in the package, ``from . import forms``
+            if node.module == "latnf" or (node.level and node.module is None):
+                bound.update(a.asname or a.name for a in node.names if a.name in modules)
+    return bound
+
+
+def _root(node):
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _module_reads(node, bound):
+    """Bare names, and attributes whose root name is one of the ``bound`` modules."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, ast.Name) or isinstance(n, ast.Attribute) and _root(n) in bound
+    }
+
+
 def uncalled_definitions(package, outside):
     """``(module, name)`` of each public top-level def or class that nothing reads.
 
     ``package`` maps module names to sources, ``outside`` lists the sources
     of the scripts and the benchmark.  A definition is read when its name
-    appears as a bare name or an attribute in another top-level statement of
-    the package or anywhere in an outside source.
+    appears in another top-level statement of the package or anywhere in an
+    outside source, as a bare name or as an attribute of a name that an
+    import binds to ``latnf`` or one of its modules (``np.conjugate`` reads
+    no ``conjugate`` of the package).
     """
-    statements = [
-        (module, node, _read_names(node))
-        for module, source in package.items()
-        for node in ast.parse(source).body
-    ]
-    read_outside = set().union(*(_read_names(ast.parse(source)) for source in outside))
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    statements = []
+    for module, tree in trees.items():
+        bound = _latnf_modules(tree, trees)
+        statements += [(module, node, _module_reads(node, bound)) for node in tree.body]
+    read_outside = set()
+    for tree in map(ast.parse, outside):
+        read_outside |= _module_reads(tree, _latnf_modules(tree, trees))
     found = set()
     for module, node, _ in statements:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
@@ -123,12 +168,22 @@ def test_the_scan_sees_uncalled_definitions():
             "def recursive():\n    return recursive()\n"
             "class Read:\n    pass\n"
             "def scripted():\n    pass\n"
+            "def aliased():\n    pass\n"
+            "def imported():\n    pass\n"
+            "def conjugate():\n    pass\n"
             "def _private():\n    pass\n"
         ),
-        "b": "import a\nx = a.Read\n",
+        "b": "from . import a\nx = a.Read\n",
+        # an attribute of numpy reads no definition of the package
+        "c": "import numpy as np\ny = np.conjugate(1j)\n",
     }
-    outside = ["import latnf\nlatnf.a.scripted()\n"]
-    assert uncalled_definitions(package, outside) == {("a", "caller"), ("a", "recursive")}
+    outside = [
+        "import latnf\nlatnf.a.scripted()\n",
+        "import latnf.a as mod\nfrom latnf import a\nmod.aliased(a.imported)\n",
+    ]
+    assert uncalled_definitions(package, outside) == {
+        ("a", "caller"), ("a", "recursive"), ("a", "conjugate"),
+    }
 
 
 def _sources():
@@ -162,17 +217,18 @@ def _is_dataclass(node):
     return any("dataclass" in _read_names(d) for d in node.decorator_list)
 
 
-def _defaulted_fields(node):
-    """``(name, position)`` of each defaulted field of a dataclass, in field order.
-
-    A ``ClassVar`` annotation declares no field.
-    """
-    fields = [
+def _fields(node):
+    """The field declarations of a dataclass; a ``ClassVar`` annotation declares none."""
+    return [
         s for s in node.body
         if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
         and "ClassVar" not in _read_names(s.annotation)
     ]
-    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
+def _defaulted_fields(node):
+    """``(name, position)`` of each defaulted field of a dataclass, in field order."""
+    return [(f.target.id, i) for i, f in enumerate(_fields(node)) if f.value is not None]
 
 
 def _sets(call, name, position):
@@ -236,3 +292,45 @@ def test_the_scan_sees_unset_defaults():
 
 def test_every_default_is_set_by_a_caller():
     assert unset_defaults(*_sources()) == UNSET
+
+
+def unread_fields(package, outside):
+    """``(module, class, field)`` of each field of a public dataclass that nothing reads.
+
+    A field is read when an attribute of its name is loaded anywhere in
+    ``package`` or ``outside``; an assignment to it is no read.
+    """
+    read = set()
+    for source in list(package.values()) + list(outside):
+        read |= {
+            n.attr for n in ast.walk(ast.parse(source))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+    return {
+        (module, node.name, f.target.id)
+        for module, source in package.items()
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node) and not node.name.startswith("_")
+        for f in _fields(node)
+        if f.target.id not in read
+    }
+
+
+def test_the_scan_sees_unread_fields():
+    package = {
+        "a": (
+            "@dataclass\n"
+            "class Report:\n    shown: int\n    echoed: int\n    unread: int\n"
+            "    k: ClassVar[int] = 0\n"
+            "    def total(self):\n        return self.shown\n"
+            "@dataclass\nclass _Private:\n    hidden: int\n"
+            "class Plain:\n    plain: int = 0\n"
+            "def make():\n    r = Report(1, 2, 3)\n    r.unread = 4\n    return r\n"
+        ),
+    }
+    outside = ["print(report.echoed)\n"]
+    assert unread_fields(package, outside) == {("a", "Report", "unread")}
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields(*_sources()) == UNREAD

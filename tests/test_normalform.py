@@ -182,7 +182,7 @@ def test_normalize_requires_certificates(certified_table, certified_partitions, 
     with pytest.raises(ValueError, match="certificate"):
         normalize(
             certified_table, poly_from_forms([cubic]), cfg, [certificates[4]],
-            **certified_partitions,
+            **certified_partitions, remainder_samples=4,
         )
 
 
@@ -192,19 +192,9 @@ def test_normalize_rejects_failed_certificate(torus_table, torus_partitions):
     cubic = random_form(torus_table.lattice, 3, n_terms=4, seed=24)
     cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
     with pytest.raises(ValueError, match="failed"):
-        normalize(torus_table, poly_from_forms([cubic]), cfg, [bad], **torus_partitions)
-
-
-def test_normalize_rejects_overconfident_gamma(certified_table, certified_partitions, certificates):
-    quartic = nls_quartic(certified_table.lattice)
-    cfg = NormalFormConfig(
-        r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF,
-        gamma=2.0 * certificates[4].min_score,
-    )
-    with pytest.raises(ValueError, match="exceeds the certified minimum"):
         normalize(
-            certified_table, poly_from_forms([quartic]), cfg, [certificates[4]],
-            **certified_partitions,
+            torus_table, poly_from_forms([cubic]), cfg, [bad], **torus_partitions,
+            remainder_samples=4,
         )
 
 
@@ -213,12 +203,13 @@ def test_normalize_rejects_bad_perturbation_degrees(
 ):
     cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
     certs = list(certificates.values())
+    kw = dict(certified_partitions, remainder_samples=4)
     sextic = random_form(certified_table.lattice, 6, n_terms=2, seed=25)
     with pytest.raises(ValueError, match="above the cap"):
-        normalize(certified_table, poly_from_forms([sextic]), cfg, certs, **certified_partitions)
+        normalize(certified_table, poly_from_forms([sextic]), cfg, certs, **kw)
     quad = random_form(certified_table.lattice, 2, n_terms=2, seed=26)
     with pytest.raises(ValueError, match="need >= 3"):
-        normalize(certified_table, poly_from_forms([quad]), cfg, certs, **certified_partitions)
+        normalize(certified_table, poly_from_forms([quad]), cfg, certs, **kw)
 
 
 def test_normalize_rejects_large_radius(certified_table, certified_partitions, certificates):
@@ -227,7 +218,7 @@ def test_normalize_rejects_large_radius(certified_table, certified_partitions, c
     with pytest.raises(ValueError, match="smallness violated"):
         normalize(
             certified_table, poly_from_forms([quartic]), cfg, [certificates[4]],
-            **certified_partitions,
+            **certified_partitions, remainder_samples=4,
         )
 
 
@@ -420,17 +411,13 @@ def test_normal_form_failures_are_typed(
     assert issubclass(CertificateError, ValueError) and issubclass(SmallnessError, ValueError)
     quartic = poly_from_forms([nls_quartic(certified_table.lattice)])
     cfg = NormalFormConfig(r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF)
+    kw = dict(certified_partitions, remainder_samples=4)
     with pytest.raises(CertificateError, match="no nonresonance certificate"):
-        normalize(certified_table, quartic, cfg, [certificates[3]], **certified_partitions)
+        normalize(certified_table, quartic, cfg, [certificates[3]], **kw)
     bad = certify_nonresonance(torus_table, 3, partition=torus_partitions["bands"])
     cubic = poly_from_forms([random_form(torus_table.lattice, 3, n_terms=4, seed=24)])
     with pytest.raises(CertificateError, match="failed"):
-        normalize(torus_table, cubic, cfg, [bad], **torus_partitions)
-    greedy = NormalFormConfig(
-        r=1, radius=NF_RADIUS, cutoff=NF_CUTOFF, gamma=2.0 * certificates[4].min_score
-    )
-    with pytest.raises(CertificateError, match="exceeds the certified minimum"):
-        normalize(certified_table, quartic, greedy, [certificates[4]], **certified_partitions)
+        normalize(torus_table, cubic, cfg, [bad], **torus_partitions, remainder_samples=4)
     key = ((((1,), 1), ((2,), 1), ((3,), -1)))
     with pytest.raises(CertificateError, match="certificate breached"):
         solve_homological(
@@ -439,11 +426,4 @@ def test_normal_form_failures_are_typed(
         )
     large = NormalFormConfig(r=1, radius=0.9, cutoff=NF_CUTOFF)
     with pytest.raises(SmallnessError, match="smallness violated before step 0"):
-        normalize(certified_table, quartic, large, [certificates[4]], **certified_partitions)
-
-
-@pytest.mark.parametrize("gamma", [0.0, -1.0])
-def test_nonpositive_gamma_is_rejected_by_the_config(gamma):
-    with pytest.raises(ValueError, match="gamma must be positive") as info:
-        NormalFormConfig(r=1, radius=0.1, gamma=gamma)
-    assert not isinstance(info.value, (CertificateError, SmallnessError))
+        normalize(certified_table, quartic, large, [certificates[4]], **kw)

@@ -39,10 +39,11 @@ from latnf import (
 )
 import latnf.forms
 from latnf.forms import zero_form
-from latnf.lattice import conjugate, point_distance
+from latnf.lattice import point_distance
 
 from oracles import (
     canonical_key,
+    conjugate,
     conjugate_key,
     dict_nls_quartic,
     dict_random_form,

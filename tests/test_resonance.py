@@ -249,7 +249,6 @@ def test_measure_estimate_respects_the_density_bound():
             est = estimate_resonant_measure(ens, lat, coeffs, gamma, n_samples=4000, seed=50 + i)
             assert est.passed
             assert est.fraction <= est.bound + 3.0 * est.stderr
-            assert est.n_samples == 4000
 
 
 def test_measure_estimate_validation():

@@ -63,14 +63,15 @@ def test_normalform_demo_on_the_small_system(tmp_path):
 
 
 def test_normalform_demo_prints_the_failure_and_exits_1(tmp_path):
-    settings = {**SMALL_SYSTEM, ("normalform", "gamma"): "1e9"}
-    config = _config(tmp_path, "greedy.ini", settings)
+    settings = {**SMALL_SYSTEM, ("model", "kind"): "torus"}
+    config = _config(tmp_path, "torus.ini", settings)
     proc = _run("normalform_demo.py", "--config", config, "--skip-flow")
     assert proc.returncode == 1
     assert proc.stderr == ""
     assert proc.stdout == (
-        "cannot normalize this system: requested gamma 1000000000.0 exceeds "
-        "the certified minimum 9.163e-02 at order 4\n"
+        "cannot normalize this system: order-4 certificate failed (min score "
+        "0.000e+00 < gamma 0.000e+00); witness (((-5,), 1), ((-5,), -1), ((0,), 1), "
+        "((0,), 1))\n"
     )
 
 
