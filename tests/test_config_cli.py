@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latnf import NormalFormConfig, certify_nonresonance, check_band_invariants
+from latnf import certify_nonresonance, check_band_invariants
 from latnf.cli import build_system, main
 from latnf.config import (
     ConfigError,
@@ -515,14 +515,13 @@ def test_cli_normalform_smallness_failure_exits_1(tmp_path, capsys):
     assert "FAIL normal form" in out and "smallness violated" in out
 
 
-def test_cli_normalform_gamma_is_an_unknown_key(tmp_path, capsys):
-    # gamma and tau of each degree are those of its certificate
-    assert _normalform(tmp_path, "normalform.gamma=0.01") == 2
+@pytest.mark.parametrize("gamma", ["0", "-1e-3"])
+def test_cli_normalform_nonpositive_gamma_is_a_usage_error(tmp_path, capsys, gamma):
+    # gamma and tau of each degree are those of its certificate: no key sets them
+    assert _normalform(tmp_path, f"normalform.gamma={gamma}") == 2
     captured = capsys.readouterr()
     assert "unknown setting 'normalform.gamma'" in captured.err
     assert "FAIL" not in captured.out
-    with pytest.raises(TypeError, match="gamma"):
-        NormalFormConfig(r=1, radius=0.1, gamma=0.01)
 
 
 @pytest.mark.parametrize(

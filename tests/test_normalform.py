@@ -427,3 +427,11 @@ def test_normal_form_failures_are_typed(
     large = NormalFormConfig(r=1, radius=0.9, cutoff=NF_CUTOFF)
     with pytest.raises(SmallnessError, match="smallness violated before step 0"):
         normalize(certified_table, quartic, large, [certificates[4]], **kw)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0])
+def test_nonpositive_gamma_is_rejected_by_the_config(gamma):
+    # gamma is the certificate's own: the config takes none to validate
+    with pytest.raises(TypeError, match="gamma") as info:
+        NormalFormConfig(r=1, radius=0.1, gamma=gamma)
+    assert not isinstance(info.value, (CertificateError, SmallnessError))
