@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Tuple
 
 from .frequencies import SpectrumTable
-from .lattice import Point
+from .lattice import Point, _per_object
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,12 +84,12 @@ def band_of(partition: BandPartition, omega: float) -> int:
     raise ValueError(f"frequency {omega} is not covered by any band")
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def _interval_starts(partition: BandPartition) -> tuple:
     return tuple(lo for lo, _ in partition.intervals)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def band_map(table: SpectrumTable, partition: BandPartition) -> Dict[Point, int]:
     """Band index of every tabulated point (cached)."""
     return {p: band_of(partition, float(om)) for p, om in zip(table.points, table.omegas)}

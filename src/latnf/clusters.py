@@ -15,13 +15,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .frequencies import SpectrumTable
-from .lattice import Point, effective_array
+from .lattice import Point, _per_object, effective_array
 
 
 class _DisjointSet:
@@ -68,7 +67,7 @@ class ClusterPartition:
         return len(self.blocks)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def block_index_map(partition: ClusterPartition) -> Dict[Point, int]:
     out = {}
     for i, block in enumerate(partition.blocks):

@@ -309,20 +309,23 @@ def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> n
     contributions are summed per code in row order by one ``np.add.at``
     into a zeroed accumulator (one per block, zeroed for every column),
     which is then added to the result.  Each code column of a block is read
-    as ``intp`` once, for the gather and the scatter: ``intp`` codes in
+    as ``intp`` once, for the gathers and the scatter: ``intp`` codes in
     column-major order (``np.asfortranarray``) are used as they are, any
-    other column is converted.
+    other column is converted.  ``x`` is gathered at a column once for the
+    prefix products and again for the suffix, and each prefix product is
+    dropped once used, so a block holds no list of gathered columns.
     """
     out = np.zeros(size, dtype=complex)
     for a in range(0, len(coef), BLOCK):
         index = [col.astype(np.intp, copy=False) for col in codes[a : a + BLOCK].T]
-        cols = [x[i] for i in index]
         prefix = [coef[a : a + BLOCK]]
-        for col in cols[:-1]:
-            prefix.append(prefix[-1] * col)
+        for i in index[:-1]:
+            prefix.append(prefix[-1] * x[i])
         acc = suffix = None
-        for j in range(len(cols) - 1, -1, -1):
-            part = prefix[j] if suffix is None else prefix[j] * suffix
+        for j in range(len(index) - 1, -1, -1):
+            part = prefix.pop()
+            if suffix is not None:
+                part = part * suffix
             if acc is None:
                 acc = np.zeros(size, part.dtype)
             else:
@@ -330,7 +333,8 @@ def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> n
             np.add.at(acc, index[j], part)
             out += acc
             if j:
-                suffix = cols[j] if suffix is None else suffix * cols[j]
+                col = x[index[j]]
+                suffix = col if suffix is None else suffix * col
     return out
 
 

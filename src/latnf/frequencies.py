@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .lattice import Lattice, Point, effective_array
+from .lattice import Lattice, Point, _per_object, effective_array
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ class SpectrumTable:
         return len(self.points)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def _omega_map(table: SpectrumTable) -> dict:
     return dict(zip(table.points, table.omegas))
 

@@ -9,10 +9,11 @@ two conjugate components attached to each mode.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -22,6 +23,33 @@ ExtIndex = Tuple[Point, int]  # (integer part, sign in {+1, -1})
 
 #: refuse truncations whose point count exceeds this cap
 MAX_POINTS = 10**6
+
+
+def _per_object(fn):
+    """Cache ``fn(key)`` or ``fn(key, other)`` on the object ``key``.
+
+    The value is kept in ``key.__dict__``, as ``functools.cached_property``
+    keeps its own (a frozen dataclass allows it), so it dies with ``key``.
+    With a second key it goes in a ``weakref.WeakKeyDictionary`` there, which
+    also drops it when ``other`` is collected.  Keys hash by identity
+    (``eq=False`` dataclasses).
+    """
+    # not an identifier, so no field or attribute can clash with it
+    name = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(key, *other):
+        entry = key.__dict__.get(name)
+        if entry is None:
+            entry = key.__dict__[name] = weakref.WeakKeyDictionary() if other else fn(key)
+        if not other:
+            return entry
+        value = entry.get(other[0])
+        if value is None:
+            value = entry[other[0]] = fn(key, other[0])
+        return value
+
+    return cached
 
 
 def _as_offset(dim: int, offset) -> Tuple[float, ...]:
@@ -72,12 +100,12 @@ class Lattice:
         return tuple(point) in _point_set(self)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def _point_set(lattice: Lattice) -> frozenset:
     return frozenset(lattice.points)
 
 
-@lru_cache(maxsize=None)
+@_per_object
 def effective_array(lattice: Lattice) -> np.ndarray:
     """(npoints, dim) array of effective coordinates, in ``points`` order."""
     arr = np.asarray(lattice.points, dtype=float).reshape(lattice.npoints, lattice.dim)

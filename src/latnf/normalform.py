@@ -382,6 +382,11 @@ def _constants_for(
             f"no nonresonance certificate of order {degree}; "
             "the engine refuses to run without one"
         )
+    if cert.min_score == 0:
+        raise CertificateError(
+            f"order-{degree} certificate failed (min score 0: an exact "
+            f"off-set resonance); witness {cert.witness}"
+        )
     if not cert.passed:
         raise CertificateError(
             f"order-{degree} certificate failed (min score {cert.min_score:.3e} "

@@ -21,9 +21,9 @@ followed by a tail, in ``combinations_with_replacement`` order: each
 non-decreasing head of ``order // 2`` indexes is followed by the tails,
 non-decreasing rows of the remaining length, that start at the head's last
 index.  A head's partial divisor and the largest floor level of each head
-and tail are computed once per scan; a block adds each row's tail columns to
-its head's partial sum, and a head whose tails outrun a block is split
-across blocks.  Divisors add the signed frequencies column by column, left
+and tail are computed once per table (below); a block adds each row's tail
+columns to its head's partial sum, and a head whose tails outrun a block is
+split across blocks.  Divisors add the signed frequencies column by column, left
 to right, as ``small_divisor`` does, so each is bit-identical to it: float64
 on float spectra, exact Python integers otherwise.  Only the rows of a block
 that beat a running minimum are built as full index rows and tested for
@@ -47,7 +47,7 @@ minima only fall as the scan goes on, so a window taken from them as the
 scan reaches a head holds for all of that head's rows.  A row left out is
 no candidate: its divisor and score are no less than minima that rows before
 it reached, and the witnesses are first minima, so no certificate field
-changes.  The tail partial sums are sorted once per scan, and each head's
+changes.  The tail partial sums are sorted once per table, and each head's
 window is a ``searchsorted`` range of them, widened by a margin that covers
 the float rounding of the partial sums, of the divisors and of the window
 itself, and the float conversion of exact or mixed spectra.  A head whose
@@ -82,6 +82,16 @@ table, the tail table when it is a separate one (odd orders), and the seed
 and window rows.  The tables are counted before they are built and each
 block before it is evaluated; a scan that would go over the budget raises
 ``CertificateError`` and gives no certificate.
+
+Every order of one table and band partition reads one scan state, built on
+first use and freed when the table or the partition is collected: the
+signed modes and frequencies, the floor levels and the signed bands, and for
+each row length ``k`` that a scan has used the non-decreasing ``k``-row
+table with its partial divisors, largest floor levels, float partial sums
+and their stable order.  Orders 3 to 6 build the tables of ``k`` = 1, 2 and
+3 once each.  The budget still charges the head and tail tables on every
+scan, built or reused, so no certificate and no refusal depends on what was
+certified before.
 """
 
 from __future__ import annotations
@@ -96,7 +106,7 @@ import numpy as np
 
 from .bands import BandPartition, band_map
 from .frequencies import SpectralMultiplier, SpectrumTable, frequency
-from .lattice import ExtIndex, Lattice, Point, extended_indexes
+from .lattice import ExtIndex, Lattice, Point, _per_object, extended_indexes
 
 #: rows per block of the certification scan.  A block's temporaries are a few
 #: block-sized arrays whatever the multiset count: the scan splits a head
@@ -200,37 +210,44 @@ def _nondecreasing_rows(n: int, k: int) -> np.ndarray:
         parent = np.repeat(np.arange(len(rows)), counts)
         first = np.cumsum(counts) - counts
         column = np.arange(len(parent)) - first[parent] + last[parent]
-        rows = np.column_stack([rows[parent], column])
+        rows = np.column_stack([rows.take(parent, axis=0), column])
     return rows
 
 
-def _exhaustive_scan(n: int, order: int):
-    """The scan's tables, in ``combinations_with_replacement`` order.
-
-    Returns ``(heads, tails, start)``.  ``heads`` holds the non-decreasing
-    ``order // 2``-tuples over ``range(n)`` and ``tails`` the non-decreasing
-    rows of the remaining length, both in lexicographic order; at even
-    orders they are one table.  The scan's rows are ``heads[h] + tails[t]``
-    for each head in turn and ``t`` from ``start[h]``, the first tail that
-    starts at the head's last index, to the end.
-    """
-    heads = _nondecreasing_rows(n, order // 2)
-    tails = heads if order % 2 == 0 else _nondecreasing_rows(n, order - order // 2)
+def _first_owned(n: int, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Per head, the first tail that starts at the head's last index."""
     last = heads[:, -1] if heads.shape[1] else np.zeros(1, dtype=np.intp)
-    return heads, tails, np.searchsorted(tails[:, 0], last)
+    return np.searchsorted(tails[:, 0], np.arange(n))[last]
 
 
-def _window_blocks(start, head_sum, tail_sum, width, seed):
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` of finite floats, in about half the time.
+
+    An unstable sort groups equal values (``-0.0`` and ``0.0`` among them);
+    sorting the unique keys ``rank * 2**bits + index``, with ``rank`` the
+    rank of the value among the distinct ones and ``2**bits > index``, puts
+    each group in index order.
+    """
+    by = np.argsort(values)
+    ordered = values[by]
+    rank = np.zeros(len(values), dtype=np.int64)
+    np.cumsum(ordered[1:] != ordered[:-1], out=rank[1:])
+    bits = max(1, (len(values) - 1).bit_length())
+    return np.sort((rank << bits) | by) & ((1 << bits) - 1)
+
+
+def _window_blocks(start, head_sum, head_order, tail_sum, tail_order, width, seed):
     """Blocks ``(h, t)`` of the scan rows that fall inside a window, in scan order.
 
     Head ``h`` owns the rows ``(h, t)`` with ``t >= start[h]``.  A row is
     visited when ``-width[h] < head_sum[h] + tail_sum[t] < width[h]``, with
     ``width(a, b)`` the half-widths of heads ``a:b``, asked for as the scan
-    reaches head ``a`` (an infinite width visits every row).  The tail sums
-    are sorted once, and each head's window is a ``searchsorted`` range of
-    them.  ``seed`` is called before any width is asked for, with blocks
-    ``(h, t)`` of at most ``SEED_TAILS`` owned rows per head: the tails next
-    to ``-head_sum[h]`` in that sorted order.
+    reaches head ``a`` (an infinite width visits every row).  ``head_order``
+    and ``tail_order`` are the stable orders of the sums, and each head's
+    window is a ``searchsorted`` range of the sorted tail sums.  ``seed`` is
+    called before any width is asked for, with blocks ``(h, t)`` of at most
+    ``SEED_TAILS`` owned rows per head: the tails next to ``-head_sum[h]`` in
+    that sorted order.
 
     A chunk is the heads, from the one the scan has reached, whose windows
     hold at most ``BLOCK`` owned rows together, or one head.  The windows
@@ -242,18 +259,17 @@ def _window_blocks(start, head_sum, tail_sum, width, seed):
     more rows than a block or one head, and the next chunk's widths are
     asked for only after its rows have been scanned.
     """
-    by_sum = np.argsort(tail_sum, kind="stable")
-    sums = tail_sum[by_sum]
+    sums = tail_sum[tail_order]
     n_heads, n_tails = len(start), len(sums)
     # one search of every head's centre, its keys in sorted order
-    by_key = by_sum[::-1] if head_sum is tail_sum else np.argsort(-head_sum)
+    by_key = head_order[::-1]
     at = np.empty(n_heads, dtype=np.intp)
     at[by_key] = np.searchsorted(sums, -head_sum[by_key])
     near = np.arange(-(SEED_TAILS // 2), SEED_TAILS - SEED_TAILS // 2)
     for a in range(0, n_heads, BLOCK):
         b = min(n_heads, a + BLOCK)
         h = np.repeat(np.arange(a, b), len(near))
-        t = by_sum[np.clip(at[a:b, None] + near, 0, n_tails - 1).ravel()]
+        t = tail_order.take((at[a:b, None] + near).ravel(), mode="clip")
         keep = t >= start[h]
         seed(h[keep], t[keep])
     a, look = 0, BLOCK
@@ -270,7 +286,7 @@ def _window_blocks(start, head_sum, tail_sum, width, seed):
         n = max(1, int(np.searchsorted(ends, 4 * BLOCK, side="right")))
         size, lo, ends = size[:n], lo[:n], ends[:n]
         h = np.repeat(np.arange(a, a + n), size)
-        t = by_sum[np.arange(len(h)) + np.repeat(lo - ends + size, size)]
+        t = tail_order[np.arange(len(h)) + np.repeat(lo - ends + size, size)]
         keep = t >= start[h]
         h, t = h[keep], t[keep]
         owned = np.cumsum(np.bincount(h - a, minlength=n))
@@ -281,16 +297,6 @@ def _window_blocks(start, head_sum, tail_sum, width, seed):
         for i in range(0, len(h), BLOCK):
             yield h[i : i + BLOCK], t[i : i + BLOCK]
         a, look = a + n, min(BLOCK, 2 * n)
-
-
-def _partial_sums(omega: np.ndarray, rows: np.ndarray):
-    """Divisor of each row's columns added left to right; ``None`` without columns."""
-    if not rows.shape[1]:
-        return None
-    div = omega[rows[:, 0]]
-    for col in rows.T[1:]:
-        div = div + omega[col]
-    return div
 
 
 def _signed_bands(table: SpectrumTable, partition: BandPartition, ext) -> np.ndarray:
@@ -338,6 +344,64 @@ def _item(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
+class _Rows:
+    """The non-decreasing ``k``-rows over the signed modes, in lexicographic
+    order, and what a scan reads of them.
+
+    ``rows`` holds the indexes in the narrowest unsigned dtype; ``div`` the
+    partial divisors, the signed frequencies of the columns added left to
+    right (``None`` when ``k`` is 0); ``level`` the largest floor level of
+    each row (0 when ``k`` is 0); ``fsum`` the partial divisors as floats and
+    ``by_sum`` their stable order.
+    """
+
+    def __init__(self, state: "_ScanState", k: int):
+        n = len(state.ext)
+        rows = _nondecreasing_rows(n, k)
+        self.div = None
+        self.level = np.zeros(len(rows), dtype=state.level.dtype)
+        for index in rows.T:
+            col = state.omega[index]
+            self.div = col if self.div is None else self.div + col
+            self.level = np.maximum(self.level, state.level[index])
+        self.fsum = np.zeros(len(rows)) if self.div is None else self.div.astype(np.float64)
+        self.by_sum = _stable_order(self.fsum)
+        self.rows = rows.astype(np.min_scalar_type(n - 1))
+
+
+class _ScanState:
+    """What every certificate of one table and band partition reads.
+
+    ``ext`` are the signed modes, ``omega`` their signed frequencies,
+    ``levels`` the distinct floors ``max(1, |a|)`` in increasing order,
+    ``level`` the index into ``levels`` of each signed mode, and
+    ``signed_bands`` their ``_signed_bands``.  ``rows(k)`` builds the
+    ``_Rows`` of length ``k`` on first use and keeps it.
+    """
+
+    def __init__(self, table: SpectrumTable, partition: BandPartition):
+        self.ext = extended_indexes(table.lattice)
+        self.omega = _signed_omegas(table, self.ext)
+        floors = [max(1.0, table.norm(p)) for p, _ in self.ext]
+        self.levels = sorted(set(floors))
+        # the narrowest dtype that holds every level index keeps the level
+        # tables of the rows, and their per-block gathers, small
+        self.level = np.searchsorted(self.levels, floors).astype(
+            np.min_scalar_type(len(self.levels))
+        )
+        self.signed_bands = _signed_bands(table, partition, self.ext)
+        self._rows: Dict[int, _Rows] = {}
+
+    def rows(self, k: int) -> _Rows:
+        if k not in self._rows:
+            self._rows[k] = _Rows(self, k)
+        return self._rows[k]
+
+
+#: the scan state of a table and partition, freed with either of them
+_scan_state = _per_object(_ScanState)
+
+
 def certify_nonresonance(
     table: SpectrumTable,
     order: int,
@@ -364,7 +428,11 @@ def certify_nonresonance(
 
     Only rows that can beat the running minima are evaluated: each head
     visits the tails whose partial divisors fall in a window, seeded before
-    the scan from rows near it.  The module docstring gives the bound and
+    the scan from rows near it.  The head and tail tables, their partial
+    divisors, largest floor levels and the stable order of their float
+    partial sums are kept in a scan state of ``table`` and ``partition``,
+    built on first use and shared by every order, and freed when the table
+    or the partition is collected.  The module docstring gives the bound and
     the argument that a skipped row changes no field, so the certificate is
     the one a scan of every row gives; ``n_checked`` counts every multiset.
     Full index rows are built only for
@@ -375,7 +443,10 @@ def certify_nonresonance(
 
     ``budget`` (at least 0) is the most rows the scan may build or
     evaluate: the head table, the tail table at odd orders, and the seed and
-    window rows.  A scan that would go over it raises ``CertificateError``.
+    window rows.  The tables count whether they are built or reused, so the
+    outcome does not depend on earlier scans.  A scan that would go over the
+    budget raises ``CertificateError``, before it builds its tables when they
+    alone go over it.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -388,10 +459,8 @@ def certify_nonresonance(
     if not math.isfinite(tau):
         raise ValueError(f"tau must be finite, got {tau}")
 
-    ext = extended_indexes(table.lattice)
-    omega = _signed_omegas(table, ext)
-    floors = [max(1.0, table.norm(p)) for p, _ in ext]
-    levels = sorted(set(floors))
+    state = _scan_state(table, partition)
+    ext, omega, levels = state.ext, state.omega, state.levels
     try:
         scale = np.asarray([v**tau for v in levels])
     except OverflowError:
@@ -415,14 +484,11 @@ def certify_nonresonance(
     spend(math.comb(len(ext) + half - 1, half))
     if order % 2:
         spend(math.comb(len(ext) + order - half - 1, order - half))
-    heads, tails, start = _exhaustive_scan(len(ext), order)
+    heads, tails = state.rows(half), state.rows(order - half)
+    start = _first_owned(len(ext), heads.rows, tails.rows)
     # smin[i] is the least scale of any level >= i, so it bounds the scale of
     # a row from the level of its head whatever the sign of tau
     smin = np.minimum.accumulate(scale[::-1])[::-1].tolist()
-    # the narrowest dtype that holds every level index keeps the per-head and
-    # per-tail level tables, and their per-block gathers, small
-    level = np.searchsorted(levels, floors).astype(np.min_scalar_type(len(levels)))
-    signed_bands = _signed_bands(table, partition, ext)
     # H_h, T_t and a row's divisor are float sums of at most ``order`` terms
     # no larger than ``reach / order`` (or float conversions of exact sums),
     # each within ``(order - 1) * eps * reach`` of its exact value; with the
@@ -437,26 +503,20 @@ def certify_nonresonance(
     # float so that rows tying them stay inside the windows
     seed_div = seed_score = math.inf
 
-    def partials(rows):
-        # partial divisors, largest floor levels and float partial sums
-        div = _partial_sums(omega, rows)
-        fsum = np.zeros(len(rows)) if div is None else div.astype(np.float64)
-        return div, level[rows].max(axis=1, initial=0), fsum
-
     def evaluate(h, t):
         # divisors and scores of rows (h, t), added as small_divisor adds them
         spend(len(h))
-        columns = iter(tail_omega)
-        div = next(columns)[t] if head_div is None else head_div[h]
+        columns = iter(tails.rows[t].T)
+        div = omega[next(columns)] if heads.div is None else heads.div[h]
         for col in columns:
-            div = div + col[t]
+            div = div + omega[col]
         div = np.abs(div)
-        return div, div * scale[np.maximum(head_lvl[h], tail_lvl[t])]
+        return div, div * scale[np.maximum(heads.level[h], tails.level[t])]
 
     def seed_windows(h, t):
         nonlocal seed_div, seed_score
         div, score = evaluate(h, t)
-        off = ~_resonant(signed_bands, np.hstack([heads[h], tails[t]]))
+        off = ~_resonant(state.signed_bands, np.hstack([heads.rows[h], tails.rows[t]]))
         if off.any():
             seed_div = min(seed_div, np.nextafter(float(div[off].min()), math.inf))
             seed_score = min(seed_score, np.nextafter(float(score[off].min()), math.inf))
@@ -471,23 +531,20 @@ def certify_nonresonance(
         bound = np.asarray(
             [max(div_cap, score_cap / s) if s > 0 else math.inf for s in smin]
         )
-        return (bound + slack * (reach + bound))[head_lvl[a:b]]
+        return (bound + slack * (reach + bound))[heads.level[a:b]]
 
-    head_div, head_lvl, head_sum = partials(heads)
-    # at even orders the heads are the tails
-    _, tail_lvl, tail_sum = (
-        (head_div, head_lvl, head_sum) if tails is heads else partials(tails)
+    blocks = _window_blocks(
+        start, heads.fsum, heads.by_sum, tails.fsum, tails.by_sum, width, seed_windows
     )
-    tail_omega = omega[tails.T]
-    for h, t in _window_blocks(start, head_sum, tail_sum, width, seed_windows):
+    for h, t in blocks:
         div, score = evaluate(h, t)
         # only rows that beat a running minimum can change the result, so
         # only those are built and tested for resonance
         cand = np.flatnonzero((div < min_div) | (score < min_score))
         if not len(cand):
             continue
-        rows = np.hstack([heads[h[cand]], tails[t[cand]]])
-        off = ~_resonant(signed_bands, rows)
+        rows = np.hstack([heads.rows[h[cand]], tails.rows[t[cand]]])
+        off = ~_resonant(state.signed_bands, rows)
         if not off.any():
             continue
         rows, div, score = rows[off], div[cand[off]], score[cand[off]]

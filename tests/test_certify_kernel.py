@@ -9,9 +9,11 @@ running minimum, so every certificate field must agree exactly, value and
 type, witness tuples included.
 """
 
+import gc
 import json
 import math
 import tracemalloc
+import weakref
 from itertools import combinations_with_replacement
 from pathlib import Path
 
@@ -24,12 +26,16 @@ from latnf import (
     CertificateError,
     SpectralMultiplier,
     TorusLaplacian,
+    band_map,
     band_partition,
+    block_index_map,
+    build_clusters,
     build_spectrum,
     certificate_to_json,
     certify_nonresonance,
     enumerate_lattice,
     extended_indexes,
+    fit_asymptotics,
     is_resonant_W,
     small_divisor,
 )
@@ -87,17 +93,40 @@ def no_seed(h, t):
     pass
 
 
+def window_blocks(start, head_sum, tail_sum, width, seed):
+    """``_window_blocks`` with the stable orders of the sums."""
+    return latnf.resonance._window_blocks(
+        start,
+        head_sum,
+        np.argsort(head_sum, kind="stable"),
+        tail_sum,
+        np.argsort(tail_sum, kind="stable"),
+        width,
+        seed,
+    )
+
+
+def exhaustive_scan(n, order):
+    """The scan's tables over ``range(n)``: ``(heads, tails, start)``.
+
+    The scan's rows are ``heads[h] + tails[t]`` for each head in turn and
+    ``t`` from ``start[h]``, the first tail that starts at the head's last
+    index, to the end.
+    """
+    heads = latnf.resonance._nondecreasing_rows(n, order // 2)
+    tails = latnf.resonance._nondecreasing_rows(n, order - order // 2)
+    return heads, tails, latnf.resonance._first_owned(n, heads, tails)
+
+
 def exhaustive_rows(n, order):
     """The scan's blocks as full index rows, rebuilt from its head and tail
     indexes, with infinite window widths and tail sums that sort the tails
     out of index order."""
     rng = np.random.default_rng(10 * n + order)
-    heads, tails, start = latnf.resonance._exhaustive_scan(n, order)
+    heads, tails, start = exhaustive_scan(n, order)
     head_sum = rng.standard_normal(len(heads))
     tail_sum = rng.standard_normal(len(tails))
-    blocks = latnf.resonance._window_blocks(
-        start, head_sum, tail_sum, lambda a, b: np.inf, no_seed
-    )
+    blocks = window_blocks(start, head_sum, tail_sum, lambda a, b: np.inf, no_seed)
     for h, t in blocks:
         assert len(h) == len(t)
         yield np.hstack([heads[h], tails[t]])
@@ -129,13 +158,11 @@ def test_window_keeps_exactly_the_rows_inside_it(monkeypatch, block):
     # (|H + T| equal to the width) must be dropped and rows inside kept.
     monkeypatch.setattr(latnf.resonance, "BLOCK", block)
     rng = np.random.default_rng(block)
-    heads, tails, start = latnf.resonance._exhaustive_scan(6, 5)
+    heads, tails, start = exhaustive_scan(6, 5)
     head_sum = rng.integers(-4, 5, len(heads)).astype(float)
     tail_sum = rng.integers(-4, 5, len(tails)).astype(float)
     width = rng.choice([0.0, 1.0, 2.0, 3.5, np.inf], len(heads))
-    blocks = list(latnf.resonance._window_blocks(
-        start, head_sum, tail_sum, lambda a, b: width[a:b], no_seed
-    ))
+    blocks = list(window_blocks(start, head_sum, tail_sum, lambda a, b: width[a:b], no_seed))
     got = [(int(h), int(t)) for hs, ts in blocks for h, t in zip(hs, ts)]
     want = [
         (h, t)
@@ -272,6 +299,95 @@ def test_over_budget_scan_is_refused_before_it_builds_its_tables():
     assert latnf.normalform.CertificateError is CertificateError
 
 
+def radius8_table():
+    """A table equal to, but not the object of, ``certified_table``."""
+    model = SpectralMultiplier(base=TorusLaplacian(), potential=FROZEN_POTENTIAL)
+    return build_spectrum(enumerate_lattice(1, 8.0), model)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.random.default_rng(6).integers(-3, 4, 999).astype(float),
+        np.array([0.0, -0.0, 1.0, -0.0, 0.0, -1.0, 0.0, -0.0]),
+        np.array([2.5]),
+        np.array([]),
+    ],
+    ids=["ties", "signed-zeros", "one", "none"],
+)
+def test_stable_order_is_the_stable_argsort(values):
+    got = latnf.resonance._stable_order(values)
+    assert got.tolist() == np.argsort(values, kind="stable").tolist()
+
+
+def test_stable_order_of_the_radius_8_three_row_sums(certified_table, certified_bands):
+    sums = latnf.resonance._scan_state(certified_table, certified_bands).rows(3).fsum
+    assert len(sums) == 7140 and len(sums) - len(np.unique(sums)) == 507
+    got = latnf.resonance._stable_order(sums)
+    assert got.tolist() == np.argsort(sums, kind="stable").tolist()
+
+
+def test_orders_of_one_table_share_its_scan_state(monkeypatch):
+    # Certified out of order, each order of one table gives the certificate,
+    # the visited rows and the budget verdict of a fresh table, and each row
+    # table is built once.
+    built = []
+    nondecreasing_rows = latnf.resonance._nondecreasing_rows
+
+    def counting(n, k):
+        built.append(k)
+        return nondecreasing_rows(n, k)
+
+    monkeypatch.setattr(latnf.resonance, "_nondecreasing_rows", counting)
+    table = radius8_table()
+    bands = band_partition(table)
+    shared = {}
+    for order in (6, 3, 5, 4):
+        shared[order] = visited_rows(monkeypatch, table, order, bands)
+    assert sorted(built) == [1, 2, 3]
+    for order, (cert, visited) in shared.items():
+        fresh = radius8_table()
+        assert visited_rows(monkeypatch, fresh, order, band_partition(fresh)) == (cert, visited)
+        rows = ROWS[order]
+        assert certify_nonresonance(table, order, partition=bands, budget=rows) == cert
+        with pytest.raises(CertificateError, match=f"budget of {rows - 1} rows"):
+            certify_nonresonance(table, order, partition=bands, budget=rows - 1)
+
+
+def test_tables_on_one_lattice_never_share_a_scan_state():
+    lattice = enumerate_lattice(1, 3.0)
+    tables = [
+        build_spectrum(lattice, SpectralMultiplier(
+            base=TorusLaplacian(),
+            potential={p: scale * FROZEN_POTENTIAL[p] for p in lattice.points},
+        ))
+        for scale in (1.0, 0.5)
+    ]
+    bands = [band_partition(table) for table in tables]
+    states = [latnf.resonance._scan_state(t, b) for t, b in zip(tables, bands)]
+    assert states[0] is not states[1]
+    assert states[0].omega.tolist() != states[1].omega.tolist()
+    for table, part in [*zip(tables, bands), *zip(tables, bands)]:
+        for order in (3, 4):
+            cert = certify_nonresonance(table, order, partition=part)
+            assert_fields(cert, loop_certificate(table, order, part))
+
+
+def test_a_certified_table_is_freed_with_its_caches():
+    table = radius8_table()
+    bands = band_partition(table)
+    clusters = build_clusters(table, 0.5, 1.0)
+    certify_nonresonance(table, 4, partition=bands)
+    block_index_map(clusters)
+    fit_asymptotics(table.model, table)
+    assert (0,) in table.lattice and band_map(table, bands)[(0,)] == 0
+    state = latnf.resonance._scan_state(table, bands)
+    refs = [weakref.ref(x) for x in (table, table.lattice, bands, clusters, state)]
+    del table, bands, clusters, state
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
 @pytest.mark.parametrize("order,bound", [(3, 25), (4, 450), (5, 75)])
 def test_low_order_scans_visit_few_rows(
     monkeypatch, certified_table, certified_bands, certificates, order, bound
@@ -288,7 +404,7 @@ def test_windows_of_mostly_unowned_tails(monkeypatch, block):
     # those heads do not own (t < start[h]).
     monkeypatch.setattr(latnf.resonance, "BLOCK", block)
     rng = np.random.default_rng(block)
-    heads, tails, start = latnf.resonance._exhaustive_scan(8, 4)
+    heads, tails, start = exhaustive_scan(8, 4)
     head_sum = rng.integers(-1, 2, len(heads)).astype(float)
     tail_sum = (2 * tails[:, 0] + rng.integers(0, 2, len(tails))).astype(float)
     width = rng.choice([3.0, 6.5, 9.0], len(heads))
@@ -301,7 +417,7 @@ def test_windows_of_mostly_unowned_tails(monkeypatch, block):
         calls.append(("width", a, b))
         return width[a:b]
 
-    blocks = list(latnf.resonance._window_blocks(start, head_sum, tail_sum, widths, seed))
+    blocks = list(window_blocks(start, head_sum, tail_sum, widths, seed))
     got = [(int(h), int(t)) for hs, ts in blocks for h, t in zip(hs, ts)]
     inside = [
         (h, t)
