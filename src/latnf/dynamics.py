@@ -16,15 +16,19 @@ The step maps are:
   with ``integrator="rk4_reference"`` it steps the same spectral system
   with classic RK4 instead.  The grid is sized so products of
   truncation-supported fields are alias-free and the discrete energy
-  functional is exact on the truncation.
+  functional is exact on the truncation.  The Strang step scales the
+  nonlinearity's coefficient grids by ``-dt`` once per trajectory and
+  writes the angle into the imaginary half of a complex array whose real
+  half stays zero, which ``np.exp`` turns into the rotation.
 * The beam equation (``integrate_beam``): kick-phase-kick splitting of the
   complexified field pair, with both pieces exact.
 * Polynomial normal forms (``integrate_normal_form``): Strang splitting in
-  the truncated mode space.  Each part is one table of code rows on the
-  lattice (``_PolyParts``) that the energy, the action angles and the RK
-  right-hand side all read.  When every monomial is a product of actions
-  the nonlinear step is an exact phase rotation, making the scheme exact up
-  to rounding; other parts take RK4 substeps.
+  the truncated mode space.  Each part is a table of code rows on the
+  lattice (``_PolyParts``) that the energy and the action angles read; the
+  RK right-hand side reads a second table per part, its derivative rows in
+  the minus variables.  When every monomial is a product of actions the
+  nonlinear step is an exact phase rotation, making the scheme exact up to
+  rounding; other parts take RK4 substeps.
 
 RK4 is one function, ``_rk4``, for the ``rk4_reference`` steps, the
 normal-form substeps and the time-1 generator flows of
@@ -91,9 +95,9 @@ class SimulationConfig:
 
     ``nonlinearity`` maps powers of |psi|^2 (>= 1, so the nonlinear term
     vanishes at zero field) to coefficients; ``force`` maps powers of psi
-    (>= 3) for the beam potential.  Coefficients are real numbers,
-    constant in space.  ``track_orbital`` applies to the Schrödinger model
-    only.
+    (>= 3) for the beam potential and is refused on the Schrödinger model.
+    Coefficients are real numbers, constant in space.  ``track_orbital``
+    and ``integrator="rk4_reference"`` apply to the Schrödinger model only.
 
     ``delta`` and ``c_delta`` are the separation constants of the cluster
     blocks whose superactions the ``Jblk_*`` columns record; the defaults
@@ -150,6 +154,10 @@ class SimulationConfig:
             raise ValueError("beam mass term must be positive")
         if self.model == "beam" and self.track_orbital is not None:
             raise ValueError("track_orbital needs model='nls'")
+        if self.model == "beam" and self.integrator != "strang_splitting":
+            raise ValueError(f"integrator {self.integrator!r} needs model='nls'")
+        if self.model == "nls" and self.force:
+            raise ValueError("force needs model='beam'")
 
 
 @dataclass(frozen=True, eq=False)
@@ -336,9 +344,8 @@ class _Grid:
         # the axes before the last, in fftn's order, as gufunc ``axes`` (input,
         # factor, output); the gufuncs' default is the last axis
         self.axes = [[(a,), (), (a,)] for a in range(dim - 2, -1, -1)]
-        # the transforms' factors, as numpy scalars
+        # the forward transform's factor, as a numpy scalar
         self.inv_size = np.float64(1 / size)
-        self.npts_c = np.complex128(size**dim)
         axis = np.rint(np.fft.fftfreq(size) * size).astype(int)
         mats = np.meshgrid(*([axis] * dim), indexing="ij")
         self.freqs = np.stack([m.reshape(-1) for m in mats], axis=1)
@@ -368,15 +375,18 @@ class _System:
     grid points.
 
     ``field`` and ``spectrum`` are the one transform pair of every grid
-    integrator.  They call the 1-D pocketfft kernels once per axis, last
-    axis first, with the factors ``np.fft.ifft``/``fft`` pass for the default
-    norm (``1/size`` and ``1``): the loop ``ifftn``/``fftn`` run, so the
-    results are theirs bit for bit, without the wrappers' argument handling
-    on every call of a step.  The caller owns the output: each transform
-    writes into the ``out`` array it is passed (grid-shaped for ``field``,
-    flat for ``spectrum``), transforms the other axes of a 2-D grid in place
-    there, scales it in place and returns it.  Neither writes into its
-    argument, which may be the live state of a monitor sample.
+    integrator: numpy's ``norm="forward"`` pair, so ``field`` sums the
+    Fourier series unscaled and ``spectrum`` returns its coefficients.
+    They call the 1-D pocketfft kernels once per axis, last axis first,
+    with the factors ``np.fft.ifft``/``fft`` pass for that norm (``1`` and
+    ``1/size`` on every axis): the loop ``ifftn``/``fftn`` run, so the
+    results are theirs bit for bit, with no scaling call of their own and
+    without the wrappers' argument handling on every call of a step.  The
+    caller owns the output: each transform writes into the ``out`` array it
+    is passed (grid-shaped for ``field``, flat for ``spectrum``), transforms
+    the other axes of a 2-D grid in place there and returns it.  Neither
+    writes into its argument, which may be the live state of a monitor
+    sample.
     """
 
     lattice: Lattice
@@ -391,19 +401,19 @@ class _System:
     def field(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Physical-space field of the spectral state ``u``, written into ``out``."""
         grid = self.grid
-        _ifft(u if grid.dim == 1 else u.reshape(grid.shape), grid.inv_size, out)
+        _ifft(u if grid.dim == 1 else u.reshape(grid.shape), _ONE, out)
         for axes in grid.axes:
-            _ifft(out, grid.inv_size, out, axes=axes)
-        return np.multiply(out, grid.npts_c, out)
+            _ifft(out, _ONE, out, axes=axes)
+        return out
 
     def spectrum(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Spectral state of the physical-space field ``psi``, written into ``out``."""
         grid = self.grid
         u = out if grid.dim == 1 else out.reshape(grid.shape)
-        _fft(psi, _ONE, u)
+        _fft(psi, grid.inv_size, u)
         for axes in grid.axes:
-            _fft(u, _ONE, u, axes=axes)
-        return np.divide(out, grid.npts_c, out)
+            _fft(u, grid.inv_size, u, axes=axes)
+        return out
 
     def meta(self, config: SimulationConfig, integrator: str) -> Dict[str, object]:
         return {
@@ -491,45 +501,58 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     u = u * (config.epsilon / norm)
 
     # an empty nonlinearity is one zero term: the phase field of the linear flow
-    (j0, arr0), *rest = list(coeffs.items()) or [(1, np.zeros(grid.shape))]
+    terms = list(coeffs.items()) or [(1, np.zeros(grid.shape))]
 
     # Work arrays of the step map, allocated once per trajectory: ``psi`` the
-    # field, ``y`` its intensity and ``w`` a spectral state.  ``phi`` holds
-    # the phase field in its real half, ``phase``, and +0.0 in its imaginary
-    # half, which nothing writes: it is the float phase cast to complex, so
-    # products with it are those of the float array bit for bit, without a
-    # cast on every call.
+    # field, ``y`` its intensity and ``w`` a spectral state.
     psi = np.empty(grid.shape, dtype=complex)
     y = np.empty(grid.shape)
-    phi = np.zeros(grid.shape, dtype=complex)
-    phase = phi.real
     w = np.empty(system.npts, dtype=complex)
     field, spectrum = system.field, system.spectrum
 
-    def phase_field() -> None:
-        """``phase = sum_j c_j y**j`` at ``y = |psi|^2``, summed from the lowest power."""
-        np.square(np.abs(psi, y), y)
-        np.multiply(arr0, y if j0 == 1 else y**j0, phase)
-        for j, arr in rest:
-            np.add(phase, arr * y**j, phase)
+    def phase_field(scale: float, out: np.ndarray) -> Callable[[], None]:
+        """The writer of ``out = sum_j (scale c_j) y**j`` at ``y = |psi|^2``.
+
+        The coefficient grids are scaled once, here; the writer sums from
+        the lowest power.
+        """
+        (j0, a0), *rest = [(j, scale * arr) for j, arr in terms]
+
+        def write() -> None:
+            np.square(np.abs(psi, y), y)
+            np.multiply(a0, y if j0 == 1 else y**j0, out)
+            for j, a in rest:
+                np.add(out, a * y**j, out)
+
+        return write
 
     if integrator == "strang_splitting":
         phase_half = np.exp(-0.5j * dt * omega)
-        rotation = np.complex128(-1j * dt)
-        turn = np.empty(grid.shape, dtype=complex)
+        # ``turn`` holds the angle ``-dt * phase`` in its imaginary half and
+        # +0.0 in its real half, which nothing writes, so ``np.exp`` reads
+        # the rotation ``exp(-i dt phase)`` from it directly.
+        turn = np.zeros(grid.shape, dtype=complex)
+        rot = np.empty(grid.shape, dtype=complex)
+        angle = phase_field(-dt, turn.imag)
 
         def step(v: np.ndarray) -> np.ndarray:
             field(np.multiply(v, phase_half, w), psi)
-            phase_field()
-            np.multiply(psi, np.exp(np.multiply(rotation, phi, turn), turn), psi)
+            angle()
+            np.multiply(psi, np.exp(turn, rot), psi)
             return spectrum(psi, w) * phase_half
 
     else:
         omega_c = omega.astype(complex)
+        # ``phi`` holds the phase field in its real half and +0.0 in its
+        # imaginary half, which nothing writes: it is the float phase cast
+        # to complex, so products with it are those of the float array bit
+        # for bit, without a cast on every call.
+        phi = np.zeros(grid.shape, dtype=complex)
+        phase = phase_field(_ONE, phi.real)
 
         def rhs(v: np.ndarray) -> np.ndarray:
             field(v, psi)
-            phase_field()
+            phase()
             spectrum(np.multiply(phi, psi, psi), w)
             out = omega_c * v
             out += w
@@ -692,6 +715,13 @@ class _PolyParts:
     the gradient of their ``+`` halves over the intensities ``|u|^2``; the
     others make ``rhs``, the ``+`` half of their Hamiltonian field.
 
+    ``rhs`` reads only the minus rows of ``SymmetricForm.derivatives``: for
+    each part, the derivative rows in a ``-`` variable, relabelled to the
+    lattice once, with ``-i`` folded into their coefficients.  They come
+    grouped by variable, so one ``np.add.reduceat`` of their monomials
+    gives ``-i dF/d(conj u)`` on every point that has a minus row, and the
+    points without one get zero.
+
     The both-signs state is one work array, ``x``, owned here: ``rhs`` and
     ``energy`` refill it from their argument on every call, never write into
     the argument, and ``rhs`` returns a fresh array.
@@ -702,7 +732,7 @@ class _PolyParts:
         self.x = np.empty(2 * self.size, dtype=complex)
         self.rows: List[Tuple[np.ndarray, np.ndarray]] = []
         self.actions: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.flows: List[Tuple[np.ndarray, np.ndarray]] = []
+        self.flows: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
         for f in forms:
             codes, c = f.relabel(f.codes, index), f.values
             columns = np.asfortranarray(codes, dtype=np.intp)
@@ -713,7 +743,17 @@ class _PolyParts:
                 plus = codes[(codes & 1) == 0].reshape(len(codes), codes.shape[1] // 2) >> 1
                 self.actions.append((np.asfortranarray(plus, dtype=np.intp), c.real))
             elif np.any(codes & 1):  # without a - variable the kick is zero
-                self.flows.append((columns, c))
+                # derivative rows come sorted by variable: each variable's
+                # minus rows are one run, summed by one ``reduceat`` segment
+                var, rows, coef = f.derivatives
+                minus = np.flatnonzero(var & 1)
+                starts = np.flatnonzero(np.diff(var[minus], prepend=-1))
+                self.flows.append((
+                    np.asfortranarray(f.relabel(rows[minus], index), dtype=np.intp),
+                    _NEG_I * coef[minus],
+                    starts,
+                    (f.relabel(var[minus[starts]], index) >> 1).astype(np.intp),
+                ))
 
     def both_signs(self, u: np.ndarray) -> np.ndarray:
         """``x`` holding ``u`` on the codes ``2*i`` and ``conj u`` on ``2*i + 1``."""
@@ -726,9 +766,12 @@ class _PolyParts:
         return sum(gradient(plus, c, intensity, self.size).real for plus, c in self.actions)
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
-        """``X[2i] = -i dF/dx[2i + 1]``, as ``forms.hamiltonian_field`` computes it."""
+        """``X[2i] = -i dF/dx[2i + 1]``, summed over the minus rows of each part."""
         x = self.both_signs(u)
-        return sum(_NEG_I * gradient(codes, c, x, len(x))[1::2] for codes, c in self.flows)
+        out = np.zeros(self.size, dtype=complex)
+        for rows, coef, starts, targets in self.flows:
+            out[targets] += np.add.reduceat(monomials(rows, coef, x), starts)
+        return out
 
     def energy(self, u: np.ndarray) -> float:
         x = self.both_signs(u)

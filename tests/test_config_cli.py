@@ -659,6 +659,9 @@ def test_cli_simulate_beam_on_a_skew_integer_gram_is_pinned(tmp_path, capsys):
         (("model.kind=beam", "simulate.track_orbital=1.0"), "track_orbital"),
         (("simulate.dt=0",), "dt must be positive"),
         (("simulate.dt=-0.01",), "dt must be positive"),
+        # the beam steps by Strang splitting only, and only the beam reads force
+        (("model.kind=beam", "simulate.integrator=rk4_reference"), "integrator 'rk4_reference'"),
+        (('simulate.force={"3": 0.5}',), "force needs model='beam'"),
     ],
 )
 def test_cli_simulate_rejects_what_it_cannot_honour(tmp_path, capsys, overrides, message):

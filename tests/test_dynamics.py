@@ -141,10 +141,11 @@ def test_free_beam_samples_without_a_transform(monkeypatch):
     assert not calls
 
 
-# The grid transforms call numpy's pocketfft gufuncs directly; a numpy
-# release that changes them must fail here, not move trajectories silently.
-# The grids: the 36-point line of the radius-8 system, lines of 15, 25 and
-# 45 points, and the 20 x 20 skew torus.
+# The grid transforms are numpy's ``norm="forward"`` pair, called as the
+# pocketfft gufuncs with the factor 1 (inverse) and 1/size (forward) on
+# every axis; a numpy release that changes them must fail here, not move
+# trajectories silently.  The grids: the 36-point line of the radius-8
+# system, lines of 15, 25 and 45 points, and the 20 x 20 skew torus.
 GRID_SYSTEMS = [
     (dict(radius=8.0), 4, (36,)),
     (dict(radius=3.0), 4, (15,)),
@@ -174,31 +175,64 @@ def test_grid_transforms_are_numpys_bit_for_bit(fields, alias, shape):
         u = rng.standard_normal(system.npts) + 1j * rng.standard_normal(system.npts)
         kept = u.copy()
         assert system.field(u, field_out) is field_out
-        assert_same_bits(field_out, np.fft.ifftn(u.reshape(shape)) * system.npts)
+        assert_same_bits(field_out, np.fft.ifftn(u.reshape(shape), norm="forward"))
         assert_same_bits(u, kept)
         # complex fields, and real ones as the beam's force kick passes them
         for psi in (u.reshape(shape) * 0.5 + 0.25j, u.real.reshape(shape)):
             kept = psi.copy()
             assert system.spectrum(psi, spectrum_out) is spectrum_out
-            assert_same_bits(spectrum_out, np.fft.fftn(psi).reshape(-1) / system.npts)
+            assert_same_bits(spectrum_out, np.fft.fftn(psi, norm="forward").reshape(-1))
             assert_same_bits(psi, kept)
 
 
 @pytest.mark.parametrize("dt", [0.01, 1e-3, 0.37])
 def test_rotation_of_the_cast_phase_is_the_float_product_bit_for_bit(dt):
-    # The Strang step keeps the phase field in the real half of a complex
-    # buffer whose imaginary half stays +0.0, and multiplies the rotation by
-    # that buffer: the operand numpy casts the float phase to, so the turn is
-    # ``(-1j * dt) * phi`` to the bit, signed zeros and underflows included.
+    # The ``rk4_reference`` right-hand side keeps the phase field in the real
+    # half of a complex buffer whose imaginary half stays +0.0, and multiplies
+    # the field by that buffer: the operand numpy casts the float phase to, so
+    # the product is ``phi * psi`` to the bit.  The Strang step writes the
+    # angle ``-dt * phi`` into the imaginary half of a buffer whose real half
+    # stays +0.0 and takes its exponential: ``exp(1j * angle)`` to the bit,
+    # underflows and huge angles included, bar the sign of a zero angle.
     tiny = np.nextafter(0.0, 1.0)
     values = [0.0, -0.0, -1.5, 3.7, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300]
     phi = np.resize(np.array(values), 37)  # past one SIMD width, with a tail
+    rng = np.random.default_rng(5)
+    psi = rng.standard_normal(len(phi)) + 1j * rng.standard_normal(len(phi))
     buffer = np.zeros(len(phi), dtype=complex)
     buffer.real = phi
-    turn = np.multiply(np.complex128(-1j * dt), buffer, out=np.empty_like(buffer))
-    assert_same_bits(turn, (-1j * dt) * phi)
-    assert_same_bits(np.exp(turn), np.exp((-1j * dt) * phi))
-    assert not buffer.imag.view(np.uint64).any()
+    assert_same_bits(np.multiply(buffer, psi, out=np.empty_like(psi)), phi * psi)
+    angle = -dt * phi
+    turn = np.zeros(len(phi), dtype=complex)
+    turn.imag = angle
+    nonzero = angle != 0.0
+    assert_same_bits(np.exp(turn)[nonzero], np.exp(1j * angle)[nonzero])
+    assert not buffer.imag.view(np.uint64).any() and not turn.real.view(np.uint64).any()
+
+
+def test_grid_and_normal_form_nls_terms_agree_on_the_truncation():
+    # nls-line8 steps the grid model with nonlinearity {1: kappa} and the
+    # normal-form kick with nls_quartic(lattice, kappa) as one equation.  On
+    # the 17 modes of the radius-8 line the grid term kappa (|psi|^2 psi)^ is
+    # dF/d(conj u) of the quartic, i times the kick's right-hand side, with
+    # factor 1.  The grid term also feeds the grid modes outside the lattice.
+    from latnf.dynamics import _PolyParts, _system
+
+    kappa = -12.0
+    system = _system(SimulationConfig(radius=8.0, nonlinearity={1: kappa}), 4)
+    points = list(system.lattice.points)
+    sites = [system.index[p] for p in points]
+    assert len(points) == 17 and system.grid.size == 36
+    rng = np.random.default_rng(43)
+    u = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
+    spectral = np.zeros(system.npts, dtype=complex)
+    spectral[sites] = u
+    psi = system.field(spectral, np.empty(system.grid.shape, dtype=complex))
+    grid_term = kappa * system.spectrum(np.abs(psi) ** 2 * psi, np.empty(system.npts, dtype=complex))
+    poly = _PolyParts([nls_quartic(system.lattice, kappa)], {p: i for i, p in enumerate(points)})
+    kick_term = 1j * poly.rhs(u)
+    assert np.max(np.abs(grid_term[sites] - kick_term)) <= 1e-13 * np.max(np.abs(kick_term))
+    assert np.any(np.abs(np.delete(grid_term, sites)) > 1e-3 * np.max(np.abs(kick_term)))
 
 
 def test_beam_requires_beam_model():

@@ -4,7 +4,10 @@ The oracles below are the earlier per-integrator implementations: a
 Strang NLS loop, a classic RK4 loop, a beam kick-phase-kick loop and the
 normal-form splitting loop, each with its own sampler.  Every column of
 the ``TrajectoryRecord`` and every ``meta`` entry (the final modes
-included) must be bit-identical to theirs.
+included) must be bit-identical to theirs.  The grid oracles transform with
+numpy's ``norm="forward"`` pair, and the Strang oracle scales the
+coefficients of its phase by ``-dt`` before summing the angle, as the
+integrators do.
 """
 
 import math
@@ -128,8 +131,8 @@ def _initial_spectrum(config, setup):
 
 
 class _Sampler:
-    def __init__(self, setup, config, npts):
-        self.setup, self.config, self.npts = setup, config, npts
+    def __init__(self, setup, config):
+        self.setup, self.config = setup, config
         self.cols = {k: [] for k in ("t", "sob", "mass", "en", "bands", "blocks", "orb")}
 
     def sample(self, t, u):
@@ -138,7 +141,7 @@ class _Sampler:
         c["t"].append(t)
         c["sob"].append(math.sqrt(float(np.sum(setup.weights_s * a2))))
         c["mass"].append(math.sqrt(float(np.sum(a2))))
-        psi = np.fft.ifftn(u.reshape(setup.grid.shape)) * self.npts
+        psi = np.fft.ifftn(u.reshape(setup.grid.shape), norm="forward")
         y = np.abs(psi) ** 2
         pot = 0.0
         for j, arr in setup.coeff_arrays.items():
@@ -164,11 +167,18 @@ class _Sampler:
         }
 
 
-def _phase_field(setup, y):
+def _phase_field(coeff_arrays, y):
     phi = np.zeros_like(y)
-    for j, arr in setup.coeff_arrays.items():
+    for j, arr in coeff_arrays.items():
         phi += arr * y**j
     return phi
+
+
+def _rotation(angle):
+    """``exp(i angle)``: the exponential of ``+0.0 + i angle``."""
+    turn = np.zeros(angle.shape, dtype=complex)
+    turn.imag = angle
+    return np.exp(turn)
 
 
 def _nls_meta(config, setup, integrator, dt, n_steps, u):
@@ -191,19 +201,19 @@ def _nls_meta(config, setup, integrator, dt, n_steps, u):
 def oracle_strang(config):
     setup = _NlsSetup(config)
     grid = setup.grid
-    npts = grid.size**grid.dim
     u = _initial_spectrum(config, setup)
     dt = setup.dt
     n_steps = max(1, round(config.horizon / dt))
     phase_half = np.exp(-0.5j * dt * setup.omega)
-    sampler = _Sampler(setup, config, npts)
+    # the coefficients of the angle -dt * phase
+    folded = {j: -dt * arr for j, arr in setup.coeff_arrays.items()}
+    sampler = _Sampler(setup, config)
     sampler.sample(0.0, u)
     for step in range(1, n_steps + 1):
         u = u * phase_half
-        psi = np.fft.ifftn(u.reshape(grid.shape)) * npts
-        phi = _phase_field(setup, np.abs(psi) ** 2)
-        psi = psi * np.exp(-1j * dt * phi)
-        u = np.fft.fftn(psi).reshape(-1) / npts
+        psi = np.fft.ifftn(u.reshape(grid.shape), norm="forward")
+        psi = psi * _rotation(_phase_field(folded, np.abs(psi) ** 2))
+        u = np.fft.fftn(psi, norm="forward").reshape(-1)
         u = u * phase_half
         if step % config.stride == 0 or step == n_steps:
             sampler.sample(step * dt, u)
@@ -213,19 +223,18 @@ def oracle_strang(config):
 def oracle_rk4(config):
     setup = _NlsSetup(config)
     grid = setup.grid
-    npts = grid.size**grid.dim
     u = _initial_spectrum(config, setup)
     omega = setup.omega
 
     def rhs(v):
-        psi = np.fft.ifftn(v.reshape(grid.shape)) * npts
-        phi = _phase_field(setup, np.abs(psi) ** 2)
-        nonlin = np.fft.fftn(phi * psi).reshape(-1) / npts
+        psi = np.fft.ifftn(v.reshape(grid.shape), norm="forward")
+        phi = _phase_field(setup.coeff_arrays, np.abs(psi) ** 2)
+        nonlin = np.fft.fftn(phi * psi, norm="forward").reshape(-1)
         return -1j * (omega * v + nonlin)
 
     dt = setup.dt
     n_steps = max(1, round(config.horizon / dt))
-    sampler = _Sampler(setup, config, npts)
+    sampler = _Sampler(setup, config)
     sampler.sample(0.0, u)
     for step in range(1, n_steps + 1):
         k1 = rhs(u)
@@ -306,11 +315,11 @@ def oracle_beam(config):
         if not force_arrays:
             return u
         ph, _ = unpack(u)
-        psi = (np.fft.ifftn(ph.reshape(grid.shape)) * npts).real
+        psi = np.fft.ifftn(ph.reshape(grid.shape), norm="forward").real
         dforce = np.zeros_like(psi)
         for j, arr in force_arrays.items():
             dforce += j * arr * psi ** (j - 1)
-        fhat = np.fft.fftn(dforce).reshape(-1) / npts
+        fhat = np.fft.fftn(dforce, norm="forward").reshape(-1)
         return u - 1j * tau / math.sqrt(2.0) * fhat / sqrt_om
 
     times, sob, msr, en, bandJ, blockJ, extra_u = [], [], [], [], [], [], []
@@ -321,7 +330,7 @@ def oracle_beam(config):
         times.append(t)
         sob.append(pair_norm(ph, dph))
         msr.append(math.sqrt(float(np.sum(a2))))
-        psi = (np.fft.ifftn(ph.reshape(grid.shape)) * npts).real
+        psi = np.fft.ifftn(ph.reshape(grid.shape), norm="forward").real
         pot = 0.0
         for j, arr in force_arrays.items():
             pot += float(np.mean(arr * psi**j))

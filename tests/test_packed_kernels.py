@@ -494,26 +494,61 @@ def test_commutation_brackets_each_degree_of_a_bucket():
 # --- dynamics ---------------------------------------------------------------
 
 
+def _key(*entries):
+    """Key of ``(coordinate, sign)`` entries on the line."""
+    return tuple(((a,), sign) for a, sign in entries)
+
+
+# Inputs of the kick, each a list of parts.  The kick reads each part's
+# minus derivative rows, so the cases add odd degrees, runs of 2 and 3
+# equal codes of either sign, minus rows on some points only, parts of
+# different degrees side by side and parts of degree 1.
+KICK_CASES = [
+    [nls_quartic(LINE, -3.0), random_form(LINE, 3, 40, seed=21)],
+    [random_form(LINE, 5, 30, seed=24)],
+    [make_form({
+        _key((1, 1), (1, 1), (2, -1), (2, -1), (2, -1)): 0.7 - 0.2j,
+        _key((-1, -1), (-1, -1), (-1, -1), (3, 1), (0, -1)): 1.3,
+        _key((0, 1), (0, -1), (0, -1), (4, -1), (4, -1)): -0.4j,
+    })],
+    [make_form({
+        _key((1, 1), (1, 1), (2, -1), (3, -1)): 0.9,
+        _key((1, 1), (2, 1), (3, 1), (3, -1)): -0.3 + 0.1j,
+    })],
+    [nls_quartic(LINE, 2.0), random_form(LINE, 6, 50, seed=25, real=False)],
+    [make_form({_key((2, -1)): 0.7, _key((1, 1)): 0.3j, _key((-3, -1)): -1.1})],
+]
+
+
 def test_kick_and_energy_match_the_form_kernels():
     from latnf.dynamics import _PolyParts
 
-    points = list(LINE.points)
-    forms = [nls_quartic(LINE, -3.0), random_form(LINE, 3, 40, seed=21)]
+    # the state in a shuffled point order, to which the kick relabels its rows and targets
+    points = [LINE.points[i] for i in np.random.default_rng(26).permutation(len(LINE.points))]
+    index = {p: i for i, p in enumerate(points)}
     rng = np.random.default_rng(22)
-    u = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
-    state = {}
-    for p, v in zip(points, u):
-        state[(p, 1)], state[(p, -1)] = complex(v), complex(np.conj(v))
-    field = {}
-    for f in forms:
-        for entry, v in ref_vector_field(f, state).items():
-            field[entry] = field.get(entry, 0j) + v
-    poly = _PolyParts(forms, {p: i for i, p in enumerate(points)})
-    rhs = poly.rhs(u)
-    want = np.array([field.get((p, 1), 0j) for p in points])
-    assert np.allclose(rhs, want, rtol=RTOL, atol=RTOL * np.abs(want).max())
-    energy = poly.energy(u)
-    assert energy == pytest.approx(sum(evaluate(f, state) for f in forms).real, rel=RTOL)
+    for forms in KICK_CASES:
+        u = rng.standard_normal(len(points)) + 1j * rng.standard_normal(len(points))
+        state = {}
+        for p, v in zip(points, u):
+            state[(p, 1)], state[(p, -1)] = complex(v), complex(np.conj(v))
+        field = {}
+        for f in forms:
+            for entry, v in ref_vector_field(f, state).items():
+                field[entry] = field.get(entry, 0j) + v
+        poly = _PolyParts(forms, index)
+        assert len(poly.flows) == len(forms) and not poly.actions
+        rhs = poly.rhs(u)
+        want = np.array([field.get((p, 1), 0j) for p in points])
+        assert np.allclose(rhs, want, rtol=RTOL, atol=RTOL * np.abs(want).max())
+        # points without a minus row get exactly zero
+        assert not rhs[want == 0].any()
+        energy = poly.energy(u)
+        assert energy == pytest.approx(sum(evaluate(f, state) for f in forms).real, rel=RTOL)
+    # a part with no minus variable has a zero kick and builds no table
+    poly = _PolyParts([make_form({_key((1, 1), (2, 1)): 1.0})], index)
+    assert not poly.flows and not poly.actions
+    assert not poly.rhs(u).any()
 
 
 def dense_theta(forms, points, intensity):
