@@ -6,9 +6,11 @@ initial sizes with horizons scaling as ``epsilon**-2`` and reports the peak
 norm ratio, the exit time past 2 eps (if any), and the fitted power of the
 weighted superaction drift.  With ``--flat`` the potential is dropped, which
 at large epsilon demonstrates the resonant growth the multiplier removes.
-``--coupling`` and ``--flat`` act on the NLS only; on a beam config they are
-usage errors (exit 2), as are a model kind ``latnf simulate`` cannot run
-and settings ``SimulationConfig`` rejects, such as a non-positive ``--dt``.
+``--coupling`` and ``--flat`` act on the NLS only: on a config whose grid
+equation (``SimulationConfig.model``, taken from the model kind) is the
+beam they are usage errors (exit 2), as are a model kind ``latnf simulate``
+cannot run and settings ``SimulationConfig`` rejects, such as a
+non-positive ``--dt``.
 
 Example:
     python3 scripts/stability_sweep.py --epsilons 0.1 0.01 --coupling -12

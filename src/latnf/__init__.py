@@ -15,7 +15,6 @@ from .frequencies import (
     SpectrumTable,
     TableModel,
     TorusLaplacian,
-    build_model,
     build_spectrum,
     fit_asymptotics,
     frequency,

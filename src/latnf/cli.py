@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -35,23 +35,10 @@ from .clusters import (
     clusters_to_csv,
     clusters_to_json,
 )
-from .config import ConfigError, apply_overrides, config_to_jsonable, load_config
-from .dynamics import SimulationConfig, integrate_beam, integrate_nls, trajectory_to_csv
-from .forms import (
-    add_forms,
-    form_to_jsonl,
-    nls_quartic,
-    poisson_bracket,
-    poly_from_forms,
-    random_form,
-)
-from .frequencies import (
-    TorusLaplacian,
-    build_model,
-    build_spectrum,
-    fit_asymptotics,
-    spectrum_to_csv,
-)
+from .config import ConfigError, apply_overrides, config_to_jsonable, default_config, load_config
+from .dynamics import SimulationConfig, integrate, model_kind, trajectory_to_csv
+from .forms import add_forms, form_to_jsonl, poisson_bracket, poly_from_forms, random_form
+from .frequencies import TorusLaplacian, build_spectrum, fit_asymptotics, spectrum_to_csv
 from .lattice import Lattice, enumerate_lattice, extended_indexes, point_distance
 from .manifest import build_manifest, inventory, spawn_seed, write_manifest
 from .normalform import (
@@ -87,14 +74,8 @@ class System:
     @cached_property
     def model(self):
         sec = self.cfg["model"]
-        return build_model(
-            sec["kind"],
-            self.lattice,
-            gram=sec["gram"],
-            potential=sec["potential"],
-            mass=sec["mass"],
-            f_value=sec["f_value"],
-        )
+        kind = model_kind(sec["kind"], "frequencies")
+        return kind.frequencies(self.lattice, {key: sec[key] for key in kind.settings})
 
     @cached_property
     def table(self):
@@ -119,21 +100,14 @@ def build_system(cfg) -> System:
 def run_normalform(
     cfg, system: System
 ) -> Tuple[List[NonresonanceCertificate], NormalFormResult]:
-    """Certify orders 3..degree_cap and normalize the NLS quartic.
+    """Certify orders 3..degree_cap and normalize the model kind's perturbation.
 
-    The perturbation, ``nls_quartic``, is the NLS nonlinearity, so only
-    the NLS model kinds ``torus`` and ``multiplier`` are normalized; any other
-    kind is a ``ConfigError``.  Raises ``CertificateError``/``SmallnessError``
-    when normalization fails.
+    A kind without a perturbation of its own is a ``ConfigError``.  Raises
+    ``CertificateError``/``SmallnessError`` when normalization fails.
     """
-    kind = cfg["model"]["kind"]
-    if kind not in ("torus", "multiplier"):
-        raise ConfigError(
-            f"normalform treats the NLS quartic of model.kind torus or multiplier; "
-            f"model.kind {kind!r} has no perturbation of its own"
-        )
     sec = cfg["normalform"]
-    perturbation = poly_from_forms([nls_quartic(system.lattice, sec["coupling"])])
+    kind = model_kind(cfg["model"]["kind"], "perturbation")
+    perturbation = poly_from_forms([kind.perturbation(system.lattice, sec["coupling"])])
     # every NormalFormConfig field is the [normalform] key of the same name
     nf_config = NormalFormConfig(**{f.name: sec[f.name] for f in fields(NormalFormConfig)})
     certificates = [
@@ -153,29 +127,30 @@ def run_normalform(
     return certificates, result
 
 
-# the integrated equation of each model kind that ``simulate`` supports
-_SIMULATED = {"torus": "nls", "multiplier": "nls", "beam": "beam"}
-
-
 def simulation_config(cfg) -> SimulationConfig:
     """The ``[simulate]`` trajectory of the configured model.
 
-    ``torus`` (without the potential) and ``multiplier`` integrate the NLS,
-    ``beam`` the beam equation with mass ``model.mass``; other kinds and an
-    offset lattice are a ``ConfigError``.  The block columns are those of
-    the ``[clusters]`` partition.
+    The grid equation is that of the model kind (``dynamics.KINDS``), with
+    ``model.potential`` when the kind reads it and mass ``model.mass``.  A
+    kind without an equation and an offset lattice are a ``ConfigError``,
+    and so is a beam whose ``simulate.nonlinearity`` is not the default:
+    the beam's nonlinear term is ``simulate.force``.  The default map set
+    explicitly cannot be told apart from the default, and passes.  The
+    block columns are those of the ``[clusters]`` partition.
     """
-    kind = cfg["model"]["kind"]
-    if kind not in _SIMULATED:
-        raise ConfigError(
-            f"simulate integrates model.kind torus, multiplier or beam, not {kind!r}"
-        )
+    kind = model_kind(cfg["model"]["kind"], "equation")
     if cfg["lattice"]["offset"]:
         raise ConfigError("simulate runs on the plain lattice; lattice.offset must be empty")
     sec = cfg["simulate"]
-    potential = dict(cfg["model"]["potential"]) if kind == "multiplier" else {}
+    default = default_config()["simulate"]["nonlinearity"]
+    if kind.equation == "beam" and sec["nonlinearity"] != default:
+        raise ConfigError(
+            "the beam equation reads no simulate.nonlinearity; "
+            "its nonlinear term is simulate.force"
+        )
+    potential = dict(cfg["model"]["potential"]) if "potential" in kind.settings else {}
     return SimulationConfig(
-        model=_SIMULATED[kind],
+        model=kind.equation,
         dim=cfg["lattice"]["dim"],
         radius=cfg["lattice"]["radius"],
         gram=cfg["model"]["gram"],
@@ -336,15 +311,7 @@ def cmd_measure(cfg, args) -> int:
             n_samples=sec["n_samples"],
             seed=spawn_seed(cfg["run"]["seed"], f"measure-{i}"),
         )
-        rows.append(
-            {
-                "gamma": est.gamma,
-                "fraction": est.fraction,
-                "bound": est.bound,
-                "stderr": est.stderr,
-                "passed": est.passed,
-            }
-        )
+        rows.append(asdict(est))
         print(
             f"measure: gamma={est.gamma:g} fraction={est.fraction:.6g} "
             f"bound={est.bound:.6g} (+3se {3 * est.stderr:.2g}) "
@@ -400,7 +367,7 @@ def cmd_normalform(cfg, args) -> int:
 def cmd_simulate(cfg, args) -> int:
     sim = simulation_config(cfg)
     try:
-        record = integrate_nls(sim) if sim.model == "nls" else integrate_beam(sim)
+        record = integrate(sim)
     except FloatingPointError as exc:
         print(f"FAIL simulate: {exc}")
         return 1
@@ -526,7 +493,7 @@ def cmd_verify(cfg, args) -> int:
     except ValueError as exc:
         sim, not_run = None, exc
     if sim is not None:
-        record = integrate_nls(sim) if sim.model == "nls" else integrate_beam(sim)
+        record = integrate(sim)
         if sim.model == "nls":  # the beam's mass column is no invariant of its flow
             mass_drift = float(abs(record.mass[-1] - record.mass[0]) / record.mass[0])
             checks.append(("mass conservation", mass_drift <= 1e-10, f"drift {mass_drift:.3g}"))
@@ -600,10 +567,7 @@ def main(argv=None) -> int:
         if args.out_dir is not None:
             cfg["run"]["out_dir"] = args.out_dir
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -30,6 +30,9 @@ The step maps are:
   nonlinear step is an exact phase rotation, making the scheme exact up to
   rounding; other parts take RK4 substeps.
 
+``integrate`` steps the grid equation ``SimulationConfig.model``.  What a
+config's ``model.kind`` decides is its record in ``KINDS``.
+
 RK4 is one function, ``_rk4``, for the ``rk4_reference`` steps, the
 normal-form substeps and the time-1 generator flows of
 ``normalform.transform_state`` alike; ``transform_state`` takes and returns
@@ -50,7 +53,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,8 +66,17 @@ from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .bands import BandPartition, band_map, band_partition
 from .clusters import ClusterPartition, build_clusters
-from .forms import SymmetricForm, gradient, monomials
-from .frequencies import SpectrumTable, TorusLaplacian, build_model, build_spectrum
+from .config import ConfigError
+from .forms import SymmetricForm, gradient, monomials, nls_quartic
+from .frequencies import (
+    Beam,
+    GroundState,
+    SpectralMultiplier,
+    SpectrumTable,
+    TorusLaplacian,
+    build_spectrum,
+    frequency,
+)
 from .lattice import Lattice, Point, enumerate_lattice
 
 # Constant operands of the step maps are numpy scalars, converted once, and
@@ -93,11 +105,14 @@ def five_smooth(n: int) -> int:
 class SimulationConfig:
     """Model, nonlinearity, and integration parameters for one trajectory.
 
-    ``nonlinearity`` maps powers of |psi|^2 (>= 1, so the nonlinear term
-    vanishes at zero field) to coefficients; ``force`` maps powers of psi
-    (>= 3) for the beam potential and is refused on the Schrödinger model.
-    Coefficients are real numbers, constant in space.  ``track_orbital``
-    and ``integrator="rk4_reference"`` apply to the Schrödinger model only.
+    ``model`` names the grid equation: ``"nls"``, the Schrödinger equation,
+    or ``"beam"``; ``cli.simulation_config`` takes it from the ``equation``
+    of the configured model kind.  ``nonlinearity`` maps powers of |psi|^2
+    (>= 1, so the nonlinear term vanishes at zero field) to coefficients;
+    ``force`` maps powers of psi (>= 3) for the beam potential and is
+    refused on the Schrödinger model.  Coefficients are real numbers,
+    constant in space.  ``track_orbital`` and ``integrator="rk4_reference"``
+    apply to the Schrödinger model only.
 
     ``delta`` and ``c_delta`` are the separation constants of the cluster
     blocks whose superactions the ``Jblk_*`` columns record; the defaults
@@ -192,31 +207,20 @@ class TrajectoryRecord:
 
 
 def trajectory_to_csv(record: TrajectoryRecord, path) -> None:
-    nb = record.band_actions.shape[1]
-    nk = record.block_actions.shape[1]
-    header = ["t", "sobolev", "mass", "energy"]
-    header += [f"J_{n}" for n in range(nb)]
-    header += [f"Jblk_{k}" for k in range(nk)]
     extras = sorted(record.extra)
-    header += extras
+    header = ["t", "sobolev", "mass", "energy"]
+    header += [f"J_{n}" for n in range(record.band_actions.shape[1])]
+    header += [f"Jblk_{k}" for k in range(record.block_actions.shape[1])] + extras
+    columns = [record.times, record.sobolev, record.mass, record.energy]
+    columns += [*record.band_actions.T, *record.block_actions.T]
+    columns += [record.extra[name] for name in extras]
     if record.orbital is not None:
         header.append("orbital")
+        columns.append(record.orbital)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(len(record.times)):
-            row = [
-                repr(float(record.times[i])),
-                repr(float(record.sobolev[i])),
-                repr(float(record.mass[i])),
-                repr(float(record.energy[i])),
-            ]
-            row += [repr(float(v)) for v in record.band_actions[i]]
-            row += [repr(float(v)) for v in record.block_actions[i]]
-            row += [repr(float(record.extra[name][i])) for name in extras]
-            if record.orbital is not None:
-                row.append(repr(float(record.orbital[i])))
-            writer.writerow(row)
+        writer.writerows([repr(float(v)) for v in row] for row in zip(*columns))
 
 
 # --- the shared loop and monitor ---------------------------------------------
@@ -331,6 +335,72 @@ def _place(modes: Dict[Point, complex], index: Dict[Point, int], size: int) -> n
     return u
 
 
+# --- model kinds --------------------------------------------------------------
+
+
+def _laplacian(lattice: Lattice, settings: Mapping):
+    """``|a|_g^2`` of the flat torus, plus ``potential`` when the settings hold one."""
+    torus = TorusLaplacian(gram=settings["gram"])
+    if "potential" not in settings:
+        return torus
+    return SpectralMultiplier(base=torus, potential=dict(settings["potential"]))
+
+
+def _eigenvalues(lattice: Lattice, settings: Mapping) -> Dict[Point, float]:
+    """The torus eigenvalues ``lambda_a`` that the beam and the ground state tabulate."""
+    torus = TorusLaplacian(gram=settings["gram"])
+    return {p: float(frequency(torus, p, lattice.offset)) for p in lattice.points}
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What one ``model.kind`` decides: one record per kind in ``KINDS``.
+
+    ``frequencies`` builds the frequency model on a lattice from the
+    ``[model]`` keys named in ``settings``.  ``perturbation(lattice,
+    coupling)`` is the form ``normalform`` normalizes and ``equation`` the
+    grid equation ``simulate`` integrates (``SimulationConfig.model``);
+    either is ``None`` on a kind that has none.  Kinds of one equation share
+    the frequencies builder that ``_system`` tabulates.
+    """
+
+    settings: Tuple[str, ...]
+    frequencies: Callable[[Lattice, Mapping], object]
+    perturbation: Optional[Callable[[Lattice, float], SymmetricForm]]
+    equation: Optional[str]
+
+
+KINDS = {
+    "torus": ModelKind(("gram",), _laplacian, nls_quartic, "nls"),
+    "multiplier": ModelKind(("gram", "potential"), _laplacian, nls_quartic, "nls"),
+    "beam": ModelKind(
+        ("gram", "mass"), lambda lat, m: Beam(_eigenvalues(lat, m), m["mass"]), None, "beam"
+    ),
+    "ground_state": ModelKind(
+        ("gram", "f_value"), lambda lat, m: GroundState(_eigenvalues(lat, m), m["f_value"]),
+        None, None,
+    ),
+}
+
+_LACKS = {
+    "perturbation": "normalform treats the NLS quartic of model.kind {kinds}; "
+    "model.kind {name!r} has no perturbation of its own",
+    "equation": "simulate integrates model.kind {kinds}, not {name!r}",
+}
+
+
+def model_kind(name: str, needs: str) -> ModelKind:
+    """The record of ``model.kind`` ``name``; a ``ConfigError`` on an unknown
+    kind, and on a kind without ``needs``, which names the kinds with it."""
+    if name not in KINDS:
+        raise ConfigError(f"unknown model kind {name!r}")
+    if getattr(KINDS[name], needs) is None:
+        names = [other for other, kind in KINDS.items() if getattr(kind, needs) is not None]
+        kinds = " or ".join(filter(None, [", ".join(names[:-1]), names[-1]]))
+        raise ConfigError(_LACKS[needs].format(kinds=kinds, name=name))
+    return KINDS[name]
+
+
 # --- pseudospectral models on an FFT grid ------------------------------------
 
 
@@ -432,16 +502,9 @@ def _system(config: SimulationConfig, alias: int) -> _System:
     truncation-supported fields are alias-free."""
     lattice = enumerate_lattice(config.dim, config.radius)
     g = TorusLaplacian(gram=config.gram).gram_matrix(config.dim)
-    # an empty potential leaves the multiplier's frequencies the torus's
-    model = build_model(
-        "multiplier" if config.model == "nls" else "beam",
-        lattice,
-        gram=config.gram,
-        potential=config.potential or {},
-        mass=config.mass_term,
-        f_value=None,  # read by the ground-state kind only, which is not simulated
-    )
-    table = build_spectrum(lattice, model)
+    frequencies = next(k.frequencies for k in KINDS.values() if k.equation == config.model)
+    settings = {"gram": config.gram, "potential": config.potential or {}, "mass": config.mass_term}
+    table = build_spectrum(lattice, frequencies(lattice, settings))
     side = max((abs(c) for p in lattice.points for c in p), default=0)
     grid = _Grid(config.dim, five_smooth(alias * side + 1))
     f = grid.freqs.astype(float)
@@ -686,6 +749,12 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
     return _run(u, step, monitor, dt=dt, n_steps=n_steps, stride=config.stride, meta=meta)
 
 
+def integrate(config: SimulationConfig) -> TrajectoryRecord:
+    """Trajectory of the grid equation ``config.model``; reads both
+    integrators as module globals at each call, so wrappers set here run."""
+    return integrate_nls(config) if config.model == "nls" else integrate_beam(config)
+
+
 # --- polynomial normal forms on the truncated modes --------------------------
 
 
@@ -911,7 +980,7 @@ def stability_experiment(
     runs: List[StabilityRun] = []
     for eps, horizon in zip(eps_values, horizons):
         cfg = replace(config, epsilon=float(eps), horizon=float(horizon))
-        record = integrate_nls(cfg) if cfg.model == "nls" else integrate_beam(cfg)
+        record = integrate(cfg)
         ratio = float(np.max(record.sobolev)) / eps
         above = np.nonzero(record.sobolev > 2.0 * eps)[0]
         exit_time = float(record.times[above[0]]) if above.size else None

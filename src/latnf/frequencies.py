@@ -54,7 +54,7 @@ class TorusLaplacian:
 class SpectralMultiplier:
     """``omega_a = base omega_a + V_a`` with a per-mode diagonal shift."""
 
-    base: "FrequencyModel"
+    base: object
     potential: Mapping[Point, float] = field(default_factory=dict)
 
     @property
@@ -98,47 +98,14 @@ class TableModel:
     beta: float
 
 
-FrequencyModel = (TorusLaplacian, SpectralMultiplier, GroundState, Beam, TableModel)
-
-
-def build_model(
-    kind: str, lattice: Lattice, *, gram, potential, mass: float, f_value: Optional[float]
-):
-    """The frequency model of ``kind`` on ``lattice``: the one map from kind to model.
-
-    ``torus`` is ``TorusLaplacian(gram)`` and ``multiplier`` adds the per-mode
-    ``potential`` to it.  ``beam`` (mass ``mass``) and ``ground_state``
-    (``f(p0) = f_value``) tabulate the torus eigenvalues on the lattice.
-    Any other kind is a ``ValueError``.
-    """
-    torus = TorusLaplacian(gram=gram)
-    if kind == "torus":
-        return torus
-    if kind == "multiplier":
-        return SpectralMultiplier(base=torus, potential=dict(potential))
-    if kind not in ("ground_state", "beam"):
-        raise ValueError(f"unknown model kind {kind!r}")
-    eig = {p: float(frequency(torus, p, lattice.offset)) for p in lattice.points}
-    if kind == "beam":
-        return Beam(eigenvalues=eig, mass=mass)
-    return GroundState(eigenvalues=eig, f_value=f_value)
-
-
 def frequency(model, point: Point, offset=None):
     """Evaluate ``omega_a`` for one point; pure and deterministic."""
     if isinstance(model, TorusLaplacian):
         dim = len(point)
         if (offset is None or all(k == 0.0 for k in offset)) and model.is_integer(dim):
-            if model.gram is None:
-                return sum(int(n) * int(n) for n in point)
             g = model.gram_matrix(dim).astype(int)
-            return int(
-                sum(
-                    int(point[i]) * int(g[i, j]) * int(point[j])
-                    for i in range(dim)
-                    for j in range(dim)
-                )
-            )
+            pairs = [(i, j) for i in range(dim) for j in range(dim)]
+            return sum(int(point[i]) * int(g[i, j]) * int(point[j]) for i, j in pairs)
         a = np.asarray(point, dtype=float)
         if offset is not None:
             a = a + np.asarray(offset, dtype=float)

@@ -662,6 +662,8 @@ def test_cli_simulate_beam_on_a_skew_integer_gram_is_pinned(tmp_path, capsys):
         # the beam steps by Strang splitting only, and only the beam reads force
         (("model.kind=beam", "simulate.integrator=rk4_reference"), "integrator 'rk4_reference'"),
         (('simulate.force={"3": 0.5}',), "force needs model='beam'"),
+        # the beam's nonlinear term is simulate.force; it would ignore the NLS map
+        (("model.kind=beam", 'simulate.nonlinearity={"1": 5, "2": 3}'), "simulate.nonlinearity"),
     ],
 )
 def test_cli_simulate_rejects_what_it_cannot_honour(tmp_path, capsys, overrides, message):
@@ -702,16 +704,16 @@ def test_removed_keys_are_unknown(tmp_path, capsys, setting):
 
 
 def test_cli_verify_follows_the_beam_model(tmp_path, capsys, monkeypatch):
-    import latnf.cli
+    import latnf.dynamics
 
     seen = []
-    inner = latnf.cli.integrate_beam
+    inner = latnf.dynamics.integrate_beam
 
     def spy(config):
         seen.append(config)
         return inner(config)
 
-    monkeypatch.setattr(latnf.cli, "integrate_beam", spy)
+    monkeypatch.setattr(latnf.dynamics, "integrate_beam", spy)
     args = ["verify", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
     assert main(args + ["--set", "model.kind=beam", "--set", "model.mass=2.5"]) == 0
     text = capsys.readouterr().out
@@ -737,6 +739,55 @@ def test_cli_verify_says_when_it_runs_no_trajectory(tmp_path, capsys, setting, m
     assert skipped[0].startswith("verify: trajectory checks: not run (")
     assert message in skipped[0]
     assert "mass conservation" not in text and "energy drift" not in text
+
+
+#: exit codes of each command on each model kind, on the radius-5 line
+KIND_EXITS = {
+    "torus": {"resonances": 1, "normalform": 1, "verify": 1},
+    "multiplier": {},
+    "beam": {"normalform": 2},
+    "ground_state": {"resonances": 1, "normalform": 2, "simulate": 2, "verify": 1},
+    "bogus": dict.fromkeys(
+        ("spectrum", "clusters", "resonances", "normalform", "simulate", "verify"), 2
+    ),
+}
+
+#: what a command that refuses a known kind prints; ``bogus`` gets one message everywhere
+KIND_REFUSALS = {
+    ("normalform", kind): "config error: normalform treats the NLS quartic of model.kind torus "
+    f"or multiplier; model.kind {kind!r} has no perturbation of its own\n"
+    for kind in ("beam", "ground_state")
+} | {
+    ("simulate", "ground_state"): "config error: simulate integrates model.kind torus, "
+    "multiplier or beam, not 'ground_state'\n",
+}
+
+
+@pytest.mark.parametrize("kind", list(KIND_EXITS))
+@pytest.mark.parametrize(
+    "command", ["spectrum", "clusters", "resonances", "measure", "normalform", "simulate", "verify"]
+)
+def test_cli_each_command_on_each_model_kind(tmp_path, capsys, command, kind):
+    settings = (
+        "lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05",
+        "simulate.horizon=0.2", "measure.n_samples=200", f"model.kind={kind}",
+    )
+    argv = [command, "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    for item in settings:
+        argv += ["--set", item]
+    code = KIND_EXITS[kind].get(command, 0)
+    assert main(argv) == code
+    # measure reads no model, so the unknown kind passes it by
+    unknown = "config error: unknown model kind 'bogus'\n" if kind == "bogus" and code else ""
+    assert capsys.readouterr().err == KIND_REFUSALS.get((command, kind), unknown)
+
+
+def test_kinds_of_one_grid_equation_share_its_frequencies():
+    # the grid integrators tabulate the frequencies of the first kind of their equation
+    from latnf.dynamics import KINDS
+
+    for equation in ("nls", "beam"):
+        assert len({k.frequencies for k in KINDS.values() if k.equation == equation}) == 1
 
 
 def test_cli_spectrum_builds_no_clusters(tmp_path, capsys):

@@ -5,8 +5,8 @@ appears anywhere in the module as a bare name (``latnf.resonance.BLOCK`` uses
 ``latnf``).  Package ``__init__`` files re-export their imports and are
 exempt.
 
-Every public top-level function or class of ``src/latnf`` must be read
-somewhere other than its own definition: in the package, in ``scripts/`` or
+Every public top-level function, class or assigned name of ``src/latnf``
+must be read somewhere other than its own definition: in the package, in ``scripts/`` or
 in ``perfbench/``.  Code that only the tests call belongs under ``tests/``
 (``tests/oracles.py``, ``tests/estimates.py``).  The exceptions are listed in
 ``UNCALLED``.
@@ -131,8 +131,16 @@ def _module_reads(node, bound):
     }
 
 
+def _defined_names(node):
+    """The names a top-level statement defines: a def, a class or assignment targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
 def uncalled_definitions(package, outside):
-    """``(module, name)`` of each public top-level def or class that nothing reads.
+    """``(module, name)`` of each public top-level def, class or assigned name that nothing reads.
 
     ``package`` maps module names to sources, ``outside`` lists the sources
     of the scripts and the benchmark.  A definition is read when its name
@@ -151,12 +159,11 @@ def uncalled_definitions(package, outside):
         read_outside |= _module_reads(tree, _latnf_modules(tree, trees))
     found = set()
     for module, node, _ in statements:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-            continue
-        if node.name in read_outside:
-            continue
-        if not any(node.name in names for _, other, names in statements if other is not node):
-            found.add((module, node.name))
+        for name in _defined_names(node):
+            if name.startswith("_") or name in read_outside:
+                continue
+            if not any(name in names for _, other, names in statements if other is not node):
+                found.add((module, name))
     return found
 
 
@@ -172,8 +179,12 @@ def test_the_scan_sees_uncalled_definitions():
             "def imported():\n    pass\n"
             "def conjugate():\n    pass\n"
             "def _private():\n    pass\n"
+            "UNREAD = 1\n"
+            "TYPED: int = 2\n"
+            "SHARED = 3\n"
+            "_PRIVATE = 4\n"
         ),
-        "b": "from . import a\nx = a.Read\n",
+        "b": "from . import a\nx = a.Read, a.SHARED\n",
         # an attribute of numpy reads no definition of the package
         "c": "import numpy as np\ny = np.conjugate(1j)\n",
     }
@@ -183,6 +194,9 @@ def test_the_scan_sees_uncalled_definitions():
     ]
     assert uncalled_definitions(package, outside) == {
         ("a", "caller"), ("a", "recursive"), ("a", "conjugate"),
+        ("a", "UNREAD"), ("a", "TYPED"),
+        # the assigned names ``x`` and ``y`` of b and c are read nowhere either
+        ("b", "x"), ("c", "y"),
     }
 
 
