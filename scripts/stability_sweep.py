@@ -54,10 +54,13 @@ def main() -> int:
     if sim.model == "beam" and (args.flat or args.coupling is not None):
         print("usage error: --coupling and --flat set the NLS; the beam model has neither", file=sys.stderr)
         return 2
+    # the coupling is the NLS nonlinearity; the beam's force comes from the config
+    coupling = -12.0 if args.coupling is None else args.coupling
+    nls = {"nonlinearity": {1: coupling}} if sim.model == "nls" else {}
     try:
         sim = replace(
             sim,
-            nonlinearity={1: -12.0 if args.coupling is None else args.coupling},
+            **nls,
             epsilon=args.epsilons[0],
             s=args.s,
             dt=args.dt,

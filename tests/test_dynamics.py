@@ -185,6 +185,54 @@ def test_grid_transforms_are_numpys_bit_for_bit(fields, alias, shape):
             assert_same_bits(psi, kept)
 
 
+# The Strang stretch's linear propagator: one dense matrix on the 5-, 24-,
+# 36-, 72- and 125-point lines and the 9 x 9 skew torus, the transform pair
+# on grids of more than 128 points (a 135-point line and the 15 x 15 torus).
+PROPAGATOR_SYSTEMS = [
+    (dict(radius=1.0), (5,)),
+    (dict(radius=5.0), (24,)),
+    (dict(radius=8.0), (36,)),
+    (dict(radius=17.0), (72,)),
+    (dict(radius=31.0), (125,)),
+    (dict(dim=2, radius=2.0, gram=((1.0, 0.3), (0.3, 1.4))), (9, 9)),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, shape", PROPAGATOR_SYSTEMS, ids=["x".join(map(str, s)) for _, s in PROPAGATOR_SYSTEMS]
+)
+def test_dense_propagator_is_the_transform_pair_with_the_phase_between(fields, shape):
+    from latnf.dynamics import _system
+
+    system = _system(SimulationConfig(**fields), 4)
+    assert system.grid.shape == shape
+    phase = np.exp(-0.37j * system.lam)
+    matrix = system.propagator(phase)
+    assert matrix.shape == (system.npts, system.npts) and matrix.flags.c_contiguous
+    rng = np.random.default_rng(47)
+    w = np.empty(system.npts, dtype=complex)
+    for _ in range(3):
+        psi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        want = system.field(np.multiply(system.spectrum(psi, w), phase, w), np.empty(shape, complex))
+        got = matrix @ psi.reshape(-1)
+        assert np.max(np.abs(got - want.reshape(-1))) <= 1e-14 * np.max(np.abs(want))
+    unitary = matrix @ matrix.conj().T - np.eye(system.npts)
+    assert np.max(np.abs(unitary)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "fields, shape",
+    [(dict(radius=32.0), (135,)), (dict(dim=2, radius=3.0), (15, 15))],
+    ids=["135", "15x15"],
+)
+def test_grids_past_128_points_propagate_by_the_transform_pair(fields, shape):
+    from latnf.dynamics import _system
+
+    system = _system(SimulationConfig(**fields), 4)
+    assert system.grid.shape == shape
+    assert system.propagator(np.exp(-0.37j * system.lam)) is None
+
+
 @pytest.mark.parametrize("dt", [0.01, 1e-3, 0.37])
 def test_rotation_of_the_cast_phase_is_the_float_product_bit_for_bit(dt):
     # The ``rk4_reference`` right-hand side keeps the phase field in the real

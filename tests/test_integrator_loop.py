@@ -5,9 +5,15 @@ Strang NLS loop, a classic RK4 loop, a beam kick-phase-kick loop and the
 normal-form splitting loop, each with its own sampler.  Every column of
 the ``TrajectoryRecord`` and every ``meta`` entry (the final modes
 included) must be bit-identical to theirs.  The grid oracles transform with
-numpy's ``norm="forward"`` pair, and the Strang oracle scales the
-coefficients of its phase by ``-dt`` before summing the angle, as the
+numpy's ``norm="forward"`` pair, and the Strang oracles scale the
+coefficients of their phase by ``-dt`` before summing the angle, as the
 integrators do.
+
+The Strang integrator keeps the physical-space field between samples and
+applies the linear propagator as a dense matrix on small grids, so its
+bit-identical oracle (``oracle_strang``) runs that arithmetic.  The earlier
+loop, spectral after every step (``oracle_strang_spectral``), is the same
+scheme in another rounding: the integrator must stay within 1e-12 of it.
 """
 
 import math
@@ -199,6 +205,58 @@ def _nls_meta(config, setup, integrator, dt, n_steps, u):
 
 
 def oracle_strang(config):
+    """The Strang loop as the integrator runs it: in physical space between samples.
+
+    Each stretch of ``m`` steps up to a sample enters with the half phase,
+    takes ``m - 1`` steps of the nonlinear rotation and the linear
+    propagator, and leaves through the last rotation and the half phase.
+    The propagator is the dense matrix of the ``norm="forward"`` pair with
+    the full phase between, column by column from the unit fields, on grids
+    of at most 128 points, and that pair itself on larger ones.
+    """
+    setup = _NlsSetup(config)
+    grid = setup.grid
+    npts = grid.size**grid.dim
+    u = _initial_spectrum(config, setup)
+    dt = setup.dt
+    n_steps = max(1, round(config.horizon / dt))
+    phase_half = np.exp(-0.5j * dt * setup.omega)
+    phase_full = np.exp(-1j * dt * setup.omega)
+    # the coefficients of the angle -dt * phase
+    folded = {j: -dt * arr for j, arr in setup.coeff_arrays.items()}
+
+    def pair(psi):
+        spectral = np.fft.fftn(psi, norm="forward").reshape(-1) * phase_full
+        return np.fft.ifftn(spectral.reshape(grid.shape), norm="forward")
+
+    if npts <= 128:
+        units = np.eye(npts, dtype=complex).reshape(-1, *grid.shape)
+        matrix = np.stack([pair(e).reshape(-1) for e in units], axis=1)
+
+        def linear(psi):
+            return np.dot(matrix, psi.reshape(-1)).reshape(grid.shape)
+
+    else:
+        linear = pair
+
+    def rotate(psi):
+        return psi * _rotation(_phase_field(folded, np.abs(psi) ** 2))
+
+    sampler = _Sampler(setup, config)
+    sampler.sample(0.0, u)
+    for k in range(0, n_steps, config.stride):
+        m = min(config.stride, n_steps - k)
+        psi = np.fft.ifftn((u * phase_half).reshape(grid.shape), norm="forward")
+        for _ in range(m - 1):
+            psi = linear(rotate(psi))
+        u = np.fft.fftn(rotate(psi), norm="forward").reshape(-1) * phase_half
+        sampler.sample((k + m) * dt, u)
+    return sampler.record(), _nls_meta(config, setup, "strang_splitting", dt, n_steps, u)
+
+
+def oracle_strang_spectral(config):
+    """The earlier Strang loop: spectral after every step, with a half phase
+    on either side of the rotation."""
     setup = _NlsSetup(config)
     grid = setup.grid
     u = _initial_spectrum(config, setup)
@@ -515,6 +573,37 @@ def assert_matches(record, oracle):
         assert _same(record.meta[key], want), key
 
 
+def assert_close(record, oracle, rtol):
+    """Every column and the final modes within ``rtol`` of the oracle's.
+
+    Each column is measured against its own largest value, and the band and
+    block actions against the largest total action ``mass**2``: the actions
+    of the high modes are about 1e-8 of the total, and the rounding of the
+    low modes moves them by more than ``rtol`` of themselves.
+    """
+    cols, meta = oracle
+    assert np.array_equal(record.times, cols["times"])
+    scales = dict(
+        sobolev=np.max(cols["sobolev"]),
+        mass=np.max(cols["mass"]),
+        energy=np.max(np.abs(cols["energy"])),
+        band_actions=np.max(cols["mass"]) ** 2,
+        block_actions=np.max(cols["mass"]) ** 2,
+    )
+    if cols["orbital"] is not None:
+        scales["orbital"] = np.max(cols["orbital"])
+    assert (record.orbital is None) == (cols["orbital"] is None)
+    for name, scale in scales.items():
+        got, want = getattr(record, name), cols[name]
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= rtol * scale, name
+    final, final_want = record.meta["final_modes"], meta["final_modes"]
+    assert list(final) == list(final_want)
+    got, want = np.asarray(list(final.values())), np.asarray(list(final_want.values()))
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+    assert record.meta["n_steps"] == meta["n_steps"] and record.meta["dt"] == meta["dt"]
+
+
 NLS_CASE = dict(
     radius=5.0,
     potential={(0,): 0.05, (1,): -0.2, (-2,): 0.03},
@@ -565,6 +654,53 @@ def test_strang_nls_in_two_dimensions_matches_the_oracle():
     record = integrate_nls(cfg)
     assert record.meta["grid"] == 20 and record.meta["n_steps"] > 2 * cfg.stride
     assert_matches(record, oracle_strang(cfg))
+
+
+# nls-line8's sweep on a 36-point line: coupling -12, dt 0.01, 4000 steps
+# sampled every 1000.
+NLS_CASE_LINE8 = dict(
+    radius=8.0,
+    potential={(0,): 0.05, (1,): -0.24, (-2,): 0.066, (3,): 0.004},
+    nonlinearity={1: -12.0},
+    epsilon=0.1,
+    dt=0.01,
+    horizon=40.0,
+    stride=1000,
+    seed=1,
+    dt_bound=4.0,
+)
+
+
+def test_strang_nls_past_the_last_stride_matches_the_oracle():
+    # stride > n_steps: one stretch of five steps from t = 0 to the end
+    cfg = SimulationConfig(
+        radius=4.0, dt=0.01, horizon=0.05, stride=100, nonlinearity={1: 1.5}, seed=2
+    )
+    record = integrate_nls(cfg)
+    assert record.meta["n_steps"] == 5 and list(record.times) == [0.0, 5 * 0.01]
+    assert_matches(record, oracle_strang(cfg))
+    assert_close(record, oracle_strang_spectral(cfg), 1e-12)
+
+
+def test_strang_nls_on_the_line8_grid_matches_the_oracle():
+    cfg = SimulationConfig(**NLS_CASE_LINE8)
+    record = integrate_nls(cfg)
+    assert record.meta["n_steps"] == 4000 and len(record.times) == 5
+    assert_matches(record, oracle_strang(cfg))
+
+
+@pytest.mark.parametrize(
+    "case, grid",
+    [(NLS_CASE, 32), (NLS_CASE_2D, 20), (NLS_CASE_LINE8, 36)],
+    ids=["two-powers", "2d-fft-pair", "line8-4000-steps"],
+)
+def test_strang_nls_stays_within_rounding_of_the_spectral_loop(case, grid):
+    # the dense propagator on the 32- and 36-point lines, the transform pair
+    # on the 400-point grid
+    cfg = SimulationConfig(**case)
+    record = integrate_nls(cfg)
+    assert record.meta["grid"] == grid
+    assert_close(record, oracle_strang_spectral(cfg), 1e-12)
 
 
 def test_rk4_reference_matches_the_oracle():
