@@ -20,7 +20,7 @@ Example:
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from latnf import stability_experiment
@@ -91,7 +91,7 @@ def main() -> int:
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        out.write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
         print(f"report -> {out}")
     return 0 if stable else 1
 

@@ -35,7 +35,7 @@ from .clusters import (
     clusters_to_csv,
     clusters_to_json,
 )
-from .config import ConfigError, apply_overrides, config_to_jsonable, default_config, load_config
+from .config import ConfigError, apply_overrides, config_to_jsonable, load_config
 from .dynamics import SimulationConfig, integrate, model_kind, trajectory_to_csv
 from .forms import add_forms, form_to_jsonl, poisson_bracket, poly_from_forms, random_form
 from .frequencies import TorusLaplacian, build_spectrum, fit_asymptotics, spectrum_to_csv
@@ -75,7 +75,7 @@ class System:
     def model(self):
         sec = self.cfg["model"]
         kind = model_kind(sec["kind"], "frequencies")
-        return kind.frequencies(self.lattice, {key: sec[key] for key in kind.settings})
+        return kind.frequencies({key: sec[key] for key in kind.settings})
 
     @cached_property
     def table(self):
@@ -132,22 +132,13 @@ def simulation_config(cfg) -> SimulationConfig:
 
     The grid equation is that of the model kind (``dynamics.KINDS``), with
     ``model.potential`` when the kind reads it and mass ``model.mass``.  A
-    kind without an equation and an offset lattice are a ``ConfigError``,
-    and so is a beam whose ``simulate.nonlinearity`` is not the default:
-    the beam's nonlinear term is ``simulate.force``.  The default map set
-    explicitly cannot be told apart from the default, and passes.  The
-    block columns are those of the ``[clusters]`` partition.
+    kind without an equation and an offset lattice are a ``ConfigError``.
+    The block columns are those of the ``[clusters]`` partition.
     """
     kind = model_kind(cfg["model"]["kind"], "equation")
     if cfg["lattice"]["offset"]:
         raise ConfigError("simulate runs on the plain lattice; lattice.offset must be empty")
     sec = cfg["simulate"]
-    default = default_config()["simulate"]["nonlinearity"]
-    if kind.equation == "beam" and sec["nonlinearity"] != default:
-        raise ConfigError(
-            "the beam equation reads no simulate.nonlinearity; "
-            "its nonlinear term is simulate.force"
-        )
     potential = dict(cfg["model"]["potential"]) if "potential" in kind.settings else {}
     return SimulationConfig(
         model=kind.equation,

@@ -18,9 +18,9 @@ The step maps are:
   spectral system with classic RK4 instead.  The grid is sized so products
   of truncation-supported fields are alias-free and the discrete energy
   functional is exact on the truncation.  The Strang step scales the
-  nonlinearity's coefficient grids by ``-dt`` once per trajectory and
-  writes the angle into the imaginary half of a complex array whose real
-  half stays zero, which ``np.exp`` turns into the rotation.
+  nonlinearity's coefficients by ``-dt`` once per trajectory and writes
+  the angle into the imaginary half of a complex array whose real half
+  stays zero, which ``np.exp`` turns into the rotation.
 * The beam equation (``integrate_beam``): kick-phase-kick splitting of the
   complexified field pair, with both pieces exact.
 * Polynomial normal forms (``integrate_normal_form``): Strang splitting in
@@ -32,7 +32,12 @@ The step maps are:
   rounding; other parts take RK4 substeps.
 
 ``integrate`` steps the grid equation ``SimulationConfig.model``.  What a
-config's ``model.kind`` decides is its record in ``KINDS``.
+config's ``model.kind`` decides is its record in ``KINDS``.  The linear
+phases of both grid equations read one dispersion relation, the kind's
+frequency model: ``_system`` evaluates it with ``frequency`` on every grid
+frequency, so each lattice mode turns at its table frequency, the one that
+fixes its band and block.  The nonlinear coefficients are numpy scalars,
+constant in space.
 
 RK4 is one function, ``_rk4``, for the ``rk4_reference`` steps, the
 normal-form substeps and the time-1 generator flows of
@@ -109,11 +114,13 @@ class SimulationConfig:
     ``model`` names the grid equation: ``"nls"``, the Schrödinger equation,
     or ``"beam"``; ``cli.simulation_config`` takes it from the ``equation``
     of the configured model kind.  ``nonlinearity`` maps powers of |psi|^2
-    (>= 1, so the nonlinear term vanishes at zero field) to coefficients;
-    ``force`` maps powers of psi (>= 3) for the beam potential and is
-    refused on the Schrödinger model.  Coefficients are real numbers,
-    constant in space.  ``track_orbital`` and ``integrator="rk4_reference"``
-    apply to the Schrödinger model only.
+    (>= 1, so the nonlinear term vanishes at zero field) to coefficients of
+    the Schrödinger model; the beam refuses any map but the default, which
+    set explicitly cannot be told apart from it.  ``force`` maps powers of
+    psi (>= 3) for the beam potential and is refused on the Schrödinger
+    model.  Coefficients are real numbers, constant in space.
+    ``track_orbital`` and ``integrator="rk4_reference"`` apply to the
+    Schrödinger model only.
 
     ``delta`` and ``c_delta`` are the separation constants of the cluster
     blocks whose superactions the ``Jblk_*`` columns record; the defaults
@@ -174,6 +181,11 @@ class SimulationConfig:
             raise ValueError(f"integrator {self.integrator!r} needs model='nls'")
         if self.model == "nls" and self.force:
             raise ValueError("force needs model='beam'")
+        if self.model == "beam" and self.nonlinearity != {1: 1.0}:
+            raise ValueError(
+                "the beam equation reads no nonlinearity (simulate.nonlinearity); "
+                "its nonlinear term is force (simulate.force)"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,7 +362,7 @@ def _place(modes: Dict[Point, complex], index: Dict[Point, int], size: int) -> n
 # --- model kinds --------------------------------------------------------------
 
 
-def _laplacian(lattice: Lattice, settings: Mapping):
+def _laplacian(settings: Mapping):
     """``|a|_g^2`` of the flat torus, plus ``potential`` when the settings hold one."""
     torus = TorusLaplacian(gram=settings["gram"])
     if "potential" not in settings:
@@ -358,26 +370,21 @@ def _laplacian(lattice: Lattice, settings: Mapping):
     return SpectralMultiplier(base=torus, potential=dict(settings["potential"]))
 
 
-def _eigenvalues(lattice: Lattice, settings: Mapping) -> Dict[Point, float]:
-    """The torus eigenvalues ``lambda_a`` that the beam and the ground state tabulate."""
-    torus = TorusLaplacian(gram=settings["gram"])
-    return {p: float(frequency(torus, p, lattice.offset)) for p in lattice.points}
-
-
 @dataclass(frozen=True)
 class ModelKind:
     """What one ``model.kind`` decides: one record per kind in ``KINDS``.
 
-    ``frequencies`` builds the frequency model on a lattice from the
-    ``[model]`` keys named in ``settings``.  ``perturbation(lattice,
-    coupling)`` is the form ``normalform`` normalizes and ``equation`` the
-    grid equation ``simulate`` integrates (``SimulationConfig.model``);
-    either is ``None`` on a kind that has none.  Kinds of one equation share
-    the frequencies builder that ``_system`` tabulates.
+    ``frequencies`` builds the frequency model ``a -> omega_a`` from the
+    ``[model]`` keys named in ``settings``; it is the one dispersion relation
+    of the kind, which the table and, through ``_system``, the FFT grid of its
+    equation both evaluate.  ``perturbation(lattice, coupling)`` is the form
+    ``normalform`` normalizes and ``equation`` the grid equation ``simulate``
+    integrates (``SimulationConfig.model``); either is ``None`` on a kind
+    that has none.  Kinds of one equation share the frequencies builder.
     """
 
     settings: Tuple[str, ...]
-    frequencies: Callable[[Lattice, Mapping], object]
+    frequencies: Callable[[Mapping], object]
     perturbation: Optional[Callable[[Lattice, float], SymmetricForm]]
     equation: Optional[str]
 
@@ -386,10 +393,10 @@ KINDS = {
     "torus": ModelKind(("gram",), _laplacian, nls_quartic, "nls"),
     "multiplier": ModelKind(("gram", "potential"), _laplacian, nls_quartic, "nls"),
     "beam": ModelKind(
-        ("gram", "mass"), lambda lat, m: Beam(_eigenvalues(lat, m), m["mass"]), None, "beam"
+        ("gram", "mass"), lambda m: Beam(TorusLaplacian(gram=m["gram"]), m["mass"]), None, "beam"
     ),
     "ground_state": ModelKind(
-        ("gram", "f_value"), lambda lat, m: GroundState(_eigenvalues(lat, m), m["f_value"]),
+        ("gram", "f_value"), lambda m: GroundState(TorusLaplacian(gram=m["gram"]), m["f_value"]),
         None, None,
     ),
 }
@@ -450,18 +457,14 @@ class _Grid:
 _DENSE_POINTS = 128
 
 
-def _coeff_grid(coeff: float, grid: _Grid) -> np.ndarray:
-    """Constant physical-space array of a scalar coefficient."""
-    return float(coeff) * np.ones(grid.shape)
-
-
 @dataclass(frozen=True, eq=False)
 class _System:
     """Truncation, spectrum, partitions and FFT grid of a grid model.
 
-    ``index`` maps each lattice point to its flat grid index; ``lam`` is the
-    quadratic form ``|k|_g^2`` on every grid frequency; ``npts`` counts the
-    grid points.
+    ``index`` maps each lattice point to its flat grid index; ``omega`` is
+    the frequency model of the table evaluated on every grid frequency, so
+    the grid steps each lattice mode with its table frequency bit for bit;
+    ``npts`` counts the grid points.
 
     ``field`` and ``spectrum`` are the one transform pair of every grid
     integrator: numpy's ``norm="forward"`` pair, so ``field`` sums the
@@ -485,7 +488,7 @@ class _System:
     clusters: ClusterPartition
     grid: _Grid
     index: Dict[Point, int]
-    lam: np.ndarray
+    omega: np.ndarray
     npts: int
 
     def field(self, u: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -529,15 +532,19 @@ class _System:
 
 def _system(config: SimulationConfig, alias: int) -> _System:
     """The model of ``config`` on a grid where products of ``alias``
-    truncation-supported fields are alias-free."""
+    truncation-supported fields are alias-free.
+
+    The model carries the potential on the lattice only: a grid frequency
+    off the truncation has the frequency of the bare torus.
+    """
     lattice = enumerate_lattice(config.dim, config.radius)
-    g = TorusLaplacian(gram=config.gram).gram_matrix(config.dim)
     frequencies = next(k.frequencies for k in KINDS.values() if k.equation == config.model)
-    settings = {"gram": config.gram, "potential": config.potential or {}, "mass": config.mass_term}
-    table = build_spectrum(lattice, frequencies(lattice, settings))
+    potential = {p: v for p, v in (config.potential or {}).items() if p in lattice}
+    settings = {"gram": config.gram, "potential": potential, "mass": config.mass_term}
+    model = frequencies(settings)
+    table = build_spectrum(lattice, model)
     side = max((abs(c) for p in lattice.points for c in p), default=0)
     grid = _Grid(config.dim, five_smooth(alias * side + 1))
-    f = grid.freqs.astype(float)
     return _System(
         lattice=lattice,
         table=table,
@@ -545,7 +552,7 @@ def _system(config: SimulationConfig, alias: int) -> _System:
         clusters=build_clusters(table, config.delta, config.c_delta),
         grid=grid,
         index={p: grid.flat_index(p) for p in lattice.points},
-        lam=np.einsum("ij,jk,ik->i", f, g, f),
+        omega=np.asarray([float(frequency(model, tuple(map(int, k)))) for k in grid.freqs]),
         npts=grid.size**grid.dim,
     )
 
@@ -574,11 +581,8 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     if config.model != "nls":
         raise ValueError("the Schrödinger integrators need model='nls'")
     system = _system(config, 2 * int(max(config.nonlinearity, default=0)) + 2)
-    grid = system.grid
-    omega = system.lam.copy()
-    for p, i in system.index.items():
-        omega[i] = float(system.table.omega(p))
-    coeffs = {int(j): _coeff_grid(c, grid) for j, c in sorted(config.nonlinearity.items())}
+    grid, omega = system.grid, system.omega
+    coeffs = {int(j): np.float64(c) for j, c in sorted(config.nonlinearity.items())}
     weights = grid.sobolev_weights(config.s)
     dt, n_steps = _time_step(config, omega)
 
@@ -596,7 +600,7 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     u = u * (config.epsilon / norm)
 
     # an empty nonlinearity is one zero term: the phase field of the linear flow
-    terms = list(coeffs.items()) or [(1, np.zeros(grid.shape))]
+    terms = list(coeffs.items()) or [(1, np.float64(0))]
 
     # Work arrays of the step map, allocated once per trajectory: ``psi`` the
     # field, ``y`` its intensity and ``w`` a spectral state.
@@ -608,10 +612,10 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     def phase_field(scale: float, out: np.ndarray) -> Callable[[], None]:
         """The writer of ``out = sum_j (scale c_j) y**j`` at ``y = |psi|^2``.
 
-        The coefficient grids are scaled once, here; the writer sums from
-        the lowest power.
+        The coefficients are scaled once, here; the writer sums from the
+        lowest power.
         """
-        (j0, a0), *rest = [(j, scale * arr) for j, arr in terms]
+        (j0, a0), *rest = [(j, scale * c) for j, c in terms]
 
         def write() -> None:
             np.square(np.abs(psi, y), y)
@@ -667,8 +671,8 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     def potential(v: np.ndarray) -> float:
         y = np.abs(system.field(v, np.empty(grid.shape, dtype=complex))) ** 2
         pot = 0.0
-        for j, arr in coeffs.items():
-            pot += float(np.mean(arr * y ** (j + 1) / (j + 1)))
+        for j, c in coeffs.items():
+            pot += float(np.mean(c * y ** (j + 1) / (j + 1)))
         return pot
 
     orbital = None
@@ -691,7 +695,8 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
     """Splitting integrator for the beam equation in complexified form.
 
     The field pair (psi, psi_t) is packed into ``u = (O^(1/2) psi_hat +
-    i O^(-1/2) psi_t_hat)/sqrt(2)`` with ``O = sqrt(lap^2 + m)``; the force
+    i O^(-1/2) psi_t_hat)/sqrt(2)`` with ``O = sqrt(lap^2 + m)``, the
+    ``Beam`` frequency model on the grid (``_System.omega``); the force
     kick changes only the velocity component, so kick-phase-kick steps apply
     both pieces exactly.  The recorded Sobolev norm is the pair norm
     ``|psi|_(s+2) + |psi_t|_s``; the omega-weighted norm of u is an extra
@@ -701,10 +706,9 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
         raise ValueError("integrate_beam needs model='beam'")
     force = {int(j): c for j, c in (config.force or {}).items()}
     system = _system(config, max(force, default=1) + 1)
-    grid = system.grid
-    omega = np.sqrt(system.lam**2 + config.mass_term)
+    grid, omega = system.grid, system.omega
     sqrt_om = np.sqrt(omega)
-    force_arrays = {j: _coeff_grid(c, grid) for j, c in sorted(force.items())}
+    force_coeffs = {j: np.float64(c) for j, c in sorted(force.items())}
     w_s = grid.sobolev_weights(config.s)
     w_s2 = grid.sobolev_weights(config.s + 2.0)
 
@@ -754,15 +758,15 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
 
     def kick(u: np.ndarray) -> np.ndarray:
         """The force kick of half a step."""
-        if not force_arrays:
+        if not force_coeffs:
             return u
         system.field(unpack(u)[0], psi)
         if np.max(np.abs(psi.imag)) > 1e-9 * (1.0 + np.max(np.abs(psi.real))):
             raise FloatingPointError("beam field lost reality")
         real = psi.real
         dforce = np.zeros_like(real)
-        for j, arr in force_arrays.items():
-            dforce += j * arr * real ** (j - 1)
+        for j, c in force_coeffs.items():
+            dforce += j * c * real ** (j - 1)
         system.spectrum(dforce, fhat)
         np.multiply(half_kick, fhat, fhat)
         return u - np.divide(fhat, sqrt_om_c, fhat)
@@ -771,12 +775,12 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
         return kick(kick(u) * phase)
 
     def potential(u: np.ndarray) -> float:
-        if not force_arrays:
+        if not force_coeffs:
             return 0.0
         psi = system.field(unpack(u)[0], np.empty(grid.shape, dtype=complex)).real
         pot = 0.0
-        for j, arr in force_arrays.items():
-            pot += float(np.mean(arr * psi**j))
+        for j, c in force_coeffs.items():
+            pot += float(np.mean(c * psi**j))
         return pot
 
     monitor = _Monitor(
@@ -975,23 +979,6 @@ class StabilityRun:
 class StabilityReport:
     runs: Tuple[StabilityRun, ...]
     fitted_power: Optional[float]
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": [
-                {
-                    "epsilon": r.epsilon,
-                    "horizon": r.horizon,
-                    "max_ratio": r.max_ratio,
-                    "exit_time": r.exit_time,
-                    "band_drifts": list(r.band_drifts),
-                    "block_drifts": list(r.block_drifts),
-                    "weighted_drift": r.weighted_drift,
-                }
-                for r in self.runs
-            ],
-            "fitted_power": self.fitted_power,
-        }
 
 
 def _drift(times: np.ndarray, series: np.ndarray) -> float:

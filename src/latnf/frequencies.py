@@ -45,10 +45,6 @@ class TorusLaplacian:
             raise ValueError("Gram matrix must be positive definite")
         return g
 
-    def is_integer(self, dim: int) -> bool:
-        g = self.gram_matrix(dim)
-        return bool(np.all(g == np.round(g)))
-
 
 @dataclass(frozen=True)
 class SpectralMultiplier:
@@ -64,13 +60,13 @@ class SpectralMultiplier:
 
 @dataclass(frozen=True)
 class GroundState:
-    """``omega_a = sqrt(lambda_a^2 + 2 f(p0) lambda_a)`` from tabulated lambda.
+    """``omega_a = sqrt(lambda_a^2 + 2 f(p0) lambda_a)`` with ``lambda_a = base omega_a``.
 
     ``f_value`` is ``f(p0)``, the nonlinearity at the condensate mass
     ``p0``: the one number of ``f`` and ``p0`` that the frequencies read.
     """
 
-    eigenvalues: Mapping[Point, float]
+    base: object
     f_value: float
 
     @property
@@ -80,9 +76,9 @@ class GroundState:
 
 @dataclass(frozen=True)
 class Beam:
-    """``omega_a = sqrt(lambda_a^2 + m)`` from tabulated lambda and mass m."""
+    """``omega_a = sqrt(lambda_a^2 + m)`` with ``lambda_a = base omega_a`` and mass m."""
 
-    eigenvalues: Mapping[Point, float]
+    base: object
     mass: float
 
     @property
@@ -102,21 +98,22 @@ def frequency(model, point: Point, offset=None):
     """Evaluate ``omega_a`` for one point; pure and deterministic."""
     if isinstance(model, TorusLaplacian):
         dim = len(point)
-        if (offset is None or all(k == 0.0 for k in offset)) and model.is_integer(dim):
-            g = model.gram_matrix(dim).astype(int)
+        g = model.gram_matrix(dim)
+        if (offset is None or all(k == 0.0 for k in offset)) and np.all(g == np.round(g)):
+            g = g.astype(int)
             pairs = [(i, j) for i in range(dim) for j in range(dim)]
             return sum(int(point[i]) * int(g[i, j]) * int(point[j]) for i, j in pairs)
         a = np.asarray(point, dtype=float)
         if offset is not None:
             a = a + np.asarray(offset, dtype=float)
-        return float(a @ model.gram_matrix(dim) @ a)
+        return float(a @ g @ a)
     if isinstance(model, SpectralMultiplier):
         base = frequency(model.base, point, offset)
         if not model.potential:
             return base
         return base + float(model.potential.get(tuple(point), 0.0))
     if isinstance(model, GroundState):
-        lam = model.eigenvalues[tuple(point)]
+        lam = float(frequency(model.base, point, offset))
         two_f = 2.0 * model.f_value
         val = lam * lam + two_f * lam
         if val < 0:
@@ -125,7 +122,7 @@ def frequency(model, point: Point, offset=None):
             )
         return math.sqrt(val)
     if isinstance(model, Beam):
-        lam = model.eigenvalues[tuple(point)]
+        lam = float(frequency(model.base, point, offset))
         return math.sqrt(lam * lam + model.mass)
     if isinstance(model, TableModel):
         return model.values[tuple(point)]

@@ -17,7 +17,7 @@ which together are exactly the complement of the nonresonant set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -653,17 +653,8 @@ def _flow_time_one(rhs, start: np.ndarray, *, tol, max_steps, check) -> np.ndarr
 
 def normalform_manifest(result: NormalFormResult) -> dict:
     """JSON-ready summary: config echo, norms, bucket sizes, residuals."""
-    cfg = result.config
     return {
-        "config": {
-            "r": cfg.r,
-            "radius": cfg.radius,
-            "s": cfg.s,
-            "cutoff": result.cutoff,
-            "nu": cfg.nu,
-            "smoothing": cfg.smoothing,
-            "mu_max": cfg.mu_max,
-        },
+        "config": {**asdict(result.config), "cutoff": result.cutoff},
         "gamma": {str(k): v for k, v in sorted(result.gamma.items())},
         "tau": {str(k): v for k, v in sorted(result.tau.items())},
         "mu": result.mu,
@@ -672,11 +663,7 @@ def normalform_manifest(result: NormalFormResult) -> dict:
         "bucket_terms": {
             name: result.bucket(name).n_terms() for name in BUCKETS
         },
-        "commutation": {
-            "max_band_residual": result.commutation.max_band_residual,
-            "max_block_residual": result.commutation.max_block_residual,
-            "z2_bracket_norm": result.commutation.z2_bracket_norm,
-        },
+        "commutation": asdict(result.commutation),
         "ledger": [
             {
                 "step": e.step,

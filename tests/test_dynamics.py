@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -61,6 +62,16 @@ def test_config_validation():
         SimulationConfig(model="beam", force={2: 1.0})
     with pytest.raises(ValueError):
         SimulationConfig(model="beam", mass_term=0.0)
+
+
+def test_beam_config_refuses_a_nonlinearity():
+    # the beam's nonlinear term is ``force``; it would ignore the NLS map
+    with pytest.raises(ValueError, match="reads no nonlinearity"):
+        SimulationConfig(model="beam", nonlinearity={1: -12.0})
+    with pytest.raises(ValueError, match="reads no nonlinearity"):
+        SimulationConfig(model="beam", nonlinearity={})
+    # the default map set explicitly cannot be told apart from the default
+    assert SimulationConfig(model="beam", nonlinearity={1: 1.0}).nonlinearity == {1: 1.0}
 
 
 @pytest.mark.parametrize(
@@ -206,7 +217,7 @@ def test_dense_propagator_is_the_transform_pair_with_the_phase_between(fields, s
 
     system = _system(SimulationConfig(**fields), 4)
     assert system.grid.shape == shape
-    phase = np.exp(-0.37j * system.lam)
+    phase = np.exp(-0.37j * system.omega)
     matrix = system.propagator(phase)
     assert matrix.shape == (system.npts, system.npts) and matrix.flags.c_contiguous
     rng = np.random.default_rng(47)
@@ -230,7 +241,38 @@ def test_grids_past_128_points_propagate_by_the_transform_pair(fields, shape):
 
     system = _system(SimulationConfig(**fields), 4)
     assert system.grid.shape == shape
-    assert system.propagator(np.exp(-0.37j * system.lam)) is None
+    assert system.propagator(np.exp(-0.37j * system.omega)) is None
+
+
+GRAM_2D = ((1.0, 0.3), (0.3, 1.4))
+GRID_MODELS = {
+    "torus": dict(),
+    "multiplier": dict(potential={(0, 0): 0.05, (1, 0): -0.2, (-1, 1): 0.03}),
+    "beam": dict(model="beam", mass_term=1.5),
+}
+
+
+@pytest.mark.parametrize("gram", [None, GRAM_2D], ids=["identity", "skew"])
+@pytest.mark.parametrize("kind", sorted(GRID_MODELS))
+def test_grid_steps_every_lattice_mode_at_its_table_frequency(kind, gram):
+    from latnf.dynamics import _system
+
+    system = _system(SimulationConfig(dim=2, radius=3.0, gram=gram, **GRID_MODELS[kind]), 4)
+    assert len(system.index) == 29
+    for p, i in system.index.items():
+        assert system.omega[i] == float(system.table.omega(p)), p
+
+
+def test_grid_potential_stops_at_the_truncation():
+    # (0, 4) is off the radius-3 lattice: its grid frequency is that of the torus
+    from latnf.dynamics import _system
+
+    potential = {(0, 0): 0.05, (0, 4): 0.7}
+    system = _system(SimulationConfig(dim=2, radius=3.0, gram=GRAM_2D, potential=potential), 4)
+    assert (0, 4) not in system.lattice
+    k = np.asarray([0.0, 4.0])
+    assert system.omega[system.grid.flat_index((0, 4))] == k @ np.asarray(GRAM_2D) @ k
+    assert system.omega[system.index[(0, 0)]] == 0.05
 
 
 @pytest.mark.parametrize("dt", [0.01, 1e-3, 0.37])
@@ -432,7 +474,7 @@ def test_stability_experiment_shape_and_serialization():
         assert run.max_ratio >= 1.0
         assert len(run.band_drifts) > 0
     assert report.fitted_power is None
-    blob = json.dumps(report.to_dict())
+    blob = json.dumps(asdict(report))
     assert json.loads(blob)["runs"][0]["epsilon"] == 0.1
     with pytest.raises(ValueError, match="one horizon per epsilon"):
         stability_experiment(cfg, [0.1, 0.05], horizons=[2.0])

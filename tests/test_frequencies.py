@@ -55,16 +55,16 @@ def test_multiplier_adds_potential():
 
 def test_ground_state_formula_and_positivity():
     eig = {(0,): 0.0, (1,): 1.0, (2,): 4.0}
-    model = GroundState(eigenvalues=eig, f_value=1.0)
+    model = GroundState(base=TorusLaplacian(), f_value=1.0)
     for p, lam in eig.items():
         assert frequency(model, p) == pytest.approx(math.sqrt(lam * lam + 2.0 * lam))
-    sick = GroundState(eigenvalues={(1,): 1.0}, f_value=-1.0)
+    sick = GroundState(base=TorusLaplacian(), f_value=-1.0)
     with pytest.raises(ValueError, match="positivity"):
         frequency(sick, (1,))
 
 
 def test_beam_formula():
-    model = Beam(eigenvalues={(3,): 9.0}, mass=19.0)
+    model = Beam(base=TorusLaplacian(), mass=19.0)
     assert frequency(model, (3,)) == pytest.approx(10.0)
 
 

@@ -46,6 +46,11 @@ UNCALLED = {("normalform", "transform_state"), ("resonance", "small_divisor")}
 #: the solution (``|G| <= K**tau / gamma |F|`` and ``|Z| <= |F|``)
 UNREAD = {("normalform", "HomologicalSolution", name) for name in ("f_norm", "g_norm", "z_norm")}
 
+#: dataclasses whose fields are all read by ``dataclasses.asdict``, which no
+#: attribute load shows: the ``commutation`` block of the normal-form
+#: manifest and the runs of the ``stability_sweep.py --out`` report
+SERIALIZED = {("normalform", "CommutationReport"), ("dynamics", "StabilityRun")}
+
 #: defaulted parameters that no caller outside the tests sets, kept on purpose:
 #: the options of ``transform_state`` await the command that runs it
 #: (ROADMAP item 7); ``random_form(real)`` and ``solve_homological(verify)``
@@ -347,4 +352,5 @@ def test_the_scan_sees_unread_fields():
 
 
 def test_every_dataclass_field_is_read():
-    assert unread_fields(*_sources()) == UNREAD
+    unread = {field for field in unread_fields(*_sources()) if field[:2] not in SERIALIZED}
+    assert unread == UNREAD

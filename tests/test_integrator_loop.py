@@ -308,11 +308,7 @@ def oracle_rk4(config):
 def oracle_beam(config):
     lattice = enumerate_lattice(config.dim, config.radius)
     g = _gram(config.dim, config.gram)
-    eig = {
-        p: float(np.asarray(lattice.effective(p)) @ g @ np.asarray(lattice.effective(p)))
-        for p in lattice.points
-    }
-    table = build_spectrum(lattice, Beam(eigenvalues=eig, mass=config.mass_term))
+    table = build_spectrum(lattice, Beam(TorusLaplacian(gram=config.gram), config.mass_term))
     bands = band_partition(table)
     clusters = build_clusters(table, config.delta, config.c_delta)
     side = max((abs(c) for p in lattice.points for c in p), default=0)
@@ -320,8 +316,8 @@ def oracle_beam(config):
     size = five_smooth((max(force, default=1) + 1) * side + 1)
     grid = _Grid(config.dim, size)
     npts = size**config.dim
-    f = grid.freqs.astype(float)
-    lam = np.einsum("ij,jk,ik->i", f, g, f)
+    # the table's eigenvalue k^T G k of every grid frequency, one row at a time
+    lam = np.asarray([k @ g @ k for k in grid.freqs.astype(float)])
     omega = np.sqrt(lam**2 + config.mass_term)
     sqrt_om = np.sqrt(omega)
     force_arrays = {j: _coeff_grid(c, grid) for j, c in sorted(force.items())}
