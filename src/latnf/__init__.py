@@ -17,7 +17,6 @@ from .frequencies import (
     TorusLaplacian,
     build_spectrum,
     fit_asymptotics,
-    frequency,
     spectrum_to_csv,
 )
 from .bands import (

@@ -186,7 +186,7 @@ def cmd_spectrum(cfg, args) -> int:
     system = build_system(cfg)
     table, bands = system.table, system.bands
     diag = check_band_invariants(bands)
-    fit = fit_asymptotics(system.model, table)
+    fit = fit_asymptotics(table)
 
     out = _out_dir(cfg)
     csv_path = out / "spectrum.csv"
@@ -290,6 +290,8 @@ def cmd_measure(cfg, args) -> int:
     k = sec["k"]
     if len(k) != len(support):
         raise ConfigError("measure.k and measure.support must have equal length")
+    if not sec["gamma"]:
+        raise ConfigError("measure.gamma must list at least one threshold")
     coeffs = dict(zip(support, k))
     rows = []
     failed = None

@@ -34,7 +34,7 @@ The step maps are:
 ``integrate`` steps the grid equation ``SimulationConfig.model``.  What a
 config's ``model.kind`` decides is its record in ``KINDS``.  The linear
 phases of both grid equations read one dispersion relation, the kind's
-frequency model: ``_system`` evaluates it with ``frequency`` on every grid
+frequency model: ``_system`` evaluates it once, on the array of every grid
 frequency, so each lattice mode turns at its table frequency, the one that
 fixes its band and block.  The nonlinear coefficients are numpy scalars,
 constant in space.
@@ -81,7 +81,6 @@ from .frequencies import (
     SpectrumTable,
     TorusLaplacian,
     build_spectrum,
-    frequency,
 )
 from .lattice import Lattice, Point, enumerate_lattice
 
@@ -552,7 +551,7 @@ def _system(config: SimulationConfig, alias: int) -> _System:
         clusters=build_clusters(table, config.delta, config.c_delta),
         grid=grid,
         index={p: grid.flat_index(p) for p in lattice.points},
-        omega=np.asarray([float(frequency(model, tuple(map(int, k)))) for k in grid.freqs]),
+        omega=np.asarray(model.omega(grid.freqs), dtype=float),
         npts=grid.size**grid.dim,
     )
 

@@ -506,7 +506,11 @@ def _block_sums(
     del order
     keys = keys[first]
     coef = fcoef[fi]
-    coef *= gcoef[gi]
+    # the gathered G factor in fixed sub-blocks, as one block-sized temporary
+    # sets the heap layout of a bracket's peak; a power-of-two length keeps
+    # each element in the SIMD body or tail of one whole-block multiply
+    for a in range(0, len(coef), 1 << 15):
+        coef[a : a + (1 << 15)] *= gcoef[gi[a : a + (1 << 15)]]
     sums = np.empty(len(head), dtype=complex)
     sums.real = np.bincount(slot, coef.real, len(head))
     sums.imag = np.bincount(slot, coef.imag, len(head))

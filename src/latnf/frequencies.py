@@ -1,54 +1,77 @@
 """Frequency models ``a -> omega_a`` and the tabulated spectrum.
 
-Every model carries an asymptotic exponent ``beta > 1`` (``omega_a`` grows
-like ``|a|^beta``); the floor norm ``omega_a^(1/beta)`` is the frequency-side
-measure of mode size used by cutoffs and high/low splittings.  The flat-torus
-model keeps exact integer frequencies whenever the Gram matrix is integer and
-the offset is zero, so divisor arithmetic downstream stays exact.
+Every model evaluates ``omega(points, offset=None)`` on an ``(n, dim)``
+integer point array, returning Python scalars, and carries an asymptotic
+exponent ``beta > 1`` (``omega_a`` grows like ``|a|^beta``); the floor norm
+``omega_a^(1/beta)`` is the frequency-side measure of mode size used by
+cutoffs and high/low splittings.  The flat-torus model checks its Gram
+matrix once, when it is built, and keeps exact ``int`` frequencies whenever
+the Gram matrix is integer and the offset is zero, so divisor arithmetic
+downstream stays exact; the other models return ``float``s, and the
+square-root models refuse a negative radicand, naming its first point.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .lattice import Lattice, Point, _per_object, effective_array
+from .lattice import Lattice, Point, _per_object
+
+
+def _tuples(points) -> list:
+    return [tuple(p) for p in np.asarray(points).tolist()]
+
+
+def _checked_sqrt(val: np.ndarray, points, rule: str) -> list:
+    """``sqrt(val)`` as floats; a ``ValueError`` names the first point with ``val < 0``."""
+    if np.any(val < 0):
+        i = int(np.argmax(val < 0))
+        raise ValueError(f"positivity violated at {_tuples(points)[i]}: {rule} = {float(val[i])} < 0")
+    return np.sqrt(val).tolist()
 
 
 @dataclass(frozen=True)
 class TorusLaplacian:
     """``omega_a = a^T G a`` for a symmetric positive definite Gram matrix.
 
-    ``gram=None`` means the identity.  Integer Gram matrices with zero offset
-    evaluate in exact integer arithmetic.
+    ``gram=None`` means the identity.  The matrix is checked once, when the
+    model is built, and its shape at evaluation, where ``dim`` is known.  An
+    integer matrix with zero offset evaluates in exact ``int`` arithmetic.
     """
 
     gram: Optional[Tuple[Tuple[float, ...], ...]] = None
+    beta = 2.0  # a class constant, not a field
 
-    @property
-    def beta(self) -> float:
-        return 2.0
-
-    def gram_matrix(self, dim: int) -> np.ndarray:
-        if self.gram is None:
-            return np.eye(dim)
-        g = np.asarray(self.gram, dtype=float)
-        if g.shape != (dim, dim):
-            raise ValueError(f"Gram matrix shape {g.shape} does not match d={dim}")
+    def __post_init__(self):
+        g = np.eye(1) if self.gram is None else np.asarray(self.gram, dtype=float)
+        if g.ndim != 2 or g.shape[0] != g.shape[1]:
+            return  # refused at evaluation, where the dimension is known
         if not np.allclose(g, g.T):
             raise ValueError("Gram matrix must be symmetric")
         if np.any(np.linalg.eigvalsh(g) <= 0):
             raise ValueError("Gram matrix must be positive definite")
-        return g
+
+    def omega(self, points, offset=None) -> list:
+        x = np.asarray(points)
+        dim = x.shape[1]
+        g = np.eye(dim) if self.gram is None else np.asarray(self.gram, dtype=float)
+        if g.shape != (dim, dim):
+            raise ValueError(f"Gram matrix shape {g.shape} does not match d={dim}")
+        if (offset is None or not np.any(offset)) and np.all(g == np.round(g)):
+            x = x.astype(object)  # Python ints, which cannot overflow
+            return (x @ g.astype(int).astype(object) * x).sum(axis=1).tolist()
+        a = x.astype(float) + (0.0 if offset is None else np.asarray(offset, dtype=float))
+        # each point's a @ G @ a, multiplied in that order
+        return (a[:, None, :] @ g @ a[:, :, None])[:, 0, 0].tolist()
 
 
 @dataclass(frozen=True)
 class SpectralMultiplier:
-    """``omega_a = base omega_a + V_a`` with a per-mode diagonal shift."""
+    """``omega_a = base omega_a + V_a``, a per-mode shift: ``float``s unless ``V`` is empty."""
 
     base: object
     potential: Mapping[Point, float] = field(default_factory=dict)
@@ -56,6 +79,12 @@ class SpectralMultiplier:
     @property
     def beta(self) -> float:
         return self.base.beta
+
+    def omega(self, points, offset=None) -> list:
+        base = self.base.omega(points, offset)
+        if not self.potential:
+            return base
+        return [b + float(self.potential.get(p, 0.0)) for b, p in zip(base, _tuples(points))]
 
 
 @dataclass(frozen=True)
@@ -68,10 +97,12 @@ class GroundState:
 
     base: object
     f_value: float
+    beta = 2.0
 
-    @property
-    def beta(self) -> float:
-        return 2.0
+    def omega(self, points, offset=None) -> list:
+        lam = np.asarray(self.base.omega(points, offset), dtype=float)
+        val = lam * lam + 2.0 * self.f_value * lam
+        return _checked_sqrt(val, points, "lambda^2 + 2 f(p0) lambda")
 
 
 @dataclass(frozen=True)
@@ -80,53 +111,22 @@ class Beam:
 
     base: object
     mass: float
+    beta = 2.0
 
-    @property
-    def beta(self) -> float:
-        return 2.0
+    def omega(self, points, offset=None) -> list:
+        lam = np.asarray(self.base.omega(points, offset), dtype=float)
+        return _checked_sqrt(lam * lam + self.mass, points, "lambda^2 + m")
 
 
 @dataclass(frozen=True)
 class TableModel:
-    """A user-supplied map ``point -> omega`` with a declared exponent."""
+    """A user-supplied map ``point -> omega``, returned as given, with a declared exponent."""
 
     values: Mapping[Point, float]
     beta: float
 
-
-def frequency(model, point: Point, offset=None):
-    """Evaluate ``omega_a`` for one point; pure and deterministic."""
-    if isinstance(model, TorusLaplacian):
-        dim = len(point)
-        g = model.gram_matrix(dim)
-        if (offset is None or all(k == 0.0 for k in offset)) and np.all(g == np.round(g)):
-            g = g.astype(int)
-            pairs = [(i, j) for i in range(dim) for j in range(dim)]
-            return sum(int(point[i]) * int(g[i, j]) * int(point[j]) for i, j in pairs)
-        a = np.asarray(point, dtype=float)
-        if offset is not None:
-            a = a + np.asarray(offset, dtype=float)
-        return float(a @ g @ a)
-    if isinstance(model, SpectralMultiplier):
-        base = frequency(model.base, point, offset)
-        if not model.potential:
-            return base
-        return base + float(model.potential.get(tuple(point), 0.0))
-    if isinstance(model, GroundState):
-        lam = float(frequency(model.base, point, offset))
-        two_f = 2.0 * model.f_value
-        val = lam * lam + two_f * lam
-        if val < 0:
-            raise ValueError(
-                f"positivity violated at {point}: lambda^2 + 2 f(p0) lambda = {val} < 0"
-            )
-        return math.sqrt(val)
-    if isinstance(model, Beam):
-        lam = float(frequency(model.base, point, offset))
-        return math.sqrt(lam * lam + model.mass)
-    if isinstance(model, TableModel):
-        return model.values[tuple(point)]
-    raise TypeError(f"unknown frequency model: {type(model).__name__}")
+    def omega(self, points, offset=None) -> list:
+        return [self.values[p] for p in _tuples(points)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,14 +169,11 @@ def _omega_map(table: SpectrumTable) -> dict:
 
 def build_spectrum(lattice: Lattice, model) -> SpectrumTable:
     """Tabulate the model on the lattice (exact integers when possible)."""
-    vals = [frequency(model, p, lattice.offset) for p in lattice.points]
+    vals = model.omega(np.asarray(lattice.points), lattice.offset)
     exact = all(isinstance(v, int) for v in vals)
-    order = sorted(range(len(vals)), key=lambda i: (vals[i], lattice.points[i]))
-    pts = tuple(lattice.points[i] for i in order)
-    oms = tuple(vals[i] for i in order)
-    if any(v < 0 for v in oms):
-        bad = pts[int(np.argmin(np.asarray(oms)))]
-        raise ValueError(f"negative frequency at {bad}")
+    oms, pts = zip(*sorted(zip(vals, lattice.points)))
+    if oms[0] < 0:
+        raise ValueError(f"negative frequency at {pts[0]}")
     return SpectrumTable(lattice=lattice, model=model, points=pts, omegas=oms, exact=exact)
 
 
@@ -200,7 +197,7 @@ class AsymptoticFit:
     outer_max: float
 
 
-def fit_asymptotics(model, table: SpectrumTable) -> AsymptoticFit:
+def fit_asymptotics(table: SpectrumTable) -> AsymptoticFit:
     """Fit ``c1`` on ``(|a|^beta, omega)``, set ``c2 = max |residual|``.
 
     The fit passes when the residuals do not grow across the truncation:
@@ -209,11 +206,9 @@ def fit_asymptotics(model, table: SpectrumTable) -> AsymptoticFit:
     """
     if len(table) == 0:
         raise ValueError("empty spectrum table")
-    norms = np.linalg.norm(effective_array(table.lattice), axis=1)
-    by_point = {p: n for p, n in zip(table.lattice.points, norms)}
-    r = np.asarray([by_point[p] for p in table.points])
+    r = np.linalg.norm(np.asarray(table.points, dtype=float) + table.lattice.offset, axis=1)
     om = np.asarray([float(v) for v in table.omegas])
-    x = r**model.beta
+    x = r**table.beta
     denom = float(x @ x)
     c1 = float(x @ om) / denom if denom > 0 else 0.0
     res = np.abs(om - c1 * x)

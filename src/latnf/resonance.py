@@ -105,7 +105,7 @@ from typing import ClassVar, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .bands import BandPartition, band_map
-from .frequencies import SpectralMultiplier, SpectrumTable, frequency
+from .frequencies import SpectralMultiplier, SpectrumTable
 from .lattice import ExtIndex, Lattice, Point, _per_object, extended_indexes
 
 #: rows per block of the certification scan.  A block's temporaries are a few
@@ -639,9 +639,8 @@ def estimate_resonant_measure(
         if p not in lattice:
             raise ValueError(f"support point {p} outside the truncation")
 
-    const = sum(
-        coeffs[p] * frequency(ensemble.base, p, lattice.offset) for p in supp
-    )
+    base = ensemble.base.omega(np.asarray(supp), lattice.offset)
+    const = sum(coeffs[p] * om for p, om in zip(supp, base))
     w = np.asarray([coeffs[p] * ensemble.scale(lattice, p) for p in supp])
     rng = np.random.default_rng(seed)
     draws = rng.uniform(-0.5, 0.5, size=(n_samples, len(supp)))

@@ -11,7 +11,9 @@ oracle of a row kernel of the package (``vector_field``,
 ``SymmetricForm.multiplicity``); the builders of test inputs (``make_form``,
 ``real_state``) and the reader of ``form_to_jsonl`` files; and the
 ground-state chart and divisor scan, which no model kind integrates yet;
-and the row-sort bracket, the bit-for-bit oracle of ``forms.poisson_bracket``.
+and the row-sort bracket, the bit-for-bit oracle of ``forms.poisson_bracket``;
+and the per-point frequency ladder (``frequency``, ``gram_matrix``), the
+bit-for-bit oracle of the frequency models' ``omega``.
 """
 
 from __future__ import annotations
@@ -40,9 +42,67 @@ from latnf.forms import (
     scale_form,
     zero_form,
 )
-from latnf.frequencies import SpectrumTable
+from latnf.frequencies import (
+    Beam,
+    GroundState,
+    SpectralMultiplier,
+    SpectrumTable,
+    TableModel,
+    TorusLaplacian,
+)
 from latnf.lattice import ExtIndex, Lattice, Point, extended_indexes, point_distance
 from latnf.resonance import is_resonant_W, validate_cutoff
+
+
+# --- the per-point frequency ladder ---------------------------------------------
+
+
+def gram_matrix(model: TorusLaplacian, dim: int) -> np.ndarray:
+    if model.gram is None:
+        return np.eye(dim)
+    g = np.asarray(model.gram, dtype=float)
+    if g.shape != (dim, dim):
+        raise ValueError(f"Gram matrix shape {g.shape} does not match d={dim}")
+    if not np.allclose(g, g.T):
+        raise ValueError("Gram matrix must be symmetric")
+    if np.any(np.linalg.eigvalsh(g) <= 0):
+        raise ValueError("Gram matrix must be positive definite")
+    return g
+
+
+def frequency(model, point: Point, offset=None):
+    """Evaluate ``omega_a`` for one point; pure and deterministic."""
+    if isinstance(model, TorusLaplacian):
+        dim = len(point)
+        g = gram_matrix(model, dim)
+        if (offset is None or all(k == 0.0 for k in offset)) and np.all(g == np.round(g)):
+            g = g.astype(int)
+            pairs = [(i, j) for i in range(dim) for j in range(dim)]
+            return sum(int(point[i]) * int(g[i, j]) * int(point[j]) for i, j in pairs)
+        a = np.asarray(point, dtype=float)
+        if offset is not None:
+            a = a + np.asarray(offset, dtype=float)
+        return float(a @ g @ a)
+    if isinstance(model, SpectralMultiplier):
+        base = frequency(model.base, point, offset)
+        if not model.potential:
+            return base
+        return base + float(model.potential.get(tuple(point), 0.0))
+    if isinstance(model, GroundState):
+        lam = float(frequency(model.base, point, offset))
+        two_f = 2.0 * model.f_value
+        val = lam * lam + two_f * lam
+        if val < 0:
+            raise ValueError(
+                f"positivity violated at {point}: lambda^2 + 2 f(p0) lambda = {val} < 0"
+            )
+        return math.sqrt(val)
+    if isinstance(model, Beam):
+        lam = float(frequency(model.base, point, offset))
+        return math.sqrt(lam * lam + model.mass)
+    if isinstance(model, TableModel):
+        return model.values[tuple(point)]
+    raise TypeError(f"unknown frequency model: {type(model).__name__}")
 
 
 # --- the dict path -------------------------------------------------------------

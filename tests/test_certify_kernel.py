@@ -379,7 +379,7 @@ def test_a_certified_table_is_freed_with_its_caches():
     clusters = build_clusters(table, 0.5, 1.0)
     certify_nonresonance(table, 4, partition=bands)
     block_index_map(clusters)
-    fit_asymptotics(table.model, table)
+    fit_asymptotics(table)
     assert (0,) in table.lattice and band_map(table, bands)[(0,)] == 0
     state = latnf.resonance._scan_state(table, bands)
     refs = [weakref.ref(x) for x in (table, table.lattice, bands, clusters, state)]

@@ -382,6 +382,19 @@ def test_cli_measure(tmp_path, capsys):
     assert rows[0]["fraction"] <= rows[0]["bound"] + 3 * rows[0]["stderr"]
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("measure.gamma=[]", "measure.gamma must list at least one threshold"),
+        ("measure.k=[1]", "measure.k and measure.support must have equal length"),
+    ],
+)
+def test_cli_measure_that_checks_nothing_is_a_usage_error(tmp_path, capsys, setting, message):
+    assert main(["measure", "--set", setting, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "measure_manifest.json").exists()
+
+
 @pytest.mark.parametrize("n_samples", ["0", "-5"])
 def test_cli_measure_without_samples_is_a_usage_error(tmp_path, capsys, n_samples):
     assert main(["measure", "--set", f"measure.n_samples={n_samples}", "--out-dir", str(tmp_path)]) == 2
@@ -687,6 +700,15 @@ def test_cli_bad_gram_matrix_is_a_usage_error_of_every_command(tmp_path, capsys,
     assert _simulate(tmp_path, *settings) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "clusters", "resonances"])
+def test_cli_beam_with_a_negative_mass_is_a_usage_error(tmp_path, capsys, command):
+    # the first point in lattice order with lambda^2 + m < 0 is named
+    argv = [command, "--out-dir", str(tmp_path), "--set", "model.kind=beam"]
+    assert main(argv + ["--set", "model.mass=-5"]) == 2
+    assert "error: positivity violated at (-1,): lambda^2 + m = -4.0 < 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

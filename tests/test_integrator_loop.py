@@ -36,9 +36,9 @@ from latnf import (
 from latnf.bands import band_map
 from latnf.dynamics import five_smooth, is_action_form
 from latnf.forms import gradient, monomials
-from latnf.frequencies import Beam, SpectralMultiplier, TorusLaplacian, frequency
+from latnf.frequencies import Beam, SpectralMultiplier, TorusLaplacian
 
-from oracles import make_form
+from oracles import frequency, make_form
 
 
 # --- oracles: the earlier loops, same arithmetic, without their guards --------

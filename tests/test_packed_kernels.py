@@ -287,11 +287,13 @@ def test_bracket_in_blocks_and_wide_keys(monkeypatch):
 def oracle_cases():
     """(name, f, g): one-word and wide prime keys, degree 0, empty and unmatched."""
     line5, plane = enumerate_lattice(1, 5.0), enumerate_lattice(2, 10.0)
+    disc4 = enumerate_lattice(2, 4.0)
     yield "line 4x4", random_form(LINE, 4, 60, seed=14), random_form(LINE, 4, 60, seed=15)
     yield "nls quartic", nls_quartic(LINE), random_form(LINE, 4, 30, seed=10)
     yield "repeated entries", repeated_form(LINE, 4, 30, 3), repeated_form(LINE, 3, 30, 4)
     yield "wide plane 4x5", random_form(plane, 4, 400, seed=12), random_form(plane, 5, 400, seed=13)
     yield "line 6x6", random_form(line5, 6, 40, seed=20), random_form(line5, 6, 40, seed=21)
+    yield "long blocks 3x3", random_form(disc4, 3, 400, seed=40), random_form(disc4, 3, 400, seed=41)
     yield "wide line 7x7", random_form(line5, 7, 40, seed=30), random_form(line5, 7, 40, seed=31)
     yield "degree 0", random_form(LINE, 1, 6, seed=22), random_form(LINE, 1, 6, seed=23)
     yield "empty", random_form(LINE, 3, 20, seed=11), from_dict(4, {})
@@ -303,10 +305,20 @@ def oracle_cases():
 @pytest.mark.parametrize("block", [latnf.forms.BLOCK, 97, 7])
 def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
     # The prime-key union sums each key as 0 + block 1 + block 2 + ..., the
-    # row-sort kernel's order, so codes, row order and value bits agree.
+    # row-sort kernel's order, so codes, row order and value bits agree.  At
+    # the default BLOCK one case has blocks longer than the 1 << 15 pairs that
+    # _block_sums multiplies at a time.
     monkeypatch.setattr(latnf.forms, "BLOCK", block)
     cases = {name: (f, g) for name, f, g in oracle_cases()}
     assert [name for name, fg in cases.items() if _wide(*fg)] == ["wide plane 4x5", "wide line 7x7"]
+    lengths = []
+    block_sums = latnf.forms._block_sums
+
+    def spy(*args):
+        lengths.append(len(args[-1]))
+        return block_sums(*args)
+
+    monkeypatch.setattr(latnf.forms, "_block_sums", spy)
     for name, (f, g) in cases.items():
         for tol in (1e-14, 0.0):
             got, want = poisson_bracket(f, g, tol=tol), row_sort_bracket(f, g, tol=tol)
@@ -316,6 +328,8 @@ def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
             assert np.array_equal(got.values.view(np.uint64), want.values.view(np.uint64)), name
     zero = poisson_bracket(*cases["degree 0"])
     assert (zero.degree, len(zero)) == (0, 1)
+    if block > 1 << 15:
+        assert max(lengths) > 1 << 15
 
 
 def test_bracket_peak_memory_is_the_output_plus_one_block(monkeypatch):
