@@ -6,7 +6,9 @@ with a multiplier potential drawn from the decay ensemble, and certifies
 nonresonance order by order.  Exits 1 when any order fails, printing the
 witness, or when its scan goes over the row budget; ``--flat`` drops the
 potential so the integer spectrum shows its zero-divisor witnesses
-explicitly.
+explicitly.  A draw that gives a mode a negative frequency (a potential
+below ``-|a|^2``, as ``V_0 < 0`` at the zero mode) is a usage error: exit 2
+with one line naming the point, the seed and the radius.
 
 Example:
     python3 scripts/resonance_scan.py --radius 8 --orders 3 4 5 --seed 1
@@ -54,7 +56,16 @@ def main() -> int:
     else:
         ensemble = MultiplierEnsemble(base=TorusLaplacian(), decay=args.decay)
         model = ensemble.sample(lattice, np.random.default_rng(args.seed))
-    table = build_spectrum(lattice, model)
+    try:
+        table = build_spectrum(lattice, model)
+    except ValueError as exc:
+        # a drawn potential below -|a|^2 at a mode; the draw is not shifted
+        print(
+            f"usage error: {exc} (seed {args.seed}, radius {args.radius:g}); "
+            "choose another seed or radius",
+            file=sys.stderr,
+        )
+        return 2
     bands = band_partition(table)
     print(
         f"{len(table)} modes on T^{args.dim} radius {args.radius:g}, "

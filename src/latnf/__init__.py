@@ -1,5 +1,7 @@
 """Truncated lattice Hamiltonians: spectra, resonances, normal forms, dynamics."""
 
+__version__ = "0.1.0"
+
 from .lattice import (
     Lattice,
     MAX_POINTS,
@@ -60,6 +62,7 @@ from .forms import (
     localized_norm,
     nls_quartic,
     poisson_bracket,
+    poisson_brackets,
     poly_from_forms,
     quadratic_hamiltonian,
     random_form,
@@ -95,5 +98,3 @@ from .dynamics import (
 )
 from .config import ConfigError, apply_overrides, default_config, load_config
 from .manifest import build_manifest, file_sha256, inventory, spawn_seed, write_manifest
-
-__version__ = "0.1.0"

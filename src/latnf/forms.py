@@ -23,17 +23,22 @@ field, the Sobolev norm, the remainder probe of ``normalize``,
 ``normalform.transform_state`` and the normal-form dynamics all run on such
 arrays.
 
-``poisson_bracket`` never builds the row of a pair of derivative rows.  Each
-code of the bracket's point union gets a prime, the most frequent codes of
-the derivative rows the smallest, each derivative row of F and G is keyed
-once by the product of its primes, and a pair by the product of its two row
-keys: by unique factorisation the key of a pair is that of its output row,
-exactly.  The key is one int64 when every row's key and the product of the
-largest F and G keys stay below ``2**63`` (checked in exact integers), else
-one int64 word per group of codes, compared as bytes.  The pairs
-run in blocks of about ``BLOCK``; each block is merged into a sorted running
-union of distinct keys, so the bracket holds the output plus one block, and
-only the kept keys' rows are built and sorted into row order, at the end.
+``poisson_brackets`` brackets several forms F of one degree with one G in
+one pass, and ``poisson_bracket`` is its one-form case.  The derivative rows
+of the Fs are united, each F keeping one coefficient row (zero where it
+lacks a row).  No pair of derivative rows has its row built.  Each code of
+the bracket's point union gets a prime, the most frequent codes of the
+derivative rows the smallest, each derivative row of the union and of G is
+keyed once by the product of its primes, and a pair by the product of its
+two row keys: by unique factorisation the key of a pair is that of its
+output row, exactly.  The key is one int64 when every row's key and the
+product of the largest union and G keys stay below ``2**63`` (checked in
+exact integers), else one int64 word per group of codes, compared as bytes.
+The pairs run in blocks of about ``BLOCK``; each block's keys are sorted
+once for all the Fs, each F's coefficients are gathered and summed per key
+one F at a time, and the block is merged into a sorted running union of
+distinct keys, so the pass holds the outputs plus one block, and only the
+kept keys' rows are built and sorted into row order, once, at the end.
 
 The localized norm weights each row by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the row (smallest repeated below degree 3) and
@@ -86,8 +91,11 @@ class SymmetricForm:
     values: np.ndarray
 
     def __post_init__(self):
+        # column by column: one whole-array temporary would add the size of
+        # the codes to the peak of every bracket
         used = np.zeros(len(self.points), dtype=bool)
-        used[self.codes >> 1] = True
+        for col in self.codes.T:
+            used[col >> 1] = True
         keep = np.flatnonzero(used)
         if len(keep) < len(self.points):
             mapping = np.zeros(len(self.points), dtype=np.int32)
@@ -231,14 +239,20 @@ def leading_points(form: SymmetricForm, table: SpectrumTable) -> Tuple[np.ndarra
 
     Entries are ordered by floor norm descending, then point, then ``+``
     first.  Relabelling each point by its rank in (-floor, point) order
-    makes that a plain row sort.  Points are indexes into ``form.points``.
+    makes that a plain row sort, done on ``BLOCK`` rows at a time so that
+    its temporaries stay a few blocks whatever the form size.  Points are
+    indexes into ``form.points``.
     """
     points = form.points
     floors = np.array([table.floor(p) for p in points])
     order = sorted(range(len(points)), key=lambda i: (-floors[i], points[i]))
     by_floor = np.empty(len(points), dtype=np.int32)
     by_floor[order] = np.arange(len(points), dtype=np.int32)
-    return floors, np.asarray(order, dtype=np.intp)[np.sort(_relabel(form.codes, by_floor), axis=1)[:, :3] >> 1]
+    codes = form.codes
+    lead = np.empty((len(codes), min(3, form.degree)), dtype=codes.dtype)
+    for a in range(0, len(codes), BLOCK):
+        lead[a : a + BLOCK] = np.sort(_relabel(codes[a : a + BLOCK], by_floor), axis=1)[:, :3]
+    return floors, np.asarray(order, dtype=np.intp)[lead >> 1]
 
 
 def _localization(form: SymmetricForm, table: SpectrumTable, zero_mode: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -443,6 +457,15 @@ def _prime_keys(frows: np.ndarray, grows: np.ndarray, n_codes: int) -> Tuple[np.
     return tuple(grouped)
 
 
+def _items(a: np.ndarray) -> np.ndarray:
+    """The rows of the C-contiguous ``a``, along its first axis, as one opaque item each.
+
+    A gather or scatter of items copies each row whole, several times faster
+    than the same index on a complex or a two-dimensional array.
+    """
+    return a.view(np.dtype((np.void, a.strides[0]))).reshape(len(a))
+
+
 def _pair_union(
     keys: np.ndarray,
     sums: np.ndarray,
@@ -453,14 +476,16 @@ def _pair_union(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Merge a block's distinct sorted keys into the sorted running union.
 
-    A key already in the union adds its block sum to the union's; a new key
-    is inserted with its sum and representative.  The union is rebuilt once,
-    with one mask shared by its three arrays.
+    ``sums`` holds one column of sums per form, so the sums of a key are
+    adjacent.  A key already in the union adds its block sums to the
+    union's; a new key is inserted with its sums and representative.  The
+    union is rebuilt once, with one mask shared by its three arrays.
     """
     pos = np.searchsorted(keys, block_keys)
     hit = pos < len(keys)
     hit[hit] = keys[pos[hit]] == block_keys[hit]
-    sums[pos[hit]] += block_sums[hit]
+    rows, where = _items(sums), pos[hit]
+    rows[where] = (rows[where].view(sums.dtype) + _items(block_sums)[hit].view(sums.dtype)).view(rows.dtype)
     new = np.flatnonzero(~hit)
     if not len(new):
         return keys, sums, reps
@@ -469,9 +494,10 @@ def _pair_union(
     old[at] = False
     merged = []
     for union, block in ((keys, block_keys), (sums, block_sums), (reps, block_reps)):
-        out = np.empty(len(old), dtype=union.dtype)
-        out[old] = union
-        out[at] = block[new]
+        out = np.empty(old.shape + union.shape[1:], dtype=union.dtype)
+        items = _items(out)
+        items[old] = _items(union)
+        items[at] = _items(block)[new]
         merged.append(out)
     return tuple(merged)
 
@@ -486,9 +512,12 @@ def _block_sums(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct keys of a block of pairs ``(fi, gi)``, sorted, their sums, one pair each.
 
-    Each key's coefficients are summed from 0 in pair order (``bincount``).
+    ``fcoef`` holds one coefficient row per form; each form's coefficients
+    are gathered, multiplied and summed per key from 0 in pair order
+    (``bincount``) one form at a time, into that form's column of the sums.
     A pair is returned as ``fi * len(gkeys) + gi``.  The per-pair arrays are
-    freed on return, so a bracket holds one block's at a time.
+    freed on return, so a bracket holds one block's at a time, and one
+    form's coefficients.
     """
     keys = fkeys[fi] * gkeys[gi]
     if keys.ndim > 1:
@@ -505,55 +534,95 @@ def _block_sums(
     head = order[first]
     del order
     keys = keys[first]
-    coef = fcoef[fi]
-    # the gathered G factor in fixed sub-blocks, as one block-sized temporary
-    # sets the heap layout of a bracket's peak; a power-of-two length keeps
-    # each element in the SIMD body or tail of one whole-block multiply
-    for a in range(0, len(coef), 1 << 15):
-        coef[a : a + (1 << 15)] *= gcoef[gi[a : a + (1 << 15)]]
-    sums = np.empty(len(head), dtype=complex)
-    sums.real = np.bincount(slot, coef.real, len(head))
-    sums.imag = np.bincount(slot, coef.imag, len(head))
+    sums = np.empty((len(head), len(fcoef)), dtype=complex)
+    for column, out in zip(fcoef, sums.T):
+        coef = column[fi]
+        # the gathered G factor in fixed sub-blocks, as one block-sized temporary
+        # sets the heap layout of a bracket's peak; a power-of-two length keeps
+        # each element in the SIMD body or tail of one whole-block multiply
+        for a in range(0, len(coef), 1 << 15):
+            coef[a : a + (1 << 15)] *= gcoef[gi[a : a + (1 << 15)]]
+        out.real = np.bincount(slot, coef.real, len(head))
+        out.imag = np.bincount(slot, coef.imag, len(head))
+        del coef
     return keys, sums, fi[head] * len(gkeys) + gi[head]
 
 
-def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
-    """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form.
+def _joint_derivatives(fs: Sequence[SymmetricForm], rank: Mapping[Point, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union of the forms' derivative rows over ``rank``, one coefficient row per form.
 
-    Every derivative row of F meets the derivative rows of G whose variable
-    is its conjugate (``code ^ 1``).  A pair's output row is the multiset
-    union of its two rows, and its key is the product of their prime keys
+    One form's rows are its ``derivatives``, in their order.  Several forms'
+    rows are deduplicated and sorted by variable, then by the column of the
+    variable's run in the row it came from, then by the reduced row: the
+    order of each form's own rows when its rows are ascending, so such a
+    form's pairs are summed per key in the order of its one-form bracket.
+    A form lacking a union row has coefficient 0 there.
+    """
+    var, rows, coefs = [], [], []
+    for f in fs:
+        fvar, frows, fcoef = f.derivatives
+        var.append(f.relabel(fvar, rank))
+        rows.append(f.relabel(frows, rank))
+        coefs.append(fcoef)
+    if len(fs) == 1:
+        return var[0], rows[0], coefs[0][None]
+    var, rows = np.concatenate(var), np.concatenate(rows)
+    column = (rows < var[:, None]).sum(axis=1)
+    radix = max(2 * len(rank), rows.shape[1] + 1)
+    _, first, slot = np.unique(
+        _row_keys(np.column_stack((var, column, rows)), radix), return_index=True, return_inverse=True
+    )
+    slot = slot.reshape(-1)
+    coef = np.zeros((len(fs), len(first)), dtype=complex)
+    start = 0
+    for out, c in zip(coef, coefs):
+        out[slot[start : start + len(c)]] = c
+        start += len(c)
+    return var[first], rows[first], coef
+
+
+def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float = DROP_TOL) -> List[SymmetricForm]:
+    """Canonical brackets ``-i sum_b (d+F d-G - d-F d+G)`` of every F in ``fs`` with one G.
+
+    The forms of ``fs`` share a degree.  Their derivative rows are united
+    (``_joint_derivatives``), each form keeping one coefficient row, and
+    every union row meets the derivative rows of G whose variable is its
+    conjugate (``code ^ 1``).  A pair's output row is the multiset union of
+    its two rows, and its key is the product of their prime keys
     (``_prime_keys``): exact by unique factorisation, one int64 when the
     largest F and G keys multiply below ``2**63`` and one word per group of
     codes beyond that.
     No pair's row is built.  The pairs are expanded in blocks of about
-    ``BLOCK`` (whole runs of one F row each); a block is deduplicated by one
-    sort of its keys and summed per key in pair order by ``bincount``, then
-    merged into the sorted running union (``_pair_union``), where a known
-    key adds its block sum and a new one is inserted with one representative
-    pair.  So each coefficient is ``0 + block 1 + block 2 + ...``, and the
-    bracket holds the union (one key, sum and pair per output key) plus one
-    block's per-pair arrays.  Coefficients with ``|c| <= tol`` are dropped;
-    the rows of the kept representatives are built and sorted into
-    canonical row order once, at the end.
+    ``BLOCK`` (whole runs of one union row each); a block is deduplicated by
+    one sort of its keys and summed per key and form in pair order by
+    ``bincount``, then merged into the sorted running union
+    (``_pair_union``), where a known key adds its block sums and a new one
+    is inserted with one representative pair.  So each coefficient is
+    ``0 + block 1 + block 2 + ...``, and the brackets hold the union (one
+    key, one pair and a sum per form for each output key) plus one block's
+    per-pair arrays.  A form's coefficients with ``|c| <= tol`` are dropped;
+    the rows of the representatives kept by any form are built and sorted
+    into canonical row order once, at the end, and each form takes its own.
     """
-    degree = f.degree + g.degree - 2
+    degrees = {f.degree for f in fs}
+    if len(degrees) != 1:
+        raise ValueError(f"cannot bracket forms of degrees {sorted(degrees)} in one pass")
+    degree = degrees.pop() + g.degree - 2
     if degree < 0:
         raise ValueError("bracket of two linear forms has negative degree")
-    points = sorted(set(f.points) | set(g.points))
+    points = sorted(set(g.points).union(*(f.points for f in fs)))
     rank = {p: i for i, p in enumerate(points)}
-    fvar, frows, fcoef = f.derivatives
+    fvar, frows, fcoef = _joint_derivatives(fs, rank)
     gvar, grows, gcoef = g.derivatives
-    fvar, frows = f.relabel(fvar, rank), f.relabel(frows, rank)
     gvar, grows = g.relabel(gvar, rank), g.relabel(grows, rank)
 
     lo = np.searchsorted(gvar, fvar ^ 1, side="left")
     count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
     live = np.flatnonzero(count)
     if not len(live):
-        return zero_form(degree)
+        return [zero_form(degree)] * len(fs)
     lo, count, frows = lo[live], count[live], frows[live]
-    fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[live]
+    fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[:, live]
     radix = 2 * len(points)
     fkeys, gkeys = _prime_keys(frows, grows, radix)
     ends = np.cumsum(count)
@@ -573,16 +642,26 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
         del block
         start = stop
     sums, reps = union[1:]
-    del union
+    del union, fkeys, gkeys, fcoef, lo, count, ends
     keep = np.abs(sums) > tol
-    sums = sums[keep]
-    fi, gi = np.divmod(reps[keep], len(grows))
-    del reps, keep
+    kept = keep.any(axis=1)
+    sums, keep = sums[kept], keep[kept]
+    fi, gi = np.divmod(reps[kept], len(grows))
+    del reps, kept
     rows = np.concatenate((frows[fi], grows[gi]), axis=1)
-    del fi, gi
+    del fi, gi, frows
     rows.sort(axis=1)
     order = np.argsort(_row_keys(rows, radix))
-    return SymmetricForm(points, rows[order], sums[order])
+    out = []
+    for values, mask in zip(sums.T, keep.T):
+        at = order[mask[order]]
+        out.append(SymmetricForm(points, rows[at], values[at]))
+    return out
+
+
+def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
+    """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form: ``poisson_brackets([f], g, tol)``."""
+    return poisson_brackets([f], g, tol)[0]
 
 
 def _actions(points: Sequence[Point], values: Sequence[complex]) -> SymmetricForm:

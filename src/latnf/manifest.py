@@ -17,6 +17,8 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
+from . import __version__
+
 
 def file_sha256(path) -> str:
     h = hashlib.sha256()
@@ -44,14 +46,9 @@ def spawn_seed(seed: int, label: str) -> int:
 
 
 def versions() -> Dict[str, str]:
-    try:
-        from importlib.metadata import version
-
-        pkg = version("latnf")
-    except Exception:
-        pkg = "unknown"
+    """The versions of latnf (``latnf.__version__``), numpy and Python."""
     return {
-        "latnf": pkg,
+        "latnf": __version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
     }

@@ -34,6 +34,7 @@ from .forms import (
     hamiltonian_field,
     localized_norm,
     poisson_bracket,
+    poisson_brackets,
     poly_from_forms,
     quadratic_hamiltonian,
     scale_form,
@@ -261,8 +262,8 @@ def lie_terms_order(r_bar: int, part_order: int, gen_order: int) -> int:
 
 def lie_transform(
     generator: SymmetricForm,
-    part: SymmetricForm,
-    n: int,
+    parts: Sequence[SymmetricForm],
+    orders: Sequence[int],
     *,
     cap: int,
     table: SpectrumTable,
@@ -271,35 +272,53 @@ def lie_transform(
     nu: float = 2.0,
     smoothing: float = 2.0,
 ) -> Tuple[List[SymmetricForm], List[LedgerEntry]]:
-    """Adjoint series ``sum_{k<=n} Ad_G^k P / k!`` split at the degree cap."""
-    kept: List[SymmetricForm] = []
-    ledger: List[LedgerEntry] = []
-    current = part
-    factorial = 1.0
-    for k in range(n + 1):
-        if k > 0:
-            current = poisson_bracket(current, generator)
-            factorial *= k
-            if not len(current):
-                break
-        term = scale_form(current, 1.0 / factorial)
+    """Adjoint series ``sum_{k<=n} Ad_G^k P / k!`` of every part, split at the degree cap.
+
+    ``orders[i]`` is the ``n`` of ``parts[i]``.  The series are built in one
+    walk by degree: at each degree, the current terms ``Ad_G^k P`` of every
+    part there (each at its own Lie index ``k``) are bracketed with G in one
+    ``poisson_brackets`` pass.  A part's series stops at its ``n`` or at its
+    first empty bracket.  Each term ``Ad_G^k P / k!`` of degree at most
+    ``cap`` is kept; a higher one enters the ledger with its scaled norm.
+    Kept terms and ledger entries come in part order, then Lie index.
+    """
+    kept: List[List[SymmetricForm]] = [[] for _ in parts]
+    ledger: List[List[LedgerEntry]] = [[] for _ in parts]
+    current = list(parts)
+    factorial = [1.0] * len(parts)
+
+    def emit(i: int, k: int) -> None:
+        term = scale_form(current[i], 1.0 / factorial[i])
         if term.degree <= cap:
-            kept.append(term)
-        else:
-            norm_r = scaled_norm(
-                term, table, radius, nu=nu, smoothing=smoothing, zero_mode="lift"
+            kept[i].append(term)
+            return
+        norm_r = scaled_norm(term, table, radius, nu=nu, smoothing=smoothing, zero_mode="lift")
+        ledger[i].append(
+            LedgerEntry(
+                step=step,
+                source_degree=parts[i].degree,
+                lie_index=k,
+                degree=term.degree,
+                norm_r=norm_r,
+                form=term,
             )
-            ledger.append(
-                LedgerEntry(
-                    step=step,
-                    source_degree=part.degree,
-                    lie_index=k,
-                    degree=term.degree,
-                    norm_r=norm_r,
-                    form=term,
-                )
-            )
-    return kept, ledger
+        )
+
+    for i in range(len(parts)):
+        emit(i, 0)
+    index = [0] * len(parts)
+    live = [i for i, n in enumerate(orders) if n > 0]
+    while live:
+        degree = min(current[i].degree for i in live)
+        batch = [i for i in live if current[i].degree == degree]
+        for i, term in zip(batch, poisson_brackets([current[i] for i in batch], generator)):
+            current[i] = term
+            index[i] += 1
+            factorial[i] *= index[i]
+            if len(term):
+                emit(i, index[i])
+        live = [i for i in live if len(current[i]) and index[i] < orders[i]]
+    return [t for terms in kept for t in terms], [e for entries in ledger for e in entries]
 
 
 @dataclass(frozen=True)
@@ -410,7 +429,12 @@ def normalize(
 
     Each step solves the homological equation for the entire lowest-degree
     non-normalized part, conjugates every current term by the generator's
-    time-1 flow (adjoint series, degree-capped), and re-sorts.  Per-step
+    time-1 flow (adjoint series, degree-capped), and re-sorts.  The sources
+    of a step, ``h0``, then the normal parts and the current parts by
+    degree, go through one ``lie_transform`` walk by degree, which brackets
+    the same-degree terms of all sources with the generator in one pass; its
+    kept pieces are summed, and its ledger entries recorded, in source
+    order, then Lie index.  Per-step
     norms must contract: ``mu = (|P|_R / R^2) K^tau`` is required below
     ``mu_max`` and each step below ``2 mu`` times the previous.
     ``remainder_bound`` is the largest ``|X(u)|_s`` of the remainder's vector
@@ -482,19 +506,15 @@ def normalize(
         generators.append(generator)
         gen_order = generator.degree - 2
 
-        pieces: List[SymmetricForm] = []
         sources = [h0] + [normal_parts[d] for d in sorted(normal_parts)]
-        sources += [current.part(d) for d in current.degrees]
-        for src in sources:
-            if not len(src):
-                continue
-            n = lie_terms_order(config.r_bar, src.degree - 2, gen_order)
-            kept, dropped = lie_transform(
-                generator, src, n, cap=cap, table=table, radius=radius,
-                step=step, nu=config.nu, smoothing=config.smoothing,
-            )
-            pieces.extend(kept)
-            ledger.extend(dropped)
+        sources = [src for src in sources + [current.part(d) for d in current.degrees] if len(src)]
+        pieces, dropped = lie_transform(
+            generator, sources,
+            [lie_terms_order(config.r_bar, src.degree - 2, gen_order) for src in sources],
+            cap=cap, table=table, radius=radius,
+            step=step, nu=config.nu, smoothing=config.smoothing,
+        )
+        ledger.extend(dropped)
 
         acc = poly_from_forms(pieces)
         new_normal: Dict[int, SymmetricForm] = {}

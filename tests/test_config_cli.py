@@ -248,6 +248,19 @@ def test_manifest_json_sorted_and_numpy_safe():
     assert manifest_json(manifest) == text
 
 
+def test_manifest_version_is_the_package_version(tmp_path):
+    # read from the package, not from the installed metadata: a source
+    # checkout and an installed run write the same manifest
+    tomllib = pytest.importorskip("tomllib")
+    import latnf
+
+    project = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())["project"]
+    out = tmp_path / "run"
+    assert main(["spectrum", "--config", CERTIFIED_CONFIG, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "spectrum_manifest.json").read_text())
+    assert manifest["versions"]["latnf"] == latnf.__version__ == project["version"]
+
+
 def test_cli_spectrum_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["spectrum", "--config", CERTIFIED_CONFIG, "--out-dir", str(out)]) == 0

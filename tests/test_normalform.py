@@ -143,6 +143,8 @@ def test_normalize_keeps_every_form_packed():
     apply_overrides(cfg, ["lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05"])
     _, result = run_normalform(cfg, build_system(cfg))
     assert [len(e.form) for e in result.ledger] == [3376, 37147, 3692, 38491]
+    # in source order, then Lie index, as the one-source series emitted them
+    assert [(e.source_degree, e.lie_index, e.degree) for e in result.ledger] == [(2, 2, 6), (2, 3, 8), (4, 1, 6), (4, 2, 8)]
     normal_parts = [
         part for name in ("Z0", "ZB", "Z2", "ZGE3") for part in result.bucket(name).parts.values()
     ]
@@ -163,7 +165,7 @@ def test_lie_transform_caps_and_ledgers(certified_table):
     gen = random_form(certified_table.lattice, 4, n_terms=3, seed=21)
     part = random_form(certified_table.lattice, 4, n_terms=3, seed=22)
     kept, dropped = lie_transform(
-        gen, part, 2, cap=6, table=certified_table, radius=0.1, step=3
+        gen, [part], [2], cap=6, table=certified_table, radius=0.1, step=3
     )
     assert kept[0].coeffs == part.coeffs
     br1 = poisson_bracket(part, gen)
@@ -174,6 +176,37 @@ def test_lie_transform_caps_and_ledgers(certified_table):
     half = scale_form(poisson_bracket(br1, gen), 0.5)
     assert entry.form.coeffs == pytest.approx(half.coeffs)
     assert entry.norm_r > 0
+
+
+def test_lie_transform_walks_its_parts_by_degree(certified_table):
+    # several parts in one walk give each part's own series: kept terms and
+    # ledger entries in part order, then Lie index; the brackets that two
+    # parts share a degree in run jointly, so values agree to rounding
+    lattice = certified_table.lattice
+    gen = random_form(lattice, 4, n_terms=3, seed=21)
+    parts = [
+        quadratic_hamiltonian(certified_table),
+        random_form(lattice, 3, n_terms=3, seed=25),
+        random_form(lattice, 4, n_terms=3, seed=22),
+    ]
+    orders = [3, 2, 2]
+    kw = dict(cap=6, table=certified_table, radius=0.1, step=3)
+    kept, dropped = lie_transform(gen, parts, orders, **kw)
+    want_kept, want_dropped = [], []
+    for part, n in zip(parts, orders):
+        k, d = lie_transform(gen, [part], [n], **kw)
+        want_kept += k
+        want_dropped += d
+    assert [t.degree for t in kept] == [t.degree for t in want_kept] == [2, 4, 6, 3, 5, 4, 6]
+    labels = [(e.step, e.source_degree, e.lie_index, e.degree) for e in dropped]
+    assert labels == [(e.step, e.source_degree, e.lie_index, e.degree) for e in want_dropped]
+    assert labels == [(3, 2, 3, 8), (3, 3, 2, 7), (3, 4, 2, 8)]
+    pairs = list(zip(kept, want_kept)) + [(a.form, b.form) for a, b in zip(dropped, want_dropped)]
+    for got, want in pairs:
+        assert np.array_equal(got.codes, want.codes)
+        assert np.abs(got.values - want.values).max(initial=0.0) <= 1e-14 * np.abs(want.values).max(initial=0.0)
+    for got, want in zip(dropped, want_dropped):
+        assert got.norm_r == pytest.approx(want.norm_r, rel=1e-14)
 
 
 def test_normalize_requires_certificates(certified_table, certified_partitions, certificates):
@@ -265,6 +298,12 @@ def test_normal_form_ledger(nf_result):
     assert all(e.step == 0 for e in nf_result.ledger)
     assert nf_result.ledger_bound == pytest.approx(sum(e.norm_r for e in nf_result.ledger))
     assert nf_result.remainder_bound < 1e-10
+
+
+def test_normal_form_ledger_runs_in_source_then_lie_index_order(nf_result):
+    assert [(e.source_degree, e.lie_index, e.degree, len(e.form)) for e in nf_result.ledger] == [
+        (2, 2, 6, 24121), (2, 3, 8, 558297), (4, 1, 6, 28081), (4, 2, 8, 604298),
+    ]
 
 
 def test_normal_form_outputs_are_pinned(nf_result):

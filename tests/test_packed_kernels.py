@@ -6,7 +6,9 @@ verbatim as oracles.  Key sets must agree exactly; coefficients and norms
 agree to 1e-12 relative, the room a different summation order needs.  The
 sum and the conjugate keep the summation order, so they agree bit for bit,
 in the same key order.  So does ``forms.gradient`` against the ``bincount``
-loop it replaced (``ref_gradient``).
+loop it replaced (``ref_gradient``).  The bracket of several forms in one
+pass (``poisson_brackets``) gives each form the rows of its own bracket, and
+values within ``JOINT_RTOL`` of that bracket's largest coefficient.
 """
 
 import gc
@@ -30,6 +32,7 @@ from latnf import (
     localized_norm,
     nls_quartic,
     poisson_bracket,
+    poisson_brackets,
     poly_from_forms,
     quadratic_hamiltonian,
     random_form,
@@ -61,6 +64,9 @@ from oracles import (
 
 
 RTOL = 1e-12
+#: room for a joint bracket's other block association and pair order,
+#: relative to the largest coefficient of the one-form bracket
+JOINT_RTOL = 1e-14
 
 
 # --- reference loops -------------------------------------------------------
@@ -332,6 +338,72 @@ def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
         assert max(lengths) > 1 << 15
 
 
+def canonical(form):
+    """The form with its rows ascending, as a bracket returns them."""
+    order = np.lexsort(form.codes.T[::-1])
+    return latnf.forms.SymmetricForm(form.points, form.codes[order], form.values[order])
+
+
+def rows_of(form, select, factor=1.0):
+    """A form of the rows ``select`` of ``form``, its values times ``factor``."""
+    return latnf.forms.SymmetricForm(form.points, form.codes[select], form.values[select] * factor)
+
+
+def joint_cases():
+    """(name, forms, g): several forms of one degree bracketed with one G."""
+    f, g = random_form(LINE, 4, 60, seed=50), random_form(LINE, 3, 40, seed=51)
+    yield "nested supports", [f, rows_of(f, slice(None, None, 2), -0.3j)], g
+    yield "disjoint supports", [rows_of(f, slice(0, None, 2)), rows_of(f, slice(1, None, 2))], g
+    small = random_form(enumerate_lattice(1, 2.0), 4, 30, seed=52)
+    yield "different point sets", [small, f, rows_of(small, [0, 3, 5], 2.0)], g
+    yield "rows not in canonical order", [nls_quartic(LINE), f, canonical(f)], random_form(LINE, 4, 30, seed=10)
+    yield "three forms", [random_form(LINE, 3, 40, seed=s) for s in (53, 54, 55)], random_form(LINE, 4, 40, seed=56)
+    near = make_form({canonical_key((((0,), 1), ((1,), -1), ((2,), 1))): 1.0, canonical_key((((0,), -1), ((1,), 1), ((1,), 1))): 0.5j})
+    far = make_form({canonical_key((((3,), 1), ((4,), 1), ((4,), -1))): 2.0})
+    local = make_form({canonical_key((((0,), 1), ((1,), 1), ((1,), -1))): 1.0, canonical_key((((0,), -1), ((2,), 1), ((2,), -1))): -1.5})
+    yield "one form with no live pair", [near, far], local
+    yield "no live pair at all", [far, far], local
+    plane = enumerate_lattice(2, 10.0)
+    wide = random_form(plane, 4, 150, seed=12)
+    yield "wide keys", [wide, rows_of(wide, slice(None, 100), 3.0)], random_form(plane, 5, 150, seed=13)
+
+
+@pytest.mark.parametrize("block", [latnf.forms.BLOCK, 97, 7])
+def test_brackets_of_several_forms_match_their_one_form_brackets(monkeypatch, block):
+    monkeypatch.setattr(latnf.forms, "BLOCK", block)
+    assert [name for name, fs, g in joint_cases() if _wide(fs[0], g)] == ["wide keys"]
+    for name, fs, g in joint_cases():
+        for tol in (1e-14, 0.0):
+            got = poisson_brackets(fs, g, tol=tol)
+            assert len(got) == len(fs), name
+            for f, out in zip(fs, got):
+                want = poisson_bracket(f, g, tol=tol)
+                assert out.degree == want.degree, name
+                assert out.points == want.points, name
+                assert np.array_equal(out.codes, want.codes), name
+                bound = JOINT_RTOL * np.abs(want.values).max(initial=0.0)
+                assert np.abs(out.values - want.values).max(initial=0.0) <= bound, name
+            if "no live pair" in name:
+                assert len(got[-1]) == 0, name
+                assert (len(got[0]) > 0) == (name == "one form with no live pair"), name
+
+
+def test_brackets_of_ascending_forms_in_one_block_keep_the_one_form_bits():
+    # each form's pairs meet a key in the order of its own bracket when its
+    # rows ascend; within one block its sums are then those of that bracket
+    f, g = canonical(random_form(LINE, 4, 60, seed=57)), random_form(LINE, 3, 40, seed=58)
+    fs = [f, rows_of(f, slice(None, None, 3), 0.7), canonical(random_form(LINE, 4, 50, seed=59))]
+    for f, out in zip(fs, poisson_brackets(fs, g)):
+        want = poisson_bracket(f, g)
+        assert np.array_equal(out.codes, want.codes)
+        assert np.array_equal(out.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def test_brackets_need_one_degree():
+    with pytest.raises(ValueError, match="degrees \\[3, 4\\]"):
+        poisson_brackets([random_form(LINE, 3, 5, seed=60), random_form(LINE, 4, 5, seed=61)], random_form(LINE, 3, 5, seed=62))
+
+
 def test_bracket_peak_memory_is_the_output_plus_one_block(monkeypatch):
     # About 120 blocks whose keys mostly repeat: merged into a running union,
     # the traced peak stays a few output sizes; kept until a final merge, the
@@ -444,6 +516,16 @@ def test_norms_match_reference(lattice, f, g):
             assert vector_field_seminorm(form, table, **kw) == pytest.approx(want_vf, rel=RTOL)
         for key in list(form.coeffs)[:20]:
             assert mu_S(table, key, "lift") == ref_mu_S(table, key, "lift")
+
+
+def test_leading_points_in_blocks_match_one_block(monkeypatch):
+    table = table_for(LINE)
+    forms = [random_form(LINE, degree, 60, seed=63 + degree) for degree in (1, 2, 4)]
+    want = [latnf.forms.leading_points(form, table)[1] for form in forms]
+    monkeypatch.setattr(latnf.forms, "BLOCK", 7)
+    for form, lead in zip(forms, want):
+        assert len(form) > 7
+        assert np.array_equal(latnf.forms.leading_points(form, table)[1], lead)
 
 
 def test_norms_of_empty_forms_and_zero_modes():

@@ -144,6 +144,16 @@ def test_resonance_scan_at_order_3(flat, code):
     assert ("certified" in proc.stdout) != flat
 
 
+def test_resonance_scan_negative_frequency_is_a_usage_error():
+    # seed 1 at radius 12 draws V_0 < 0: the zero mode's frequency is negative
+    proc = _run("resonance_scan.py", "--radius", 12, "--seed", 1, "--orders", 3)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "usage error: negative frequency at (0,) (seed 1, radius 12); choose another seed or radius"
+    ]
+
+
 def test_resonance_scan_over_the_budget_fails():
     # the order-8 head table of 2-D radius 7 alone is over the row budget
     proc = _run("resonance_scan.py", "--flat", "--dim", 2, "--radius", 7, "--orders", 8)
