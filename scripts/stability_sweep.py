@@ -10,7 +10,9 @@ at large epsilon demonstrates the resonant growth the multiplier removes.
 equation (``SimulationConfig.model``, taken from the model kind) is the
 beam they are usage errors (exit 2), as are a model kind ``latnf simulate``
 cannot run and settings ``SimulationConfig`` rejects, such as a
-non-positive ``--dt``.
+non-positive ``--dt``.  The script exits 1 when a run's norm exceeds
+2 eps, or when a run blows up, which prints one ``FAIL`` line naming its
+epsilon and time.
 
 Example:
     python3 scripts/stability_sweep.py --epsilons 0.1 0.01 --coupling -12
@@ -74,7 +76,11 @@ def main() -> int:
         return 2
     if args.flat:
         sim = replace(sim, potential=None)
-    report = stability_experiment(sim, args.epsilons, horizons=args.horizons)
+    try:
+        report = stability_experiment(sim, args.epsilons, horizons=args.horizons)
+    except FloatingPointError as exc:
+        print(f"FAIL stability sweep: {exc}")
+        return 1
 
     stable = True
     for run in report.runs:

@@ -15,7 +15,6 @@ from .frequencies import (
     GroundState,
     SpectralMultiplier,
     SpectrumTable,
-    TableModel,
     TorusLaplacian,
     build_spectrum,
     fit_asymptotics,
@@ -48,7 +47,6 @@ from .resonance import (
     certify_nonresonance,
     estimate_resonant_measure,
     is_resonant_W,
-    small_divisor,
     validate_cutoff,
 )
 from .forms import (

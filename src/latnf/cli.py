@@ -485,8 +485,13 @@ def cmd_verify(cfg, args) -> int:
         )
     except ValueError as exc:
         sim, not_run = None, exc
+    record = None
     if sim is not None:
-        record = integrate(sim)
+        try:
+            record = integrate(sim)
+        except FloatingPointError as exc:
+            checks.append(("trajectory", False, str(exc)))
+    if record is not None:
         if sim.model == "nls":  # the beam's mass column is no invariant of its flow
             mass_drift = float(abs(record.mass[-1] - record.mass[0]) / record.mass[0])
             checks.append(("mass conservation", mass_drift <= 1e-10, f"drift {mass_drift:.3g}"))

@@ -996,7 +996,8 @@ def stability_experiment(
 
     Default horizons scale as ``eps**-2``.  The weighted drift aggregates
     band actions with their Sobolev weights, so its decay across the sweep
-    tracks the effective remainder order.
+    tracks the effective remainder order.  A run that blows up raises
+    ``FloatingPointError`` naming its ``eps``.
     """
     if horizons is None:
         horizons = [e**-2.0 for e in eps_values]
@@ -1005,7 +1006,10 @@ def stability_experiment(
     runs: List[StabilityRun] = []
     for eps, horizon in zip(eps_values, horizons):
         cfg = replace(config, epsilon=float(eps), horizon=float(horizon))
-        record = integrate(cfg)
+        try:
+            record = integrate(cfg)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"eps {eps:g}: {exc}") from exc
         ratio = float(np.max(record.sobolev)) / eps
         above = np.nonzero(record.sobolev > 2.0 * eps)[0]
         exit_time = float(record.times[above[0]]) if above.size else None

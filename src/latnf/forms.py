@@ -725,9 +725,8 @@ def random_form(
     degree: int,
     n_terms: int,
     seed: int = 0,
-    real: bool = True,
 ) -> SymmetricForm:
-    """Sparse random form; ``real=True`` symmetrizes to real values on pairs."""
+    """Sparse random form, symmetrized to real values on pairs."""
     rng = np.random.default_rng(seed)
     codes = np.empty((n_terms, degree), dtype=np.int32)
     values = np.empty(n_terms, dtype=complex)
@@ -737,9 +736,7 @@ def random_form(
         values[i] = complex(rng.standard_normal(), rng.standard_normal())
     codes.sort(axis=1)
     f = _sum_rows(lattice.points, codes, values, 0.0)
-    if real:
-        f = add_forms(scale_form(f, 0.5), scale_form(conjugate_form(f), 0.5), tol=0.0)
-    return f
+    return add_forms(scale_form(f, 0.5), scale_form(conjugate_form(f), 0.5), tol=0.0)
 
 
 def sobolev_norm(x: np.ndarray, points: Sequence[Point], lattice: Lattice, s: float) -> float:

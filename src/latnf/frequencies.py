@@ -118,17 +118,6 @@ class Beam:
         return _checked_sqrt(lam * lam + self.mass, points, "lambda^2 + m")
 
 
-@dataclass(frozen=True)
-class TableModel:
-    """A user-supplied map ``point -> omega``, returned as given, with a declared exponent."""
-
-    values: Mapping[Point, float]
-    beta: float
-
-    def omega(self, points, offset=None) -> list:
-        return [self.values[p] for p in _tuples(points)]
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumTable:
     """Every enumerated point with its frequency, sorted by frequency.

@@ -163,9 +163,6 @@ class HomologicalSolution:
     generator: SymmetricForm
     normal: SymmetricForm
     residual: float
-    f_norm: float
-    g_norm: float
-    z_norm: float
 
 
 def solve_homological(
@@ -177,7 +174,6 @@ def solve_homological(
     gamma: float,
     tau: float,
     *,
-    verify: bool = True,
     nu: float = 2.0,
     smoothing: float = 2.0,
 ) -> HomologicalSolution:
@@ -187,11 +183,15 @@ def solve_homological(
     pass through to Z untouched.  Divisors on nonresonant keys are guarded
     against the certified floor ``gamma / max(1, max_j |a_j|)**tau``; a
     smaller divisor means the certificate does not cover this truncation.
+    The residual of ``{H0, G} + F - Z`` and the bounds ``|G| <= K**tau /
+    gamma |F|`` and ``|Z| <= |F|`` in the localized norm are checked on
+    every solve; a breach raises ``RuntimeError``.
     """
     validate_cutoff(table, bands, cutoff)
     solve = bucket_rows(form, table, bands, clusters, cutoff) == NONRESONANT
     codes, c = form.codes[solve], form.values[solve]
-    # the signed frequency sum, added left to right from 0 as small_divisor does
+    # the signed frequency sum, added left to right from 0 as
+    # tests/oracles.py::small_divisor does
     omega = _signed_omegas(table, form.entries)
     delta = np.zeros(len(codes), dtype=omega.dtype)
     for col in codes.T:
@@ -215,30 +215,20 @@ def solve_homological(
     generator = SymmetricForm(form.points, codes, g)
     normal = SymmetricForm(form.points, form.codes[~solve], form.values[~solve])
 
-    residual = 0.0
-    f_norm = g_norm = z_norm = 0.0
-    if verify:
-        h0 = quadratic_hamiltonian(table)
-        lhs = add_forms(poisson_bracket(h0, generator, tol=0.0), form, tol=0.0)
-        diff = add_forms(lhs, scale_form(normal, -1.0), tol=0.0)
-        residual = float(np.abs(diff.values).max(initial=0.0))
-        kw = dict(nu=nu, smoothing=smoothing, zero_mode="lift")
-        f_norm, g_norm, z_norm = (localized_norm(x, table, **kw) for x in (form, generator, normal))
-        k_scan = max(1.0, float(table.lattice.radius))
-        if residual > 1e-12:
-            raise RuntimeError(f"homological residual {residual:.3e} exceeds 1e-12")
-        if g_norm > (k_scan**tau / gamma) * f_norm * (1.0 + 1e-12):
-            raise RuntimeError("generator norm bound violated")
-        if z_norm > f_norm * (1.0 + 1e-12):
-            raise RuntimeError("normal part norm bound violated")
-    return HomologicalSolution(
-        generator=generator,
-        normal=normal,
-        residual=residual,
-        f_norm=f_norm,
-        g_norm=g_norm,
-        z_norm=z_norm,
-    )
+    h0 = quadratic_hamiltonian(table)
+    lhs = add_forms(poisson_bracket(h0, generator, tol=0.0), form, tol=0.0)
+    diff = add_forms(lhs, scale_form(normal, -1.0), tol=0.0)
+    residual = float(np.abs(diff.values).max(initial=0.0))
+    kw = dict(nu=nu, smoothing=smoothing, zero_mode="lift")
+    f_norm, g_norm, z_norm = (localized_norm(x, table, **kw) for x in (form, generator, normal))
+    k_scan = max(1.0, float(table.lattice.radius))
+    if residual > 1e-12:
+        raise RuntimeError(f"homological residual {residual:.3e} exceeds 1e-12")
+    if g_norm > (k_scan**tau / gamma) * f_norm * (1.0 + 1e-12):
+        raise RuntimeError("generator norm bound violated")
+    if z_norm > f_norm * (1.0 + 1e-12):
+        raise RuntimeError("normal part norm bound violated")
+    return HomologicalSolution(generator=generator, normal=normal, residual=residual)
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,12 @@ index.  A head's partial divisor and the largest floor level of each head
 and tail are computed once per table (below); a block adds each row's tail
 columns to its head's partial sum, and a head whose tails outrun a block is
 split across blocks.  Divisors add the signed frequencies column by column, left
-to right, as ``small_divisor`` does, so each is bit-identical to it: float64
-on float spectra, exact Python integers otherwise.  Only the rows of a block
-that beat a running minimum are built as full index rows and tested for
-resonance: a row is resonant when its sorted signed band labels ``sigma *
-(band + 1)`` equal their reversed negation.  The witnesses are the first
-minima in scan order.
+to right, as the scalar sum ``tests/oracles.py::small_divisor`` does, so each
+is bit-identical to it: float64 on float spectra, exact Python integers
+otherwise.  Only the rows of a block that beat a running minimum are built as
+full index rows and tested for resonance: a row is resonant when its sorted
+signed band labels ``sigma * (band + 1)`` equal their reversed negation.  The
+witnesses are the first minima in scan order.
 
 The scan skips every row that cannot beat the running minima.  A row of head
 ``h`` and tail ``t`` beats them only if its divisor ``d`` has ``d < min_div``
@@ -120,14 +120,6 @@ SEED_TAILS = 4
 class CertificateError(ValueError):
     """A nonresonance certificate is missing, failed, over its scan budget, or
     does not cover a divisor."""
-
-
-def small_divisor(table: SpectrumTable, multiset: Sequence[ExtIndex]):
-    """Signed frequency sum; stays an exact integer on integer spectra."""
-    total = 0
-    for point, sign in multiset:
-        total = total + sign * table.omega(point)
-    return total
 
 
 def is_resonant_W(multiset: Sequence[ExtIndex], table: SpectrumTable, partition: BandPartition) -> bool:
@@ -327,7 +319,8 @@ def resonant_mask(table: SpectrumTable, partition: BandPartition, rows) -> np.nd
 
 
 def _signed_omegas(table: SpectrumTable, ext) -> np.ndarray:
-    """``sigma * omega`` per entry, in a dtype that keeps ``small_divisor``'s bits.
+    """``sigma * omega`` per entry, in a dtype that keeps the bits of
+    ``tests/oracles.py::small_divisor``.
 
     float64 on float spectra; Python objects (exact integers, or mixed
     values) otherwise.
@@ -421,8 +414,8 @@ def certify_nonresonance(
     one numpy kernel over blocks of at most ``BLOCK`` rows: a row is its
     first ``order // 2`` indexes, the head, and the rest, the tail, and each
     head's partial divisor is computed once.  Divisors add the signed
-    frequencies left to right, as ``small_divisor`` does, and are
-    bit-identical to it: exact Python integers on integer spectra
+    frequencies left to right, as ``tests/oracles.py::small_divisor`` does,
+    and are bit-identical to it: exact Python integers on integer spectra
     (``min_divisor`` and ``witness_divisor`` are then ``int``), float64
     otherwise.
 
@@ -504,7 +497,8 @@ def certify_nonresonance(
     seed_div = seed_score = math.inf
 
     def evaluate(h, t):
-        # divisors and scores of rows (h, t), added as small_divisor adds them
+        # divisors and scores of rows (h, t), added as
+        # tests/oracles.py::small_divisor adds them
         spend(len(h))
         columns = iter(tails.rows[t].T)
         div = omega[next(columns)] if heads.div is None else heads.div[h]

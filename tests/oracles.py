@@ -13,7 +13,10 @@ oracle of a row kernel of the package (``vector_field``,
 ground-state chart and divisor scan, which no model kind integrates yet;
 and the row-sort bracket, the bit-for-bit oracle of ``forms.poisson_bracket``;
 and the per-point frequency ladder (``frequency``, ``gram_matrix``), the
-bit-for-bit oracle of the frequency models' ``omega``.
+bit-for-bit oracle of the frequency models' ``omega``, with ``TableModel``,
+the model of a given frequency table; and the scalar signed frequency sum
+``small_divisor``, the bit-for-bit oracle of the divisors of the
+certification scan and of ``normalform.solve_homological``.
 """
 
 from __future__ import annotations
@@ -47,14 +50,25 @@ from latnf.frequencies import (
     GroundState,
     SpectralMultiplier,
     SpectrumTable,
-    TableModel,
     TorusLaplacian,
+    _tuples,
 )
 from latnf.lattice import ExtIndex, Lattice, Point, extended_indexes, point_distance
 from latnf.resonance import is_resonant_W, validate_cutoff
 
 
 # --- the per-point frequency ladder ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class TableModel:
+    """A user-supplied map ``point -> omega``, returned as given, with a declared exponent."""
+
+    values: Mapping[Point, float]
+    beta: float
+
+    def omega(self, points, offset=None) -> list:
+        return [self.values[p] for p in _tuples(points)]
 
 
 def gram_matrix(model: TorusLaplacian, dim: int) -> np.ndarray:
@@ -489,6 +503,14 @@ def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) 
 
 
 # --- per-key divisor tests and the ground-state divisor scan -----------------
+
+
+def small_divisor(table: SpectrumTable, multiset: Sequence[ExtIndex]):
+    """Signed frequency sum; stays an exact integer on integer spectra."""
+    total = 0
+    for point, sign in multiset:
+        total = total + sign * table.omega(point)
+    return total
 
 
 def ordering_permutation(table: SpectrumTable, multiset: Sequence[ExtIndex]) -> Tuple[int, ...]:

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latnf import (
-    TableModel,
     TorusLaplacian,
     band_map,
     band_of,
@@ -12,6 +11,8 @@ from latnf import (
     check_band_invariants,
     enumerate_lattice,
 )
+
+from oracles import TableModel
 
 
 def _table_from_values(vals):

@@ -37,11 +37,10 @@ from latnf import (
     extended_indexes,
     fit_asymptotics,
     is_resonant_W,
-    small_divisor,
 )
-from latnf.frequencies import TableModel
 from latnf.resonance import resonant_mask
 from conftest import FROZEN_POTENTIAL
+from oracles import TableModel, small_divisor
 
 
 def loop_certificate(table, order, partition, *, tau=None):

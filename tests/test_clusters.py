@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latnf import (
-    TableModel,
     TorusLaplacian,
     block_index_map,
     build_clusters,
@@ -19,6 +18,8 @@ from latnf import (
     high_mode_blocks,
     separation_margin,
 )
+
+from oracles import TableModel
 
 
 def closure_oracle(table, delta, c_delta):

@@ -7,6 +7,7 @@ directory; one subprocess test covers the installed console entry point.
 import functools
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -502,6 +503,38 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "spectrum: 17 modes" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["simulate.integrator=rk4_reference", 'simulate.nonlinearity={"1": 1e9}'],
+        ["model.kind=beam", 'simulate.force={"3": 1e12}'],
+    ],
+    ids=["nls", "beam"],
+)
+def test_cli_verify_reports_a_blown_up_trajectory_as_a_failed_check(tmp_path, overrides):
+    argv = ["verify", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    proc = subprocess.run(
+        [sys.executable, "-m", "latnf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    # the check list is printed in full, the trajectory last
+    lines = proc.stdout.splitlines()
+    assert [line.split(": ")[1] for line in lines[:-2]] == [
+        "band invariants", "cluster closure", "resonant-set membership",
+        "order-3 certificate", "homological residual", "Jacobi identity",
+    ]
+    assert lines[-2].startswith("verify: trajectory: FAIL (state blew up at t = 0.0138")
+    assert lines[-1].startswith("FAIL verify: trajectory: state blew up at t = 0.0138")
+    checks = json.loads((tmp_path / "verify_manifest.json").read_text())["results"]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["trajectory"]
 
 
 def test_cli_verify_solves_on_the_configured_clusters(tmp_path, capsys, monkeypatch):

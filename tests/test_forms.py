@@ -30,6 +30,7 @@ from latnf import (
 from oracles import (
     canonical_key,
     decompose_by_high_order,
+    dict_random_form,
     dict_sobolev_norm,
     evaluate,
     form_from_jsonl,
@@ -117,7 +118,7 @@ def test_vector_field_is_the_gradient(rng):
 
 
 def test_conjugate_form_matches_conjugate_evaluation(rng):
-    f = random_form(LAT, 3, n_terms=6, seed=5, real=False)
+    f = dict_random_form(LAT, 3, n_terms=6, seed=5, real=False)
     u = random_state_dict(rng)
     uc = {(p, -s): np.conj(v) for (p, s), v in u.items()}
     lhs = evaluate(conjugate_form(f), uc)
@@ -125,7 +126,7 @@ def test_conjugate_form_matches_conjugate_evaluation(rng):
 
 
 def test_real_form_takes_real_values_on_real_states(rng):
-    f = random_form(LAT, 4, n_terms=8, seed=6, real=True)
+    f = random_form(LAT, 4, n_terms=8, seed=6)
     assert conjugate_form(f).coeffs == pytest.approx(f.coeffs)
     plus = {p: complex(rng.standard_normal(), rng.standard_normal()) for p in LAT.points}
     state = {}
@@ -269,7 +270,7 @@ def test_decompose_by_high_order_partitions(certified_table):
 
 
 def test_jsonl_round_trip(tmp_path):
-    f = random_form(LAT, 4, n_terms=9, seed=16, real=False)
+    f = dict_random_form(LAT, 4, n_terms=9, seed=16, real=False)
     path = tmp_path / "form.jsonl"
     form_to_jsonl(f, path)
     g = form_from_jsonl(path)
@@ -280,7 +281,7 @@ def test_jsonl_round_trip(tmp_path):
 @pytest.mark.parametrize("dim,radius,degree", [(1, 4.0, 0), (1, 4.0, 1), (1, 4.0, 4), (2, 10.0, 7)])
 def test_jsonl_rows_follow_sorted_keys(tmp_path, dim, radius, degree):
     # on the plane, degree 7 overflows the int64 row keys
-    f = random_form(enumerate_lattice(dim, radius), degree, n_terms=60, seed=degree, real=False)
+    f = dict_random_form(enumerate_lattice(dim, radius), degree, n_terms=60, seed=degree, real=False)
     path = tmp_path / "form.jsonl"
     form_to_jsonl(f, path)
     rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]

@@ -10,7 +10,6 @@ from latnf import (
     Beam,
     GroundState,
     SpectralMultiplier,
-    TableModel,
     TorusLaplacian,
     build_spectrum,
     enumerate_lattice,
@@ -19,7 +18,7 @@ from latnf import (
 )
 
 from conftest import FROZEN_POTENTIAL
-from oracles import floor_comparability, frequency
+from oracles import TableModel, floor_comparability, frequency
 
 
 def test_torus_frequencies_are_exact_integers():

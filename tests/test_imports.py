@@ -37,20 +37,12 @@ MODULES = sorted(
 )
 
 #: public names that nothing outside the tests calls, kept on purpose:
-#: ``transform_state`` awaits a command, ``small_divisor`` is the
-#: definition the certification scan and ``solve_homological`` match bit for
-#: bit, and ``TableModel``, the model of a given frequency table, awaits a
-#: model kind without a closed-form frequency (ROADMAP item 9)
-UNCALLED = {
-    ("normalform", "transform_state"),
-    ("resonance", "small_divisor"),
-    ("frequencies", "TableModel"),
-}
+#: ``transform_state`` awaits the command that runs it (ROADMAP item 7)
+UNCALLED = {("normalform", "transform_state")}
 
-#: dataclass fields that nothing outside the tests reads, kept on purpose: the
-#: acceptance criterion 05 checks the homological estimate from the norms of
-#: the solution (``|G| <= K**tau / gamma |F|`` and ``|Z| <= |F|``)
-UNREAD = {("normalform", "HomologicalSolution", name) for name in ("f_norm", "g_norm", "z_norm")}
+#: dataclass fields that nothing outside the tests reads, kept on purpose:
+#: none now, but the scan stays, so that such a field must be listed here
+UNREAD = set()
 
 #: dataclasses whose fields are all read by ``dataclasses.asdict``, which no
 #: attribute load shows: the ``commutation`` block of the normal-form
@@ -59,15 +51,13 @@ SERIALIZED = {("normalform", "CommutationReport"), ("dynamics", "StabilityRun")}
 
 #: defaulted parameters that no caller outside the tests sets, kept on purpose:
 #: the options of ``transform_state`` await the command that runs it
-#: (ROADMAP item 7); ``random_form(real)`` and ``solve_homological(verify)``
-#: are test seams; only the tests start a trajectory from given modes
-#: (``SimulationConfig.initial_modes`` and ``initial_velocity_modes``)
+#: (ROADMAP item 7), and only the tests start a trajectory from given modes
+#: (``SimulationConfig.initial_modes`` and ``initial_velocity_modes``), as
+#: the comparison of the normal form with the dynamics of item 7 will
 UNSET = {
     ("normalform", "transform_state", name)
     for name in ("lattice", "s", "ball", "inverse", "tol", "max_steps")
 } | {
-    ("forms", "random_form", "real"),
-    ("normalform", "solve_homological", "verify"),
     ("dynamics", "SimulationConfig", "initial_modes"),
     ("dynamics", "SimulationConfig", "initial_velocity_modes"),
 }

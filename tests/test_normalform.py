@@ -17,6 +17,7 @@ from latnf import (
     choose_cutoff,
     enumerate_lattice,
     lie_transform,
+    localized_norm,
     normalform_manifest,
     normalize,
     nls_quartic,
@@ -25,7 +26,6 @@ from latnf import (
     quadratic_hamiltonian,
     random_form,
     scale_form,
-    small_divisor,
     solve_homological,
     sobolev_norm,
     transform_state,
@@ -36,7 +36,7 @@ from latnf.dynamics import is_action_form
 from latnf.normalform import lie_terms_order
 
 from conftest import NF_CUTOFF, NF_RADIUS
-from oracles import dict_vector_field, make_form, state_array, state_dict
+from oracles import dict_random_form, dict_vector_field, make_form, small_divisor, state_array, state_dict
 
 
 def test_config_validation():
@@ -80,7 +80,10 @@ def test_homological_kills_a_nonresonant_monomial(
     delta = small_divisor(certified_table, key)
     assert sol.generator.coeffs == {key: pytest.approx(0.25j / delta)}
     assert sol.residual <= 1e-12
-    assert sol.f_norm > 0 and sol.g_norm > 0 and sol.z_norm == 0
+    # the norms of the bound checks of solve_homological, with its keywords
+    kw = dict(nu=2.0, smoothing=2.0, zero_mode="lift")
+    f_norm, g_norm, z_norm = (localized_norm(x, certified_table, **kw) for x in (f, sol.generator, sol.normal))
+    assert f_norm > 0 and g_norm > 0 and z_norm == 0
 
     h0 = quadratic_hamiltonian(certified_table)
     check = add_forms(
@@ -124,10 +127,10 @@ def test_homological_generator_is_bit_identical_to_the_scalar_division(
     # generator values with zero real parts, whose sign must match too
     cert = certificates[4]
     lattice = certified_table.lattice
-    for f in (nls_quartic(lattice, 1.0), nls_quartic(lattice, -1.0), random_form(lattice, 4, 300, seed=5, real=False)):
+    for f in (nls_quartic(lattice, 1.0), nls_quartic(lattice, -1.0), dict_random_form(lattice, 4, 300, seed=5, real=False)):
         sol = solve_homological(
             f, certified_table, certified_bands, certified_clusters,
-            NF_CUTOFF, cert.gamma, cert.tau, verify=False,
+            NF_CUTOFF, cert.gamma, cert.tau,
         )
         keys = list(sol.generator.coeffs)
         assert keys

@@ -462,11 +462,11 @@ def test_add_and_conjugate_match_reference(lattice, f, g):
 def test_add_and_conjugate_of_empty_and_wide_forms():
     empty = zero_form(3)
     assert len(add_forms(empty)) == len(add_forms(empty, empty)) == len(conjugate_form(empty)) == 0
-    f = random_form(LINE, 3, 20, seed=23, real=False)
+    f = dict_random_form(LINE, 3, 20, seed=23, real=False)
     assert_same_rows(add_forms(empty, f, empty).coeffs, ref_add_forms(f))
     # 317 points: radix**7 overflows int64, so keys are row bytes
     plane = enumerate_lattice(2, 10.0)
-    wide = random_form(plane, 7, 300, seed=24, real=False), random_form(plane, 7, 300, seed=25, real=False)
+    wide = dict_random_form(plane, 7, 300, seed=24, real=False), dict_random_form(plane, 7, 300, seed=25, real=False)
     terms = (wide[0], conjugate_form(wide[1]), wide[1], wide[0])
     assert_same_rows(add_forms(*terms).coeffs, ref_add_forms(*terms))
 
@@ -482,11 +482,10 @@ LINE8, PLANE3 = enumerate_lattice(1, 8.0), enumerate_lattice(2, 3.0)
     "kind,args",
     [("quartic", (LINE8, 1.0)), ("quartic", (LINE8, -12.0)), ("quartic", (PLANE3, 1.0))]
     + [
-        ("random", (lattice, degree, 40, seed, real))
+        ("random", (lattice, degree, 40, seed))
         for lattice in (LINE, PLANE)
         for degree in (3, 4)
-        for real in (True, False)
-        for seed in (1, 2)
+        for seed in (1, 2, 3, 4)
     ],
 )
 def test_builders_match_the_dict_oracles_bit_for_bit(kind, args):
@@ -611,7 +610,7 @@ KICK_CASES = [
         _key((1, 1), (1, 1), (2, -1), (3, -1)): 0.9,
         _key((1, 1), (2, 1), (3, 1), (3, -1)): -0.3 + 0.1j,
     })],
-    [nls_quartic(LINE, 2.0), random_form(LINE, 6, 50, seed=25, real=False)],
+    [nls_quartic(LINE, 2.0), dict_random_form(LINE, 6, 50, seed=25, real=False)],
     [make_form({_key((2, -1)): 0.7, _key((1, 1)): 0.3j, _key((-3, -1)): -1.1})],
 ]
 

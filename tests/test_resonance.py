@@ -20,14 +20,18 @@ from latnf import (
     estimate_resonant_measure,
     extended_indexes,
     is_resonant_W,
-    random_form,
-    small_divisor,
     validate_cutoff,
 )
 from latnf.normalform import BUCKETS, NONRESONANT, bucket_rows
 
 from conftest import FROZEN_POTENTIAL
-from oracles import from_dict, ground_state_divisor_function, is_block_nonresonant
+from oracles import (
+    dict_random_form,
+    from_dict,
+    ground_state_divisor_function,
+    is_block_nonresonant,
+    small_divisor,
+)
 
 
 def classify_term(key, table, bands, clusters, cutoff):
@@ -84,7 +88,7 @@ def test_bucket_rows_match_the_per_key_tests(certified_table, certified_bands, c
     lattice = certified_table.lattice
     for cutoff in (3.5, 5.5):
         for degree in (3, 4, 5):
-            f = random_form(lattice, degree, 400, seed=degree, real=False)
+            f = dict_random_form(lattice, degree, 400, seed=degree, real=False)
             labels = bucket_rows(f, certified_table, certified_bands, certified_clusters, cutoff)
             for key, label in zip(f.coeffs, labels.tolist()):
                 solvable = is_block_nonresonant(key, certified_table, certified_bands, certified_clusters, cutoff)

@@ -82,6 +82,14 @@ def test_stability_sweep_runs_one_epsilon():
     assert "exceeds 2 eps: never" in proc.stdout
 
 
+def test_stability_sweep_reports_a_blown_up_run(tmp_path):
+    config = _config(tmp_path, "rk4.ini", {("simulate", "integrator"): "rk4_reference"})
+    proc = _run("stability_sweep.py", "--config", config, "--coupling", 1e9, "--epsilons", 0.1, "--horizons", 1)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == "FAIL stability sweep: eps 0.1: state blew up at t = 1.0\n"
+
+
 def test_stability_sweep_follows_the_configured_model(tmp_path):
     args = ("--epsilons", 0.1, "--horizons", 5)
     base = _run("stability_sweep.py", *args).stdout
