@@ -8,7 +8,9 @@ normal-form Hamiltonian to show the band and block actions standing still.
 
 The default config takes about 5 s end to end (4.6-5.2 s over three runs
 on a 2-core Intel Xeon); pass ``--skip-flow`` to stop after the
-normalization itself.
+normalization itself.  A config that cannot be read or an ``--out`` that
+cannot be written is a config error (exit 2), checked before the
+normalization; a system that does not certify or normalize exits 1.
 
 Example:
     python3 scripts/normalform_demo.py --config configs/nls_t1.ini --out out/nf
@@ -48,17 +50,26 @@ def main() -> int:
     if args.dt <= 0.0 or args.horizon <= 0.0:
         print("usage error: --dt and --horizon must be positive", file=sys.stderr)
         return 2
+    try:
+        return run(args)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run(args) -> int:
     cfg = load_config(args.config)
     system = build_system(cfg)
+    out = None
+    if args.out is not None:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
     try:
         certificates, result = run_normalform(cfg, system)
     except (CertificateError, SmallnessError) as exc:
         print(f"cannot normalize this system: {exc}")
         return 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     for cert in certificates:
         print(
             f"order {cert.order}: min score {cert.min_score:.6g}, "
@@ -82,9 +93,7 @@ def main() -> int:
             f"norm at radius {entry.norm_r:.3g}"
         )
 
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         path = out / "normalform_manifest.json"
         path.write_text(json.dumps(normalform_manifest(result), indent=2, sort_keys=True))
         print(f"  manifest -> {path}")

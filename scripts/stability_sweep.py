@@ -10,7 +10,10 @@ at large epsilon demonstrates the resonant growth the multiplier removes.
 equation (``SimulationConfig.model``, taken from the model kind) is the
 beam they are usage errors (exit 2), as are a model kind ``latnf simulate``
 cannot run and settings ``SimulationConfig`` rejects, such as a
-non-positive ``--dt``.  The script exits 1 when a run's norm exceeds
+non-positive ``--dt``, an epsilon outside (0, 1) or a non-positive horizon:
+every epsilon and horizon is checked before the first trajectory.  A config
+that cannot be read or an ``--out`` that cannot be written is a config
+error (exit 2).  The script exits 1 when a run's norm exceeds
 2 eps, or when a run blows up, which prints one ``FAIL`` line naming its
 epsilon and time.
 
@@ -47,11 +50,17 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    cfg = load_config(args.config)
     try:
-        sim = simulation_config(cfg)
-    except ConfigError as exc:
+        return sweep(args)
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
+
+def sweep(args) -> int:
+    sim = simulation_config(load_config(args.config))
+    if args.horizons is not None and len(args.horizons) != len(args.epsilons):
+        print("usage error: need one horizon per epsilon", file=sys.stderr)
         return 2
     if sim.model == "beam" and (args.flat or args.coupling is not None):
         print("usage error: --coupling and --flat set the NLS; the beam model has neither", file=sys.stderr)
@@ -71,11 +80,18 @@ def main() -> int:
             seed=args.seed,
             dt_bound=args.dt_bound,
         )
+        # every epsilon and horizon, before the first trajectory
+        for eps, horizon in zip(args.epsilons, args.horizons or [1.0] * len(args.epsilons)):
+            replace(sim, epsilon=eps, horizon=horizon)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     if args.flat:
         sim = replace(sim, potential=None)
+    out = None
+    if args.out is not None:
+        out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
     try:
         report = stability_experiment(sim, args.epsilons, horizons=args.horizons)
     except FloatingPointError as exc:
@@ -94,9 +110,7 @@ def main() -> int:
     if report.fitted_power is not None:
         print(f"weighted drift ~ eps^{report.fitted_power:.2f}")
 
-    if args.out is not None:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         out.write_text(json.dumps(asdict(report), indent=2, sort_keys=True))
         print(f"report -> {out}")
     return 0 if stable else 1

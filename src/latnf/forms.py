@@ -35,10 +35,11 @@ output row, exactly.  The key is one int64 when every row's key and the
 product of the largest union and G keys stay below ``2**63`` (checked in
 exact integers), else one int64 word per group of codes, compared as bytes.
 The pairs run in blocks of about ``BLOCK``; each block's keys are sorted
-once for all the Fs, each F's coefficients are gathered and summed per key
-one F at a time, and the block is merged into a sorted running union of
-distinct keys, so the pass holds the outputs plus one block, and only the
-kept keys' rows are built and sorted into row order, once, at the end.
+once, its new keys are inserted into a sorted running union of distinct
+keys, and each F's pair terms are added into their keys' sums, so every
+coefficient is its pair terms summed from 0 in pair order, whatever the
+block size.  The pass holds the outputs plus one block, and only the kept
+keys' rows are built and sorted into row order, once, at the end.
 
 The localized norm weights each row by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the row (smallest repeated below degree 3) and
@@ -66,7 +67,9 @@ from .lattice import ExtIndex, Lattice, Point
 DROP_TOL = 1e-14
 
 #: rows (bracket: row pairs) per block in the packed kernels; bounds their
-#: temporaries to a few block-sized arrays whatever the form size
+#: temporaries to a few block-sized arrays whatever the form size.  Only the
+#: per-block column sums of ``gradient`` depend on it, on forms of more than
+#: ``BLOCK`` rows; every other result has the same bits at any block size
 BLOCK = 1 << 18
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -466,43 +469,8 @@ def _items(a: np.ndarray) -> np.ndarray:
     return a.view(np.dtype((np.void, a.strides[0]))).reshape(len(a))
 
 
-def _pair_union(
-    keys: np.ndarray,
-    sums: np.ndarray,
-    reps: np.ndarray,
-    block_keys: np.ndarray,
-    block_sums: np.ndarray,
-    block_reps: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge a block's distinct sorted keys into the sorted running union.
-
-    ``sums`` holds one column of sums per form, so the sums of a key are
-    adjacent.  A key already in the union adds its block sums to the
-    union's; a new key is inserted with its sums and representative.  The
-    union is rebuilt once, with one mask shared by its three arrays.
-    """
-    pos = np.searchsorted(keys, block_keys)
-    hit = pos < len(keys)
-    hit[hit] = keys[pos[hit]] == block_keys[hit]
-    rows, where = _items(sums), pos[hit]
-    rows[where] = (rows[where].view(sums.dtype) + _items(block_sums)[hit].view(sums.dtype)).view(rows.dtype)
-    new = np.flatnonzero(~hit)
-    if not len(new):
-        return keys, sums, reps
-    at = pos[new] + np.arange(len(new))
-    old = np.ones(len(keys) + len(new), dtype=bool)
-    old[at] = False
-    merged = []
-    for union, block in ((keys, block_keys), (sums, block_sums), (reps, block_reps)):
-        out = np.empty(old.shape + union.shape[1:], dtype=union.dtype)
-        items = _items(out)
-        items[old] = _items(union)
-        items[at] = _items(block)[new]
-        merged.append(out)
-    return tuple(merged)
-
-
-def _block_sums(
+def _add_pairs(
+    union: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
     fkeys: np.ndarray,
     gkeys: np.ndarray,
     fcoef: np.ndarray,
@@ -510,14 +478,15 @@ def _block_sums(
     fi: np.ndarray,
     gi: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct keys of a block of pairs ``(fi, gi)``, sorted, their sums, one pair each.
+    """Add the block of pairs ``(fi, gi)`` into the sorted running union ``(keys, sums, reps)``.
 
-    ``fcoef`` holds one coefficient row per form; each form's coefficients
-    are gathered, multiplied and summed per key from 0 in pair order
-    (``bincount``) one form at a time, into that form's column of the sums.
-    A pair is returned as ``fi * len(gkeys) + gi``.  The per-pair arrays are
-    freed on return, so a bracket holds one block's at a time, and one
-    form's coefficients.
+    The block's keys are sorted once.  Its keys new to the union are
+    inserted with zeroed sums (one column per form, so the sums of a key
+    are adjacent) and one representative pair ``fi * len(gkeys) + gi``; the
+    union is rebuilt once, with one mask shared by its three arrays.  Then
+    each form's coefficients are gathered, multiplied and added straight
+    into its column of the sums in pair order (``np.add.at``), one form at a
+    time, so a bracket holds one block's per-pair arrays at a time.
     """
     keys = fkeys[fi] * gkeys[gi]
     if keys.ndim > 1:
@@ -526,26 +495,44 @@ def _block_sums(
     keys = keys[order]
     first = np.ones(len(order), dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
-    rank = np.cumsum(first)
-    rank -= 1
     slot = np.empty_like(order)
-    slot[order] = rank
-    del rank
+    slot[order] = np.cumsum(first) - 1
     head = order[first]
-    del order
     keys = keys[first]
-    sums = np.empty((len(head), len(fcoef)), dtype=complex)
-    for column, out in zip(fcoef, sums.T):
+    del order, first
+    if union is None:
+        union = keys[:0], np.zeros((0, len(fcoef)), dtype=complex), head[:0]
+    pos = np.searchsorted(union[0], keys)
+    new = pos == len(union[0])
+    new[~new] = union[0][pos[~new]] != keys[~new]
+    # each block key's position in the union once the new keys are in
+    where = pos + np.cumsum(new) - new
+    slot = where[slot]
+    if new.any():
+        at, head = where[new], head[new]
+        block = keys[new], np.zeros((len(at), len(fcoef)), dtype=complex), fi[head] * len(gkeys) + gi[head]
+        del keys, head, pos, where
+        old = np.ones(len(union[0]) + len(at), dtype=bool)
+        old[at] = False
+        merged = []
+        for whole, part in zip(union, block):
+            grown = np.empty(old.shape + whole.shape[1:], dtype=whole.dtype)
+            items = _items(grown)
+            items[old] = _items(whole)
+            items[at] = _items(part)
+            merged.append(grown)
+        union = tuple(merged)
+    for column, out in zip(fcoef, union[1].T):
         coef = column[fi]
         # the gathered G factor in fixed sub-blocks, as one block-sized temporary
-        # sets the heap layout of a bracket's peak; a power-of-two length keeps
-        # each element in the SIMD body or tail of one whole-block multiply
+        # sets the heap layout of a bracket's peak.  F times G out of place:
+        # ``*`` may swap a temporary G into the output's place, and an in-place
+        # multiply of one element rounds otherwise; either moves the last bit
         for a in range(0, len(coef), 1 << 15):
-            coef[a : a + (1 << 15)] *= gcoef[gi[a : a + (1 << 15)]]
-        out.real = np.bincount(slot, coef.real, len(head))
-        out.imag = np.bincount(slot, coef.imag, len(head))
+            coef[a : a + (1 << 15)] = np.multiply(coef[a : a + (1 << 15)], gcoef[gi[a : a + (1 << 15)]])
+        np.add.at(out, slot, coef)
         del coef
-    return keys, sums, fi[head] * len(gkeys) + gi[head]
+    return union
 
 
 def _joint_derivatives(fs: Sequence[SymmetricForm], rank: Mapping[Point, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -593,16 +580,14 @@ def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float =
     largest F and G keys multiply below ``2**63`` and one word per group of
     codes beyond that.
     No pair's row is built.  The pairs are expanded in blocks of about
-    ``BLOCK`` (whole runs of one union row each); a block is deduplicated by
-    one sort of its keys and summed per key and form in pair order by
-    ``bincount``, then merged into the sorted running union
-    (``_pair_union``), where a known key adds its block sums and a new one
-    is inserted with one representative pair.  So each coefficient is
-    ``0 + block 1 + block 2 + ...``, and the brackets hold the union (one
-    key, one pair and a sum per form for each output key) plus one block's
-    per-pair arrays.  A form's coefficients with ``|c| <= tol`` are dropped;
-    the rows of the representatives kept by any form are built and sorted
-    into canonical row order once, at the end, and each form takes its own.
+    ``BLOCK`` (whole runs of one union row each) and added into the sorted
+    running union (``_add_pairs``): one key, one representative pair and a
+    sum per form for each output key, each sum its pair terms summed from 0
+    in pair order.  So the coefficients do not depend on the block size,
+    and the brackets hold the union plus one block's per-pair arrays.  A
+    form's coefficients with ``|c| <= tol`` are dropped; the rows of the
+    representatives kept by any form are built and sorted into canonical
+    row order once, at the end, and each form takes its own.
     """
     degrees = {f.degree for f in fs}
     if len(degrees) != 1:
@@ -636,10 +621,8 @@ def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float =
         gi = np.arange(len(fi))
         gi -= np.repeat(np.cumsum(cnt) - cnt, cnt)
         gi += lo[fi]
-        block = _block_sums(fkeys, gkeys, fcoef, gcoef, fi, gi)
+        union = _add_pairs(union, fkeys, gkeys, fcoef, gcoef, fi, gi)
         del fi, gi
-        union = block if union is None else _pair_union(*union, *block)
-        del block
         start = stop
     sums, reps = union[1:]
     del union, fkeys, gkeys, fcoef, lo, count, ends

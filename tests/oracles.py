@@ -30,7 +30,6 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from latnf import forms
 from latnf.bands import BandPartition
 from latnf.clusters import ClusterPartition, block_index_map
 from latnf.forms import (
@@ -43,7 +42,6 @@ from latnf.forms import (
     hamiltonian_field,
     monomials,
     scale_form,
-    zero_form,
 )
 from latnf.frequencies import (
     Beam,
@@ -453,13 +451,13 @@ def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) 
     """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form.
 
     Every derivative row of F meets the derivative rows of G whose variable
-    is its conjugate (``code ^ 1``).  The pairs are expanded in blocks of
-    about ``BLOCK``; each block is merged by key, then the blocks are merged
-    the same way.  Coefficients with ``|c| <= tol`` are dropped.
+    is its conjugate (``code ^ 1``).  Every pair's row is built, row-sorted
+    and keyed, and the pairs are merged by key in one pass: each
+    coefficient is its pair terms summed from 0 in pair order.
+    Coefficients with ``|c| <= tol`` are dropped.
 
-    The bracket kernel that built, row-sorted and keyed every pair's row
-    (``latnf.forms.BLOCK`` is read at call time, so a patched block size
-    applies to both kernels); ``poisson_bracket`` matches it bit for bit.
+    The bracket kernel that built every pair's row; ``poisson_bracket``
+    matches it bit for bit, whatever ``latnf.forms.BLOCK`` is.
     """
     degree = f.degree + g.degree - 2
     if degree < 0:
@@ -476,30 +474,14 @@ def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) 
     live = np.flatnonzero(count)
     lo, count, frows = lo[live], count[live], frows[live]
     fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[live]
-    ends = np.cumsum(count)
+    fi = np.repeat(np.arange(len(live)), count)
+    gi = lo[fi] + np.arange(len(fi)) - np.repeat(np.cumsum(count) - count, count)
+    rows = np.concatenate((frows[fi], grows[gi]), axis=1)
+    rows.sort(axis=1)
     radix = 2 * len(points)
-    keys, sums = [], []
-    start = 0
-    while start < len(live):
-        budget = ends[start] - count[start] + forms.BLOCK
-        stop = max(start + 1, int(np.searchsorted(ends, budget, side="right")))
-        cnt = count[start:stop]
-        fi = np.repeat(np.arange(start, stop), cnt)
-        gi = lo[fi] + np.arange(len(fi)) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        rows = np.concatenate((frows[fi], grows[gi]), axis=1)
-        rows.sort(axis=1)
-        block_keys, block_sums = _merge(_row_keys(rows, radix), fcoef[fi] * gcoef[gi])
-        keys.append(block_keys)
-        sums.append(block_sums)
-        start = stop
-    if not keys:
-        return zero_form(degree)
-    if len(keys) > 1:
-        uniq, total = _merge(np.concatenate(keys), np.concatenate(sums))
-    else:
-        uniq, total = keys[0], sums[0]
+    keys, total = _merge(_row_keys(rows, radix), fcoef[fi] * gcoef[gi])
     keep = np.abs(total) > tol
-    return SymmetricForm(points, _key_rows(uniq[keep], radix, degree), total[keep])
+    return SymmetricForm(points, _key_rows(keys[keep], radix, degree), total[keep])
 
 
 # --- per-key divisor tests and the ground-state divisor scan -----------------

@@ -64,8 +64,8 @@ from oracles import (
 
 
 RTOL = 1e-12
-#: room for a joint bracket's other block association and pair order,
-#: relative to the largest coefficient of the one-form bracket
+#: room for a joint bracket's other pair order, relative to the largest
+#: coefficient of the one-form bracket
 JOINT_RTOL = 1e-14
 
 
@@ -310,21 +310,21 @@ def oracle_cases():
 
 @pytest.mark.parametrize("block", [latnf.forms.BLOCK, 97, 7])
 def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
-    # The prime-key union sums each key as 0 + block 1 + block 2 + ..., the
-    # row-sort kernel's order, so codes, row order and value bits agree.  At
-    # the default BLOCK one case has blocks longer than the 1 << 15 pairs that
-    # _block_sums multiplies at a time.
+    # The prime-key union sums each key's pair terms from 0 in pair order,
+    # the order of the block-free row-sort oracle, so codes, row order and
+    # value bits agree.  At the default BLOCK one case has blocks longer than
+    # the 1 << 15 pairs that _add_pairs multiplies at a time.
     monkeypatch.setattr(latnf.forms, "BLOCK", block)
     cases = {name: (f, g) for name, f, g in oracle_cases()}
     assert [name for name, fg in cases.items() if _wide(*fg)] == ["wide plane 4x5", "wide line 7x7"]
     lengths = []
-    block_sums = latnf.forms._block_sums
+    add_pairs = latnf.forms._add_pairs
 
     def spy(*args):
         lengths.append(len(args[-1]))
-        return block_sums(*args)
+        return add_pairs(*args)
 
-    monkeypatch.setattr(latnf.forms, "_block_sums", spy)
+    monkeypatch.setattr(latnf.forms, "_add_pairs", spy)
     for name, (f, g) in cases.items():
         for tol in (1e-14, 0.0):
             got, want = poisson_bracket(f, g, tol=tol), row_sort_bracket(f, g, tol=tol)
@@ -388,15 +388,36 @@ def test_brackets_of_several_forms_match_their_one_form_brackets(monkeypatch, bl
                 assert (len(got[0]) > 0) == (name == "one form with no live pair"), name
 
 
-def test_brackets_of_ascending_forms_in_one_block_keep_the_one_form_bits():
+@pytest.mark.parametrize("block", [latnf.forms.BLOCK, 97, 7])
+def test_brackets_of_ascending_forms_keep_the_one_form_bits(monkeypatch, block):
     # each form's pairs meet a key in the order of its own bracket when its
-    # rows ascend; within one block its sums are then those of that bracket
+    # rows ascend, and every key is summed from 0 in pair order, so its sums
+    # are those of that bracket whatever the block size
+    monkeypatch.setattr(latnf.forms, "BLOCK", block)
     f, g = canonical(random_form(LINE, 4, 60, seed=57)), random_form(LINE, 3, 40, seed=58)
     fs = [f, rows_of(f, slice(None, None, 3), 0.7), canonical(random_form(LINE, 4, 50, seed=59))]
     for f, out in zip(fs, poisson_brackets(fs, g)):
         want = poisson_bracket(f, g)
         assert np.array_equal(out.codes, want.codes)
         assert np.array_equal(out.values.view(np.uint64), want.values.view(np.uint64))
+
+
+def test_brackets_keep_their_bits_at_every_block_size(monkeypatch):
+    # every key is its pair terms summed from 0 in pair order, so the block
+    # size moves no bit: one form and several, one-word and wide keys
+    cases = [(name, [f], g) for name, f, g in oracle_cases()] + list(joint_cases())
+    assert {_wide(fs[0], g) for name, fs, g in cases} == {False, True}
+    assert {len(fs) for name, fs, g in cases} > {1}
+    results = []
+    for block in (latnf.forms.BLOCK, 97, 7):
+        monkeypatch.setattr(latnf.forms, "BLOCK", block)
+        results.append([poisson_brackets(fs, g) for name, fs, g in cases])
+    for (name, fs, g), *runs in zip(cases, *results):
+        for got in runs[1:]:
+            for out, want in zip(got, runs[0]):
+                assert out.points == want.points, name
+                assert np.array_equal(out.codes, want.codes), name
+                assert np.array_equal(out.values.view(np.uint64), want.values.view(np.uint64)), name
 
 
 def test_brackets_need_one_degree():

@@ -144,6 +144,49 @@ def test_normalform_demo_rejects_a_non_positive_step_before_normalizing(flag, va
     assert proc.stderr == "usage error: --dt and --horizon must be positive\n"
 
 
+@pytest.mark.parametrize("script", ["normalform_demo.py", "stability_sweep.py"])
+@pytest.mark.parametrize("case", ["missing", "malformed"])
+def test_scripts_end_a_config_error_with_exit_2(tmp_path, script, case):
+    config = tmp_path / "absent.ini"
+    if case == "malformed":
+        config = tmp_path / "malformed.ini"
+        config.write_text("[lattice]\ndim 2\n")
+    proc = _run(script, "--config", config)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ") and str(config) in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("script", ["normalform_demo.py", "stability_sweep.py"])
+def test_scripts_refuse_an_unwritable_out_before_running(tmp_path, script):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ("--skip-flow",) if script == "normalform_demo.py" else ("--epsilons", 0.1, "--horizons", 5)
+    proc = _run(script, "--out", blocker / "x" / "report.json", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ") and len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--epsilons", 0.1, "--horizons", 5, 7), "need one horizon per epsilon"),
+        (("--horizons", -1), "need one horizon per epsilon"),
+        (("--epsilons", 0.1, 0.01, "--horizons", 5, -1), "horizon must be positive"),
+        (("--epsilons", 0.1, 1.5, "--horizons", 1, 1), "epsilon must lie in (0,1), got 1.5"),
+    ],
+    ids=["count", "count-default-epsilons", "negative-horizon", "second-epsilon"],
+)
+def test_stability_sweep_checks_every_epsilon_and_horizon_first(args, message):
+    proc = _run("stability_sweep.py", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("flat, code", [(True, 1), (False, 0)])
 def test_resonance_scan_at_order_3(flat, code):
     proc = _run("resonance_scan.py", *(["--flat"] if flat else []), "--orders", 3)
