@@ -6,9 +6,11 @@ with a multiplier potential drawn from the decay ensemble, and certifies
 nonresonance order by order.  Exits 1 when any order fails, printing the
 witness, or when its scan goes over the row budget; ``--flat`` drops the
 potential so the integer spectrum shows its zero-divisor witnesses
-explicitly.  A draw that gives a mode a negative frequency (a potential
-below ``-|a|^2``, as ``V_0 < 0`` at the zero mode) is a usage error: exit 2
-with one line naming the point, the seed and the radius.
+explicitly.  A lattice ``enumerate_lattice`` refuses (a negative
+``--radius``, a ``--dim`` outside its range) is a usage error: exit 2 with
+one line.  So is a draw that gives a mode a negative frequency (a potential
+below ``-|a|^2``, as ``V_0 < 0`` at the zero mode), whose line names the
+point, the seed and the radius.
 
 Example:
     python3 scripts/resonance_scan.py --radius 8 --orders 3 4 5 --seed 1
@@ -50,7 +52,11 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    lattice = enumerate_lattice(args.dim, args.radius)
+    try:
+        lattice = enumerate_lattice(args.dim, args.radius)
+    except ValueError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     if args.flat:
         model = TorusLaplacian()
     else:

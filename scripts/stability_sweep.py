@@ -11,7 +11,9 @@ equation (``SimulationConfig.model``, taken from the model kind) is the
 beam they are usage errors (exit 2), as are a model kind ``latnf simulate``
 cannot run and settings ``SimulationConfig`` rejects, such as a
 non-positive ``--dt``, an epsilon outside (0, 1) or a non-positive horizon:
-every epsilon and horizon is checked before the first trajectory.  A config
+every epsilon and horizon is checked before the first trajectory.  So is a
+``--dt`` whose ``dt * max omega`` exceeds ``--dt-bound``, which the first
+trajectory checks before its first step.  A config
 that cannot be read or an ``--out`` that cannot be written is a config
 error (exit 2).  The script exits 1 when a run's norm exceeds
 2 eps, or when a run blows up, which prints one ``FAIL`` line naming its
@@ -97,6 +99,10 @@ def sweep(args) -> int:
     except FloatingPointError as exc:
         print(f"FAIL stability sweep: {exc}")
         return 1
+    except ValueError as exc:
+        # the dt * max omega bound, which needs the grid frequencies
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
     stable = True
     for run in report.runs:

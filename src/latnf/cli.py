@@ -155,7 +155,6 @@ def simulation_config(cfg) -> SimulationConfig:
         horizon=sec["horizon"],
         stride=sec["stride"],
         seed=cfg["run"]["seed"],
-        integrator=sec["integrator"],
         dt_bound=sec["dt_bound"],
         track_orbital=sec["track_orbital"],
         delta=cfg["clusters"]["delta"],

@@ -50,17 +50,11 @@ class _DisjointSet:
 
 @dataclass(frozen=True, eq=False)
 class ClusterPartition:
-    """Disjoint blocks covering the truncation, with their build constants.
-
-    ``provisional`` flags blocks that touch the truncation boundary closely
-    enough that a genuine neighbor outside the truncation could have joined
-    them; their membership is certified only relative to this truncation.
-    """
+    """Disjoint blocks covering the truncation, with their build constants."""
 
     delta: float
     c_delta: float
     blocks: Tuple[Tuple[Point, ...], ...]
-    provisional: Tuple[bool, ...]
 
     @property
     def nblocks(self) -> int:
@@ -118,18 +112,7 @@ def build_clusters(table: SpectrumTable, delta: float, c_delta: float) -> Cluste
     for i, p in enumerate(table.points):
         groups.setdefault(dsu.find(i), []).append(p)
     blocks = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
-
-    # a block is provisional when any member sits close enough to the
-    # truncation edge that an un-enumerated neighbor could connect to it
-    radius = table.lattice.radius
-    margin = 2.0 * c_delta * radius**delta
-    norm_of = {p: x for p, x in zip(table.points, norms)}
-    provisional = tuple(
-        any(norm_of[p] > radius - margin for p in block) for block in blocks
-    )
-    return ClusterPartition(
-        delta=delta, c_delta=c_delta, blocks=blocks, provisional=provisional
-    )
+    return ClusterPartition(delta=delta, c_delta=c_delta, blocks=blocks)
 
 
 @dataclass(frozen=True)
@@ -197,18 +180,11 @@ def high_mode_blocks(partition: ClusterPartition, table: SpectrumTable, cutoff: 
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     blocks = []
-    provisional = []
-    for block, prov in zip(partition.blocks, partition.provisional):
+    for block in partition.blocks:
         kept = tuple(p for p in block if table.floor(p) > cutoff)
         if kept:
             blocks.append(kept)
-            provisional.append(prov)
-    return ClusterPartition(
-        delta=partition.delta,
-        c_delta=partition.c_delta,
-        blocks=tuple(blocks),
-        provisional=tuple(provisional),
-    )
+    return ClusterPartition(delta=partition.delta, c_delta=partition.c_delta, blocks=tuple(blocks))
 
 
 def clusters_to_csv(partition: ClusterPartition, table: SpectrumTable, path) -> None:

@@ -192,7 +192,6 @@ _SCHEMA = {
         "dt": (_as_opt_float, None),
         "horizon": (_as_float, 10.0),
         "stride": (_as_int, 100),
-        "integrator": (_as_str, "strang_splitting"),
         "nonlinearity": (_as_power_map, {1: 1.0}),
         "force": (_as_power_map, {}),
         "dt_bound": (_as_float, 1.0),
@@ -252,9 +251,13 @@ def load_config(path: Optional[str]) -> Dict[str, Dict[str, object]]:
         parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text, source=str(path))
+        except configparser.MissingSectionHeaderError as exc:
+            raise ConfigError(
+                f"{path}:{exc.lineno}:1: malformed INI: no [section] header before {exc.line!r}"
+            ) from exc
         except configparser.ParsingError as exc:
-            lineno = exc.errors[0][0] if getattr(exc, "errors", None) else 0
-            raise ConfigError(f"{path}:{lineno}:1: malformed INI: {exc.message}") from exc
+            lineno, line = exc.errors[0]
+            raise ConfigError(f"{path}:{lineno}:1: malformed INI: cannot parse {line}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"{path}:1:1: malformed INI: {exc}") from exc
         raw = {

@@ -14,9 +14,8 @@ The step maps are:
 * Schrödinger models (``integrate_nls``): Strang splitting on a full FFT
   grid, with the nonlinear phase exact in physical space and the linear
   phase exact in spectral space; between two samples the state stays the
-  physical-space field.  With ``integrator="rk4_reference"`` it steps the
-  spectral system with classic RK4 instead.  The grid is sized so products
-  of truncation-supported fields are alias-free and the discrete energy
+  physical-space field.  The grid is sized so products of
+  truncation-supported fields are alias-free and the discrete energy
   functional is exact on the truncation.  The Strang step scales the
   nonlinearity's coefficients by ``-dt`` once per trajectory and writes
   the angle into the imaginary half of a complex array whose real half
@@ -39,10 +38,10 @@ frequency, so each lattice mode turns at its table frequency, the one that
 fixes its band and block.  The nonlinear coefficients are numpy scalars,
 constant in space.
 
-RK4 is one function, ``_rk4``, for the ``rk4_reference`` steps, the
-normal-form substeps and the time-1 generator flows of
-``normalform.transform_state`` alike; ``transform_state`` takes and returns
-a both-signs state over a sorted point tuple, the layout of ``_PolyParts``.
+RK4 is one function, ``_rk4``, for the normal-form substeps and the
+time-1 generator flows of ``normalform.transform_state`` alike;
+``transform_state`` takes and returns a both-signs state over a sorted
+point tuple, the layout of ``_PolyParts``.
 
 Each step map runs on work arrays that its integrator allocates once per
 trajectory and that only the step map writes: the grid transforms
@@ -118,8 +117,7 @@ class SimulationConfig:
     set explicitly cannot be told apart from it.  ``force`` maps powers of
     psi (>= 3) for the beam potential and is refused on the Schrödinger
     model.  Coefficients are real numbers, constant in space.
-    ``track_orbital`` and ``integrator="rk4_reference"`` apply to the
-    Schrödinger model only.
+    ``track_orbital`` applies to the Schrödinger model only.
 
     ``delta`` and ``c_delta`` are the separation constants of the cluster
     blocks whose superactions the ``Jblk_*`` columns record; the defaults
@@ -141,7 +139,6 @@ class SimulationConfig:
     horizon: float = 10.0
     stride: int = 100
     seed: int = 0
-    integrator: str = "strang_splitting"
     initial_modes: Optional[Dict[Point, complex]] = None
     initial_velocity_modes: Optional[Dict[Point, complex]] = None
     dt_bound: float = 1.0
@@ -152,8 +149,6 @@ class SimulationConfig:
     def __post_init__(self):
         if self.model not in ("nls", "beam"):
             raise ValueError(f"unknown model {self.model!r}")
-        if self.integrator not in ("strang_splitting", "rk4_reference"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.dt is not None and self.dt <= 0.0:
@@ -176,8 +171,6 @@ class SimulationConfig:
             raise ValueError("beam mass term must be positive")
         if self.model == "beam" and self.track_orbital is not None:
             raise ValueError("track_orbital needs model='nls'")
-        if self.model == "beam" and self.integrator != "strang_splitting":
-            raise ValueError(f"integrator {self.integrator!r} needs model='nls'")
         if self.model == "nls" and self.force:
             raise ValueError("force needs model='beam'")
         if self.model == "beam" and self.nonlinearity != {1: 1.0}:
@@ -517,10 +510,10 @@ class _System:
             matrix[:, k] = self.field(np.multiply(self.spectrum(e, w), phase, w), psi).reshape(-1)
         return matrix
 
-    def meta(self, config: SimulationConfig, integrator: str) -> Dict[str, object]:
+    def meta(self, config: SimulationConfig) -> Dict[str, object]:
         return {
             "model": config.model,
-            "integrator": integrator,
+            "integrator": "strang_splitting",
             "grid": self.grid.size,
             "seed": config.seed,
             "epsilon": config.epsilon,
@@ -569,16 +562,13 @@ def _time_step(config: SimulationConfig, omega: np.ndarray) -> Tuple[float, int]
 
 
 def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
-    """Trajectory of the Schrödinger model under ``config.integrator``.
+    """Trajectory of the Schrödinger model by Strang splitting.
 
-    ``strang_splitting`` is the split-step scheme; between two samples it
-    keeps the field ``psi``, and each step is the nonlinear rotation, then
-    the linear propagator (``_System.propagator``).  ``rk4_reference`` steps
-    the same spectral system with classic RK4.
+    Between two samples it keeps the field ``psi``, and each step is the
+    nonlinear rotation, then the linear propagator (``_System.propagator``).
     """
-    integrator = config.integrator
     if config.model != "nls":
-        raise ValueError("the Schrödinger integrators need model='nls'")
+        raise ValueError("integrate_nls needs model='nls'")
     system = _system(config, 2 * int(max(config.nonlinearity, default=0)) + 2)
     grid, omega = system.grid, system.omega
     coeffs = {int(j): np.float64(c) for j, c in sorted(config.nonlinearity.items())}
@@ -598,74 +588,46 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
         raise ValueError("initial state is identically zero")
     u = u * (config.epsilon / norm)
 
-    # an empty nonlinearity is one zero term: the phase field of the linear flow
-    terms = list(coeffs.items()) or [(1, np.float64(0))]
-
     # Work arrays of the step map, allocated once per trajectory: ``psi`` the
-    # field, ``y`` its intensity and ``w`` a spectral state.
+    # field, ``y`` its intensity, ``w`` a spectral state and ``rot`` the
+    # rotated field.  ``turn`` holds the angle ``-dt * phase`` in its
+    # imaginary half and +0.0 in its real half, which nothing writes, so
+    # ``np.exp`` reads the rotation ``exp(-i dt phase)`` from it directly.
     psi = np.empty(grid.shape, dtype=complex)
     y = np.empty(grid.shape)
     w = np.empty(system.npts, dtype=complex)
+    turn = np.zeros(grid.shape, dtype=complex)
+    rot = np.empty(grid.shape, dtype=complex)
     field, spectrum = system.field, system.spectrum
+    phase_half = np.exp(-0.5j * dt * omega)
+    phase_full = np.exp(-1j * dt * omega)
+    matrix = system.propagator(phase_full)
+    flat_rot, flat_psi = rot.reshape(-1), psi.reshape(-1)
 
-    def phase_field(scale: float, out: np.ndarray) -> Callable[[], None]:
-        """The writer of ``out = sum_j (scale c_j) y**j`` at ``y = |psi|^2``.
+    # The coefficients of the angle, scaled by ``-dt`` once, here; an empty
+    # nonlinearity is one zero term, the angle of the linear flow.
+    terms = list(coeffs.items()) or [(1, np.float64(0))]
+    (j0, a0), *rest = [(j, -dt * c) for j, c in terms]
+    theta = turn.imag
 
-        The coefficients are scaled once, here; the writer sums from the
-        lowest power.
-        """
-        (j0, a0), *rest = [(j, scale * c) for j, c in terms]
+    def angle() -> None:
+        """``theta = sum_j a_j y**j`` at ``y = |psi|^2``, from the lowest power."""
+        np.square(np.abs(psi, y), y)
+        np.multiply(a0, y if j0 == 1 else y**j0, theta)
+        for j, a in rest:
+            np.add(theta, a * y**j, theta)
 
-        def write() -> None:
-            np.square(np.abs(psi, y), y)
-            np.multiply(a0, y if j0 == 1 else y**j0, out)
-            for j, a in rest:
-                np.add(out, a * y**j, out)
-
-        return write
-
-    if integrator == "strang_splitting":
-        phase_half = np.exp(-0.5j * dt * omega)
-        # ``turn`` holds the angle ``-dt * phase`` in its imaginary half and
-        # +0.0 in its real half, which nothing writes, so ``np.exp`` reads
-        # the rotation ``exp(-i dt phase)`` from it directly.
-        turn = np.zeros(grid.shape, dtype=complex)
-        rot = np.empty(grid.shape, dtype=complex)
-        angle = phase_field(-dt, turn.imag)
-        phase_full = np.exp(-1j * dt * omega)
-        matrix = system.propagator(phase_full)
-        flat_rot, flat_psi = rot.reshape(-1), psi.reshape(-1)
-
-        def advance(v: np.ndarray, m: int) -> np.ndarray:
-            field(np.multiply(v, phase_half, w), psi)
-            for k in range(m):
-                # the linear propagator of the step before, then the rotation
-                if k and matrix is None:
-                    field(np.multiply(spectrum(rot, w), phase_full, w), psi)
-                elif k:
-                    np.dot(matrix, flat_rot, flat_psi)
-                angle()
-                np.multiply(psi, np.exp(turn, rot), rot)
-            return spectrum(rot, w) * phase_half
-
-    else:
-        omega_c = omega.astype(complex)
-        # ``phi`` holds the phase field in its real half and +0.0 in its
-        # imaginary half, which nothing writes: it is the float phase cast
-        # to complex, so products with it are those of the float array bit
-        # for bit, without a cast on every call.
-        phi = np.zeros(grid.shape, dtype=complex)
-        phase = phase_field(_ONE, phi.real)
-
-        def rhs(v: np.ndarray) -> np.ndarray:
-            field(v, psi)
-            phase()
-            spectrum(np.multiply(phi, psi, psi), w)
-            out = omega_c * v
-            out += w
-            return np.multiply(_NEG_I, out, out)
-
-        advance = _steps(lambda v: _rk4(rhs, v, dt))
+    def advance(v: np.ndarray, m: int) -> np.ndarray:
+        field(np.multiply(v, phase_half, w), psi)
+        for k in range(m):
+            # the linear propagator of the step before, then the rotation
+            if k and matrix is None:
+                field(np.multiply(spectrum(rot, w), phase_full, w), psi)
+            elif k:
+                np.dot(matrix, flat_rot, flat_psi)
+            angle()
+            np.multiply(psi, np.exp(turn, rot), rot)
+        return spectrum(rot, w) * phase_half
 
     def potential(v: np.ndarray) -> float:
         y = np.abs(system.field(v, np.empty(grid.shape, dtype=complex))) ** 2
@@ -686,7 +648,7 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     )
     return _run(
         u, advance, monitor, dt=dt, n_steps=n_steps, stride=config.stride,
-        meta=system.meta(config, integrator),
+        meta=system.meta(config),
     )
 
 
@@ -788,7 +750,7 @@ def integrate_beam(config: SimulationConfig) -> TrajectoryRecord:
         _energy(omega, potential),
         extra={"u_sobolev": _weighted_norm(w_s)},
     )
-    meta = {**system.meta(config, "strang_splitting"), "mass_term": config.mass_term}
+    meta = {**system.meta(config), "mass_term": config.mass_term}
     return _run(u, _steps(step), monitor, dt=dt, n_steps=n_steps, stride=config.stride, meta=meta)
 
 

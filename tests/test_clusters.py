@@ -146,16 +146,6 @@ def test_separation_margin_exceeds_the_build_constant(certified_table, certified
             separation_margin(single, certified_table)
 
 
-def test_provisional_flags_boundary_blocks(torus_table):
-    clusters = build_clusters(torus_table, delta=0.5, c_delta=1.0)
-    assert len(clusters.provisional) == clusters.nblocks
-    radius = torus_table.lattice.radius
-    reach = 2.0 * clusters.c_delta * radius**clusters.delta
-    for flag, block in zip(clusters.provisional, clusters.blocks):
-        expected = any(torus_table.norm(p) > radius - reach for p in block)
-        assert flag == expected
-
-
 def test_summary_and_serialization(tmp_path, certified_table, certified_clusters):
     summary = cluster_summary(certified_clusters, certified_table)
     assert summary["n_blocks"] == certified_clusters.nblocks

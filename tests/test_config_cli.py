@@ -107,6 +107,22 @@ def test_malformed_ini_reports_line(tmp_path):
         load_config(str(headerless))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # two bad lines: the first is named
+        ("[lattice]\ndim 2\nradius 3\n", "2:1: malformed INI: cannot parse 'dim 2\\n'"),
+        ("\ndim = 2\n", "2:1: malformed INI: no [section] header before 'dim = 2\\n'"),
+    ],
+    ids=["parsing", "no-section-header"],
+)
+def test_cli_malformed_ini_is_one_line(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    assert main(["spectrum", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: {path}:{message}\n"
+
+
 def test_malformed_json_reports_line_and_column(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"run": \n  bad}\n')
@@ -508,10 +524,10 @@ def test_console_entry_point(tmp_path):
 @pytest.mark.parametrize(
     "overrides",
     [
-        ["simulate.integrator=rk4_reference", 'simulate.nonlinearity={"1": 1e9}'],
+        # a unitary Strang step of the Schrödinger models cannot blow up
         ["model.kind=beam", 'simulate.force={"3": 1e12}'],
     ],
-    ids=["nls", "beam"],
+    ids=["beam"],
 )
 def test_cli_verify_reports_a_blown_up_trajectory_as_a_failed_check(tmp_path, overrides):
     argv = ["verify", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]
@@ -718,8 +734,9 @@ def test_cli_simulate_beam_on_a_skew_integer_gram_is_pinned(tmp_path, capsys):
         (("model.kind=beam", "simulate.track_orbital=1.0"), "track_orbital"),
         (("simulate.dt=0",), "dt must be positive"),
         (("simulate.dt=-0.01",), "dt must be positive"),
-        # the beam steps by Strang splitting only, and only the beam reads force
-        (("model.kind=beam", "simulate.integrator=rk4_reference"), "integrator 'rk4_reference'"),
+        # one scheme per grid equation, so there is no integrator to choose
+        (("simulate.integrator=strang_splitting",), "unknown setting 'simulate.integrator'"),
+        # only the beam reads force
         (('simulate.force={"3": 0.5}',), "force needs model='beam'"),
         # the beam's nonlinear term is simulate.force; it would ignore the NLS map
         (("model.kind=beam", 'simulate.nonlinearity={"1": 5, "2": 3}'), "simulate.nonlinearity"),

@@ -43,8 +43,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(model="wave")
     with pytest.raises(ValueError):
-        SimulationConfig(integrator="euler")
-    with pytest.raises(ValueError):
         SimulationConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SimulationConfig(epsilon=1.0)
@@ -277,27 +275,19 @@ def test_grid_potential_stops_at_the_truncation():
 
 @pytest.mark.parametrize("dt", [0.01, 1e-3, 0.37])
 def test_rotation_of_the_cast_phase_is_the_float_product_bit_for_bit(dt):
-    # The ``rk4_reference`` right-hand side keeps the phase field in the real
-    # half of a complex buffer whose imaginary half stays +0.0, and multiplies
-    # the field by that buffer: the operand numpy casts the float phase to, so
-    # the product is ``phi * psi`` to the bit.  The Strang step writes the
-    # angle ``-dt * phi`` into the imaginary half of a buffer whose real half
-    # stays +0.0 and takes its exponential: ``exp(1j * angle)`` to the bit,
-    # underflows and huge angles included, bar the sign of a zero angle.
+    # The Strang step writes the angle ``-dt * phi`` into the imaginary half
+    # of a buffer whose real half stays +0.0 and takes its exponential:
+    # ``exp(1j * angle)`` to the bit, underflows and huge angles included,
+    # bar the sign of a zero angle.
     tiny = np.nextafter(0.0, 1.0)
     values = [0.0, -0.0, -1.5, 3.7, tiny, -tiny, 1e-310, -1e-310, 1e300, -1e300]
     phi = np.resize(np.array(values), 37)  # past one SIMD width, with a tail
-    rng = np.random.default_rng(5)
-    psi = rng.standard_normal(len(phi)) + 1j * rng.standard_normal(len(phi))
-    buffer = np.zeros(len(phi), dtype=complex)
-    buffer.real = phi
-    assert_same_bits(np.multiply(buffer, psi, out=np.empty_like(psi)), phi * psi)
     angle = -dt * phi
     turn = np.zeros(len(phi), dtype=complex)
     turn.imag = angle
     nonzero = angle != 0.0
     assert_same_bits(np.exp(turn)[nonzero], np.exp(1j * angle)[nonzero])
-    assert not buffer.imag.view(np.uint64).any() and not turn.real.view(np.uint64).any()
+    assert not turn.real.view(np.uint64).any()
 
 
 def test_grid_and_normal_form_nls_terms_agree_on_the_truncation():

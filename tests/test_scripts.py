@@ -83,8 +83,9 @@ def test_stability_sweep_runs_one_epsilon():
 
 
 def test_stability_sweep_reports_a_blown_up_run(tmp_path):
-    config = _config(tmp_path, "rk4.ini", {("simulate", "integrator"): "rk4_reference"})
-    proc = _run("stability_sweep.py", "--config", config, "--coupling", 1e9, "--epsilons", 0.1, "--horizons", 1)
+    settings = {("model", "kind"): "beam", ("simulate", "force"): '{"3": 1e12}'}
+    config = _config(tmp_path, "beam.ini", settings)
+    proc = _run("stability_sweep.py", "--config", config, "--epsilons", 0.1, "--horizons", 1)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stdout == "FAIL stability sweep: eps 0.1: state blew up at t = 1.0\n"
@@ -117,6 +118,21 @@ def test_stability_sweep_rejects_a_non_positive_step():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "usage error: dt must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--dt", 5, "dt * max omega = 1.62e+03 exceeds the stability bound 4.0"),
+        ("--dt-bound", -1, "dt * max omega = 3.24 exceeds the stability bound -1.0"),
+    ],
+    ids=["dt", "dt-bound"],
+)
+def test_stability_sweep_step_past_its_bound_is_a_usage_error(flag, value, message):
+    proc = _run("stability_sweep.py", flag, value, "--epsilons", 0.1, "--horizons", 5)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"usage error: {message}\n"
 
 
 def test_stability_sweep_refuses_the_ground_state(tmp_path):
@@ -203,6 +219,21 @@ def test_resonance_scan_negative_frequency_is_a_usage_error():
     assert proc.stderr.splitlines() == [
         "usage error: negative frequency at (0,) (seed 1, radius 12); choose another seed or radius"
     ]
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--radius", -1), "radius must be positive, got -1.0"),
+        (("--dim", 4), "dim must be 1, 2 or 3, got 4"),
+    ],
+    ids=["radius", "dim"],
+)
+def test_resonance_scan_bad_lattice_is_a_usage_error(args, message):
+    proc = _run("resonance_scan.py", *args, "--orders", 3)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"usage error: {message}\n"
 
 
 def test_resonance_scan_over_the_budget_fails():
