@@ -258,6 +258,15 @@ def load_config(path: Optional[str]) -> Dict[str, Dict[str, object]]:
         except configparser.ParsingError as exc:
             lineno, line = exc.errors[0]
             raise ConfigError(f"{path}:{lineno}:1: malformed INI: cannot parse {line}") from exc
+        except configparser.DuplicateOptionError as exc:
+            raise ConfigError(
+                f"{path}:{exc.lineno}:1: malformed INI: option {exc.option!r} "
+                f"in section [{exc.section}] already exists"
+            ) from exc
+        except configparser.DuplicateSectionError as exc:
+            raise ConfigError(
+                f"{path}:{exc.lineno}:1: malformed INI: section [{exc.section}] already exists"
+            ) from exc
         except configparser.Error as exc:
             raise ConfigError(f"{path}:1:1: malformed INI: {exc}") from exc
         raw = {

@@ -26,7 +26,9 @@ The step maps are:
   the truncated mode space.  Each part is a table of code rows on the
   lattice (``_PolyParts``) that the energy and the action angles read; the
   RK right-hand side reads a second table per part, its derivative rows in
-  the minus variables.  When every monomial is a product of actions the
+  the minus variables, and a third, the distinct pairs of codes those rows
+  start with: it multiplies each pair once per call and each row from its
+  pair's product.  When every monomial is a product of actions the
   nonlinear step is an exact phase rotation, making the scheme exact up to
   rounding; other parts take RK4 substeps.
 
@@ -49,7 +51,7 @@ trajectory and that only the step map writes: the grid transforms
 passes, and ``_PolyParts`` owns the both-signs state of the normal-form
 kick.  A stretch returns a fresh state and never writes into its argument,
 which the loop keeps and the monitor samples; an RK right-hand side
-returns a fresh array too, since ``_rk4`` combines four of them.
+returns a fresh array too, since ``_rk4`` sums the four stages in them.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ from .lattice import Lattice, Point, enumerate_lattice
 # the step maps pass ufunc outputs positionally: on a 36-point grid a Python
 # scalar operand or an ``out=`` keyword costs a measurable share of a call.
 _ONE = np.float64(1)
+_TWO = np.complex128(2)
 _NEG_I = np.complex128(-1j)
 
 
@@ -301,12 +304,19 @@ def _run(
     stride: int,
     meta: Dict[str, object],
 ) -> TrajectoryRecord:
-    """The time-stepping loop of every integrator; ``advance(u, m)`` takes ``m`` steps."""
+    """The time-stepping loop of every integrator; ``advance(u, m)`` takes ``m`` steps.
+
+    numpy's floating-point warnings are off for the whole loop: a state that
+    overflows is reported once, by the ``FloatingPointError`` of the next
+    monitor sample, not by a warning from every step map operation it
+    passes through.
+    """
     rows = [monitor.sample(0.0, u)]
-    for k in range(0, n_steps, stride):
-        m = min(stride, n_steps - k)
-        u = advance(u, m)
-        rows.append(monitor.sample((k + m) * dt, u))
+    with np.errstate(all="ignore"):
+        for k in range(0, n_steps, stride):
+            m = min(stride, n_steps - k)
+            u = advance(u, m)
+            rows.append(monitor.sample((k + m) * dt, u))
     times, sob, mass, energy, bands, blocks, orbital, extra = zip(*rows)
     return TrajectoryRecord(
         times=np.asarray(times),
@@ -333,12 +343,26 @@ def _steps(step: Callable[[np.ndarray], np.ndarray]) -> Callable[[np.ndarray, in
 
 
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], u: np.ndarray, dt: float) -> np.ndarray:
-    """One classic fourth-order Runge-Kutta step of ``du/dt = rhs(u)``."""
+    """One classic fourth-order Runge-Kutta step of ``du/dt = rhs(u)``.
+
+    ``k2 = rhs(u + 0.5 dt k1)``, ``k3 = rhs(u + 0.5 dt k2)``, ``k4 = rhs(u +
+    dt k3)`` and ``u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, summed from the
+    left: every operation of these formulas runs with its operands in their
+    order, so the step is theirs bit for bit.  The stage states share one
+    work array, and the sum runs in place in the stages, which ``rhs``
+    returns fresh.  The scalar factors are ``complex128``, the type numpy
+    casts a real factor of a complex array to.
+    """
+    half, full, sixth = np.complex128(0.5 * dt), np.complex128(dt), np.complex128(dt / 6.0)
     k1 = rhs(u)
-    k2 = rhs(u + 0.5 * dt * k1)
-    k3 = rhs(u + 0.5 * dt * k2)
-    k4 = rhs(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = np.multiply(half, k1)
+    k2 = rhs(np.add(u, stage, stage))
+    k3 = rhs(np.add(u, np.multiply(half, k2, stage), stage))
+    k4 = rhs(np.add(u, np.multiply(full, k3, stage), stage))
+    np.add(k1, np.multiply(_TWO, k2, k2), k1)
+    np.add(k1, np.multiply(_TWO, k3, k3), k1)
+    np.add(k1, k4, k1)
+    return np.add(u, np.multiply(sixth, k1, k1), k1)
 
 
 def _place(modes: Dict[Point, complex], index: Dict[Point, int], size: int) -> np.ndarray:
@@ -609,24 +633,34 @@ def integrate_nls(config: SimulationConfig) -> TrajectoryRecord:
     terms = list(coeffs.items()) or [(1, np.float64(0))]
     (j0, a0), *rest = [(j, -dt * c) for j, c in terms]
     theta = turn.imag
+    # the step's ufuncs, bound once: a step is a few ufunc calls on 36
+    # points, so each call's ``np`` attribute lookup shows in its cost
+    absolute, add, dot, exp, multiply, square = (
+        np.absolute, np.add, np.dot, np.exp, np.multiply, np.square
+    )
 
-    def angle() -> None:
-        """``theta = sum_j a_j y**j`` at ``y = |psi|^2``, from the lowest power."""
-        np.square(np.abs(psi, y), y)
-        np.multiply(a0, y if j0 == 1 else y**j0, theta)
+    def rotate() -> None:
+        """``rot = psi exp(i theta)`` with ``theta = sum_j a_j y**j`` at
+        ``y = |psi|^2``, summed from the lowest power."""
+        square(absolute(psi, y), y)
+        multiply(a0, y if j0 == 1 else y**j0, theta)
         for j, a in rest:
-            np.add(theta, a * y**j, theta)
+            add(theta, a * y**j, theta)
+        multiply(psi, exp(turn, rot), rot)
 
     def advance(v: np.ndarray, m: int) -> np.ndarray:
-        field(np.multiply(v, phase_half, w), psi)
-        for k in range(m):
-            # the linear propagator of the step before, then the rotation
-            if k and matrix is None:
-                field(np.multiply(spectrum(rot, w), phase_full, w), psi)
-            elif k:
-                np.dot(matrix, flat_rot, flat_psi)
-            angle()
-            np.multiply(psi, np.exp(turn, rot), rot)
+        # the first rotation, then each later step's linear propagator of
+        # the step before and its rotation, in a loop chosen once
+        field(multiply(v, phase_half, w), psi)
+        rotate()
+        if matrix is None:
+            for _ in range(m - 1):
+                field(multiply(spectrum(rot, w), phase_full, w), psi)
+                rotate()
+        else:
+            for _ in range(m - 1):
+                dot(matrix, flat_rot, flat_psi)
+                rotate()
         return spectrum(rot, w) * phase_half
 
     def potential(v: np.ndarray) -> float:
@@ -791,10 +825,21 @@ class _PolyParts:
 
     ``rhs`` reads only the minus rows of ``SymmetricForm.derivatives``: for
     each part, the derivative rows in a ``-`` variable, relabelled to the
-    lattice once, with ``-i`` folded into their coefficients.  They come
-    grouped by variable, so one ``np.add.reduceat`` of their monomials
-    gives ``-i dF/d(conj u)`` on every point that has a minus row, and the
-    points without one get zero.
+    lattice once, with ``-i`` folded into their coefficients.  They are
+    sorted stably by their point, and a point without one gets one row of
+    coefficient zero, so one ``np.add.reduceat`` of their monomials gives
+    ``-i dF/d(conj u)`` on every point in order: the first part's sums are
+    the result and later parts add theirs to it.
+
+    Rows of two or more codes share their leading pairs: the nls quartic on
+    the radius-8 line has 1713 minus rows and 353 distinct first pairs.
+    Each part keeps a table of its rows' distinct first two codes
+    (``first``, ``second``) and each row's entry in it (``pair``), built
+    once here.  ``rhs`` then multiplies ``x[first] * x[second]`` once per
+    call, gathers that product per row, and multiplies in the remaining
+    columns (``rest``, a tuple of index arrays), in order, and then the
+    coefficient.  A part whose rows hold zero codes or one (degree 1 or 2)
+    has no table (``pair`` is ``None``) and takes ``monomials`` of its rows.
 
     The both-signs state is one work array, ``x``, owned here: ``rhs`` and
     ``energy`` refill it from their argument on every call, never write into
@@ -806,7 +851,8 @@ class _PolyParts:
         self.x = np.empty(2 * self.size, dtype=complex)
         self.rows: List[Tuple[np.ndarray, np.ndarray]] = []
         self.actions: List[Tuple[np.ndarray, np.ndarray]] = []
-        self.flows: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+        # (first, second, pair, rest, coef, starts) of each part
+        self.flows: List[tuple] = []
         for f in forms:
             codes, c = f.relabel(f.codes, index), f.values
             columns = np.asfortranarray(codes, dtype=np.intp)
@@ -817,16 +863,31 @@ class _PolyParts:
                 plus = codes[(codes & 1) == 0].reshape(len(codes), codes.shape[1] // 2) >> 1
                 self.actions.append((np.asfortranarray(plus, dtype=np.intp), c.real))
             elif np.any(codes & 1):  # without a - variable the kick is zero
-                # derivative rows come sorted by variable: each variable's
-                # minus rows are one run, summed by one ``reduceat`` segment
+                # the minus derivative rows, sorted stably by their point, and
+                # one zero row for each point without one: each point's rows
+                # are one run, summed by one ``reduceat`` segment, and the
+                # segments come in point order
                 var, rows, coef = f.derivatives
                 minus = np.flatnonzero(var & 1)
-                starts = np.flatnonzero(np.diff(var[minus], prepend=-1))
+                point = f.relabel(var[minus], index) >> 1
+                empty = np.flatnonzero(np.bincount(point, minlength=self.size) == 0)
+                point = np.concatenate((point, empty))
+                order = np.argsort(point, kind="stable")
+                columns = np.concatenate((
+                    f.relabel(rows[minus], index), np.zeros((len(empty), rows.shape[1]), rows.dtype)
+                ))
+                columns = np.asfortranarray(columns[order], dtype=np.intp)
+                first = second = pair = None
+                if columns.shape[1] >= 2:
+                    radix = 2 * self.size
+                    lead = columns[:, 0] * radix + columns[:, 1]
+                    keys, pair = np.unique(lead, return_inverse=True)
+                    first, second = keys // radix, keys % radix
+                    pair, columns = pair.reshape(-1), tuple(columns[:, 2:].T)
                 self.flows.append((
-                    np.asfortranarray(f.relabel(rows[minus], index), dtype=np.intp),
-                    _NEG_I * coef[minus],
-                    starts,
-                    (f.relabel(var[minus[starts]], index) >> 1).astype(np.intp),
+                    first, second, pair, columns,
+                    np.concatenate((_NEG_I * coef[minus], np.zeros(len(empty), complex)))[order],
+                    np.flatnonzero(np.diff(point[order], prepend=-1)),
                 ))
 
     def both_signs(self, u: np.ndarray) -> np.ndarray:
@@ -842,10 +903,18 @@ class _PolyParts:
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """``X[2i] = -i dF/dx[2i + 1]``, summed over the minus rows of each part."""
         x = self.both_signs(u)
-        out = np.zeros(self.size, dtype=complex)
-        for rows, coef, starts, targets in self.flows:
-            out[targets] += np.add.reduceat(monomials(rows, coef, x), starts)
-        return out
+        out = None
+        for first, second, pair, rest, coef, starts in self.flows:
+            if pair is None:
+                terms = monomials(rest, coef, x)
+            else:
+                terms = np.multiply(x[first], x[second])[pair]
+                for col in rest:
+                    np.multiply(terms, x[col], terms)
+                np.multiply(terms, coef, terms)
+            total = np.add.reduceat(terms, starts)
+            out = total if out is None else np.add(out, total, out)
+        return np.zeros(self.size, dtype=complex) if out is None else out
 
     def energy(self, u: np.ndarray) -> float:
         x = self.both_signs(u)

@@ -113,8 +113,17 @@ def test_malformed_ini_reports_line(tmp_path):
         # two bad lines: the first is named
         ("[lattice]\ndim 2\nradius 3\n", "2:1: malformed INI: cannot parse 'dim 2\\n'"),
         ("\ndim = 2\n", "2:1: malformed INI: no [section] header before 'dim = 2\\n'"),
+        # a key or a section given twice: the line of the second
+        (
+            "[lattice]\ndim = 1\n[lattice]\n",
+            "3:1: malformed INI: section [lattice] already exists",
+        ),
+        (
+            "[lattice]\ndim = 1\ndim = 2\n",
+            "3:1: malformed INI: option 'dim' in section [lattice] already exists",
+        ),
     ],
-    ids=["parsing", "no-section-header"],
+    ids=["parsing", "no-section-header", "duplicate-section", "duplicate-option"],
 )
 def test_cli_malformed_ini_is_one_line(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -551,6 +560,25 @@ def test_cli_verify_reports_a_blown_up_trajectory_as_a_failed_check(tmp_path, ov
     assert lines[-1].startswith("FAIL verify: trajectory: state blew up at t = 0.0138")
     checks = json.loads((tmp_path / "verify_manifest.json").read_text())["results"]["checks"]
     assert [c["name"] for c in checks if not c["passed"]] == ["trajectory"]
+
+
+def test_cli_simulate_reports_a_blown_up_trajectory_in_one_line(tmp_path):
+    # the force overflows the field within a few steps: the state turns
+    # non-finite, and numpy warns about none of the operations it passes
+    argv = [
+        "simulate", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path),
+        "--set", "model.kind=beam", "--set", 'simulate.force={"3": 1e12}',
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-m", "latnf.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("FAIL simulate: state blew up at t = 0.0308")
+    assert len(proc.stdout.splitlines()) == 1
 
 
 def test_cli_verify_solves_on_the_configured_clusters(tmp_path, capsys, monkeypatch):

@@ -618,7 +618,9 @@ def _key(*entries):
 # Inputs of the kick, each a list of parts.  The kick reads each part's
 # minus derivative rows, so the cases add odd degrees, runs of 2 and 3
 # equal codes of either sign, minus rows on some points only, parts of
-# different degrees side by side and parts of degree 1.
+# different degrees side by side and parts of degree 1 and 2.  The rows
+# hold 0 codes (degree 1), 1 (degree 2, not an action form), 2 (degree 3)
+# and 3 or more: both paths of the kick, with and without the pair table.
 KICK_CASES = [
     [nls_quartic(LINE, -3.0), random_form(LINE, 3, 40, seed=21)],
     [random_form(LINE, 5, 30, seed=24)],
@@ -633,6 +635,12 @@ KICK_CASES = [
     })],
     [nls_quartic(LINE, 2.0), dict_random_form(LINE, 6, 50, seed=25, real=False)],
     [make_form({_key((2, -1)): 0.7, _key((1, 1)): 0.3j, _key((-3, -1)): -1.1})],
+    [make_form({
+        _key((1, 1), (2, -1)): 0.8 - 0.3j,
+        _key((-2, 1), (0, -1)): 1.1,
+        _key((3, -1), (3, -1)): 0.5j,
+        _key((0, 1), (4, 1)): -0.6,
+    })],
 ]
 
 
