@@ -64,6 +64,10 @@ from .clusters import ClusterPartition
 from .frequencies import SpectrumTable
 from .lattice import ExtIndex, Lattice, Point
 
+#: sums and brackets drop coefficients of at most this modulus.  It can stay
+#: absolute: no ``r = 1`` normal part depends on it (each is the homological
+#: Z), and on the radius-8 ``nls_t1.ini`` system it decides only the 157
+#: rounding residues of the degree-8 ledger entry (604298 terms, 604455 at 0)
 DROP_TOL = 1e-14
 
 #: rows (bracket: row pairs) per block in the packed kernels; bounds their

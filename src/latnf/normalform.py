@@ -41,7 +41,6 @@ from .forms import (
     scaled_norm,
     sobolev_norm,
     vector_field,
-    zero_form,
 )
 from .frequencies import SpectrumTable
 from .lattice import Point, point_distance
@@ -186,6 +185,15 @@ def solve_homological(
     The residual of ``{H0, G} + F - Z`` and the bounds ``|G| <= K**tau /
     gamma |F|`` and ``|Z| <= |F|`` in the localized norm are checked on
     every solve; a breach raises ``RuntimeError``.
+
+    Z copies F off G's rows, so the residual lives on G's rows.  On a row
+    of degree ``n``, with ``W = sum_j |omega_j|`` and ``u = eps / 2``, its
+    rounding is at most, to first order: ``(n - 1) u W |G|`` from the
+    divisor's ``n - 1`` additions; ``u W |G|`` from the division;
+    ``sqrt(2) (n + 1) u W |G|`` from the bracket (per entry a product by the
+    run length and one by omega, then ``n - 1`` additions, per component);
+    ``2 u |F|`` from the sum with F.  The total is below the bound checked,
+    ``2 n eps (|F| + |G| W)``, which scales with the coupling as F and G do.
     """
     validate_cutoff(table, bands, cutoff)
     solve = bucket_rows(form, table, bands, clusters, cutoff) == NONRESONANT
@@ -215,15 +223,17 @@ def solve_homological(
     generator = SymmetricForm(form.points, codes, g)
     normal = SymmetricForm(form.points, form.codes[~solve], form.values[~solve])
 
+    # F's nonresonant rows first, every row kept: the sums line up with G's
     h0 = quadratic_hamiltonian(table)
-    lhs = add_forms(poisson_bracket(h0, generator, tol=0.0), form, tol=0.0)
-    diff = add_forms(lhs, scale_form(normal, -1.0), tol=0.0)
-    residual = float(np.abs(diff.values).max(initial=0.0))
+    lhs = add_forms(SymmetricForm(form.points, codes, c), poisson_bracket(h0, generator, tol=0.0), tol=-math.inf)
+    res = np.abs(lhs.values)
+    bound = 2 * form.degree * np.finfo(float).eps * (np.abs(c) + np.abs(g) * np.abs(omega)[codes].sum(axis=1))
+    residual = float(res.max(initial=0.0))
+    if len(lhs) != len(g) or not (res <= bound).all():
+        raise RuntimeError(f"homological residual {residual:.3e} exceeds its rounding bound")
     kw = dict(nu=nu, smoothing=smoothing, zero_mode="lift")
     f_norm, g_norm, z_norm = (localized_norm(x, table, **kw) for x in (form, generator, normal))
     k_scan = max(1.0, float(table.lattice.radius))
-    if residual > 1e-12:
-        raise RuntimeError(f"homological residual {residual:.3e} exceeds 1e-12")
     if g_norm > (k_scan**tau / gamma) * f_norm * (1.0 + 1e-12):
         raise RuntimeError("generator norm bound violated")
     if z_norm > f_norm * (1.0 + 1e-12):
@@ -418,15 +428,18 @@ def normalize(
     """Iteratively normalize ``H0 + perturbation`` up to the degree cap.
 
     Each step solves the homological equation for the entire lowest-degree
-    non-normalized part, conjugates every current term by the generator's
-    time-1 flow (adjoint series, degree-capped), and re-sorts.  The sources
+    non-normalized part F and conjugates every current term by the
+    generator's time-1 flow (adjoint series, degree-capped).  The sources
     of a step, ``h0``, then the normal parts and the current parts by
     degree, go through one ``lie_transform`` walk by degree, which brackets
     the same-degree terms of all sources with the generator in one pass; its
-    kept pieces are summed, and its ledger entries recorded, in source
-    order, then Lie index.  Per-step
-    norms must contract: ``mu = (|P|_R / R^2) K^tau`` is required below
-    ``mu_max`` and each step below ``2 mu`` times the previous.
+    ledger entries are recorded in source order, then Lie index.  The flow
+    takes F to ``F + {h0, G}``, the solution's Z by construction, so the
+    normal part of F's degree is Z itself, taken from the solution; the kept
+    pieces above F's degree are summed, in source order, then Lie index,
+    into the next current part.  Per-step norms must contract: ``mu =
+    (|P|_R / R^2) K^tau`` is required below ``mu_max`` and each step below
+    ``2 mu`` times the previous.
     ``remainder_bound`` is the largest ``|X(u)|_s`` of the remainder's vector
     field over ``remainder_samples`` random states on the radius-R sphere: a
     lower estimate of its supremum there, not a bound.
@@ -506,28 +519,8 @@ def normalize(
         )
         ledger.extend(dropped)
 
-        acc = poly_from_forms(pieces)
-        new_normal: Dict[int, SymmetricForm] = {}
-        new_p_parts: List[SymmetricForm] = []
-        for degree in acc.degrees:
-            if degree == 2:
-                continue
-            part = acc.parts[degree]
-            if degree <= low:
-                new_normal[degree] = part
-            else:
-                new_p_parts.append(part)
-        check = add_forms(new_normal.get(low, zero_form(low)), scale_form(sol.normal, -1.0), tol=0.0)
-        step_residual = float(np.abs(check.values).max(initial=0.0))
-        if step_residual > 1e-10:
-            raise RuntimeError(
-                f"step {step}: accumulated degree-{low} part differs from the "
-                f"homological solution by {step_residual:.3e}"
-            )
-        max_residual = max(max_residual, step_residual)
-
-        normal_parts = new_normal
-        current = poly_from_forms(new_p_parts)
+        normal_parts[low] = sol.normal
+        current = poly_from_forms(p for p in pieces if p.degree > low)
         p_norm = poly_norm_r(current)
         step_norms.append(p_norm)
         prev = step_norms[-2]

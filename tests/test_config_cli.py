@@ -393,6 +393,24 @@ def test_cli_resonances_meaningless_arguments_are_usage_errors(
     assert not (out / "certificate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command,setting",
+    [("spectrum", "lattice.radius=inf"),
+     ("resonances", "lattice.radius=inf"),
+     ("simulate", "lattice.radius=inf"),
+     ("measure", "measure.decay=1e308"),
+     ("normalform", "normalform.cutoff=1e308"),
+     ("simulate", "simulate.horizon=inf"),
+     ("simulate", "simulate.horizon=1e308")],
+)
+def test_cli_overflowing_input_is_a_one_line_usage_error(tmp_path, capsys, command, setting):
+    # float arithmetic on these values raises OverflowError, not ValueError
+    argv = [command, "--config", CERTIFIED_CONFIG, "--set", setting, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_cli_empty_truncation_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "empty"
     argv = ["resonances", "--config", CERTIFIED_CONFIG, "--set", "lattice.radius=0.2",

@@ -9,6 +9,7 @@ from latnf import (
     CertificateError,
     NormalFormConfig,
     SmallnessError,
+    SymmetricForm,
     TorusLaplacian,
     add_forms,
     band_partition,
@@ -140,6 +141,40 @@ def test_homological_generator_is_bit_identical_to_the_scalar_division(
         assert keys == [k for k in f.coeffs if k not in sol.normal.coeffs]
 
 
+def test_homological_residual_bound_scales_with_the_coupling(
+    certified_table, certified_bands, certified_clusters, certificates
+):
+    # the residual, 3.638e-12 at coupling 1000, grows with F and G, and so
+    # does its bound: an absolute 1e-12 would fail this solve
+    cert = certificates[4]
+    f = nls_quartic(certified_table.lattice, 1000.0)
+    sol = solve_homological(
+        f, certified_table, certified_bands, certified_clusters, NF_CUTOFF, cert.gamma, cert.tau
+    )
+    assert sol.residual > 1e-12
+
+
+def test_homological_residual_bound_catches_a_generator_off_by_1e_10(
+    certified_table, certified_bands, certified_clusters, certificates, monkeypatch
+):
+    import latnf.normalform
+
+    inner = latnf.normalform.poisson_bracket
+
+    def off(f, g, tol):
+        values = g.values.copy()
+        values[len(values) // 2] *= 1.0 + 1e-10
+        return inner(f, SymmetricForm(g.points, g.codes, values), tol)
+
+    monkeypatch.setattr(latnf.normalform, "poisson_bracket", off)
+    cert = certificates[4]
+    with pytest.raises(RuntimeError, match="exceeds its rounding bound"):
+        solve_homological(
+            nls_quartic(certified_table.lattice), certified_table, certified_bands,
+            certified_clusters, NF_CUTOFF, cert.gamma, cert.tau,
+        )
+
+
 def test_normalize_keeps_every_form_packed():
     # the radius-5 truncation of nls_t1.ini at cutoff 4.5; see tests/test_scripts.py
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "nls_t1.ini"))
@@ -153,6 +188,41 @@ def test_normalize_keeps_every_form_packed():
     ]
     forms = [e.form for e in result.ledger] + list(result.generators) + normal_parts
     assert [f for f in forms if "coeffs" in vars(f)] == []
+
+
+def test_normal_form_is_scale_free(tmp_path, monkeypatch, capsys):
+    # H0 + c Q at radius R / sqrt(c) is the problem H0 + Q at radius R.  With
+    # c = 4**k every input is the reference's times a power of 2, so mu, the
+    # census and the certificates keep their bits and G scales by c exactly
+    import latnf.cli
+
+    results = []
+    inner = latnf.cli.normalize
+
+    def spy(*args, **kwargs):
+        results.append(inner(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(latnf.cli, "normalize", spy)
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "nls_t1.ini")
+    manifests = {}
+    for k in range(-2, 7):
+        out = tmp_path / str(k)
+        argv = ["normalform", "--config", config, "--out-dir", str(out)]
+        for item in ("lattice.radius=5", "normalform.cutoff=4.5", f"normalform.coupling={4.0**k!r}",
+                     f"normalform.radius={9.221127468086334e-05 / 2.0**k!r}"):
+            argv += ["--set", item]
+        assert latnf.cli.main(argv) == 0, capsys.readouterr()
+        manifests[k] = json.loads((out / "normalform_manifest.json").read_text())["results"]
+    generators = dict(zip(manifests, (r.generators for r in results), strict=True))
+    for k, res in manifests.items():
+        assert res["bucket_terms"] == {"Z0": 45, "ZB": 18, "Z2": 10, "ZGE3": 3}
+        assert res["config"]["cutoff"] == 4.5
+        assert res["mu"] == manifests[0]["mu"]
+        assert res["certificates"] == manifests[0]["certificates"]
+        for g, g_ref in zip(generators[k], generators[0], strict=True):
+            assert g.points == g_ref.points and np.array_equal(g.codes, g_ref.codes)
+            assert np.array_equal(g.values, g_ref.values * 4.0**k)
 
 
 def test_lie_terms_order_formula():
