@@ -24,14 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from latnf import (
-    CertificateError,
-    ConfigError,
-    SmallnessError,
-    integrate_normal_form,
-    normalform_manifest,
-)
-from latnf.cli import build_system, run_normalform
+from latnf import integrate_normal_form, normalform_manifest
+from latnf.cli import build_system, exit_code, run_normalform
 from latnf.config import load_config
 
 
@@ -48,16 +42,7 @@ def parse_args():
 def main() -> int:
     args = parse_args()
     if args.dt <= 0.0 or args.horizon <= 0.0:
-        print("usage error: --dt and --horizon must be positive", file=sys.stderr)
-        return 2
-    try:
-        return run(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-
-def run(args) -> int:
+        raise ValueError("--dt and --horizon must be positive")
     cfg = load_config(args.config)
     system = build_system(cfg)
     out = None
@@ -65,11 +50,7 @@ def run(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    try:
-        certificates, result = run_normalform(cfg, system)
-    except (CertificateError, SmallnessError) as exc:
-        print(f"cannot normalize this system: {exc}")
-        return 1
+    certificates, result = run_normalform(cfg, system)
     for cert in certificates:
         print(
             f"order {cert.order}: min score {cert.min_score:.6g}, "
@@ -128,4 +109,4 @@ def run(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main, label="normal form"))

@@ -32,6 +32,7 @@ from latnf import (
     certify_nonresonance,
     enumerate_lattice,
 )
+from latnf.cli import exit_code
 
 
 def parse_args():
@@ -52,11 +53,7 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    try:
-        lattice = enumerate_lattice(args.dim, args.radius)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    lattice = enumerate_lattice(args.dim, args.radius)
     if args.flat:
         model = TorusLaplacian()
     else:
@@ -66,12 +63,9 @@ def main() -> int:
         table = build_spectrum(lattice, model)
     except ValueError as exc:
         # a drawn potential below -|a|^2 at a mode; the draw is not shifted
-        print(
-            f"usage error: {exc} (seed {args.seed}, radius {args.radius:g}); "
-            "choose another seed or radius",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(
+            f"{exc} (seed {args.seed}, radius {args.radius:g}); choose another seed or radius"
+        ) from None
     bands = band_partition(table)
     print(
         f"{len(table)} modes on T^{args.dim} radius {args.radius:g}, "
@@ -85,13 +79,9 @@ def main() -> int:
         try:
             cert = certify_nonresonance(table, order, partition=bands, tau=args.tau)
         except CertificateError as exc:
-            # a CertificateError is a ValueError, so it is caught first
             n_failed += 1
             print(f"order {order}: FAILED, {exc}")
             continue
-        except ValueError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return 2
         rate = cert.n_checked / max(time.perf_counter() - start, 1e-9)
         verdict = "certified" if cert.passed else "FAILED"
         print(
@@ -106,4 +96,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main, label="nonresonance"))

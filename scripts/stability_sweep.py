@@ -31,8 +31,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from latnf import stability_experiment
-from latnf.cli import simulation_config
-from latnf.config import ConfigError, load_config
+from latnf.cli import exit_code, simulation_config
+from latnf.config import load_config
 
 
 def parse_args():
@@ -52,57 +52,37 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    try:
-        return sweep(args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-
-def sweep(args) -> int:
     sim = simulation_config(load_config(args.config))
     if args.horizons is not None and len(args.horizons) != len(args.epsilons):
-        print("usage error: need one horizon per epsilon", file=sys.stderr)
-        return 2
+        raise ValueError("need one horizon per epsilon")
     if sim.model == "beam" and (args.flat or args.coupling is not None):
-        print("usage error: --coupling and --flat set the NLS; the beam model has neither", file=sys.stderr)
-        return 2
+        raise ValueError("--coupling and --flat set the NLS; the beam model has neither")
     # the coupling is the NLS nonlinearity; the beam's force comes from the config
     coupling = -12.0 if args.coupling is None else args.coupling
     nls = {"nonlinearity": {1: coupling}} if sim.model == "nls" else {}
-    try:
-        sim = replace(
-            sim,
-            **nls,
-            epsilon=args.epsilons[0],
-            s=args.s,
-            dt=args.dt,
-            horizon=1.0,
-            stride=1000,
-            seed=args.seed,
-            dt_bound=args.dt_bound,
-        )
-        # every epsilon and horizon, before the first trajectory
-        for eps, horizon in zip(args.epsilons, args.horizons or [1.0] * len(args.epsilons)):
-            replace(sim, epsilon=eps, horizon=horizon)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    sim = replace(
+        sim,
+        **nls,
+        epsilon=args.epsilons[0],
+        s=args.s,
+        dt=args.dt,
+        horizon=1.0,
+        stride=1000,
+        seed=args.seed,
+        dt_bound=args.dt_bound,
+    )
+    # every epsilon and horizon, before the first trajectory
+    for eps, horizon in zip(args.epsilons, args.horizons or [1.0] * len(args.epsilons)):
+        replace(sim, epsilon=eps, horizon=horizon)
     if args.flat:
         sim = replace(sim, potential=None)
     out = None
     if args.out is not None:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        report = stability_experiment(sim, args.epsilons, horizons=args.horizons)
-    except FloatingPointError as exc:
-        print(f"FAIL stability sweep: {exc}")
-        return 1
-    except ValueError as exc:
-        # the dt * max omega bound, which needs the grid frequencies
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    # a step past the dt * max omega bound, which needs the grid
+    # frequencies, is a ValueError of the first trajectory
+    report = stability_experiment(sim, args.epsilons, horizons=args.horizons)
 
     stable = True
     for run in report.runs:
@@ -123,4 +103,4 @@ def sweep(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main, label="stability sweep"))

@@ -10,14 +10,18 @@ Commands and config-reading scripts share three builders: ``build_system``
 (the truncated system), ``run_normalform`` (certificates and ``normalize``)
 and ``simulation_config`` (the ``[simulate]`` trajectory of the model).
 
-Exit codes: 0 on success, 1 when a check that ran produced a certified
-failure (the witness is printed), 2 on usage or configuration errors.  All
-artifacts are deterministic given the config and seed.
+Commands and scripts raise on failure, and ``exit_code`` alone turns an
+outcome into output and an exit code: 0 on success, 1 with one ``FAIL``
+line on stdout when a check that ran produced a certified failure (the
+line names the check and its witness), 2 with one ``config error`` or
+``usage error`` line on stderr on a refused input.  All artifacts are
+deterministic given the config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -61,6 +65,44 @@ from .resonance import (
 )
 
 
+class Failed(Exception):
+    """A command's own check failed: ``label`` names it, the message is the witness."""
+
+    def __init__(self, label: str, detail: str):
+        super().__init__(detail)
+        self.label = label
+
+
+def exit_code(body, *args, label: str) -> int:
+    """Run ``body(*args)`` and turn its outcome into output and an exit code.
+
+    A return is the exit code.  A certified failure prints one ``FAIL
+    <label>: <witness>`` line on stdout and gives 1: a ``Failed`` under its
+    own label; a ``CertificateError``, ``SmallnessError`` or
+    ``FloatingPointError`` from the layers under ``label``; a
+    ``RuntimeError``, a broken invariant, under ``invariant``.  A refused
+    input prints one line on stderr and gives 2: ``config error`` for a
+    ``ConfigError`` or ``OSError``, ``usage error`` for any other
+    ``ValueError`` and an ``OverflowError``.
+    """
+    try:
+        return body(*args)
+    except Failed as exc:
+        print(f"FAIL {exc.label}: {exc}")
+    # CertificateError and SmallnessError are ValueErrors: caught before the usage errors
+    except (CertificateError, SmallnessError, FloatingPointError) as exc:
+        print(f"FAIL {label}: {exc}")
+    except RuntimeError as exc:
+        print(f"FAIL invariant: {exc}")
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OverflowError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    return 1
+
+
 @dataclass(eq=False)
 class System:
     """A config's lattice; its model, table, bands and clusters on first use.
@@ -102,11 +144,14 @@ def run_normalform(
 ) -> Tuple[List[NonresonanceCertificate], NormalFormResult]:
     """Certify orders 3..degree_cap and normalize the model kind's perturbation.
 
-    A kind without a perturbation of its own is a ``ConfigError``.  Raises
+    A kind without a perturbation of its own is a ``ConfigError``, a
+    non-finite coupling a ``ValueError``.  Raises
     ``CertificateError``/``SmallnessError`` when normalization fails.
     """
     sec = cfg["normalform"]
     kind = model_kind(cfg["model"]["kind"], "perturbation")
+    if not math.isfinite(sec["coupling"]):
+        raise ValueError(f"coupling must be finite, got {sec['coupling']}")
     perturbation = poly_from_forms([kind.perturbation(system.lattice, sec["coupling"])])
     # every NormalFormConfig field is the [normalform] key of the same name
     nf_config = NormalFormConfig(**{f.name: sec[f.name] for f in fields(NormalFormConfig)})
@@ -204,14 +249,12 @@ def cmd_spectrum(cfg, args) -> int:
         f"{bands.nbands} bands, fit c1={fit.c1:.6g} c2={fit.c2:.3g}"
     )
     if diag.violations:
-        print(f"FAIL band invariants: {diag.violations[0]}")
-        return 1
+        raise Failed("band invariants", diag.violations[0])
     if not fit.passed:
-        print(
-            f"FAIL asymptotic fit: outer residual {fit.outer_max:.3g} "
-            f"exceeds twice inner {fit.inner_max:.3g}"
+        raise Failed(
+            "asymptotic fit",
+            f"outer residual {fit.outer_max:.3g} exceeds twice inner {fit.inner_max:.3g}",
         )
-        return 1
     return 0
 
 
@@ -236,11 +279,11 @@ def cmd_clusters(cfg, args) -> int:
     )
     if not dyadic.passed:
         block = part.blocks[dyadic.worst_block]
-        print(
-            f"FAIL dyadic bound: block {dyadic.worst_block} has sup|a|/inf|a| "
-            f"{dyadic.constant:.4g}; points {list(block)}"
+        raise Failed(
+            "dyadic bound",
+            f"block {dyadic.worst_block} has sup|a|/inf|a| "
+            f"{dyadic.constant:.4g}; points {list(block)}",
         )
-        return 1
     return 0
 
 
@@ -248,17 +291,9 @@ def cmd_resonances(cfg, args) -> int:
     system = build_system(cfg)
     sec = cfg["resonance"]
     start = time.perf_counter()
-    try:
-        cert = certify_nonresonance(
-            system.table,
-            sec["order"],
-            partition=system.bands,
-            gamma=sec["gamma"],
-            tau=sec["tau"],
-        )
-    except CertificateError as exc:
-        print(f"FAIL nonresonance: {exc}")
-        return 1
+    cert = certify_nonresonance(
+        system.table, sec["order"], partition=system.bands, gamma=sec["gamma"], tau=sec["tau"]
+    )
     rate = cert.n_checked / max(time.perf_counter() - start, 1e-9)
     out = _out_dir(cfg)
     cert_path = out / "certificate.json"
@@ -271,11 +306,9 @@ def cmd_resonances(cfg, args) -> int:
         f"{rate:.3g} multisets covered/s)"
     )
     if not cert.passed:
-        print(
-            f"FAIL nonresonance: witness {cert.witness} has divisor "
-            f"{cert.witness_divisor:.6g}"
+        raise Failed(
+            "nonresonance", f"witness {cert.witness} has divisor {cert.witness_divisor:.6g}"
         )
-        return 1
     return 0
 
 
@@ -314,21 +347,16 @@ def cmd_measure(cfg, args) -> int:
     out = _out_dir(cfg)
     _finish(cfg, "measure", {"rows": rows}, [], out)
     if failed is not None:
-        print(
-            f"FAIL measure bound: fraction {failed.fraction:.6g} > "
-            f"{failed.bound:.6g} + 3 x {failed.stderr:.3g} at gamma {failed.gamma:g}"
+        raise Failed(
+            "measure bound",
+            f"fraction {failed.fraction:.6g} > {failed.bound:.6g} + 3 x "
+            f"{failed.stderr:.3g} at gamma {failed.gamma:g}",
         )
-        return 1
     return 0
 
 
 def cmd_normalform(cfg, args) -> int:
-    try:
-        certificates, result = run_normalform(cfg, build_system(cfg))
-    except (CertificateError, SmallnessError) as exc:
-        print(f"FAIL normal form: {exc}")
-        return 1
-
+    certificates, result = run_normalform(cfg, build_system(cfg))
     out = _out_dir(cfg)
     artifacts = []
     for i, gen in enumerate(result.generators):
@@ -357,12 +385,7 @@ def cmd_normalform(cfg, args) -> int:
 
 
 def cmd_simulate(cfg, args) -> int:
-    sim = simulation_config(cfg)
-    try:
-        record = integrate(sim)
-    except FloatingPointError as exc:
-        print(f"FAIL simulate: {exc}")
-        return 1
+    record = integrate(simulation_config(cfg))
     out = _out_dir(cfg)
     csv_path = out / "trajectory.csv"
     trajectory_to_csv(record, csv_path)
@@ -511,20 +534,20 @@ def cmd_verify(cfg, args) -> int:
         out,
     )
     if failed:
-        print(f"FAIL verify: {failed[0][0]}: {failed[0][2]}")
-        return 1
+        raise Failed("verify", f"{failed[0][0]}: {failed[0][2]}")
     print(f"verify: all {len(checks)} checks passed")
     return 0
 
 
+#: each command, with the label of a certified failure its layers raise
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "clusters": cmd_clusters,
-    "resonances": cmd_resonances,
-    "measure": cmd_measure,
-    "normalform": cmd_normalform,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
+    "spectrum": (cmd_spectrum, "spectrum"),
+    "clusters": (cmd_clusters, "clusters"),
+    "resonances": (cmd_resonances, "nonresonance"),
+    "measure": (cmd_measure, "measure"),
+    "normalform": (cmd_normalform, "normal form"),
+    "simulate": (cmd_simulate, "simulate"),
+    "verify": (cmd_verify, "verify"),
 }
 
 
@@ -550,28 +573,23 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(command, args) -> int:
+    cfg = load_config(args.config)
+    apply_overrides(cfg, args.set)
+    if args.seed is not None:
+        cfg["run"]["seed"] = args.seed
+    if args.out_dir is not None:
+        cfg["run"]["out_dir"] = args.out_dir
+    return command(cfg, args)
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg = load_config(args.config)
-        apply_overrides(cfg, args.set)
-        if args.seed is not None:
-            cfg["run"]["seed"] = args.seed
-        if args.out_dir is not None:
-            cfg["run"]["out_dir"] = args.out_dir
-        return _COMMANDS[args.command](cfg, args)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"FAIL invariant: {exc}", file=sys.stderr)
-        return 1
+    command, label = _COMMANDS[args.command]
+    return exit_code(_run, command, args, label=label)
 
 
 if __name__ == "__main__":

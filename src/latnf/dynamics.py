@@ -154,6 +154,8 @@ class SimulationConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
+        if not math.isfinite(self.s):
+            raise ValueError(f"s must be finite, got {self.s}")
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError("dt must be positive")
         if self.horizon <= 0.0:

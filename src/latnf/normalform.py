@@ -83,6 +83,9 @@ class NormalFormConfig:
             raise ValueError(f"r must be >= 1, got {self.r}")
         if not 0.0 < self.radius < 1.0:
             raise ValueError(f"radius must lie in (0,1), got {self.radius}")
+        for name in ("s", "nu", "smoothing", "mu_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def r_bar(self) -> int:
@@ -263,6 +266,7 @@ def lie_terms_order(r_bar: int, part_order: int, gen_order: int) -> int:
 def lie_transform(
     generator: SymmetricForm,
     parts: Sequence[SymmetricForm],
+    firsts: Sequence[int],
     orders: Sequence[int],
     *,
     cap: int,
@@ -272,9 +276,11 @@ def lie_transform(
     nu: float = 2.0,
     smoothing: float = 2.0,
 ) -> Tuple[List[SymmetricForm], List[LedgerEntry]]:
-    """Adjoint series ``sum_{k<=n} Ad_G^k P / k!`` of every part, split at the degree cap.
+    """Adjoint series ``sum_{m<=k<=n} Ad_G^k P / k!`` of every part, split at the degree cap.
 
-    ``orders[i]`` is the ``n`` of ``parts[i]``.  The series are built in one
+    ``parts[i]`` is the term ``Ad_G^m P`` of a source ``P``, ``firsts[i]`` its
+    ``m`` and ``orders[i]`` the ``n``; its ledger entries name the source by
+    its degree ``parts[i].degree - m (G.degree - 2)``.  The series are built in one
     walk by degree: at each degree, the current terms ``Ad_G^k P`` of every
     part there (each at its own Lie index ``k``) are bracketed with G in one
     ``poisson_brackets`` pass.  A part's series stops at its ``n`` or at its
@@ -285,7 +291,8 @@ def lie_transform(
     kept: List[List[SymmetricForm]] = [[] for _ in parts]
     ledger: List[List[LedgerEntry]] = [[] for _ in parts]
     current = list(parts)
-    factorial = [1.0] * len(parts)
+    index = list(firsts)
+    factorial = [float(math.factorial(m)) for m in firsts]
 
     def emit(i: int, k: int) -> None:
         term = scale_form(current[i], 1.0 / factorial[i])
@@ -296,7 +303,7 @@ def lie_transform(
         ledger[i].append(
             LedgerEntry(
                 step=step,
-                source_degree=parts[i].degree,
+                source_degree=parts[i].degree - firsts[i] * (generator.degree - 2),
                 lie_index=k,
                 degree=term.degree,
                 norm_r=norm_r,
@@ -305,9 +312,8 @@ def lie_transform(
         )
 
     for i in range(len(parts)):
-        emit(i, 0)
-    index = [0] * len(parts)
-    live = [i for i, n in enumerate(orders) if n > 0]
+        emit(i, index[i])
+    live = [i for i, n in enumerate(orders) if index[i] < n]
     while live:
         degree = min(current[i].degree for i in live)
         batch = [i for i in live if current[i].degree == degree]
@@ -433,11 +439,12 @@ def normalize(
     of a step, ``h0``, then the normal parts and the current parts by
     degree, go through one ``lie_transform`` walk by degree, which brackets
     the same-degree terms of all sources with the generator in one pass; its
-    ledger entries are recorded in source order, then Lie index.  The flow
-    takes F to ``F + {h0, G}``, the solution's Z by construction, so the
-    normal part of F's degree is Z itself, taken from the solution; the kept
-    pieces above F's degree are summed, in source order, then Lie index,
-    into the next current part.  Per-step norms must contract: ``mu =
+    ledger entries are recorded in source order, then Lie index.  ``{h0, G}
+    = Z - F`` holds by construction, so h0's series enters at Lie index 1 as
+    ``Z - F`` and h0 itself is never bracketed.  The flow takes F to ``F +
+    {h0, G}``, so the normal part of F's degree is Z itself, taken from the
+    solution; the kept pieces above F's degree are summed, in source order,
+    then Lie index, into the next current part.  Per-step norms must contract: ``mu =
     (|P|_R / R^2) K^tau`` is required below ``mu_max`` and each step below
     ``2 mu`` times the previous.
     ``remainder_bound`` is the largest ``|X(u)|_s`` of the remainder's vector
@@ -477,7 +484,6 @@ def normalize(
             scaled_norm(poly.parts[d], table, radius, **norm_kw) for d in poly.degrees
         )
 
-    h0 = quadratic_hamiltonian(table)
     current = perturbation
     normal_parts: Dict[int, SymmetricForm] = {}
     generators: List[SymmetricForm] = []
@@ -486,7 +492,7 @@ def normalize(
 
     tau_max = max(taus.values())
     mu = (step_norms[0] / radius**2) * cutoff**tau_max
-    if mu > config.mu_max:
+    if not mu <= config.mu_max:
         raise SmallnessError(
             f"smallness violated before step 0: mu = {mu:.3e} > {config.mu_max}; "
             "radius too large for this truncation"
@@ -509,11 +515,17 @@ def normalize(
         generators.append(generator)
         gen_order = generator.degree - 2
 
-        sources = [h0] + [normal_parts[d] for d in sorted(normal_parts)]
-        sources = [src for src in sources + [current.part(d) for d in current.degrees] if len(src)]
+        # h0's series from Lie index 1: {h0, G} = Z - F by construction
+        sources = [(add_forms(sol.normal, scale_form(f_part, -1.0), tol=0.0), 1)]
+        sources += [(normal_parts[d], 0) for d in sorted(normal_parts)]
+        sources += [(current.part(d), 0) for d in current.degrees]
+        parts, firsts = zip(*[(src, first) for src, first in sources if len(src)])
         pieces, dropped = lie_transform(
-            generator, sources,
-            [lie_terms_order(config.r_bar, src.degree - 2, gen_order) for src in sources],
+            generator, parts, firsts,
+            [
+                lie_terms_order(config.r_bar, src.degree - 2 - first * gen_order, gen_order)
+                for src, first in zip(parts, firsts)
+            ],
             cap=cap, table=table, radius=radius,
             step=step, nu=config.nu, smoothing=config.smoothing,
         )
@@ -524,7 +536,7 @@ def normalize(
         p_norm = poly_norm_r(current)
         step_norms.append(p_norm)
         prev = step_norms[-2]
-        if prev > 1e-13 * step_norms[0] and p_norm > 2.0 * mu * prev * (1.0 + 1e-9):
+        if prev > 1e-13 * step_norms[0] and not p_norm <= 2.0 * mu * prev * (1.0 + 1e-9):
             raise SmallnessError(
                 f"smallness violated at step {step}: |P({step + 1})|_R = {p_norm:.3e} "
                 f"> 2 mu |P({step})|_R with mu = {mu:.3e}"

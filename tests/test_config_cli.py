@@ -408,7 +408,7 @@ def test_cli_overflowing_input_is_a_one_line_usage_error(tmp_path, capsys, comma
     argv = [command, "--config", CERTIFIED_CONFIG, "--set", setting, "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
 
 
 def test_cli_empty_truncation_is_a_usage_error(tmp_path, capsys):
@@ -666,6 +666,26 @@ def test_cli_normalform_zero_coupling_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "the perturbation is zero" in captured.err
     assert "Traceback" not in captured.err and "FAIL" not in captured.out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, key",
+    [("normalform", "normalform.s"), ("normalform", "normalform.nu"),
+     ("normalform", "normalform.smoothing"), ("normalform", "normalform.mu_max"),
+     ("normalform", "normalform.coupling"), ("simulate", "simulate.s")],
+)
+def test_cli_non_finite_value_is_a_usage_error(tmp_path, capsys, command, key, value):
+    # each ran on non-finite arithmetic: exit 0 or 1 after numpy warnings, or
+    # exit 2 naming another cause (a nan coupling left no quartic rows)
+    argv = [command, "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path),
+            "--set", "lattice.radius=4", "--set", "simulate.horizon=0.2", "--set", f"{key}={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    field = key.split(".")[1]
+    assert captured.err == f"usage error: {field} must be finite, got {value}\n"
+    assert captured.out == ""
 
 
 def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):

@@ -238,7 +238,7 @@ def test_lie_transform_caps_and_ledgers(certified_table):
     gen = random_form(certified_table.lattice, 4, n_terms=3, seed=21)
     part = random_form(certified_table.lattice, 4, n_terms=3, seed=22)
     kept, dropped = lie_transform(
-        gen, [part], [2], cap=6, table=certified_table, radius=0.1, step=3
+        gen, [part], [0], [2], cap=6, table=certified_table, radius=0.1, step=3
     )
     assert kept[0].coeffs == part.coeffs
     br1 = poisson_bracket(part, gen)
@@ -264,10 +264,10 @@ def test_lie_transform_walks_its_parts_by_degree(certified_table):
     ]
     orders = [3, 2, 2]
     kw = dict(cap=6, table=certified_table, radius=0.1, step=3)
-    kept, dropped = lie_transform(gen, parts, orders, **kw)
+    kept, dropped = lie_transform(gen, parts, [0, 0, 0], orders, **kw)
     want_kept, want_dropped = [], []
     for part, n in zip(parts, orders):
-        k, d = lie_transform(gen, [part], [n], **kw)
+        k, d = lie_transform(gen, [part], [0], [n], **kw)
         want_kept += k
         want_dropped += d
     assert [t.degree for t in kept] == [t.degree for t in want_kept] == [2, 4, 6, 3, 5, 4, 6]
@@ -280,6 +280,24 @@ def test_lie_transform_walks_its_parts_by_degree(certified_table):
         assert np.abs(got.values - want.values).max(initial=0.0) <= 1e-14 * np.abs(want.values).max(initial=0.0)
     for got, want in zip(dropped, want_dropped):
         assert got.norm_r == pytest.approx(want.norm_r, rel=1e-14)
+
+
+def test_lie_transform_enters_a_series_at_its_first_index(certified_table):
+    # {h0, G} given at Lie index 1 continues h0's own series: the same terms
+    # from index 1 on, divided by the same factorials, the ledger naming h0
+    gen = random_form(certified_table.lattice, 4, n_terms=3, seed=21)
+    h0 = quadratic_hamiltonian(certified_table)
+    kw = dict(cap=6, table=certified_table, radius=0.1, step=3)
+    want_kept, want_dropped = lie_transform(gen, [h0], [0], [3], **kw)
+    kept, dropped = lie_transform(gen, [poisson_bracket(h0, gen)], [1], [3], **kw)
+    assert [t.degree for t in kept] == [t.degree for t in want_kept[1:]] == [4, 6]
+    labels = [(e.step, e.source_degree, e.lie_index, e.degree) for e in dropped]
+    assert labels == [(e.step, e.source_degree, e.lie_index, e.degree) for e in want_dropped]
+    assert labels == [(3, 2, 3, 8)]
+    pairs = list(zip(kept, want_kept[1:])) + [(dropped[0].form, want_dropped[0].form)]
+    for got, want in pairs:
+        assert np.array_equal(got.codes, want.codes)
+        assert np.abs(got.values - want.values).max(initial=0.0) <= 1e-14 * np.abs(want.values).max(initial=0.0)
 
 
 def test_normalize_requires_certificates(certified_table, certified_partitions, certificates):

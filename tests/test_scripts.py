@@ -69,7 +69,7 @@ def test_normalform_demo_prints_the_failure_and_exits_1(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == ""
     assert proc.stdout == (
-        "cannot normalize this system: order-4 certificate failed (min score 0: "
+        "FAIL normal form: order-4 certificate failed (min score 0: "
         "an exact off-set resonance); witness (((-5,), 1), ((-5,), -1), ((0,), 1), "
         "((0,), 1))\n"
     )
