@@ -41,8 +41,9 @@ def parse_args():
 
 def main() -> int:
     args = parse_args()
-    if args.dt <= 0.0 or args.horizon <= 0.0:
-        raise ValueError("--dt and --horizon must be positive")
+    for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
+        if not value > 0.0:
+            raise ValueError(f"{flag} must be positive, got {value}")
     cfg = load_config(args.config)
     system = build_system(cfg)
     out = None

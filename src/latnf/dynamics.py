@@ -120,7 +120,8 @@ class SimulationConfig:
     set explicitly cannot be told apart from it.  ``force`` maps powers of
     psi (>= 3) for the beam potential and is refused on the Schrödinger
     model.  Coefficients are real numbers, constant in space.
-    ``track_orbital`` applies to the Schrödinger model only.
+    ``track_orbital``, a finite condensate mass >= 0 when set, applies to
+    the Schrödinger model only.
 
     ``delta`` and ``c_delta`` are the separation constants of the cluster
     blocks whose superactions the ``Jblk_*`` columns record; the defaults
@@ -156,10 +157,15 @@ class SimulationConfig:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not math.isfinite(self.s):
             raise ValueError(f"s must be finite, got {self.s}")
-        if self.dt is not None and self.dt <= 0.0:
+        # each written so that NaN fails it
+        if self.dt is not None and not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.horizon <= 0.0:
+        if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
+        if math.isnan(self.dt_bound):
+            raise ValueError(f"dt_bound must be a number, got {self.dt_bound}")
+        if self.track_orbital is not None and not 0.0 <= self.track_orbital < math.inf:
+            raise ValueError(f"track_orbital must be a finite number >= 0, got {self.track_orbital}")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
         for j in self.nonlinearity:
@@ -579,7 +585,7 @@ def _time_step(config: SimulationConfig, omega: np.ndarray) -> Tuple[float, int]
     """Step and step count; ``dt * max |omega|`` must stay within ``dt_bound``."""
     max_omega = float(np.max(np.abs(omega)))
     dt = config.dt if config.dt is not None else 0.1 / max(max_omega, 1.0)
-    if dt * max_omega > config.dt_bound * (1.0 + 1e-12):
+    if not dt * max_omega <= config.dt_bound * (1.0 + 1e-12):
         raise ValueError(
             f"dt * max omega = {dt * max_omega:.3g} exceeds the stability bound "
             f"{config.dt_bound}"
@@ -941,8 +947,9 @@ def integrate_normal_form(
     nonlinear step is exact as well and the whole scheme conserves every
     action up to rounding.  Other parts take one RK4 step of ``dt``.
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ValueError("dt and horizon must be positive")
+    for name, value in (("dt", dt), ("horizon", horizon)):
+        if not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     points = list(table.lattice.points)

@@ -3,8 +3,9 @@
 The iteration removes, degree by degree, every monomial whose divisor is
 controlled by the block-nonresonance test, conjugating the Hamiltonian with
 time-1 flows of polynomial generators.  Polynomial arithmetic is truncated at
-degree ``2r + 2``; dropped terms enter a measured remainder ledger.  The
-normalized part is classified into four buckets:
+degree ``2r + 2``; dropped terms enter a measured remainder ledger.  Each
+homological solve labels the rows of its degree once, and the normalized
+part it leaves is classified there into four buckets:
 
     Z0    no high modes, paired within bands
     ZB    exactly two high modes, one cluster block, opposite signs
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,6 +165,8 @@ def bucket_rows(form: SymmetricForm, table: SpectrumTable, bands: BandPartition,
 class HomologicalSolution:
     generator: SymmetricForm
     normal: SymmetricForm
+    buckets: Tuple[SymmetricForm, ...]
+    h0_bracket: SymmetricForm
     residual: float
 
 
@@ -181,8 +184,11 @@ def solve_homological(
 ) -> HomologicalSolution:
     """Split F into a generator killing nonresonant terms and a normal part.
 
-    Nonresonant keys get ``G = i F / divisor`` and ``Z = 0``; all other keys
-    pass through to Z untouched.  Divisors on nonresonant keys are guarded
+    ``bucket_rows`` labels every row of F once.  Nonresonant keys get ``G =
+    i F / divisor`` and ``Z = 0``; all other keys pass through to Z
+    untouched, and Z comes also split by bucket, in ``BUCKETS`` order and in
+    F's row order.  h0's Lie source ``{h0, G} = Z - F`` comes as ``-F`` on
+    G's rows.  Divisors on nonresonant keys are guarded
     against the certified floor ``gamma / max(1, max_j |a_j|)**tau``; a
     smaller divisor means the certificate does not cover this truncation.
     The residual of ``{H0, G} + F - Z`` and the bounds ``|G| <= K**tau /
@@ -199,7 +205,8 @@ def solve_homological(
     ``2 n eps (|F| + |G| W)``, which scales with the coupling as F and G do.
     """
     validate_cutoff(table, bands, cutoff)
-    solve = bucket_rows(form, table, bands, clusters, cutoff) == NONRESONANT
+    label = bucket_rows(form, table, bands, clusters, cutoff)
+    solve = label == NONRESONANT
     codes, c = form.codes[solve], form.values[solve]
     # the signed frequency sum, added left to right from 0 as
     # tests/oracles.py::small_divisor does
@@ -225,6 +232,7 @@ def solve_homological(
     g = np.column_stack(((re + im * ratio) / delta, (im - re * ratio) / delta)).view(complex).ravel()
     generator = SymmetricForm(form.points, codes, g)
     normal = SymmetricForm(form.points, form.codes[~solve], form.values[~solve])
+    buckets = tuple(SymmetricForm(form.points, form.codes[label == i], form.values[label == i]) for i in range(len(BUCKETS)))
 
     # F's nonresonant rows first, every row kept: the sums line up with G's
     h0 = quadratic_hamiltonian(table)
@@ -241,7 +249,8 @@ def solve_homological(
         raise RuntimeError("generator norm bound violated")
     if z_norm > f_norm * (1.0 + 1e-12):
         raise RuntimeError("normal part norm bound violated")
-    return HomologicalSolution(generator=generator, normal=normal, residual=residual)
+    h0_bracket = SymmetricForm(form.points, codes, -c)
+    return HomologicalSolution(generator=generator, normal=normal, buckets=buckets, h0_bracket=h0_bracket, residual=residual)
 
 
 @dataclass(frozen=True)
@@ -335,9 +344,7 @@ class CommutationReport:
 
 
 def check_superaction_commutation(
-    z0: PolyHamiltonian,
-    zb: PolyHamiltonian,
-    z2: Optional[PolyHamiltonian],
+    buckets: Mapping[str, PolyHamiltonian],
     table: SpectrumTable,
     bands: BandPartition,
     clusters: ClusterPartition,
@@ -345,25 +352,24 @@ def check_superaction_commutation(
 ) -> CommutationReport:
     """Coefficient-level brackets of the normal part with every superaction.
 
-    Band superactions must commute with Z0 and block superactions with ZB
+    ``buckets`` maps the names Z0, ZB and Z2 to their parts.  Band
+    superactions must commute with Z0 and block superactions with ZB
     exactly (up to rounding); the Z2 bracket is reported, not asserted.  Each
     degree of a bucket is bracketed on its own and the maximum is taken.
     """
 
-    def max_coeff(poly: Optional[PolyHamiltonian], j: SymmetricForm) -> float:
-        if poly is None:
-            return 0.0
+    def max_coeff(poly: PolyHamiltonian, j: SymmetricForm) -> float:
         return max(
             (float(np.abs(poisson_bracket(poly.parts[d], j, tol=0.0).values).max(initial=0.0)) for d in poly.degrees),
             default=0.0,
         )
 
-    band_res = max((max_coeff(z0, j) for j in band_superactions(table, bands)), default=0.0)
+    band_res = max((max_coeff(buckets["Z0"], j) for j in band_superactions(table, bands)), default=0.0)
     block_res = 0.0
     z2_norm = 0.0
     for j in block_superactions(high_mode_blocks(clusters, table, cutoff)):
-        block_res = max(block_res, max_coeff(zb, j))
-        z2_norm = max(z2_norm, max_coeff(z2, j))
+        block_res = max(block_res, max_coeff(buckets["ZB"], j))
+        z2_norm = max(z2_norm, max_coeff(buckets["Z2"], j))
     return CommutationReport(
         max_band_residual=band_res,
         max_block_residual=block_res,
@@ -377,10 +383,8 @@ class NormalFormResult:
     cutoff: float
     gamma: Dict[int, float]
     tau: Dict[int, float]
-    z0: PolyHamiltonian
-    zb: PolyHamiltonian
-    z2: PolyHamiltonian
-    zge3: PolyHamiltonian
+    #: the normal part by bucket name, in ``BUCKETS`` order
+    buckets: Dict[str, PolyHamiltonian]
     generators: Tuple[SymmetricForm, ...]
     step_norms: Tuple[float, ...]
     mu: float
@@ -394,7 +398,7 @@ class NormalFormResult:
         return sum(e.norm_r for e in self.ledger)
 
     def bucket(self, name: str) -> PolyHamiltonian:
-        return {"Z0": self.z0, "ZB": self.zb, "Z2": self.z2, "ZGE3": self.zge3}[name]
+        return self.buckets[name]
 
 
 def _constants_for(
@@ -439,12 +443,14 @@ def normalize(
     of a step, ``h0``, then the normal parts and the current parts by
     degree, go through one ``lie_transform`` walk by degree, which brackets
     the same-degree terms of all sources with the generator in one pass; its
-    ledger entries are recorded in source order, then Lie index.  ``{h0, G}
-    = Z - F`` holds by construction, so h0's series enters at Lie index 1 as
-    ``Z - F`` and h0 itself is never bracketed.  The flow takes F to ``F +
-    {h0, G}``, so the normal part of F's degree is Z itself, taken from the
-    solution; the kept pieces above F's degree are summed, in source order,
-    then Lie index, into the next current part.  Per-step norms must contract: ``mu =
+    ledger entries are recorded in source order, then Lie index.  The
+    solution gives ``{h0, G} = Z - F``, so h0's series enters at Lie index 1
+    there and h0 itself is never bracketed.  The flow takes F to ``F +
+    {h0, G}``, so the normal part of F's degree is Z itself, and its bucket
+    split is the solution's too; the kept pieces above F's degree are summed,
+    in source order, then Lie index, into the next current part.  Steps run
+    until no degree is left: each raises the lowest degree, and the cap
+    bounds them.  Per-step norms must contract: ``mu =
     (|P|_R / R^2) K^tau`` is required below ``mu_max`` and each step below
     ``2 mu`` times the previous.
     ``remainder_bound`` is the largest ``|X(u)|_s`` of the remainder's vector
@@ -485,7 +491,8 @@ def normalize(
         )
 
     current = perturbation
-    normal_parts: Dict[int, SymmetricForm] = {}
+    normal_parts: List[SymmetricForm] = []
+    buckets: Dict[str, List[SymmetricForm]] = {name: [] for name in BUCKETS}
     generators: List[SymmetricForm] = []
     ledger: List[LedgerEntry] = []
     step_norms: List[float] = [poly_norm_r(current)]
@@ -499,10 +506,8 @@ def normalize(
         )
 
     max_residual = 0.0
-    for step in range(config.r_bar):
-        low = current.lowest_degree
-        if low is None:
-            break
+    while (low := current.lowest_degree) is not None:
+        step = len(generators)
         if low not in gammas:
             gammas[low], taus[low] = _constants_for(low, by_order)
         f_part = current.part(low)
@@ -515,9 +520,9 @@ def normalize(
         generators.append(generator)
         gen_order = generator.degree - 2
 
-        # h0's series from Lie index 1: {h0, G} = Z - F by construction
-        sources = [(add_forms(sol.normal, scale_form(f_part, -1.0), tol=0.0), 1)]
-        sources += [(normal_parts[d], 0) for d in sorted(normal_parts)]
+        # h0's series from Lie index 1, at {h0, G}
+        sources = [(sol.h0_bracket, 1)]
+        sources += [(z, 0) for z in normal_parts]
         sources += [(current.part(d), 0) for d in current.degrees]
         parts, firsts = zip(*[(src, first) for src, first in sources if len(src)])
         pieces, dropped = lie_transform(
@@ -531,7 +536,9 @@ def normalize(
         )
         ledger.extend(dropped)
 
-        normal_parts[low] = sol.normal
+        normal_parts.append(sol.normal)
+        for name, part in zip(BUCKETS, sol.buckets):
+            buckets[name].append(part)
         current = poly_from_forms(p for p in pieces if p.degree > low)
         p_norm = poly_norm_r(current)
         step_norms.append(p_norm)
@@ -541,30 +548,13 @@ def normalize(
                 f"smallness violated at step {step}: |P({step + 1})|_R = {p_norm:.3e} "
                 f"> 2 mu |P({step})|_R with mu = {mu:.3e}"
             )
-    if current.degrees:
-        raise RuntimeError(f"iteration left unnormalized degrees {current.degrees}")
-
-    buckets: Dict[str, List[SymmetricForm]] = {name: [] for name in BUCKETS}
-    for _, part in sorted(normal_parts.items()):
-        label = bucket_rows(part, table, bands, clusters, cutoff)
-        if (label == NONRESONANT).any():
-            key = tuple(part.entries[e] for e in part.codes[np.argmax(label == NONRESONANT)].tolist())
-            raise RuntimeError(f"nonresonant key {key} survived in the normal part")
-        for i, name in enumerate(BUCKETS):
-            buckets[name].append(SymmetricForm(part.points, part.codes[label == i], part.values[label == i]))
-
     polys = {name: poly_from_forms(buckets[name]) for name in BUCKETS}
-
-    commutation = check_superaction_commutation(
-        polys["Z0"], polys["ZB"], polys["Z2"], table, bands, clusters, cutoff
-    )
+    commutation = check_superaction_commutation(polys, table, bands, clusters, cutoff)
 
     rng = np.random.default_rng(seed)
-    remainder_forms = (
-        [polys["Z2"].parts[d] for d in polys["Z2"].degrees]
-        + [polys["ZGE3"].parts[d] for d in polys["ZGE3"].degrees]
-        + [e.form for e in ledger]
-    )
+    remainder_forms = [
+        polys[name].parts[d] for name in ("Z2", "ZGE3") for d in polys[name].degrees
+    ] + [e.form for e in ledger]
     remainder_bound = 0.0
     lattice = table.lattice
     points = lattice.points
@@ -583,10 +573,7 @@ def normalize(
         cutoff=cutoff,
         gamma=gammas,
         tau=taus,
-        z0=polys["Z0"],
-        zb=polys["ZB"],
-        z2=polys["Z2"],
-        zge3=polys["ZGE3"],
+        buckets=polys,
         generators=tuple(generators),
         step_norms=tuple(step_norms),
         mu=mu,

@@ -688,6 +688,28 @@ def test_cli_non_finite_value_is_a_usage_error(tmp_path, capsys, command, key, v
     assert captured.out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "setting, message",
+    [("simulate.dt=nan", "dt must be positive"),
+     ("simulate.horizon=nan", "horizon must be positive"),
+     ("simulate.dt_bound=nan", "dt_bound must be a number, got nan"),
+     ("simulate.track_orbital=nan", "track_orbital must be a finite number >= 0, got nan"),
+     ("simulate.track_orbital=-1", "track_orbital must be a finite number >= 0, got -1.0")],
+)
+def test_cli_nan_trajectory_setting_is_a_usage_error(tmp_path, capsys, setting, message):
+    # NaN passed each ``<=`` check: dt_bound=nan stepped at dt max omega = 81,
+    # track_orbital=nan wrote NaN distances, dt and horizon failed in int()
+    argv = ["simulate", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path),
+            "--set", "lattice.radius=4", "--set", "simulate.dt=1.0", "--set", "simulate.horizon=5",
+            "--set", setting]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):
     # the scan's row budget is no config key
     assert _normalform(tmp_path, "normalform.cert_budget=-1") == 2

@@ -77,7 +77,7 @@ TORUS = {("model", "kind"): "torus", ("lattice", "radius"): "5", ("normalform", 
 BLOWN_UP = {("model", "kind"): "beam", ("simulate", "force"): '{"3": 1e12}'}
 
 SCRIPT_CASES = [
-    ("normalform_demo.py", None, ["--dt", 0], 2, "usage error: --dt and --horizon must be positive"),
+    ("normalform_demo.py", None, ["--dt", 0], 2, "usage error: --dt must be positive, got 0.0"),
     ("normalform_demo.py", TORUS, ["--skip-flow"], 1, "FAIL normal form: order-4 certificate failed"),
     ("stability_sweep.py", None, ["--dt", 0, "--epsilons", 0.1, "--horizons", 5], 2,
      "usage error: dt must be positive"),
@@ -88,6 +88,10 @@ SCRIPT_CASES = [
     # the scan reports every order, so its failure line is the failed order's
     ("resonance_scan.py", None, ["--flat", "--dim", 2, "--radius", 7, "--orders", 8], 1,
      "order 8: FAILED, the order-8 scan needs more than its budget"),
+    # NaN fails each positivity check, before any normalization or trajectory
+    ("normalform_demo.py", None, ["--dt", "nan"], 2, "usage error: --dt must be positive, got nan", "dt-nan"),
+    ("stability_sweep.py", None, ["--epsilons", 0.1, "--horizons", "nan"], 2,
+     "usage error: horizon must be positive", "horizons-nan"),
 ]
 
 
@@ -120,7 +124,7 @@ def test_each_command_failure_is_one_line_on_its_stream(
 
 @pytest.mark.parametrize(
     "script, settings, args, code, prefix",
-    [pytest.param(*case, id=f"{case[0]}-exit-{case[3]}") for case in SCRIPT_CASES],
+    [pytest.param(*case[:5], id="-".join((case[0], f"exit-{case[3]}", *case[5:]))) for case in SCRIPT_CASES],
 )
 def test_each_script_failure_is_one_line_on_its_stream(tmp_path, script, settings, args, code, prefix):
     if settings is not None:

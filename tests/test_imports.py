@@ -13,9 +13,11 @@ in ``perfbench/``.  Code that only the tests call belongs under ``tests/``
 
 Every field of a public dataclass of ``src/latnf`` must be read as an
 attribute (``x.field``) somewhere in the package, in ``scripts/`` or in
-``perfbench/``: a result that nothing reads is not computed.  The scan
-matches names only, so a read of a same-named attribute of another object
-counts.  The exceptions are listed in ``UNREAD``.
+``perfbench/``: a result that nothing reads is not computed.  A load in
+the arguments of a call of the field's own dataclass only copies the field
+into a new instance and is no read.  The scan matches names only, so a read
+of a same-named attribute of another object counts.  The exceptions are
+listed in ``UNREAD``.
 
 Every defaulted parameter of a public top-level function of ``src/latnf``,
 and every defaulted field of a public dataclass, must be set by some call in
@@ -309,25 +311,40 @@ def test_every_default_is_set_by_a_caller():
     assert unset_defaults(*_sources()) == UNSET
 
 
+def _attribute_loads(tree):
+    """``(attribute, names of the calls whose arguments hold it)`` of each attribute load."""
+    around = {}
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for arg in [*call.args, *call.keywords]:
+                for n in ast.walk(arg):
+                    around.setdefault(id(n), set()).add(name)
+    return [
+        (n.attr, around.get(id(n), set())) for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+    ]
+
+
 def unread_fields(package, outside):
     """``(module, class, field)`` of each field of a public dataclass that nothing reads.
 
     A field is read when an attribute of its name is loaded anywhere in
-    ``package`` or ``outside``; an assignment to it is no read.
+    ``package`` or ``outside``, other than in the arguments of a call of
+    its own class; an assignment to it is no read.
     """
-    read = set()
+    loads = {}
     for source in list(package.values()) + list(outside):
-        read |= {
-            n.attr for n in ast.walk(ast.parse(source))
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
-        }
+        for attr, calls in _attribute_loads(ast.parse(source)):
+            loads.setdefault(attr, []).append(calls)
     return {
         (module, node.name, f.target.id)
         for module, source in package.items()
         for node in ast.parse(source).body
         if isinstance(node, ast.ClassDef) and _is_dataclass(node) and not node.name.startswith("_")
         for f in _fields(node)
-        if f.target.id not in read
+        if all(node.name in calls for calls in loads.get(f.target.id, ()))
     }
 
 
@@ -335,16 +352,20 @@ def test_the_scan_sees_unread_fields():
     package = {
         "a": (
             "@dataclass\n"
-            "class Report:\n    shown: int\n    echoed: int\n    unread: int\n"
+            "class Report:\n    shown: int\n    echoed: int\n    unread: int\n    copied: int\n"
+            "    passed: int\n"
             "    k: ClassVar[int] = 0\n"
             "    def total(self):\n        return self.shown\n"
             "@dataclass\nclass _Private:\n    hidden: int\n"
             "class Plain:\n    plain: int = 0\n"
-            "def make():\n    r = Report(1, 2, 3)\n    r.unread = 4\n    return r\n"
+            "def make():\n    r = Report(1, 2, 3, 4, 5)\n    r.unread = 4\n    return r\n"
+            # a copy into a new Report is no read; an argument of another call is
+            "def copy(r):\n    return Report(r.shown, r.echoed, r.unread, f(r.copied), r.passed)\n"
+            "def wrap(r):\n    return Plain(r.passed)\n"
         ),
     }
     outside = ["print(report.echoed)\n"]
-    assert unread_fields(package, outside) == {("a", "Report", "unread")}
+    assert unread_fields(package, outside) == {("a", "Report", "unread"), ("a", "Report", "copied")}
 
 
 def test_every_dataclass_field_is_read():

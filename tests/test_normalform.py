@@ -190,6 +190,23 @@ def test_normalize_keeps_every_form_packed():
     assert [f for f in forms if "coeffs" in vars(f)] == []
 
 
+def test_two_step_normal_form_is_pinned():
+    # r = 2 on the radius-3 truncation of nls_t1.ini: the only run here that
+    # normalizes past one step (degree 4, then the degree-6 part it made)
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "nls_t1.ini"))
+    apply_overrides(cfg, ["lattice.radius=3", "normalform.r=2", "normalform.cutoff=none", "normalform.radius=1e-4"])
+    _, result = run_normalform(cfg, build_system(cfg))
+    assert result.cutoff == 2.5075201955366153
+    assert [len(g) for g in result.generators] == [38, 262]
+    assert {name: {d: len(f) for d, f in result.bucket(name).parts.items()} for name in ("Z0", "ZB", "Z2", "ZGE3")} == {
+        "Z0": {4: 15, 6: 24}, "ZB": {4: 10, 6: 52}, "Z2": {4: 6, 6: 50}, "ZGE3": {4: 3, 6: 60},
+    }
+    assert [(e.step, e.source_degree, e.lie_index, e.degree, len(e.form)) for e in result.ledger] == [
+        (0, 2, 3, 8, 2122), (0, 2, 4, 10, 9277), (0, 4, 2, 8, 2392), (0, 4, 3, 10, 10143),
+        (1, 2, 2, 10, 7005), (1, 4, 1, 8, 1578), (1, 4, 2, 12, 32957), (1, 6, 1, 10, 9841),
+    ]
+
+
 def test_normal_form_is_scale_free(tmp_path, monkeypatch, capsys):
     # H0 + c Q at radius R / sqrt(c) is the problem H0 + Q at radius R.  With
     # c = 4**k every input is the reference's times a power of 2, so mu, the
@@ -359,17 +376,17 @@ def test_normal_form_run_contracts(nf_result):
 
 
 def test_normal_form_bucket_census(nf_result):
-    assert nf_result.z0.n_terms() == 66
-    assert nf_result.zb.n_terms() == 66
-    assert nf_result.z2.n_terms() == 96
-    assert nf_result.zge3.n_terms() == 63
+    assert nf_result.bucket("Z0").n_terms() == 66
+    assert nf_result.bucket("ZB").n_terms() == 66
+    assert nf_result.bucket("Z2").n_terms() == 96
+    assert nf_result.bucket("ZGE3").n_terms() == 63
 
 
 def test_normal_form_buckets_are_action_like(nf_result):
-    for part in (nf_result.z0, nf_result.zb):
+    for part in (nf_result.bucket("Z0"), nf_result.bucket("ZB")):
         for d in part.degrees:
             assert is_action_form(part.parts[d])
-    assert not all(is_action_form(nf_result.z2.parts[d]) for d in nf_result.z2.degrees)
+    assert not all(is_action_form(nf_result.bucket("Z2").parts[d]) for d in nf_result.bucket("Z2").degrees)
 
 
 def test_normal_form_commutation(nf_result):

@@ -595,7 +595,8 @@ def test_commutation_brackets_each_degree_of_a_bucket():
     actions6 = make_form({canonical_key(((a, 1), (a, -1), (a, 1), (a, -1), (b, 1), (b, -1))): 2.0})
     z0 = poly_from_forms([actions4, actions6])
     assert z0.degrees == (4, 6)
-    report = check_superaction_commutation(z0, z0, None, table, bands, clusters, 5.5)
+    no_z2 = poly_from_forms([])
+    report = check_superaction_commutation({"Z0": z0, "ZB": z0, "Z2": no_z2}, table, bands, clusters, 5.5)
     assert report.max_band_residual == 0.0
     assert report.max_block_residual == 0.0
     assert report.z2_bracket_norm == 0.0
@@ -603,7 +604,7 @@ def test_commutation_brackets_each_degree_of_a_bucket():
     far = lattice.points[-1]
     moving = make_form({canonical_key(((a, 1), (a, 1), (a, 1), (a, -1), (far, -1), (far, -1))): 1.0})
     mixed = poly_from_forms([actions4, moving])
-    report = check_superaction_commutation(mixed, mixed, None, table, bands, clusters, 5.5)
+    report = check_superaction_commutation({"Z0": mixed, "ZB": mixed, "Z2": no_z2}, table, bands, clusters, 5.5)
     assert report.max_band_residual > 0.0
 
 

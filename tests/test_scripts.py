@@ -152,12 +152,12 @@ def test_normalform_demo_refuses_the_beam(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--dt", "--horizon"])
-@pytest.mark.parametrize("value", [0, -0.5])
+@pytest.mark.parametrize("value", [0, -0.5, "nan"])
 def test_normalform_demo_rejects_a_non_positive_step_before_normalizing(flag, value):
     proc = _run("normalform_demo.py", flag, value)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "usage error: --dt and --horizon must be positive\n"
+    assert proc.stderr == f"usage error: {flag} must be positive, got {float(value)}\n"
 
 
 @pytest.mark.parametrize("script", ["normalform_demo.py", "stability_sweep.py"])
