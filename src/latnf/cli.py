@@ -262,16 +262,15 @@ def cmd_clusters(cfg, args) -> int:
     system = build_system(cfg)
     table, part = system.table, system.clusters
     dyadic = certify_dyadic(part, table)
+    summary = cluster_summary(part, table, dyadic)
 
     out = _out_dir(cfg)
     csv_path = out / "clusters.csv"
     json_path = out / "clusters.json"
     clusters_to_csv(part, table, csv_path)
-    clusters_to_json(part, table, json_path)
-    results = dict(cluster_summary(part, table))
-    margin = results["min_margin"]
-    results["dyadic_passed"] = dyadic.passed
-    results["separation_margin"] = margin
+    clusters_to_json(summary, json_path)
+    margin = summary["min_margin"]
+    results = {**summary, "dyadic_passed": dyadic.passed, "separation_margin": margin}
     _finish(cfg, "clusters", results, [csv_path, json_path], out)
     print(
         f"clusters: {part.nblocks} blocks, dyadic C={dyadic.constant:.4g}, "
@@ -481,7 +480,8 @@ def cmd_verify(cfg, args) -> int:
             f = random_form(lattice, degree=3, n_terms=8, seed=seed + 1)
             cutoff = choose_cutoff(table, bands, 0.01, cert.tau)
             sol = solve_homological(
-                f, table, bands, part, cutoff, cert.gamma, cert.tau
+                f, table, bands, part, cutoff, cert.gamma, cert.tau,
+                nu=cfg["normalform"]["nu"], smoothing=cfg["normalform"]["smoothing"],
             )
             # a residual above its rounding bound raises RuntimeError
             checks.append(("homological residual", True, f"{sol.residual:.3g}"))

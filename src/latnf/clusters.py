@@ -89,7 +89,7 @@ def build_clusters(table: SpectrumTable, delta: float, c_delta: float) -> Cluste
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    if c_delta <= 0.0:
+    if not c_delta > 0.0:
         raise ValueError(f"c_delta must be positive, got {c_delta}")
     if len(table) == 0:
         raise ValueError("empty spectrum table")
@@ -198,20 +198,21 @@ def clusters_to_csv(partition: ClusterPartition, table: SpectrumTable, path) -> 
                 writer.writerow([i] + list(p) + [repr(om[p])])
 
 
-def cluster_summary(partition: ClusterPartition, table: SpectrumTable) -> dict:
-    report = certify_dyadic(partition, table)
+def cluster_summary(partition: ClusterPartition, table: SpectrumTable, dyadic: DyadicReport) -> dict:
+    """Block count, the constant of ``dyadic`` and the separation margin (None for one block)."""
     if partition.nblocks >= 2:
         margin, _ = separation_margin(partition, table)
     else:
         margin = None
     return {
         "n_blocks": partition.nblocks,
-        "dyadic_C": report.constant,
+        "dyadic_C": dyadic.constant,
         "min_margin": margin,
     }
 
 
-def clusters_to_json(partition: ClusterPartition, table: SpectrumTable, path) -> None:
+def clusters_to_json(summary: dict, path) -> None:
+    """Write a ``cluster_summary`` as ``clusters.json``."""
     with open(path, "w") as fh:
-        json.dump(cluster_summary(partition, table), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

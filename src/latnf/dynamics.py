@@ -162,8 +162,8 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if not self.horizon > 0.0:
             raise ValueError("horizon must be positive")
-        if math.isnan(self.dt_bound):
-            raise ValueError(f"dt_bound must be a number, got {self.dt_bound}")
+        if not self.dt_bound > 0.0:
+            raise ValueError(f"dt_bound must be positive, got {self.dt_bound}")
         if self.track_orbital is not None and not 0.0 <= self.track_orbital < math.inf:
             raise ValueError(f"track_orbital must be a finite number >= 0, got {self.track_orbital}")
         if self.stride < 1:
@@ -178,8 +178,8 @@ class SimulationConfig:
         for c in [*self.nonlinearity.values(), *(self.force or {}).values()]:
             if not isinstance(c, numbers.Real):
                 raise ValueError(f"coefficients are real numbers, got {c!r}")
-        if self.model == "beam" and self.mass_term <= 0.0:
-            raise ValueError("beam mass term must be positive")
+        if self.model == "beam" and not self.mass_term > 0.0:
+            raise ValueError(f"beam mass term must be positive, got {self.mass_term}")
         if self.model == "beam" and self.track_orbital is not None:
             raise ValueError("track_orbital needs model='nls'")
         if self.model == "nls" and self.force:

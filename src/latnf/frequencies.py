@@ -27,10 +27,12 @@ def _tuples(points) -> list:
 
 
 def _checked_sqrt(val: np.ndarray, points, rule: str) -> list:
-    """``sqrt(val)`` as floats; a ``ValueError`` names the first point with ``val < 0``."""
-    if np.any(val < 0):
-        i = int(np.argmax(val < 0))
-        raise ValueError(f"positivity violated at {_tuples(points)[i]}: {rule} = {float(val[i])} < 0")
+    """``sqrt(val)`` as floats; a ``ValueError`` names the first point with ``val < 0`` or NaN."""
+    bad = ~(val >= 0)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        v = float(val[i])
+        raise ValueError(f"positivity violated at {_tuples(points)[i]}: {rule} = {v}" + (" < 0" if v < 0 else ""))
     return np.sqrt(val).tolist()
 
 

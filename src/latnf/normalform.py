@@ -2,8 +2,9 @@
 
 The iteration removes, degree by degree, every monomial whose divisor is
 controlled by the block-nonresonance test, conjugating the Hamiltonian with
-time-1 flows of polynomial generators.  Polynomial arithmetic is truncated at
-degree ``2r + 2``; dropped terms enter a measured remainder ledger.  Each
+time-1 flows of polynomial generators.  The degree cap ``2r + 2`` sets the
+length of each Lie series, and the terms above it are dropped;
+``normalize`` measures them into the remainder ledger.  Each
 homological solve labels the rows of its degree once, and the normalized
 part it leaves is classified there into four buckets:
 
@@ -89,12 +90,8 @@ class NormalFormConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
-    def r_bar(self) -> int:
-        return 2 * self.r
-
-    @property
     def degree_cap(self) -> int:
-        return self.r_bar + 2
+        return 2 * self.r + 2
 
 
 def choose_cutoff(table: SpectrumTable, partition: BandPartition, radius: float, tau: float) -> float:
@@ -179,8 +176,8 @@ def solve_homological(
     gamma: float,
     tau: float,
     *,
-    nu: float = 2.0,
-    smoothing: float = 2.0,
+    nu: float,
+    smoothing: float,
 ) -> HomologicalSolution:
     """Split F into a generator killing nonresonant terms and a normal part.
 
@@ -265,40 +262,34 @@ class LedgerEntry:
     form: SymmetricForm
 
 
-def lie_terms_order(r_bar: int, part_order: int, gen_order: int) -> int:
-    """Series truncation order ``ceil((r_bar + 3 - part_order) / gen_order)``."""
-    if gen_order < 1:
-        raise ValueError("generator must have positive order")
-    return max(1, math.ceil((r_bar + 3 - part_order) / gen_order))
-
-
 def lie_transform(
     generator: SymmetricForm,
     parts: Sequence[SymmetricForm],
     firsts: Sequence[int],
-    orders: Sequence[int],
     *,
     cap: int,
-    table: SpectrumTable,
-    radius: float,
-    step: int = 0,
-    nu: float = 2.0,
-    smoothing: float = 2.0,
-) -> Tuple[List[SymmetricForm], List[LedgerEntry]]:
+) -> Tuple[List[SymmetricForm], List[Tuple[int, int, SymmetricForm]]]:
     """Adjoint series ``sum_{m<=k<=n} Ad_G^k P / k!`` of every part, split at the degree cap.
 
     ``parts[i]`` is the term ``Ad_G^m P`` of a source ``P``, ``firsts[i]`` its
-    ``m`` and ``orders[i]`` the ``n``; its ledger entries name the source by
-    its degree ``parts[i].degree - m (G.degree - 2)``.  The series are built in one
-    walk by degree: at each degree, the current terms ``Ad_G^k P`` of every
-    part there (each at its own Lie index ``k``) are bracketed with G in one
+    ``m``; the source has degree ``d0 = parts[i].degree - m g`` with ``g =
+    G.degree - 2 >= 1``.  The cap sets the series length ``n = max(1,
+    ceil((cap + 3 - d0) / g))``.  The series are built in one walk by
+    degree: at each degree, the current terms ``Ad_G^k P`` of every part
+    there (each at its own Lie index ``k``) are bracketed with G in one
     ``poisson_brackets`` pass.  A part's series stops at its ``n`` or at its
     first empty bracket.  Each term ``Ad_G^k P / k!`` of degree at most
-    ``cap`` is kept; a higher one enters the ledger with its scaled norm.
-    Kept terms and ledger entries come in part order, then Lie index.
+    ``cap`` is kept; a higher one is dropped as ``(d0, k, term)``, for
+    ``normalize`` to measure into its ledger.  Kept and dropped terms come
+    in part order, then Lie index.
     """
+    gen_order = generator.degree - 2
+    if gen_order < 1:
+        raise ValueError(f"generator must have degree >= 3, got {generator.degree}")
+    sources = [part.degree - m * gen_order for part, m in zip(parts, firsts)]
+    orders = [max(1, math.ceil((cap + 3 - d0) / gen_order)) for d0 in sources]
     kept: List[List[SymmetricForm]] = [[] for _ in parts]
-    ledger: List[List[LedgerEntry]] = [[] for _ in parts]
+    dropped: List[List[Tuple[int, int, SymmetricForm]]] = [[] for _ in parts]
     current = list(parts)
     index = list(firsts)
     factorial = [float(math.factorial(m)) for m in firsts]
@@ -307,18 +298,8 @@ def lie_transform(
         term = scale_form(current[i], 1.0 / factorial[i])
         if term.degree <= cap:
             kept[i].append(term)
-            return
-        norm_r = scaled_norm(term, table, radius, nu=nu, smoothing=smoothing, zero_mode="lift")
-        ledger[i].append(
-            LedgerEntry(
-                step=step,
-                source_degree=parts[i].degree - firsts[i] * (generator.degree - 2),
-                lie_index=k,
-                degree=term.degree,
-                norm_r=norm_r,
-                form=term,
-            )
-        )
+        else:
+            dropped[i].append((sources[i], k, term))
 
     for i in range(len(parts)):
         emit(i, index[i])
@@ -333,7 +314,7 @@ def lie_transform(
             if len(term):
                 emit(i, index[i])
         live = [i for i in live if len(current[i]) and index[i] < orders[i]]
-    return [t for terms in kept for t in terms], [e for entries in ledger for e in entries]
+    return [t for terms in kept for t in terms], [d for terms in dropped for d in terms]
 
 
 @dataclass(frozen=True)
@@ -442,13 +423,15 @@ def normalize(
     generator's time-1 flow (adjoint series, degree-capped).  The sources
     of a step, ``h0``, then the normal parts and the current parts by
     degree, go through one ``lie_transform`` walk by degree, which brackets
-    the same-degree terms of all sources with the generator in one pass; its
-    ledger entries are recorded in source order, then Lie index.  The
-    solution gives ``{h0, G} = Z - F``, so h0's series enters at Lie index 1
-    there and h0 itself is never bracketed.  The flow takes F to ``F +
-    {h0, G}``, so the normal part of F's degree is Z itself, and its bucket
-    split is the solution's too; the kept pieces above F's degree are summed,
-    in source order, then Lie index, into the next current part.  Steps run
+    the same-degree terms of all sources with the generator in one pass, each
+    series as long as the cap sets.  The terms it drops become ledger entries
+    in source order, then Lie index, each measured here with the scaled norm
+    of the step norms.  The solution gives ``{h0, G} = Z - F``, so h0's
+    series enters at Lie index 1 there and h0 itself is never bracketed.
+    The flow takes F to ``F + {h0, G}``, so the normal part of F's degree is
+    Z itself, and its bucket split is the solution's too; the kept pieces
+    above F's degree are summed, in source order, then Lie index, into the
+    next current part.  Steps run
     until no degree is left: each raises the lowest degree, and the cap
     bounds them.  Per-step norms must contract: ``mu =
     (|P|_R / R^2) K^tau`` is required below ``mu_max`` and each step below
@@ -518,23 +501,17 @@ def normalize(
         max_residual = max(max_residual, sol.residual)
         generator = sol.generator
         generators.append(generator)
-        gen_order = generator.degree - 2
 
         # h0's series from Lie index 1, at {h0, G}
         sources = [(sol.h0_bracket, 1)]
         sources += [(z, 0) for z in normal_parts]
         sources += [(current.part(d), 0) for d in current.degrees]
         parts, firsts = zip(*[(src, first) for src, first in sources if len(src)])
-        pieces, dropped = lie_transform(
-            generator, parts, firsts,
-            [
-                lie_terms_order(config.r_bar, src.degree - 2 - first * gen_order, gen_order)
-                for src, first in zip(parts, firsts)
-            ],
-            cap=cap, table=table, radius=radius,
-            step=step, nu=config.nu, smoothing=config.smoothing,
+        pieces, dropped = lie_transform(generator, parts, firsts, cap=cap)
+        ledger.extend(
+            LedgerEntry(step, d0, k, form.degree, scaled_norm(form, table, radius, **norm_kw), form)
+            for d0, k, form in dropped
         )
-        ledger.extend(dropped)
 
         normal_parts.append(sol.normal)
         for name, part in zip(BUCKETS, sol.buckets):

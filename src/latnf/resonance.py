@@ -141,7 +141,7 @@ def is_resonant_W(multiset: Sequence[ExtIndex], table: SpectrumTable, partition:
 
 def validate_cutoff(table: SpectrumTable, partition: BandPartition, cutoff: float) -> None:
     """Reject cutoffs that split a band between low and high modes."""
-    if cutoff <= 0:
+    if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     inv_beta = 1.0 / partition.beta
     for lo, hi in partition.intervals:

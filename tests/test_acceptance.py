@@ -216,6 +216,8 @@ def test_criterion_05_homological_residual(
             NF_CUTOFF,
             cert.gamma,
             cert.tau,
+            nu=2.0,
+            smoothing=2.0,
         )
         assert sol.residual <= 1e-12
         # the norms of the bound checks of solve_homological, with its keywords

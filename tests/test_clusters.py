@@ -147,13 +147,15 @@ def test_separation_margin_exceeds_the_build_constant(certified_table, certified
 
 
 def test_summary_and_serialization(tmp_path, certified_table, certified_clusters):
-    summary = cluster_summary(certified_clusters, certified_table)
+    dyadic = certify_dyadic(certified_clusters, certified_table)
+    summary = cluster_summary(certified_clusters, certified_table, dyadic)
     assert summary["n_blocks"] == certified_clusters.nblocks
+    assert summary["dyadic_C"] == dyadic.constant
     csv_path = tmp_path / "clusters.csv"
     clusters_to_csv(certified_clusters, certified_table, csv_path)
     assert len(csv_path.read_text().strip().splitlines()) == len(certified_table) + 1
     json_path = tmp_path / "clusters.json"
-    clusters_to_json(certified_clusters, certified_table, json_path)
+    clusters_to_json(summary, json_path)
     payload = json.loads(json_path.read_text())
     assert payload["n_blocks"] == certified_clusters.nblocks
     assert payload["min_margin"] is None or payload["min_margin"] >= 0.0

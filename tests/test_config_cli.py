@@ -348,6 +348,18 @@ def test_cli_clusters_dyadic_failure_prints_the_worst_block(tmp_path, capsys):
     assert manifest["results"]["dyadic_passed"] is False
 
 
+def test_cli_clusters_measures_the_dyadic_constant_and_the_margin_once(tmp_path, monkeypatch):
+    import latnf.cli
+    import latnf.clusters
+
+    calls = []
+    for module, name in ((latnf.cli, "certify_dyadic"), (latnf.clusters, "separation_margin")):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _f=inner, _n=name: calls.append(_n) or _f(*args))
+    assert main(["clusters", "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path)]) == 0
+    assert sorted(calls) == ["certify_dyadic", "separation_margin"]
+
+
 def test_cli_clusters_single_block_has_no_margin(tmp_path, capsys):
     out = tmp_path / "one"
     argv = ["clusters", "--config", CERTIFIED_CONFIG, "--set", "clusters.c_delta=100"]
@@ -693,7 +705,8 @@ def test_cli_non_finite_value_is_a_usage_error(tmp_path, capsys, command, key, v
     "setting, message",
     [("simulate.dt=nan", "dt must be positive"),
      ("simulate.horizon=nan", "horizon must be positive"),
-     ("simulate.dt_bound=nan", "dt_bound must be a number, got nan"),
+     ("simulate.dt_bound=nan", "dt_bound must be positive, got nan"),
+     ("simulate.dt_bound=0", "dt_bound must be positive, got 0.0"),
      ("simulate.track_orbital=nan", "track_orbital must be a finite number >= 0, got nan"),
      ("simulate.track_orbital=-1", "track_orbital must be a finite number >= 0, got -1.0")],
 )
@@ -708,6 +721,30 @@ def test_cli_nan_trajectory_setting_is_a_usage_error(tmp_path, capsys, setting, 
     assert captured.err == f"usage error: {message}\n"
     assert captured.out == ""
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command, settings, message",
+    [("clusters", ["clusters.c_delta=nan"], "c_delta must be positive, got nan"),
+     ("normalform", ["clusters.c_delta=nan"], "c_delta must be positive, got nan"),
+     ("normalform", ["normalform.cutoff=nan"], "cutoff must be positive, got nan"),
+     ("spectrum", ["model.kind=beam", "model.mass=nan"], "positivity violated at (-4,): lambda^2 + m = nan"),
+     ("simulate", ["model.kind=beam", "model.mass=nan"], "beam mass term must be positive, got nan")],
+    ids=["clusters-c_delta", "normalform-c_delta", "normalform-cutoff", "spectrum-beam-mass", "simulate-beam-mass"],
+)
+def test_cli_nan_domain_setting_is_a_usage_error(tmp_path, capsys, command, settings, message):
+    # NaN passed each ``<=`` check: c_delta=nan changed the normal-form census,
+    # cutoff=nan ended in a smallness FAIL with mu = nan, and a NaN beam mass
+    # in a FAIL of the asymptotic fit
+    argv = [command, "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path), "--set", "lattice.radius=4"]
+    for item in settings:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_normalform_negative_cert_budget_is_a_usage_error(tmp_path, capsys):

@@ -34,7 +34,6 @@ from latnf import (
 from latnf.cli import build_system, run_normalform
 from latnf.config import apply_overrides, load_config
 from latnf.dynamics import is_action_form
-from latnf.normalform import lie_terms_order
 
 from conftest import NF_CUTOFF, NF_RADIUS
 from oracles import dict_random_form, dict_vector_field, make_form, small_divisor, state_array, state_dict
@@ -46,7 +45,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NormalFormConfig(r=1, radius=1.5)
     cfg = NormalFormConfig(r=2, radius=0.1)
-    assert cfg.r_bar == 4 and cfg.degree_cap == 6
+    assert cfg.degree_cap == 6
 
 
 def test_choose_cutoff_lands_between_bands():
@@ -75,13 +74,13 @@ def test_homological_kills_a_nonresonant_monomial(
     cert = certificates[3]
     sol = solve_homological(
         f, certified_table, certified_bands, certified_clusters,
-        NF_CUTOFF, cert.gamma, cert.tau,
+        NF_CUTOFF, cert.gamma, cert.tau, nu=2.0, smoothing=2.0,
     )
     assert sol.normal.coeffs == {}
     delta = small_divisor(certified_table, key)
     assert sol.generator.coeffs == {key: pytest.approx(0.25j / delta)}
     assert sol.residual <= 1e-12
-    # the norms of the bound checks of solve_homological, with its keywords
+    # the norms of the bound checks of solve_homological, with the keywords it was given
     kw = dict(nu=2.0, smoothing=2.0, zero_mode="lift")
     f_norm, g_norm, z_norm = (localized_norm(x, certified_table, **kw) for x in (f, sol.generator, sol.normal))
     assert f_norm > 0 and g_norm > 0 and z_norm == 0
@@ -102,7 +101,7 @@ def test_homological_passes_resonant_terms_through(
     cert = certificates[4]
     sol = solve_homological(
         f, certified_table, certified_bands, certified_clusters,
-        NF_CUTOFF, cert.gamma, cert.tau,
+        NF_CUTOFF, cert.gamma, cert.tau, nu=2.0, smoothing=2.0,
     )
     assert sol.generator.coeffs == {}
     assert sol.normal.coeffs == f.coeffs
@@ -117,7 +116,7 @@ def test_homological_guards_the_certificate(
     with pytest.raises(ValueError, match="certificate breached"):
         solve_homological(
             f, certified_table, certified_bands, certified_clusters,
-            NF_CUTOFF, 1e6, 5.0,
+            NF_CUTOFF, 1e6, 5.0, nu=2.0, smoothing=2.0,
         )
 
 
@@ -131,7 +130,7 @@ def test_homological_generator_is_bit_identical_to_the_scalar_division(
     for f in (nls_quartic(lattice, 1.0), nls_quartic(lattice, -1.0), dict_random_form(lattice, 4, 300, seed=5, real=False)):
         sol = solve_homological(
             f, certified_table, certified_bands, certified_clusters,
-            NF_CUTOFF, cert.gamma, cert.tau,
+            NF_CUTOFF, cert.gamma, cert.tau, nu=2.0, smoothing=2.0,
         )
         keys = list(sol.generator.coeffs)
         assert keys
@@ -149,7 +148,8 @@ def test_homological_residual_bound_scales_with_the_coupling(
     cert = certificates[4]
     f = nls_quartic(certified_table.lattice, 1000.0)
     sol = solve_homological(
-        f, certified_table, certified_bands, certified_clusters, NF_CUTOFF, cert.gamma, cert.tau
+        f, certified_table, certified_bands, certified_clusters, NF_CUTOFF, cert.gamma, cert.tau,
+        nu=2.0, smoothing=2.0,
     )
     assert sol.residual > 1e-12
 
@@ -171,7 +171,7 @@ def test_homological_residual_bound_catches_a_generator_off_by_1e_10(
     with pytest.raises(RuntimeError, match="exceeds its rounding bound"):
         solve_homological(
             nls_quartic(certified_table.lattice), certified_table, certified_bands,
-            certified_clusters, NF_CUTOFF, cert.gamma, cert.tau,
+            certified_clusters, NF_CUTOFF, cert.gamma, cert.tau, nu=2.0, smoothing=2.0,
         )
 
 
@@ -242,35 +242,47 @@ def test_normal_form_is_scale_free(tmp_path, monkeypatch, capsys):
             assert np.array_equal(g.values, g_ref.values * 4.0**k)
 
 
-def test_lie_terms_order_formula():
-    assert lie_terms_order(2, 1, 1) == 4
-    assert lie_terms_order(4, 2, 1) == 5
-    assert lie_terms_order(2, 2, 2) == 2
-    assert lie_terms_order(2, 10, 1) == 1
-    with pytest.raises(ValueError):
-        lie_terms_order(2, 1, 0)
+def _labels(dropped):
+    return [(d0, k, form.degree) for d0, k, form in dropped]
+
+
+def test_lie_transform_takes_each_series_length_from_the_cap(certified_table):
+    # a source of degree d0 runs to Lie index n = max(1, ceil((cap + 3 - d0) / g))
+    # with g = G.degree - 2; the last term, of degree d0 + n g > cap, is dropped
+    lattice = certified_table.lattice
+    cubic = random_form(lattice, 3, n_terms=3, seed=21)
+    quartic = random_form(lattice, 4, n_terms=3, seed=22)
+    octic = random_form(lattice, 8, n_terms=3, seed=23)
+    # g = 1, cap 4: n = 4 at d0 = 3, 3 at d0 = 4, and 1 at d0 = 8, past the cap already
+    gen = random_form(lattice, 3, n_terms=3, seed=24)
+    kept, dropped = lie_transform(gen, [cubic, quartic, octic], [0, 0, 0], cap=4)
+    assert [t.degree for t in kept] == [3, 4, 4]
+    assert _labels(dropped) == [
+        (3, 2, 5), (3, 3, 6), (3, 4, 7), (4, 1, 5), (4, 2, 6), (4, 3, 7), (8, 0, 8), (8, 1, 9),
+    ]
+    # g = 2, cap 4: n = 2 at d0 = 4
+    kept, dropped = lie_transform(random_form(lattice, 4, n_terms=3, seed=26), [quartic], [0], cap=4)
+    assert [t.degree for t in kept] == [4]
+    assert _labels(dropped) == [(4, 1, 6), (4, 2, 8)]
+    with pytest.raises(ValueError, match="generator must have degree >= 3, got 2"):
+        lie_transform(quadratic_hamiltonian(certified_table), [quartic], [0], cap=4)
 
 
 def test_lie_transform_caps_and_ledgers(certified_table):
     gen = random_form(certified_table.lattice, 4, n_terms=3, seed=21)
     part = random_form(certified_table.lattice, 4, n_terms=3, seed=22)
-    kept, dropped = lie_transform(
-        gen, [part], [0], [2], cap=6, table=certified_table, radius=0.1, step=3
-    )
+    kept, dropped = lie_transform(gen, [part], [0], cap=6)
     assert kept[0].coeffs == part.coeffs
     br1 = poisson_bracket(part, gen)
     assert kept[1].coeffs == pytest.approx(br1.coeffs)
-    assert [e.degree for e in dropped] == [8]
-    entry = dropped[0]
-    assert (entry.step, entry.source_degree, entry.lie_index) == (3, 4, 2)
+    assert _labels(dropped) == [(4, 2, 8), (4, 3, 10)]
     half = scale_form(poisson_bracket(br1, gen), 0.5)
-    assert entry.form.coeffs == pytest.approx(half.coeffs)
-    assert entry.norm_r > 0
+    assert dropped[0][2].coeffs == pytest.approx(half.coeffs)
 
 
 def test_lie_transform_walks_its_parts_by_degree(certified_table):
-    # several parts in one walk give each part's own series: kept terms and
-    # ledger entries in part order, then Lie index; the brackets that two
+    # several parts in one walk give each part's own series: kept and
+    # dropped terms in part order, then Lie index; the brackets that two
     # parts share a degree in run jointly, so values agree to rounding
     lattice = certified_table.lattice
     gen = random_form(lattice, 4, n_terms=3, seed=21)
@@ -279,39 +291,32 @@ def test_lie_transform_walks_its_parts_by_degree(certified_table):
         random_form(lattice, 3, n_terms=3, seed=25),
         random_form(lattice, 4, n_terms=3, seed=22),
     ]
-    orders = [3, 2, 2]
-    kw = dict(cap=6, table=certified_table, radius=0.1, step=3)
-    kept, dropped = lie_transform(gen, parts, [0, 0, 0], orders, **kw)
+    kept, dropped = lie_transform(gen, parts, [0, 0, 0], cap=6)
     want_kept, want_dropped = [], []
-    for part, n in zip(parts, orders):
-        k, d = lie_transform(gen, [part], [0], [n], **kw)
+    for part in parts:
+        k, d = lie_transform(gen, [part], [0], cap=6)
         want_kept += k
         want_dropped += d
     assert [t.degree for t in kept] == [t.degree for t in want_kept] == [2, 4, 6, 3, 5, 4, 6]
-    labels = [(e.step, e.source_degree, e.lie_index, e.degree) for e in dropped]
-    assert labels == [(e.step, e.source_degree, e.lie_index, e.degree) for e in want_dropped]
-    assert labels == [(3, 2, 3, 8), (3, 3, 2, 7), (3, 4, 2, 8)]
-    pairs = list(zip(kept, want_kept)) + [(a.form, b.form) for a, b in zip(dropped, want_dropped)]
+    assert _labels(dropped) == _labels(want_dropped)
+    assert _labels(dropped) == [(2, 3, 8), (2, 4, 10), (3, 2, 7), (3, 3, 9), (4, 2, 8), (4, 3, 10)]
+    pairs = list(zip(kept, want_kept)) + [(a[2], b[2]) for a, b in zip(dropped, want_dropped)]
     for got, want in pairs:
         assert np.array_equal(got.codes, want.codes)
         assert np.abs(got.values - want.values).max(initial=0.0) <= 1e-14 * np.abs(want.values).max(initial=0.0)
-    for got, want in zip(dropped, want_dropped):
-        assert got.norm_r == pytest.approx(want.norm_r, rel=1e-14)
 
 
 def test_lie_transform_enters_a_series_at_its_first_index(certified_table):
     # {h0, G} given at Lie index 1 continues h0's own series: the same terms
-    # from index 1 on, divided by the same factorials, the ledger naming h0
+    # from index 1 on, divided by the same factorials, and of the same
+    # length, the dropped terms naming h0
     gen = random_form(certified_table.lattice, 4, n_terms=3, seed=21)
     h0 = quadratic_hamiltonian(certified_table)
-    kw = dict(cap=6, table=certified_table, radius=0.1, step=3)
-    want_kept, want_dropped = lie_transform(gen, [h0], [0], [3], **kw)
-    kept, dropped = lie_transform(gen, [poisson_bracket(h0, gen)], [1], [3], **kw)
+    want_kept, want_dropped = lie_transform(gen, [h0], [0], cap=6)
+    kept, dropped = lie_transform(gen, [poisson_bracket(h0, gen)], [1], cap=6)
     assert [t.degree for t in kept] == [t.degree for t in want_kept[1:]] == [4, 6]
-    labels = [(e.step, e.source_degree, e.lie_index, e.degree) for e in dropped]
-    assert labels == [(e.step, e.source_degree, e.lie_index, e.degree) for e in want_dropped]
-    assert labels == [(3, 2, 3, 8)]
-    pairs = list(zip(kept, want_kept[1:])) + [(dropped[0].form, want_dropped[0].form)]
+    assert _labels(dropped) == _labels(want_dropped) == [(2, 3, 8), (2, 4, 10)]
+    pairs = list(zip(kept, want_kept[1:])) + [(a[2], b[2]) for a, b in zip(dropped, want_dropped)]
     for got, want in pairs:
         assert np.array_equal(got.codes, want.codes)
         assert np.abs(got.values - want.values).max(initial=0.0) <= 1e-14 * np.abs(want.values).max(initial=0.0)
@@ -569,7 +574,7 @@ def test_normal_form_failures_are_typed(
     with pytest.raises(CertificateError, match="certificate breached"):
         solve_homological(
             make_form({key: 1.0}), certified_table, certified_bands, certified_clusters,
-            NF_CUTOFF, 1e6, 5.0,
+            NF_CUTOFF, 1e6, 5.0, nu=2.0, smoothing=2.0,
         )
     large = NormalFormConfig(r=1, radius=0.9, cutoff=NF_CUTOFF)
     with pytest.raises(SmallnessError, match="smallness violated before step 0"):
