@@ -18,6 +18,7 @@ Example:
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -42,8 +43,8 @@ def parse_args():
 def main() -> int:
     args = parse_args()
     for flag, value in (("--dt", args.dt), ("--horizon", args.horizon)):
-        if not value > 0.0:
-            raise ValueError(f"{flag} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
     cfg = load_config(args.config)
     system = build_system(cfg)
     out = None

@@ -35,7 +35,6 @@ from .clusters import (
     cluster_summary,
     clusters_to_csv,
     clusters_to_json,
-    high_mode_blocks,
     separation_margin,
 )
 from .resonance import (
@@ -53,8 +52,6 @@ from .forms import (
     PolyHamiltonian,
     SymmetricForm,
     add_forms,
-    band_superactions,
-    block_superactions,
     conjugate_form,
     form_to_jsonl,
     localized_norm,
@@ -67,7 +64,6 @@ from .forms import (
     scale_form,
     scaled_norm,
     sobolev_norm,
-    superaction_form,
     vector_field,
     zero_form,
 )

@@ -89,8 +89,8 @@ def build_clusters(table: SpectrumTable, delta: float, c_delta: float) -> Cluste
     """
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    if not c_delta > 0.0:
-        raise ValueError(f"c_delta must be positive, got {c_delta}")
+    if not 0.0 < c_delta < math.inf:
+        raise ValueError(f"c_delta must be positive and finite, got {c_delta}")
     if len(table) == 0:
         raise ValueError("empty spectrum table")
 
@@ -173,18 +173,6 @@ def separation_margin(partition: ClusterPartition, table: SpectrumTable):
             best = float(ratio[k])
             best_pair = (table.points[i], table.points[int(j[k])])
     return best, best_pair
-
-
-def high_mode_blocks(partition: ClusterPartition, table: SpectrumTable, cutoff: float) -> ClusterPartition:
-    """Restrict every block to modes with floor norm > cutoff; drop empties."""
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    blocks = []
-    for block in partition.blocks:
-        kept = tuple(p for p in block if table.floor(p) > cutoff)
-        if kept:
-            blocks.append(kept)
-    return ClusterPartition(delta=partition.delta, c_delta=partition.c_delta, blocks=tuple(blocks))
 
 
 def clusters_to_csv(partition: ClusterPartition, table: SpectrumTable, path) -> None:

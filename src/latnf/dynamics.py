@@ -119,7 +119,7 @@ class SimulationConfig:
     the Schrödinger model; the beam refuses any map but the default, which
     set explicitly cannot be told apart from it.  ``force`` maps powers of
     psi (>= 3) for the beam potential and is refused on the Schrödinger
-    model.  Coefficients are real numbers, constant in space.
+    model.  Coefficients are finite real numbers, constant in space.
     ``track_orbital``, a finite condensate mass >= 0 when set, applies to
     the Schrödinger model only.
 
@@ -160,8 +160,8 @@ class SimulationConfig:
         # each written so that NaN fails it
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not self.dt_bound > 0.0:
             raise ValueError(f"dt_bound must be positive, got {self.dt_bound}")
         if self.track_orbital is not None and not 0.0 <= self.track_orbital < math.inf:
@@ -175,9 +175,10 @@ class SimulationConfig:
             for j in self.force:
                 if int(j) < 3:
                     raise ValueError("beam force powers start at psi^3")
-        for c in [*self.nonlinearity.values(), *(self.force or {}).values()]:
-            if not isinstance(c, numbers.Real):
-                raise ValueError(f"coefficients are real numbers, got {c!r}")
+        for name, coeffs in (("nonlinearity", self.nonlinearity), ("force", self.force or {})):
+            for c in coeffs.values():
+                if not isinstance(c, numbers.Real) or not -math.inf < c < math.inf:
+                    raise ValueError(f"{name} coefficients must be finite real numbers, got {c!r}")
         if self.model == "beam" and not self.mass_term > 0.0:
             raise ValueError(f"beam mass term must be positive, got {self.mass_term}")
         if self.model == "beam" and self.track_orbital is not None:
@@ -948,8 +949,8 @@ def integrate_normal_form(
     action up to rounding.  Other parts take one RK4 step of ``dt``.
     """
     for name, value in (("dt", dt), ("horizon", horizon)):
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
     points = list(table.lattice.points)

@@ -59,8 +59,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bands import BandPartition, band_map
-from .clusters import ClusterPartition
 from .frequencies import SpectrumTable
 from .lattice import ExtIndex, Lattice, Point
 
@@ -651,37 +649,11 @@ def poisson_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -
     return poisson_brackets([f], g, tol)[0]
 
 
-def _actions(points: Sequence[Point], values: Sequence[complex]) -> SymmetricForm:
-    """``sum_k values[k] u_{p_k,+} u_{p_k,-}``, one row per point in the given order."""
-    ordered = sorted(points)
-    rank = {p: i for i, p in enumerate(ordered)}
-    plus = 2 * np.array([rank[p] for p in points], dtype=np.int32).reshape(-1, 1)
-    return SymmetricForm(ordered, np.hstack((plus, plus + 1)), np.array(values, dtype=complex))
-
-
 def quadratic_hamiltonian(table: SpectrumTable) -> SymmetricForm:
-    """``sum_a omega_a u_{a,+} u_{a,-}`` over the truncation."""
+    """``sum_a omega_a u_{a,+} u_{a,-}`` over the truncation, one row per point in lattice order."""
     points = table.lattice.points
-    return _actions(points, [complex(table.omega(p)) for p in points])
-
-
-def superaction_form(points: Sequence[Point]) -> SymmetricForm:
-    if not points:
-        raise ValueError("superaction over an empty mode set")
-    return _actions(points, [1.0] * len(points))
-
-
-def band_superactions(table: SpectrumTable, partition: BandPartition) -> List[SymmetricForm]:
-    """One superaction per band, in band order (initial segment first)."""
-    bm = band_map(table, partition)
-    groups: Dict[int, List[Point]] = {}
-    for p, b in bm.items():
-        groups.setdefault(b, []).append(p)
-    return [superaction_form(groups[b]) for b in sorted(groups)]
-
-
-def block_superactions(clusters: ClusterPartition) -> List[SymmetricForm]:
-    return [superaction_form(block) for block in clusters.blocks]
+    codes = np.arange(2 * len(points), dtype=np.int32).reshape(-1, 2)
+    return SymmetricForm(points, codes, np.array([complex(table.omega(p)) for p in points]))
 
 
 def nls_quartic(lattice: Lattice, coupling: float = 1.0) -> SymmetricForm:

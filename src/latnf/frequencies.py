@@ -5,15 +5,18 @@ integer point array, returning Python scalars, and carries an asymptotic
 exponent ``beta > 1`` (``omega_a`` grows like ``|a|^beta``); the floor norm
 ``omega_a^(1/beta)`` is the frequency-side measure of mode size used by
 cutoffs and high/low splittings.  The flat-torus model checks its Gram
-matrix once, when it is built, and keeps exact ``int`` frequencies whenever
-the Gram matrix is integer and the offset is zero, so divisor arithmetic
-downstream stays exact; the other models return ``float``s, and the
-square-root models refuse a negative radicand, naming its first point.
+matrix (finite, symmetric, positive definite) once, when it is built, and
+keeps exact ``int`` frequencies whenever the Gram matrix is integer and the
+offset is zero, so divisor arithmetic downstream stays exact; the other
+models return ``float``s, refuse a non-finite potential or mass when they
+are built, and the square-root models refuse a negative radicand, naming
+its first point.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Tuple
 
@@ -50,6 +53,8 @@ class TorusLaplacian:
 
     def __post_init__(self):
         g = np.eye(1) if self.gram is None else np.asarray(self.gram, dtype=float)
+        if not np.isfinite(g).all():
+            raise ValueError(f"gram must be finite, got {self.gram}")
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             return  # refused at evaluation, where the dimension is known
         if not np.allclose(g, g.T):
@@ -77,6 +82,11 @@ class SpectralMultiplier:
 
     base: object
     potential: Mapping[Point, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for p, v in self.potential.items():
+            if not -math.inf < v < math.inf:
+                raise ValueError(f"potential must be finite, got {v} at {p}")
 
     @property
     def beta(self) -> float:
@@ -114,6 +124,10 @@ class Beam:
     base: object
     mass: float
     beta = 2.0
+
+    def __post_init__(self):
+        if not -math.inf < self.mass < math.inf:
+            raise ValueError(f"mass must be finite, got {self.mass}")
 
     def omega(self, points, offset=None) -> list:
         lam = np.asarray(self.base.omega(points, offset), dtype=float)

@@ -121,8 +121,8 @@ def enumerate_lattice(dim: int, radius: float, offset=None) -> Lattice:
     """
     if dim not in (1, 2, 3):
         raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     off = _as_offset(dim, offset)
 
     ranges = []

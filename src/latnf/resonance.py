@@ -141,8 +141,8 @@ def is_resonant_W(multiset: Sequence[ExtIndex], table: SpectrumTable, partition:
 
 def validate_cutoff(table: SpectrumTable, partition: BandPartition, cutoff: float) -> None:
     """Reject cutoffs that split a band between low and high modes."""
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if not 0 < cutoff < math.inf:
+        raise ValueError(f"cutoff must be positive and finite, got {cutoff}")
     inv_beta = 1.0 / partition.beta
     for lo, hi in partition.intervals:
         if lo**inv_beta <= cutoff < hi**inv_beta:
@@ -622,8 +622,8 @@ def estimate_resonant_measure(
     the density bound ``2 gamma K**decay`` (K the largest smoothing weight on
     the support) plus three binomial standard errors.
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     supp = sorted(p for p, k in coeffs.items() if k != 0)

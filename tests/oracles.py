@@ -16,7 +16,10 @@ and the per-point frequency ladder (``frequency``, ``gram_matrix``), the
 bit-for-bit oracle of the frequency models' ``omega``, with ``TableModel``,
 the model of a given frequency table; and the scalar signed frequency sum
 ``small_divisor``, the bit-for-bit oracle of the divisors of the
-certification scan and of ``normalform.solve_homological``.
+certification scan and of ``normalform.solve_homological``; and the
+superaction forms of the bands and high blocks with their generic brackets
+(``bracket_commutation``), the oracle of the signed-count report of
+``normalform.check_superaction_commutation``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,15 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from latnf.bands import BandPartition
+from latnf.bands import BandPartition, band_map
 from latnf.clusters import ClusterPartition, block_index_map
 from latnf.forms import (
     DROP_TOL,
+    PolyHamiltonian,
     SymmetricForm,
     _localization,
     _row_keys,
@@ -41,6 +45,7 @@ from latnf.forms import (
     conjugate_form,
     hamiltonian_field,
     monomials,
+    poisson_bracket,
     scale_form,
 )
 from latnf.frequencies import (
@@ -52,6 +57,7 @@ from latnf.frequencies import (
     _tuples,
 )
 from latnf.lattice import ExtIndex, Lattice, Point, extended_indexes, point_distance
+from latnf.normalform import CommutationReport
 from latnf.resonance import is_resonant_W, validate_cutoff
 
 
@@ -482,6 +488,59 @@ def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) 
     keys, total = _merge(_row_keys(rows, radix), fcoef[fi] * gcoef[gi])
     keep = np.abs(total) > tol
     return SymmetricForm(points, _key_rows(keys[keep], radix, degree), total[keep])
+
+
+# --- the superaction brackets ---------------------------------------------------
+
+
+def superaction_form(points: Sequence[Point]) -> SymmetricForm:
+    """The superaction ``J_S = sum_{a in S} u_{a,+} u_{a,-}`` of the points of S."""
+    if not points:
+        raise ValueError("superaction over an empty mode set")
+    return make_form({((p, 1), (p, -1)): 1.0 for p in points}, degree=2)
+
+
+def band_superactions(table: SpectrumTable, partition: BandPartition) -> List[SymmetricForm]:
+    """One superaction per band, in band order (initial segment first)."""
+    groups: Dict[int, List[Point]] = {}
+    for p, b in band_map(table, partition).items():
+        groups.setdefault(b, []).append(p)
+    return [superaction_form(groups[b]) for b in sorted(groups)]
+
+
+def high_block_superactions(clusters: ClusterPartition, table: SpectrumTable, cutoff: float) -> List[SymmetricForm]:
+    """One superaction per cluster block over its modes of floor norm > cutoff, if any."""
+    high = [[p for p in block if table.floor(p) > cutoff] for block in clusters.blocks]
+    return [superaction_form(s) for s in high if s]
+
+
+def bracket_commutation(
+    buckets: Mapping[str, PolyHamiltonian],
+    table: SpectrumTable,
+    bands: BandPartition,
+    clusters: ClusterPartition,
+    cutoff: float,
+) -> CommutationReport:
+    """``normalform.check_superaction_commutation`` by generic brackets.
+
+    Each degree of a bucket is bracketed with every superaction form by
+    ``poisson_bracket`` (``tol=0``), and each field is the largest
+    coefficient modulus: Z0 with the bands, ZB and Z2 with the high blocks.
+    """
+
+    def largest(poly: PolyHamiltonian, forms: Sequence[SymmetricForm]) -> float:
+        return max(
+            (float(np.abs(poisson_bracket(poly.parts[d], j, tol=0.0).values).max(initial=0.0))
+             for j in forms for d in poly.degrees),
+            default=0.0,
+        )
+
+    blocks = high_block_superactions(clusters, table, cutoff)
+    return CommutationReport(
+        max_band_residual=largest(buckets["Z0"], band_superactions(table, bands)),
+        max_block_residual=largest(buckets["ZB"], blocks),
+        z2_bracket_norm=largest(buckets["Z2"], blocks),
+    )
 
 
 # --- per-key divisor tests and the ground-state divisor scan -----------------

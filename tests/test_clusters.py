@@ -15,7 +15,6 @@ from latnf import (
     clusters_to_csv,
     clusters_to_json,
     enumerate_lattice,
-    high_mode_blocks,
     separation_margin,
 )
 
@@ -122,18 +121,6 @@ def test_dyadic_certificate(certified_table, certified_clusters):
             ratios.append(max(norms) / min(norms))
     assert report.constant == max(ratios)
     assert report.worst_block != block_index_map(certified_clusters)[(0,)]
-
-
-def test_high_mode_blocks_strict_cutoff(certified_table, certified_clusters):
-    cutoff = 5.5
-    high = high_mode_blocks(certified_clusters, certified_table, cutoff)
-    for block in high.blocks:
-        assert all(certified_table.floor(p) > cutoff for p in block)
-    kept = {p for block in high.blocks for p in block}
-    for block in certified_clusters.blocks:
-        floors = [certified_table.floor(p) for p in block]
-        if min(floors) > cutoff:
-            assert set(block) <= kept
 
 
 def test_separation_margin_exceeds_the_build_constant(certified_table, certified_clusters):

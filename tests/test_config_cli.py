@@ -416,7 +416,8 @@ def test_cli_resonances_meaningless_arguments_are_usage_errors(
      ("simulate", "simulate.horizon=1e308")],
 )
 def test_cli_overflowing_input_is_a_one_line_usage_error(tmp_path, capsys, command, setting):
-    # float arithmetic on these values raises OverflowError, not ValueError
+    # float arithmetic on the 1e308 values raises OverflowError, not
+    # ValueError; the inf values are refused by name where they are read
     argv = [command, "--config", CERTIFIED_CONFIG, "--set", setting, "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -704,7 +705,7 @@ def test_cli_non_finite_value_is_a_usage_error(tmp_path, capsys, command, key, v
 @pytest.mark.parametrize(
     "setting, message",
     [("simulate.dt=nan", "dt must be positive"),
-     ("simulate.horizon=nan", "horizon must be positive"),
+     ("simulate.horizon=nan", "horizon must be positive and finite, got nan"),
      ("simulate.dt_bound=nan", "dt_bound must be positive, got nan"),
      ("simulate.dt_bound=0", "dt_bound must be positive, got 0.0"),
      ("simulate.track_orbital=nan", "track_orbital must be a finite number >= 0, got nan"),
@@ -726,17 +727,39 @@ def test_cli_nan_trajectory_setting_is_a_usage_error(tmp_path, capsys, setting, 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "command, settings, message",
-    [("clusters", ["clusters.c_delta=nan"], "c_delta must be positive, got nan"),
-     ("normalform", ["clusters.c_delta=nan"], "c_delta must be positive, got nan"),
-     ("normalform", ["normalform.cutoff=nan"], "cutoff must be positive, got nan"),
-     ("spectrum", ["model.kind=beam", "model.mass=nan"], "positivity violated at (-4,): lambda^2 + m = nan"),
-     ("simulate", ["model.kind=beam", "model.mass=nan"], "beam mass term must be positive, got nan")],
-    ids=["clusters-c_delta", "normalform-c_delta", "normalform-cutoff", "spectrum-beam-mass", "simulate-beam-mass"],
+    [("clusters", ["clusters.c_delta=nan"], "c_delta must be positive and finite, got nan"),
+     ("normalform", ["clusters.c_delta=nan"], "c_delta must be positive and finite, got nan"),
+     ("clusters", ["clusters.c_delta=Infinity"], "c_delta must be positive and finite, got inf"),
+     ("normalform", ["normalform.cutoff=nan"], "cutoff must be positive and finite, got nan"),
+     ("normalform", ["normalform.cutoff=inf"], "cutoff must be positive and finite, got inf"),
+     ("spectrum", ["model.kind=beam", "model.mass=nan"], "mass must be finite, got nan"),
+     ("spectrum", ["model.kind=beam", "model.mass=Infinity"], "mass must be finite, got inf"),
+     ("simulate", ["model.kind=beam", "model.mass=nan"], "beam mass term must be positive, got nan"),
+     ("simulate", ["model.kind=beam", "model.mass=Infinity"], "mass must be finite, got inf"),
+     ("measure", ["measure.gamma=[NaN]"], "gamma must be positive and finite, got nan"),
+     ("measure", ["measure.gamma=[Infinity]"], "gamma must be positive and finite, got inf"),
+     ("spectrum", ['model.potential={"0": NaN}'], "potential must be finite, got nan at (0,)"),
+     ("spectrum", ["model.gram=[[Infinity]]"], "gram must be finite, got ((inf,),)"),
+     ("simulate", ['simulate.nonlinearity={"1": NaN}'], "nonlinearity coefficients must be finite real numbers, got nan"),
+     ("simulate", ["model.kind=beam", 'simulate.force={"3": -Infinity}'],
+      "force coefficients must be finite real numbers, got -inf"),
+     ("spectrum", ["lattice.radius=inf"], "radius must be positive and finite, got inf"),
+     ("resonances", ["lattice.radius=nan"], "radius must be positive and finite, got nan"),
+     ("simulate", ["simulate.horizon=inf"], "horizon must be positive and finite, got inf")],
+    ids=["clusters-c_delta", "normalform-c_delta", "clusters-c_delta-inf", "normalform-cutoff",
+         "normalform-cutoff-inf", "spectrum-beam-mass", "spectrum-beam-mass-inf", "simulate-beam-mass",
+         "simulate-beam-mass-inf", "measure-gamma", "measure-gamma-inf", "spectrum-potential", "spectrum-gram-inf",
+         "simulate-nonlinearity", "simulate-force-inf", "spectrum-radius-inf", "resonances-radius-nan",
+         "simulate-horizon-inf"],
 )
 def test_cli_nan_domain_setting_is_a_usage_error(tmp_path, capsys, command, settings, message):
-    # NaN passed each ``<=`` check: c_delta=nan changed the normal-form census,
-    # cutoff=nan ended in a smallness FAIL with mu = nan, and a NaN beam mass
-    # in a FAIL of the asymptotic fit
+    # NaN passed each ``<=`` check and inf each ``>`` check: c_delta=nan changed
+    # the normal-form census and c_delta=inf made one block, cutoff=nan and inf
+    # ended in a smallness FAIL with mu = nan or inf, a non-finite beam mass,
+    # potential or Gram matrix in a FAIL of the asymptotic fit or a negative
+    # frequency, gamma=nan in a FAIL of the measure bound and gamma=inf in
+    # exit 0, a NaN nonlinearity in a blown-up trajectory, and an infinite
+    # radius or horizon in a usage error that named neither
     argv = [command, "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path), "--set", "lattice.radius=4"]
     for item in settings:
         argv += ["--set", item]

@@ -80,7 +80,7 @@ def test_beam_config_refuses_a_nonlinearity():
 )
 def test_coefficients_are_real_numbers(kwargs):
     # the config reads every coefficient as a float: no command sends a Fourier dict
-    with pytest.raises(ValueError, match="coefficients are real numbers"):
+    with pytest.raises(ValueError, match="coefficients must be finite real numbers"):
         SimulationConfig(**kwargs)
 
 

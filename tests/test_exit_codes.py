@@ -77,21 +77,29 @@ TORUS = {("model", "kind"): "torus", ("lattice", "radius"): "5", ("normalform", 
 BLOWN_UP = {("model", "kind"): "beam", ("simulate", "force"): '{"3": 1e12}'}
 
 SCRIPT_CASES = [
-    ("normalform_demo.py", None, ["--dt", 0], 2, "usage error: --dt must be positive, got 0.0"),
+    ("normalform_demo.py", None, ["--dt", 0], 2, "usage error: --dt must be positive and finite, got 0.0"),
     ("normalform_demo.py", TORUS, ["--skip-flow"], 1, "FAIL normal form: order-4 certificate failed"),
     ("stability_sweep.py", None, ["--dt", 0, "--epsilons", 0.1, "--horizons", 5], 2,
      "usage error: dt must be positive"),
     ("stability_sweep.py", BLOWN_UP, ["--epsilons", 0.1, "--horizons", 1], 1,
      "FAIL stability sweep: eps 0.1: state blew up at t = 1.0"),
     ("resonance_scan.py", None, ["--radius", -1, "--orders", 3], 2,
-     "usage error: radius must be positive, got -1.0"),
+     "usage error: radius must be positive and finite, got -1.0"),
     # the scan reports every order, so its failure line is the failed order's
     ("resonance_scan.py", None, ["--flat", "--dim", 2, "--radius", 7, "--orders", 8], 1,
      "order 8: FAILED, the order-8 scan needs more than its budget"),
     # NaN fails each positivity check, before any normalization or trajectory
-    ("normalform_demo.py", None, ["--dt", "nan"], 2, "usage error: --dt must be positive, got nan", "dt-nan"),
+    ("normalform_demo.py", None, ["--dt", "nan"], 2, "usage error: --dt must be positive and finite, got nan",
+     "dt-nan"),
     ("stability_sweep.py", None, ["--epsilons", 0.1, "--horizons", "nan"], 2,
-     "usage error: horizon must be positive", "horizons-nan"),
+     "usage error: horizon must be positive and finite, got nan", "horizons-nan"),
+    # and inf each, where int() or math.ceil() used to refuse it without a name
+    ("normalform_demo.py", None, ["--horizon", "inf"], 2, "usage error: --horizon must be positive and finite, got inf",
+     "horizon-inf"),
+    ("stability_sweep.py", None, ["--epsilons", 0.1, "--horizons", "inf"], 2,
+     "usage error: horizon must be positive and finite, got inf", "horizons-inf"),
+    ("resonance_scan.py", None, ["--radius", "inf", "--orders", 3], 2,
+     "usage error: radius must be positive and finite, got inf", "radius-inf"),
 ]
 
 

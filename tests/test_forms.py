@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from latnf import (
     add_forms,
-    band_superactions,
     conjugate_form,
     form_to_jsonl,
     enumerate_lattice,
@@ -22,12 +21,12 @@ from latnf import (
     scale_form,
     scaled_norm,
     sobolev_norm,
-    superaction_form,
     vector_field,
     zero_form,
 )
 
 from oracles import (
+    band_superactions,
     canonical_key,
     decompose_by_high_order,
     dict_random_form,
@@ -40,6 +39,7 @@ from oracles import (
     split_state,
     state_array,
     state_dict,
+    superaction_form,
 )
 
 

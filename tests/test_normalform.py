@@ -36,7 +36,7 @@ from latnf.config import apply_overrides, load_config
 from latnf.dynamics import is_action_form
 
 from conftest import NF_CUTOFF, NF_RADIUS
-from oracles import dict_random_form, dict_vector_field, make_form, small_divisor, state_array, state_dict
+from oracles import bracket_commutation, dict_random_form, dict_vector_field, make_form, small_divisor, state_array, state_dict
 
 
 def test_config_validation():
@@ -190,12 +190,18 @@ def test_normalize_keeps_every_form_packed():
     assert [f for f in forms if "coeffs" in vars(f)] == []
 
 
-def test_two_step_normal_form_is_pinned():
-    # r = 2 on the radius-3 truncation of nls_t1.ini: the only run here that
-    # normalizes past one step (degree 4, then the degree-6 part it made)
+def _two_step_normal_form():
+    """The system and normal form of r = 2 on the radius-3 truncation of nls_t1.ini."""
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "nls_t1.ini"))
     apply_overrides(cfg, ["lattice.radius=3", "normalform.r=2", "normalform.cutoff=none", "normalform.radius=1e-4"])
-    _, result = run_normalform(cfg, build_system(cfg))
+    system = build_system(cfg)
+    return system, run_normalform(cfg, system)[1]
+
+
+def test_two_step_normal_form_is_pinned():
+    # the only run here that normalizes past one step (degree 4, then the
+    # degree-6 part it made)
+    _, result = _two_step_normal_form()
     assert result.cutoff == 2.5075201955366153
     assert [len(g) for g in result.generators] == [38, 262]
     assert {name: {d: len(f) for d, f in result.bucket(name).parts.items()} for name in ("Z0", "ZB", "Z2", "ZGE3")} == {
@@ -205,6 +211,8 @@ def test_two_step_normal_form_is_pinned():
         (0, 2, 3, 8, 2122), (0, 2, 4, 10, 9277), (0, 4, 2, 8, 2392), (0, 4, 3, 10, 10143),
         (1, 2, 2, 10, 7005), (1, 4, 1, 8, 1578), (1, 4, 2, 12, 32957), (1, 6, 1, 10, 9841),
     ]
+    assert (result.commutation.max_band_residual, result.commutation.max_block_residual) == (0.0, 0.0)
+    assert result.commutation.z2_bracket_norm == float.fromhex("0x1.8e19d12d1c38dp+1")
 
 
 def test_normal_form_is_scale_free(tmp_path, monkeypatch, capsys):
@@ -398,6 +406,17 @@ def test_normal_form_commutation(nf_result):
     assert nf_result.commutation.max_band_residual == 0.0
     assert nf_result.commutation.max_block_residual == 0.0
     assert nf_result.commutation.z2_bracket_norm >= 0.0
+
+
+def test_commutation_report_is_that_of_the_generic_brackets(nf_result, certified_table, certified_bands, certified_clusters):
+    # |c| |signed count| against the largest poisson_bracket coefficient with
+    # each superaction form: bit for bit, as every count here is 0 or +-1
+    system, two_step = _two_step_normal_form()
+    for result, table, bands, clusters in [
+        (nf_result, certified_table, certified_bands, certified_clusters),
+        (two_step, system.table, system.bands, system.clusters),
+    ]:
+        assert result.commutation == bracket_commutation(result.buckets, table, bands, clusters, result.cutoff)
 
 
 def test_normal_form_constants_come_from_certificates(nf_result, certificates):

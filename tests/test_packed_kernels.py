@@ -45,6 +45,7 @@ from latnf.forms import zero_form
 from latnf.lattice import point_distance
 
 from oracles import (
+    bracket_commutation,
     canonical_key,
     conjugate,
     conjugate_key,
@@ -596,16 +597,21 @@ def test_commutation_brackets_each_degree_of_a_bucket():
     z0 = poly_from_forms([actions4, actions6])
     assert z0.degrees == (4, 6)
     no_z2 = poly_from_forms([])
-    report = check_superaction_commutation({"Z0": z0, "ZB": z0, "Z2": no_z2}, table, bands, clusters, 5.5)
+    buckets = {"Z0": z0, "ZB": z0, "Z2": no_z2}
+    report = check_superaction_commutation(buckets, table, bands, clusters, 5.5)
     assert report.max_band_residual == 0.0
     assert report.max_block_residual == 0.0
     assert report.z2_bracket_norm == 0.0
-    # a degree-6 part that moves mass between bands must register
+    assert report == bracket_commutation(buckets, table, bands, clusters, 5.5)
+    # a degree-6 part that moves mass between bands must register: count 2 of
+    # coefficient 1, exact in the generic bracket too
     far = lattice.points[-1]
     moving = make_form({canonical_key(((a, 1), (a, 1), (a, 1), (a, -1), (far, -1), (far, -1))): 1.0})
     mixed = poly_from_forms([actions4, moving])
-    report = check_superaction_commutation({"Z0": mixed, "ZB": mixed, "Z2": no_z2}, table, bands, clusters, 5.5)
-    assert report.max_band_residual > 0.0
+    buckets = {"Z0": mixed, "ZB": mixed, "Z2": no_z2}
+    report = check_superaction_commutation(buckets, table, bands, clusters, 5.5)
+    assert report.max_band_residual == 2.0
+    assert report == bracket_commutation(buckets, table, bands, clusters, 5.5)
 
 
 # --- dynamics ---------------------------------------------------------------

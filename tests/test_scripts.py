@@ -152,12 +152,12 @@ def test_normalform_demo_refuses_the_beam(tmp_path):
 
 
 @pytest.mark.parametrize("flag", ["--dt", "--horizon"])
-@pytest.mark.parametrize("value", [0, -0.5, "nan"])
+@pytest.mark.parametrize("value", [0, -0.5, "nan", "inf"])
 def test_normalform_demo_rejects_a_non_positive_step_before_normalizing(flag, value):
     proc = _run("normalform_demo.py", flag, value)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == f"usage error: {flag} must be positive, got {float(value)}\n"
+    assert proc.stderr == f"usage error: {flag} must be positive and finite, got {float(value)}\n"
 
 
 @pytest.mark.parametrize("script", ["normalform_demo.py", "stability_sweep.py"])
@@ -191,7 +191,7 @@ def test_scripts_refuse_an_unwritable_out_before_running(tmp_path, script):
     [
         (("--epsilons", 0.1, "--horizons", 5, 7), "need one horizon per epsilon"),
         (("--horizons", -1), "need one horizon per epsilon"),
-        (("--epsilons", 0.1, 0.01, "--horizons", 5, -1), "horizon must be positive"),
+        (("--epsilons", 0.1, 0.01, "--horizons", 5, -1), "horizon must be positive and finite, got -1.0"),
         (("--epsilons", 0.1, 1.5, "--horizons", 1, 1), "epsilon must lie in (0,1), got 1.5"),
     ],
     ids=["count", "count-default-epsilons", "negative-horizon", "second-epsilon"],
@@ -224,7 +224,7 @@ def test_resonance_scan_negative_frequency_is_a_usage_error():
 @pytest.mark.parametrize(
     "args, message",
     [
-        (("--radius", -1), "radius must be positive, got -1.0"),
+        (("--radius", -1), "radius must be positive and finite, got -1.0"),
         (("--dim", 4), "dim must be 1, 2 or 3, got 4"),
     ],
     ids=["radius", "dim"],
