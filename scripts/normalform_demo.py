@@ -10,13 +10,13 @@ The default config takes about 5 s end to end (4.6-5.2 s over three runs
 on a 2-core Intel Xeon); pass ``--skip-flow`` to stop after the
 normalization itself.  A config that cannot be read or an ``--out`` that
 cannot be written is a config error (exit 2), checked before the
-normalization; a system that does not certify or normalize exits 1.
+normalization; a malformed or unknown argument is one usage error line
+(exit 2); a system that does not certify or normalize exits 1.
 
 Example:
     python3 scripts/normalform_demo.py --config configs/nls_t1.ini --out out/nf
 """
 
-import argparse
 import json
 import math
 import sys
@@ -26,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from latnf import integrate_normal_form, normalform_manifest
-from latnf.cli import build_system, exit_code, run_normalform
+from latnf.cli import UsageParser, build_system, exit_code, run_normalform
 from latnf.config import load_config
 
 
 def parse_args():
-    parser = argparse.ArgumentParser(description="run and inspect one normalization")
+    parser = UsageParser(description="run and inspect one normalization")
     parser.add_argument("--config", default="configs/nls_t1.ini")
     parser.add_argument("--out", default=None, help="directory for the manifest JSON")
     parser.add_argument("--horizon", type=float, default=1e4)

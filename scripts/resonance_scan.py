@@ -8,16 +8,16 @@ witness, or when its scan goes over the row budget; ``--flat`` drops the
 potential so the integer spectrum shows its zero-divisor witnesses
 explicitly.  A lattice ``enumerate_lattice`` refuses (a negative
 ``--radius``, a ``--dim`` outside its range) is a usage error: exit 2 with
-one line.  So is a draw that gives a mode a negative frequency (a potential
-below ``-|a|^2``, as ``V_0 < 0`` at the zero mode), whose line names the
-point, the seed and the radius.
+one line.  So is a malformed or unknown argument, and so is a draw that
+gives a mode a negative frequency (a potential below ``-|a|^2``, as ``V_0
+< 0`` at the zero mode), whose line names the point, the seed and the
+radius.
 
 Example:
     python3 scripts/resonance_scan.py --radius 8 --orders 3 4 5 --seed 1
     python3 scripts/resonance_scan.py --flat --orders 3 4
 """
 
-import argparse
 import sys
 import time
 
@@ -32,11 +32,11 @@ from latnf import (
     certify_nonresonance,
     enumerate_lattice,
 )
-from latnf.cli import exit_code
+from latnf.cli import UsageParser, exit_code
 
 
 def parse_args():
-    parser = argparse.ArgumentParser(
+    parser = UsageParser(
         description="certify small divisors across orders on a truncation"
     )
     parser.add_argument("--dim", type=int, default=1)

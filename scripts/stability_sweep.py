@@ -13,30 +13,29 @@ cannot run and settings ``SimulationConfig`` rejects, such as a
 non-positive ``--dt``, an epsilon outside (0, 1) or a non-positive horizon:
 every epsilon and horizon is checked before the first trajectory.  So is a
 ``--dt`` whose ``dt * max omega`` exceeds ``--dt-bound``, which the first
-trajectory checks before its first step.  A config
-that cannot be read or an ``--out`` that cannot be written is a config
-error (exit 2).  The script exits 1 when a run's norm exceeds
-2 eps, or when a run blows up, which prints one ``FAIL`` line naming its
-epsilon and time.
+trajectory checks before its first step.  A config that cannot be read or
+an ``--out`` that cannot be written is a config error (exit 2), and a
+malformed or unknown argument a usage error.  The script exits 1 when a
+run's norm exceeds 2 eps, or when a run blows up, which prints one
+``FAIL`` line naming its epsilon and time.
 
 Example:
     python3 scripts/stability_sweep.py --epsilons 0.1 0.01 --coupling -12
     python3 scripts/stability_sweep.py --flat --epsilons 0.4 --dt 0.002
 """
 
-import argparse
 import json
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
 from latnf import stability_experiment
-from latnf.cli import exit_code, simulation_config
+from latnf.cli import UsageParser, exit_code, simulation_config
 from latnf.config import load_config
 
 
 def parse_args():
-    parser = argparse.ArgumentParser(description="epsilon sweep of the cubic flow")
+    parser = UsageParser(description="epsilon sweep of the cubic flow")
     parser.add_argument("--config", default="configs/nls_t1.ini")
     parser.add_argument("--flat", action="store_true", help="drop the potential")
     parser.add_argument("--epsilons", type=float, nargs="+", default=[0.1, 0.01])

@@ -103,6 +103,18 @@ def exit_code(body, *args, label: str) -> int:
     return 1
 
 
+class UsageParser(argparse.ArgumentParser):
+    """An argument parser whose refusals raise ``ValueError``.
+
+    ``argparse`` prints its usage block and exits 2 on a malformed or
+    unknown argument; a script that parses inside ``exit_code`` gets one
+    ``usage error`` line instead, and ``--help`` still exits 0.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @dataclass(eq=False)
 class System:
     """A config's lattice; its model, table, bands and clusters on first use.

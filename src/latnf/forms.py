@@ -24,22 +24,55 @@ field, the Sobolev norm, the remainder probe of ``normalize``,
 arrays.
 
 ``poisson_brackets`` brackets several forms F of one degree with one G in
-one pass, and ``poisson_bracket`` is its one-form case.  The derivative rows
-of the Fs are united, each F keeping one coefficient row (zero where it
-lacks a row).  No pair of derivative rows has its row built.  Each code of
-the bracket's point union gets a prime, the most frequent codes of the
-derivative rows the smallest, each derivative row of the union and of G is
+one pass, and ``poisson_bracket`` is its one-form case.  Every form it
+brackets is real: the conjugate row ``r_bar`` of a row r (every code ``^
+1``, i.e. every sign flipped) carries the conjugate coefficient, ``c(r_bar)
+= conj c(r)``, so the form takes real values on states with ``u_- =
+conj u_+``.  For real F and G the pair terms of ``{F, G}`` come in
+conjugate twins: a pair whose F variable is a minus code is the twin, every
+code flipped and its term conjugated, of a pair whose F variable is a plus
+code.  So the bracket expands only the plus variables' pairs, into T, and
+gives ``{F, G}(r) = T(r) + conj T(r_bar)``: half the pairs, blocks and
+scatters of the full expansion, and an output that is exactly real.
+
+The plus-variable derivative rows of the Fs are united, each F keeping one
+coefficient row (zero where it lacks a row).  No pair of derivative rows
+has its row built.  Each code of the bracket's point union gets a prime, a
+code and its conjugate adjacent ones and the most frequent codes of the
+derivative rows the smallest; each derivative row of the union and of G is
 keyed once by the product of its primes, and a pair by the product of its
 two row keys: by unique factorisation the key of a pair is that of its
-output row, exactly.  The key is one int64 when every row's key and the
-product of the largest union and G keys stay below ``2**63`` (checked in
-exact integers), else one int64 word per group of codes, compared as bytes.
-The pairs run in blocks of about ``BLOCK``; each block's keys are sorted
-once, its new keys are inserted into a sorted running union of distinct
-keys, and each F's pair terms are added into their keys' sums, so every
-coefficient is its pair terms summed from 0 in pair order, whatever the
-block size.  The pass holds the outputs plus one block, and only the kept
-keys' rows are built and sorted into row order, once, at the end.
+output row, exactly.  The rows ``^ 1`` are keyed by the same primes, so a
+pair's mirror key, the key of its row's ``r_bar``, is the product of the
+mirror keys of its two rows.  The key is one int64 when every row's key,
+and the products of the largest union and G keys and of their largest
+mirror keys, stay below ``2**63`` (checked in exact integers), else one
+int64 word per group of codes, compared as bytes.  The pairs run in blocks
+of about ``BLOCK``; each block's keys are sorted once, its new keys are
+inserted into a sorted running union of distinct keys, and each F's pair
+terms are added into their keys' sums, so every T is its pair terms summed
+from 0 in pair order, whatever the block size.  Then each key's mirror key
+is searched in the union and the conjugate sum added; a key whose mirror is
+absent gives the mirror, a key of its own, its conjugate value.  The pass
+holds the outputs plus one block, and only the kept keys' rows are built
+(a mirror's row is its key's row ``^ 1``) and sorted into row order, once,
+at the end.
+
+Reality is checked once per input form of every bracket, to rounding: a
+real form computed in floating point may have ``c(r_bar)`` and ``conj
+c(r)`` from different orders of the same operations (a generator's divisor
+sums the signed frequencies of r and of ``r_bar`` each in its own row
+order).  The half expansion replaces each minus-variable pair term ``f g``
+by the conjugate of its twin's, which differs from it by at most ``|df|
+|g| + |f| |dg|`` for reality gaps ``df`` and ``dg``.  A gap of at most
+``degree * eps * max|c|`` per form therefore moves each pair term by at
+most ``(deg F + deg G) eps max|F| max|G|``: the size of the rounding that
+summing a key's pair terms already carries (``eps/2`` of the running sum
+per addition), which is why that tolerance is the one admitted.  A larger
+gap, or a row whose conjugate row is missing beyond it, raises
+``ValueError``.  ``nls_quartic``,
+``quadratic_hamiltonian``, ``random_form``, the sums of real forms and every
+bracket output are exactly real.
 
 The localized norm weights each row by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the row (smallest repeated below degree 3) and
@@ -427,38 +460,45 @@ def _one_word_keys(rows: np.ndarray, primes: np.ndarray) -> Optional[np.ndarray]
     return keys
 
 
-def _prime_keys(frows: np.ndarray, grows: np.ndarray, n_codes: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Product-of-primes keys of the F and G derivative rows of a bracket.
+def _prime_keys(frows: np.ndarray, grows: np.ndarray, n_codes: int) -> Tuple[np.ndarray, ...]:
+    """Product-of-primes keys of the F and G derivative rows of a bracket, and of their mirrors.
 
     By unique factorisation two rows have equal keys exactly when they hold
     the same codes with the same multiplicities, and the product of the keys
-    of two rows is the key of their union.  The keys are one int64 per row
-    when the codes most frequent in the rows take the smallest primes and
-    every row's key, and ``int(fkeys.max()) * int(gkeys.max())``, stay below
-    ``2**63`` in exact integers: then no pair's key overflows.  Otherwise
-    codes fall in groups of the ``k`` smallest primes ``q`` with
-    ``q**degree < 2**63`` (``degree`` the output row length): code ``c`` has
-    the prime ``q_(c % k)`` in the word ``c // k``, a row's word is the
-    product of the primes of its codes in that group, a product over at most
-    ``degree`` codes never overflows, and the keys are ``(n, words)`` int64
-    arrays.
+    of two rows is the key of their union.  Returns ``(fkeys, gkeys, fbar,
+    gbar)``: the keys of ``frows``, ``grows``, ``frows ^ 1`` and ``grows ^
+    1`` under one prime map, the last two without building the flipped
+    rows.  The keys are one int64 per row when the codes most frequent in
+    the rows (a code and its conjugate counted together) take the smallest
+    primes and every row's key, ``int(fkeys.max()) * int(gkeys.max())`` and
+    ``int(fbar.max()) * int(gbar.max())`` stay below ``2**63`` in exact
+    integers: then no pair's key or mirror key overflows.  Otherwise codes
+    fall in groups of the ``k`` smallest primes ``q`` with ``q**degree <
+    2**63`` (``degree`` the output row length): code ``c`` has the prime
+    ``q_(c % k)`` in the word ``c // k``, a row's word is the product of the
+    primes of its codes in that group, a product over at most ``degree``
+    codes never overflows, and the keys are ``(n, words)`` int64 arrays.
     """
+    flip = np.arange(n_codes) ^ 1
     primes = _primes(n_codes)
     freq = np.bincount(frows.ravel(), minlength=n_codes) + np.bincount(grows.ravel(), minlength=n_codes)
     by_freq = np.empty(n_codes, dtype=np.int64)
-    by_freq[np.argsort(-freq, kind="stable")] = primes
-    fkeys, gkeys = _one_word_keys(frows, by_freq), _one_word_keys(grows, by_freq)
-    if fkeys is not None and gkeys is not None and int(fkeys.max()) * int(gkeys.max()) <= _INT64_MAX:
-        return fkeys, gkeys
+    by_freq[np.argsort(-(freq + freq[flip]), kind="stable")] = primes
+    narrow = [_one_word_keys(rows, table) for table in (by_freq, by_freq[flip]) for rows in (frows, grows)]
+    if all(k is not None for k in narrow) and all(
+        int(f.max()) * int(g.max()) <= _INT64_MAX for f, g in (narrow[:2], narrow[2:])
+    ):
+        return tuple(narrow)
     degree = frows.shape[1] + grows.shape[1]
     k = sum(int(q) ** degree < 2**63 for q in primes.tolist())
     words = -(-n_codes // k)
     grouped = []
-    for rows in (frows, grows):
-        keys = np.ones((len(rows), words), dtype=np.int64)
-        for col in rows.T:
-            keys[np.arange(len(rows)), col // k] *= primes[col % k]
-        grouped.append(keys)
+    for table in (np.arange(n_codes), flip):
+        for rows in (frows, grows):
+            keys = np.ones((len(rows), words), dtype=np.int64)
+            for col in table[rows.T]:
+                keys[np.arange(len(rows)), col // k] *= primes[col % k]
+            grouped.append(keys)
     return tuple(grouped)
 
 
@@ -538,21 +578,23 @@ def _add_pairs(
 
 
 def _joint_derivatives(fs: Sequence[SymmetricForm], rank: Mapping[Point, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Union of the forms' derivative rows over ``rank``, one coefficient row per form.
+    """Union of the forms' plus-variable derivative rows over ``rank``, one coefficient row per form.
 
-    One form's rows are its ``derivatives``, in their order.  Several forms'
-    rows are deduplicated and sorted by variable, then by the column of the
-    variable's run in the row it came from, then by the reduced row: the
-    order of each form's own rows when its rows are ascending, so such a
-    form's pairs are summed per key in the order of its one-form bracket.
-    A form lacking a union row has coefficient 0 there.
+    One form's rows are its ``derivatives`` whose variable is a plus code,
+    in their order.  Several forms' rows are deduplicated and sorted by
+    variable, then by the column of the variable's run in the row it came
+    from, then by the reduced row: the order of each form's own rows when
+    its rows are ascending, so such a form's pairs are summed per key in
+    the order of its one-form bracket.  A form lacking a union row has
+    coefficient 0 there.
     """
     var, rows, coefs = [], [], []
     for f in fs:
         fvar, frows, fcoef = f.derivatives
-        var.append(f.relabel(fvar, rank))
-        rows.append(f.relabel(frows, rank))
-        coefs.append(fcoef)
+        plus = fvar & 1 == 0
+        var.append(f.relabel(fvar[plus], rank))
+        rows.append(f.relabel(frows[plus], rank))
+        coefs.append(fcoef[plus])
     if len(fs) == 1:
         return var[0], rows[0], coefs[0][None]
     var, rows = np.concatenate(var), np.concatenate(rows)
@@ -570,26 +612,107 @@ def _joint_derivatives(fs: Sequence[SymmetricForm], rank: Mapping[Point, int]) -
     return var[first], rows[first], coef
 
 
-def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float = DROP_TOL) -> List[SymmetricForm]:
-    """Canonical brackets ``-i sum_b (d+F d-G - d-F d+G)`` of every F in ``fs`` with one G.
+def _find(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Position of every query in the ascending distinct ``keys``, or -1 where it is absent.
 
-    The forms of ``fs`` share a degree.  Their derivative rows are united
-    (``_joint_derivatives``), each form keeping one coefficient row, and
-    every union row meets the derivative rows of G whose variable is its
-    conjugate (``code ^ 1``).  A pair's output row is the multiset union of
-    its two rows, and its key is the product of their prime keys
+    The queries are searched in ascending order, several times faster than
+    in their own order.
+    """
+    order = np.argsort(queries)
+    queries = queries[order]
+    pos = np.searchsorted(keys, queries)
+    pos[pos == len(keys)] = 0
+    pos[keys[pos] != queries] = -1
+    del queries
+    out = np.empty_like(pos)
+    out[order] = pos
+    return out
+
+
+def _mirror(keys: np.ndarray, sums: np.ndarray, reps: np.ndarray, fbar: np.ndarray, gbar: np.ndarray, n_g: int) -> np.ndarray:
+    """Turn the sums T of the running union into ``T(r) + conj T(r_bar)``, in place; return the lone keys.
+
+    Each key's mirror key, ``fbar[fi] * gbar[gi]`` of its representative
+    pair ``fi * n_g + gi``, is searched in the union (``_find``); where it is
+    absent, ``T(r_bar)`` reads 0 and the key is lone: its mirror is no key
+    of the union, and the bracket gives that mirror the conjugate of the
+    key's value.  One column of sums at a time, so the union is mirrored
+    with one column-sized temporary.
+    """
+    fi, gi = np.divmod(reps, n_g)
+    mirror = fbar[fi]
+    mirror *= gbar[gi]
+    del fi, gi
+    if mirror.ndim > 1:
+        mirror = mirror.view(np.dtype((np.void, mirror.itemsize * mirror.shape[1]))).ravel()
+    at = _find(keys, mirror)
+    del mirror
+    lone = np.flatnonzero(at < 0)
+    for j in range(sums.shape[1]):
+        twin = sums[at, j]
+        twin[lone] = 0.0
+        sums[:, j] += np.conjugate(twin, out=twin)
+    return lone
+
+
+def reality_gaps(form: SymmetricForm) -> np.ndarray:
+    """``|c(r_bar) - conj c(r)|`` for every row r, with ``r_bar`` its conjugate row.
+
+    ``r_bar`` is r with every code ``^ 1``, sorted; it is looked up among the
+    rows by one sort and one search, and an absent one counts coefficient
+    0.  A real form has every gap 0.
+    """
+    if not len(form):
+        return np.zeros(0)
+    radix = 2 * len(form.points)
+    keys = _row_keys(form.codes, radix)
+    order = np.argsort(keys)
+    at = _find(keys[order], _row_keys(np.sort(form.codes ^ 1, axis=1), radix))
+    twin = np.where(at >= 0, form.values[order[at]], 0.0)
+    return np.abs(twin - form.values.conj())
+
+
+def _check_real(form: SymmetricForm) -> None:
+    """Raise ``ValueError`` unless every reality gap is at most ``degree * eps * max|c|``.
+
+    That is the rounding tolerance of the module docstring.
+    """
+    gap = float(reality_gaps(form).max(initial=0.0))
+    largest = float(np.abs(form.values).max(initial=0.0))
+    if not gap <= form.degree * np.finfo(float).eps * largest:
+        raise ValueError(
+            f"bracket of a form that is not real: a row and its conjugate row differ by "
+            f"{gap:.3e} against a largest coefficient of {largest:.3e}"
+        )
+
+
+def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float = DROP_TOL) -> List[SymmetricForm]:
+    """Canonical brackets ``-i sum_b (d+F d-G - d-F d+G)`` of every real F in ``fs`` with one real G.
+
+    The forms of ``fs`` share a degree, and every form must be real to
+    rounding (``_check_real``), else ``ValueError``.  Their plus-variable
+    derivative rows are united (``_joint_derivatives``), each form keeping
+    one coefficient row, and every union row meets the derivative rows of G
+    whose variable is its conjugate (``code ^ 1``): the half expansion T of
+    the module docstring.  A pair's output row is the multiset union of its
+    two rows, and its key is the product of their prime keys
     (``_prime_keys``): exact by unique factorisation, one int64 when the
-    largest F and G keys multiply below ``2**63`` and one word per group of
-    codes beyond that.
+    largest keys and mirror keys multiply below ``2**63`` and one word per
+    group of codes beyond that.
     No pair's row is built.  The pairs are expanded in blocks of about
     ``BLOCK`` (whole runs of one union row each) and added into the sorted
     running union (``_add_pairs``): one key, one representative pair and a
-    sum per form for each output key, each sum its pair terms summed from 0
-    in pair order.  So the coefficients do not depend on the block size,
-    and the brackets hold the union plus one block's per-pair arrays.  A
-    form's coefficients with ``|c| <= tol`` are dropped; the rows of the
-    representatives kept by any form are built and sorted into canonical
-    row order once, at the end, and each form takes its own.
+    sum per form for each key of T, each sum its pair terms summed from 0
+    in pair order.  Then the union is mirrored by keys (``_mirror``): each
+    key r takes ``T(r) + conj T(r_bar)``, T read as 0 where the mirror key
+    is no key of the union, and such a lone key's mirror becomes a key of
+    its own, worth the conjugate of that value.  So the coefficients do not
+    depend on the block size, every output is exactly real, and the
+    brackets hold the union plus one block's per-pair arrays.  A form's
+    coefficients with ``|c| <= tol`` are dropped; the rows of the keys kept
+    by any form are built once, at the end (a mirror's row is its key's
+    representative row ``^ 1``), and sorted into canonical row order, and
+    each form takes its own.
     """
     degrees = {f.degree for f in fs}
     if len(degrees) != 1:
@@ -597,6 +720,8 @@ def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float =
     degree = degrees.pop() + g.degree - 2
     if degree < 0:
         raise ValueError("bracket of two linear forms has negative degree")
+    for form in (*fs, g):
+        _check_real(form)
     points = sorted(set(g.points).union(*(f.points for f in fs)))
     rank = {p: i for i, p in enumerate(points)}
     fvar, frows, fcoef = _joint_derivatives(fs, rank)
@@ -609,9 +734,9 @@ def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float =
     if not len(live):
         return [zero_form(degree)] * len(fs)
     lo, count, frows = lo[live], count[live], frows[live]
-    fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[:, live]
+    fcoef = -1j * fcoef[:, live]
     radix = 2 * len(points)
-    fkeys, gkeys = _prime_keys(frows, grows, radix)
+    fkeys, gkeys, fbar, gbar = _prime_keys(frows, grows, radix)
     ends = np.cumsum(count)
     union = None
     start = 0
@@ -626,21 +751,32 @@ def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float =
         union = _add_pairs(union, fkeys, gkeys, fcoef, gcoef, fi, gi)
         del fi, gi
         start = stop
-    sums, reps = union[1:]
+    keys, sums, reps = union
     del union, fkeys, gkeys, fcoef, lo, count, ends
+    lone = _mirror(keys, sums, reps, fbar, gbar, len(grows))
+    del keys, fbar, gbar
     keep = np.abs(sums) > tol
     kept = keep.any(axis=1)
-    sums, keep = sums[kept], keep[kept]
-    fi, gi = np.divmod(reps[kept], len(grows))
-    del reps, kept
+    # the kept keys, then the mirrors of the kept lone keys
+    lone = lone[kept[lone]]
+    index = np.concatenate((np.flatnonzero(kept), lone))
+    flip = np.arange(len(index)) >= len(index) - len(lone)
+    values = np.empty((len(index), sums.shape[1]), dtype=complex)
+    np.compress(kept, sums, axis=0, out=values[: len(index) - len(lone)])
+    np.conjugate(sums[lone], out=values[len(index) - len(lone) :])
+    keep = keep[index]
+    del sums, kept, lone
+    fi, gi = np.divmod(reps[index], len(grows))
+    del reps, index
     rows = np.concatenate((frows[fi], grows[gi]), axis=1)
     del fi, gi, frows
+    rows ^= flip[:, None].astype(rows.dtype)
     rows.sort(axis=1)
     order = np.argsort(_row_keys(rows, radix))
     out = []
-    for values, mask in zip(sums.T, keep.T):
+    for column, mask in zip(values.T, keep.T):
         at = order[mask[order]]
-        out.append(SymmetricForm(points, rows[at], values[at]))
+        out.append(SymmetricForm(points, rows[at], column[at]))
     return out
 
 

@@ -111,6 +111,10 @@ class GroundState:
     f_value: float
     beta = 2.0
 
+    def __post_init__(self):
+        if not -math.inf < self.f_value < math.inf:
+            raise ValueError(f"f_value must be finite, got {self.f_value}")
+
     def omega(self, points, offset=None) -> list:
         lam = np.asarray(self.base.omega(points, offset), dtype=float)
         val = lam * lam + 2.0 * self.f_value * lam

@@ -37,6 +37,7 @@ from .forms import (
     poisson_brackets,
     poly_from_forms,
     quadratic_hamiltonian,
+    reality_gaps,
     scale_form,
     scaled_norm,
     sobolev_norm,
@@ -190,14 +191,23 @@ def solve_homological(
     gamma |F|`` and ``|Z| <= |F|`` in the localized norm are checked on
     every solve; a breach raises ``RuntimeError``.
 
-    Z copies F off G's rows, so the residual lives on G's rows.  On a row
+    Z copies F off G's rows, so the residual lives on G's rows.  On a row r
     of degree ``n``, with ``W = sum_j |omega_j|`` and ``u = eps / 2``, its
     rounding is at most, to first order: ``(n - 1) u W |G|`` from the
     divisor's ``n - 1`` additions; ``u W |G|`` from the division;
     ``sqrt(2) (n + 1) u W |G|`` from the bracket (per entry a product by the
-    run length and one by omega, then ``n - 1`` additions, per component);
-    ``2 u |F|`` from the sum with F.  The total is below the bound checked,
-    ``2 n eps (|F| + |G| W)``, which scales with the coupling as F and G do.
+    run length and one by omega, then ``n - 1`` additions in all, the
+    mirror's included, per component); ``2 u |F|`` from the sum with F.
+    The bracket also reads the plus entries' terms of r off the conjugate
+    row ``r_bar``: it gives ``-i omega_-(r) G(r) + i omega_+(r) conj
+    G(r_bar)``, with ``omega_+`` and ``omega_-`` the frequency sums of r's
+    plus and minus entries, against ``i (omega_+(r) - omega_-(r)) G(r)``
+    from the full expansion.  The difference is at most ``W gap(r)``, with
+    ``gap(r) = |G(r) - conj G(r_bar)|`` the generator's reality gap
+    (``forms.reality_gaps``): 0 on a divisor that sums r and ``r_bar`` to
+    exact negatives, else ``|G(r)|`` times the relative rounding gap of the
+    two divisors.  The total is below the bound checked, ``2 n eps (|F| +
+    |G| W) + W gap``, which scales with the coupling as F and G do.
     """
     validate_cutoff(table, bands, cutoff)
     label = bucket_rows(form, table, bands, clusters, cutoff)
@@ -233,7 +243,8 @@ def solve_homological(
     h0 = quadratic_hamiltonian(table)
     lhs = add_forms(SymmetricForm(form.points, codes, c), poisson_bracket(h0, generator, tol=0.0), tol=-math.inf)
     res = np.abs(lhs.values)
-    bound = 2 * form.degree * np.finfo(float).eps * (np.abs(c) + np.abs(g) * np.abs(omega)[codes].sum(axis=1))
+    weight = np.abs(omega)[codes].sum(axis=1)
+    bound = 2 * form.degree * np.finfo(float).eps * (np.abs(c) + np.abs(g) * weight) + weight * reality_gaps(generator)
     residual = float(res.max(initial=0.0))
     if len(lhs) != len(g) or not (res <= bound).all():
         raise RuntimeError(f"homological residual {residual:.3e} exceeds its rounding bound")

@@ -443,8 +443,8 @@ def certify_nonresonance(
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if gamma is not None and not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if gamma is not None and not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if tau is None:

@@ -11,7 +11,9 @@ oracle of a row kernel of the package (``vector_field``,
 ``SymmetricForm.multiplicity``); the builders of test inputs (``make_form``,
 ``real_state``) and the reader of ``form_to_jsonl`` files; and the
 ground-state chart and divisor scan, which no model kind integrates yet;
-and the row-sort bracket, the bit-for-bit oracle of ``forms.poisson_bracket``;
+and the row-sort brackets: the half expansion, the bit-for-bit oracle of
+``forms.poisson_bracket``, and the full expansion, its oracle to rounding,
+with ``real_form``, the real part of a form, for their inputs;
 and the per-point frequency ladder (``frequency``, ``gram_matrix``), the
 bit-for-bit oracle of the frequency models' ``omega``, with ``TableModel``,
 the model of a given frequency table; and the scalar signed frequency sum
@@ -186,9 +188,7 @@ def dict_random_form(
         key = canonical_key(tuple(ext[int(i)] for i in draw))
         acc[key] = acc.get(key, 0j) + complex(rng.standard_normal(), rng.standard_normal())
     f = from_dict(degree, acc)
-    if real:
-        f = add_forms(scale_form(f, 0.5), scale_form(conjugate_form(f), 0.5), tol=0.0)
-    return f
+    return real_form(f) if real else f
 
 
 def dict_vector_field(form: SymmetricForm, values: State) -> State:
@@ -453,17 +453,14 @@ def _merge(keys: np.ndarray, coef: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return uniq, sums
 
 
-def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
-    """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form.
+def _pair_sums(f: SymmetricForm, g: SymmetricForm, plus_only: bool):
+    """Every pair's row built, row-sorted and keyed, and the pairs merged by key.
 
-    Every derivative row of F meets the derivative rows of G whose variable
-    is its conjugate (``code ^ 1``).  Every pair's row is built, row-sorted
-    and keyed, and the pairs are merged by key in one pass: each
-    coefficient is its pair terms summed from 0 in pair order.
-    Coefficients with ``|c| <= tol`` are dropped.
-
-    The bracket kernel that built every pair's row; ``poisson_bracket``
-    matches it bit for bit, whatever ``latnf.forms.BLOCK`` is.
+    Every derivative row of F (with ``plus_only``, every one whose variable
+    is a plus code) meets the derivative rows of G whose variable is its
+    conjugate (``code ^ 1``); each sum is its pair terms summed from 0 in
+    pair order.  Returns the bracket's points, output degree, distinct keys
+    (ascending) and sums.
     """
     degree = f.degree + g.degree - 2
     if degree < 0:
@@ -477,6 +474,8 @@ def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) 
 
     lo = np.searchsorted(gvar, fvar ^ 1, side="left")
     count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
+    if plus_only:
+        count[fvar & 1 == 1] = 0
     live = np.flatnonzero(count)
     lo, count, frows = lo[live], count[live], frows[live]
     fcoef = np.where(fvar[live] & 1, 1j, -1j) * fcoef[live]
@@ -484,10 +483,55 @@ def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) 
     gi = lo[fi] + np.arange(len(fi)) - np.repeat(np.cumsum(count) - count, count)
     rows = np.concatenate((frows[fi], grows[gi]), axis=1)
     rows.sort(axis=1)
+    keys, total = _merge(_row_keys(rows, 2 * len(points)), fcoef[fi] * gcoef[gi])
+    return points, degree, keys, total
+
+
+def row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
+    """Canonical bracket ``-i sum_b (d+F d-G - d-F d+G)`` as a form, by the full expansion.
+
+    Every pair of derivative rows is expanded (``_pair_sums``), the plus
+    and the minus variables' alike, and coefficients with ``|c| <= tol``
+    are dropped.  ``poisson_bracket`` expands only the plus variables'
+    pairs and mirrors them, so on real forms it agrees with this oracle to
+    rounding, not bit for bit (``FULL_RTOL`` in the bracket tests).
+    """
+    points, degree, keys, total = _pair_sums(f, g, plus_only=False)
     radix = 2 * len(points)
-    keys, total = _merge(_row_keys(rows, radix), fcoef[fi] * gcoef[gi])
     keep = np.abs(total) > tol
     return SymmetricForm(points, _key_rows(keys[keep], radix, degree), total[keep])
+
+
+def half_row_sort_bracket(f: SymmetricForm, g: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
+    """``forms.poisson_bracket`` bit for bit: the plus-variable pairs summed in pair order, then mirrored.
+
+    The pairs whose F variable is a plus code give T (``_pair_sums``).  Then,
+    key by key in a dict, every row r of T takes ``T(r) + conj T(r_bar)``,
+    with ``r_bar`` its mirror (every code ``^ 1``, sorted) and T read as 0
+    off its keys, and a mirror that is no row of T takes the conjugate of
+    its row's value.  Coefficients with ``|c| <= tol`` are dropped and the
+    rows sorted.
+    """
+    points, degree, keys, total = _pair_sums(f, g, plus_only=True)
+    radix = 2 * len(points)
+    rows = [tuple(r) for r in _key_rows(keys, radix, degree).tolist()]
+    half = dict(zip(rows, total.tolist()))
+    out: Dict[tuple, complex] = {}
+    for row, t in half.items():
+        mirror = tuple(sorted(c ^ 1 for c in row))
+        out[row] = t + half.get(mirror, 0j).conjugate()
+        if mirror not in half:
+            out[mirror] = out[row].conjugate()
+    codes = np.array(list(out), dtype=np.int32).reshape(len(out), degree)
+    values = np.array(list(out.values()), dtype=complex)
+    keep = np.flatnonzero(np.abs(values) > tol)
+    keep = keep[np.argsort(_row_keys(codes[keep], radix))]
+    return SymmetricForm(points, codes[keep], values[keep])
+
+
+def real_form(form: SymmetricForm) -> SymmetricForm:
+    """``(F + conj F) / 2``: a real form, each row and its conjugate row exact conjugates."""
+    return add_forms(scale_form(form, 0.5), scale_form(conjugate_form(form), 0.5), tol=0.0)
 
 
 # --- the superaction brackets ---------------------------------------------------

@@ -745,12 +745,17 @@ def test_cli_nan_trajectory_setting_is_a_usage_error(tmp_path, capsys, setting, 
       "force coefficients must be finite real numbers, got -inf"),
      ("spectrum", ["lattice.radius=inf"], "radius must be positive and finite, got inf"),
      ("resonances", ["lattice.radius=nan"], "radius must be positive and finite, got nan"),
-     ("simulate", ["simulate.horizon=inf"], "horizon must be positive and finite, got inf")],
+     ("simulate", ["simulate.horizon=inf"], "horizon must be positive and finite, got inf"),
+     ("resonances", ["resonance.gamma=inf"], "gamma must be positive and finite, got inf"),
+     ("resonances", ["resonance.gamma=nan"], "gamma must be positive and finite, got nan"),
+     ("spectrum", ["model.kind=ground_state", "model.f_value=inf"], "f_value must be finite, got inf"),
+     ("spectrum", ["model.kind=ground_state", "model.f_value=nan"], "f_value must be finite, got nan")],
     ids=["clusters-c_delta", "normalform-c_delta", "clusters-c_delta-inf", "normalform-cutoff",
          "normalform-cutoff-inf", "spectrum-beam-mass", "spectrum-beam-mass-inf", "simulate-beam-mass",
          "simulate-beam-mass-inf", "measure-gamma", "measure-gamma-inf", "spectrum-potential", "spectrum-gram-inf",
          "simulate-nonlinearity", "simulate-force-inf", "spectrum-radius-inf", "resonances-radius-nan",
-         "simulate-horizon-inf"],
+         "simulate-horizon-inf", "resonances-gamma-inf", "resonances-gamma-nan", "spectrum-f_value-inf",
+         "spectrum-f_value-nan"],
 )
 def test_cli_nan_domain_setting_is_a_usage_error(tmp_path, capsys, command, settings, message):
     # NaN passed each ``<=`` check and inf each ``>`` check: c_delta=nan changed
@@ -758,8 +763,10 @@ def test_cli_nan_domain_setting_is_a_usage_error(tmp_path, capsys, command, sett
     # ended in a smallness FAIL with mu = nan or inf, a non-finite beam mass,
     # potential or Gram matrix in a FAIL of the asymptotic fit or a negative
     # frequency, gamma=nan in a FAIL of the measure bound and gamma=inf in
-    # exit 0, a NaN nonlinearity in a blown-up trajectory, and an infinite
-    # radius or horizon in a usage error that named neither
+    # exit 0, a NaN nonlinearity in a blown-up trajectory, an infinite
+    # radius or horizon in a usage error that named neither, resonance.gamma=inf
+    # in a FAIL of the nonresonance check, and a non-finite ground-state
+    # f_value in a RuntimeWarning, then a line naming the radicand
     argv = [command, "--config", CERTIFIED_CONFIG, "--out-dir", str(tmp_path), "--set", "lattice.radius=4"]
     for item in settings:
         argv += ["--set", item]

@@ -36,7 +36,17 @@ from latnf.config import apply_overrides, load_config
 from latnf.dynamics import is_action_form
 
 from conftest import NF_CUTOFF, NF_RADIUS
-from oracles import bracket_commutation, dict_random_form, dict_vector_field, make_form, small_divisor, state_array, state_dict
+from oracles import (
+    bracket_commutation,
+    canonical_key,
+    conjugate_key,
+    dict_random_form,
+    dict_vector_field,
+    make_form,
+    small_divisor,
+    state_array,
+    state_dict,
+)
 
 
 def test_config_validation():
@@ -69,16 +79,19 @@ def test_choose_cutoff_single_band():
 def test_homological_kills_a_nonresonant_monomial(
     certified_table, certified_bands, certified_clusters, certificates
 ):
+    # the monomial and its conjugate, a real F as every bracket needs
     key = ((((1,), 1), ((2,), 1), ((3,), -1)))
-    f = make_form({key: 0.25})
+    twin = canonical_key(conjugate_key(key))
+    f = make_form({key: 0.25, twin: 0.25})
     cert = certificates[3]
     sol = solve_homological(
         f, certified_table, certified_bands, certified_clusters,
         NF_CUTOFF, cert.gamma, cert.tau, nu=2.0, smoothing=2.0,
     )
     assert sol.normal.coeffs == {}
-    delta = small_divisor(certified_table, key)
-    assert sol.generator.coeffs == {key: pytest.approx(0.25j / delta)}
+    assert sol.generator.coeffs == {
+        k: pytest.approx(0.25j / small_divisor(certified_table, k)) for k in (key, twin)
+    }
     assert sol.residual <= 1e-12
     # the norms of the bound checks of solve_homological, with the keywords it was given
     kw = dict(nu=2.0, smoothing=2.0, zero_mode="lift")
@@ -112,7 +125,7 @@ def test_homological_guards_the_certificate(
     certified_table, certified_bands, certified_clusters
 ):
     key = ((((1,), 1), ((2,), 1), ((3,), -1)))
-    f = make_form({key: 1.0})
+    f = make_form({key: 1.0, canonical_key(conjugate_key(key)): 1.0})
     with pytest.raises(ValueError, match="certificate breached"):
         solve_homological(
             f, certified_table, certified_bands, certified_clusters,
@@ -124,10 +137,12 @@ def test_homological_generator_is_bit_identical_to_the_scalar_division(
     certified_table, certified_bands, certified_clusters, certificates
 ):
     # the certified table is a float spectrum; a negative coupling gives
-    # generator values with zero real parts, whose sign must match too
+    # generator values with zero real parts, whose sign must match too.  The
+    # random form is real, as the residual check's bracket needs, and its
+    # complex coefficients set both parts of every generator value
     cert = certificates[4]
     lattice = certified_table.lattice
-    for f in (nls_quartic(lattice, 1.0), nls_quartic(lattice, -1.0), dict_random_form(lattice, 4, 300, seed=5, real=False)):
+    for f in (nls_quartic(lattice, 1.0), nls_quartic(lattice, -1.0), dict_random_form(lattice, 4, 300, seed=5)):
         sol = solve_homological(
             f, certified_table, certified_bands, certified_clusters,
             NF_CUTOFF, cert.gamma, cert.tau, nu=2.0, smoothing=2.0,
@@ -162,8 +177,12 @@ def test_homological_residual_bound_catches_a_generator_off_by_1e_10(
     inner = latnf.normalform.poisson_bracket
 
     def off(f, g, tol):
+        # one row and its conjugate row, by one real factor: the generator
+        # stays real, so the bracket takes it and the residual must catch it
         values = g.values.copy()
-        values[len(values) // 2] *= 1.0 + 1e-10
+        row = g.codes[len(values) // 2]
+        twin = np.flatnonzero((g.codes == np.sort(row ^ 1)).all(axis=1))
+        values[[len(values) // 2, *twin]] *= 1.0 + 1e-10
         return inner(f, SymmetricForm(g.points, g.codes, values), tol)
 
     monkeypatch.setattr(latnf.normalform, "poisson_bracket", off)
@@ -190,6 +209,47 @@ def test_normalize_keeps_every_form_packed():
     assert [f for f in forms if "coeffs" in vars(f)] == []
 
 
+def test_the_degree_8_pass_expands_half_the_pairs(monkeypatch):
+    # the radius-5 truncation as above: its degree 6 -> 8 pass brackets the
+    # degree-6 Lie terms with the quartic generator.  Only the pairs whose F
+    # variable is a plus code are expanded, half of all pairs, since every
+    # bracket input is real
+    import latnf.forms
+    import latnf.normalform
+
+    passes = []
+    inner_brackets, inner_add = latnf.normalform.poisson_brackets, latnf.forms._add_pairs
+
+    def brackets(fs, g, *args, **kwargs):
+        passes.append((fs, g, [0]))
+        return inner_brackets(fs, g, *args, **kwargs)
+
+    def add_pairs(*args):
+        if passes:
+            passes[-1][2][0] += len(args[-1])
+        return inner_add(*args)
+
+    monkeypatch.setattr(latnf.normalform, "poisson_brackets", brackets)
+    monkeypatch.setattr(latnf.forms, "_add_pairs", add_pairs)
+    cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "nls_t1.ini"))
+    apply_overrides(cfg, ["lattice.radius=5", "normalform.cutoff=4.5", "normalform.radius=9.221127468086334e-05"])
+    run_normalform(cfg, build_system(cfg))
+    (fs, g, (expanded,)), = [p for p in passes if p[0][0].degree + p[1].degree - 2 == 8]
+    # the full expansion: every distinct derivative row of the forms, as
+    # (variable, column of its run, reduced row), meets every G row of the
+    # conjugate variable
+    rank = {p: i for i, p in enumerate(sorted(set(g.points).union(*(f.points for f in fs))))}
+    union = set()
+    for f in fs:
+        fvar, frows, _ = f.derivatives
+        fvar, frows = f.relabel(fvar, rank), f.relabel(frows, rank)
+        column = (frows < fvar[:, None]).sum(axis=1)
+        union.update(zip(fvar.tolist(), column.tolist(), map(tuple, frows.tolist())))
+    gvar = g.relabel(g.derivatives[0], rank)
+    every = sum(int(np.count_nonzero(gvar == var ^ 1)) for var, _, _ in union)
+    assert (expanded, every) == (299388, 598776)
+
+
 def _two_step_normal_form():
     """The system and normal form of r = 2 on the radius-3 truncation of nls_t1.ini."""
     cfg = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "nls_t1.ini"))
@@ -212,7 +272,9 @@ def test_two_step_normal_form_is_pinned():
         (1, 2, 2, 10, 7005), (1, 4, 1, 8, 1578), (1, 4, 2, 12, 32957), (1, 6, 1, 10, 9841),
     ]
     assert (result.commutation.max_band_residual, result.commutation.max_block_residual) == (0.0, 0.0)
-    assert result.commutation.z2_bracket_norm == float.fromhex("0x1.8e19d12d1c38dp+1")
+    # 0x1.8e19d12d1c38dp+1 under the full expansion: the degree-6 Z2 part it
+    # reads comes out of the half-expansion brackets 1 ulp lower
+    assert result.commutation.z2_bracket_norm == float.fromhex("0x1.8e19d12d1c38cp+1")
 
 
 def test_normal_form_is_scale_free(tmp_path, monkeypatch, capsys):

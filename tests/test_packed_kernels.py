@@ -8,7 +8,10 @@ sum and the conjugate keep the summation order, so they agree bit for bit,
 in the same key order.  So does ``forms.gradient`` against the ``bincount``
 loop it replaced (``ref_gradient``).  The bracket of several forms in one
 pass (``poisson_brackets``) gives each form the rows of its own bracket, and
-values within ``JOINT_RTOL`` of that bracket's largest coefficient.
+values within ``JOINT_RTOL`` of that bracket's largest coefficient.  The
+bracket expands only the plus variables' pairs of real forms and mirrors
+them: it matches the half-expansion oracle bit for bit, and the full
+expansion within ``FULL_RTOL``; so every bracket input here is real.
 """
 
 import gc
@@ -53,10 +56,12 @@ from oracles import (
     dict_random_form,
     evaluate,
     from_dict,
+    half_row_sort_bracket,
     key_multiplicity,
     make_form,
     mu_S,
     ordering_permutation,
+    real_form,
     row_sort_bracket,
     state_array,
     state_dict,
@@ -68,6 +73,10 @@ RTOL = 1e-12
 #: room for a joint bracket's other pair order, relative to the largest
 #: coefficient of the one-form bracket
 JOINT_RTOL = 1e-14
+#: room for the half expansion's other pair order against the full one,
+#: relative to the largest coefficient: the two sum the same pair terms,
+#: the half one as a plus-variable sum plus the conjugate of its twin's
+FULL_RTOL = 1.5e-15
 
 
 # --- reference loops -------------------------------------------------------
@@ -189,14 +198,14 @@ def random_state(rng, lattice):
 
 
 def repeated_form(lattice, degree, n_terms, seed):
-    """Random keys drawn from few indexes, so entries repeat 2-3 times."""
+    """A real form of random keys drawn from few indexes, so entries repeat 2-3 times."""
     rng = np.random.default_rng(seed)
     pool = [(p, s) for p in lattice.points[:3] for s in (1, -1)]
     coeffs = {}
     for _ in range(n_terms):
         key = canonical_key(pool[int(i)] for i in rng.integers(0, len(pool), size=degree))
         coeffs[key] = complex(rng.standard_normal(), rng.standard_normal())
-    return make_form(coeffs, degree=degree)
+    return real_form(make_form(coeffs, degree=degree))
 
 
 LINE = enumerate_lattice(1, 4.0)
@@ -230,13 +239,24 @@ def test_bracket_matches_reference(lattice, f, g):
         assert list(got.coeffs) == sorted(got.coeffs, key=lambda k: [(p, -s) for p, s in k])
 
 
+def real_terms(terms):
+    """A real form of ``terms``: each key with its conjugate key, of the conjugate coefficient."""
+    return make_form(list(terms.items()) + [(conjugate_key(k), c.conjugate()) for k, c in terms.items()])
+
+
+def unmatched_forms():
+    """Two real forms on disjoint points, so no derivative row meets its conjugate."""
+    plus_only = real_terms({canonical_key((((1,), 1), ((2,), 1))): 1.0})
+    other = real_terms({canonical_key((((0,), 1), ((3,), 1), ((3,), -1))): 2.0})
+    return plus_only, other
+
+
 def test_bracket_empty_and_unmatched():
     f = random_form(LINE, 3, 20, seed=11)
     empty = from_dict(4, {})
     assert poisson_bracket(f, empty).coeffs == {}
     assert poisson_bracket(empty, f).degree == 5
-    plus_only = make_form({canonical_key((((1,), 1), ((2,), 1))): 1.0})
-    other = make_form({canonical_key((((0,), 1), ((3,), 1), ((3,), -1))): 2.0})
+    plus_only, other = unmatched_forms()
     assert ref_bracket(plus_only, other) == {}
     assert poisson_bracket(plus_only, other).coeffs == {}
 
@@ -247,15 +267,16 @@ def test_bracket_drops_cancellations_below_tol():
     j = make_form({canonical_key((((a,), 1), ((a,), -1))): 1.0 for a in (0, 1, 2)})
     balanced = canonical_key((((0,), 1), ((1,), -1)))
     unbalanced = canonical_key((((0,), 1), ((1,), 1)))
-    f = make_form({balanced: 0.7, unbalanced: 0.3})
+    f = real_terms({balanced: 0.7, unbalanced: 0.3})
     got = poisson_bracket(f, j)
-    assert set(got.coeffs) == set(ref_bracket(f, j)) == {unbalanced}
+    assert set(got.coeffs) == set(ref_bracket(f, j)) == {unbalanced, canonical_key(conjugate_key(unbalanced))}
     # near-cancellation: two contributions that sum to about 1e-15
-    g = make_form({canonical_key((((0,), 1), ((1,), -1))): 1.0, canonical_key((((0,), 1), ((2,), -1))): 1.0 + 1e-15})
-    k = make_form({canonical_key((((1,), 1), ((3,), 1))): 1.0, canonical_key((((2,), 1), ((3,), 1))): -1.0})
+    g = real_terms({canonical_key((((0,), 1), ((1,), -1))): 1.0, canonical_key((((0,), 1), ((2,), -1))): 1.0 + 1e-15})
+    k = real_terms({canonical_key((((1,), 1), ((3,), 1))): 1.0, canonical_key((((2,), 1), ((3,), 1))): -1.0})
     assert poisson_bracket(g, k).coeffs == ref_bracket(g, k) == {}
     kept = poisson_bracket(g, k, tol=0.0).coeffs
-    assert set(kept) == set(ref_bracket(g, k, tol=0.0)) == {canonical_key((((0,), 1), ((3,), 1)))}
+    survivor = canonical_key((((0,), 1), ((3,), 1)))
+    assert set(kept) == set(ref_bracket(g, k, tol=0.0)) == {survivor, canonical_key(conjugate_key(survivor))}
 
 
 def _wide(f, g):
@@ -300,21 +321,20 @@ def oracle_cases():
     yield "repeated entries", repeated_form(LINE, 4, 30, 3), repeated_form(LINE, 3, 30, 4)
     yield "wide plane 4x5", random_form(plane, 4, 400, seed=12), random_form(plane, 5, 400, seed=13)
     yield "line 6x6", random_form(line5, 6, 40, seed=20), random_form(line5, 6, 40, seed=21)
-    yield "long blocks 3x3", random_form(disc4, 3, 400, seed=40), random_form(disc4, 3, 400, seed=41)
+    yield "long blocks 3x3", random_form(disc4, 3, 460, seed=40), random_form(disc4, 3, 460, seed=41)
     yield "wide line 7x7", random_form(line5, 7, 40, seed=30), random_form(line5, 7, 40, seed=31)
     yield "degree 0", random_form(LINE, 1, 6, seed=22), random_form(LINE, 1, 6, seed=23)
     yield "empty", random_form(LINE, 3, 20, seed=11), from_dict(4, {})
-    plus_only = make_form({canonical_key((((1,), 1), ((2,), 1))): 1.0})
-    other = make_form({canonical_key((((0,), 1), ((3,), 1), ((3,), -1))): 2.0})
-    yield "unmatched", plus_only, other
+    yield "unmatched", *unmatched_forms()
 
 
 @pytest.mark.parametrize("block", [latnf.forms.BLOCK, 97, 7])
 def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
-    # The prime-key union sums each key's pair terms from 0 in pair order,
-    # the order of the block-free row-sort oracle, so codes, row order and
-    # value bits agree.  At the default BLOCK one case has blocks longer than
-    # the 1 << 15 pairs that _add_pairs multiplies at a time.
+    # The prime-key union sums each key's plus-variable pair terms from 0 in
+    # pair order, the order of the block-free half row-sort oracle, and
+    # mirrors them as it does, so codes, row order and value bits agree.  At
+    # the default BLOCK one case has blocks longer than the 1 << 15 pairs
+    # that _add_pairs multiplies at a time.
     monkeypatch.setattr(latnf.forms, "BLOCK", block)
     cases = {name: (f, g) for name, f, g in oracle_cases()}
     assert [name for name, fg in cases.items() if _wide(*fg)] == ["wide plane 4x5", "wide line 7x7"]
@@ -328,7 +348,7 @@ def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
     monkeypatch.setattr(latnf.forms, "_add_pairs", spy)
     for name, (f, g) in cases.items():
         for tol in (1e-14, 0.0):
-            got, want = poisson_bracket(f, g, tol=tol), row_sort_bracket(f, g, tol=tol)
+            got, want = poisson_bracket(f, g, tol=tol), half_row_sort_bracket(f, g, tol=tol)
             assert got.degree == want.degree, name
             assert got.points == want.points, name
             assert np.array_equal(got.codes, want.codes), name
@@ -337,6 +357,36 @@ def test_bracket_matches_the_row_sort_oracle_bit_for_bit(monkeypatch, block):
     assert (zero.degree, len(zero)) == (0, 1)
     if block > 1 << 15:
         assert max(lengths) > 1 << 15
+
+
+def test_bracket_matches_the_full_expansion_to_rounding():
+    # every pair expanded, the minus variables' too: the same pair terms in
+    # another order, so the same rows here and values within FULL_RTOL of
+    # the largest coefficient (the degree-0 case comes closest, 1.15e-15)
+    for name, f, g in oracle_cases():
+        for tol in (1e-14, 0.0):
+            got, want = poisson_bracket(f, g, tol=tol), row_sort_bracket(f, g, tol=tol)
+            assert np.array_equal(got.codes, want.codes), name
+            bound = FULL_RTOL * np.abs(want.values).max(initial=0.0)
+            assert np.abs(got.values - want.values).max(initial=0.0) <= bound, name
+
+
+def test_bracket_refuses_a_form_that_is_not_real():
+    # the half expansion reads the minus variables' pairs off the plus ones,
+    # which holds for real forms only: a non-real F or G is refused
+    f, g = random_form(LINE, 4, 60, seed=14), random_form(LINE, 3, 40, seed=15)
+    one_sided = make_form({canonical_key((((1,), 1), ((2,), 1), ((3,), -1))): 1.0})
+    tilted = latnf.forms.SymmetricForm(g.points, g.codes, g.values * np.exp(0.1j))
+    for bad in (one_sided, tilted, scale_form(f, 1j)):
+        for args in ((bad, g) if bad.degree == 3 else (bad, f), (f, bad)):
+            with pytest.raises(ValueError, match="not real"):
+                poisson_bracket(*args)
+    with pytest.raises(ValueError, match="not real"):
+        poisson_brackets([f, scale_form(f, 1j)], g)
+    # a gap of two units of roundoff of the largest coefficient is rounding
+    nudged = f.values.copy()
+    nudged[np.argmax(np.abs(nudged))] *= 1.0 + 2.0**-51
+    assert len(poisson_bracket(latnf.forms.SymmetricForm(f.points, f.codes, nudged), g))
 
 
 def canonical(form):
@@ -353,20 +403,22 @@ def rows_of(form, select, factor=1.0):
 def joint_cases():
     """(name, forms, g): several forms of one degree bracketed with one G."""
     f, g = random_form(LINE, 4, 60, seed=50), random_form(LINE, 3, 40, seed=51)
-    yield "nested supports", [f, rows_of(f, slice(None, None, 2), -0.3j)], g
-    yield "disjoint supports", [rows_of(f, slice(0, None, 2)), rows_of(f, slice(1, None, 2))], g
+    yield "nested supports", [f, real_form(rows_of(f, slice(None, None, 2), -0.3j))], g
+    # a row and its conjugate row hold the same points: split by their sum
+    parity = (f.codes >> 1).sum(axis=1) % 2 == 0
+    yield "disjoint supports", [rows_of(f, parity), rows_of(f, ~parity)], g
     small = random_form(enumerate_lattice(1, 2.0), 4, 30, seed=52)
-    yield "different point sets", [small, f, rows_of(small, [0, 3, 5], 2.0)], g
+    yield "different point sets", [small, f, real_form(rows_of(small, [0, 3, 5], 2.0))], g
     yield "rows not in canonical order", [nls_quartic(LINE), f, canonical(f)], random_form(LINE, 4, 30, seed=10)
     yield "three forms", [random_form(LINE, 3, 40, seed=s) for s in (53, 54, 55)], random_form(LINE, 4, 40, seed=56)
-    near = make_form({canonical_key((((0,), 1), ((1,), -1), ((2,), 1))): 1.0, canonical_key((((0,), -1), ((1,), 1), ((1,), 1))): 0.5j})
-    far = make_form({canonical_key((((3,), 1), ((4,), 1), ((4,), -1))): 2.0})
-    local = make_form({canonical_key((((0,), 1), ((1,), 1), ((1,), -1))): 1.0, canonical_key((((0,), -1), ((2,), 1), ((2,), -1))): -1.5})
+    near = real_terms({canonical_key((((0,), 1), ((1,), -1), ((2,), 1))): 1.0, canonical_key((((0,), -1), ((1,), 1), ((1,), 1))): 0.5j})
+    far = real_terms({canonical_key((((3,), 1), ((4,), 1), ((4,), -1))): 2.0})
+    local = real_terms({canonical_key((((0,), 1), ((1,), 1), ((1,), -1))): 1.0, canonical_key((((0,), -1), ((2,), 1), ((2,), -1))): -1.5})
     yield "one form with no live pair", [near, far], local
     yield "no live pair at all", [far, far], local
     plane = enumerate_lattice(2, 10.0)
     wide = random_form(plane, 4, 150, seed=12)
-    yield "wide keys", [wide, rows_of(wide, slice(None, 100), 3.0)], random_form(plane, 5, 150, seed=13)
+    yield "wide keys", [wide, real_form(rows_of(wide, slice(None, 100), 3.0))], random_form(plane, 5, 150, seed=13)
 
 
 @pytest.mark.parametrize("block", [latnf.forms.BLOCK, 97, 7])
@@ -396,7 +448,7 @@ def test_brackets_of_ascending_forms_keep_the_one_form_bits(monkeypatch, block):
     # are those of that bracket whatever the block size
     monkeypatch.setattr(latnf.forms, "BLOCK", block)
     f, g = canonical(random_form(LINE, 4, 60, seed=57)), random_form(LINE, 3, 40, seed=58)
-    fs = [f, rows_of(f, slice(None, None, 3), 0.7), canonical(random_form(LINE, 4, 50, seed=59))]
+    fs = [f, canonical(real_form(rows_of(f, slice(None, None, 3), 0.7))), canonical(random_form(LINE, 4, 50, seed=59))]
     for f, out in zip(fs, poisson_brackets(fs, g)):
         want = poisson_bracket(f, g)
         assert np.array_equal(out.codes, want.codes)
@@ -606,7 +658,7 @@ def test_commutation_brackets_each_degree_of_a_bucket():
     # a degree-6 part that moves mass between bands must register: count 2 of
     # coefficient 1, exact in the generic bracket too
     far = lattice.points[-1]
-    moving = make_form({canonical_key(((a, 1), (a, 1), (a, 1), (a, -1), (far, -1), (far, -1))): 1.0})
+    moving = real_terms({canonical_key(((a, 1), (a, 1), (a, 1), (a, -1), (far, -1), (far, -1))): 1.0})
     mixed = poly_from_forms([actions4, moving])
     buckets = {"Z0": mixed, "ZB": mixed, "Z2": no_z2}
     report = check_superaction_commutation(buckets, table, bands, clusters, 5.5)

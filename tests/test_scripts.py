@@ -247,6 +247,25 @@ def test_resonance_scan_over_the_budget_fails():
     )
 
 
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("resonance_scan.py", ("--radius", "abc"), "argument --radius: invalid float value: 'abc'"),
+        ("resonance_scan.py", ("--orders",), "argument --orders: expected at least one argument"),
+        ("stability_sweep.py", ("--epsilons", 0.1, "--horizons", "x"), "argument --horizons: invalid float value: 'x'"),
+        ("stability_sweep.py", ("--radius", 5), "unrecognized arguments: --radius 5"),
+        ("normalform_demo.py", ("--horizon", "abc"), "argument --horizon: invalid float value: 'abc'"),
+    ],
+    ids=["scan-radius", "scan-orders", "sweep-horizons", "sweep-unknown", "demo-horizon"],
+)
+def test_script_argument_errors_are_one_usage_error_line(script, args, message):
+    # argparse's own refusal printed a usage block of several lines
+    proc = _run(script, *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
 def test_scripts_import_no_private_latnf_name(path):
     tree = ast.parse(path.read_text(), filename=str(path))
