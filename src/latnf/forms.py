@@ -58,21 +58,12 @@ holds the outputs plus one block, and only the kept keys' rows are built
 (a mirror's row is its key's row ``^ 1``) and sorted into row order, once,
 at the end.
 
-Reality is checked once per input form of every bracket, to rounding: a
-real form computed in floating point may have ``c(r_bar)`` and ``conj
-c(r)`` from different orders of the same operations (a generator's divisor
-sums the signed frequencies of r and of ``r_bar`` each in its own row
-order).  The half expansion replaces each minus-variable pair term ``f g``
-by the conjugate of its twin's, which differs from it by at most ``|df|
-|g| + |f| |dg|`` for reality gaps ``df`` and ``dg``.  A gap of at most
-``degree * eps * max|c|`` per form therefore moves each pair term by at
-most ``(deg F + deg G) eps max|F| max|G|``: the size of the rounding that
-summing a key's pair terms already carries (``eps/2`` of the running sum
-per addition), which is why that tolerance is the one admitted.  A larger
-gap, or a row whose conjugate row is missing beyond it, raises
-``ValueError``.  ``nls_quartic``,
-``quadratic_hamiltonian``, ``random_form``, the sums of real forms and every
-bracket output are exactly real.
+Reality is checked exactly, once per input form of every bracket: a row
+whose conjugate row is missing, or carries another value than the
+conjugate, raises ``ValueError``.  ``nls_quartic``,
+``quadratic_hamiltonian``, ``random_form``, the sums of real forms, every
+bracket output and every generator of ``normalform.solve_homological``
+(whose divisor is exactly odd under conjugation) are exactly real.
 
 The localized norm weights each row by ``S^N / mu^(N+nu)`` where ``mu`` is the
 third largest floor norm of the row (smallest repeated below degree 3) and
@@ -655,42 +646,32 @@ def _mirror(keys: np.ndarray, sums: np.ndarray, reps: np.ndarray, fbar: np.ndarr
     return lone
 
 
-def reality_gaps(form: SymmetricForm) -> np.ndarray:
-    """``|c(r_bar) - conj c(r)|`` for every row r, with ``r_bar`` its conjugate row.
+def _check_real(form: SymmetricForm) -> None:
+    """Raise ``ValueError`` unless ``c(r_bar) == conj c(r)`` for every row r.
 
     ``r_bar`` is r with every code ``^ 1``, sorted; it is looked up among the
-    rows by one sort and one search, and an absent one counts coefficient
-    0.  A real form has every gap 0.
+    rows by one sort and one search, and an absent one counts coefficient 0.
     """
     if not len(form):
-        return np.zeros(0)
+        return
     radix = 2 * len(form.points)
     keys = _row_keys(form.codes, radix)
     order = np.argsort(keys)
     at = _find(keys[order], _row_keys(np.sort(form.codes ^ 1, axis=1), radix))
     twin = np.where(at >= 0, form.values[order[at]], 0.0)
-    return np.abs(twin - form.values.conj())
-
-
-def _check_real(form: SymmetricForm) -> None:
-    """Raise ``ValueError`` unless every reality gap is at most ``degree * eps * max|c|``.
-
-    That is the rounding tolerance of the module docstring.
-    """
-    gap = float(reality_gaps(form).max(initial=0.0))
-    largest = float(np.abs(form.values).max(initial=0.0))
-    if not gap <= form.degree * np.finfo(float).eps * largest:
+    gap = float(np.abs(twin - form.values.conj()).max())
+    if gap:
         raise ValueError(
             f"bracket of a form that is not real: a row and its conjugate row differ by "
-            f"{gap:.3e} against a largest coefficient of {largest:.3e}"
+            f"{gap:.3e} against a largest coefficient of {np.abs(form.values).max():.3e}"
         )
 
 
 def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float = DROP_TOL) -> List[SymmetricForm]:
     """Canonical brackets ``-i sum_b (d+F d-G - d-F d+G)`` of every real F in ``fs`` with one real G.
 
-    The forms of ``fs`` share a degree, and every form must be real to
-    rounding (``_check_real``), else ``ValueError``.  Their plus-variable
+    The forms of ``fs`` share a degree, and every form must be exactly real
+    (``_check_real``), else ``ValueError``.  Their plus-variable
     derivative rows are united (``_joint_derivatives``), each form keeping
     one coefficient row, and every union row meets the derivative rows of G
     whose variable is its conjugate (``code ^ 1``): the half expansion T of

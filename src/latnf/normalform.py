@@ -37,7 +37,6 @@ from .forms import (
     poisson_brackets,
     poly_from_forms,
     quadratic_hamiltonian,
-    reality_gaps,
     scale_form,
     scaled_norm,
     sobolev_norm,
@@ -198,27 +197,30 @@ def solve_homological(
     ``sqrt(2) (n + 1) u W |G|`` from the bracket (per entry a product by the
     run length and one by omega, then ``n - 1`` additions in all, the
     mirror's included, per component); ``2 u |F|`` from the sum with F.
-    The bracket also reads the plus entries' terms of r off the conjugate
-    row ``r_bar``: it gives ``-i omega_-(r) G(r) + i omega_+(r) conj
-    G(r_bar)``, with ``omega_+`` and ``omega_-`` the frequency sums of r's
-    plus and minus entries, against ``i (omega_+(r) - omega_-(r)) G(r)``
-    from the full expansion.  The difference is at most ``W gap(r)``, with
-    ``gap(r) = |G(r) - conj G(r_bar)|`` the generator's reality gap
-    (``forms.reality_gaps``): 0 on a divisor that sums r and ``r_bar`` to
-    exact negatives, else ``|G(r)|`` times the relative rounding gap of the
-    two divisors.  The total is below the bound checked, ``2 n eps (|F| +
-    |G| W) + W gap``, which scales with the coupling as F and G do.
+    The bracket reads the plus entries' terms of r off the conjugate row
+    ``r_bar``, as ``conj G(r_bar)``; that is ``G(r)`` exactly, since a real
+    F and a divisor with ``delta(r_bar) = -delta(r)`` to the bit give a real
+    generator.  The total is below the bound checked, ``2 n eps (|F| + |G|
+    W)``, which scales with the coupling as F and G do.
     """
     validate_cutoff(table, bands, cutoff)
     label = bucket_rows(form, table, bands, clusters, cutoff)
     solve = label == NONRESONANT
     codes, c = form.codes[solve], form.values[solve]
     # the signed frequency sum, added left to right from 0 as
-    # tests/oracles.py::small_divisor does
+    # tests/oracles.py::conjugate_divisor does: each point's + and - entries
+    # cancel one for one first (a cancelled entry adds 0), so that r_bar
+    # adds the negated terms of r in the same order and the generator is
+    # exactly real
     omega = _signed_omegas(table, form.entries)
+    rank, minus = codes >> 1, codes & 1
     delta = np.zeros(len(codes), dtype=omega.dtype)
-    for col in codes.T:
-        delta = delta + omega[col]
+    for j, col in enumerate(codes.T):
+        same = rank == (col >> 1)[:, None]
+        own = same & (minus == (col & 1)[:, None])
+        keep = own[:, :j].sum(axis=1) >= (same & ~own).sum(axis=1)
+        delta = delta + np.where(keep, omega[col], 0)
+    del rank, minus
     base = np.array([max(1.0, table.norm(p)) for p in form.points])[codes >> 1].max(axis=1, initial=1.0)
     scale = np.array([b**tau for b in base.tolist()])
     breach = np.flatnonzero(np.abs(delta) < gamma / scale)
@@ -244,7 +246,7 @@ def solve_homological(
     lhs = add_forms(SymmetricForm(form.points, codes, c), poisson_bracket(h0, generator, tol=0.0), tol=-math.inf)
     res = np.abs(lhs.values)
     weight = np.abs(omega)[codes].sum(axis=1)
-    bound = 2 * form.degree * np.finfo(float).eps * (np.abs(c) + np.abs(g) * weight) + weight * reality_gaps(generator)
+    bound = 2 * form.degree * np.finfo(float).eps * (np.abs(c) + np.abs(g) * weight)
     residual = float(res.max(initial=0.0))
     if len(lhs) != len(g) or not (res <= bound).all():
         raise RuntimeError(f"homological residual {residual:.3e} exceeds its rounding bound")

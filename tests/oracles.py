@@ -18,7 +18,8 @@ and the per-point frequency ladder (``frequency``, ``gram_matrix``), the
 bit-for-bit oracle of the frequency models' ``omega``, with ``TableModel``,
 the model of a given frequency table; and the scalar signed frequency sum
 ``small_divisor``, the bit-for-bit oracle of the divisors of the
-certification scan and of ``normalform.solve_homological``; and the
+certification scan, with ``conjugate_divisor``, that of
+``normalform.solve_homological``; and the
 superaction forms of the bands and high blocks with their generic brackets
 (``bracket_commutation``), the oracle of the signed-count report of
 ``normalform.check_superaction_commutation``.
@@ -595,6 +596,22 @@ def small_divisor(table: SpectrumTable, multiset: Sequence[ExtIndex]):
     total = 0
     for point, sign in multiset:
         total = total + sign * table.omega(point)
+    return total
+
+
+def conjugate_divisor(table: SpectrumTable, multiset: Sequence[ExtIndex]):
+    """``small_divisor`` of the key with each point's ``+`` and ``-`` entries cancelled one for one.
+
+    The conjugate key then adds the negated terms in the same order, so its
+    divisor is exactly the negative.
+    """
+    net = Counter()
+    for point, sign in multiset:
+        net[point] += sign
+    total = 0
+    for point, n in net.items():
+        for _ in range(abs(n)):
+            total = total + (1 if n > 0 else -1) * table.omega(point)
     return total
 
 

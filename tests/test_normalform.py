@@ -39,11 +39,11 @@ from conftest import NF_CUTOFF, NF_RADIUS
 from oracles import (
     bracket_commutation,
     canonical_key,
+    conjugate_divisor,
     conjugate_key,
     dict_random_form,
     dict_vector_field,
     make_form,
-    small_divisor,
     state_array,
     state_dict,
 )
@@ -90,7 +90,7 @@ def test_homological_kills_a_nonresonant_monomial(
     )
     assert sol.normal.coeffs == {}
     assert sol.generator.coeffs == {
-        k: pytest.approx(0.25j / small_divisor(certified_table, k)) for k in (key, twin)
+        k: pytest.approx(0.25j / conjugate_divisor(certified_table, k)) for k in (key, twin)
     }
     assert sol.residual <= 1e-12
     # the norms of the bound checks of solve_homological, with the keywords it was given
@@ -150,9 +150,32 @@ def test_homological_generator_is_bit_identical_to_the_scalar_division(
         keys = list(sol.generator.coeffs)
         assert keys
         got = np.array([sol.generator.coeffs[k] for k in keys])
-        want = np.array([1j * f.coeffs[k] / small_divisor(certified_table, k) for k in keys])
+        want = np.array([1j * f.coeffs[k] / conjugate_divisor(certified_table, k) for k in keys])
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
         assert keys == [k for k in f.coeffs if k not in sol.normal.coeffs]
+
+
+def test_homological_generator_of_a_point_with_both_signs_is_exactly_real(
+    certified_table, certified_bands, certified_clusters, certificates
+):
+    # key (1+, 4+, 4-): summed in row order, its divisor (omega_1 + omega_4)
+    # - omega_4 and its conjugate's (-omega_1 + omega_4) - omega_4 round
+    # apart, by eps omega_4, and that row holds the largest |G|; the
+    # residual check's bracket would refuse the generator as not real.
+    # Cancelled first, both divisors are exactly +-omega_1
+    key = ((((1,), 1), ((4,), 1), ((4,), -1)))
+    twin = canonical_key(conjugate_key(key))
+    f = make_form({key: 1.0, twin: 1.0})
+    cert = certificates[3]
+    sol = solve_homological(
+        f, certified_table, certified_bands, certified_clusters,
+        NF_CUTOFF, cert.gamma, cert.tau, nu=2.0, smoothing=2.0,
+    )
+    omega = certified_table.omega((1,))
+    assert (omega + certified_table.omega((4,))) - certified_table.omega((4,)) != omega
+    g = sol.generator.coeffs
+    assert g[key] == 1j / omega and g[twin] == g[key].conjugate()
+    assert sol.residual <= 1e-15
 
 
 def test_homological_residual_bound_scales_with_the_coupling(

@@ -383,10 +383,12 @@ def test_bracket_refuses_a_form_that_is_not_real():
                 poisson_bracket(*args)
     with pytest.raises(ValueError, match="not real"):
         poisson_brackets([f, scale_form(f, 1j)], g)
-    # a gap of two units of roundoff of the largest coefficient is rounding
+    # the check is exact: one unit of roundoff on one row is refused too
     nudged = f.values.copy()
-    nudged[np.argmax(np.abs(nudged))] *= 1.0 + 2.0**-51
-    assert len(poisson_bracket(latnf.forms.SymmetricForm(f.points, f.codes, nudged), g))
+    top = np.argmax(np.abs(nudged))
+    nudged[top] += 1j * np.spacing(np.abs(nudged[top]))
+    with pytest.raises(ValueError, match="not real"):
+        poisson_bracket(latnf.forms.SymmetricForm(f.points, f.codes, nudged), g)
 
 
 def canonical(form):
