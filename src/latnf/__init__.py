@@ -29,7 +29,7 @@ from .bands import (
 )
 from .clusters import (
     ClusterPartition,
-    block_index_map,
+    block_labels,
     build_clusters,
     certify_dyadic,
     cluster_summary,

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .frequencies import SpectrumTable
-from .lattice import Point, _per_object, effective_array
+from .lattice import Point, _per_object, effective_array, point_index
 
 
 class _DisjointSet:
@@ -62,23 +62,23 @@ class ClusterPartition:
 
 
 @_per_object
-def block_index_map(partition: ClusterPartition) -> Dict[Point, int]:
-    out = {}
+def block_labels(table: SpectrumTable, partition: ClusterPartition) -> np.ndarray:
+    """Block index of every lattice point, in lattice order (cached)."""
+    index = point_index(table.lattice)
+    labels = np.empty(len(index), dtype=np.int64)
     for i, block in enumerate(partition.blocks):
-        for p in block:
-            out[p] = i
-    return out
+        labels[[index[p] for p in block]] = i
+    return labels
 
 
 def _pair_gaps(table: SpectrumTable):
-    """Vectorized ingredients of the edge predicate for all points."""
-    coords = effective_array(table.lattice)
-    by_point = {p: i for i, p in enumerate(table.lattice.points)}
-    idx = [by_point[p] for p in table.points]
-    coords = coords[idx]
+    """Vectorized ingredients of the edge predicate for all points, in table order, and their lattice positions."""
+    index = point_index(table.lattice)
+    idx = [index[p] for p in table.points]
+    coords = effective_array(table.lattice)[idx]
     norms = np.linalg.norm(coords, axis=1)
     omegas = np.asarray([float(v) for v in table.omegas])
-    return coords, norms, omegas
+    return coords, norms, omegas, idx
 
 
 def build_clusters(table: SpectrumTable, delta: float, c_delta: float) -> ClusterPartition:
@@ -94,7 +94,7 @@ def build_clusters(table: SpectrumTable, delta: float, c_delta: float) -> Cluste
     if len(table) == 0:
         raise ValueError("empty spectrum table")
 
-    coords, norms, omegas = _pair_gaps(table)
+    coords, norms, omegas, _ = _pair_gaps(table)
     pow_norms = norms**delta
     n = len(table)
     dsu = _DisjointSet(n)
@@ -152,9 +152,8 @@ def separation_margin(partition: ClusterPartition, table: SpectrumTable):
     """
     if partition.nblocks < 2:
         raise ValueError("need at least two blocks to measure separation")
-    coords, norms, omegas = _pair_gaps(table)
-    ids = block_index_map(partition)
-    labels = np.asarray([ids[p] for p in table.points])
+    coords, norms, omegas, idx = _pair_gaps(table)
+    labels = block_labels(table, partition)[idx]
     pow_norms = norms**partition.delta
 
     best = math.inf

@@ -72,9 +72,9 @@ import numpy as np
 from numpy.fft._pocketfft_umath import fft as _fft, ifft as _ifft
 
 from .bands import BandPartition, band_map, band_partition
-from .clusters import ClusterPartition, build_clusters
+from .clusters import ClusterPartition, block_labels, build_clusters
 from .config import ConfigError
-from .forms import SymmetricForm, gradient, monomials, nls_quartic
+from .forms import SymmetricForm, check_points, checked_weights, gradient, monomials, nls_quartic, sobolev_weights
 from .frequencies import (
     Beam,
     GroundState,
@@ -83,7 +83,7 @@ from .frequencies import (
     TorusLaplacian,
     build_spectrum,
 )
-from .lattice import Lattice, Point, enumerate_lattice
+from .lattice import Lattice, Point, enumerate_lattice, point_index, point_norms
 
 # Constant operands of the step maps are numpy scalars, converted once, and
 # the step maps pass ufunc outputs positionally: on a 36-point grid a Python
@@ -246,7 +246,7 @@ _Column = Callable[[np.ndarray, np.ndarray], float]
 
 
 class _Monitor:
-    """What the monitor records of a state ``u`` whose lattice modes sit at ``index``.
+    """What the monitor records of a state ``u`` whose lattice modes sit at ``index``, in lattice order.
 
     ``sobolev``, ``energy`` and the ``extra`` columns are called with the
     state and its intensities ``|u|^2``; ``orbital`` with the lattice modes.
@@ -265,13 +265,9 @@ class _Monitor:
         extra: Optional[Dict[str, _Column]] = None,
     ):
         bm = band_map(table, bands)
-        self.band_idx = [
-            np.asarray([i for p, i in index.items() if bm[p] == n], dtype=int)
-            for n in range(bands.nbands)
-        ]
-        self.block_idx = [
-            np.asarray([index[p] for p in block], dtype=int) for block in clusters.blocks
-        ]
+        sites = np.fromiter(index.values(), dtype=int, count=len(index))
+        self.band_idx = [sites[[bm[p] == n for p in index]] for n in range(bands.nbands)]
+        self.block_idx = [sites[block_labels(table, clusters) == k] for k in range(clusters.nblocks)]
         self.index = index
         self.sobolev, self.energy, self.orbital = sobolev, energy, orbital
         self.extra = extra or {}
@@ -472,7 +468,8 @@ class _Grid:
 
     def sobolev_weights(self, s: float) -> np.ndarray:
         norms = np.linalg.norm(self.freqs, axis=1)
-        return (1.0 + norms) ** (2.0 * s)
+        with np.errstate(over="ignore"):
+            return checked_weights((1.0 + norms) ** (2.0 * s), s)
 
 
 # Grids of at most this many points apply the Strang propagator as one dense
@@ -591,6 +588,8 @@ def _time_step(config: SimulationConfig, omega: np.ndarray) -> Tuple[float, int]
             f"dt * max omega = {dt * max_omega:.3g} exceeds the stability bound "
             f"{config.dt_bound}"
         )
+    if not config.horizon / dt < math.inf:
+        raise ValueError(f"horizon / dt overflows at horizon={config.horizon}, dt={dt}")
     return dt, max(1, round(config.horizon / dt))
 
 
@@ -824,21 +823,22 @@ def is_action_form(form: SymmetricForm) -> bool:
 class _PolyParts:
     """The parts of a polynomial Hamiltonian as code rows on the lattice.
 
-    Each part's codes are renumbered to the lattice ``index`` once and
-    stored as ``intp`` in column-major order, so each code column is one
-    contiguous index array that no step converts or copies again; the rows
-    then act on the both-signs state of a one-sided ``u``.  ``energy`` sums
-    every part.  Action parts turn each mode by the angle ``theta = dP/dI``,
-    the gradient of their ``+`` halves over the intensities ``|u|^2``; the
-    others make ``rhs``, the ``+`` half of their Hamiltonian field.
+    Each part's codes index the ``size`` points of the lattice, as does
+    ``u``.  They are stored once as ``intp`` in column-major order, so each
+    code column is one contiguous index array that no step converts or
+    copies again; the rows then act on the both-signs state of ``u``.
+    ``energy`` sums every part.  Action parts turn each mode by the angle
+    ``theta = dP/dI``, the gradient of their ``+`` halves over the
+    intensities ``|u|^2``; the others make ``rhs``, the ``+`` half of their
+    Hamiltonian field.
 
     ``rhs`` reads only the minus rows of ``SymmetricForm.derivatives``: for
-    each part, the derivative rows in a ``-`` variable, relabelled to the
-    lattice once, with ``-i`` folded into their coefficients.  They are
-    sorted stably by their point, and a point without one gets one row of
-    coefficient zero, so one ``np.add.reduceat`` of their monomials gives
-    ``-i dF/d(conj u)`` on every point in order: the first part's sums are
-    the result and later parts add theirs to it.
+    each part, the derivative rows in a ``-`` variable, with ``-i`` folded
+    into their coefficients.  They are sorted stably by their point, and a
+    point without one gets one row of coefficient zero, so one
+    ``np.add.reduceat`` of their monomials gives ``-i dF/d(conj u)`` on
+    every point in order: the first part's sums are the result and later
+    parts add theirs to it.
 
     Rows of two or more codes share their leading pairs: the nls quartic on
     the radius-8 line has 1713 minus rows and 353 distinct first pairs.
@@ -855,15 +855,15 @@ class _PolyParts:
     the argument, and ``rhs`` returns a fresh array.
     """
 
-    def __init__(self, forms: Sequence[SymmetricForm], index: Dict[Point, int]):
-        self.size = len(index)
+    def __init__(self, forms: Sequence[SymmetricForm], size: int):
+        self.size = size
         self.x = np.empty(2 * self.size, dtype=complex)
         self.rows: List[Tuple[np.ndarray, np.ndarray]] = []
         self.actions: List[Tuple[np.ndarray, np.ndarray]] = []
         # (first, second, pair, rest, coef, starts) of each part
         self.flows: List[tuple] = []
         for f in forms:
-            codes, c = f.relabel(f.codes, index), f.values
+            codes, c = f.codes, f.values
             columns = np.asfortranarray(codes, dtype=np.intp)
             self.rows.append((columns, c))
             if is_action_form(f):
@@ -878,12 +878,12 @@ class _PolyParts:
                 # segments come in point order
                 var, rows, coef = f.derivatives
                 minus = np.flatnonzero(var & 1)
-                point = f.relabel(var[minus], index) >> 1
+                point = var[minus] >> 1
                 empty = np.flatnonzero(np.bincount(point, minlength=self.size) == 0)
                 point = np.concatenate((point, empty))
                 order = np.argsort(point, kind="stable")
                 columns = np.concatenate((
-                    f.relabel(rows[minus], index), np.zeros((len(empty), rows.shape[1]), rows.dtype)
+                    rows[minus], np.zeros((len(empty), rows.shape[1]), rows.dtype)
                 ))
                 columns = np.asfortranarray(columns[order], dtype=np.intp)
                 first = second = pair = None
@@ -953,13 +953,15 @@ def integrate_normal_form(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    for f in parts:
+        check_points(f, table.lattice)
     points = list(table.lattice.points)
-    index = {p: i for i, p in enumerate(points)}
+    index = point_index(table.lattice)
     omega = np.asarray([float(table.omega(p)) for p in points])
     u = _place(initial, index, len(points))
 
-    poly = _PolyParts(parts, index)
-    weights = (1.0 + np.asarray([table.norm(p) for p in points])) ** (2.0 * s)
+    poly = _PolyParts(parts, len(points))
+    weights = (1.0 + point_norms(table.lattice)) ** (2.0 * s)
     phase_half = np.exp(-0.5j * dt * omega)
 
     rotation = np.complex128(-1j * dt)
@@ -988,15 +990,10 @@ def orbital_distance(coeffs: Dict[Point, complex], p0: float, s: float, lattice:
     Only the zero mode ``m`` sees the phase, and the least ``|m - r e^{-i alpha}|``
     over ``alpha`` is ``||m| - r|`` with ``r = sqrt(p0)``.
     """
-    dim = lattice.dim
-    zero = (0,) * dim
-
-    def weight(p: Point) -> float:
-        x = lattice.effective(p)
-        return (1.0 + math.sqrt(sum(c * c for c in x))) ** (2.0 * s)
-
+    zero = (0,) * lattice.dim
+    weight = dict(zip(lattice.points, sobolev_weights(lattice, s).tolist()))
     fixed = sum(
-        weight(tuple(p)) * abs(complex(c)) ** 2
+        weight[tuple(p)] * abs(complex(c)) ** 2
         for p, c in coeffs.items()
         if tuple(p) != zero
     )

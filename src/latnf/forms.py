@@ -5,23 +5,25 @@ of signed indexes: ``F(u) = sum_M c_M prod_{A in M} u_A``.  The associated
 symmetric multilinear form divides each monomial by its multinomial
 multiplicity.
 
-A form is stored as code rows.  It numbers its distinct points by their
-position (rank) in the sorted point list and encodes each signed entry as
-``code = 2*rank + (sign < 0)``; ascending codes are then the canonical entry
-order (point lex, ``+`` before ``-``).  ``SymmetricForm`` holds
+A form is stored as code rows over the lattice of its run.  Code ``c`` is
+the signed index ``extended_indexes(lattice)[c]``: ``c = 2*i + (sign < 0)``
+for the point ``lattice.points[i]``, so ascending codes are the canonical
+entry order (point lex, ``+`` before ``-``).  ``SymmetricForm`` holds
 ``codes: int32[n, degree]`` (each row ascending, one row per multiset),
-``values: complex128[n]`` and the point list.  Every form is built as these
-arrays and every operation on forms runs on them.  Forms are immutable once
-built.  ``SymmetricForm.coeffs``, a read-only dict ``key -> coefficient`` of
-the rows built only when something reads it, is kept for the term counters
-of ``perfbench``.
+``values: complex128[n]`` and the lattice's point tuple.  Every form is
+built as these arrays and every operation on forms runs on them.  Forms
+are immutable once built.  ``SymmetricForm.coeffs``, a read-only dict ``key
+-> coefficient`` of the rows built only when something reads it, is kept
+for the term counters of ``perfbench``.
 
-A state is a complex array over a sorted point tuple, both signs of every
+A state is a complex array over ``lattice.points``, both signs of every
 point: ``x[2i]`` is the ``+`` and ``x[2i + 1]`` the ``-`` variable of point
-``i``, so a form's code indexes the state over its own points.  The vector
-field, the Sobolev norm, the remainder probe of ``normalize``,
-``normalform.transform_state`` and the normal-form dynamics all run on such
-arrays.
+``i``, so a form's code indexes the state.  The per-point values a form
+meets (floor, norm, signed frequency and band, block) are arrays in the
+same order, built once per table or partition and indexed by ``codes >>
+1``.  The vector field, the Sobolev norm, the remainder probe of
+``normalize``, ``normalform.transform_state`` and the normal-form dynamics
+all run on such arrays.
 
 ``poisson_brackets`` brackets several forms F of one degree with one G in
 one pass, and ``poisson_bracket`` is its one-form case.  Every form it
@@ -37,26 +39,26 @@ scatters of the full expansion, and an output that is exactly real.
 
 The plus-variable derivative rows of the Fs are united, each F keeping one
 coefficient row (zero where it lacks a row).  No pair of derivative rows
-has its row built.  Each code of the bracket's point union gets a prime, a
-code and its conjugate adjacent ones and the most frequent codes of the
-derivative rows the smallest; each derivative row of the union and of G is
-keyed once by the product of its primes, and a pair by the product of its
-two row keys: by unique factorisation the key of a pair is that of its
-output row, exactly.  The rows ``^ 1`` are keyed by the same primes, so a
-pair's mirror key, the key of its row's ``r_bar``, is the product of the
-mirror keys of its two rows.  The key is one int64 when every row's key,
-and the products of the largest union and G keys and of their largest
-mirror keys, stay below ``2**63`` (checked in exact integers), else one
-int64 word per group of codes, compared as bytes.  The pairs run in blocks
-of about ``BLOCK``; each block's keys are sorted once, its new keys are
-inserted into a sorted running union of distinct keys, and each F's pair
-terms are added into their keys' sums, so every T is its pair terms summed
-from 0 in pair order, whatever the block size.  Then each key's mirror key
-is searched in the union and the conjugate sum added; a key whose mirror is
-absent gives the mirror, a key of its own, its conjugate value.  The pass
-holds the outputs plus one block, and only the kept keys' rows are built
-(a mirror's row is its key's row ``^ 1``) and sorted into row order, once,
-at the end.
+has its row built.  Each code gets a prime, a code and its conjugate
+adjacent ones and the most frequent codes of the derivative rows the
+smallest; each derivative row of the union and of G is keyed once by the
+product of its primes, and a pair by the product of its two row keys: by
+unique factorisation the key of a pair is that of its output row,
+exactly.  The rows ``^ 1`` are keyed by the same primes, so a pair's
+mirror key, the key of its row's ``r_bar``, is the product of the mirror
+keys of its two rows.  The key is one int64 when every row's key, and the
+products of the largest union and G keys and of their largest mirror
+keys, stay below ``2**63`` (checked in exact integers), else one int64
+word per group of codes in frequency order, compared as bytes.  The pairs
+run in blocks of about ``BLOCK``; each block's keys are sorted once, its
+new keys are inserted into a sorted running union of distinct keys, and
+each F's pair terms are added into their keys' sums, so every T is its
+pair terms summed from 0 in pair order, whatever the block size.  Then
+each key's mirror key is searched in the union and the conjugate sum
+added; a key whose mirror is absent gives the mirror, a key of its own,
+its conjugate value.  The pass holds the outputs plus one block, and only
+the kept keys' rows are built (a mirror's row is its key's row ``^ 1``)
+and sorted into row order, once, at the end.
 
 Reality is checked exactly, once per input form of every bracket: a row
 whose conjugate row is missing, or carries another value than the
@@ -83,8 +85,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .frequencies import SpectrumTable
-from .lattice import ExtIndex, Lattice, Point
+from .frequencies import SpectrumTable, point_floors
+from .lattice import ExtIndex, Lattice, Point, _per_object, integer_array
 
 #: sums and brackets drop coefficients of at most this modulus.  It can stay
 #: absolute: no ``r = 1`` normal part depends on it (each is the homological
@@ -101,36 +103,19 @@ BLOCK = 1 << 18
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _relabel(codes: np.ndarray, mapping: np.ndarray) -> np.ndarray:
-    """Codes with every point rank ``r`` replaced by ``mapping[r]``."""
-    return 2 * mapping[codes >> 1] + (codes & 1)
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricForm:
     """Homogeneous polynomial in the signed mode variables, as code rows.
 
     ``SymmetricForm(points, codes, values)`` takes ascending code rows over
-    the ascending ``points`` and drops the points no row uses.  The module
-    docstring gives the encoding; the degree is the row length.
+    the lattice's ``points``, kept as given: code ``c`` is
+    ``extended_indexes(lattice)[c]``.  A form with no rows may hold ``()``.
+    The module docstring gives the encoding; the degree is the row length.
     """
 
     points: Tuple[Point, ...]
     codes: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        # column by column: one whole-array temporary would add the size of
-        # the codes to the peak of every bracket
-        used = np.zeros(len(self.points), dtype=bool)
-        for col in self.codes.T:
-            used[col >> 1] = True
-        keep = np.flatnonzero(used)
-        if len(keep) < len(self.points):
-            mapping = np.zeros(len(self.points), dtype=np.int32)
-            mapping[keep] = np.arange(len(keep), dtype=np.int32)
-            object.__setattr__(self, "codes", _relabel(self.codes, mapping))
-        object.__setattr__(self, "points", tuple(self.points[i] for i in keep.tolist()))
 
     @property
     def degree(self) -> int:
@@ -203,13 +188,23 @@ class SymmetricForm:
             keys = zip(*entries[self.codes.T].tolist())
         return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
-    def relabel(self, codes: np.ndarray, rank: Mapping[Point, int]) -> np.ndarray:
-        """Codes of this form renumbered by the point ranks ``rank``."""
-        return _relabel(codes, np.array([rank[p] for p in self.points], dtype=np.int32))
-
 
 def zero_form(degree: int) -> SymmetricForm:
     return SymmetricForm((), np.zeros((0, degree), dtype=np.int32), np.zeros(0, dtype=complex))
+
+
+def _shared_points(forms: Iterable[SymmetricForm]) -> Tuple[Point, ...]:
+    """The point tuple of the forms with rows (``()`` when none has one); ``ValueError`` when two differ."""
+    held = [f.points for f in forms if len(f)]
+    if any(p is not held[0] and p != held[0] for p in held[1:]):
+        raise ValueError("forms over different point tuples")
+    return held[0] if held else ()
+
+
+def check_points(form: SymmetricForm, lattice: Lattice) -> None:
+    """``ValueError`` unless the form has no rows or holds ``lattice.points``."""
+    if len(form) and form.points is not lattice.points and form.points != lattice.points:
+        raise ValueError("form over other points than the lattice's")
 
 
 def _sum_rows(points: Sequence[Point], codes: np.ndarray, values: np.ndarray, tol: float) -> SymmetricForm:
@@ -237,11 +232,9 @@ def add_forms(*forms: SymmetricForm, tol: float = DROP_TOL) -> SymmetricForm:
     degs = {f.degree for f in forms}
     if len(degs) != 1:
         raise ValueError(f"cannot add forms of degrees {sorted(degs)}")
-    points = sorted({p for f in forms for p in f.points})
-    rank = {p: i for i, p in enumerate(points)}
-    codes = np.concatenate([f.relabel(f.codes, rank) for f in forms])
+    codes = np.concatenate([f.codes for f in forms])
     values = np.concatenate([f.values for f in forms])
-    return _sum_rows(points, codes, values, tol)
+    return _sum_rows(_shared_points(forms), codes, values, tol)
 
 
 def scale_form(form: SymmetricForm, factor: complex) -> SymmetricForm:
@@ -263,25 +256,33 @@ def monomials(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@_per_object
+def _floor_order(table: SpectrumTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank of every lattice point in (-floor, point) order, and the points in that order."""
+    floors, points = point_floors(table), table.lattice.points
+    order = sorted(range(len(points)), key=lambda i: (-floors[i], points[i]))
+    rank = np.empty(len(points), dtype=np.int32)
+    rank[order] = np.arange(len(points), dtype=np.int32)
+    return rank, np.asarray(order, dtype=np.intp)
+
+
 def leading_points(form: SymmetricForm, table: SpectrumTable) -> Tuple[np.ndarray, np.ndarray]:
-    """Floor norm of every point, and the points of every row's first three entries.
+    """Floor norm of every lattice point, and the points of every row's first three entries.
 
     Entries are ordered by floor norm descending, then point, then ``+``
-    first.  Relabelling each point by its rank in (-floor, point) order
-    makes that a plain row sort, done on ``BLOCK`` rows at a time so that
-    its temporaries stay a few blocks whatever the form size.  Points are
-    indexes into ``form.points``.
+    first.  Each code's point taken by its rank in (-floor, point) order
+    (``_floor_order``) makes that a plain row sort, done on ``BLOCK`` rows
+    at a time so that its temporaries stay a few blocks whatever the form
+    size.  Points index ``table.lattice.points``.
     """
-    points = form.points
-    floors = np.array([table.floor(p) for p in points])
-    order = sorted(range(len(points)), key=lambda i: (-floors[i], points[i]))
-    by_floor = np.empty(len(points), dtype=np.int32)
-    by_floor[order] = np.arange(len(points), dtype=np.int32)
+    check_points(form, table.lattice)
+    rank, order = _floor_order(table)
     codes = form.codes
     lead = np.empty((len(codes), min(3, form.degree)), dtype=codes.dtype)
     for a in range(0, len(codes), BLOCK):
-        lead[a : a + BLOCK] = np.sort(_relabel(codes[a : a + BLOCK], by_floor), axis=1)[:, :3]
-    return floors, np.asarray(order, dtype=np.intp)[lead >> 1]
+        block = codes[a : a + BLOCK]
+        lead[a : a + BLOCK] = np.sort(2 * rank[block >> 1] + (block & 1), axis=1)[:, :3]
+    return point_floors(table), order[lead >> 1]
 
 
 def _localization(form: SymmetricForm, table: SpectrumTable, zero_mode: str) -> Tuple[np.ndarray, np.ndarray]:
@@ -289,12 +290,11 @@ def _localization(form: SymmetricForm, table: SpectrumTable, zero_mode: str) -> 
     degree = form.degree
     if not degree:
         raise ValueError("empty key has no localization")
-    points = form.points
     floors, lead = leading_points(form, table)
     mu = floors[lead[:, min(2, degree - 1)]]
     s = mu
     if degree >= 2:
-        xy = np.asarray(points, dtype=np.int64).reshape(len(points), -1)
+        xy = integer_array(table.lattice)
         diff = xy[lead[:, 0]] - xy[lead[:, 1]]
         s = mu + np.sqrt((diff * diff).sum(axis=1))
     zero = mu == 0.0
@@ -381,27 +381,18 @@ def gradient(codes: np.ndarray, coef: np.ndarray, x: np.ndarray, size: int) -> n
     return out
 
 
-def hamiltonian_field(codes: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Hamiltonian vector field at the both-signs state ``x``, one value per code.
+def vector_field(form: SymmetricForm, x: np.ndarray) -> np.ndarray:
+    """Hamiltonian vector field of the form at the both-signs state ``x``, one value per code.
 
-    ``x[2i]`` is the ``+`` and ``x[2i + 1]`` the ``-`` variable of point
-    ``i``; the field of ``F = sum_r coef[r] prod_k x[codes[r, k]]`` is
-    ``X[c ^ 1] = -i sigma dF/dx_c`` with ``sigma`` the sign of ``c ^ 1``.
+    ``x[2i]`` is the ``+`` and ``x[2i + 1]`` the ``-`` variable of the point
+    ``lattice.points[i]``; the field is ``X[c ^ 1] = -i sigma dF/dx_c`` with
+    ``sigma`` the sign of ``c ^ 1``.
     """
-    grad = gradient(codes, coef, x, len(x))
+    grad = gradient(form.codes, form.values, x, len(x))
     out = np.empty_like(grad)
     out[0::2] = -1j * grad[1::2]
     out[1::2] = 1j * grad[0::2]
     return out
-
-
-def vector_field(form: SymmetricForm, x: np.ndarray, points: Sequence[Point]) -> np.ndarray:
-    """Hamiltonian vector field at the state ``x`` over ``points``, which hold the form's points."""
-    rank = {p: i for i, p in enumerate(points)}
-    index = [rank[p] for p in form.points]
-    out = np.zeros((len(points), 2), dtype=complex)
-    out[index] = hamiltonian_field(form.codes, form.values, x.reshape(-1, 2)[index].ravel()).reshape(-1, 2)
-    return out.ravel()
 
 
 def _row_keys(rows: np.ndarray, radix: int) -> np.ndarray:
@@ -465,26 +456,30 @@ def _prime_keys(frows: np.ndarray, grows: np.ndarray, n_codes: int) -> Tuple[np.
     ``int(fbar.max()) * int(gbar.max())`` stay below ``2**63`` in exact
     integers: then no pair's key or mirror key overflows.  Otherwise codes
     fall in groups of the ``k`` smallest primes ``q`` with ``q**degree <
-    2**63`` (``degree`` the output row length): code ``c`` has the prime
-    ``q_(c % k)`` in the word ``c // k``, a row's word is the product of the
-    primes of its codes in that group, a product over at most ``degree``
-    codes never overflows, and the keys are ``(n, words)`` int64 arrays.
+    2**63`` (``degree`` the output row length): the code of frequency rank
+    ``r`` has the prime ``q_(r % k)`` in the word ``r // k``, a row's word
+    is the product of the primes of its codes in that group, a product over
+    at most ``degree`` codes never overflows, and the keys are ``(n,
+    words)`` int64 arrays.  Codes no row holds rank last and add no word.
     """
     flip = np.arange(n_codes) ^ 1
     primes = _primes(n_codes)
     freq = np.bincount(frows.ravel(), minlength=n_codes) + np.bincount(grows.ravel(), minlength=n_codes)
-    by_freq = np.empty(n_codes, dtype=np.int64)
-    by_freq[np.argsort(-(freq + freq[flip]), kind="stable")] = primes
+    freq += freq[flip]
+    rank = np.empty(n_codes, dtype=np.int64)
+    rank[np.argsort(-freq, kind="stable")] = np.arange(n_codes)
+    by_freq = primes[rank]
     narrow = [_one_word_keys(rows, table) for table in (by_freq, by_freq[flip]) for rows in (frows, grows)]
     if all(k is not None for k in narrow) and all(
         int(f.max()) * int(g.max()) <= _INT64_MAX for f, g in (narrow[:2], narrow[2:])
     ):
         return tuple(narrow)
     degree = frows.shape[1] + grows.shape[1]
-    k = sum(int(q) ** degree < 2**63 for q in primes.tolist())
-    words = -(-n_codes // k)
+    used = int(np.count_nonzero(freq))
+    k = sum(int(q) ** degree < 2**63 for q in primes[:used].tolist())
+    words = -(-used // k)
     grouped = []
-    for table in (np.arange(n_codes), flip):
+    for table in (rank, rank[flip]):
         for rows in (frows, grows):
             keys = np.ones((len(rows), words), dtype=np.int64)
             for col in table[rows.T]:
@@ -568,8 +563,8 @@ def _add_pairs(
     return union
 
 
-def _joint_derivatives(fs: Sequence[SymmetricForm], rank: Mapping[Point, int]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Union of the forms' plus-variable derivative rows over ``rank``, one coefficient row per form.
+def _joint_derivatives(fs: Sequence[SymmetricForm], n_codes: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Union of the forms' plus-variable derivative rows, one coefficient row per form.
 
     One form's rows are its ``derivatives`` whose variable is a plus code,
     in their order.  Several forms' rows are deduplicated and sorted by
@@ -583,14 +578,14 @@ def _joint_derivatives(fs: Sequence[SymmetricForm], rank: Mapping[Point, int]) -
     for f in fs:
         fvar, frows, fcoef = f.derivatives
         plus = fvar & 1 == 0
-        var.append(f.relabel(fvar[plus], rank))
-        rows.append(f.relabel(frows[plus], rank))
+        var.append(fvar[plus])
+        rows.append(frows[plus])
         coefs.append(fcoef[plus])
     if len(fs) == 1:
         return var[0], rows[0], coefs[0][None]
     var, rows = np.concatenate(var), np.concatenate(rows)
     column = (rows < var[:, None]).sum(axis=1)
-    radix = max(2 * len(rank), rows.shape[1] + 1)
+    radix = max(n_codes, rows.shape[1] + 1)
     _, first, slot = np.unique(
         _row_keys(np.column_stack((var, column, rows)), radix), return_index=True, return_inverse=True
     )
@@ -701,22 +696,20 @@ def poisson_brackets(fs: Sequence[SymmetricForm], g: SymmetricForm, tol: float =
     degree = degrees.pop() + g.degree - 2
     if degree < 0:
         raise ValueError("bracket of two linear forms has negative degree")
+    points = _shared_points((*fs, g))
     for form in (*fs, g):
         _check_real(form)
-    points = sorted(set(g.points).union(*(f.points for f in fs)))
-    rank = {p: i for i, p in enumerate(points)}
-    fvar, frows, fcoef = _joint_derivatives(fs, rank)
+    radix = 2 * len(points)
+    fvar, frows, fcoef = _joint_derivatives(fs, radix)
     gvar, grows, gcoef = g.derivatives
-    gvar, grows = g.relabel(gvar, rank), g.relabel(grows, rank)
 
     lo = np.searchsorted(gvar, fvar ^ 1, side="left")
     count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
     live = np.flatnonzero(count)
     if not len(live):
-        return [zero_form(degree)] * len(fs)
+        return [SymmetricForm(points, np.zeros((0, degree), dtype=np.int32), np.zeros(0, dtype=complex))] * len(fs)
     lo, count, frows = lo[live], count[live], frows[live]
     fcoef = -1j * fcoef[:, live]
-    radix = 2 * len(points)
     fkeys, gkeys, fbar, gbar = _prime_keys(frows, grows, radix)
     ends = np.cumsum(count)
     union = None
@@ -781,7 +774,7 @@ def nls_quartic(lattice: Lattice, coupling: float = 1.0) -> SymmetricForm:
     lattice.  A site's flat index in a box that holds every ``a + c - b`` is
     affine in the point, so ``e`` is ``grid[site[a] + site[c] - site[b]]``.
     """
-    pts = np.asarray(lattice.points, dtype=np.int64).reshape(lattice.npoints, lattice.dim)
+    pts = integer_array(lattice)
     span = np.ptp(pts, axis=0)
     site = np.ravel_multi_index(tuple((pts + span - pts.min(axis=0)).T), 3 * span + 1)
     grid = np.full(np.prod(3 * span + 1), -1, dtype=np.int32)
@@ -815,15 +808,30 @@ def random_form(
     return add_forms(scale_form(f, 0.5), scale_form(conjugate_form(f), 0.5), tol=0.0)
 
 
-def sobolev_norm(x: np.ndarray, points: Sequence[Point], lattice: Lattice, s: float) -> float:
-    """Weighted l2 norm of the state ``x`` over ``points``, both signs counted.
+def checked_weights(weights: np.ndarray, s: float) -> np.ndarray:
+    """``weights`` if every one is positive and finite, else ``ValueError`` naming ``s``."""
+    if not np.all((weights > 0.0) & (weights < math.inf)):
+        raise ValueError(f"Sobolev weights (1+|a|)^(2s) are not all positive and finite at s={s}")
+    return weights
 
-    The weight of point ``a`` is ``(1+|a|)^(2s)``.  The terms are summed in
-    state order, one after the other: a pairwise sum would move the last bits.
+
+def sobolev_weights(lattice: Lattice, s: float) -> np.ndarray:
+    """``(1+|a|)^(2s)`` of every point of the lattice, in ``points`` order (``checked_weights``)."""
+    try:
+        weights = [(1.0 + math.sqrt(sum(c * c for c in lattice.effective(p)))) ** (2.0 * s) for p in lattice.points]
+    except OverflowError:
+        weights = [math.inf]
+    return checked_weights(np.array(weights), s)
+
+
+def sobolev_norm(x: np.ndarray, lattice: Lattice, s: float) -> float:
+    """Weighted l2 norm of the state ``x`` over ``lattice.points``, both signs counted.
+
+    The weights are ``sobolev_weights``.  The terms are summed in state
+    order, one after the other: a pairwise sum would move the last bits.
     """
-    weights = [(1.0 + math.sqrt(sum(c * c for c in lattice.effective(p)))) ** (2.0 * s) for p in points]
     total = 0.0
-    for term in (np.repeat(weights, 2) * (x.real * x.real + x.imag * x.imag)).tolist():
+    for term in (np.repeat(sobolev_weights(lattice, s), 2) * (x.real * x.real + x.imag * x.imag)).tolist():
         total += term
     return math.sqrt(total)
 

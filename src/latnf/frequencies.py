@@ -176,6 +176,12 @@ def _omega_map(table: SpectrumTable) -> dict:
     return dict(zip(table.points, table.omegas))
 
 
+@_per_object
+def point_floors(table: SpectrumTable) -> np.ndarray:
+    """Floor norm of every lattice point, in lattice order."""
+    return np.array([table.floor(p) for p in table.lattice.points])
+
+
 def build_spectrum(lattice: Lattice, model) -> SpectrumTable:
     """Tabulate the model on the lattice (exact integers when possible)."""
     vals = model.omega(np.asarray(lattice.points), lattice.offset)

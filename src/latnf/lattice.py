@@ -14,7 +14,7 @@ import itertools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -97,12 +97,25 @@ class Lattice:
         return math.sqrt(self.norm_sq(point))
 
     def __contains__(self, point) -> bool:
-        return tuple(point) in _point_set(self)
+        return tuple(point) in point_index(self)
 
 
 @_per_object
-def _point_set(lattice: Lattice) -> frozenset:
-    return frozenset(lattice.points)
+def point_index(lattice: Lattice) -> Dict[Point, int]:
+    """Position of every point in ``points`` (cached)."""
+    return {p: i for i, p in enumerate(lattice.points)}
+
+
+@_per_object
+def integer_array(lattice: Lattice) -> np.ndarray:
+    """(npoints, dim) int64 array of the integer parts, in ``points`` order."""
+    return np.asarray(lattice.points, dtype=np.int64).reshape(lattice.npoints, lattice.dim)
+
+
+@_per_object
+def point_norms(lattice: Lattice) -> np.ndarray:
+    """``|a + kappa|`` of every point, in ``points`` order."""
+    return np.array([lattice.norm(p) for p in lattice.points])
 
 
 @_per_object

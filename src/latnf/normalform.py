@@ -24,14 +24,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bands import BandPartition, band_map
-from .clusters import ClusterPartition, block_index_map
+from .bands import BandPartition
+from .clusters import ClusterPartition, block_labels
 from .dynamics import _rk4
 from .forms import (
     PolyHamiltonian,
     SymmetricForm,
     add_forms,
-    hamiltonian_field,
+    check_points,
     localized_norm,
     poisson_bracket,
     poisson_brackets,
@@ -40,10 +40,11 @@ from .forms import (
     scale_form,
     scaled_norm,
     sobolev_norm,
+    sobolev_weights,
     vector_field,
 )
-from .frequencies import SpectrumTable
-from .lattice import Point, point_distance
+from .frequencies import SpectrumTable, point_floors
+from .lattice import integer_array, point_norms
 from .resonance import (
     CertificateError,
     NonresonanceCertificate,
@@ -136,23 +137,23 @@ def bucket_rows(form: SymmetricForm, table: SpectrumTable, bands: BandPartition,
     high mode, or two with equal signs in one block or in distinct blocks
     within that distance, or none off the resonant set.
     """
-    points, codes = form.points, form.codes
-    high = np.array([table.floor(p) > cutoff for p in points], dtype=bool)[codes >> 1]
+    check_points(form, table.lattice)
+    codes = form.codes
+    high = (point_floors(table) > cutoff)[codes >> 1]
     n_high = high.sum(axis=1)
     out = np.full(len(codes), NONRESONANT)
     out[n_high >= 3] = BUCKETS.index("ZGE3")
-    out[(n_high == 0) & _resonant(_signed_bands(table, bands, form.entries), codes)] = BUCKETS.index("Z0")
+    out[(n_high == 0) & _resonant(_signed_bands(table, bands), codes)] = BUCKETS.index("Z0")
     two = np.flatnonzero(n_high == 2)
     pair = codes[two[:, None], np.nonzero(high[two])[1].reshape(-1, 2)]
-    ids = block_index_map(clusters)
-    block = np.array([ids[p] for p in points], dtype=np.int64)
+    block = block_labels(table, clusters)
     same = block[pair[:, 0] >> 1] == block[pair[:, 1] >> 1]
     opposite = ((pair[:, 0] ^ pair[:, 1]) & 1) == 1
     out[two[same & opposite]] = BUCKETS.index("ZB")
-    ends, which = np.unique(pair >> 1, axis=0, return_inverse=True)
-    reach = clusters.c_delta * cutoff**clusters.delta
-    far = np.array([point_distance(points[a], points[b]) > reach for a, b in ends.tolist()], dtype=bool)
-    out[two[~same & far[which.reshape(-1)]]] = BUCKETS.index("Z2")
+    xy = integer_array(table.lattice)
+    gap = xy[pair[:, 0] >> 1] - xy[pair[:, 1] >> 1]
+    far = np.sqrt((gap * gap).sum(axis=1)) > clusters.c_delta * cutoff**clusters.delta
+    out[two[~same & far]] = BUCKETS.index("Z2")
     return out
 
 
@@ -212,7 +213,7 @@ def solve_homological(
     # cancel one for one first (a cancelled entry adds 0), so that r_bar
     # adds the negated terms of r in the same order and the generator is
     # exactly real
-    omega = _signed_omegas(table, form.entries)
+    omega = _signed_omegas(table)
     rank, minus = codes >> 1, codes & 1
     delta = np.zeros(len(codes), dtype=omega.dtype)
     for j, col in enumerate(codes.T):
@@ -221,7 +222,7 @@ def solve_homological(
         keep = own[:, :j].sum(axis=1) >= (same & ~own).sum(axis=1)
         delta = delta + np.where(keep, omega[col], 0)
     del rank, minus
-    base = np.array([max(1.0, table.norm(p)) for p in form.points])[codes >> 1].max(axis=1, initial=1.0)
+    base = np.maximum(point_norms(table.lattice), 1.0)[codes >> 1].max(axis=1, initial=1.0)
     scale = np.array([b**tau for b in base.tolist()])
     breach = np.flatnonzero(np.abs(delta) < gamma / scale)
     if len(breach):
@@ -356,15 +357,15 @@ def check_superaction_commutation(
     over every S.  Z0 and ZB must give 0; the Z2 value is reported, not
     asserted.
     """
-    ids = block_index_map(clusters)
-    high_block = {p: ids[p] for p in table.points if table.floor(p) > cutoff}
-    band = band_map(table, bands)
+    high_block = np.where(point_floors(table) > cutoff, block_labels(table, clusters), -1)
+    # a plus entry's signed band is its band + 1
+    band = _signed_bands(table, bands)[0::2] - 1
 
-    def largest(poly: PolyHamiltonian, label: Mapping[Point, int]) -> float:
+    def largest(poly: PolyHamiltonian, label: np.ndarray) -> float:
         out = 0.0
         for d in poly.degrees:
             form = poly.parts[d]
-            sets = np.array([label.get(p, -1) for p in form.points], dtype=np.int64)[form.codes >> 1]
+            sets = label[form.codes >> 1]
             sign = np.where(sets >= 0, 1 - 2 * (form.codes & 1), 0)
             # the signed count of the set of each entry, largest in modulus per row
             count = np.zeros(len(form), dtype=np.int64)
@@ -489,6 +490,9 @@ def normalize(
 
     norm_kw = dict(nu=config.nu, smoothing=config.smoothing, zero_mode="lift")
     radius = config.radius
+    lattice = table.lattice
+    # the remainder probe's weights, refused before any step
+    sobolev_weights(lattice, config.s)
 
     def poly_norm_r(poly: PolyHamiltonian) -> float:
         return sum(
@@ -503,7 +507,10 @@ def normalize(
     step_norms: List[float] = [poly_norm_r(current)]
 
     tau_max = max(taus.values())
-    mu = (step_norms[0] / radius**2) * cutoff**tau_max
+    try:
+        mu = (step_norms[0] / radius**2) * cutoff**tau_max
+    except OverflowError:
+        raise ValueError(f"cutoff**tau overflows at cutoff={cutoff}, tau={tau_max}") from None
     if not mu <= config.mu_max:
         raise SmallnessError(
             f"smallness violated before step 0: mu = {mu:.3e} > {config.mu_max}; "
@@ -555,17 +562,15 @@ def normalize(
         polys[name].parts[d] for name in ("Z2", "ZGE3") for d in polys[name].degrees
     ] + [e.form for e in ledger]
     remainder_bound = 0.0
-    lattice = table.lattice
-    points = lattice.points
-    decay = np.array([(1.0 + table.norm(p)) ** (-config.s) for p in points])
+    decay = np.array([(1.0 + n) ** (-config.s) for n in point_norms(lattice).tolist()])
     for _ in range(remainder_samples):
-        z = rng.standard_normal((len(points), 2)).view(complex)[:, 0] * decay
+        z = rng.standard_normal((lattice.npoints, 2)).view(complex)[:, 0] * decay
         raw = np.column_stack((z, z.conj())).ravel()
-        u = raw * (radius / sobolev_norm(raw, points, lattice, config.s))
+        u = raw * (radius / sobolev_norm(raw, lattice, config.s))
         total = np.zeros_like(u)
         for f in remainder_forms:
-            total += vector_field(f, u, points)
-        remainder_bound = max(remainder_bound, sobolev_norm(total, points, lattice, config.s))
+            total += vector_field(f, u)
+        remainder_bound = max(remainder_bound, sobolev_norm(total, lattice, config.s))
 
     return NormalFormResult(
         config=config,
@@ -586,7 +591,6 @@ def normalize(
 def transform_state(
     generators: Sequence[SymmetricForm],
     x: np.ndarray,
-    points: Sequence[Point],
     *,
     inverse: bool = False,
     tol: float = 1e-10,
@@ -597,9 +601,9 @@ def transform_state(
 ) -> np.ndarray:
     """Compose the time-1 generator flows (forward: last generator first).
 
-    ``x`` is a both-signs state over the sorted ``points``, which hold every
-    point of the generators; each entry runs on its own (a state need not
-    be conjugation paired), and the result is a state over ``points``.  Each
+    ``x`` is a both-signs state over the lattice's points, which the
+    generators' codes index; each entry runs on its own (a state need not
+    be conjugation paired), and the result is a state over them.  Each
     flow integrates ``dx/dt = X_G(x)`` with ``dynamics._rk4`` at a fixed
     step, doubling the step count from 8 until two resolutions agree within
     ``tol``; at ``max_steps`` without agreement it raises ``ValueError``.
@@ -609,18 +613,16 @@ def transform_state(
     if ball is not None and (lattice is None or s is None):
         raise ValueError("the ball guard needs lattice and s")
     seq = list(generators) if inverse else list(generators)[::-1]
-    rank = {p: i for i, p in enumerate(points)}
 
     def check(y: np.ndarray) -> None:
-        if ball is not None and sobolev_norm(y, points, lattice, s) > ball:
+        if ball is not None and sobolev_norm(y, lattice, s) > ball:
             raise ValueError("flow exited the configured ball: smallness breach")
 
     for gen in seq:
         g = scale_form(gen, -1.0) if inverse else gen
         if len(g):
-            codes = g.relabel(g.codes, rank)
             x = _flow_time_one(
-                lambda y: hamiltonian_field(codes, g.values, y), x,
+                lambda y: vector_field(g, y), x,
                 tol=tol, max_steps=max_steps, check=check,
             )
     return x

@@ -291,10 +291,11 @@ def _window_blocks(start, head_sum, head_order, tail_sum, tail_order, width, see
         a, look = a + n, min(BLOCK, 2 * n)
 
 
-def _signed_bands(table: SpectrumTable, partition: BandPartition, ext) -> np.ndarray:
-    """``sigma * (band + 1)`` per entry of ``ext``: nonzero, with the entry's sign."""
+@_per_object
+def _signed_bands(table: SpectrumTable, partition: BandPartition) -> np.ndarray:
+    """``sigma * (band + 1)`` per entry of ``extended_indexes``: nonzero, with the entry's sign (cached)."""
     bm = band_map(table, partition)
-    return np.asarray([s * (bm[p] + 1) for p, s in ext], dtype=np.int64)
+    return np.asarray([s * (bm[p] + 1) for p, s in extended_indexes(table.lattice)], dtype=np.int64)
 
 
 def _resonant(signed_bands: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -313,19 +314,18 @@ def resonant_mask(table: SpectrumTable, partition: BandPartition, rows) -> np.nd
 
     The batch form of ``is_resonant_W`` that the certification scan uses.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    ext = extended_indexes(table.lattice)
-    return _resonant(_signed_bands(table, partition, ext), rows)
+    return _resonant(_signed_bands(table, partition), np.asarray(rows, dtype=np.intp))
 
 
-def _signed_omegas(table: SpectrumTable, ext) -> np.ndarray:
-    """``sigma * omega`` per entry, in a dtype that keeps the bits of
-    ``tests/oracles.py::small_divisor``.
+@_per_object
+def _signed_omegas(table: SpectrumTable) -> np.ndarray:
+    """``sigma * omega`` per entry of ``extended_indexes`` (cached), in a dtype
+    that keeps the bits of ``tests/oracles.py::small_divisor``.
 
     float64 on float spectra; Python objects (exact integers, or mixed
     values) otherwise.
     """
-    values = [s * table.omega(p) for p, s in ext]
+    values = [s * table.omega(p) for p, s in extended_indexes(table.lattice)]
     if all(isinstance(v, float) for v in values):
         return np.asarray(values, dtype=np.float64)
     out = np.empty(len(values), dtype=object)
@@ -374,7 +374,7 @@ class _ScanState:
 
     def __init__(self, table: SpectrumTable, partition: BandPartition):
         self.ext = extended_indexes(table.lattice)
-        self.omega = _signed_omegas(table, self.ext)
+        self.omega = _signed_omegas(table)
         floors = [max(1.0, table.norm(p)) for p, _ in self.ext]
         self.levels = sorted(set(floors))
         # the narrowest dtype that holds every level index keeps the level
@@ -382,7 +382,7 @@ class _ScanState:
         self.level = np.searchsorted(self.levels, floors).astype(
             np.min_scalar_type(len(self.levels))
         )
-        self.signed_bands = _signed_bands(table, partition, self.ext)
+        self.signed_bands = _signed_bands(table, partition)
         self._rows: Dict[int, _Rows] = {}
 
     def rows(self, k: int) -> _Rows:
@@ -642,7 +642,10 @@ def estimate_resonant_measure(
     fraction = float(np.mean(np.abs(values) < gamma))
 
     big = max(ensemble.weight(lattice, p) for p in supp)
-    bound = 2.0 * gamma * max(1.0, big) ** ensemble.decay
+    try:
+        bound = 2.0 * gamma * max(1.0, big) ** ensemble.decay
+    except OverflowError:
+        raise ValueError(f"the bound 2 gamma K**decay overflows at decay={float(ensemble.decay):g}") from None
     stderr = math.sqrt(fraction * (1.0 - fraction) / n_samples)
     return MeasureEstimate(
         fraction=fraction,

@@ -92,7 +92,8 @@ def verify_tame(
     r = form.degree - 1
     rng = np.random.default_rng(seed)
     lattice = table.lattice
-    support = form.points
+    # the points the rows use
+    support = [form.points[i] for i in np.unique(form.codes >> 1).tolist()]
     best = 0.0
     for trial in range(trials):
         if trial % 2:
@@ -218,7 +219,8 @@ def separation_cutoff_bound(
     if form.degree >= 2:
         _, lead = leading_points(form, table)
         pairs = set(map(tuple, lead[:, :2].tolist()))
-        support_ok = all(point_distance(form.points[a], form.points[b]) > threshold for a, b in pairs)
+        points = table.lattice.points
+        support_ok = all(point_distance(points[a], points[b]) > threshold for a, b in pairs)
 
     lhs = localized_norm(form, table, nu=nu + shift, smoothing=smoothing, zero_mode=zero_mode)
     rhs = localized_norm(form, table, nu=nu, smoothing=smoothing_high, zero_mode=zero_mode) / cutoff ** (delta * shift)
@@ -270,7 +272,7 @@ def high_order_decay(
             raise ValueError(f"cutoff {cutoff} leaves too few high modes")
         entries = [(p, 1 if i % 2 == 0 else -1) for i, p in enumerate(highs)]
         entries += [(p, -1) for p in lows]
-        form = from_dict(degree, {tuple(sorted(entries, key=lambda e: (e[0], -e[1]))): 1.0 + 0j})
+        form = from_dict(lattice.points, degree, {tuple(sorted(entries, key=lambda e: (e[0], -e[1]))): 1.0 + 0j})
 
         best = 0.0
         support = {e for e in entries} | {(p, -sgn) for p, sgn in entries}

@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from latnf.bands import BandPartition, band_map
-from latnf.clusters import ClusterPartition, block_index_map
+from latnf.clusters import ClusterPartition
 from latnf.forms import (
     DROP_TOL,
     PolyHamiltonian,
@@ -46,10 +46,10 @@ from latnf.forms import (
     _row_keys,
     add_forms,
     conjugate_form,
-    hamiltonian_field,
     monomials,
     poisson_bracket,
     scale_form,
+    vector_field,
 )
 from latnf.frequencies import (
     Beam,
@@ -137,9 +137,8 @@ def canonical_key(entries: Iterable[ExtIndex]) -> Key:
     return tuple(sorted(entries, key=lambda e: (e[0], -e[1])))
 
 
-def from_dict(degree: int, coeffs: Mapping[Key, complex]) -> SymmetricForm:
-    """Form of the keys of ``coeffs``, rows in dict order; zero coefficients stay."""
-    points = tuple(sorted({p for key in coeffs for p, _ in key}))
+def from_dict(points: Sequence[Point], degree: int, coeffs: Mapping[Key, complex]) -> SymmetricForm:
+    """Form of the keys of ``coeffs`` over the lattice's ``points``, rows in dict order; zero coefficients stay."""
     rank = {p: i for i, p in enumerate(points)}
     flat = [2 * rank[p] + (s < 0) for key in coeffs for p, s in key]
     codes = np.array(flat, dtype=np.int32).reshape(len(coeffs), degree)
@@ -170,7 +169,7 @@ def dict_nls_quartic(lattice: Lattice, coupling: float = 1.0) -> SymmetricForm:
                 if e in lattice:
                     key = canonical_key(((a, 1), (b, -1), (c, 1), (e, -1)))
                     acc[key] = acc.get(key, 0j) + half
-    return from_dict(4, acc)
+    return from_dict(lattice.points, 4, acc)
 
 
 def dict_random_form(
@@ -188,7 +187,7 @@ def dict_random_form(
         draw = rng.integers(0, len(ext), size=degree)
         key = canonical_key(tuple(ext[int(i)] for i in draw))
         acc[key] = acc.get(key, 0j) + complex(rng.standard_normal(), rng.standard_normal())
-    f = from_dict(degree, acc)
+    f = from_dict(lattice.points, degree, acc)
     return real_form(f) if real else f
 
 
@@ -198,7 +197,7 @@ def dict_vector_field(form: SymmetricForm, values: State) -> State:
     Component at index B is ``-i sigma_B dF/du_{conj(B)}``; the entries come
     in the order of the variable ``conj(B)`` they differentiate.
     """
-    field = hamiltonian_field(form.codes, form.values, state_array(values, form.points))
+    field = vector_field(form, state_array(values, form.points))
     target = np.flatnonzero(field[np.arange(len(field)) ^ 1]) ^ 1
     entries = form.entries
     return {entries[c]: v for c, v in zip(target.tolist(), field[target].tolist())}
@@ -282,8 +281,13 @@ def key_multiplicity(key: Key) -> int:
     return mult
 
 
-def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degree: Optional[int] = None, tol: float = DROP_TOL) -> SymmetricForm:
-    """Canonicalize keys, merge duplicates, drop coefficients below ``tol``."""
+def make_form(
+    points: Sequence[Point],
+    terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]],
+    degree: Optional[int] = None,
+    tol: float = DROP_TOL,
+) -> SymmetricForm:
+    """Form over the lattice's ``points``: keys canonicalized, duplicates merged, coefficients below ``tol`` dropped."""
     items = terms.items() if isinstance(terms, Mapping) else terms
     acc: Dict[Key, complex] = {}
     for key, c in items:
@@ -303,7 +307,7 @@ def make_form(terms: Mapping[Key, complex] | Iterable[Tuple[Key, complex]], degr
         for point, sign in key:
             if sign not in (-1, 1):
                 raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return from_dict(degree, acc)
+    return from_dict(points, degree, acc)
 
 
 def is_real_coefficients(form: SymmetricForm, tol: float = 1e-12) -> bool:
@@ -343,7 +347,7 @@ def polarized_evaluate(form: SymmetricForm, states: Sequence[State]) -> complex:
 
 def mu_S(table: SpectrumTable, key: Key, zero_mode: str = "error") -> Tuple[float, float]:
     """Localization pair (mu, S) of a key under the decreasing-floor ordering."""
-    mu, s = _localization(from_dict(len(key), {key: 0j}), table, zero_mode)
+    mu, s = _localization(from_dict(table.lattice.points, len(key), {key: 0j}), table, zero_mode)
     return float(mu[0]), float(s[0])
 
 
@@ -417,7 +421,8 @@ def _decode_key(raw) -> Key:
     return tuple((tuple(int(c) for c in p), int(s)) for p, s in raw)
 
 
-def form_from_jsonl(path) -> SymmetricForm:
+def form_from_jsonl(path, points: Sequence[Point]) -> SymmetricForm:
+    """The form of a ``form_to_jsonl`` file, over the lattice's ``points``."""
     with open(path) as fh:
         header = json.loads(fh.readline())
         if header.get("kind") != "form":
@@ -428,7 +433,7 @@ def form_from_jsonl(path) -> SymmetricForm:
                 continue
             row = json.loads(line)
             coeffs[_decode_key(row["key"])] = complex(row["re"], row["im"])
-    return make_form(coeffs, degree=int(header["degree"]), tol=0.0)
+    return make_form(points, coeffs, degree=int(header["degree"]), tol=0.0)
 
 
 # --- the row-sort bracket ------------------------------------------------------
@@ -460,18 +465,15 @@ def _pair_sums(f: SymmetricForm, g: SymmetricForm, plus_only: bool):
     Every derivative row of F (with ``plus_only``, every one whose variable
     is a plus code) meets the derivative rows of G whose variable is its
     conjugate (``code ^ 1``); each sum is its pair terms summed from 0 in
-    pair order.  Returns the bracket's points, output degree, distinct keys
-    (ascending) and sums.
+    pair order.  Returns the bracket's points (F's, or G's when F has no
+    rows), output degree, distinct keys (ascending) and sums.
     """
     degree = f.degree + g.degree - 2
     if degree < 0:
         raise ValueError("bracket of two linear forms has negative degree")
-    points = sorted(set(f.points) | set(g.points))
-    rank = {p: i for i, p in enumerate(points)}
+    points = f.points if len(f) else g.points
     fvar, frows, fcoef = f.derivatives
     gvar, grows, gcoef = g.derivatives
-    fvar, frows = f.relabel(fvar, rank), f.relabel(frows, rank)
-    gvar, grows = g.relabel(gvar, rank), g.relabel(grows, rank)
 
     lo = np.searchsorted(gvar, fvar ^ 1, side="left")
     count = np.searchsorted(gvar, fvar ^ 1, side="right") - lo
@@ -538,11 +540,11 @@ def real_form(form: SymmetricForm) -> SymmetricForm:
 # --- the superaction brackets ---------------------------------------------------
 
 
-def superaction_form(points: Sequence[Point]) -> SymmetricForm:
-    """The superaction ``J_S = sum_{a in S} u_{a,+} u_{a,-}`` of the points of S."""
-    if not points:
+def superaction_form(points: Sequence[Point], modes: Sequence[Point]) -> SymmetricForm:
+    """The superaction ``J_S = sum_{a in S} u_{a,+} u_{a,-}`` of the ``modes`` S, over the lattice's ``points``."""
+    if not modes:
         raise ValueError("superaction over an empty mode set")
-    return make_form({((p, 1), (p, -1)): 1.0 for p in points}, degree=2)
+    return make_form(points, {((p, 1), (p, -1)): 1.0 for p in modes}, degree=2)
 
 
 def band_superactions(table: SpectrumTable, partition: BandPartition) -> List[SymmetricForm]:
@@ -550,13 +552,13 @@ def band_superactions(table: SpectrumTable, partition: BandPartition) -> List[Sy
     groups: Dict[int, List[Point]] = {}
     for p, b in band_map(table, partition).items():
         groups.setdefault(b, []).append(p)
-    return [superaction_form(groups[b]) for b in sorted(groups)]
+    return [superaction_form(table.lattice.points, groups[b]) for b in sorted(groups)]
 
 
 def high_block_superactions(clusters: ClusterPartition, table: SpectrumTable, cutoff: float) -> List[SymmetricForm]:
     """One superaction per cluster block over its modes of floor norm > cutoff, if any."""
     high = [[p for p in block if table.floor(p) > cutoff] for block in clusters.blocks]
-    return [superaction_form(s) for s in high if s]
+    return [superaction_form(table.lattice.points, s) for s in high if s]
 
 
 def bracket_commutation(
@@ -649,7 +651,7 @@ def is_block_nonresonant(
     if len(high) == 1:
         return True
     (a1, s1), (a2, s2) = high
-    ids = block_index_map(clusters)
+    ids = {p: i for i, block in enumerate(clusters.blocks) for p in block}
     if ids[a1] == ids[a2]:
         return s1 * s2 > 0
     return point_distance(a1, a2) <= clusters.c_delta * cutoff**clusters.delta

@@ -38,7 +38,7 @@ from latnf import (
 
 from conftest import FROZEN_POTENTIAL, NF_CUTOFF
 from estimates import separation_cutoff_bound, verify_tame
-from oracles import canonical_key, evaluate, make_form, small_divisor, state_array, state_dict
+from oracles import canonical_key, evaluate, from_dict, make_form, small_divisor, state_array, state_dict
 from test_integrator_loop import oracle_rk4
 
 
@@ -262,7 +262,7 @@ def test_criterion_06_bracket_identities():
         bracket = evaluate(poisson_bracket(f, g, tol=0.0), state)
         step = 1e-4
         x = state_array(state, lattice.points)
-        flow = vector_field(g, x, lattice.points)
+        flow = vector_field(g, x)
         up = state_dict(x + step * flow, lattice.points)
         dn = state_dict(x - step * flow, lattice.points)
         derivative = (evaluate(f, up) - evaluate(f, dn)) / (2 * step)
@@ -433,7 +433,7 @@ def test_criterion_10_tame_constants_bounded():
         form = random_form(support, degree=3 + i % 2, n_terms=8, seed=300 + i)
         constants = [
             verify_tame(
-                form,
+                from_dict(tables[radius].lattice.points, form.degree, form.coeffs),
                 tables[radius],
                 nu=2.0,
                 smoothing=6.0,
@@ -450,7 +450,7 @@ def test_criterion_10_tame_constants_bounded():
 
     # exact cutoff inequality on a lifted key: equality up to the key factor
     table8 = tables[8.0]
-    lifted = make_form({((((-8,), -1), ((0,), 1), ((8,), 1))): 2.0})
+    lifted = make_form(table8.lattice.points, {((((-8,), -1), ((0,), 1), ((8,), 1))): 2.0})
     report = separation_cutoff_bound(
         lifted, table8, 4.0, 0.5, nu=2.0, smoothing=2.0, smoothing_high=4.0,
         zero_mode="lift",
@@ -469,7 +469,7 @@ def test_criterion_10_tame_constants_bounded():
             ((left, int(signs[0])), (low, int(signs[1])), (right, int(signs[2])))
         )
         sep = separation_cutoff_bound(
-            make_form({key: float(rng.uniform(0.5, 2.0))}),
+            make_form(table8.lattice.points, {key: float(rng.uniform(0.5, 2.0))}),
             table8,
             4.0,
             0.5,

@@ -28,7 +28,7 @@ from latnf import (
     TorusLaplacian,
     band_map,
     band_partition,
-    block_index_map,
+    block_labels,
     build_clusters,
     build_spectrum,
     certificate_to_json,
@@ -206,8 +206,7 @@ def test_head_tail_split_matches_the_loop(monkeypatch, small_tables, name, order
     # Order 6 scans 3-column heads, order 1 none; blocks of 1 and 3 rows split
     # every head's tails across blocks, 64 splits the long ones.
     table = small_tables[name]
-    ext = extended_indexes(table.lattice)
-    exact = latnf.resonance._signed_omegas(table, ext).dtype == object
+    exact = latnf.resonance._signed_omegas(table).dtype == object
     assert exact == (name == "exact-line")
     bands = band_partition(table)
     want = loop_certificate(table, order, bands)
@@ -377,7 +376,7 @@ def test_a_certified_table_is_freed_with_its_caches():
     bands = band_partition(table)
     clusters = build_clusters(table, 0.5, 1.0)
     certify_nonresonance(table, 4, partition=bands)
-    block_index_map(clusters)
+    block_labels(table, clusters)
     fit_asymptotics(table)
     assert (0,) in table.lattice and band_map(table, bands)[(0,)] == 0
     state = latnf.resonance._scan_state(table, bands)
@@ -602,8 +601,7 @@ def test_large_exact_spectrum_keeps_python_integers(order):
     values = {p: 2**61 + 7 * p[0] * p[0] + p[0] for p in lattice.points}
     table = build_spectrum(lattice, TableModel(values=values, beta=2.0))
     assert table.exact
-    ext = extended_indexes(lattice)
-    assert latnf.resonance._signed_omegas(table, ext).dtype == object
+    assert latnf.resonance._signed_omegas(table).dtype == object
     cert = assert_same_certificate(table, order)
     assert isinstance(cert.min_divisor, int) and cert.min_divisor > 2**60
 

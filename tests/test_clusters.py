@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latnf import (
     TorusLaplacian,
-    block_index_map,
+    block_labels,
     build_clusters,
     build_spectrum,
     certify_dyadic,
@@ -17,6 +17,7 @@ from latnf import (
     enumerate_lattice,
     separation_margin,
 )
+from latnf.lattice import point_index
 
 from oracles import TableModel
 
@@ -68,10 +69,10 @@ def test_parameter_validation(torus_table):
 def test_blocks_partition_the_truncation(certified_table, certified_clusters):
     pts = [p for block in certified_clusters.blocks for p in block]
     assert sorted(pts) == sorted(certified_table.lattice.points)
-    ids = block_index_map(certified_clusters)
+    labels, index = block_labels(certified_table, certified_clusters), point_index(certified_table.lattice)
     for b, block in enumerate(certified_clusters.blocks):
         for p in block:
-            assert ids[p] == b
+            assert labels[index[p]] == b
 
 
 def test_union_find_matches_closure_on_the_line(torus_table):
@@ -120,7 +121,7 @@ def test_dyadic_certificate(certified_table, certified_clusters):
         if min(norms) > 0.0:
             ratios.append(max(norms) / min(norms))
     assert report.constant == max(ratios)
-    assert report.worst_block != block_index_map(certified_clusters)[(0,)]
+    assert report.worst_block != block_labels(certified_table, certified_clusters)[point_index(certified_table.lattice)[(0,)]]
 
 
 def test_separation_margin_exceeds_the_build_constant(certified_table, certified_clusters):

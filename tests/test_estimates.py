@@ -74,7 +74,7 @@ def test_tame_single_quadratic_closed_form():
     """One off-diagonal quadratic coefficient: the ratio on a one-mode state
     is (1+5)^s/(1+2)^s divided by the form norm, and that value is the exact
     supremum, so the sampled constant must stay below it."""
-    f = make_form({((((2,), 1), ((5,), -1))): 1.0})
+    f = make_form(LAT.points, {((((2,), 1), ((5,), -1))): 1.0})
     norm_f = localized_norm(f, TABLE, nu=2.0, smoothing=6.0)
     assert norm_f == pytest.approx(5.0**6 / (2.0 * 2.0**8))
     u = {((2,), 1): 0.3 + 0.4j}
@@ -101,7 +101,7 @@ def test_polarized_field_diagonal_identity(rng):
 def test_tame_inequality_on_one_mode_states():
     """Inputs on one mode each leave a single output component; the tame
     inequality reduces to one term and holds with constant far below 1."""
-    f = make_form({((((1,), 1), ((2,), 1), ((3,), -1))): 1.0})
+    f = make_form(LAT.points, {((((1,), 1), ((2,), 1), ((3,), -1))): 1.0})
     u1 = {((2,), 1): 0.7}
     u2 = {((3,), -1): 0.5}
     x = polarized_vector_field(f, [u1, u2])
@@ -159,7 +159,7 @@ def test_bilinear_needs_plain_torus():
 def test_separation_bound_exact_for_lifted_keys():
     """With the third entry at the origin the per-key algebra gives the
     bound whenever the top distance exceeds cutoff**delta."""
-    f = make_form({((((-8,), -1), ((0,), 1), ((8,), 1))): 2.0})
+    f = make_form(LAT.points, {((((-8,), -1), ((0,), 1), ((8,), 1))): 2.0})
     rep = separation_cutoff_bound(
         f, TABLE, 4.0, 0.5, nu=2.0, smoothing=2.0, smoothing_high=4.0, zero_mode="lift"
     )
@@ -170,13 +170,13 @@ def test_separation_bound_exact_for_lifted_keys():
 
 def test_separation_bound_flags_close_support():
     close = (((0,), 1), ((4,), -1), ((5,), 1))
-    f = make_form({close: 1.0})
+    f = make_form(LAT.points, {close: 1.0})
     rep = separation_cutoff_bound(
         f, TABLE, 16.0, 0.5, nu=2.0, smoothing=2.0, smoothing_high=4.0, zero_mode="lift"
     )
     assert not rep.support_ok and not rep.passed
     # one close key among separated ones is enough
-    g = make_form({(((-8,), -1), ((0,), 1), ((8,), 1)): 2.0, close: 1.0})
+    g = make_form(LAT.points, {(((-8,), -1), ((0,), 1), ((8,), 1)): 2.0, close: 1.0})
     rep = separation_cutoff_bound(
         g, TABLE, 16.0, 0.5, nu=2.0, smoothing=2.0, smoothing_high=4.0, zero_mode="lift"
     )
@@ -184,7 +184,7 @@ def test_separation_bound_flags_close_support():
 
 
 def test_separation_bound_validation():
-    f = make_form({((((0,), 1), ((8,), -1))): 1.0})
+    f = make_form(LAT.points, {((((0,), 1), ((8,), -1))): 1.0})
     with pytest.raises(ValueError):
         separation_cutoff_bound(
             f, TABLE, 4.0, 0.5, nu=2.0, smoothing=4.0, smoothing_high=2.0, zero_mode="lift"

@@ -12,6 +12,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -69,6 +70,17 @@ CASES = [
      2, "config error: "),
     ("ValueError", ["resonances", "--config", CONFIG, *_sets("resonance.gamma=-1")], {},
      2, "usage error: gamma must be positive"),
+    # a value whose power or quotient overflows is refused by name
+    ("cutoff overflow", ["normalform", "--config", CONFIG, *_sets("lattice.radius=4", "normalform.cutoff=1e308")], {},
+     2, "usage error: cutoff**tau overflows at cutoff=1e+308"),
+    ("decay overflow", ["measure", "--config", CONFIG, *_sets("lattice.radius=4", "measure.decay=1e308")], {},
+     2, "usage error: the bound 2 gamma K**decay overflows at decay=1e+308"),
+    ("horizon overflow", ["simulate", "--config", CONFIG, *_sets("lattice.radius=4", "simulate.horizon=1e308")], {},
+     2, "usage error: horizon / dt overflows at horizon=1e+308"),
+    ("normalform s overflow", ["normalform", "--config", CONFIG, *_sets("lattice.radius=4", "normalform.s=1e308")], {},
+     2, "usage error: Sobolev weights (1+|a|)^(2s) are not all positive and finite at s=1e+308"),
+    ("simulate s overflow", ["simulate", "--config", CONFIG, *_sets("lattice.radius=4", "simulate.s=1e308")], {},
+     2, "usage error: Sobolev weights (1+|a|)^(2s) are not all positive and finite at s=1e+308"),
 ]
 
 #: the shipped config with these settings on top, for the failing script runs
@@ -128,6 +140,14 @@ def test_each_command_failure_is_one_line_on_its_stream(
     got = cli.main([*argv, "--out-dir", str(tmp_path)])
     captured = capsys.readouterr()
     _assert_one_line(got, captured.out, captured.err, code, prefix)
+
+
+@pytest.mark.parametrize("argv", [pytest.param(case[1], id=case[0]) for case in CASES if case[0].endswith("overflow")])
+def test_an_overflowing_value_warns_nothing(tmp_path, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize(

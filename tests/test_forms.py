@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latnf import (
+    SymmetricForm,
     add_forms,
     conjugate_form,
+    extended_indexes,
     form_to_jsonl,
     enumerate_lattice,
     localized_norm,
@@ -56,24 +58,42 @@ def random_state_dict(rng, lattice=LAT, amplitude=1.0):
 
 def field_dict(form, u, points=LAT.points):
     """The vector field at a dict state, as a dict of its nonzero entries."""
-    x = vector_field(form, state_array(u, points), points)
+    x = vector_field(form, state_array(u, points))
     return {e: v for e, v in state_dict(x, points).items() if v}
+
+
+def test_a_form_keeps_the_lattice_points_and_refuses_another_tuple():
+    lattice, other = enumerate_lattice(1, 5.0), enumerate_lattice(1, 4.0)
+
+    def real_pair(points):
+        # u_{1,+} u_{2,-} and its conjugate row, whose rows use 2 of the points
+        rank = {p: i for i, p in enumerate(points)}
+        codes = np.array([[2 * rank[(1,)], 2 * rank[(2,)] + 1], [2 * rank[(1,)] + 1, 2 * rank[(2,)]]], dtype=np.int32)
+        return SymmetricForm(points, codes, np.array([1.0 + 0.5j, 1.0 - 0.5j]))
+
+    f, g = real_pair(lattice.points), real_pair(other.points)
+    assert len(f.points) == lattice.npoints == 11
+    assert f.entries == extended_indexes(lattice)
+    with pytest.raises(ValueError, match="different point tuples"):
+        add_forms(f, g)
+    with pytest.raises(ValueError, match="different point tuples"):
+        poisson_bracket(f, g)
 
 
 def test_make_form_merges_duplicates():
     key = canonical_key((((1,), 1), ((0,), -1)))
-    f = make_form([(key, 1.0), (tuple(reversed(key)), 2.0)])
+    f = make_form(LAT.points, [(key, 1.0), (tuple(reversed(key)), 2.0)])
     assert f.coeffs == {key: 3.0}
     assert f.degree == 2
 
 
 def test_make_form_drops_below_tolerance():
     key = canonical_key((((1,), 1), ((0,), -1)))
-    f = make_form({key: 1e-300}, degree=2)
+    f = make_form(LAT.points, {key: 1e-300}, degree=2)
     assert f.coeffs == {}
     assert zero_form(3).degree == 3
     with pytest.raises(ValueError):
-        make_form({key: 1e-300})
+        make_form(LAT.points, {key: 1e-300})
 
 
 def test_evaluate_by_brute_force(rng):
@@ -206,7 +226,7 @@ def test_superactions_commute_with_the_quadratic_part(certified_table, certified
 
 def test_mass_commutes_with_momentum_conserving_quartic(certified_table):
     q = nls_quartic(certified_table.lattice)
-    m = superaction_form(certified_table.lattice.points)
+    m = superaction_form(certified_table.lattice.points, certified_table.lattice.points)
     br = poisson_bracket(m, q, tol=0.0)
     assert max((abs(c) for c in br.coeffs.values()), default=0.0) <= 1e-14
 
@@ -225,7 +245,7 @@ def test_nls_quartic_structure():
 def test_localized_norm_monotone_under_restriction(certified_table):
     f = random_form(certified_table.lattice, 4, n_terms=12, seed=13)
     sub = make_form(
-        dict(itertools.islice(f.coeffs.items(), len(f.coeffs) // 2)), degree=4
+        certified_table.lattice.points, dict(itertools.islice(f.coeffs.items(), len(f.coeffs) // 2)), degree=4
     )
     kw = dict(nu=2.0, smoothing=2.0, zero_mode="lift")
     assert localized_norm(sub, certified_table, **kw) <= localized_norm(
@@ -242,16 +262,18 @@ def test_scaled_norm_power(certified_table):
 
 def test_sobolev_norm_oracle():
     lat = enumerate_lattice(1, 3.0)
-    state = np.array([4.0, 0.0, 3.0, 3.0], dtype=complex)  # points (0,) and (2,)
+    state = np.zeros(2 * lat.npoints, dtype=complex)
+    at = {p: 2 * i for i, p in enumerate(lat.points)}
+    state[at[(0,)]], state[at[(2,)] : at[(2,)] + 2] = 4.0, 3.0
     expected = math.sqrt(9.0 * 3.0**8 + 9.0 * 3.0**8 + 16.0)
-    assert sobolev_norm(state, [(0,), (2,)], lat, 4.0) == pytest.approx(expected)
+    assert sobolev_norm(state, lat, 4.0) == pytest.approx(expected)
 
 
 def test_sobolev_norm_sums_as_the_dict_loop(rng):
     lat = enumerate_lattice(2, 3.0, offset=(0.25, 0.5))
     x = rng.standard_normal(2 * lat.npoints) + 1j * rng.standard_normal(2 * lat.npoints)
     want = dict_sobolev_norm(state_dict(x, lat.points), lat, 3.5)
-    assert sobolev_norm(x, lat.points, lat, 3.5).hex() == want.hex()
+    assert sobolev_norm(x, lat, 3.5).hex() == want.hex()
 
 
 def test_split_state_by_floor(certified_table):
@@ -273,7 +295,7 @@ def test_jsonl_round_trip(tmp_path):
     f = dict_random_form(LAT, 4, n_terms=9, seed=16, real=False)
     path = tmp_path / "form.jsonl"
     form_to_jsonl(f, path)
-    g = form_from_jsonl(path)
+    g = form_from_jsonl(path, LAT.points)
     assert g.degree == f.degree
     assert g.coeffs == f.coeffs
 
@@ -305,14 +327,14 @@ def test_poly_from_forms_collects_degrees():
 
 
 def test_superaction_form_evaluates_to_mode_mass():
-    j = superaction_form([(1,), (2,)])
+    j = superaction_form(LAT.points, [(1,), (2,)])
     u = {((1,), 1): 2.0 + 1j, ((1,), -1): 2.0 - 1j, ((2,), 1): 1j, ((2,), -1): -1j}
     assert evaluate(j, u) == pytest.approx(5.0 + 1.0)
 
 
 def test_packed_derivatives_multiplicity():
     key = canonical_key((((1,), 1), ((1,), 1), ((0,), -1)))
-    form = make_form({key: 2.0})
+    form = make_form(LAT.points, {key: 2.0})
     var, rows, coef = form.derivatives
     plus_one = form.entries.index(((1,), 1))
     assert var.tolist().count(plus_one) == 1

@@ -456,10 +456,9 @@ class _Kick:
 
     def __init__(self, forms, points, rhs="rows"):
         self.points = list(points)
-        index = {p: i for i, p in enumerate(self.points)}
         exps, coeffs, self.rk, self.rows = [], [], [], []
         for f in forms:
-            codes = f.relabel(f.codes, index)
+            codes = f.codes
             if is_action_form(f):
                 row, col = np.nonzero((codes & 1) == 0)
                 e = np.zeros((len(codes), len(self.points)), dtype=int)
@@ -471,8 +470,8 @@ class _Kick:
                 var, rows, coef = f.derivatives
                 minus = np.flatnonzero(var & 1)
                 starts = np.flatnonzero(np.diff(var[minus], prepend=-1))
-                targets = f.relabel(var[minus[starts]], index) >> 1
-                rows = f.relabel(rows[minus], index)
+                targets = var[minus[starts]] >> 1
+                rows = rows[minus]
                 self.rows.append((rows, -1j * coef[minus], starts, targets))
         self.action_exps = np.concatenate(exps) if exps else None
         self.action_coeffs = np.concatenate(coeffs) if coeffs else None
@@ -531,7 +530,7 @@ def oracle_normal_form(
     for p, c in initial.items():
         u[index[tuple(p)]] = complex(c)
     kick = _Kick(parts, points, rhs)
-    tables = [(f.relabel(f.codes, index), f.values) for f in parts]
+    tables = [(f.codes, f.values) for f in parts]
 
     def energy(v):
         x = _both_signs(v)
@@ -781,8 +780,8 @@ def _nf_initial(table, amplitude=0.05):
 
 
 def test_normal_form_exact_kick_matches_the_oracle(torus_table, torus_partitions):
-    j1sq = make_form({((((1,), 1), ((1,), 1), ((1,), -1), ((1,), -1))): 0.5})
-    j12 = make_form({((((1,), 1), ((2,), 1), ((1,), -1), ((2,), -1))): -0.25})
+    j1sq = make_form(torus_table.lattice.points, {((((1,), 1), ((1,), 1), ((1,), -1), ((1,), -1))): 0.5})
+    j12 = make_form(torus_table.lattice.points, {((((1,), 1), ((2,), 1), ((1,), -1), ((2,), -1))): -0.25})
     init = _nf_initial(torus_table)
     kw = dict(dt=0.05, horizon=2.0, stride=7, s=4.0, **torus_partitions)
     record = integrate_normal_form(torus_table, [j1sq, j12], init, **kw)

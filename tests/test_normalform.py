@@ -43,6 +43,7 @@ from oracles import (
     conjugate_key,
     dict_random_form,
     dict_vector_field,
+    from_dict,
     make_form,
     state_array,
     state_dict,
@@ -82,7 +83,7 @@ def test_homological_kills_a_nonresonant_monomial(
     # the monomial and its conjugate, a real F as every bracket needs
     key = ((((1,), 1), ((2,), 1), ((3,), -1)))
     twin = canonical_key(conjugate_key(key))
-    f = make_form({key: 0.25, twin: 0.25})
+    f = make_form(certified_table.lattice.points, {key: 0.25, twin: 0.25})
     cert = certificates[3]
     sol = solve_homological(
         f, certified_table, certified_bands, certified_clusters,
@@ -110,7 +111,7 @@ def test_homological_passes_resonant_terms_through(
     certified_table, certified_bands, certified_clusters, certificates
 ):
     key = ((((1,), 1), ((1,), -1), ((3,), 1), ((3,), -1)))
-    f = make_form({key: 1.0})
+    f = make_form(certified_table.lattice.points, {key: 1.0})
     cert = certificates[4]
     sol = solve_homological(
         f, certified_table, certified_bands, certified_clusters,
@@ -125,7 +126,7 @@ def test_homological_guards_the_certificate(
     certified_table, certified_bands, certified_clusters
 ):
     key = ((((1,), 1), ((2,), 1), ((3,), -1)))
-    f = make_form({key: 1.0, canonical_key(conjugate_key(key)): 1.0})
+    f = make_form(certified_table.lattice.points, {key: 1.0, canonical_key(conjugate_key(key)): 1.0})
     with pytest.raises(ValueError, match="certificate breached"):
         solve_homological(
             f, certified_table, certified_bands, certified_clusters,
@@ -165,7 +166,7 @@ def test_homological_generator_of_a_point_with_both_signs_is_exactly_real(
     # Cancelled first, both divisors are exactly +-omega_1
     key = ((((1,), 1), ((4,), 1), ((4,), -1)))
     twin = canonical_key(conjugate_key(key))
-    f = make_form({key: 1.0, twin: 1.0})
+    f = make_form(certified_table.lattice.points, {key: 1.0, twin: 1.0})
     cert = certificates[3]
     sol = solve_homological(
         f, certified_table, certified_bands, certified_clusters,
@@ -261,14 +262,12 @@ def test_the_degree_8_pass_expands_half_the_pairs(monkeypatch):
     # the full expansion: every distinct derivative row of the forms, as
     # (variable, column of its run, reduced row), meets every G row of the
     # conjugate variable
-    rank = {p: i for i, p in enumerate(sorted(set(g.points).union(*(f.points for f in fs))))}
     union = set()
     for f in fs:
         fvar, frows, _ = f.derivatives
-        fvar, frows = f.relabel(fvar, rank), f.relabel(frows, rank)
         column = (frows < fvar[:, None]).sum(axis=1)
         union.update(zip(fvar.tolist(), column.tolist(), map(tuple, frows.tolist())))
-    gvar = g.relabel(g.derivatives[0], rank)
+    gvar = g.derivatives[0]
     every = sum(int(np.count_nonzero(gvar == var ^ 1)) for var, _, _ in union)
     assert (expanded, every) == (299388, 598776)
 
@@ -549,8 +548,8 @@ def test_transform_state_round_trip(certified_table, rng):
     gen = scale_form(random_form(certified_table.lattice, 4, n_terms=4, seed=27), 0.01)
     points = certified_table.lattice.points
     state = _paired_state(rng, points, 0.1)
-    fwd = transform_state([gen], state, points, tol=1e-12)
-    back = transform_state([gen], fwd, points, inverse=True, tol=1e-12)
+    fwd = transform_state([gen], state, tol=1e-12)
+    back = transform_state([gen], fwd, inverse=True, tol=1e-12)
     assert np.abs(back - state).max() < 1e-8
     assert np.abs(fwd - state).max() > 1e-6
 
@@ -559,9 +558,9 @@ def test_transform_state_ball_guard(certified_table, rng):
     gen = scale_form(random_form(certified_table.lattice, 3, n_terms=4, seed=28), 1.0)
     lattice = certified_table.lattice
     state = np.ones(2 * lattice.npoints, dtype=complex)
-    norm = sobolev_norm(state, lattice.points, lattice, 4.0)
+    norm = sobolev_norm(state, lattice, 4.0)
     with pytest.raises(ValueError, match="ball"):
-        transform_state([gen], state, lattice.points, lattice=lattice, s=4.0, ball=0.5 * norm)
+        transform_state([gen], state, lattice=lattice, s=4.0, ball=0.5 * norm)
 
 
 @pytest.mark.parametrize("missing", ["lattice", "s", "both"])
@@ -575,14 +574,14 @@ def test_transform_state_ball_guard_needs_lattice_and_s(certified_table, missing
         del kw[name]
     state = np.ones(2 * lattice.npoints, dtype=complex)
     with pytest.raises(ValueError, match="ball guard needs lattice and s"):
-        transform_state([gen], state, lattice.points, ball=1e-30, **kw)
+        transform_state([gen], state, ball=1e-30, **kw)
 
 
 def test_transform_state_raises_when_the_flow_does_not_converge(certified_table, rng):
     gen = scale_form(random_form(certified_table.lattice, 4, n_terms=4, seed=27), 0.01)
     points = certified_table.lattice.points
     with pytest.raises(ValueError, match=r"max_steps=32.*differ by \d"):
-        transform_state([gen], _paired_state(rng, points, 0.1), points, tol=0.0, max_steps=32)
+        transform_state([gen], _paired_state(rng, points, 0.1), tol=0.0, max_steps=32)
 
 
 # --- the dict-state flow loop transform_state replaced, as its oracle --------
@@ -639,9 +638,14 @@ def _dict_transform(generators, values, *, inverse, tol):
 @pytest.mark.parametrize("paired", [True, False])
 def test_transform_state_matches_the_dict_flow(inverse, paired):
     lattice = enumerate_lattice(1, 6.0)
+    # the generators over a wider lattice, whose points past 6 they leave untouched
+    wide = enumerate_lattice(1, 9.0)
     gens = [
-        scale_form(random_form(lattice, 4, n_terms=6, seed=31), 0.05),
-        scale_form(random_form(lattice, 3, n_terms=5, seed=32), 0.05),
+        from_dict(wide.points, g.degree, g.coeffs)
+        for g in (
+            scale_form(random_form(lattice, 4, n_terms=6, seed=31), 0.05),
+            scale_form(random_form(lattice, 3, n_terms=5, seed=32), 0.05),
+        )
     ]
     rng = np.random.default_rng(33)
     state = {}
@@ -652,9 +656,8 @@ def test_transform_state_matches_the_dict_flow(inverse, paired):
         # unpaired values, missing entries and an entry no generator touches
         state = {e: v * (1 + 0.5j) for i, (e, v) in enumerate(state.items()) if i % 3}
         state[((9,), -1)] = 0.5 - 0.25j
-    points = sorted({p for p, _ in state} | {p for gen in gens for p in gen.points})
-    x = transform_state(gens, state_array(state, points), points, inverse=inverse, tol=1e-12)
-    got = {e: v for e, v in state_dict(x, points).items() if v != 0 or e in state}
+    x = transform_state(gens, state_array(state, wide.points), inverse=inverse, tol=1e-12)
+    got = {e: v for e, v in state_dict(x, wide.points).items() if v != 0 or e in state}
     want = _dict_transform(gens, state, inverse=inverse, tol=1e-12)
     assert got == want
     assert len(got) > len(state) or paired
@@ -677,7 +680,7 @@ def test_normal_form_failures_are_typed(
     key = ((((1,), 1), ((2,), 1), ((3,), -1)))
     with pytest.raises(CertificateError, match="certificate breached"):
         solve_homological(
-            make_form({key: 1.0}), certified_table, certified_bands, certified_clusters,
+            make_form(certified_table.lattice.points, {key: 1.0}), certified_table, certified_bands, certified_clusters,
             NF_CUTOFF, 1e6, 5.0, nu=2.0, smoothing=2.0,
         )
     large = NormalFormConfig(r=1, radius=0.9, cutoff=NF_CUTOFF)

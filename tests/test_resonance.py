@@ -36,7 +36,7 @@ from oracles import (
 
 def classify_term(key, table, bands, clusters, cutoff):
     """Bucket name of one key, from ``bucket_rows`` on a one-key form."""
-    form = from_dict(len(key), {key: 0j})
+    form = from_dict(table.lattice.points, len(key), {key: 0j})
     return (BUCKETS + ("NONRESONANT",))[bucket_rows(form, table, bands, clusters, cutoff)[0]]
 
 
